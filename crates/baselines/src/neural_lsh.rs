@@ -297,7 +297,7 @@ mod tests {
         let stats = idx.balance();
         assert!(stats.imbalance < 1.2, "imbalance {}", stats.imbalance);
         // Searching with one probe from a point inside a blob finds its neighbours.
-        let res = idx.search(idx.data().row(10), 5, 1);
+        let res = idx.search(idx.point(10), 5, 1);
         assert!(res.ids.contains(&10));
     }
 

@@ -105,7 +105,7 @@ fn main() {
     assert_eq!(report.live_points, n + inserted - deleted);
     let fresh = PartitionIndex::build(
         RoundRobinPartitioner::new(bins),
-        compacted.data(),
+        &compacted.to_matrix(),
         Distance::SquaredEuclidean,
     );
     let compacted_out: Vec<SearchResult> =

@@ -7,8 +7,10 @@
 //! every baseline (`usp-baselines`) share one implementation:
 //!
 //! * [`partitioner::Partitioner`] — anything that can score bins for a query;
-//! * [`partition_index::PartitionIndex`] — the bin → point-ids lookup table plus candidate
-//!   retrieval and exact re-ranking (Algorithm 2 steps 2–3);
+//! * [`partition_index::PartitionIndex`] — the bin → point-ids lookup table over the
+//!   bin-contiguous dataset, and the write path;
+//! * [`stream`] — the candidate stream of the probed bins (Algorithm 2 step 2) and the
+//!   two consumers that score it (step 3): exact, or ADC shortlist + exact re-rank;
 //! * [`searcher::AnnSearcher`] / [`searcher::SearchResult`] — the common interface the
 //!   evaluation harness uses to sweep recall against candidate-set size, also implemented
 //!   by the non-partitioning indexes (HNSW, IVF) compared in Figure 7;
@@ -29,6 +31,7 @@ pub mod partitioner;
 pub mod rerank;
 pub mod scoring;
 pub mod searcher;
+pub mod stream;
 pub mod wal;
 
 pub use mutation::{CompactionReport, MutationError, MutationStats};

@@ -7,36 +7,32 @@
 //!
 //! # Bin-contiguous (CSR) storage
 //!
-//! The lookup table is stored in CSR form, built once at construction time:
-//! `ids[bin_offsets[b]..bin_offsets[b + 1]]` are bin `b`'s point ids (ascending, the
-//! bucket order), and `flat` holds a second copy of the dataset with its rows permuted
-//! into exactly that order. Probing a bin therefore streams one contiguous slice of
-//! `flat` through the blocked distance kernels ([`usp_linalg::kernel`]) instead of
-//! gathering rows one id at a time from the row-major original — the difference between
-//! a cache-resident scan and a random-access walk, and the layout every production
-//! partition-based system (IVF, ScaNN) scans in. [`PartitionIndex::scan_bins`] is the
-//! single scoring path built on it; `search`, the serving engine and the sharded
-//! engine's shard views all go through it or through slices of the same layout.
+//! The index holds **one** copy of the dataset, `flat`, with its rows permuted into
+//! bin order: `ids[bin_offsets[b]..bin_offsets[b + 1]]` are bin `b`'s point ids
+//! (ascending, the bucket order) and row `local` of `flat` is point `ids[local]`.
+//! Probing a bin therefore streams one contiguous slice through the blocked distance
+//! kernels ([`usp_linalg::kernel`]) — a cache-resident scan, the layout every
+//! production partition-based system (IVF, ScaNN) scans in. A point is found back by
+//! id through its recorded bin ([`PartitionIndex::point`]); nothing is kept in the
+//! original row order.
 //!
-//! # Compressed-domain scoring
+//! [`PartitionIndex::with_scoring`] optionally adds a bin-contiguous code array of
+//! `n * code_len` bytes in the **same** order, encoded by a trained [`CodeQuantizer`].
 //!
-//! [`PartitionIndex::with_scoring`] optionally adds a second bin-contiguous buffer: a
-//! code array of `n * code_len` bytes, permuted by the **same** CSR `ids` order as
-//! `flat`, encoded from a trained [`CodeQuantizer`]. With [`Scoring::Compressed`] in
-//! force, [`PartitionIndex::scan_bins`] becomes two-phase: every probed code is scored
-//! through one per-query ADC table ([`usp_linalg::kernel::AdcScan`]), a shortlist of
-//! `rerank_budget` survivors is kept, and only the survivors' `flat` rows go through
-//! the exact blocked kernels — so returned distances stay exact-kernel bits while the
-//! first pass streams `code_len` bytes per candidate instead of `4 * dim`. Exact mode
-//! is untouched by construction: it is the same code path as before the enum existed.
+//! # One candidate stream
+//!
+//! Every query path — [`PartitionIndex::search`], the serving engine, each shard of
+//! the sharded engine — walks the probed bins through [`crate::stream`]: one producer
+//! of contiguous runs over `flat` / the codes / the membins, and an exact or a
+//! two-phase (ADC shortlist, exact re-rank) consumer picked by the configured
+//! [`Scoring`]. This file owns the storage and the write path; it scores nothing.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use rayon::prelude::*;
 use usp_linalg::kernel::AdcTable;
-use usp_linalg::topk::TopK;
-use usp_linalg::{kernel, Distance, Matrix};
+use usp_linalg::{Distance, Matrix};
 
 use crate::balance::BalanceStats;
 use crate::mutation::{CompactionReport, DeltaView, MutationError, MutationState, MutationStats};
@@ -49,22 +45,13 @@ use crate::wal::{Wal, WalError, WalRecord, WalStats};
 /// (inserts + base tombstones) reaches 10% of the base point count.
 const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.1;
 
-/// Where one scanned run of contiguous rows came from, for resolving segmented-scan
-/// winners of a delta-aware scan back to global ids.
-enum RunSrc {
-    /// Live CSR rows starting at this CSR local position.
-    Csr(usize),
-    /// Live membin rows of `(bin, first membin row)`.
-    Mem(usize, usize),
-}
-
 /// The resolved scoring state: [`Scoring`] plus the code array built from it.
 enum ScoringMode {
     Exact,
     Compressed {
         quantizer: Arc<dyn CodeQuantizer>,
         /// Bin-contiguous code array, stride `quantizer.code_len()`: code `local` is
-        /// the encoding of `flat` row `local` (= `data.row(ids[local])`).
+        /// the encoding of `flat` row `local`.
         codes: Vec<u8>,
         /// Default shortlist size when a request sets no budget.
         rerank_budget: usize,
@@ -74,7 +61,6 @@ enum ScoringMode {
 /// A searchable index: a partitioner plus the lookup table over a concrete dataset.
 pub struct PartitionIndex<P: Partitioner> {
     partitioner: P,
-    data: Matrix,
     assignments: Vec<usize>,
     distance: Distance,
     /// Bucket concatenation: `ids[bin_offsets[b]..bin_offsets[b + 1]]` = bin `b`'s
@@ -82,8 +68,8 @@ pub struct PartitionIndex<P: Partitioner> {
     ids: Vec<u32>,
     /// CSR row offsets per bin, length `num_bins + 1`, monotone, ending at `n`.
     bin_offsets: Vec<usize>,
-    /// Bin-contiguous copy of `data`: row `local` is a bit-exact copy of
-    /// `data.row(ids[local])`. The buffer every candidate scan streams.
+    /// The dataset in bin-contiguous order: row `local` is point `ids[local]`. The
+    /// buffer every candidate scan streams, and the only copy the index keeps.
     flat: Matrix,
     /// Exact or compressed candidate scoring (exact unless configured).
     scoring: ScoringMode,
@@ -91,7 +77,7 @@ pub struct PartitionIndex<P: Partitioner> {
     /// through [`Self::delta`]; `insert`/`delete` take the write lock per operation.
     mutation: RwLock<MutationState>,
     /// Fast dirty flag mirroring `!mutation.is_clean()`: a clean index's query path
-    /// never touches the lock and is bit-for-bit the pre-mutation-layer code path.
+    /// never touches the lock (its candidate stream is produced with no delta).
     mutated: AtomicBool,
     /// [`Self::needs_compaction`] fires when the delta fraction reaches this.
     compaction_threshold: f64,
@@ -188,7 +174,6 @@ impl<P: Partitioner> PartitionIndex<P> {
 
         Self {
             partitioner,
-            data: data.clone(),
             assignments,
             distance,
             ids,
@@ -260,9 +245,34 @@ impl<P: Partitioner> PartitionIndex<P> {
         &self.partitioner
     }
 
-    /// The indexed dataset (original row order).
-    pub fn data(&self) -> &Matrix {
-        &self.data
+    /// Dimensionality of the indexed points.
+    pub fn dims(&self) -> usize {
+        self.flat.cols()
+    }
+
+    /// CSR position of base point `id`: its recorded bin, then a binary search of
+    /// that bin's ascending bucket.
+    fn local_of(&self, id: usize) -> usize {
+        let b = self.assignments[id];
+        let at = self.bucket(b).binary_search(&(id as u32));
+        self.bin_offsets[b] + at.expect("assigned bin's bucket holds the id")
+    }
+
+    /// The row of base point `id` (an id of the build-time dataset; inserted points
+    /// live in the delta until compaction).
+    pub fn point(&self, id: usize) -> &[f32] {
+        self.flat.row(self.local_of(id))
+    }
+
+    /// The base points copied back into id order — the build-time dataset — for
+    /// offline callers that want it whole.
+    pub fn to_matrix(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.flat.rows(), self.dims());
+        for (local, &id) in self.ids.iter().enumerate() {
+            out.row_mut(id as usize)
+                .copy_from_slice(self.flat.row(local));
+        }
+        out
     }
 
     /// Number of bins.
@@ -280,8 +290,7 @@ impl<P: Partitioner> PartitionIndex<P> {
         &self.ids[self.bin_offsets[bin]..self.bin_offsets[bin + 1]]
     }
 
-    /// The contiguous rows of a bin in the bin-ordered copy of the dataset: row `j` of
-    /// the slice is `data.row(bucket(bin)[j])`, bit-exact.
+    /// The contiguous rows of a bin: row `j` of the slice is point `bucket(bin)[j]`.
     pub fn bin_rows(&self, bin: usize) -> &[f32] {
         let dim = self.flat.cols();
         &self.flat.as_slice()[self.bin_offsets[bin] * dim..self.bin_offsets[bin + 1] * dim]
@@ -309,38 +318,16 @@ impl<P: Partitioner> PartitionIndex<P> {
     }
 
     /// The probe step of Algorithm 2: the ranked `probes` most probable bins together
-    /// with their concatenated candidate ids (bin-rank order, bucket order within a
-    /// bin). [`Self::scan_bins`] scores exactly this stream without materialising it;
-    /// `probe` remains the id-level view for callers that want the candidates
-    /// themselves (diagnostics, external re-rankers).
-    /// With outstanding mutations the stream is the delta-aware one: live CSR ids in
-    /// bucket order, then the bin's live membin ids in insertion order — tombstoned
-    /// ids never appear.
+    /// with the ids of their candidate stream (see [`crate::stream`]; tombstoned ids
+    /// never appear). [`Self::scan_bins`] scores exactly this stream without
+    /// materialising it; `probe` is the id-level view for callers that want the
+    /// candidates themselves (diagnostics, external re-rankers).
     pub fn probe(&self, query: &[f32], probes: usize) -> (Vec<usize>, Vec<u32>) {
         let bins = self.partitioner.rank_bins(query, probes);
-        let mut out = Vec::new();
-        if !self.is_mutated() {
-            for &b in &bins {
-                out.extend_from_slice(self.bucket(b));
-            }
-            return (bins, out);
-        }
-        let delta = self.delta();
-        for &b in &bins {
-            let start = self.bin_offsets[b];
-            for (j, &id) in self.bucket(b).iter().enumerate() {
-                if !delta.csr_deleted()[start + j] {
-                    out.push(id);
-                }
-            }
-            let mb = delta.membin(b);
-            for (j, &id) in mb.ids().iter().enumerate() {
-                if !mb.deleted()[j] {
-                    out.push(id);
-                }
-            }
-        }
-        (bins, out)
+        let delta = self.is_mutated().then(|| self.delta());
+        let runs = self.candidate_runs(&bins, delta.as_deref(), None);
+        let ids = runs.iter().flat_map(|r| r.ids).copied().collect();
+        (bins, ids)
     }
 
     /// Candidate ids for a query when probing the `probes` most probable bins
@@ -354,92 +341,26 @@ impl<P: Partitioner> PartitionIndex<P> {
         self.distance
     }
 
-    /// Copies the points of the listed bins into a new dense matrix — rows in the order
-    /// the bins are listed, bucket order within each bin — together with each row's
-    /// original point id (`ids[local] = global`).
-    ///
-    /// This is the point-extraction primitive shard views build on: a shard that owns a
-    /// subset of bins gets its own contiguous sub-dataset plus the local→global id table
-    /// needed to translate its answers back. With the CSR layout each bin is one
-    /// `memcpy` of its contiguous rows (and one of its id slice), not a per-row
-    /// re-gather. Row values are bit-exact copies, so distances computed against the
-    /// extracted rows equal distances against the original rows. Listing a bin twice
-    /// extracts its points twice.
-    ///
-    /// With outstanding mutations the extraction is delta-aware: tombstoned rows are
-    /// skipped and each bin's live membin rows follow its live CSR rows, mirroring
-    /// the delta scan stream. Callers needing the raw positional CSR copy (shard
-    /// views, which overlay the delta themselves) use [`Self::extract_bins_csr`].
-    pub fn extract_bins(&self, bins: &[usize]) -> (Matrix, Vec<u32>) {
-        if !self.is_mutated() {
-            return self.extract_bins_csr(bins);
-        }
-        let dim = self.data.cols();
-        let delta = self.delta();
-        let mut flat = Vec::new();
-        let mut ids = Vec::new();
-        for &b in bins {
-            let start = self.bin_offsets[b];
-            for (j, &id) in self.bucket(b).iter().enumerate() {
-                if !delta.csr_deleted()[start + j] {
-                    flat.extend_from_slice(&self.bin_rows(b)[j * dim..(j + 1) * dim]);
-                    ids.push(id);
-                }
-            }
-            let mb = delta.membin(b);
-            for (j, &id) in mb.ids().iter().enumerate() {
-                if !mb.deleted()[j] {
-                    flat.extend_from_slice(mb.row(j));
-                    ids.push(id);
-                }
-            }
-        }
-        let total = ids.len();
-        (Matrix::from_vec(total, dim, flat), ids)
-    }
-
-    /// The raw positional bin extraction over the immutable CSR arrays only: exactly
-    /// the pre-mutation-layer [`Self::extract_bins`], ignoring membins and
-    /// tombstones. Row `j` of a listed bin's slice is always `bucket(bin)[j]`, so
-    /// positions line up with [`Self::bin_codes`] slices and with the delta's
-    /// CSR-position tombstone mask.
-    pub fn extract_bins_csr(&self, bins: &[usize]) -> (Matrix, Vec<u32>) {
-        let dim = self.data.cols();
-        let total: usize = bins
-            .iter()
-            .map(|&b| self.bin_offsets[b + 1] - self.bin_offsets[b])
-            .sum();
-        let mut flat = Vec::with_capacity(total * dim);
-        let mut ids = Vec::with_capacity(total);
-        for &b in bins {
-            flat.extend_from_slice(self.bin_rows(b));
-            ids.extend_from_slice(self.bucket(b));
-        }
-        (Matrix::from_vec(total, dim, flat), ids)
-    }
-
-    /// The candidate scan over the listed bins' stream, scanned contiguously under the
+    /// Scores the candidate stream of the listed bins ([`crate::stream`]) under the
     /// configured [`Scoring`] mode.
     ///
-    /// **Exact mode** (the default): concatenate the bins' buckets in the order given,
-    /// truncate to `budget` candidates if one is set, and select the top `k` under the
-    /// blocked kernels' (distance, stream position) total order — ascending distance,
-    /// NaN last, ties broken by position in the stream.
+    /// **Exact mode** (the default): the stream is truncated to `budget` candidates if
+    /// one is set and the top `k` selected under the blocked kernels' (distance,
+    /// stream position) total order — ascending distance, NaN last, ties broken by
+    /// position in the stream.
     ///
     /// **Compressed mode**: ADC-score *every* probed code through one per-query lookup
     /// table, keep the best `budget` (default: the configured `rerank_budget`, floored
-    /// at `k`) as a shortlist, then re-rank the shortlist's `flat` rows with the exact
-    /// kernels. `budget` is the same knob on both modes — the number of exact distance
-    /// evaluations — but compressed mode spends it on the *best-looking* candidates
-    /// instead of a stream-order prefix. `candidates_scanned` counts exact
-    /// evaluations; `compressed_scanned` counts the first-pass codes.
+    /// at `k`) as a shortlist, then re-rank the shortlist's rows with the exact
+    /// kernels; membin rows carry no codes and are always scored exactly. `budget` is
+    /// the same knob on both modes — the number of exact distance evaluations — but
+    /// compressed mode spends it on the *best-looking* candidates instead of a
+    /// stream-order prefix. `candidates_scanned` counts exact evaluations;
+    /// `compressed_scanned` counts the first-pass codes.
     ///
-    /// This is the **single scoring path** of the online phase: [`Self::search`] calls
-    /// it with the ranked bins, the serving engine calls it with the same ranked bins
-    /// plus its re-rank budget, so the two answer bit-identically by construction.
-    /// Every exact distance comes from [`usp_linalg::kernel`]'s blocked kernels
-    /// streaming the bin-contiguous rows — no id gather, no materialised distance
-    /// vector.
+    /// [`Self::search`] and the serving engine both call this with the ranked bins,
+    /// and the sharded engine runs the same consumer over per-shard pieces of the same
+    /// stream, so all of them answer bit-identically by construction.
     pub fn scan_bins(
         &self,
         query: &[f32],
@@ -462,308 +383,10 @@ impl<P: Partitioner> PartitionIndex<P> {
         budget: Option<usize>,
         table: Option<&AdcTable>,
     ) -> SearchResult {
-        let delta = if self.is_mutated() {
-            Some(self.delta())
-        } else {
-            None
-        };
-        match &self.scoring {
-            ScoringMode::Exact => match delta {
-                None => self.scan_bins_exact(query, bins, k, budget),
-                Some(delta) => self.scan_bins_exact_delta(query, bins, k, budget, &delta),
-            },
-            ScoringMode::Compressed {
-                quantizer,
-                codes,
-                rerank_budget,
-            } => {
-                let owned;
-                let table = match table {
-                    Some(t) => t,
-                    None => {
-                        owned = quantizer.adc_table(self.distance, query);
-                        &owned
-                    }
-                };
-                let shortlist = budget.unwrap_or(*rerank_budget).max(k);
-                match delta {
-                    None => self.scan_bins_compressed(
-                        query,
-                        table,
-                        codes,
-                        quantizer.code_len(),
-                        bins,
-                        k,
-                        shortlist,
-                    ),
-                    Some(delta) => self.scan_bins_compressed_delta(
-                        query,
-                        table,
-                        codes,
-                        quantizer.code_len(),
-                        bins,
-                        k,
-                        shortlist,
-                        &delta,
-                    ),
-                }
-            }
-        }
-    }
-
-    /// The pre-enum exact scan (see [`Self::scan_bins`]'s exact-mode contract).
-    fn scan_bins_exact(
-        &self,
-        query: &[f32],
-        bins: &[usize],
-        k: usize,
-        budget: Option<usize>,
-    ) -> SearchResult {
-        let budget = budget.unwrap_or(usize::MAX);
-        let dim = self.flat.cols();
-        let mut scan = kernel::SegmentedScan::new(self.distance, query, dim, k);
-        for &b in bins {
-            let scanned = scan.scanned();
-            if scanned == budget {
-                break;
-            }
-            let start = self.bin_offsets[b];
-            let len = self.bin_offsets[b + 1] - start;
-            let take = len.min(budget - scanned);
-            scan.scan_segment(
-                &self.flat.as_slice()[start * dim..(start + take) * dim],
-                take,
-                start,
-            );
-        }
-        let scanned = scan.scanned();
-        let ids = scan
-            .into_winners()
-            .into_iter()
-            .map(|(csr_start, off, _)| self.ids[csr_start + off] as usize)
-            .collect();
-        SearchResult::new(ids, scanned)
-    }
-
-    /// The compressed two-phase scan: ADC shortlist, then exact re-rank.
-    ///
-    /// Phase 1 streams every probed bin's contiguous code slice through the blocked
-    /// lookup kernel, keeping the best `shortlist` under (ADC distance, stream
-    /// position). Phase 2 re-sorts the survivors into stream order and re-ranks their
-    /// `flat` rows with the exact [`kernel::QueryScorer`], so the final (distance,
-    /// position-in-stream) tie order matches what an exact scan restricted to the
-    /// survivors would produce and every returned distance is an exact-kernel bit
-    /// pattern.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_bins_compressed(
-        &self,
-        query: &[f32],
-        table: &AdcTable,
-        codes: &[u8],
-        code_len: usize,
-        bins: &[usize],
-        k: usize,
-        shortlist: usize,
-    ) -> SearchResult {
-        let mut scan = kernel::AdcScan::new(table, code_len, shortlist);
-        for &b in bins {
-            let start = self.bin_offsets[b];
-            let len = self.bin_offsets[b + 1] - start;
-            scan.scan_segment(
-                &codes[start * code_len..(start + len) * code_len],
-                len,
-                start,
-            );
-        }
-        let compressed = scan.scanned();
-        // Survivors back into stream order: the exact re-rank's tie-break (TopK's
-        // ascending push index) then equals ascending stream position.
-        let mut survivors: Vec<(usize, usize)> = scan
-            .into_winners()
-            .into_iter()
-            .map(|(csr_start, off, pos, _)| (pos, csr_start + off))
-            .collect();
-        survivors.sort_unstable_by_key(|&(pos, _)| pos);
-        let dim = self.flat.cols();
-        let scorer = kernel::QueryScorer::new(self.distance, query);
-        let mut top = TopK::new(k);
-        for (rank, &(_, csr)) in survivors.iter().enumerate() {
-            top.push(
-                rank,
-                scorer.eval(&self.flat.as_slice()[csr * dim..(csr + 1) * dim]),
-            );
-        }
-        let ids = top
-            .into_sorted()
-            .into_iter()
-            .map(|(rank, _)| self.ids[survivors[rank].1] as usize)
-            .collect();
-        SearchResult::new(ids, survivors.len()).with_compressed_scanned(compressed)
-    }
-
-    /// [`Self::scan_bins_exact`] over a dirty index: per probed bin, the live CSR
-    /// rows (bucket order) then the live membin rows (insertion order), streamed as
-    /// contiguous live runs through the same [`kernel::SegmentedScan`]. The budget
-    /// counts **live** candidates, so `candidates_scanned` keeps its meaning (exact
-    /// distance evaluations) and a budgeted scan still truncates the least probable
-    /// end of the stream.
-    fn scan_bins_exact_delta(
-        &self,
-        query: &[f32],
-        bins: &[usize],
-        k: usize,
-        budget: Option<usize>,
-        delta: &MutationState,
-    ) -> SearchResult {
-        let budget = budget.unwrap_or(usize::MAX);
-        let dim = self.flat.cols();
-        let mut scan = kernel::SegmentedScan::new(self.distance, query, dim, k);
-        let mut runs: Vec<RunSrc> = Vec::new();
-        'bins: for &b in bins {
-            let start = self.bin_offsets[b];
-            let len = self.bin_offsets[b + 1] - start;
-            if scan.scanned() == budget {
-                break;
-            }
-            let remaining = budget - scan.scanned();
-            if delta.csr_dead_in_bin(b) == 0 {
-                // Untouched bin: one contiguous run, exactly the clean scan's take.
-                let take = len.min(remaining);
-                if take > 0 {
-                    runs.push(RunSrc::Csr(start));
-                    scan.scan_segment(
-                        &self.flat.as_slice()[start * dim..(start + take) * dim],
-                        take,
-                        runs.len() - 1,
-                    );
-                }
-            } else {
-                for (off, rlen) in
-                    kernel::live_runs(&delta.csr_deleted()[start..start + len], remaining)
-                {
-                    runs.push(RunSrc::Csr(start + off));
-                    scan.scan_segment(
-                        &self.flat.as_slice()[(start + off) * dim..(start + off + rlen) * dim],
-                        rlen,
-                        runs.len() - 1,
-                    );
-                }
-            }
-            let mb = delta.membin(b);
-            if !mb.is_empty() {
-                if scan.scanned() == budget {
-                    break 'bins;
-                }
-                let remaining = budget - scan.scanned();
-                for (off, rlen) in kernel::live_runs(mb.deleted(), remaining) {
-                    runs.push(RunSrc::Mem(b, off));
-                    scan.scan_segment(
-                        &mb.rows()[off * dim..(off + rlen) * dim],
-                        rlen,
-                        runs.len() - 1,
-                    );
-                }
-            }
-        }
-        let scanned = scan.scanned();
-        let ids = scan
-            .into_winners()
-            .into_iter()
-            .map(|(ri, off, _)| match runs[ri] {
-                RunSrc::Csr(start) => self.ids[start + off] as usize,
-                RunSrc::Mem(bin, row_start) => delta.membin(bin).ids()[row_start + off] as usize,
-            })
-            .collect();
-        SearchResult::new(ids, scanned)
-    }
-
-    /// [`Self::scan_bins_compressed`] over a dirty index. The compressed first pass
-    /// covers only the live **CSR** codes (membins carry no codes); the exact second
-    /// pass re-ranks the shortlist survivors in stream order and then appends every
-    /// live membin row of the probed bins — membin rows are always exact-scored, in
-    /// the same bin-rank/insertion stream order as the exact delta scan, so small
-    /// deltas cost `delta_live` extra exact evaluations instead of a re-encode.
-    /// `candidates_scanned` counts all exact evaluations (survivors + membin rows).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_bins_compressed_delta(
-        &self,
-        query: &[f32],
-        table: &AdcTable,
-        codes: &[u8],
-        code_len: usize,
-        bins: &[usize],
-        k: usize,
-        shortlist: usize,
-        delta: &MutationState,
-    ) -> SearchResult {
-        let mut scan = kernel::AdcScan::new(table, code_len, shortlist);
-        let mut runs: Vec<usize> = Vec::new();
-        for &b in bins {
-            let start = self.bin_offsets[b];
-            let len = self.bin_offsets[b + 1] - start;
-            if delta.csr_dead_in_bin(b) == 0 {
-                if len > 0 {
-                    runs.push(start);
-                    scan.scan_segment(
-                        &codes[start * code_len..(start + len) * code_len],
-                        len,
-                        runs.len() - 1,
-                    );
-                }
-            } else {
-                for (off, rlen) in
-                    kernel::live_runs(&delta.csr_deleted()[start..start + len], usize::MAX)
-                {
-                    runs.push(start + off);
-                    scan.scan_segment(
-                        &codes[(start + off) * code_len..(start + off + rlen) * code_len],
-                        rlen,
-                        runs.len() - 1,
-                    );
-                }
-            }
-        }
-        let compressed = scan.scanned();
-        let mut survivors: Vec<(usize, usize)> = scan
-            .into_winners()
-            .into_iter()
-            .map(|(ri, off, pos, _)| (pos, runs[ri] + off))
-            .collect();
-        survivors.sort_unstable_by_key(|&(pos, _)| pos);
-        let dim = self.flat.cols();
-        let scorer = kernel::QueryScorer::new(self.distance, query);
-        let mut top = TopK::new(k);
-        for (rank, &(_, csr)) in survivors.iter().enumerate() {
-            top.push(
-                rank,
-                scorer.eval(&self.flat.as_slice()[csr * dim..(csr + 1) * dim]),
-            );
-        }
-        // Membin tail: live delta rows of the probed bins, after every survivor in
-        // the stream order (they were appended after the base points).
-        let s = survivors.len();
-        let mut mem_ids: Vec<u32> = Vec::new();
-        for &b in bins {
-            let mb = delta.membin(b);
-            for (j, &id) in mb.ids().iter().enumerate() {
-                if !mb.deleted()[j] {
-                    top.push(s + mem_ids.len(), scorer.eval(mb.row(j)));
-                    mem_ids.push(id);
-                }
-            }
-        }
-        let ids = top
-            .into_sorted()
-            .into_iter()
-            .map(|(rank, _)| {
-                if rank < s {
-                    self.ids[survivors[rank].1] as usize
-                } else {
-                    mem_ids[rank - s] as usize
-                }
-            })
-            .collect();
-        SearchResult::new(ids, s + mem_ids.len()).with_compressed_scanned(compressed)
+        let delta = self.is_mutated().then(|| self.delta());
+        let consumer = self.consumer(query, k, budget, table);
+        let runs = self.candidate_runs(bins, delta.as_deref(), consumer.cap());
+        consumer.finish([&consumer.pass(&runs)])
     }
 
     /// The quantizer behind [`Scoring::Compressed`], if one is configured.
@@ -810,26 +433,9 @@ impl<P: Partitioner> PartitionIndex<P> {
         }
     }
 
-    /// Copies the listed bins' code slices into one contiguous buffer — rows in the
-    /// order the bins are listed, bucket order within each bin, exactly mirroring
-    /// [`Self::extract_bins`]' row order — so a shard holding an extracted sub-dataset
-    /// can ADC-scan the same rows it owns. `None` in exact mode.
-    pub fn extract_bin_codes(&self, bins: &[usize]) -> Option<Vec<u8>> {
-        match &self.scoring {
-            ScoringMode::Exact => None,
-            ScoringMode::Compressed { .. } => {
-                let mut out = Vec::new();
-                for &b in bins {
-                    out.extend_from_slice(self.bin_codes(b).expect("compressed mode has codes"));
-                }
-                Some(out)
-            }
-        }
-    }
-
-    /// True when inserts or deletes are outstanding (the delta-aware scan paths are
-    /// in force). A clean index — never mutated, or freshly compacted — answers on
-    /// the pre-mutation-layer code paths, bit for bit.
+    /// True when inserts or deletes are outstanding. A clean index — never mutated,
+    /// or freshly compacted — produces its candidate stream without reading the
+    /// mutation state at all.
     pub fn is_mutated(&self) -> bool {
         // ordering: Acquire pairs with the Release stores in insert()/delete() —
         // a reader that observes `true` also observes the delta state those
@@ -859,7 +465,7 @@ impl<P: Partitioner> PartitionIndex<P> {
     /// the in-memory state mutates: an `Err` means the index is untouched and the
     /// caller must not ack.
     pub fn try_insert(&self, point: &[f32]) -> Result<usize, MutationError> {
-        let dim = self.data.cols();
+        let dim = self.dims();
         if point.len() != dim {
             return Err(MutationError::DimsMismatch {
                 got: point.len(),
@@ -909,16 +515,14 @@ impl<P: Partitioner> PartitionIndex<P> {
             Membin,
         }
         let slot = if id < state.base_n() {
-            let b = self.assignments[id];
-            let pos = self
-                .bucket(b)
-                .binary_search(&(id as u32))
-                .expect("assigned bin's bucket holds the id");
-            let at = self.bin_offsets[b] + pos;
+            let at = self.local_of(id);
             if state.csr_deleted()[at] {
                 return Err(MutationError::AlreadyDeleted { id });
             }
-            Slot::Csr { bin: b, pos: at }
+            Slot::Csr {
+                bin: self.assignments[id],
+                pos: at,
+            }
         } else if id < state.base_n() + state.total_inserts() {
             let (bin, row) = state.insert_locs()[id - state.base_n()];
             if state.membin(bin as usize).deleted()[row as usize] {
@@ -1003,29 +607,26 @@ impl<P: Partitioner> PartitionIndex<P> {
         P: Clone,
     {
         let state = self.mutation.read().expect("mutation lock poisoned");
-        let dim = self.data.cols();
+        let dim = self.dims();
         let base_n = state.base_n();
-        // The CSR tombstone mask is positional; flip it to id-indexed for the
-        // ascending-id rebuild walk.
-        let mut deleted_by_id = vec![false; base_n];
-        for (local, &dead) in state.csr_deleted().iter().enumerate() {
-            if dead {
-                deleted_by_id[self.ids[local] as usize] = true;
-            }
-        }
         let total = base_n + state.total_inserts();
         let mut id_map: Vec<Option<u32>> = vec![None; total];
         let mut flat: Vec<f32> = Vec::new();
         let mut assignments: Vec<usize> = Vec::new();
         let mut next = 0u32;
-        for id in 0..base_n {
-            if deleted_by_id[id] {
+        // Ids ascending, a cursor per bin: the walk that laid the CSR out, so the
+        // cursor of id's bin stands on id's row.
+        let mut cursor = self.bin_offsets[..self.num_bins()].to_vec();
+        for (id, &b) in self.assignments.iter().enumerate() {
+            let local = cursor[b];
+            cursor[b] += 1;
+            if state.csr_deleted()[local] {
                 continue;
             }
             id_map[id] = Some(next);
             next += 1;
-            flat.extend_from_slice(self.data.row(id));
-            assignments.push(self.assignments[id]);
+            flat.extend_from_slice(self.flat.row(local));
+            assignments.push(b);
         }
         let mut merged_inserts = 0;
         for (j, &(bin, row)) in state.insert_locs().iter().enumerate() {
@@ -1255,6 +856,7 @@ impl<'a, P: Partitioner> AnnSearcher for ProbedIndex<'a, P> {
 mod tests {
     use super::*;
     use crate::partitioner::Partitioner;
+    use usp_linalg::kernel;
 
     /// A 1-D grid partitioner: bin = floor(x) clamped to [0, bins).
     #[derive(Clone)]
@@ -1304,7 +906,7 @@ mod tests {
         assert!((idx.balance().imbalance - 1.0).abs() < 1e-9);
         // All points in bucket 2 have 2 <= x < 3.
         for &id in idx.bucket(2) {
-            let x = idx.data().row(id as usize)[0];
+            let x = idx.point(id as usize)[0];
             assert!((2.0..3.0).contains(&x));
         }
     }
@@ -1331,7 +933,7 @@ mod tests {
         for b in 0..4 {
             let rows = idx.bin_rows(b);
             for (j, &id) in idx.bucket(b).iter().enumerate() {
-                assert_eq!(&rows[j..j + 1], idx.data().row(id as usize));
+                assert_eq!(&rows[j..j + 1], idx.point(id as usize));
             }
         }
     }
@@ -1458,22 +1060,12 @@ mod tests {
             let codes = idx.bin_codes(b).unwrap();
             assert_eq!(codes.len(), idx.bucket(b).len());
             for (j, &id) in idx.bucket(b).iter().enumerate() {
-                let x = idx.data().row(id as usize)[0];
+                let x = idx.point(id as usize)[0];
                 assert_eq!(codes[j] as usize, x.floor() as usize, "bin {b} slot {j}");
             }
         }
         assert_eq!(idx.compressed_rerank_budget(), Some(8));
         assert!(idx.quantizer().is_some());
-        // Extracted code slices mirror extract_bins' row order.
-        let extracted = idx.extract_bin_codes(&[2, 0]).unwrap();
-        let expect: Vec<u8> = idx
-            .bin_codes(2)
-            .unwrap()
-            .iter()
-            .chain(idx.bin_codes(0).unwrap())
-            .copied()
-            .collect();
-        assert_eq!(extracted, expect);
     }
 
     #[test]
@@ -1531,7 +1123,6 @@ mod tests {
         assert_eq!(reset.search(&q, 4, 2), plain.search(&q, 4, 2));
         assert!(reset.quantizer().is_none());
         assert!(reset.bin_codes(0).is_none());
-        assert!(reset.extract_bin_codes(&[0]).is_none());
         assert!(reset
             .adc_tables_batch(&Matrix::from_vec(1, 1, vec![0.5]))
             .is_none());
@@ -1570,46 +1161,6 @@ mod tests {
         let searcher = idx.with_probes(2);
         let via_trait = searcher.search_batch(&queries, 3);
         assert_eq!(via_trait, batch);
-    }
-
-    #[test]
-    fn extract_bins_copies_rows_with_global_ids() {
-        let data = line_data(4, 5);
-        let idx = PartitionIndex::build(
-            GridPartitioner { bins: 4 },
-            &data,
-            Distance::SquaredEuclidean,
-        );
-        let (sub, ids) = idx.extract_bins(&[2, 0]);
-        assert_eq!(sub.rows(), 10);
-        assert_eq!(sub.cols(), 1);
-        // Rows follow the listed bin order (bin 2 first), bucket order within a bin,
-        // and each extracted row is a bit-exact copy of its global row.
-        let expect: Vec<u32> = idx.bucket(2).iter().chain(idx.bucket(0)).copied().collect();
-        assert_eq!(ids, expect);
-        for (local, &global) in ids.iter().enumerate() {
-            assert_eq!(sub.row(local), idx.data().row(global as usize));
-        }
-    }
-
-    #[test]
-    fn extract_bins_handles_empty_selections() {
-        let data = line_data(3, 2);
-        let idx = PartitionIndex::from_assignments(
-            GridPartitioner { bins: 3 },
-            &data,
-            vec![0, 0, 0, 0, 2, 2], // bin 1 stays empty
-            Distance::SquaredEuclidean,
-        );
-        let (sub, ids) = idx.extract_bins(&[]);
-        assert_eq!((sub.rows(), sub.cols()), (0, 1));
-        assert!(ids.is_empty());
-        let (sub, ids) = idx.extract_bins(&[1]);
-        assert_eq!(sub.rows(), 0);
-        assert!(ids.is_empty());
-        let (sub, ids) = idx.extract_bins(&[1, 2]);
-        assert_eq!(sub.rows(), 2);
-        assert_eq!(ids, vec![4, 5]);
     }
 
     #[test]
@@ -1731,11 +1282,11 @@ mod tests {
                 "budget {budget}"
             );
             // The budgeted result equals re-ranking the truncated live stream
-            // (id 20 is the inserted point: rerank gathers from data(), which does
-            // not hold membin rows, so only compare while the stream stays in base).
+            // (id 20 is the inserted point: rerank gathers from the base matrix, which
+            // does not hold membin rows, so only compare while the stream stays in base).
             let truncated: Vec<u32> = live.iter().copied().take(budget).collect();
             if truncated.iter().all(|&c| (c as usize) < 20) {
-                let expect = crate::rerank::rerank(idx.data(), &q, &truncated, 3, idx.distance());
+                let expect = crate::rerank::rerank(&data, &q, &truncated, 3, idx.distance());
                 assert_eq!(got.ids, expect, "budget {budget}");
             }
         }
@@ -1794,7 +1345,7 @@ mod tests {
         for bin in 0..4 {
             let codes = idx.bin_codes(bin).unwrap();
             for (j, &pid) in idx.bucket(bin).iter().enumerate() {
-                let x = idx.data().row(pid as usize)[0];
+                let x = idx.point(pid as usize)[0];
                 assert_eq!(codes[j] as usize, x.floor() as usize);
             }
         }
@@ -1822,28 +1373,6 @@ mod tests {
         assert!((stats.delta_fraction - 0.15).abs() < 1e-12);
         idx.delete(1);
         assert!(idx.needs_compaction());
-    }
-
-    #[test]
-    fn extract_bins_is_delta_aware_but_csr_extraction_is_positional() {
-        let data = line_data(4, 5);
-        let idx = PartitionIndex::build(
-            GridPartitioner { bins: 4 },
-            &data,
-            Distance::SquaredEuclidean,
-        );
-        let dead = idx.bucket(2)[1] as usize;
-        idx.delete(dead);
-        let ins = idx.insert(&[2.9]) as u32;
-        let (sub, ids) = idx.extract_bins(&[2]);
-        assert_eq!(sub.rows(), 5); // 5 - 1 dead + 1 membin
-        assert!(!ids.contains(&(dead as u32)));
-        assert_eq!(*ids.last().unwrap(), ins);
-        assert_eq!(sub.row(4), &[2.9]);
-        // The positional CSR extraction still returns every slot, tombstoned or not.
-        let (csr_sub, csr_ids) = idx.extract_bins_csr(&[2]);
-        assert_eq!(csr_sub.rows(), 5);
-        assert_eq!(csr_ids, idx.bucket(2));
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl<P: Partitioner> QueryEngine<P> {
     /// Inserts a point through the index's streaming write path (see
     /// [`PartitionIndex::try_insert`]) and returns its id. Subsequent queries on
     /// this engine see the point immediately — `serve_batch` routes through the
-    /// same delta-aware scan as [`PartitionIndex::search`]. With a WAL attached,
+    /// same scan as [`PartitionIndex::search`]. With a WAL attached,
     /// `Ok` means the record is on the log (per its sync policy) — stats count only
     /// applied mutations.
     pub fn insert(&self, point: &[f32]) -> Result<usize, MutationError> {
@@ -267,7 +267,7 @@ impl<P: Partitioner> QueryEngine<P> {
 
 impl<P: Partitioner> BatchEngine for QueryEngine<P> {
     fn dims(&self) -> usize {
-        self.index.data().cols()
+        self.index.dims()
     }
 
     fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {

@@ -5,47 +5,37 @@
 //! unit of placement is the *bin*: [`ShardMap`] packs bins onto `S` shards by greedy
 //! longest-processing-time (LPT) scheduling over recorded per-bin probe loads (the
 //! counters [`crate::StatsSnapshot::bin_probes`] accumulates), falling back to uniform
-//! packing when no stats exist. Each shard owns a contiguous, id-remapped copy of its
-//! bins' points (built with [`PartitionIndex::extract_bins`]) plus the shard→global id
-//! table to translate answers back.
+//! packing when no stats exist. A shard is nothing more than its set of bins: it scans
+//! the index's own bin-contiguous rows, codes and membins, so re-packing the map moves
+//! no data.
 //!
-//! [`ShardedEngine::serve_batch`] is a three-phase scatter/gather:
+//! [`ShardedEngine::serve_batch`] is a three-phase scatter/gather over the query's
+//! candidate stream ([`usp_index::stream`]):
 //!
 //! 1. **Route** — rank every query's bins in **one** batched partitioner forward
-//!    ([`Partitioner::rank_bins_batch`], a single GEMM for neural partitioners) and
-//!    slice each (budgeted) candidate stream into per-shard sub-queries, remembering
-//!    every candidate's position in the *global* bin-rank-ordered concatenation;
+//!    ([`Partitioner::rank_bins_batch`], a single GEMM for neural partitioners),
+//!    produce each query's (budgeted) stream of runs, and deal the runs to the shards
+//!    owning their bins — every run keeps its position in the whole stream;
 //! 2. **Scatter** — run the flattened (query, shard) tasks on the persistent worker
-//!    pool, each streaming its contiguous candidate slices through the blocked
-//!    distance kernels into a shard-local top-k whose tie order follows the global
-//!    candidate positions;
-//! 3. **Gather** — merge each query's per-shard top-k lists, re-selecting the final
-//!    top-k under the same (distance, global position) total order the monolithic
-//!    re-rank uses.
+//!    pool, each one [`Consumer::pass`] over its runs;
+//! 3. **Gather** — [`Consumer::finish`] each query's passes.
 //!
-//! Because every comparison the sharded path makes is over the same bit-exact
-//! distances and the same total order as the unsharded [`crate::QueryEngine`], the
-//! merged answers are **bit-identical to the monolith for any shard count and pool
-//! size** — `tests/shard_equivalence.rs` pins this across shard counts {1, 2, 4, 7},
-//! pool sizes, per-request knobs (including re-rank budgets) and micro-batched
-//! submissions.
-//!
-//! Compressed ([`usp_index::Scoring::Compressed`]) indexes shard the same way, with
-//! each shard additionally owning its bins' contiguous code slices
-//! ([`PartitionIndex::extract_bin_codes`]). Scatter tasks then ADC-score their code
-//! slices through the query's shared lookup table (keeping an ADC top-`shortlist`
-//! instead of a top-k), and the gather re-selects the global shortlist before exactly
-//! re-ranking it — reproducing the monolith's two-phase scan bit-for-bit under the
-//! same restriction argument, just with ADC scores in the scatter phase.
+//! The unsharded [`crate::QueryEngine`] is the one-task case of the same pass→finish
+//! pair over the same runs, so merged answers are **bit-identical to the monolith for
+//! any shard count and pool size**, in exact and compressed mode, on clean and mutated
+//! indexes alike — `tests/shard_equivalence.rs` pins this across shard counts
+//! {1, 2, 4, 7}, pool sizes, per-request knobs (including re-rank budgets) and
+//! micro-batched submissions.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use rayon::prelude::*;
-use usp_index::mutation::{DeltaView, MutationState};
+use usp_index::mutation::MutationState;
+use usp_index::stream::{Consumer, Partial, Run};
 use usp_index::{CompactionReport, MutationError, PartitionIndex, Partitioner, SearchResult};
 use usp_linalg::kernel::AdcTable;
-use usp_linalg::{kernel, topk, Matrix};
+use usp_linalg::Matrix;
 
 use crate::engine::{BatchEngine, QueryOptions};
 use crate::stats::{ServeStats, StatsSnapshot};
@@ -143,117 +133,28 @@ impl ShardMap {
     }
 }
 
-/// One shard's owned slice of the index: a contiguous copy of its bins' points.
-struct ShardData {
-    /// Rows of the owned bins, ascending bin order, bucket order within a bin.
-    points: Matrix,
-    /// `global_ids[local_row]` = original point id.
-    global_ids: Vec<u32>,
-    /// `slots[bin]` = `(local_start, len)` of the bin's rows in `points`; `None` for
-    /// bins this shard does not own.
-    slots: Vec<Option<(u32, u32)>>,
-    /// Compressed codes of the owned rows (same row order as `points`, stride
-    /// [`usp_index::CodeQuantizer::code_len`]); `None` when the index scores exactly.
-    codes: Option<Vec<u8>>,
-}
-
-/// A slice of one query's candidate stream that lands on a single shard: `take`
-/// candidates starting at the shard-local row `local_start`, occupying positions
-/// `global_offset ..` in the monolith's bin-rank-ordered concatenation.
-#[derive(Debug, Clone, Copy)]
-struct Slice {
-    global_offset: usize,
-    local_start: u32,
-    take: u32,
-}
-
 /// Everything the router decided about one query.
-struct Route {
-    /// Ranked probed bins (recorded in the stats, like the monolith does).
-    probed_bins: Vec<usize>,
-    /// Exact distance evaluations this query pays — the budget-truncated stream
-    /// length in exact mode, the attainable ADC shortlist size in compressed mode.
-    /// Equals the monolith's `candidates_scanned` by construction.
-    scanned: usize,
-    /// Candidates ADC-scored in compressed mode (the full probed stream); 0 in exact
-    /// mode. Equals the monolith's `compressed_scanned`.
-    compressed: usize,
-    /// Per touched shard: the shard and its candidate slices in bin-rank order.
-    subs: Vec<(usize, Vec<Slice>)>,
+struct Route<'a> {
+    consumer: Consumer<'a>,
+    /// Per touched shard, its runs of the query's stream, in stream order.
+    tasks: Vec<Vec<Run<'a>>>,
     route_us: u64,
-}
-
-/// One shard-local top-k result: `(global position, distance, global id)` per kept
-/// candidate, best first.
-struct Partial {
-    entries: Vec<(usize, f32, u32)>,
-    task_us: u64,
-}
-
-/// A slice of one query's **live** candidate stream landing on a single shard while
-/// the index carries an uncompacted delta: the first `csr_take` live CSR rows of
-/// `bin` (bucket order) followed by its first `mem_take` live membin rows (insertion
-/// order), occupying positions `global_offset ..` in the monolith's live delta
-/// stream (per probed bin: live CSR rows, then live membin rows).
-#[derive(Debug, Clone, Copy)]
-struct DeltaSlice {
-    bin: usize,
-    global_offset: usize,
-    csr_take: u32,
-    mem_take: u32,
-}
-
-/// Everything the router decided about one query against a dirty index.
-struct DeltaRoute {
-    probed_bins: Vec<usize>,
-    /// Exact distance evaluations (the monolith's `candidates_scanned`): the
-    /// budget-truncated live stream length in exact mode; the attainable ADC
-    /// shortlist plus every probed live membin row in compressed mode.
-    scanned: usize,
-    /// Attainable ADC shortlist size (0 in exact mode) — the per-shard ADC keep and
-    /// the gather's re-selection size.
-    shortlist: usize,
-    /// Live CSR codes ADC-scored (0 in exact mode). Equals the monolith's
-    /// `compressed_scanned`.
-    compressed: usize,
-    subs: Vec<(usize, Vec<DeltaSlice>)>,
-    route_us: u64,
-}
-
-/// Where one contiguous run streamed by a delta scatter task came from.
-enum DeltaSrc {
-    /// Shard-local row start (the shard's positional CSR copy).
-    Shard(usize),
-    /// `(bin, membin row start)` — rows read through the batch's [`DeltaView`].
-    Mem(usize, usize),
-}
-
-/// One delta scatter task's result: ADC-scored live CSR candidates (compressed mode
-/// only) and exactly-scored candidates (the whole task in exact mode; the membin
-/// tail in compressed mode), each `(global live-stream position, score, global id)`.
-struct DeltaPartial {
-    adc: Vec<(usize, f32, u32)>,
-    exact: Vec<(usize, f32, u32)>,
-    task_us: u64,
 }
 
 /// A sharded scatter/gather serving engine, answer-equivalent to [`crate::QueryEngine`].
 ///
-/// The full index stays behind an `Arc` for routing (bin ranking + bucket sizes); each
-/// shard owns an id-remapped copy of its bins' points, which is what a distributed
-/// deployment would hold per node. Statistics are recorded exactly like the monolith's
-/// (per-query latency is the scatter/gather critical path: route + slowest shard +
-/// merge).
+/// The index stays behind an `Arc` and is the only holder of points; the map says
+/// which shard scans which of its bins. Statistics are recorded exactly like the
+/// monolith's (per-query latency is the scatter/gather critical path: route + slowest
+/// shard + merge).
 pub struct ShardedEngine<P: Partitioner> {
     index: Arc<PartitionIndex<P>>,
     map: ShardMap,
-    shards: Vec<ShardData>,
     stats: ServeStats,
 }
 
 impl<P: Partitioner> ShardedEngine<P> {
-    /// Shards `index` according to `map` (one [`ShardData`] view per shard, built in
-    /// parallel on the pool).
+    /// Shards `index` according to `map`.
     pub fn new(index: Arc<PartitionIndex<P>>, map: ShardMap) -> Self {
         assert_eq!(
             map.num_bins(),
@@ -262,12 +163,10 @@ impl<P: Partitioner> ShardedEngine<P> {
             map.num_bins(),
             index.num_bins()
         );
-        let shards = Self::build_shards(&index, &map);
         let bins = index.num_bins();
         Self {
             index,
             map,
-            shards,
             stats: ServeStats::new(bins),
         }
     }
@@ -276,34 +175,6 @@ impl<P: Partitioner> ShardedEngine<P> {
     pub fn with_shards(index: Arc<PartitionIndex<P>>, num_shards: usize) -> Self {
         let map = ShardMap::uniform(index.num_bins(), num_shards);
         Self::new(index, map)
-    }
-
-    fn build_shards(index: &PartitionIndex<P>, map: &ShardMap) -> Vec<ShardData> {
-        (0..map.num_shards())
-            .into_par_iter()
-            .map(|s| {
-                let bins = map.bins_of(s);
-                // Positional CSR extraction, not the delta-aware `extract_bins`: the
-                // shard copy must mirror the CSR layout row-for-row (tombstoned rows
-                // included) so delta scans can mask it with the same live runs the
-                // monolith uses, and `slots` stays aligned with `extract_bin_codes`.
-                let (points, global_ids) = index.extract_bins_csr(bins);
-                let codes = index.extract_bin_codes(bins);
-                let mut slots = vec![None; index.num_bins()];
-                let mut offset = 0u32;
-                for &b in bins {
-                    let len = index.bucket(b).len() as u32;
-                    slots[b] = Some((offset, len));
-                    offset += len;
-                }
-                ShardData {
-                    points,
-                    global_ids,
-                    slots,
-                    codes,
-                }
-            })
-            .collect()
     }
 
     /// The bin→shard map in force.
@@ -316,25 +187,29 @@ impl<P: Partitioner> ShardedEngine<P> {
         &self.index
     }
 
-    /// Number of points owned by each shard (the storage-balance diagnostic).
+    /// Number of live points each shard scans over (the storage-balance diagnostic):
+    /// per owned bin, its live base points plus its live inserted points.
     pub fn shard_point_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.global_ids.len()).collect()
+        let delta = self.index.delta();
+        let live = |&b: &usize| {
+            self.index.bucket(b).len() - delta.csr_dead_in_bin(b) + delta.membin(b).live()
+        };
+        (0..self.map.num_shards())
+            .map(|s| self.map.bins_of(s).iter().map(live).sum())
+            .collect()
     }
 
     /// Re-packs the bin→shard map from the probe loads recorded since construction (or
-    /// the last stats reset) and rebuilds the shard views. Counters are kept — the next
-    /// rebalance sees the full history. Answers are unchanged by construction; only the
-    /// placement moves.
+    /// the last stats reset). Counters are kept — the next rebalance sees the full
+    /// history. Only the placement moves: shards hold no data of their own, so the
+    /// answers cannot change.
     pub fn rebalance_from_stats(&mut self) {
-        let map = self.map.rebuild_from_stats(&self.stats.snapshot());
-        self.shards = Self::build_shards(&self.index, &map);
-        self.map = map;
+        self.map = self.map.rebuild_from_stats(&self.stats.snapshot());
     }
 
     /// Inserts a point through the routing index's streaming write path (see
     /// [`PartitionIndex::try_insert`]). The point lands in its bin's membin, so it
-    /// is served by whichever shard owns that bin — shard copies themselves are
-    /// immutable CSR views and need no rebuild until compaction. With a WAL
+    /// is served by whichever shard owns that bin. With a WAL
     /// attached, `Ok` means the record is on the log (append-before-ack).
     pub fn insert(&self, point: &[f32]) -> Result<usize, MutationError> {
         let id = self.index.try_insert(point)?;
@@ -342,8 +217,7 @@ impl<P: Partitioner> ShardedEngine<P> {
         Ok(id)
     }
 
-    /// Tombstones a point (see [`PartitionIndex::try_delete`]). The tombstone is
-    /// consulted by every shard's delta scan.
+    /// Tombstones a point (see [`PartitionIndex::try_delete`]).
     pub fn delete(&self, id: usize) -> Result<(), MutationError> {
         self.index.try_delete(id)?;
         self.stats.record_delete();
@@ -361,8 +235,7 @@ impl<P: Partitioner> ShardedEngine<P> {
     /// ([`PartitionIndex::compacted_with_checkpoint`] — which also runs the WAL
     /// checkpoint/truncate protocol and moves the log onto the new index) and
     /// swaps it in; then re-packs the bin→shard map from the recorded probe loads
-    /// and rebuilds the shard views either way (the existing
-    /// [`Self::rebalance_from_stats`] loop). Returns the compaction report — with
+    /// either way ([`Self::rebalance_from_stats`]). Returns the compaction report — with
     /// its id remapping — when a compaction ran. On `Err` (a checkpoint that could
     /// not reach storage) nothing is swapped: the old index, its delta, and its
     /// log are all intact.
@@ -394,84 +267,85 @@ impl<P: Partitioner> ShardedEngine<P> {
     /// Results come back in request order and are bit-identical to the unsharded
     /// [`crate::QueryEngine::serve_batch`] for any shard count and pool size.
     pub fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
-        if self.index.is_mutated() {
-            return self.serve_batch_delta(queries, opts);
-        }
         let t0 = Instant::now();
+        // One read guard spans all three phases, so inserts and deletes racing the
+        // batch serialize before or after it — never between route and scatter. A
+        // clean index takes no lock.
+        let delta = self.index.is_mutated().then(|| self.index.delta());
 
         // Phase 1 — route: one batched partitioner forward ranks every query's bins
         // (a single GEMM for neural partitioners; bit-identical per row to the
-        // per-query forward by the Partitioner batch contract), then the candidate
-        // stream is sliced per shard in parallel over queries.
+        // per-query forward by the Partitioner batch contract), then each query's
+        // stream is dealt to the shards in parallel over queries.
         let ranked = self
             .index
             .partitioner()
             .rank_bins_batch(queries, opts.probes);
         let rank_share_us = (t0.elapsed().as_micros() as u64) / (queries.rows().max(1) as u64);
-        let routes: Vec<Route> = ranked
-            .into_par_iter()
-            .map(|bins| self.route(bins, opts, rank_share_us))
-            .collect();
-
-        // Phase 2 — scatter: one task per (query, shard) pair, flattened so the pool
-        // load-balances across both axes.
-        let tasks: Vec<(usize, usize)> = routes
-            .iter()
-            .enumerate()
-            .flat_map(|(qi, r)| (0..r.subs.len()).map(move |si| (qi, si)))
-            .collect();
-        let mut task_ids: Vec<Vec<usize>> = vec![Vec::new(); queries.rows()];
-        for (ti, &(qi, _)) in tasks.iter().enumerate() {
-            task_ids[qi].push(ti);
-        }
         // Compressed indexes amortise ADC-table construction across the batch, exactly
         // like the monolith engine: one table per query, shared by every scatter task
         // of that query. `None` for exact indexes.
         let tables = self.index.adc_tables_batch(queries);
-        let partials: Vec<Partial> = tasks
-            .par_iter()
-            .map(|&(qi, si)| {
-                // Compressed tasks keep a per-shard ADC top-`scanned` (the global
-                // shortlist restricted to one shard can never exceed the shortlist);
-                // exact tasks keep a per-shard top-k as before.
-                let keep = if tables.is_some() {
-                    routes[qi].scanned
-                } else {
-                    opts.k
-                };
-                self.run_task(
-                    queries.row(qi),
-                    &routes[qi].subs[si],
-                    keep,
-                    tables.as_ref().map(|t| &t[qi]),
+        let routes: Vec<Route> = (0..queries.rows())
+            .into_par_iter()
+            .map(|qi| {
+                let table = tables.as_ref().map(|t| &t[qi]);
+                let query = queries.row(qi);
+                self.route(
+                    query,
+                    &ranked[qi],
+                    opts,
+                    table,
+                    delta.as_deref(),
+                    rank_share_us,
                 )
             })
             .collect();
 
-        // Phase 3 — gather: merge each query's per-shard top-k lists (parallel over
-        // queries; the ordered collect keeps request order).
+        // Phase 2 — scatter: one task per (query, shard) pair, flattened so the pool
+        // load-balances across both axes. Query `qi` owns `starts[qi]..starts[qi + 1]`.
+        let tasks: Vec<(usize, &[Run])> = routes
+            .iter()
+            .enumerate()
+            .flat_map(|(qi, r)| r.tasks.iter().map(move |runs| (qi, &runs[..])))
+            .collect();
+        let mut starts = vec![0usize; queries.rows() + 1];
+        for (qi, r) in routes.iter().enumerate() {
+            starts[qi + 1] = starts[qi] + r.tasks.len();
+        }
+        let partials: Vec<(Partial, u64)> = tasks
+            .par_iter()
+            .map(|&(qi, runs)| {
+                let t = Instant::now();
+                let partial = routes[qi].consumer.pass(runs);
+                (partial, t.elapsed().as_micros() as u64)
+            })
+            .collect();
+
+        // Phase 3 — gather: finish each query's passes (parallel over queries; the
+        // ordered collect keeps request order). Latency is the critical path: route +
+        // slowest shard + merge.
         let merged: Vec<(SearchResult, u64)> = (0..queries.rows())
             .into_par_iter()
             .map(|qi| {
-                self.gather(
-                    queries.row(qi),
-                    &routes[qi],
-                    &task_ids[qi],
-                    &partials,
-                    opts.k,
-                )
+                let t = Instant::now();
+                let mine = &partials[starts[qi]..starts[qi + 1]];
+                let result = routes[qi].consumer.finish(mine.iter().map(|(p, _)| p));
+                let slowest = mine.iter().map(|&(_, us)| us).max().unwrap_or(0);
+                let merge_us = t.elapsed().as_micros() as u64;
+                (result, routes[qi].route_us + slowest + merge_us)
             })
             .collect();
 
         let busy = t0.elapsed().as_micros() as u64;
         let latencies: Vec<u64> = merged.iter().map(|(_, us)| *us).collect();
-        let scanned: u64 = routes.iter().map(|r| r.scanned as u64).sum();
-        let compressed: u64 = routes.iter().map(|r| r.compressed as u64).sum();
+        let scanned = merged.iter().map(|(r, _)| r.candidates_scanned as u64);
+        let compressed = merged.iter().map(|(r, _)| r.compressed_scanned as u64);
         self.stats.record_batch(
             &latencies,
-            routes.iter().flat_map(|r| r.probed_bins.iter().copied()),
-            scanned,
-            compressed,
+            ranked.iter().flat_map(|bins| bins.iter().copied()),
+            scanned.sum(),
+            compressed.sum(),
             busy,
         );
         merged.into_iter().map(|(r, _)| r).collect()
@@ -497,602 +371,39 @@ impl<P: Partitioner> ShardedEngine<P> {
         BatchEngine::warm_up(self)
     }
 
-    /// Phase 1 for one query: slice the budgeted candidate stream of the pre-ranked
-    /// bins by owning shard (`rank_share_us` is this query's share of the batched
-    /// bin-ranking forward, folded into the recorded route latency).
-    ///
-    /// In exact mode the monolith concatenates bucket contents in bin-rank order and
-    /// truncates to the budget; a candidate therefore survives iff its global position
-    /// is below the budget. In compressed mode the monolith ADC-scores the *whole*
-    /// stream and the budget instead sizes the exactly re-ranked shortlist, so the
-    /// slices cover every probed bucket and `scanned` is the attainable shortlist.
-    /// Either way, tracking each bin's start offset in the untruncated concatenation
-    /// gives every shard-local candidate its global position — the tie-break key the
-    /// merge needs for bit-identical answers.
-    fn route(&self, bins: Vec<usize>, opts: &QueryOptions, rank_share_us: u64) -> Route {
-        let t0 = Instant::now();
-        let compressed_mode = self.index.compressed_rerank_budget();
-        let budget = match compressed_mode {
-            // Compressed: no stream truncation — the ADC pass sees everything.
-            Some(_) => usize::MAX,
-            None => opts.rerank_budget.unwrap_or(usize::MAX),
-        };
-        let mut subs: Vec<(usize, Vec<Slice>)> = Vec::new();
-        let mut offset = 0usize;
-        let mut scanned = 0usize;
-        for &b in &bins {
-            let shard = self.map.shard_of(b);
-            let (local_start, len) =
-                self.shards[shard].slots[b].expect("routed bin must be owned by its mapped shard");
-            let take = (len as usize).min(budget.saturating_sub(offset));
-            if take > 0 {
-                let slice = Slice {
-                    global_offset: offset,
-                    local_start,
-                    take: take as u32,
-                };
-                match subs.iter_mut().find(|(s, _)| *s == shard) {
-                    Some((_, slices)) => slices.push(slice),
-                    None => subs.push((shard, vec![slice])),
-                }
-                scanned += take;
-            }
-            offset += len as usize;
-        }
-        let (scanned, compressed) = match compressed_mode {
-            Some(default_budget) => {
-                let shortlist = opts.rerank_budget.unwrap_or(default_budget).max(opts.k);
-                (shortlist.min(offset), offset)
-            }
-            None => (scanned, 0),
-        };
-        Route {
-            probed_bins: bins,
-            scanned,
-            compressed,
-            subs,
-            route_us: rank_share_us + t0.elapsed().as_micros() as u64,
-        }
-    }
-
-    /// Phase 2 for one (query, shard) task: stream the shard-local candidate slices —
-    /// each a contiguous run of the shard's bin-ordered copy — through the blocked
-    /// kernel, keeping the shard's top `keep` under the (score, global position)
-    /// order. Exact tasks (`table` = `None`) score rows with the distance kernels and
-    /// `keep` = k; compressed tasks ADC-score the shard's code slices through the
-    /// query's shared table and `keep` = the query's shortlist size.
-    ///
-    /// The fused scans break score ties by index into the scanned stream; the slices
-    /// are visited in bin-rank order, so that index order *is* ascending global
-    /// position — each shard's survivors are exactly the monolith's top-`keep`
-    /// restricted to this shard. The scores are the same bits the monolith's
-    /// [`PartitionIndex::scan_bins`] computes, because both call the same kernels
-    /// over bit-exact copies.
-    fn run_task(
-        &self,
-        query: &[f32],
-        sub: &(usize, Vec<Slice>),
-        keep: usize,
-        table: Option<&AdcTable>,
-    ) -> Partial {
-        let t0 = Instant::now();
-        let (shard_id, slices) = sub;
-        let shard = &self.shards[*shard_id];
-        let entries = match table {
-            None => {
-                let dim = shard.points.cols();
-                let mut scan = kernel::SegmentedScan::new(self.index.distance(), query, dim, keep);
-                for (si, s) in slices.iter().enumerate() {
-                    let lo = s.local_start as usize * dim;
-                    scan.scan_segment(
-                        &shard.points.as_slice()[lo..lo + s.take as usize * dim],
-                        s.take as usize,
-                        si,
-                    );
-                }
-                scan.into_winners()
-                    .into_iter()
-                    .map(|(si, off, dist)| {
-                        let s = &slices[si];
-                        (
-                            s.global_offset + off,
-                            dist,
-                            shard.global_ids[s.local_start as usize + off],
-                        )
-                    })
-                    .collect()
-            }
-            Some(table) => {
-                let codes = shard
-                    .codes
-                    .as_ref()
-                    .expect("compressed index shards carry code slices");
-                let m = self
-                    .index
-                    .quantizer()
-                    .expect("compressed index has a quantizer")
-                    .code_len();
-                let mut scan = kernel::AdcScan::new(table, m, keep);
-                for (si, s) in slices.iter().enumerate() {
-                    let lo = s.local_start as usize * m;
-                    scan.scan_segment(&codes[lo..lo + s.take as usize * m], s.take as usize, si);
-                }
-                scan.into_winners()
-                    .into_iter()
-                    .map(|(si, off, _pos, dist)| {
-                        let s = &slices[si];
-                        (
-                            s.global_offset + off,
-                            dist,
-                            shard.global_ids[s.local_start as usize + off],
-                        )
-                    })
-                    .collect()
-            }
-        };
-        Partial {
-            entries,
-            task_us: t0.elapsed().as_micros() as u64,
-        }
-    }
-
-    /// Phase 3 for one query: pool the shard partials, restore global candidate order,
-    /// and re-select the final answer.
-    ///
-    /// Sorting the pooled entries by global position makes `smallest_k_by`'s
-    /// tie-by-index identical to the monolith's tie-by-candidate-position, and every
-    /// monolith winner is present (it survived its own shard's top-`keep`), so the
-    /// selection matches the unsharded scan exactly. Exact mode stops there; in
-    /// compressed mode the pooled scores are ADC scores, so the gather re-selects the
-    /// global shortlist (`route.scanned` best ADC candidates), restores *its* stream
-    /// order, and re-ranks the survivors with the exact kernel over the routing
-    /// index's rows — the same bits and tie order as the monolith's two-phase
-    /// [`PartitionIndex::scan_bins`], hence bit-identical answers in both modes.
-    fn gather(
-        &self,
-        query: &[f32],
-        route: &Route,
-        task_ids: &[usize],
-        partials: &[Partial],
-        k: usize,
-    ) -> (SearchResult, u64) {
-        let t0 = Instant::now();
-        let mut pooled: Vec<(usize, f32, u32)> = task_ids
-            .iter()
-            .flat_map(|&ti| partials[ti].entries.iter().copied())
-            .collect();
-        pooled.sort_unstable_by_key(|&(pos, _, _)| pos);
-        let result = if route.compressed == 0 {
-            let ids: Vec<usize> = topk::smallest_k_by(pooled.len(), k, |i| pooled[i].1)
-                .into_iter()
-                .map(|i| pooled[i].2 as usize)
-                .collect();
-            SearchResult::new(ids, route.scanned)
-        } else {
-            // Global ADC shortlist, then back into stream order so the exact
-            // re-rank's tie-by-push-index equals tie-by-stream-position.
-            let mut survivors = topk::smallest_k_by(pooled.len(), route.scanned, |i| pooled[i].1);
-            survivors.sort_unstable();
-            let scorer = kernel::QueryScorer::new(self.index.distance(), query);
-            let data = self.index.data();
-            let mut top = topk::TopK::new(k);
-            for (rank, &i) in survivors.iter().enumerate() {
-                top.push(rank, scorer.eval(data.row(pooled[i].2 as usize)));
-            }
-            let ids = top
-                .into_sorted()
-                .into_iter()
-                .map(|(rank, _)| pooled[survivors[rank]].2 as usize)
-                .collect();
-            SearchResult::new(ids, survivors.len()).with_compressed_scanned(route.compressed)
-        };
-        let slowest_shard = task_ids
-            .iter()
-            .map(|&ti| partials[ti].task_us)
-            .max()
-            .unwrap_or(0);
-        let latency = route.route_us + slowest_shard + t0.elapsed().as_micros() as u64;
-        (result, latency)
-    }
-
-    /// [`Self::serve_batch`] while the index carries an uncompacted delta. Same
-    /// three phases, over the **live** candidate stream the monolith's delta scans
-    /// walk (per probed bin: live CSR rows in bucket order, then live membin rows in
-    /// insertion order). One [`DeltaView`] read guard spans all three phases, so
-    /// inserts and deletes racing the batch serialize before or after it — never
-    /// between route and scatter. Membins are scanned by the shard that owns their
-    /// bin, reading rows through the shared view; tombstones mask each shard's
-    /// positional CSR copy with the same live runs the monolith uses, so answers
-    /// stay bit-identical to [`PartitionIndex::search`] on the dirty index for any
-    /// shard count and pool size.
-    fn serve_batch_delta(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
-        let t0 = Instant::now();
-        let delta: DeltaView<'_> = self.index.delta();
-        let ranked = self
-            .index
-            .partitioner()
-            .rank_bins_batch(queries, opts.probes);
-        let rank_share_us = (t0.elapsed().as_micros() as u64) / (queries.rows().max(1) as u64);
-        let routes: Vec<DeltaRoute> = ranked
-            .into_par_iter()
-            .map(|bins| self.route_delta(bins, opts, rank_share_us, &delta))
-            .collect();
-
-        let tasks: Vec<(usize, usize)> = routes
-            .iter()
-            .enumerate()
-            .flat_map(|(qi, r)| (0..r.subs.len()).map(move |si| (qi, si)))
-            .collect();
-        let mut task_ids: Vec<Vec<usize>> = vec![Vec::new(); queries.rows()];
-        for (ti, &(qi, _)) in tasks.iter().enumerate() {
-            task_ids[qi].push(ti);
-        }
-        let tables = self.index.adc_tables_batch(queries);
-        let partials: Vec<DeltaPartial> = tasks
-            .par_iter()
-            .map(|&(qi, si)| {
-                let keep = if tables.is_some() {
-                    routes[qi].shortlist
-                } else {
-                    opts.k
-                };
-                self.run_task_delta(
-                    queries.row(qi),
-                    &routes[qi].subs[si],
-                    keep,
-                    tables.as_ref().map(|t| &t[qi]),
-                    &delta,
-                )
-            })
-            .collect();
-
-        let merged: Vec<(SearchResult, u64)> = (0..queries.rows())
-            .into_par_iter()
-            .map(|qi| {
-                self.gather_delta(
-                    queries.row(qi),
-                    &routes[qi],
-                    &task_ids[qi],
-                    &partials,
-                    opts.k,
-                )
-            })
-            .collect();
-
-        let busy = t0.elapsed().as_micros() as u64;
-        let latencies: Vec<u64> = merged.iter().map(|(_, us)| *us).collect();
-        let scanned: u64 = routes.iter().map(|r| r.scanned as u64).sum();
-        let compressed: u64 = routes.iter().map(|r| r.compressed as u64).sum();
-        self.stats.record_batch(
-            &latencies,
-            routes.iter().flat_map(|r| r.probed_bins.iter().copied()),
-            scanned,
-            compressed,
-            busy,
-        );
-        merged.into_iter().map(|(r, _)| r).collect()
-    }
-
-    /// Phase 1 for one query against a dirty index: slice the **live** delta stream
-    /// by owning shard. The budget counts live candidates (the monolith's delta
-    /// contract), truncating each bin to its first live CSR rows then its first live
-    /// membin rows; positions are tracked in the untruncated live stream, which
-    /// orders candidates exactly as the monolith's delta scans push them. In
-    /// compressed mode nothing truncates: the ADC pass covers every live CSR code
-    /// and `shortlist` bounds the exact re-rank instead.
-    fn route_delta(
-        &self,
-        bins: Vec<usize>,
+    /// Phase 1 for one query: produce its stream exactly as the monolith would — same
+    /// consumer, same cap — and deal the runs to the shards owning their bins
+    /// (`rank_share_us` is this query's share of the batched bin-ranking forward,
+    /// folded into the recorded route latency).
+    fn route<'a>(
+        &'a self,
+        query: &'a [f32],
+        bins: &[usize],
         opts: &QueryOptions,
+        table: Option<&'a AdcTable>,
+        delta: Option<&'a MutationState>,
         rank_share_us: u64,
-        delta: &MutationState,
-    ) -> DeltaRoute {
+    ) -> Route<'a> {
         let t0 = Instant::now();
-        let offsets = self.index.bin_offsets();
-        let compressed_mode = self.index.compressed_rerank_budget();
-        let budget = match compressed_mode {
-            Some(_) => usize::MAX,
-            None => opts.rerank_budget.unwrap_or(usize::MAX),
-        };
-        let mut subs: Vec<(usize, Vec<DeltaSlice>)> = Vec::new();
-        let mut offset = 0usize;
-        let mut taken = 0usize;
-        let mut csr_live_total = 0usize;
-        let mut mem_live_total = 0usize;
-        for &b in &bins {
-            let shard = self.map.shard_of(b);
-            let csr_live = (offsets[b + 1] - offsets[b]) - delta.csr_dead_in_bin(b);
-            let mem_live = delta.membin(b).live();
-            let bin_live = csr_live + mem_live;
-            let take = bin_live.min(budget.saturating_sub(offset));
-            let csr_take = take.min(csr_live);
-            if take > 0 {
-                let slice = DeltaSlice {
-                    bin: b,
-                    global_offset: offset,
-                    csr_take: csr_take as u32,
-                    mem_take: (take - csr_take) as u32,
-                };
-                match subs.iter_mut().find(|(s, _)| *s == shard) {
-                    Some((_, slices)) => slices.push(slice),
-                    None => subs.push((shard, vec![slice])),
-                }
-                taken += take;
-            }
-            csr_live_total += csr_live;
-            mem_live_total += mem_live;
-            offset += bin_live;
+        let consumer = self
+            .index
+            .consumer(query, opts.k, opts.rerank_budget, table);
+        let mut tasks = vec![Vec::new(); self.map.num_shards()];
+        for run in self.index.candidate_runs(bins, delta, consumer.cap()) {
+            tasks[self.map.shard_of(run.bin)].push(run);
         }
-        let (scanned, shortlist, compressed) = match compressed_mode {
-            Some(default_budget) => {
-                let shortlist = opts
-                    .rerank_budget
-                    .unwrap_or(default_budget)
-                    .max(opts.k)
-                    .min(csr_live_total);
-                (shortlist + mem_live_total, shortlist, csr_live_total)
-            }
-            None => (taken, 0, 0),
-        };
-        DeltaRoute {
-            probed_bins: bins,
-            scanned,
-            shortlist,
-            compressed,
-            subs,
+        tasks.retain(|runs| !runs.is_empty());
+        Route {
+            consumer,
+            tasks,
             route_us: rank_share_us + t0.elapsed().as_micros() as u64,
         }
-    }
-
-    /// Phase 2 for one (query, shard) delta task. Exact mode streams the slice's
-    /// live CSR runs (masked out of the shard's positional copy) and live membin
-    /// runs (read through the [`DeltaView`]) through one [`kernel::SegmentedScan`]
-    /// in live-stream order, keeping the shard's top `keep` — push order within the
-    /// task is ascending global position, so ties resolve exactly as in the
-    /// monolith's delta stream. Compressed mode ADC-scores the live CSR code runs
-    /// (keeping `keep` = the query's shortlist) and exact-scores **every** live
-    /// membin row of its bins — the monolith re-ranks all of them, so none may be
-    /// dropped shard-locally.
-    fn run_task_delta(
-        &self,
-        query: &[f32],
-        sub: &(usize, Vec<DeltaSlice>),
-        keep: usize,
-        table: Option<&AdcTable>,
-        delta: &MutationState,
-    ) -> DeltaPartial {
-        let t0 = Instant::now();
-        let (shard_id, slices) = sub;
-        let shard = &self.shards[*shard_id];
-        let offsets = self.index.bin_offsets();
-        let mut adc: Vec<(usize, f32, u32)> = Vec::new();
-        let mut exact: Vec<(usize, f32, u32)> = Vec::new();
-        match table {
-            None => {
-                let dim = shard.points.cols();
-                let mut scan = kernel::SegmentedScan::new(self.index.distance(), query, dim, keep);
-                let mut runs: Vec<(usize, DeltaSrc)> = Vec::new();
-                for s in slices {
-                    let (local_start, _) =
-                        shard.slots[s.bin].expect("routed bin must be owned by its mapped shard");
-                    let local_start = local_start as usize;
-                    let csr_start = offsets[s.bin];
-                    let csr_len = offsets[s.bin + 1] - csr_start;
-                    if delta.csr_dead_in_bin(s.bin) == 0 {
-                        // Untouched bin: one contiguous prefix, like the clean path.
-                        let take = s.csr_take as usize;
-                        if take > 0 {
-                            runs.push((s.global_offset, DeltaSrc::Shard(local_start)));
-                            scan.scan_segment(
-                                &shard.points.as_slice()
-                                    [local_start * dim..(local_start + take) * dim],
-                                take,
-                                runs.len() - 1,
-                            );
-                        }
-                    } else {
-                        let mut live_seen = 0usize;
-                        for (off, rlen) in kernel::live_runs(
-                            &delta.csr_deleted()[csr_start..csr_start + csr_len],
-                            s.csr_take as usize,
-                        ) {
-                            runs.push((
-                                s.global_offset + live_seen,
-                                DeltaSrc::Shard(local_start + off),
-                            ));
-                            scan.scan_segment(
-                                &shard.points.as_slice()
-                                    [(local_start + off) * dim..(local_start + off + rlen) * dim],
-                                rlen,
-                                runs.len() - 1,
-                            );
-                            live_seen += rlen;
-                        }
-                    }
-                    if s.mem_take > 0 {
-                        let mb = delta.membin(s.bin);
-                        let mut mem_seen = 0usize;
-                        for (off, rlen) in kernel::live_runs(mb.deleted(), s.mem_take as usize) {
-                            runs.push((
-                                s.global_offset + s.csr_take as usize + mem_seen,
-                                DeltaSrc::Mem(s.bin, off),
-                            ));
-                            scan.scan_segment(
-                                &mb.rows()[off * dim..(off + rlen) * dim],
-                                rlen,
-                                runs.len() - 1,
-                            );
-                            mem_seen += rlen;
-                        }
-                    }
-                }
-                exact = scan
-                    .into_winners()
-                    .into_iter()
-                    .map(|(ri, off, dist)| {
-                        let (pos_base, ref src) = runs[ri];
-                        let id = match *src {
-                            DeltaSrc::Shard(local) => shard.global_ids[local + off],
-                            DeltaSrc::Mem(bin, row_start) => {
-                                delta.membin(bin).ids()[row_start + off]
-                            }
-                        };
-                        (pos_base + off, dist, id)
-                    })
-                    .collect();
-            }
-            Some(table) => {
-                let codes = shard
-                    .codes
-                    .as_ref()
-                    .expect("compressed index shards carry code slices");
-                let m = self
-                    .index
-                    .quantizer()
-                    .expect("compressed index has a quantizer")
-                    .code_len();
-                let mut scan = kernel::AdcScan::new(table, m, keep);
-                let mut runs: Vec<(usize, usize)> = Vec::new();
-                let scorer = kernel::QueryScorer::new(self.index.distance(), query);
-                for s in slices {
-                    let (local_start, _) =
-                        shard.slots[s.bin].expect("routed bin must be owned by its mapped shard");
-                    let local_start = local_start as usize;
-                    let csr_start = offsets[s.bin];
-                    let csr_len = offsets[s.bin + 1] - csr_start;
-                    // Compressed routes never truncate: csr_take = the bin's live count.
-                    if delta.csr_dead_in_bin(s.bin) == 0 {
-                        if csr_len > 0 {
-                            runs.push((s.global_offset, local_start));
-                            scan.scan_segment(
-                                &codes[local_start * m..(local_start + csr_len) * m],
-                                csr_len,
-                                runs.len() - 1,
-                            );
-                        }
-                    } else {
-                        let mut live_seen = 0usize;
-                        for (off, rlen) in kernel::live_runs(
-                            &delta.csr_deleted()[csr_start..csr_start + csr_len],
-                            usize::MAX,
-                        ) {
-                            runs.push((s.global_offset + live_seen, local_start + off));
-                            scan.scan_segment(
-                                &codes[(local_start + off) * m..(local_start + off + rlen) * m],
-                                rlen,
-                                runs.len() - 1,
-                            );
-                            live_seen += rlen;
-                        }
-                    }
-                    let mb = delta.membin(s.bin);
-                    let mut mem_seen = 0usize;
-                    for (j, &id) in mb.ids().iter().enumerate() {
-                        if !mb.deleted()[j] {
-                            exact.push((
-                                s.global_offset + s.csr_take as usize + mem_seen,
-                                scorer.eval(mb.row(j)),
-                                id,
-                            ));
-                            mem_seen += 1;
-                        }
-                    }
-                }
-                adc = scan
-                    .into_winners()
-                    .into_iter()
-                    .map(|(ri, off, _pos, dist)| {
-                        let (pos_base, local) = runs[ri];
-                        (pos_base + off, dist, shard.global_ids[local + off])
-                    })
-                    .collect();
-            }
-        }
-        DeltaPartial {
-            adc,
-            exact,
-            task_us: t0.elapsed().as_micros() as u64,
-        }
-    }
-
-    /// Phase 3 for one query against a dirty index. Exact mode pools the exact
-    /// entries, restores live-stream order, and re-selects top-k — the same
-    /// restriction argument as the clean gather, over the delta stream. Compressed
-    /// mode re-selects the global ADC shortlist from the pooled live-CSR entries,
-    /// re-ranks the survivors exactly in stream order (ranks `0..s`), then pushes
-    /// the pooled membin tail after them (ranks `s..`) with the scatter-computed
-    /// exact scores — reproducing [`PartitionIndex`]'s compressed delta scan
-    /// bit-for-bit.
-    fn gather_delta(
-        &self,
-        query: &[f32],
-        route: &DeltaRoute,
-        task_ids: &[usize],
-        partials: &[DeltaPartial],
-        k: usize,
-    ) -> (SearchResult, u64) {
-        let t0 = Instant::now();
-        let result = if route.compressed == 0 {
-            let mut pooled: Vec<(usize, f32, u32)> = task_ids
-                .iter()
-                .flat_map(|&ti| partials[ti].exact.iter().copied())
-                .collect();
-            pooled.sort_unstable_by_key(|&(pos, _, _)| pos);
-            let ids: Vec<usize> = topk::smallest_k_by(pooled.len(), k, |i| pooled[i].1)
-                .into_iter()
-                .map(|i| pooled[i].2 as usize)
-                .collect();
-            SearchResult::new(ids, route.scanned)
-        } else {
-            let mut pooled: Vec<(usize, f32, u32)> = task_ids
-                .iter()
-                .flat_map(|&ti| partials[ti].adc.iter().copied())
-                .collect();
-            pooled.sort_unstable_by_key(|&(pos, _, _)| pos);
-            let mut survivors = topk::smallest_k_by(pooled.len(), route.shortlist, |i| pooled[i].1);
-            survivors.sort_unstable();
-            let scorer = kernel::QueryScorer::new(self.index.distance(), query);
-            let data = self.index.data();
-            let mut top = topk::TopK::new(k);
-            for (rank, &i) in survivors.iter().enumerate() {
-                // Shortlist survivors are CSR rows, so their ids index `data`.
-                top.push(rank, scorer.eval(data.row(pooled[i].2 as usize)));
-            }
-            let mut mem: Vec<(usize, f32, u32)> = task_ids
-                .iter()
-                .flat_map(|&ti| partials[ti].exact.iter().copied())
-                .collect();
-            mem.sort_unstable_by_key(|&(pos, _, _)| pos);
-            let s = survivors.len();
-            for (j, &(_, dist, _)) in mem.iter().enumerate() {
-                top.push(s + j, dist);
-            }
-            let ids = top
-                .into_sorted()
-                .into_iter()
-                .map(|(rank, _)| {
-                    if rank < s {
-                        pooled[survivors[rank]].2 as usize
-                    } else {
-                        mem[rank - s].2 as usize
-                    }
-                })
-                .collect();
-            SearchResult::new(ids, s + mem.len()).with_compressed_scanned(route.compressed)
-        };
-        let slowest_shard = task_ids
-            .iter()
-            .map(|&ti| partials[ti].task_us)
-            .max()
-            .unwrap_or(0);
-        let latency = route.route_us + slowest_shard + t0.elapsed().as_micros() as u64;
-        (result, latency)
     }
 }
 
 impl<P: Partitioner> BatchEngine for ShardedEngine<P> {
     fn dims(&self) -> usize {
-        self.index.data().cols()
+        self.index.dims()
     }
 
     fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
@@ -1412,7 +723,25 @@ mod tests {
         let engine = ShardedEngine::with_shards(Arc::clone(&index), 4);
         let counts = engine.shard_point_counts();
         assert_eq!(counts.len(), 4);
-        assert_eq!(counts.iter().sum::<usize>(), index.data().rows());
+        assert_eq!(counts.iter().sum::<usize>(), 60);
+        // On a dirty index the counts are the live points, not the CSR sizes.
+        for id in [3usize, 10, 29] {
+            assert!(index.delete(id));
+        }
+        let inserted = index.insert(&[0.5, -0.5]);
+        index.insert(&[1.5, 2.5]);
+        assert!(index.delete(inserted));
+        let stats = index.mutation_stats();
+        let live = stats.base_points + stats.inserts - stats.tombstones;
+        assert_eq!(live, 60 - 3 + 1);
+        let counts = engine.shard_point_counts();
+        assert_eq!(counts.iter().sum::<usize>(), live);
+        // Per shard, exactly the candidates its bins put on a stream.
+        let delta = index.delta();
+        for (shard, &count) in counts.iter().enumerate() {
+            let runs = index.candidate_runs(engine.map().bins_of(shard), Some(&delta), None);
+            assert_eq!(count, runs.iter().map(|r| r.len()).sum::<usize>());
+        }
     }
 }
 

@@ -327,6 +327,131 @@ proptest! {
     }
 }
 
+/// Every serving path over one (possibly dirty) index under `opts`, asserted
+/// bit-identical: the monolith scan, `QueryEngine`, `ShardedEngine` at {1, 2, 4} shards.
+fn assert_every_path_agrees(
+    idx: &Arc<PartitionIndex<RoundRobinPartitioner>>,
+    queries: &Matrix,
+    opts: &QueryOptions,
+) -> Vec<SearchResult> {
+    let monolith: Vec<SearchResult> = (0..queries.rows())
+        .map(|qi| {
+            let q = queries.row(qi);
+            let bins = idx.partitioner().rank_bins(q, opts.probes);
+            idx.scan_bins(q, &bins, opts.k, opts.rerank_budget)
+        })
+        .collect();
+    let engine = QueryEngine::new(Arc::clone(idx));
+    assert_eq!(monolith, engine.serve_batch(queries, opts), "QueryEngine");
+    for shards in [1usize, 2, 4] {
+        let sharded = ShardedEngine::with_shards(Arc::clone(idx), shards);
+        assert_eq!(
+            monolith,
+            sharded.serve_batch(queries, opts),
+            "ShardedEngine({shards}), budget {:?}",
+            opts.rerank_budget
+        );
+    }
+    monolith
+}
+
+/// A compressed index whose probed bins hold no live base point: no code is
+/// ADC-scored (`compressed_scanned == 0`) and every candidate is a membin row, which
+/// has no code and is scored exactly. The sharded gather used to pick its mode from
+/// that count; it must come from the index.
+#[test]
+fn compressed_index_with_only_membin_candidates_agrees_on_every_path() {
+    let (n, dim, bins, k, probes) = (64, 4, 8, 3, 2);
+    let base = normal_points(n, dim, 21);
+    let queries = normal_points(3, dim, 22);
+    let router = RoundRobinPartitioner::new(bins);
+    let pq = Arc::new(ProductQuantizer::fit(
+        &base,
+        &ProductQuantizerConfig::standard(2, 8),
+    ));
+    let compressed = |points: &Matrix| {
+        PartitionIndex::build(router.clone(), points, DIST).with_scoring(Scoring::compressed(
+            Arc::clone(&pq) as Arc<dyn usp_index::CodeQuantizer>,
+            RERANK_BUDGET,
+        ))
+    };
+    let mut h = Harness::new(compressed(&base), &base);
+    let unbudgeted = QueryOptions::new(k, probes);
+    let budgets = [
+        unbudgeted,
+        unbudgeted.with_rerank_budget(1),
+        unbudgeted.with_rerank_budget(1000),
+    ];
+
+    // Tombstone every base point of every bin any of the queries probes.
+    let probed: HashSet<usize> = (0..queries.rows())
+        .flat_map(|qi| router.rank_bins(queries.row(qi), probes))
+        .collect();
+    assert!(probed.len() < bins, "some bin must stay untouched");
+    for id in 0..n {
+        if probed.contains(&h.idx.assignments()[id]) {
+            assert!(h.idx.delete(id));
+            h.live.retain(|(live, _)| *live != id);
+        }
+    }
+    // All probed bins empty: every path answers nothing and scans nothing.
+    for opts in &budgets {
+        for res in assert_every_path_agrees(&h.idx, &queries, opts) {
+            assert_eq!(res, SearchResult::empty());
+        }
+    }
+
+    // A handful of inserts into the emptied bins (and whatever lands elsewhere on the
+    // way), one of them deleted again.
+    let mut landed = Vec::new();
+    for seed in 0.. {
+        if landed.len() == 6 {
+            break;
+        }
+        let p = normal_points(1, dim, 1000 + seed).row(0).to_vec();
+        let id = h.idx.insert(&p);
+        if probed.contains(&router.assign(&p)) {
+            landed.push(id);
+        }
+        h.live.push((id, p));
+    }
+    assert!(h.idx.delete(landed[1]));
+    h.live.retain(|(live, _)| *live != landed[1]);
+
+    // With nothing ADC-scored the dirty compressed index is an exact scan of the
+    // probed live points, so an exact fresh build of the live set is its bit-for-bit
+    // reference wherever the budget does not truncate that build's stream.
+    let fresh = PartitionIndex::build(router.clone(), &h.final_points(), DIST);
+    let to_fresh = h.to_fresh_ids();
+    let mut scanned = 0;
+    for opts in &budgets {
+        let got = assert_every_path_agrees(&h.idx, &queries, opts);
+        for (qi, res) in got.iter().enumerate() {
+            assert_eq!(res.compressed_scanned, 0, "query {qi}: a code was scored");
+            scanned += res.candidates_scanned;
+            if opts.rerank_budget == Some(1) {
+                continue;
+            }
+            let q = queries.row(qi);
+            let bins = router.rank_bins(q, probes);
+            let expect = fresh.scan_bins(q, &bins, k, opts.rerank_budget);
+            let mapped: Vec<usize> = res.ids.iter().map(|id| to_fresh[id]).collect();
+            assert_eq!(mapped, expect.ids, "query {qi}");
+            assert_eq!(res.candidates_scanned, expect.candidates_scanned);
+            assert_eq!(res.compressed_scanned, expect.compressed_scanned);
+        }
+    }
+    assert!(scanned > 0, "the probed membins must hold candidates");
+
+    // And folding the delta gives the compressed fresh build, codes and all.
+    let (compacted, _) = h.idx.compacted();
+    let fresh = compressed(&h.final_points());
+    for qi in 0..queries.rows() {
+        let q = queries.row(qi);
+        assert_eq!(compacted.search(q, k, probes), fresh.search(q, k, probes));
+    }
+}
+
 #[test]
 fn compaction_threshold_and_report_bookkeeping() {
     let base = normal_points(20, 2, 3);

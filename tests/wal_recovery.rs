@@ -230,7 +230,7 @@ fn check_crash_cut(
     // The second recovery's clean base: the compacted point set with its stored
     // assignments (compaction is pinned bit-identical to this rebuild by the
     // mutation-equivalence suite).
-    let compacted_data = recovered.data().clone();
+    let compacted_data = recovered.to_matrix();
     let compacted_assign = recovered.assignments().to_vec();
     let rebuild = || {
         let idx = PartitionIndex::from_assignments(

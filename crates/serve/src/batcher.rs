@@ -1,14 +1,17 @@
 //! Micro-batching for single-query traffic.
 //!
-//! Point lookups arrive one at a time, but the engine's throughput comes from batches.
-//! The [`MicroBatcher`] bridges the two: [`submit`](MicroBatcher::submit) enqueues a
-//! query and returns a receiver immediately; a background flusher thread collects
-//! pending queries into one [`QueryEngine::serve_batch`] call whenever the batch fills
-//! up **or** the batching window (`max_delay`) closes, whichever comes first — the
-//! classic throughput/latency trade dial. Results are delivered through per-query
-//! channels, and micro-batched answers are identical to direct
-//! [`QueryEngine::query`] answers (batching never changes semantics).
+//! Point lookups arrive one at a time, but the engine's throughput comes from batches
+//! (one router forward — a single GEMM — per batch). `Pending` holds the policy once:
+//! a batch is due when `max_batch` queries wait **or** the oldest has waited
+//! `max_delay`, and never holds more than `max_batch`. Two drivers use it: the network
+//! event loop ([`crate::ingress`]) tags entries `(connection, request_id)` and serves
+//! due batches on its own thread; the [`MicroBatcher`], for in-process callers, tags
+//! them with reply senders — [`submit`](MicroBatcher::submit) returns the receiver at
+//! once — and serves due batches on a background flusher thread. Either way the
+//! answers are identical to direct [`crate::QueryEngine::query`] answers (batching
+//! never changes semantics).
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -19,10 +22,84 @@ use usp_linalg::Matrix;
 
 use crate::engine::{BatchEngine, QueryOptions};
 
+/// Queries waiting for their batch: rows flat in arrival order, one caller-chosen tag
+/// (where the answer goes) and the admission time beside each.
+pub(crate) struct Pending<T> {
+    dims: usize,
+    max_batch: usize,
+    max_delay: Duration,
+    rows: Vec<f32>,
+    tags: Vec<(T, Instant)>,
+}
+
+impl<T> Pending<T> {
+    pub(crate) fn new(dims: usize, max_batch: usize, max_delay: Duration) -> Self {
+        assert!(max_batch >= 1, "micro-batching: max_batch must be >= 1");
+        Self {
+            dims,
+            max_batch,
+            max_delay,
+            rows: Vec::new(),
+            tags: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// Tags of the waiting queries, oldest first.
+    pub(crate) fn tags(&self) -> impl Iterator<Item = &T> {
+        self.tags.iter().map(|(tag, _)| tag)
+    }
+
+    /// Admits one query. Callers validate the length where the query enters (the wire
+    /// parser, [`MicroBatcher::try_submit`]); a wrong-length row here would shift every
+    /// later row of the flat buffer, hence the hard assert.
+    pub(crate) fn push(&mut self, row: &[f32], tag: T) {
+        assert_eq!(row.len(), self.dims, "micro-batching: row length");
+        self.rows.extend_from_slice(row);
+        self.tags.push((tag, Instant::now()));
+    }
+
+    /// How long until a batch is due: `None` while nothing waits, zero once `max_batch`
+    /// queries wait or the oldest has waited `max_delay`, else the rest of its window.
+    pub(crate) fn due_in(&self) -> Option<Duration> {
+        let (_, oldest) = self.tags.first()?;
+        if self.tags.len() >= self.max_batch {
+            return Some(Duration::ZERO);
+        }
+        Some(self.max_delay.saturating_sub(oldest.elapsed()))
+    }
+
+    /// Removes the oldest `min(len, max_batch)` queries as one batch; the overflow
+    /// stays for the next one.
+    pub(crate) fn take(&mut self) -> (Matrix, Vec<T>) {
+        let n = self.tags.len().min(self.max_batch);
+        let rows: Vec<f32> = self.rows.drain(..n * self.dims).collect();
+        let tags = self.tags.drain(..n).map(|(tag, _)| tag).collect();
+        (Matrix::from_vec(n, self.dims, rows), tags)
+    }
+
+    /// Drops every waiting query (and with it whatever its tag holds open).
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.tags.clear();
+    }
+}
+
+/// The message of a caught panic, for the error a driver reports in its place.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Why [`MicroBatcher::try_submit`] refused a query. Every variant is a *per-query*
 /// failure: rejecting one query never affects queries already pending or co-batched
-/// with it — the property the network ingress relies on to contain one bad client's
-/// blast radius.
+/// with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The query's length does not match the engine's indexed dimensionality.
@@ -49,11 +126,11 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 /// Lock the batcher state, recovering from poisoning. The state holds no
-/// cross-field invariant a mid-update panic could break — `pending` is a list of
-/// independently-valid (query, sender) pairs and the flags are plain bools — and
-/// the one panic site that matters (an engine panic under a batch) is already
-/// recorded out-of-band via `panicked`, so recovery here loses nothing. See
-/// DESIGN.md §6 ("lock-poisoning convention").
+/// cross-field invariant a mid-update panic could break — `pending` is only ever
+/// changed by whole queries and the flags are plain bools — and the one panic site
+/// that matters (an engine panic under a batch) is already recorded out-of-band via
+/// `panicked`, so recovery here loses nothing. See DESIGN.md §6 ("lock-poisoning
+/// convention").
 fn lock_state(state: &Mutex<State>) -> MutexGuard<'_, State> {
     state.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -61,14 +138,12 @@ fn lock_state(state: &Mutex<State>) -> MutexGuard<'_, State> {
 struct Shared<E: BatchEngine> {
     engine: Arc<E>,
     opts: QueryOptions,
-    max_batch: usize,
-    max_delay: Duration,
     state: Mutex<State>,
     cv: Condvar,
 }
 
 struct State {
-    pending: Vec<(Vec<f32>, mpsc::Sender<SearchResult>)>,
+    pending: Pending<mpsc::Sender<SearchResult>>,
     shutdown: bool,
     /// Set (with the flusher's panic message) when the flusher thread died in
     /// [`BatchEngine::serve_batch`]. Pending senders were dropped at that point, so
@@ -77,9 +152,10 @@ struct State {
     panicked: Option<String>,
 }
 
-/// Accumulates single queries into micro-batches served on the engine's pooled path.
+/// Accumulates single queries from in-process callers into micro-batches served on
+/// the engine's pooled path.
 ///
-/// Generic over [`BatchEngine`], so the same ingress bridge feeds a monolithic
+/// Generic over [`BatchEngine`], so the same bridge feeds a monolithic
 /// [`crate::QueryEngine`] or a [`crate::ShardedEngine`] unchanged. Dropping the batcher
 /// flushes every pending query before the background thread exits, so submitted
 /// queries are never lost.
@@ -92,14 +168,12 @@ impl<E: BatchEngine + 'static> MicroBatcher<E> {
     /// Starts the background flusher. `max_batch` bounds the batch size (flush
     /// trigger); `max_delay` bounds how long a lone query waits for company.
     pub fn new(engine: Arc<E>, opts: QueryOptions, max_batch: usize, max_delay: Duration) -> Self {
-        assert!(max_batch >= 1, "MicroBatcher: max_batch must be >= 1");
+        let pending = Pending::new(engine.dims(), max_batch, max_delay);
         let shared = Arc::new(Shared {
             engine,
             opts,
-            max_batch,
-            max_delay,
             state: Mutex::new(State {
-                pending: Vec::new(),
+                pending,
                 shutdown: false,
                 panicked: None,
             }),
@@ -122,11 +196,8 @@ impl<E: BatchEngine + 'static> MicroBatcher<E> {
     /// micro-batch is flushed.
     ///
     /// Every rejection is per-query — a refused submission never disturbs queries
-    /// already pending. This is the entry point for callers (like the network
-    /// ingress) that must translate a bad query into an error *reply* rather than
-    /// a panic: pre-fix, a wrong-length query sailed through `submit` and blew up
-    /// the flusher's `Matrix::from_vec`, failing every innocent query co-batched
-    /// with it.
+    /// already pending. This is the entry point for callers that must turn a bad
+    /// query into an error value rather than a panic.
     pub fn try_submit(&self, query: Vec<f32>) -> Result<mpsc::Receiver<SearchResult>, SubmitError> {
         let want = self.shared.engine.dims();
         if query.len() != want {
@@ -143,7 +214,7 @@ impl<E: BatchEngine + 'static> MicroBatcher<E> {
         if state.shutdown {
             return Err(SubmitError::ShutDown);
         }
-        state.pending.push((query, tx));
+        state.pending.push(&query, tx);
         drop(state);
         self.shared.cv.notify_all();
         Ok(rx)
@@ -202,58 +273,32 @@ impl<E: BatchEngine + 'static> Drop for MicroBatcher<E> {
 
 fn flusher_loop<E: BatchEngine>(shared: &Shared<E>) {
     loop {
-        let batch = {
+        let (queries, senders) = {
             let mut state = lock_state(&shared.state);
-            // Sleep until there is something to serve (or we are asked to exit).
-            while state.pending.is_empty() && !state.shutdown {
-                state = shared
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
+            // Sleep until a batch is due; shutdown flushes whatever waits at once and
+            // exits when nothing does.
+            loop {
+                state = match state.pending.due_in() {
+                    None if state.shutdown => return,
+                    Some(wait) if state.shutdown || wait.is_zero() => break,
+                    None => shared
+                        .cv
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner),
+                    Some(wait) => {
+                        shared
+                            .cv
+                            .wait_timeout(state, wait)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                };
             }
-            if state.pending.is_empty() && state.shutdown {
-                return;
-            }
-            // Batching window: wait for the batch to fill, the window to close, or
-            // shutdown (which flushes whatever is pending immediately).
-            let deadline = Instant::now() + shared.max_delay;
-            while state.pending.len() < shared.max_batch && !state.shutdown {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _timeout) = shared
-                    .cv
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                state = guard;
-            }
-            // Drain at most max_batch queries (submissions racing in during a flush can
-            // overfill the queue); the overflow stays pending and is picked up by the
-            // next loop iteration without re-entering the empty-queue wait.
-            let take = state.pending.len().min(shared.max_batch);
-            let rest = state.pending.split_off(take);
-            std::mem::replace(&mut state.pending, rest)
+            state.pending.take()
         };
 
         // Serve outside the lock so new submissions keep flowing during the flush.
-        let dim = shared.engine.dims();
-        // Defense in depth behind `try_submit`'s dims check: a wrong-length row
-        // reaching this point must cost only its own query, never the co-batched
-        // ones. Drop mismatched entries (their receivers observe `RecvError`)
-        // instead of letting `Matrix::from_vec` panic over the whole batch.
-        let batch: Vec<_> = batch
-            .into_iter()
-            .filter(|(query, _)| query.len() == dim)
-            .collect();
-        if batch.is_empty() {
-            continue;
-        }
-        let mut flat = Vec::with_capacity(batch.len() * dim);
-        for (query, _) in &batch {
-            flat.extend_from_slice(query);
-        }
-        let queries = Matrix::from_vec(batch.len(), dim, flat);
+        //
         // A panicking engine must not take the batcher's callers down with it:
         // without the catch, the flusher thread dies silently and every
         // outstanding (and future) `submit` receiver blocks forever on a channel
@@ -266,21 +311,14 @@ fn flusher_loop<E: BatchEngine>(shared: &Shared<E>) {
         let results = match served {
             Ok(results) => results,
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
                 let mut state = lock_state(&shared.state);
-                state.panicked = Some(msg);
+                state.panicked = Some(panic_message(&*payload));
                 state.pending.clear();
                 drop(state);
-                shared.cv.notify_all();
-                drop(batch);
                 resume_unwind(payload);
             }
         };
-        for ((_, tx), result) in batch.into_iter().zip(results) {
+        for (tx, result) in senders.into_iter().zip(results) {
             // A caller that dropped its receiver just doesn't get the answer.
             let _ = tx.send(result);
         }
@@ -422,32 +460,6 @@ mod tests {
                 .index()
                 .search(&[-1.0, 0.0, 1.0], opts.k, opts.probes)
         );
-    }
-
-    #[test]
-    fn flusher_drops_wrong_dims_rows_instead_of_panicking() {
-        // Defense in depth: force a wrong-length row into `pending` directly
-        // (bypassing try_submit's check) and pin that the flusher serves the
-        // rest of the batch instead of dying in `Matrix::from_vec`.
-        let engine = engine();
-        let opts = QueryOptions::new(2, 2);
-        let batcher = MicroBatcher::new(Arc::clone(&engine), opts, 8, Duration::from_millis(20));
-        let good = batcher.try_submit(vec![0.5, 0.5, 0.5]).unwrap();
-        let (bad_tx, bad_rx) = mpsc::channel();
-        lock_state(&batcher.shared.state)
-            .pending
-            .push((vec![9.0], bad_tx));
-        batcher.shared.cv.notify_all();
-        assert_eq!(
-            good.recv()
-                .expect("good query must survive a smuggled bad row"),
-            engine.index().search(&[0.5, 0.5, 0.5], opts.k, opts.probes)
-        );
-        // The smuggled row's receiver observes a clean disconnect, not a hang.
-        assert!(bad_rx.recv().is_err());
-        // The flusher is still alive: later submissions are served.
-        let later = batcher.try_submit(vec![1.0, 1.0, 1.0]).unwrap();
-        assert!(later.recv().is_ok());
     }
 
     /// An engine whose every batch panics — the failure mode behind the old hang.

@@ -45,12 +45,15 @@ impl QueryOptions {
 }
 
 /// Anything that answers a whole matrix of queries under shared per-request options —
-/// the contract an ingress layer (the [`crate::MicroBatcher`], a future network
-/// front-end) programs against, so single-machine and sharded engines are
-/// interchangeable behind it.
+/// the contract both micro-batch drivers program against (the network event loop of
+/// [`crate::ingress`], which calls `serve_batch` on its own thread, and the in-process
+/// [`crate::MicroBatcher`]), so single-machine and sharded engines are interchangeable
+/// behind it.
 ///
 /// Implementations must answer in request order and deterministically: `serve_batch`
-/// results must not depend on pool size or batch composition.
+/// results must not depend on pool size or batch composition. A panic in
+/// `serve_batch` is caught by the drivers: the event loop fails the queries of that one
+/// batch and keeps serving, the `MicroBatcher` resurfaces it to its callers.
 pub trait BatchEngine: Send + Sync {
     /// Dimensionality served queries must have.
     fn dims(&self) -> usize;

@@ -1,17 +1,21 @@
-//! Network ingress: a single-threaded readiness event loop in front of the batcher.
+//! Network ingress: a single-threaded readiness event loop that owns the batch.
 //!
 //! One thread owns a level-triggered epoll loop (via the vendored `mio` shim)
 //! accepting TCP connections and speaking the length-prefixed protocol of
-//! [`crate::protocol`]. Decoded queries are admitted into a [`MicroBatcher`] —
-//! the same ingress bridge the in-process callers use, so a monolithic
-//! [`crate::QueryEngine`] and a [`crate::ShardedEngine`] are both servable
-//! unchanged — while inserts, deletes and stats execute inline through the
-//! [`BatchEngine`] trait.
+//! [`crate::protocol`]. Admitted queries wait in the loop's own `Pending`
+//! (`batcher.rs`); when a batch is due the loop calls
+//! [`BatchEngine::serve_batch`] itself (the pool fans the scan out, the caller is
+//! one of its workers) and encodes the answers into the connections' write
+//! buffers, and the time to the next due batch is its poll timeout — the served
+//! path is socket → loop → pool, with no other thread, channel or tick in it.
+//! Inserts, deletes and stats execute inline through the same trait, so a
+//! monolithic [`crate::QueryEngine`] and a [`crate::ShardedEngine`] are both
+//! servable unchanged.
 //!
 //! The load-management invariants, in order of importance:
 //!
 //! * **Bounded pending queue.** At most `queue_cap` queries (default
-//!   `8 × max_batch`) are in flight between admission and reply. A query
+//!   `8 × max_batch`) wait between admission and their batch. A query
 //!   arriving past the cap is answered immediately with a `SHED` frame carrying
 //!   a retry-after hint — the overload signal is explicit and cheap, never
 //!   unbounded buffering.
@@ -26,23 +30,22 @@
 //!   pipelining thousands of requests cannot starve its neighbours.
 //! * **One bad client costs only itself.** Frame-level garbage gets a
 //!   `MALFORMED` reply on a healthy connection; unrecoverable framing garbage
-//!   closes that connection (after flushing the reply); and a query the engine
-//!   cannot serve becomes an error *reply* — the batcher's [`try_submit`]
-//!   validation (not a panic) is what keeps the blast radius per-query.
-//!
-//! [`try_submit`]: MicroBatcher::try_submit
+//!   closes that connection (after flushing the reply); a wrong-length row is
+//!   refused by the parser before it can reach a batch; and an engine panic is
+//!   caught per batch — the queries of that one batch get error *replies*, the
+//!   connections stay open and the next batch is served normally.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mio::{Events, Interest, Poll, Token};
-use usp_index::SearchResult;
 
-use crate::batcher::{MicroBatcher, SubmitError};
+use crate::batcher::{panic_message, Pending};
 use crate::engine::{BatchEngine, QueryOptions};
 use crate::protocol::{
     encode_delete_reply, encode_error, encode_insert_reply, encode_malformed, encode_query_reply,
@@ -55,10 +58,8 @@ const LISTENER: Token = Token(0);
 /// Per-`read` chunk size. Level-triggered readiness re-reports leftovers, so the
 /// value only trades syscalls against per-tick latency.
 const READ_CHUNK: usize = 64 * 1024;
-/// Poll timeout while queries are in flight (their replies arrive via the
-/// batcher's channels, not via epoll, so the loop must tick to collect them).
-const POLL_BUSY: Duration = Duration::from_millis(1);
-/// Poll timeout when idle (bounds shutdown latency).
+/// Longest poll timeout: what an idle loop sleeps, and the cap on a partial
+/// batch's remaining window (bounds shutdown latency).
 const POLL_IDLE: Duration = Duration::from_millis(20);
 
 /// Configuration for [`IngressHandle::spawn`].
@@ -66,9 +67,9 @@ const POLL_IDLE: Duration = Duration::from_millis(20);
 pub struct IngressConfig {
     /// Serving knobs applied to every query admitted through this ingress.
     pub opts: QueryOptions,
-    /// Micro-batch size bound (see [`MicroBatcher::new`]).
+    /// Micro-batch size bound: a batch is served as soon as this many queries wait.
     pub max_batch: usize,
-    /// Micro-batching window (see [`MicroBatcher::new`]).
+    /// Micro-batching window: how long a lone query waits for company.
     pub max_delay: Duration,
     /// Pending-queue capacity; `0` means the default `8 × max_batch`. Queries
     /// arriving while the queue is full are answered with `SHED`.
@@ -238,28 +239,22 @@ impl Conn {
     }
 }
 
-/// One admitted query awaiting its batched answer.
-struct InFlight {
-    token: usize,
-    request_id: u32,
-    rx: mpsc::Receiver<SearchResult>,
-}
-
 struct Loop<E: BatchEngine + 'static> {
     engine: Arc<E>,
     listener: std::net::TcpListener,
     poll: Poll,
     config: IngressConfig,
-    queue_cap: usize,
-    dims: usize,
     stop: Arc<AtomicBool>,
     stats: Arc<ServeStats>,
-    batcher: MicroBatcher<E>,
+    /// Admitted queries awaiting their batch, tagged `(connection token, request id)`.
+    pending: Pending<(usize, u32)>,
     conns: HashMap<usize, Conn>,
     next_token: usize,
     /// Round-robin cursor: the token the next drain pass starts at.
     rr_next: usize,
-    in_flight: Vec<InFlight>,
+    /// Scratch for `read`, allocated once (the loop thread also serves batches, so
+    /// per-event overhead is scan time).
+    read_buf: Vec<u8>,
 }
 
 impl<E: BatchEngine + 'static> Loop<E> {
@@ -271,29 +266,20 @@ impl<E: BatchEngine + 'static> Loop<E> {
         stop: Arc<AtomicBool>,
         stats: Arc<ServeStats>,
     ) -> Self {
-        let batcher = MicroBatcher::new(
-            Arc::clone(&engine),
-            config.opts,
-            config.max_batch,
-            config.max_delay,
-        );
-        let queue_cap = config.effective_queue_cap();
-        let dims = engine.dims();
+        let pending = Pending::new(engine.dims(), config.max_batch, config.max_delay);
         engine.warm_up();
         Self {
             engine,
             listener,
             poll,
             config,
-            queue_cap,
-            dims,
             stop,
             stats,
-            batcher,
+            pending,
             conns: HashMap::new(),
             next_token: LISTENER.0 + 1,
             rr_next: LISTENER.0 + 1,
-            in_flight: Vec::new(),
+            read_buf: vec![0; READ_CHUNK],
         }
     }
 
@@ -302,11 +288,9 @@ impl<E: BatchEngine + 'static> Loop<E> {
         // ordering: Acquire pairs with the Release store in shutdown()/Drop —
         // the loop observes everything written before the stop request.
         while !self.stop.load(Ordering::Acquire) {
-            let timeout = if self.in_flight.is_empty() {
-                POLL_IDLE
-            } else {
-                POLL_BUSY
-            };
+            // Zero while a batch is due (pick up what arrived, then serve it), the
+            // rest of the window while a partial batch waits, idle otherwise.
+            let timeout = self.pending.due_in().unwrap_or(POLL_IDLE).min(POLL_IDLE);
             if self.poll.poll(&mut events, Some(timeout)).is_err() {
                 // A failed wait (beyond EINTR, which the shim swallows) means the
                 // poller fd itself is gone; nothing to serve without it.
@@ -327,7 +311,9 @@ impl<E: BatchEngine + 'static> Loop<E> {
                 self.accept_new();
             }
             self.drain_frames();
-            self.collect_replies();
+            if self.pending.due_in() == Some(Duration::ZERO) {
+                self.serve_due_batch();
+            }
             self.sync_all_interests();
         }
     }
@@ -379,9 +365,9 @@ impl<E: BatchEngine + 'static> Loop<E> {
             return; // closed earlier this tick; stale event
         };
         if !conn.read_eof && !conn.paused && !conn.closing {
-            let mut chunk = [0u8; READ_CHUNK];
+            let chunk = &mut self.read_buf[..];
             loop {
-                match conn.stream.read(&mut chunk) {
+                match conn.stream.read(chunk) {
                     Ok(0) => {
                         conn.read_eof = true;
                         break;
@@ -456,7 +442,7 @@ impl<E: BatchEngine + 'static> Loop<E> {
                 return false;
             }
         };
-        match parse_request(&frame, self.dims) {
+        match parse_request(&frame, self.engine.dims()) {
             Err(malformed) => {
                 conn.queue_reply(|out| {
                     encode_malformed(out, malformed.request_id, &malformed.reason)
@@ -464,35 +450,15 @@ impl<E: BatchEngine + 'static> Loop<E> {
                 self.stats.record_frames(0, 0, 1);
             }
             Ok(Request::Query { request_id, row }) => {
-                if self.in_flight.len() >= self.queue_cap {
+                if self.pending.len() >= self.config.effective_queue_cap() {
                     let retry = self.config.retry_after_ms;
                     conn.queue_reply(|out| encode_shed(out, request_id, retry));
                     self.stats.record_frames(0, 1, 0);
                 } else {
-                    match self.batcher.try_submit(row) {
-                        Ok(rx) => {
-                            self.in_flight.push(InFlight {
-                                token,
-                                request_id,
-                                rx,
-                            });
-                            self.stats.record_frames(1, 0, 0);
-                            self.stats.record_queue_depth(self.in_flight.len() as u64);
-                        }
-                        // Dims mismatches were rejected by `parse_request`; what
-                        // remains (engine panicked, shutdown race) is a serving
-                        // failure, answered as an error reply.
-                        Err(e @ (SubmitError::EnginePanicked(_) | SubmitError::ShutDown)) => {
-                            let reason = e.to_string();
-                            conn.queue_reply(|out| encode_error(out, request_id, &reason));
-                            self.stats.record_frames(0, 0, 0);
-                        }
-                        Err(SubmitError::DimsMismatch { got, want }) => {
-                            let reason = SubmitError::DimsMismatch { got, want }.to_string();
-                            conn.queue_reply(|out| encode_malformed(out, request_id, &reason));
-                            self.stats.record_frames(0, 0, 1);
-                        }
-                    }
+                    // `parse_request` checked the row against `dims`.
+                    self.pending.push(&row, (token, request_id));
+                    self.stats.record_frames(1, 0, 0);
+                    self.stats.record_queue_depth(self.pending.len() as u64);
                 }
             }
             Ok(Request::Insert { request_id, row }) => {
@@ -537,11 +503,7 @@ impl<E: BatchEngine + 'static> Loop<E> {
                 self.stats.record_frames(1, 0, 0);
                 // Serving counters from the engine, frame counters from here.
                 let mut snap = self.engine.stats();
-                let ingress = self.stats.snapshot();
-                snap.accepted_frames = ingress.accepted_frames;
-                snap.shed_frames = ingress.shed_frames;
-                snap.malformed_frames = ingress.malformed_frames;
-                snap.queue_depth_hwm = ingress.queue_depth_hwm;
+                snap.overlay_ingress(&self.stats.snapshot());
                 let json = serde_json::to_string(&snap).unwrap_or_else(|_| "{}".into());
                 conn.queue_reply(|out| encode_stats_reply(out, request_id, json.as_bytes()));
             }
@@ -549,34 +511,31 @@ impl<E: BatchEngine + 'static> Loop<E> {
         true
     }
 
-    /// Collects finished batched answers and queues their replies.
-    fn collect_replies(&mut self) {
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            let entry = &self.in_flight[i];
-            let outcome = match entry.rx.try_recv() {
-                Ok(result) => Some(Ok(result)),
-                Err(mpsc::TryRecvError::Disconnected) => Some(Err(())),
-                Err(mpsc::TryRecvError::Empty) => None,
+    /// Serves the oldest `≤ max_batch` pending queries as one engine call on this
+    /// thread and queues their replies. An engine panic is contained to the batch:
+    /// its queries get error replies and the loop keeps serving.
+    fn serve_due_batch(&mut self) {
+        let (queries, tags) = self.pending.take();
+        let mut failure = "query dropped by the engine".to_string();
+        let results = catch_unwind(AssertUnwindSafe(|| {
+            self.engine.serve_batch(&queries, &self.config.opts)
+        }))
+        .unwrap_or_else(|payload| {
+            let msg = panic_message(&*payload);
+            failure = format!("engine panicked under this batch: {msg}");
+            Vec::new()
+        });
+        let mut results = results.into_iter();
+        for (token, request_id) in tags {
+            let result = results.next();
+            let Some(conn) = self.conns.get_mut(&token) else {
+                continue; // the connection is gone; the answer has no reader
             };
-            match outcome {
-                None => i += 1,
-                Some(done) => {
-                    let entry = self.in_flight.swap_remove(i);
-                    if let Some(conn) = self.conns.get_mut(&entry.token) {
-                        match done {
-                            Ok(result) => conn.queue_reply(|out| {
-                                encode_query_reply(out, entry.request_id, &result)
-                            }),
-                            // The batcher dropped the sender: the flusher died or
-                            // shut down under this query.
-                            Err(()) => conn.queue_reply(|out| {
-                                encode_error(out, entry.request_id, "query dropped by the engine")
-                            }),
-                        }
-                    }
-                    // else: the connection is gone; the answer has no reader.
+            match result {
+                Some(result) => {
+                    conn.queue_reply(|out| encode_query_reply(out, request_id, &result))
                 }
+                None => conn.queue_reply(|out| encode_error(out, request_id, &failure)),
             }
         }
     }
@@ -600,10 +559,9 @@ impl<E: BatchEngine + 'static> Loop<E> {
             }
             let done_writing = buffered == 0;
             if done_writing && (conn.closing || conn.read_eof) {
-                // `read_eof` connections may still owe in-flight answers; those
-                // are discarded at collect time once the conn is gone, so only
-                // reap when nothing is owed.
-                let owes = !conn.closing && self.in_flight.iter().any(|e| e.token == token);
+                // A `read_eof` connection may still be owed answers to queries
+                // waiting for their batch; only reap when nothing is owed.
+                let owes = !conn.closing && self.pending.tags().any(|&(t, _)| t == token);
                 if !owes {
                     dead.push(token);
                     continue;
@@ -614,7 +572,7 @@ impl<E: BatchEngine + 'static> Loop<E> {
             let want = if want_read || want_write {
                 Some((want_read, want_write))
             } else {
-                // Nothing to wait for (e.g. EOF peer owed an in-flight answer):
+                // Nothing to wait for (e.g. EOF peer owed a pending answer):
                 // deregister so a level-triggered EOF can't spin the loop.
                 None
             };

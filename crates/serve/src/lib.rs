@@ -15,16 +15,18 @@
 //!   fallback) and answers batches scatter/gather: route bins, shard-local top-k on
 //!   the pool, position-ordered merge — **bit-identical to the unsharded engine for
 //!   any shard count** (`tests/shard_equivalence.rs` pins this);
-//! * [`batcher::MicroBatcher`] — accumulates single queries into micro-batches (flushed
-//!   when full or when the batching window closes) so point lookups ride the same
-//!   batched path; generic over [`engine::BatchEngine`], so it feeds monolithic and
-//!   sharded engines alike;
+//! * [`batcher::MicroBatcher`] — accumulates single queries from in-process callers
+//!   into micro-batches (served when full or when the batching window closes) so point
+//!   lookups ride the same batched path; generic over [`engine::BatchEngine`], so it
+//!   feeds monolithic and sharded engines alike. The fill-or-window policy itself lives
+//!   in one private accumulator in [`batcher`] that the network loop uses too;
 //! * [`ingress::IngressHandle`] — a single-threaded epoll event loop (vendored `mio`
-//!   shim) speaking the length-prefixed binary protocol of [`protocol`] over TCP,
-//!   feeding the batcher with explicit backpressure: a bounded pending queue past
+//!   shim) speaking the length-prefixed binary protocol of [`protocol`] over TCP. The
+//!   loop owns the micro-batch and calls the engine itself (socket → loop → pool, no
+//!   other thread or queue), with explicit backpressure: a bounded pending queue past
 //!   which queries get `SHED` replies with a retry hint, round-robin frame draining
-//!   across connections, and per-connection write buffering so one slow reader never
-//!   blocks the loop;
+//!   across connections, per-connection write buffering so one slow reader never
+//!   blocks the loop, and an engine panic contained to the queries of one batch;
 //! * determinism: batch answers are **bit-identical** to per-query
 //!   [`AnnSearcher`](usp_index::AnnSearcher) results for any pool size — batching and
 //!   sharding are execution strategies, never a semantic change

@@ -139,24 +139,30 @@ struct Inner {
     queue_depth_hwm: u64,
 }
 
+impl Inner {
+    fn zeroed(bins: usize) -> Self {
+        Self {
+            queries: 0,
+            batches: 0,
+            candidates_scanned: 0,
+            compressed_scanned: 0,
+            busy_us: 0,
+            inserts: 0,
+            deletes: 0,
+            latencies: LatencyHistogram::new(),
+            bin_probes: vec![0; bins],
+            accepted_frames: 0,
+            shed_frames: 0,
+            malformed_frames: 0,
+            queue_depth_hwm: 0,
+        }
+    }
+}
+
 impl ServeStats {
     pub(crate) fn new(bins: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner {
-                queries: 0,
-                batches: 0,
-                candidates_scanned: 0,
-                compressed_scanned: 0,
-                busy_us: 0,
-                inserts: 0,
-                deletes: 0,
-                latencies: LatencyHistogram::new(),
-                bin_probes: vec![0; bins],
-                accepted_frames: 0,
-                shed_frames: 0,
-                malformed_frames: 0,
-                queue_depth_hwm: 0,
-            }),
+            inner: Mutex::new(Inner::zeroed(bins)),
         }
     }
 
@@ -263,22 +269,7 @@ impl ServeStats {
     /// Clears every counter (the bin-probe vector keeps its length).
     pub(crate) fn reset(&self) {
         let mut inner = self.lock();
-        let bins = inner.bin_probes.len();
-        *inner = Inner {
-            queries: 0,
-            batches: 0,
-            candidates_scanned: 0,
-            compressed_scanned: 0,
-            busy_us: 0,
-            inserts: 0,
-            deletes: 0,
-            latencies: LatencyHistogram::new(),
-            bin_probes: vec![0; bins],
-            accepted_frames: 0,
-            shed_frames: 0,
-            malformed_frames: 0,
-            queue_depth_hwm: 0,
-        };
+        *inner = Inner::zeroed(inner.bin_probes.len());
     }
 }
 
@@ -369,6 +360,15 @@ impl StatsSnapshot {
         self.wal_replayed_records = w.replayed_records;
         self.wal_torn_tail_bytes = w.torn_tail_bytes;
         self.wal_epoch = w.epoch;
+    }
+
+    /// Copies the frame counters and the queue high-water mark of an ingress-side
+    /// snapshot into this (engine-side) one — what an `OP_STATS` reply carries.
+    pub fn overlay_ingress(&mut self, ingress: &StatsSnapshot) {
+        self.accepted_frames = ingress.accepted_frames;
+        self.shed_frames = ingress.shed_frames;
+        self.malformed_frames = ingress.malformed_frames;
+        self.queue_depth_hwm = ingress.queue_depth_hwm;
     }
 }
 

@@ -1,16 +1,18 @@
 //! End-to-end loopback tests for the TCP ingress: real sockets, mixed
-//! well-behaved/abusive/pipelined clients, and a 2× overload run proving the
+//! well-behaved/abusive/pipelined clients, a 2× overload run proving the
 //! pending queue stays bounded while answers remain bit-identical to direct
-//! [`QueryEngine::query`] calls.
+//! [`QueryEngine::query`] calls, the loop's batching rule (fill or window, never
+//! more than `max_batch`) and per-batch containment of an engine panic.
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use usp_index::partitioner::RoundRobinPartitioner;
-use usp_index::PartitionIndex;
+use usp_index::{PartitionIndex, SearchResult};
 use usp_linalg::{Distance, Matrix};
 use usp_serve::protocol::{encode_frame, encode_query, parse_reply, read_frame, Reply, OP_QUERY};
 use usp_serve::{IngressConfig, IngressHandle, QueryEngine, QueryOptions, ShardMap, ShardedEngine};
@@ -260,5 +262,151 @@ fn two_x_overload_sheds_explicitly_and_stays_bounded() {
         "pending queue never exceeds its cap: hwm = {}",
         snap.queue_depth_hwm
     );
+    handle.shutdown();
+}
+
+/// A batch of exactly `max_batch` queries on one connection is due the moment
+/// it is complete, whatever the window; this config makes the window irrelevant.
+fn fill_only_config(opts: QueryOptions) -> IngressConfig {
+    let mut config = IngressConfig::new(opts);
+    config.max_batch = 4;
+    config.max_delay = Duration::from_secs(3600);
+    config
+}
+
+#[test]
+fn full_batches_never_wait_and_never_exceed_max_batch() {
+    let index = index();
+    let opts = QueryOptions::new(4, 3);
+    let engine = Arc::new(QueryEngine::new(Arc::clone(&index)));
+    let config = fill_only_config(opts);
+    let queue_cap = 8 * config.max_batch as u64; // the default the config leaves in place
+    let handle = spawn_on_ephemeral(Arc::clone(&engine), config);
+
+    // Ten queries through max_batch = 4 with a window that never closes: two
+    // full batches are served at once, the last two queries keep waiting.
+    let qs = queries(10);
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut wire = Vec::new();
+    for (rid, q) in qs.iter().enumerate() {
+        encode_query(&mut wire, rid as u32, q);
+    }
+    stream.write_all(&wire).expect("write pipeline");
+    for _ in 0..8 {
+        let frame = read_frame(&mut stream).expect("reply frame");
+        let rid = frame.request_id as usize;
+        assert!(rid < 8, "batches are cut oldest first, got request {rid}");
+        // Compared against the index, not the engine, so that the reference
+        // calls add no batches to the counters checked below.
+        match parse_reply(&frame).expect("conforming reply") {
+            Reply::Query(result) => {
+                assert_eq!(result, index.search(&qs[rid], opts.k, opts.probes))
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("set timeout");
+    assert!(
+        read_frame(&mut stream).is_err(),
+        "a partial batch inside its window must keep waiting"
+    );
+
+    let served = engine.stats();
+    assert_eq!(served.queries, 8);
+    assert_eq!(served.batches, 2, "a batch never exceeds max_batch");
+    assert_eq!(served.mean_batch_size, 4.0);
+    let snap = handle.stats();
+    assert_eq!(snap.accepted_frames, 10);
+    assert!(
+        snap.queue_depth_hwm <= queue_cap,
+        "pending queue never exceeds its cap: hwm = {}",
+        snap.queue_depth_hwm
+    );
+
+    // Two queries still pending: shutdown does not wait out their window.
+    let t0 = Instant::now();
+    handle.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?} with queries pending",
+        t0.elapsed()
+    );
+}
+
+/// Panics under its first batch, then delegates to a real engine.
+struct FirstBatchPanics {
+    inner: QueryEngine<RoundRobinPartitioner>,
+    tripped: AtomicBool,
+}
+
+impl usp_serve::BatchEngine for FirstBatchPanics {
+    fn dims(&self) -> usize {
+        DIMS
+    }
+
+    fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
+        // ordering: SeqCst — a one-shot test flag; no other data is published through it.
+        if !self.tripped.swap(true, Ordering::SeqCst) {
+            panic!("engine exploded under a batch");
+        }
+        self.inner.serve_batch(queries, opts)
+    }
+}
+
+#[test]
+fn an_engine_panic_costs_one_batch_not_the_server() {
+    let opts = QueryOptions::new(4, 3);
+    let engine = Arc::new(FirstBatchPanics {
+        inner: QueryEngine::new(index()),
+        tripped: AtomicBool::new(false),
+    });
+    let handle = spawn_on_ephemeral(Arc::clone(&engine), fill_only_config(opts));
+
+    let qs = queries(8);
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut send_batch = |first_rid: usize| {
+        let mut wire = Vec::new();
+        for (rid, q) in qs.iter().enumerate().skip(first_rid).take(4) {
+            encode_query(&mut wire, rid as u32, q);
+        }
+        stream.write_all(&wire).expect("write batch");
+        let mut replies = HashMap::new();
+        for _ in 0..4 {
+            let frame = read_frame(&mut stream).expect("the connection stays open");
+            replies.insert(
+                frame.request_id as usize,
+                parse_reply(&frame).expect("conforming reply"),
+            );
+        }
+        replies
+    };
+
+    // Every query of the batch the engine panicked under gets an error reply...
+    let failed = send_batch(0);
+    for rid in 0..4 {
+        match &failed[&rid] {
+            Reply::Error(reason) => {
+                assert!(reason.contains("engine exploded under a batch"), "{reason}")
+            }
+            other => panic!("request {rid} of the failed batch got {other:?}"),
+        }
+    }
+    // ...and nothing sticks: the same connection's next batch is served, bit for bit.
+    let served = send_batch(4);
+    for rid in 4..8 {
+        match &served[&rid] {
+            Reply::Query(result) => {
+                assert_eq!(
+                    result,
+                    &engine.inner.query(&qs[rid], &opts),
+                    "request {rid}"
+                )
+            }
+            other => panic!("request {rid} after the panic got {other:?}"),
+        }
+    }
+    // The loop thread survived the panic, so there is nothing to resurface.
     handle.shutdown();
 }

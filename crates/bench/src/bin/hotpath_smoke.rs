@@ -1,7 +1,6 @@
 //! Hot-path smoke benchmark: cache-resident candidate scanning vs the gather baseline.
 //!
-//! Three measurements over the same K-means partition index (workload matched to
-//! `serve_smoke`/`shard_smoke` so the reports are comparable):
+//! Three measurements over the same K-means partition index:
 //!
 //! 1. **Kernel throughput** — one query streamed over the whole base set, scored by
 //!    the scalar `Distance::eval` loop vs the blocked multi-accumulator

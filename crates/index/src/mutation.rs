@@ -32,8 +32,8 @@ use serde::{Deserialize, Serialize};
 use crate::wal::WalError;
 
 /// Why a mutation was refused — the one error type every write path (searcher,
-/// `QueryEngine`, `ShardedEngine`, TCP ingress) speaks, so "bad id" means the same
-/// thing at every layer. Validation runs *before* the WAL append, so a refused
+/// `QueryEngine`, TCP ingress) speaks, so "bad id" means the same thing at every
+/// layer. Validation runs *before* the WAL append, so a refused
 /// mutation reaches neither the log nor the in-memory state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MutationError {
@@ -279,7 +279,7 @@ impl MutationState {
 }
 
 /// A read guard over an index's [`MutationState`]: held for the duration of one scan
-/// (or one sharded batch) so inserts and deletes racing the scan serialize before or
+/// (or one served batch) so inserts and deletes racing the scan serialize before or
 /// after it, never mid-stream.
 pub struct DeltaView<'a>(pub(crate) RwLockReadGuard<'a, MutationState>);
 

@@ -21,8 +21,8 @@
 //!
 //! # One candidate stream
 //!
-//! Every query path — [`PartitionIndex::search`], the serving engine, each shard of
-//! the sharded engine — walks the probed bins through [`crate::stream`]: one producer
+//! Every query path — [`PartitionIndex::search`] and the serving engine, one shard at
+//! a time — walks the probed bins through [`crate::stream`]: one producer
 //! of contiguous runs over `flat` / the codes / the membins, and an exact or a
 //! two-phase (ADC shortlist, exact re-rank) consumer picked by the configured
 //! [`Scoring`]. This file owns the storage and the write path; it scores nothing.
@@ -358,9 +358,9 @@ impl<P: Partitioner> PartitionIndex<P> {
     /// stream-order prefix. `candidates_scanned` counts exact evaluations;
     /// `compressed_scanned` counts the first-pass codes.
     ///
-    /// [`Self::search`] and the serving engine both call this with the ranked bins,
-    /// and the sharded engine runs the same consumer over per-shard pieces of the same
-    /// stream, so all of them answer bit-identically by construction.
+    /// [`Self::search`] calls this with the ranked bins, and the serving engine runs
+    /// the same consumer over per-shard pieces of the same stream (the whole stream
+    /// when it has one shard), so they answer bit-identically by construction.
     pub fn scan_bins(
         &self,
         query: &[f32],
@@ -444,7 +444,7 @@ impl<P: Partitioner> PartitionIndex<P> {
     }
 
     /// A read view of the outstanding delta, held for the duration of one scan or
-    /// one sharded batch. Blocks writers for as long as it is held.
+    /// one served batch. Blocks writers for as long as it is held.
     pub fn delta(&self) -> DeltaView<'_> {
         DeltaView(self.mutation.read().expect("mutation lock poisoned"))
     }
@@ -667,7 +667,7 @@ impl<P: Partitioner> PartitionIndex<P> {
 
     /// [`Self::compacted`] plus the WAL checkpoint/handoff protocol, through
     /// `&self` (for callers holding the index behind an `Arc`, like
-    /// `ShardedEngine::compact_and_rebalance`): builds the compacted twin, writes
+    /// `QueryEngine::compact_and_rebalance`): builds the compacted twin, writes
     /// `CompactionCheckpoint{epoch + 1}` by atomically replacing the log
     /// (write-new → sync → rename), and moves the log onto the new index. On
     /// `Err` this index and its log are unchanged (the replace is atomic), so the

@@ -155,10 +155,9 @@ struct State {
 /// Accumulates single queries from in-process callers into micro-batches served on
 /// the engine's pooled path.
 ///
-/// Generic over [`BatchEngine`], so the same bridge feeds a monolithic
-/// [`crate::QueryEngine`] or a [`crate::ShardedEngine`] unchanged. Dropping the batcher
-/// flushes every pending query before the background thread exits, so submitted
-/// queries are never lost.
+/// Generic over [`BatchEngine`], so the same bridge feeds a [`crate::QueryEngine`] at
+/// any shard count. Dropping the batcher flushes every pending query before the
+/// background thread exits, so submitted queries are never lost.
 pub struct MicroBatcher<E: BatchEngine + 'static> {
     shared: Arc<Shared<E>>,
     flusher: Option<std::thread::JoinHandle<()>>,

@@ -4,9 +4,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rayon::prelude::*;
-use usp_index::{MutationError, PartitionIndex, Partitioner, SearchResult};
+use usp_index::stream::{Partial, Run};
+use usp_index::{CompactionReport, MutationError, PartitionIndex, Partitioner, SearchResult};
 use usp_linalg::Matrix;
 
+use crate::shard::ShardMap;
 use crate::stats::{ServeStats, StatsSnapshot};
 
 /// Per-request serving knobs (every request can use different values against the same
@@ -47,8 +49,8 @@ impl QueryOptions {
 /// Anything that answers a whole matrix of queries under shared per-request options —
 /// the contract both micro-batch drivers program against (the network event loop of
 /// [`crate::ingress`], which calls `serve_batch` on its own thread, and the in-process
-/// [`crate::MicroBatcher`]), so single-machine and sharded engines are interchangeable
-/// behind it.
+/// [`crate::MicroBatcher`]); [`QueryEngine`] is the implementation, and tests put
+/// panicking engines behind the same drivers.
 ///
 /// Implementations must answer in request order and deterministically: `serve_batch`
 /// results must not depend on pool size or batch composition. A panic in
@@ -97,36 +99,49 @@ pub trait BatchEngine: Send + Sync {
     }
 }
 
-/// A batched query-serving engine over a [`PartitionIndex`].
+/// The batched query-serving engine over a [`PartitionIndex`], for any shard count.
 ///
-/// [`serve_batch`](Self::serve_batch) routes the whole batch through **one**
-/// partitioner forward ([`Partitioner::rank_bins_batch`] — a single GEMM for neural
-/// partitioners), then fans the per-query contiguous candidate scans out across the
-/// rayon shim's persistent worker pool — one parallel region per batch, no thread
-/// spawned on the hot path — and merges answers in request order, so results are
-/// bit-identical to per-query [`PartitionIndex::search`] calls for any pool size
-/// (when no re-rank budget is set). The engine is `Send + Sync`; clones of the
+/// The index stays behind an `Arc` and is the only holder of points; the
+/// [`ShardMap`] says which shard scans which of its bins. [`new`](Self::new) is the
+/// one-shard engine — the monolith — and a shard is placement, not a second
+/// scheduler: the unit of pool work is the query for every shard count (see
+/// [`serve_batch`](Self::serve_batch)). The engine is `Send + Sync`; clones of the
 /// `Arc`-held index are cheap and a [`crate::MicroBatcher`] can feed it single
 /// queries.
 pub struct QueryEngine<P: Partitioner> {
     index: Arc<PartitionIndex<P>>,
+    map: ShardMap,
     stats: ServeStats,
 }
 
-/// One answered query plus the serving metadata the stats need.
-struct Answered {
-    result: SearchResult,
-    latency_us: u64,
-}
-
 impl<P: Partitioner> QueryEngine<P> {
-    /// Wraps an index for serving.
+    /// Wraps an index for serving, all bins on one shard.
     pub fn new(index: Arc<PartitionIndex<P>>) -> Self {
-        let bins = index.num_bins();
-        Self {
-            index,
-            stats: ServeStats::new(bins),
-        }
+        Self::with_shards(index, 1)
+    }
+
+    /// Shards `index` uniformly over `num_shards` shards (no stats needed).
+    pub fn with_shards(index: Arc<PartitionIndex<P>>, num_shards: usize) -> Self {
+        let map = ShardMap::uniform(index.num_bins(), num_shards);
+        Self::with_map(index, map)
+    }
+
+    /// Shards `index` according to `map`.
+    pub fn with_map(index: Arc<PartitionIndex<P>>, map: ShardMap) -> Self {
+        assert_eq!(
+            map.num_bins(),
+            index.num_bins(),
+            "QueryEngine: map covers {} bins but the index has {}",
+            map.num_bins(),
+            index.num_bins()
+        );
+        let stats = ServeStats::new(index.num_bins());
+        Self { index, map, stats }
+    }
+
+    /// The bin→shard map in force.
+    pub fn map(&self) -> &ShardMap {
+        &self.map
     }
 
     /// The underlying index.
@@ -134,12 +149,32 @@ impl<P: Partitioner> QueryEngine<P> {
         &self.index
     }
 
+    /// Number of live points each shard scans over (the storage-balance diagnostic):
+    /// per owned bin, its live base points plus its live inserted points.
+    pub fn shard_point_counts(&self) -> Vec<usize> {
+        let delta = self.index.delta();
+        let live = |&b: &usize| {
+            self.index.bucket(b).len() - delta.csr_dead_in_bin(b) + delta.membin(b).live()
+        };
+        (0..self.map.num_shards())
+            .map(|s| self.map.bins_of(s).iter().map(live).sum())
+            .collect()
+    }
+
+    /// Re-packs the bin→shard map from the probe loads recorded since construction (or
+    /// the last stats reset). Counters are kept — the next rebalance sees the full
+    /// history. Only the placement moves: shards hold no data of their own, so the
+    /// answers cannot change.
+    pub fn rebalance_from_stats(&mut self) {
+        self.map = self.map.rebuild_from_stats(&self.stats.snapshot());
+    }
+
     /// Inserts a point through the index's streaming write path (see
-    /// [`PartitionIndex::try_insert`]) and returns its id. Subsequent queries on
-    /// this engine see the point immediately — `serve_batch` routes through the
-    /// same scan as [`PartitionIndex::search`]. With a WAL attached,
-    /// `Ok` means the record is on the log (per its sync policy) — stats count only
-    /// applied mutations.
+    /// [`PartitionIndex::try_insert`]) and returns its id. The point lands in its
+    /// bin's membin, so it is served by whichever shard owns that bin, and
+    /// subsequent queries on this engine see it immediately. With a WAL attached,
+    /// `Ok` means the record is on the log (append-before-ack, per its sync policy)
+    /// — stats count only applied mutations.
     pub fn insert(&self, point: &[f32]) -> Result<usize, MutationError> {
         let id = self.index.try_insert(point)?;
         self.stats.record_insert();
@@ -154,94 +189,108 @@ impl<P: Partitioner> QueryEngine<P> {
     }
 
     /// Whether the index's outstanding delta crossed its compaction threshold (see
-    /// [`PartitionIndex::needs_compaction`]). Compaction itself needs `&mut` access
-    /// to the index, so it happens where the `Arc` is uniquely held (or by swapping
-    /// in [`PartitionIndex::compacted`]'s result).
+    /// [`PartitionIndex::needs_compaction`]).
     pub fn needs_compaction(&self) -> bool {
         self.index.needs_compaction()
     }
 
-    /// Answers one query immediately (recorded as a batch of one). Latency-sensitive
-    /// single lookups that can tolerate a small delay should go through a
-    /// [`crate::MicroBatcher`] instead, which rides the batched path.
+    /// The maintenance tick of a mutable deployment: if the delta crossed the
+    /// compaction threshold, folds it into a fresh index
+    /// ([`PartitionIndex::compacted_with_checkpoint`] — which also runs the WAL
+    /// checkpoint/truncate protocol and moves the log onto the new index) and
+    /// swaps it in; then re-packs the bin→shard map from the recorded probe loads
+    /// either way ([`Self::rebalance_from_stats`]). Returns the compaction report — with
+    /// its id remapping — when a compaction ran. On `Err` (a checkpoint that could
+    /// not reach storage) nothing is swapped: the old index, its delta, and its
+    /// log are all intact.
+    pub fn compact_and_rebalance(&mut self) -> Result<Option<CompactionReport>, MutationError>
+    where
+        P: Clone,
+    {
+        let report = if self.index.needs_compaction() {
+            let (compacted, report) = self.index.compacted_with_checkpoint()?;
+            self.index = Arc::new(compacted);
+            Some(report)
+        } else {
+            None
+        };
+        self.rebalance_from_stats();
+        Ok(report)
+    }
+
+    /// Answers one query immediately (a batch of one). Latency-sensitive single
+    /// lookups that can tolerate a small delay should go through a
+    /// [`crate::MicroBatcher`] instead, which fills larger batches.
     pub fn query(&self, query: &[f32], opts: &QueryOptions) -> SearchResult {
-        let t0 = Instant::now();
-        let bins = self.index.partitioner().rank_bins(query, opts.probes);
-        let result = self
-            .index
-            .scan_bins(query, &bins, opts.k, opts.rerank_budget);
-        let busy = t0.elapsed().as_micros() as u64;
-        self.stats.record_batch(
-            &[busy],
-            bins.into_iter(),
-            result.candidates_scanned as u64,
-            result.compressed_scanned as u64,
-            busy,
-        );
-        result
+        let queries = Matrix::from_vec(1, query.len(), query.to_vec());
+        self.serve_batch(&queries, opts)
+            .pop()
+            .expect("one query in, one answer out")
     }
 
     /// Answers every row of `queries` in parallel on the persistent pool.
     ///
-    /// Two phases: **route** ranks every query's bins through one
-    /// [`Partitioner::bin_scores_batch`] forward (a single GEMM for neural
-    /// partitioners instead of one small matmul per query), then **scan** fans the
-    /// per-query contiguous candidate scans out across the pool. Results come back in
-    /// request order and — with no re-rank budget — are bit-identical to calling
-    /// [`PartitionIndex::search`] per row, for any pool size: the batched forward is
-    /// bit-identical per row to the per-query forward (the `Partitioner` batch
-    /// contract) and [`PartitionIndex::scan_bins`] is the same scoring path `search`
-    /// uses.
+    /// The batch shares one read guard on the delta (so writes racing the batch
+    /// serialize before or after it; a clean index takes no lock), one
+    /// [`Partitioner::rank_bins_batch`] forward (a single GEMM for neural
+    /// partitioners) and, on a compressed index, one batched ADC-table build (tables
+    /// are pure functions of the query). Then **one** parallel region runs over the
+    /// queries, no thread spawned on the hot path: the worker that picks a query up
+    /// produces its candidate stream ([`usp_index::stream`]), groups the runs by
+    /// owning shard, makes one pass per touched shard and finishes them. With one
+    /// shard that is [`PartitionIndex::scan_bins_with_table`] verbatim.
+    ///
+    /// Results come back in request order and are bit-identical to per-row
+    /// [`PartitionIndex::search`] (to [`PartitionIndex::scan_bins`] when a re-rank
+    /// budget is set) for any shard count and pool size: the batched forward is
+    /// bit-identical per row to the per-query one (the `Partitioner` batch contract),
+    /// every run keeps its stream position through the grouping, and `finish` merges
+    /// passes by that position. A query's recorded latency is its even share of the
+    /// batch-shared work plus its own time on its worker.
     pub fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
         let t0 = Instant::now();
+        let delta = self.index.is_mutated().then(|| self.index.delta());
         let ranked = self
             .index
             .partitioner()
             .rank_bins_batch(queries, opts.probes);
-        // Compressed indexes amortise ADC-table construction across the micro-batch:
-        // one table per query, built in a single parallel region, shared by the scan
-        // fan-out below (tables are pure functions of the query, so per-batch tables
-        // answer bit-identically to per-query ones). `None` for exact indexes.
         let tables = self.index.adc_tables_batch(queries);
-        // The batched route work is shared; attribute an even share to each query's
-        // recorded latency so percentiles still reflect end-to-end per-query cost.
-        let route_share_us = (t0.elapsed().as_micros() as u64) / (queries.rows().max(1) as u64);
-        let answered: Vec<Answered> = (0..queries.rows())
+        let shared_us = (t0.elapsed().as_micros() as u64) / (queries.rows().max(1) as u64);
+        let shard_of = |run: &Run| self.map.shard_of(run.bin);
+        let answered: Vec<(SearchResult, u64)> = (0..queries.rows())
             .into_par_iter()
             .map(|qi| {
-                let t_scan = Instant::now();
-                let result = self.index.scan_bins_with_table(
-                    queries.row(qi),
-                    &ranked[qi],
-                    opts.k,
-                    opts.rerank_budget,
-                    tables.as_ref().map(|t| &t[qi]),
-                );
-                Answered {
-                    result,
-                    latency_us: route_share_us + t_scan.elapsed().as_micros() as u64,
-                }
+                let t = Instant::now();
+                let table = tables.as_ref().map(|t| &t[qi]);
+                let consumer =
+                    self.index
+                        .consumer(queries.row(qi), opts.k, opts.rerank_budget, table);
+                let mut runs =
+                    self.index
+                        .candidate_runs(&ranked[qi], delta.as_deref(), consumer.cap());
+                // Stable, so each shard's runs stay in stream order.
+                runs.sort_by_key(shard_of);
+                let passes: Vec<Partial> = runs
+                    .chunk_by(|a, b| shard_of(a) == shard_of(b))
+                    .map(|shard_runs| consumer.pass(shard_runs))
+                    .collect();
+                let result = consumer.finish(&passes);
+                (result, shared_us + t.elapsed().as_micros() as u64)
             })
             .collect();
         let busy = t0.elapsed().as_micros() as u64;
 
-        let latencies: Vec<u64> = answered.iter().map(|a| a.latency_us).collect();
-        let scanned: u64 = answered
-            .iter()
-            .map(|a| a.result.candidates_scanned as u64)
-            .sum();
-        let compressed: u64 = answered
-            .iter()
-            .map(|a| a.result.compressed_scanned as u64)
-            .sum();
+        let latencies: Vec<u64> = answered.iter().map(|(_, us)| *us).collect();
+        let scanned = answered.iter().map(|(r, _)| r.candidates_scanned as u64);
+        let compressed = answered.iter().map(|(r, _)| r.compressed_scanned as u64);
         self.stats.record_batch(
             &latencies,
             ranked.iter().flat_map(|bins| bins.iter().copied()),
-            scanned,
-            compressed,
+            scanned.sum(),
+            compressed.sum(),
             busy,
         );
-        answered.into_iter().map(|a| a.result).collect()
+        answered.into_iter().map(|(r, _)| r).collect()
     }
 
     /// Serving statistics accumulated since construction (or the last

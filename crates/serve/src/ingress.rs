@@ -9,8 +9,7 @@
 //! buffers, and the time to the next due batch is its poll timeout — the served
 //! path is socket → loop → pool, with no other thread, channel or tick in it.
 //! Inserts, deletes and stats execute inline through the same trait, so a
-//! monolithic [`crate::QueryEngine`] and a [`crate::ShardedEngine`] are both
-//! servable unchanged.
+//! [`crate::QueryEngine`] is servable unchanged at any shard count.
 //!
 //! The load-management invariants, in order of importance:
 //!

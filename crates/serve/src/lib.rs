@@ -5,21 +5,21 @@
 //! embarrassingly parallel across queries. This crate turns the offline reproduction
 //! into a servable system:
 //!
-//! * [`engine::QueryEngine`] — answers query batches on the rayon shim's **persistent
-//!   worker pool** (one parallel region per batch, no thread spawns on the hot path),
-//!   with per-request knobs ([`engine::QueryOptions`]: `k`, `nprobe`, re-rank budget)
-//!   and running serving statistics ([`stats::StatsSnapshot`]: QPS, p50/p99 latency,
-//!   per-bin probe counts);
-//! * [`shard::ShardedEngine`] — splits the bins across `S` shards by a load-aware
-//!   [`shard::ShardMap`] (LPT packing over the recorded per-bin probe counts, uniform
-//!   fallback) and answers batches scatter/gather: route bins, shard-local top-k on
-//!   the pool, position-ordered merge — **bit-identical to the unsharded engine for
-//!   any shard count** (`tests/shard_equivalence.rs` pins this);
+//! * [`engine::QueryEngine`] — the one engine. It answers query batches on the rayon
+//!   shim's **persistent worker pool** (one parallel region per batch whose unit of
+//!   work is the query, no thread spawns on the hot path), with per-request knobs
+//!   ([`engine::QueryOptions`]: `k`, `probes`, re-rank budget) and running serving
+//!   statistics ([`stats::StatsSnapshot`]: QPS, p50/p99 latency, per-bin probe counts);
+//! * [`shard::ShardMap`] — placement: the engine's bins split across `S` shards (LPT
+//!   packing over the recorded per-bin probe counts, uniform fallback; one shard by
+//!   default). A query's candidate stream is scored one shard at a time and merged by
+//!   stream position, so answers are **bit-identical for any shard count**
+//!   (`tests/shard_equivalence.rs` pins this);
 //! * [`batcher::MicroBatcher`] — accumulates single queries from in-process callers
 //!   into micro-batches (served when full or when the batching window closes) so point
-//!   lookups ride the same batched path; generic over [`engine::BatchEngine`], so it
-//!   feeds monolithic and sharded engines alike. The fill-or-window policy itself lives
-//!   in one private accumulator in [`batcher`] that the network loop uses too;
+//!   lookups ride the same batched path; generic over [`engine::BatchEngine`]. The
+//!   fill-or-window policy itself lives in one private accumulator in [`batcher`] that
+//!   the network loop uses too;
 //! * [`ingress::IngressHandle`] — a single-threaded epoll event loop (vendored `mio`
 //!   shim) speaking the length-prefixed binary protocol of [`protocol`] over TCP. The
 //!   loop owns the micro-batch and calls the engine itself (socket → loop → pool, no
@@ -44,5 +44,8 @@ pub mod stats;
 pub use batcher::{MicroBatcher, SubmitError};
 pub use engine::{BatchEngine, QueryEngine, QueryOptions};
 pub use ingress::{IngressConfig, IngressHandle};
-pub use shard::{ShardMap, ShardedEngine};
+pub use shard::ShardMap;
 pub use stats::StatsSnapshot;
+
+/// The name the benchmark harness builds its many-shard engine under.
+pub type ShardedEngine<P> = QueryEngine<P>;

@@ -1,44 +1,22 @@
-//! Sharded serving: a load-aware bin→shard map and a scatter/gather engine.
+//! Shard placement: a load-aware bin→shard map.
 //!
-//! The partitioner bounds how much of the database a query touches; sharding splits
-//! that bounded work across workers so hot bins do not serialize a query stream. The
-//! unit of placement is the *bin*: [`ShardMap`] packs bins onto `S` shards by greedy
-//! longest-processing-time (LPT) scheduling over recorded per-bin probe loads (the
-//! counters [`crate::StatsSnapshot::bin_probes`] accumulates), falling back to uniform
-//! packing when no stats exist. A shard is nothing more than its set of bins: it scans
-//! the index's own bin-contiguous rows, codes and membins, so re-packing the map moves
-//! no data.
+//! The partitioner bounds how much of the database a query touches; a shard is a set
+//! of bins whose share of that bounded work can be scored apart from the rest and
+//! merged back. The unit of placement is the *bin*: [`ShardMap`] packs bins onto `S`
+//! shards by greedy longest-processing-time (LPT) scheduling over recorded per-bin
+//! probe loads (the counters [`crate::StatsSnapshot::bin_probes`] accumulates), falling
+//! back to uniform packing when no stats exist. A shard is nothing more than its set
+//! of bins: it scans the index's own bin-contiguous rows, codes and membins, so
+//! re-packing the map moves no data.
 //!
-//! [`ShardedEngine::serve_batch`] is a three-phase scatter/gather over the query's
-//! candidate stream ([`usp_index::stream`]):
-//!
-//! 1. **Route** — rank every query's bins in **one** batched partitioner forward
-//!    ([`Partitioner::rank_bins_batch`], a single GEMM for neural partitioners),
-//!    produce each query's (budgeted) stream of runs, and deal the runs to the shards
-//!    owning their bins — every run keeps its position in the whole stream;
-//! 2. **Scatter** — run the flattened (query, shard) tasks on the persistent worker
-//!    pool, each one [`Consumer::pass`] over its runs;
-//! 3. **Gather** — [`Consumer::finish`] each query's passes.
-//!
-//! The unsharded [`crate::QueryEngine`] is the one-task case of the same pass→finish
-//! pair over the same runs, so merged answers are **bit-identical to the monolith for
+//! Placement is all this module knows. [`crate::QueryEngine`] holds a map and serves
+//! through it — each query's candidate stream is grouped by owning shard, scored one
+//! shard at a time and merged by stream position — so answers are **bit-identical for
 //! any shard count and pool size**, in exact and compressed mode, on clean and mutated
-//! indexes alike — `tests/shard_equivalence.rs` pins this across shard counts
-//! {1, 2, 4, 7}, pool sizes, per-request knobs (including re-rank budgets) and
-//! micro-batched submissions.
+//! indexes alike (`tests/shard_equivalence.rs` pins this across shard counts
+//! {1, 2, 4, 7}).
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use rayon::prelude::*;
-use usp_index::mutation::MutationState;
-use usp_index::stream::{Consumer, Partial, Run};
-use usp_index::{CompactionReport, MutationError, PartitionIndex, Partitioner, SearchResult};
-use usp_linalg::kernel::AdcTable;
-use usp_linalg::Matrix;
-
-use crate::engine::{BatchEngine, QueryOptions};
-use crate::stats::{ServeStats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 
 /// An assignment of every bin to exactly one of `S` shards, packed for balance.
 ///
@@ -48,7 +26,7 @@ use crate::stats::{ServeStats, StatsSnapshot};
 /// computing a map from the same stats agree bit-for-bit. LPT's classic guarantee
 /// bounds the skew: max shard load ≤ mean load + max single-bin load, hence ≤ 2× mean
 /// whenever no single bin outweighs the mean (a single dominant bin is indivisible at
-/// this granularity — the map stays deterministic, which is what the gather relies
+/// this granularity — the map stays deterministic, which is what the merge relies
 /// on). The property tests at the bottom pin both.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
@@ -133,314 +111,34 @@ impl ShardMap {
     }
 }
 
-/// Everything the router decided about one query.
-struct Route<'a> {
-    consumer: Consumer<'a>,
-    /// Per touched shard, its runs of the query's stream, in stream order.
-    tasks: Vec<Vec<Run<'a>>>,
-    route_us: u64,
-}
-
-/// A sharded scatter/gather serving engine, answer-equivalent to [`crate::QueryEngine`].
-///
-/// The index stays behind an `Arc` and is the only holder of points; the map says
-/// which shard scans which of its bins. Statistics are recorded exactly like the
-/// monolith's (per-query latency is the scatter/gather critical path: route + slowest
-/// shard + merge).
-pub struct ShardedEngine<P: Partitioner> {
-    index: Arc<PartitionIndex<P>>,
-    map: ShardMap,
-    stats: ServeStats,
-}
-
-impl<P: Partitioner> ShardedEngine<P> {
-    /// Shards `index` according to `map`.
-    pub fn new(index: Arc<PartitionIndex<P>>, map: ShardMap) -> Self {
-        assert_eq!(
-            map.num_bins(),
-            index.num_bins(),
-            "ShardedEngine: map covers {} bins but the index has {}",
-            map.num_bins(),
-            index.num_bins()
-        );
-        let bins = index.num_bins();
-        Self {
-            index,
-            map,
-            stats: ServeStats::new(bins),
-        }
-    }
-
-    /// Shards `index` uniformly over `num_shards` shards (no stats needed).
-    pub fn with_shards(index: Arc<PartitionIndex<P>>, num_shards: usize) -> Self {
-        let map = ShardMap::uniform(index.num_bins(), num_shards);
-        Self::new(index, map)
-    }
-
-    /// The bin→shard map in force.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// The routing index.
-    pub fn index(&self) -> &PartitionIndex<P> {
-        &self.index
-    }
-
-    /// Number of live points each shard scans over (the storage-balance diagnostic):
-    /// per owned bin, its live base points plus its live inserted points.
-    pub fn shard_point_counts(&self) -> Vec<usize> {
-        let delta = self.index.delta();
-        let live = |&b: &usize| {
-            self.index.bucket(b).len() - delta.csr_dead_in_bin(b) + delta.membin(b).live()
-        };
-        (0..self.map.num_shards())
-            .map(|s| self.map.bins_of(s).iter().map(live).sum())
-            .collect()
-    }
-
-    /// Re-packs the bin→shard map from the probe loads recorded since construction (or
-    /// the last stats reset). Counters are kept — the next rebalance sees the full
-    /// history. Only the placement moves: shards hold no data of their own, so the
-    /// answers cannot change.
-    pub fn rebalance_from_stats(&mut self) {
-        self.map = self.map.rebuild_from_stats(&self.stats.snapshot());
-    }
-
-    /// Inserts a point through the routing index's streaming write path (see
-    /// [`PartitionIndex::try_insert`]). The point lands in its bin's membin, so it
-    /// is served by whichever shard owns that bin. With a WAL
-    /// attached, `Ok` means the record is on the log (append-before-ack).
-    pub fn insert(&self, point: &[f32]) -> Result<usize, MutationError> {
-        let id = self.index.try_insert(point)?;
-        self.stats.record_insert();
-        Ok(id)
-    }
-
-    /// Tombstones a point (see [`PartitionIndex::try_delete`]).
-    pub fn delete(&self, id: usize) -> Result<(), MutationError> {
-        self.index.try_delete(id)?;
-        self.stats.record_delete();
-        Ok(())
-    }
-
-    /// Whether the routing index's outstanding delta crossed its compaction
-    /// threshold (see [`PartitionIndex::needs_compaction`]).
-    pub fn needs_compaction(&self) -> bool {
-        self.index.needs_compaction()
-    }
-
-    /// The maintenance tick of a mutable sharded deployment: if the delta crossed
-    /// the compaction threshold, folds it into a fresh index
-    /// ([`PartitionIndex::compacted_with_checkpoint`] — which also runs the WAL
-    /// checkpoint/truncate protocol and moves the log onto the new index) and
-    /// swaps it in; then re-packs the bin→shard map from the recorded probe loads
-    /// either way ([`Self::rebalance_from_stats`]). Returns the compaction report — with
-    /// its id remapping — when a compaction ran. On `Err` (a checkpoint that could
-    /// not reach storage) nothing is swapped: the old index, its delta, and its
-    /// log are all intact.
-    pub fn compact_and_rebalance(&mut self) -> Result<Option<CompactionReport>, MutationError>
-    where
-        P: Clone,
-    {
-        let report = if self.index.needs_compaction() {
-            let (compacted, report) = self.index.compacted_with_checkpoint()?;
-            self.index = Arc::new(compacted);
-            Some(report)
-        } else {
-            None
-        };
-        self.rebalance_from_stats();
-        Ok(report)
-    }
-
-    /// Answers one query immediately (recorded as a batch of one).
-    pub fn query(&self, query: &[f32], opts: &QueryOptions) -> SearchResult {
-        let queries = Matrix::from_vec(1, query.len(), query.to_vec());
-        self.serve_batch(&queries, opts)
-            .pop()
-            .expect("one query in, one answer out")
-    }
-
-    /// Scatter/gather batch serving (see the module docs for the three phases).
-    ///
-    /// Results come back in request order and are bit-identical to the unsharded
-    /// [`crate::QueryEngine::serve_batch`] for any shard count and pool size.
-    pub fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
-        let t0 = Instant::now();
-        // One read guard spans all three phases, so inserts and deletes racing the
-        // batch serialize before or after it — never between route and scatter. A
-        // clean index takes no lock.
-        let delta = self.index.is_mutated().then(|| self.index.delta());
-
-        // Phase 1 — route: one batched partitioner forward ranks every query's bins
-        // (a single GEMM for neural partitioners; bit-identical per row to the
-        // per-query forward by the Partitioner batch contract), then each query's
-        // stream is dealt to the shards in parallel over queries.
-        let ranked = self
-            .index
-            .partitioner()
-            .rank_bins_batch(queries, opts.probes);
-        let rank_share_us = (t0.elapsed().as_micros() as u64) / (queries.rows().max(1) as u64);
-        // Compressed indexes amortise ADC-table construction across the batch, exactly
-        // like the monolith engine: one table per query, shared by every scatter task
-        // of that query. `None` for exact indexes.
-        let tables = self.index.adc_tables_batch(queries);
-        let routes: Vec<Route> = (0..queries.rows())
-            .into_par_iter()
-            .map(|qi| {
-                let table = tables.as_ref().map(|t| &t[qi]);
-                let query = queries.row(qi);
-                self.route(
-                    query,
-                    &ranked[qi],
-                    opts,
-                    table,
-                    delta.as_deref(),
-                    rank_share_us,
-                )
-            })
-            .collect();
-
-        // Phase 2 — scatter: one task per (query, shard) pair, flattened so the pool
-        // load-balances across both axes. Query `qi` owns `starts[qi]..starts[qi + 1]`.
-        let tasks: Vec<(usize, &[Run])> = routes
-            .iter()
-            .enumerate()
-            .flat_map(|(qi, r)| r.tasks.iter().map(move |runs| (qi, &runs[..])))
-            .collect();
-        let mut starts = vec![0usize; queries.rows() + 1];
-        for (qi, r) in routes.iter().enumerate() {
-            starts[qi + 1] = starts[qi] + r.tasks.len();
-        }
-        let partials: Vec<(Partial, u64)> = tasks
-            .par_iter()
-            .map(|&(qi, runs)| {
-                let t = Instant::now();
-                let partial = routes[qi].consumer.pass(runs);
-                (partial, t.elapsed().as_micros() as u64)
-            })
-            .collect();
-
-        // Phase 3 — gather: finish each query's passes (parallel over queries; the
-        // ordered collect keeps request order). Latency is the critical path: route +
-        // slowest shard + merge.
-        let merged: Vec<(SearchResult, u64)> = (0..queries.rows())
-            .into_par_iter()
-            .map(|qi| {
-                let t = Instant::now();
-                let mine = &partials[starts[qi]..starts[qi + 1]];
-                let result = routes[qi].consumer.finish(mine.iter().map(|(p, _)| p));
-                let slowest = mine.iter().map(|&(_, us)| us).max().unwrap_or(0);
-                let merge_us = t.elapsed().as_micros() as u64;
-                (result, routes[qi].route_us + slowest + merge_us)
-            })
-            .collect();
-
-        let busy = t0.elapsed().as_micros() as u64;
-        let latencies: Vec<u64> = merged.iter().map(|(_, us)| *us).collect();
-        let scanned = merged.iter().map(|(r, _)| r.candidates_scanned as u64);
-        let compressed = merged.iter().map(|(r, _)| r.compressed_scanned as u64);
-        self.stats.record_batch(
-            &latencies,
-            ranked.iter().flat_map(|bins| bins.iter().copied()),
-            scanned.sum(),
-            compressed.sum(),
-            busy,
-        );
-        merged.into_iter().map(|(r, _)| r).collect()
-    }
-
-    /// Serving statistics accumulated since construction (or the last reset),
-    /// with the routing index's WAL counters overlaid when a log is attached.
-    pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        if let Some(w) = self.index.wal_stats() {
-            snap.overlay_wal(&w);
-        }
-        snap
-    }
-
-    /// Clears the serving statistics.
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    /// Pre-spawns the pool workers (see [`BatchEngine::warm_up`]).
-    pub fn warm_up(&self) {
-        BatchEngine::warm_up(self)
-    }
-
-    /// Phase 1 for one query: produce its stream exactly as the monolith would — same
-    /// consumer, same cap — and deal the runs to the shards owning their bins
-    /// (`rank_share_us` is this query's share of the batched bin-ranking forward,
-    /// folded into the recorded route latency).
-    fn route<'a>(
-        &'a self,
-        query: &'a [f32],
-        bins: &[usize],
-        opts: &QueryOptions,
-        table: Option<&'a AdcTable>,
-        delta: Option<&'a MutationState>,
-        rank_share_us: u64,
-    ) -> Route<'a> {
-        let t0 = Instant::now();
-        let consumer = self
-            .index
-            .consumer(query, opts.k, opts.rerank_budget, table);
-        let mut tasks = vec![Vec::new(); self.map.num_shards()];
-        for run in self.index.candidate_runs(bins, delta, consumer.cap()) {
-            tasks[self.map.shard_of(run.bin)].push(run);
-        }
-        tasks.retain(|runs| !runs.is_empty());
-        Route {
-            consumer,
-            tasks,
-            route_us: rank_share_us + t0.elapsed().as_micros() as u64,
-        }
-    }
-}
-
-impl<P: Partitioner> BatchEngine for ShardedEngine<P> {
-    fn dims(&self) -> usize {
-        self.index.dims()
-    }
-
-    fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
-        ShardedEngine::serve_batch(self, queries, opts)
-    }
-
-    fn insert(&self, point: &[f32]) -> Result<usize, MutationError> {
-        ShardedEngine::insert(self, point)
-    }
-
-    fn delete(&self, id: usize) -> Result<(), MutationError> {
-        ShardedEngine::delete(self, id)
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        ShardedEngine::stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! `ShardMap`'s unit tests, then the engine served through maps of several shard
+    //! counts ([`QueryEngine::new`] is the one-shard row of every loop).
     use super::*;
-    use crate::engine::QueryEngine;
+    use crate::engine::{QueryEngine, QueryOptions};
+    use std::sync::Arc;
     use usp_index::partitioner::RoundRobinPartitioner;
-    use usp_linalg::Distance;
+    use usp_index::scoring::{CodeQuantizer, Scoring};
+    use usp_index::{MutationError, PartitionIndex, Partitioner, SearchResult};
+    use usp_linalg::kernel::{AdcTable, QueryScorer};
+    use usp_linalg::{Distance, Matrix};
 
-    fn small_index() -> Arc<PartitionIndex<RoundRobinPartitioner>> {
+    fn small_build() -> PartitionIndex<RoundRobinPartitioner> {
         let n = 60;
         let data: Vec<f32> = (0..n * 2)
             .map(|i| ((i * 37 % 101) as f32) / 10.0 - 5.0)
             .collect();
         let data = Matrix::from_vec(n, 2, data);
-        Arc::new(PartitionIndex::build(
+        PartitionIndex::build(
             RoundRobinPartitioner::new(7),
             &data,
             Distance::SquaredEuclidean,
-        ))
+        )
+    }
+
+    fn small_index() -> Arc<PartitionIndex<RoundRobinPartitioner>> {
+        Arc::new(small_build())
     }
 
     fn queries() -> Matrix {
@@ -490,12 +188,12 @@ mod tests {
         assert_eq!(map.shard_loads().iter().filter(|&&l| l > 0).count(), 2);
         let index = small_index();
         // An engine over that map still answers correctly.
-        let engine = ShardedEngine::new(Arc::clone(&index), ShardMap::uniform(7, 11));
+        let engine = QueryEngine::with_map(Arc::clone(&index), ShardMap::uniform(7, 11));
         let opts = QueryOptions::new(3, 2);
         let q = queries();
         for qi in 0..q.rows() {
             assert_eq!(
-                ShardedEngine::serve_batch(&engine, &q, &opts)[qi],
+                engine.serve_batch(&q, &opts)[qi],
                 index.search(q.row(qi), 3, 2)
             );
         }
@@ -506,10 +204,10 @@ mod tests {
         let index = small_index();
         let q = queries();
         for shards in [1, 2, 3, 7] {
-            let engine = ShardedEngine::with_shards(Arc::clone(&index), shards);
+            let engine = QueryEngine::with_shards(Arc::clone(&index), shards);
             for &(k, probes) in &[(1usize, 1usize), (3, 2), (5, 7)] {
                 let opts = QueryOptions::new(k, probes);
-                let got = ShardedEngine::serve_batch(&engine, &q, &opts);
+                let got = engine.serve_batch(&q, &opts);
                 for qi in 0..q.rows() {
                     let expect = index.search(q.row(qi), k, probes);
                     assert_eq!(got[qi], expect, "shards={shards} k={k} probes={probes}");
@@ -519,49 +217,125 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rerank_budget_matches_unsharded_engine() {
-        let index = small_index();
-        let unsharded = QueryEngine::new(Arc::clone(&index));
+    /// The budgeted reference: per-query `rank_bins` + one `scan_bins` over the whole
+    /// stream — no batching, no grouping by shard.
+    fn scan_reference<P: Partitioner>(
+        index: &PartitionIndex<P>,
+        q: &Matrix,
+        opts: &QueryOptions,
+    ) -> Vec<SearchResult> {
+        (0..q.rows())
+            .map(|qi| {
+                let bins = index.partitioner().rank_bins(q.row(qi), opts.probes);
+                index.scan_bins(q.row(qi), &bins, opts.k, opts.rerank_budget)
+            })
+            .collect()
+    }
+
+    /// `QueryEngine::new`, then `with_shards` for each of `more`.
+    fn engines<P: Partitioner>(
+        index: &Arc<PartitionIndex<P>>,
+        more: &[usize],
+    ) -> Vec<QueryEngine<P>> {
+        let sharded = more
+            .iter()
+            .map(|&n| QueryEngine::with_shards(Arc::clone(index), n));
+        std::iter::once(QueryEngine::new(Arc::clone(index)))
+            .chain(sharded)
+            .collect()
+    }
+
+    fn assert_budgets_match_the_scan(index: &Arc<PartitionIndex<RoundRobinPartitioner>>) {
         let q = queries();
-        for shards in [1, 2, 4] {
-            let sharded = ShardedEngine::with_shards(Arc::clone(&index), shards);
+        for engine in engines(index, &[2, 4]) {
             for budget in [0, 1, 4, 9, 1000] {
                 let opts = QueryOptions::new(4, 5).with_rerank_budget(budget);
                 assert_eq!(
-                    ShardedEngine::serve_batch(&sharded, &q, &opts),
-                    QueryEngine::serve_batch(&unsharded, &q, &opts),
-                    "shards={shards} budget={budget}"
+                    engine.serve_batch(&q, &opts),
+                    scan_reference(index, &q, &opts),
+                    "shards={} budget={budget}",
+                    engine.map().num_shards()
                 );
             }
         }
     }
 
     #[test]
+    fn rerank_budget_matches_unsharded_engine() {
+        assert_budgets_match_the_scan(&small_index());
+    }
+
+    /// Two bits per point — the signs of its coordinates — decoded to (±2.5, ±2.5).
+    struct SignBits;
+
+    impl CodeQuantizer for SignBits {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn code_len(&self) -> usize {
+            1
+        }
+        fn encode_into(&self, point: &[f32], out: &mut [u8]) {
+            out[0] = (point[0] > 0.0) as u8 | ((point[1] > 0.0) as u8) << 1;
+        }
+        fn adc_table(&self, distance: Distance, query: &[f32]) -> AdcTable {
+            let scorer = QueryScorer::new(distance, query);
+            let side = |bit: u8| if bit == 0 { -2.5 } else { 2.5 };
+            AdcTable::Sum {
+                table: (0..4u8)
+                    .map(|c| scorer.eval(&[side(c & 1), side(c >> 1)]))
+                    .collect(),
+                n_centroids: 4,
+            }
+        }
+    }
+
+    #[test]
     fn stats_record_like_the_monolith() {
-        let index = small_index();
-        let sharded = ShardedEngine::with_shards(Arc::clone(&index), 3);
-        let unsharded = QueryEngine::new(index);
+        let compressed_dirty =
+            Arc::new(small_build().with_scoring(Scoring::compressed(Arc::new(SignBits), 5)));
+        for id in [2usize, 31, 47] {
+            assert!(compressed_dirty.delete(id));
+        }
+        for i in 0..4 {
+            compressed_dirty.insert(&[0.4 * i as f32 - 1.0, 1.0 - 0.6 * i as f32]);
+        }
         let q = queries();
         let opts = QueryOptions::new(2, 3);
-        ShardedEngine::serve_batch(&sharded, &q, &opts);
-        QueryEngine::serve_batch(&unsharded, &q, &opts);
-        let (s, u) = (sharded.stats(), unsharded.stats());
-        assert_eq!(s.queries, u.queries);
-        assert_eq!(s.batches, u.batches);
-        assert_eq!(s.bin_probes, u.bin_probes);
-        assert_eq!(s.mean_candidates, u.mean_candidates);
-        sharded.reset_stats();
-        assert_eq!(sharded.stats().queries, 0);
+        for index in [small_index(), compressed_dirty] {
+            // What the counters must say, from the per-query scan alone.
+            let reference = scan_reference(&index, &q, &opts);
+            let mean = |f: fn(&SearchResult) -> usize| {
+                reference.iter().map(f).sum::<usize>() as f64 / q.rows() as f64
+            };
+            let mut bin_probes = vec![0u64; index.num_bins()];
+            for qi in 0..q.rows() {
+                for b in index.partitioner().rank_bins(q.row(qi), opts.probes) {
+                    bin_probes[b] += 1;
+                }
+            }
+            let compressed = index.quantizer().is_some();
+            for engine in engines(&index, &[3]) {
+                assert_eq!(engine.serve_batch(&q, &opts), reference);
+                let s = engine.stats();
+                assert_eq!((s.queries, s.batches), (q.rows() as u64, 1));
+                assert_eq!(s.bin_probes, bin_probes);
+                assert_eq!(s.mean_candidates, mean(|r| r.candidates_scanned));
+                assert_eq!(s.mean_compressed_candidates, mean(|r| r.compressed_scanned));
+                assert_eq!(s.mean_compressed_candidates > 0.0, compressed);
+                engine.reset_stats();
+                assert_eq!(engine.stats().queries, 0);
+            }
+        }
     }
 
     #[test]
     fn rebalance_from_stats_moves_load_and_keeps_answers() {
         let index = small_index();
-        let mut engine = ShardedEngine::with_shards(Arc::clone(&index), 3);
+        let mut engine = QueryEngine::with_shards(Arc::clone(&index), 3);
         let q = queries();
         let opts = QueryOptions::new(3, 2);
-        let before = ShardedEngine::serve_batch(&engine, &q, &opts);
+        let before = engine.serve_batch(&q, &opts);
         engine.rebalance_from_stats();
         // The rebuilt map is packed from the recorded probe skew...
         assert_eq!(
@@ -569,7 +343,7 @@ mod tests {
             &ShardMap::from_loads(&engine.stats().bin_probes, 3)
         );
         // ...and the answers are unchanged.
-        assert_eq!(ShardedEngine::serve_batch(&engine, &q, &opts), before);
+        assert_eq!(engine.serve_batch(&q, &opts), before);
     }
 
     #[test]
@@ -587,10 +361,10 @@ mod tests {
         assert!(index.delete(inserted[2]));
         let q = queries();
         for shards in [1, 2, 3, 7] {
-            let engine = ShardedEngine::with_shards(Arc::clone(&index), shards);
+            let engine = QueryEngine::with_shards(Arc::clone(&index), shards);
             for &(k, probes) in &[(1usize, 1usize), (3, 2), (5, 7)] {
                 let opts = QueryOptions::new(k, probes);
-                let got = ShardedEngine::serve_batch(&engine, &q, &opts);
+                let got = engine.serve_batch(&q, &opts);
                 for qi in 0..q.rows() {
                     let expect = index.search(q.row(qi), k, probes);
                     assert_eq!(got[qi], expect, "shards={shards} k={k} probes={probes}");
@@ -615,25 +389,13 @@ mod tests {
         for i in 0..4 {
             index.insert(&[1.0 - i as f32, i as f32 * 0.3]);
         }
-        let unsharded = QueryEngine::new(Arc::clone(&index));
-        let q = queries();
-        for shards in [1, 2, 4] {
-            let sharded = ShardedEngine::with_shards(Arc::clone(&index), shards);
-            for budget in [0, 1, 4, 9, 1000] {
-                let opts = QueryOptions::new(4, 5).with_rerank_budget(budget);
-                assert_eq!(
-                    ShardedEngine::serve_batch(&sharded, &q, &opts),
-                    QueryEngine::serve_batch(&unsharded, &q, &opts),
-                    "shards={shards} budget={budget}"
-                );
-            }
-        }
+        assert_budgets_match_the_scan(&index);
     }
 
     #[test]
     fn compact_and_rebalance_folds_the_delta_and_matches_a_fresh_build() {
         let index = small_index();
-        let mut engine = ShardedEngine::with_shards(Arc::clone(&index), 3);
+        let mut engine = QueryEngine::with_shards(Arc::clone(&index), 3);
         // Clean index: the tick rebalances but reports no compaction.
         assert!(engine
             .compact_and_rebalance()
@@ -676,7 +438,7 @@ mod tests {
         );
         let q = queries();
         let opts = QueryOptions::new(3, 4);
-        let got = ShardedEngine::serve_batch(&engine, &q, &opts);
+        let got = engine.serve_batch(&q, &opts);
         for qi in 0..q.rows() {
             assert_eq!(got[qi], fresh.search(q.row(qi), 3, 4), "query {qi}");
         }
@@ -688,7 +450,7 @@ mod tests {
         // the searcher and the unsharded engine — a shard boundary is never a
         // semantic change, refusals included. Refused ops record no stats.
         let index = small_index();
-        let engine = ShardedEngine::with_shards(Arc::clone(&index), 3);
+        let engine = QueryEngine::with_shards(Arc::clone(&index), 3);
         assert_eq!(
             engine.insert(&[1.0]),
             Err(MutationError::DimsMismatch { got: 1, want: 2 })
@@ -709,7 +471,7 @@ mod tests {
     #[test]
     fn nan_queries_stay_deterministic_and_equivalent() {
         let index = small_index();
-        let engine = ShardedEngine::with_shards(Arc::clone(&index), 4);
+        let engine = QueryEngine::with_shards(Arc::clone(&index), 4);
         let nan_q = [f32::NAN, f32::NAN];
         let opts = QueryOptions::new(3, 2);
         let r1 = engine.query(&nan_q, &opts);
@@ -720,7 +482,7 @@ mod tests {
     #[test]
     fn shard_point_counts_cover_the_dataset() {
         let index = small_index();
-        let engine = ShardedEngine::with_shards(Arc::clone(&index), 4);
+        let engine = QueryEngine::with_shards(Arc::clone(&index), 4);
         let counts = engine.shard_point_counts();
         assert_eq!(counts.len(), 4);
         assert_eq!(counts.iter().sum::<usize>(), 60);
@@ -770,7 +532,7 @@ mod proptests {
             }
             prop_assert!(seen.iter().all(|&c| c == 1), "bin coverage {:?}", seen);
             // Deterministic: the same loads always produce the same map (the property
-            // the scatter/gather merge relies on regardless of load skew).
+            // the per-shard merge relies on regardless of load skew).
             prop_assert_eq!(map, ShardMap::from_loads(&loads, num_shards));
         }
 

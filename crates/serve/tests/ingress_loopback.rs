@@ -15,7 +15,7 @@ use usp_index::partitioner::RoundRobinPartitioner;
 use usp_index::{PartitionIndex, SearchResult};
 use usp_linalg::{Distance, Matrix};
 use usp_serve::protocol::{encode_frame, encode_query, parse_reply, read_frame, Reply, OP_QUERY};
-use usp_serve::{IngressConfig, IngressHandle, QueryEngine, QueryOptions, ShardMap, ShardedEngine};
+use usp_serve::{IngressConfig, IngressHandle, QueryEngine, QueryOptions, ShardMap};
 
 const DIMS: usize = 6;
 
@@ -188,7 +188,7 @@ fn sharded_engine_is_served_bit_identically() {
     let index = index();
     let opts = QueryOptions::new(4, 3);
     let monolith = QueryEngine::new(Arc::clone(&index));
-    let sharded = Arc::new(ShardedEngine::new(
+    let sharded = Arc::new(QueryEngine::with_map(
         Arc::clone(&index),
         ShardMap::uniform(index.num_bins(), 3),
     ));

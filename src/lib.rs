@@ -20,8 +20,8 @@
 //! * [`cluster`] — DBSCAN, spectral clustering and clustering metrics;
 //! * [`eval`] — the experiment harness reproducing every table and figure;
 //! * [`serve`] — the batched query-serving engine (persistent-pool batch execution,
-//!   micro-batching, per-request knobs, serving statistics) and its sharded
-//!   scatter/gather variant (load-aware bin→shard maps, bit-identical answers);
+//!   micro-batching, per-request knobs, serving statistics) and its shard
+//!   placement (load-aware bin→shard maps, bit-identical answers for any shard count);
 //! * [`linalg`] — dense linear algebra primitives.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the architecture and the

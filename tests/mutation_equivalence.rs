@@ -10,9 +10,9 @@
 //!   stream matches too, because CSR-then-membin order equals the canonical order,
 //!   but only the set is contractual). Tombstoned points never appear.
 //! - **Cross-path** — on the same dirty index, the per-query `PartitionIndex::search`
-//!   reference, the batched `QueryEngine`, and the `ShardedEngine` (every shard
-//!   count, with and without a re-rank budget) answer **bit-identically**; an
-//!   execution strategy is never a semantic change, mutated or not.
+//!   reference (`rank_bins` + `scan_bins` under a re-rank budget) and the batched
+//!   `QueryEngine` at every shard count answer **bit-identically**; an execution
+//!   strategy is never a semantic change, mutated or not.
 //! - **Compacted** — after folding the delta, the index answers bit-identically to
 //!   `PartitionIndex::build` over the same final point set, in exact mode *and* in
 //!   compressed mode with shared codebooks (compaction re-encodes through the same
@@ -25,7 +25,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use neural_partitioner::serve::{MicroBatcher, QueryEngine, QueryOptions, ShardedEngine};
+use neural_partitioner::serve::{MicroBatcher, QueryEngine, QueryOptions};
 use proptest::prelude::*;
 use rayon::with_num_threads;
 use usp_index::partitioner::RoundRobinPartitioner;
@@ -170,8 +170,9 @@ fn assert_csr_invariants<P: Partitioner>(idx: &PartitionIndex<P>, n: usize) {
     assert!(seen.into_iter().all(|s| s), "some point lost from the CSR");
 }
 
-/// Cross-path bit-identity on a (possibly dirty) index: searcher vs `QueryEngine` vs
-/// `ShardedEngine`, unbudgeted and budgeted. Returns the per-query searcher answers.
+/// Cross-path bit-identity on a (possibly dirty) index: searcher vs the whole-stream
+/// scan vs `QueryEngine` at every shard count, unbudgeted and budgeted. Returns the
+/// per-query searcher answers.
 fn assert_cross_path(
     idx: &Arc<PartitionIndex<RoundRobinPartitioner>>,
     queries: &Matrix,
@@ -182,31 +183,14 @@ fn assert_cross_path(
         .map(|qi| idx.search(queries.row(qi), k, probes))
         .collect();
     let opts = QueryOptions::new(k, probes);
-    let engine = QueryEngine::new(Arc::clone(idx));
     assert_eq!(
         per_query,
-        engine.serve_batch(queries, &opts),
-        "QueryEngine diverged from the per-query searcher"
+        assert_every_path_agrees(idx, queries, &opts),
+        "scan_bins diverged from the per-query searcher"
     );
-    for shards in [1usize, 3] {
-        let sharded = ShardedEngine::with_shards(Arc::clone(idx), shards);
-        assert_eq!(
-            per_query,
-            sharded.serve_batch(queries, &opts),
-            "ShardedEngine({shards}) diverged from the per-query searcher"
-        );
-    }
-    // Budget semantics are defined by the unsharded engine; the sharded path must
-    // replicate them through its delta-aware per-shard slicing.
-    let budgeted = QueryOptions::new(k, probes).with_rerank_budget(5);
-    let reference = engine.serve_batch(queries, &budgeted);
-    for shards in [1usize, 3] {
-        assert_eq!(
-            reference,
-            ShardedEngine::with_shards(Arc::clone(idx), shards).serve_batch(queries, &budgeted),
-            "budgeted ShardedEngine({shards}) diverged from the unsharded engine"
-        );
-    }
+    // Budget semantics are defined by one `scan_bins` over the whole stream; the
+    // engine must replicate them through its delta-aware per-shard passes.
+    assert_every_path_agrees(idx, queries, &opts.with_rerank_budget(5));
     per_query
 }
 
@@ -328,7 +312,8 @@ proptest! {
 }
 
 /// Every serving path over one (possibly dirty) index under `opts`, asserted
-/// bit-identical: the monolith scan, `QueryEngine`, `ShardedEngine` at {1, 2, 4} shards.
+/// bit-identical: the monolith scan (one pass over the whole stream — the reference)
+/// and `QueryEngine` at {1, 2, 3, 4} shards, `QueryEngine::new` being the one-shard row.
 fn assert_every_path_agrees(
     idx: &Arc<PartitionIndex<RoundRobinPartitioner>>,
     queries: &Matrix,
@@ -341,14 +326,13 @@ fn assert_every_path_agrees(
             idx.scan_bins(q, &bins, opts.k, opts.rerank_budget)
         })
         .collect();
-    let engine = QueryEngine::new(Arc::clone(idx));
-    assert_eq!(monolith, engine.serve_batch(queries, opts), "QueryEngine");
-    for shards in [1usize, 2, 4] {
-        let sharded = ShardedEngine::with_shards(Arc::clone(idx), shards);
+    let sharded = [2usize, 3, 4].map(|shards| QueryEngine::with_shards(Arc::clone(idx), shards));
+    for engine in std::iter::once(QueryEngine::new(Arc::clone(idx))).chain(sharded) {
         assert_eq!(
             monolith,
-            sharded.serve_batch(queries, opts),
-            "ShardedEngine({shards}), budget {:?}",
+            engine.serve_batch(queries, opts),
+            "QueryEngine at {} shards, budget {:?}",
+            engine.map().num_shards(),
             opts.rerank_budget
         );
     }
@@ -527,7 +511,7 @@ fn mutated_micro_batcher_survives_submits_racing_drop() {
         .map(|qi| idx.search(queries.row(qi), opts.k, opts.probes))
         .collect();
 
-    let engine = Arc::new(ShardedEngine::with_shards(Arc::clone(&idx), 3));
+    let engine = Arc::new(QueryEngine::with_shards(Arc::clone(&idx), 3));
     let batcher = Arc::new(MicroBatcher::new(engine, opts, 8, Duration::from_millis(1)));
     let workers: Vec<_> = (0..4)
         .map(|t| {

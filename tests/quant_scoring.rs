@@ -5,9 +5,9 @@
 //!
 //! - **Exactness where promised** — exact-mode indexes are bit-identical to indexes
 //!   built with no scoring configuration; compressed-mode answers are identical
-//!   across the per-query searcher, the batched engine (every pool size) and the
-//!   sharded engine (every shard count and budget), because each path re-ranks the
-//!   same ADC shortlist with the same exact kernels under the same tie order.
+//!   across the per-query searcher and the batched engine (every pool size, shard
+//!   count and budget), because each path re-ranks the same ADC shortlist with the
+//!   same exact kernels under the same tie order.
 //! - **Accuracy where approximate** — against an exact-mode index with the *same*
 //!   routing, the PQ first pass keeps recall@10 ≥ 0.85 on clustered data for every
 //!   `Distance` variant, and the CSR code array is exactly the quantizer's encoding
@@ -15,15 +15,18 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Duration;
 
 use neural_partitioner::baselines::KMeansPartitioner;
 use neural_partitioner::serve::{QueryEngine, QueryOptions, ShardedEngine};
 use rayon::with_num_threads;
 use usp_data::synthetic;
-use usp_index::{PartitionIndex, Partitioner, Scoring};
+use usp_index::{CodeQuantizer, PartitionIndex, Partitioner, Scoring};
+use usp_linalg::kernel::AdcTable;
 use usp_linalg::{Distance, Matrix};
 use usp_quant::{ProductQuantizer, ProductQuantizerConfig};
 
+const DIST: Distance = Distance::SquaredEuclidean;
 const ALL_DISTANCES: [Distance; 4] = [
     Distance::SquaredEuclidean,
     Distance::Euclidean,
@@ -130,17 +133,27 @@ fn sharded_compressed_engine_is_bit_identical_to_the_monolith() {
     let queries = &split.queries;
     let (_, compressed) = twin_indexes(data, 10, Distance::SquaredEuclidean, 60);
     let index = Arc::new(compressed);
-    let monolith = QueryEngine::new(Arc::clone(&index));
-    for shards in [1usize, 2, 4] {
-        let sharded = ShardedEngine::with_shards(Arc::clone(&index), shards);
-        for budget in [None, Some(15), Some(2000)] {
-            let mut opts = QueryOptions::new(10, 4);
-            opts.rerank_budget = budget;
-            let got = sharded.serve_batch(queries, &opts);
-            let expect = monolith.serve_batch(queries, &opts);
+    let engines = [
+        QueryEngine::new(Arc::clone(&index)),
+        ShardedEngine::with_shards(Arc::clone(&index), 2),
+        ShardedEngine::with_shards(Arc::clone(&index), 4),
+    ];
+    for budget in [None, Some(15), Some(2000)] {
+        let mut opts = QueryOptions::new(10, 4);
+        opts.rerank_budget = budget;
+        // The monolith: one pass over each query's whole stream.
+        let expect: Vec<_> = (0..queries.rows())
+            .map(|qi| {
+                let bins = index.partitioner().rank_bins(queries.row(qi), opts.probes);
+                index.scan_bins(queries.row(qi), &bins, opts.k, budget)
+            })
+            .collect();
+        for engine in &engines {
+            let shards = engine.map().num_shards();
+            let got = engine.serve_batch(queries, &opts);
             assert_eq!(got, expect, "shards={shards} budget={budget:?}");
             // Spot-check the single-query path too.
-            assert_eq!(sharded.query(queries.row(0), &opts), expect[0]);
+            assert_eq!(engine.query(queries.row(0), &opts), expect[0]);
         }
     }
 }
@@ -196,10 +209,53 @@ fn engine_stats_expose_the_compressed_pass() {
     assert_eq!(snap.survivor_ratio, 0.0);
 }
 
+/// A fitted product quantizer whose ADC-table build takes [`SlowTables::BUILD`].
+struct SlowTables(ProductQuantizer);
+
+impl SlowTables {
+    const BUILD: Duration = Duration::from_millis(5);
+}
+
+impl CodeQuantizer for SlowTables {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn code_len(&self) -> usize {
+        self.0.code_len()
+    }
+    fn encode_into(&self, point: &[f32], out: &mut [u8]) {
+        self.0.encode_into(point, out)
+    }
+    fn adc_table(&self, distance: Distance, query: &[f32]) -> AdcTable {
+        std::thread::sleep(Self::BUILD);
+        self.0.adc_table(distance, query)
+    }
+}
+
+#[test]
+fn recorded_latency_includes_the_adc_table_build_for_every_shard_count() {
+    let split = synthetic::blobs(300, 8, 4, 1.5, 67).split_queries(1);
+    let data = split.base.points();
+    let pq = ProductQuantizer::fit(data, &ProductQuantizerConfig::standard(4, 16));
+    let index = PartitionIndex::build(KMeansPartitioner::fit(data, 4, 7), data, DIST)
+        .with_scoring(Scoring::compressed(Arc::new(SlowTables(pq)), 20));
+    let index = Arc::new(index);
+    // The histogram reports a bucket's lower bound, up to 1/64 below the sample.
+    let floor = SlowTables::BUILD.as_micros() as u64 * 63 / 64;
+    for shards in [1usize, 2] {
+        let engine = ShardedEngine::with_shards(Arc::clone(&index), shards);
+        engine.serve_batch(&split.queries, &QueryOptions::new(5, 3));
+        let p50 = engine.stats().p50_latency_us;
+        assert!(
+            p50 >= floor,
+            "shards={shards}: p50 {p50} us leaves out the {floor} us table build"
+        );
+    }
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use usp_index::CodeQuantizer;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]

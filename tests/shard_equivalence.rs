@@ -1,26 +1,27 @@
-//! Scatter/gather equivalence harness: the sharded engine vs the monolith.
+//! Shard equivalence harness: the one engine at every shard count vs the index.
 //!
 //! The sharding contract extends the serving contract one level out: splitting bins
-//! across shards is an *execution strategy*, never a semantic change. For every shard
-//! count, pool size, and per-request knob combination, `ShardedEngine::serve_batch`
-//! must answer **bit-identically** to the unsharded path — the per-query
-//! `PartitionIndex::search` reference when no re-rank budget is set, and the unsharded
-//! `QueryEngine` (which defines budget semantics) otherwise. CI additionally re-runs
-//! this whole suite under `USP_NUM_THREADS=1` and `USP_NUM_THREADS=4`.
+//! across shards is *placement*, never a semantic change. For every shard count
+//! (`QueryEngine::new` is the one-shard row), pool size, and per-request knob
+//! combination, `QueryEngine::serve_batch` must answer **bit-identically** to the
+//! index's own per-query paths — `PartitionIndex::search` when no re-rank budget is
+//! set, and `rank_bins` + `PartitionIndex::scan_bins` (one pass over the whole
+//! stream, which defines budget semantics) otherwise. CI additionally re-runs this
+//! whole suite under `USP_NUM_THREADS=1` and `USP_NUM_THREADS=4`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use neural_partitioner::baselines::KMeansPartitioner;
-use neural_partitioner::serve::{MicroBatcher, QueryEngine, QueryOptions, ShardMap, ShardedEngine};
+use neural_partitioner::serve::{MicroBatcher, QueryEngine, QueryOptions, ShardMap};
 use rayon::with_num_threads;
 use usp_data::synthetic;
-use usp_index::{PartitionIndex, SearchResult};
+use usp_index::{PartitionIndex, Partitioner, SearchResult};
 use usp_linalg::{Distance, Matrix};
 
 const DIST: Distance = Distance::SquaredEuclidean;
 
-/// Shard counts under test: 1 (degenerate), powers of two, and a prime that cannot
+/// Shard counts under test: 1 (the monolith), powers of two, and a prime that cannot
 /// divide the bin count evenly.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
@@ -52,6 +53,36 @@ fn searcher_reference(
     })
 }
 
+/// Per-query `rank_bins` + one `scan_bins` over the whole stream: the reference that
+/// defines budget semantics (truncate the bin-rank-ordered stream, or size the ADC
+/// shortlist), with no batching and no grouping by shard.
+fn scan_reference(
+    index: &PartitionIndex<KMeansPartitioner>,
+    queries: &Matrix,
+    opts: &QueryOptions,
+) -> Vec<SearchResult> {
+    with_num_threads(1, || {
+        (0..queries.rows())
+            .map(|qi| {
+                let q = queries.row(qi);
+                let bins = index.partitioner().rank_bins(q, opts.probes);
+                index.scan_bins(q, &bins, opts.k, opts.rerank_budget)
+            })
+            .collect()
+    })
+}
+
+/// The engine at `shards` shards; the one-shard row is `QueryEngine::new`.
+fn engine(
+    index: &Arc<PartitionIndex<KMeansPartitioner>>,
+    shards: usize,
+) -> QueryEngine<KMeansPartitioner> {
+    match shards {
+        1 => QueryEngine::new(Arc::clone(index)),
+        _ => QueryEngine::with_shards(Arc::clone(index), shards),
+    }
+}
+
 #[test]
 fn sharded_serve_batch_is_bit_identical_to_the_searcher_path() {
     let (index, queries) = fixture();
@@ -61,8 +92,7 @@ fn sharded_serve_batch_is_bit_identical_to_the_searcher_path() {
         for &threads in &POOL_SIZES {
             for &shards in &SHARD_COUNTS {
                 let got = with_num_threads(threads, || {
-                    let engine = ShardedEngine::with_shards(Arc::clone(&index), shards);
-                    engine.serve_batch(&queries, &opts)
+                    engine(&index, shards).serve_batch(&queries, &opts)
                 });
                 assert_eq!(
                     reference, got,
@@ -76,20 +106,17 @@ fn sharded_serve_batch_is_bit_identical_to_the_searcher_path() {
 #[test]
 fn rerank_budgets_match_the_unsharded_engine_exactly() {
     let (index, queries) = fixture();
-    // Budget semantics are defined by the unsharded QueryEngine (truncate the
-    // bin-rank-ordered candidate list, then re-rank); the sharded path must replicate
-    // them through its per-shard slicing. 0 = answer nothing, 1 = single candidate,
+    // Budget semantics are defined by one `scan_bins` over the whole stream (truncate
+    // the bin-rank-ordered candidate list, then re-rank); the engine must replicate
+    // them through its per-shard passes. 0 = answer nothing, 1 = single candidate,
     // mid-range budgets cut inside a bin, huge = no-op.
     for &budget in &[0usize, 1, 7, 63, 10_000] {
         let opts = QueryOptions::new(8, 4).with_rerank_budget(budget);
-        let reference = with_num_threads(1, || {
-            QueryEngine::new(Arc::clone(&index)).serve_batch(&queries, &opts)
-        });
+        let reference = scan_reference(&index, &queries, &opts);
         for &threads in &POOL_SIZES {
             for &shards in &SHARD_COUNTS {
                 let got = with_num_threads(threads, || {
-                    ShardedEngine::with_shards(Arc::clone(&index), shards)
-                        .serve_batch(&queries, &opts)
+                    engine(&index, shards).serve_batch(&queries, &opts)
                 });
                 assert_eq!(
                     reference, got,
@@ -116,7 +143,7 @@ fn load_aware_maps_and_rebalancing_preserve_equivalence() {
         for &shards in &SHARD_COUNTS {
             with_num_threads(threads, || {
                 let map = ShardMap::from_loads(&snapshot.bin_probes, shards);
-                let mut engine = ShardedEngine::new(Arc::clone(&index), map);
+                let mut engine = QueryEngine::with_map(Arc::clone(&index), map);
                 assert_eq!(
                     reference,
                     engine.serve_batch(&queries, &opts),
@@ -143,7 +170,7 @@ fn micro_batched_submissions_ride_the_sharded_path_unchanged() {
     for &threads in &POOL_SIZES {
         for &shards in &[2usize, 7] {
             let micro = with_num_threads(threads, || {
-                let engine = Arc::new(ShardedEngine::with_shards(Arc::clone(&index), shards));
+                let engine = Arc::new(engine(&index, shards));
                 let batcher =
                     MicroBatcher::new(Arc::clone(&engine), opts, 16, Duration::from_millis(2));
                 let receivers: Vec<_> = (0..queries.rows())
@@ -165,8 +192,7 @@ fn micro_batched_submissions_ride_the_sharded_path_unchanged() {
 #[test]
 fn mixed_per_request_knobs_stay_independent_across_shards() {
     let (index, queries) = fixture();
-    let sharded = ShardedEngine::with_shards(Arc::clone(&index), 4);
-    let monolith = QueryEngine::new(Arc::clone(&index));
+    let sharded = engine(&index, 4);
     // Interleaved batches with different knobs against the same engine: each must
     // match its own reference (per-request options never leak across batches).
     let plans = [
@@ -177,7 +203,7 @@ fn mixed_per_request_knobs_stay_independent_across_shards() {
     for opts in &plans {
         assert_eq!(
             sharded.serve_batch(&queries, opts),
-            monolith.serve_batch(&queries, opts),
+            scan_reference(&index, &queries, opts),
             "knobs {opts:?} diverged"
         );
     }

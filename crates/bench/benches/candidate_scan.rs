@@ -1,8 +1,17 @@
 //! Criterion bench: exact re-ranking of candidate sets of increasing size (the O(c·d)
-//! online term of §4.5 that the balance objective of the loss is designed to control).
+//! online term of §4.5 that the balance objective of the loss is designed to control),
+//! plus the two kernel-level A/Bs a scan change is judged by before it goes to
+//! `servebench`: the portable blocked kernel against whatever backend this host
+//! dispatches to, and an ADC pass with and without its shortlist selection.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use usp_index::rerank::rerank;
+use usp_linalg::kernel::{self, AdcScan, AdcTable, Backend};
+use usp_linalg::rng;
+use usp_linalg::topk::TopK;
+
+/// Rows per scan: one `closed_heavy` query's candidate stream (`servebench`).
+const ROWS: usize = 4_000;
 
 fn bench_candidate_scan(c: &mut Criterion) {
     let split = usp_bench::bench_dataset();
@@ -18,9 +27,72 @@ fn bench_candidate_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// The same top-10 scan twice: row by row through the portable blocked kernel, and
+/// through `scan_block`, which runs the host's backend (named in the bench id).
+///
+/// The portable side is the public oracle called across the crate boundary, where it
+/// is not inlined into the row loop; the same code inside `usp-linalg` (what a host
+/// without AVX2 runs) measured about half its time. Compare a commit's `portable`
+/// with another commit's `portable`, not with the parent's `scan_block`.
+fn bench_exact_scan_backends(c: &mut Criterion) {
+    let mut group = c.benchmark_group("exact_scan");
+    for dim in [64usize, 128] {
+        let values = rng::normal_vector(&mut rng::seeded(dim as u64), (ROWS + 1) * dim);
+        let (query, rows) = values.split_at(dim);
+        group.bench_function(BenchmarkId::new("portable", dim), |b| {
+            b.iter(|| {
+                let mut top = TopK::new(10);
+                for (i, row) in rows.chunks_exact(dim).enumerate() {
+                    top.push(i, kernel::squared_euclidean_blocked(query, row));
+                }
+                black_box(top.into_sorted())
+            })
+        });
+        group.bench_function(BenchmarkId::new(Backend::detect().name(), dim), |b| {
+            b.iter(|| {
+                let mut top = TopK::new(10);
+                kernel::scan_block(usp_bench::DIST, query, rows, dim, 0, &mut top);
+                black_box(top.into_sorted())
+            })
+        });
+    }
+    group.finish();
+}
+
+/// One compressed first pass (8-byte codes, 256 centroids, shortlist of 200): the
+/// table lookups alone, then the lookups feeding `AdcScan`'s selection.
+fn bench_adc_pass(c: &mut Criterion) {
+    let (m, n_centroids, budget) = (8usize, 256usize, 200usize);
+    let table = AdcTable::Sum {
+        table: rng::normal_vector(&mut rng::seeded(3), m * n_centroids),
+        n_centroids,
+    };
+    let codes: Vec<u8> = (0..(ROWS * m) as u64)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
+        .collect();
+    let mut group = c.benchmark_group("adc_pass");
+    group.bench_function("lookups_only", |b| {
+        b.iter(|| {
+            let sum: f32 = codes
+                .chunks_exact(m)
+                .map(|code| kernel::adc_eval(&table, code))
+                .sum();
+            black_box(sum)
+        })
+    });
+    group.bench_function("lookups_and_selection", |b| {
+        b.iter(|| {
+            let mut scan = AdcScan::new(&table, m, budget);
+            scan.scan_segment(&codes, ROWS, 0);
+            black_box(scan.into_winners())
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_candidate_scan
+    targets = bench_candidate_scan, bench_exact_scan_backends, bench_adc_pass
 }
 criterion_main!(benches);

@@ -32,7 +32,7 @@ use std::time::Instant;
 use usp_baselines::KMeansPartitioner;
 use usp_data::{exact_knn, synthetic};
 use usp_index::{PartitionIndex, Scoring};
-use usp_linalg::{kernel, topk::TopK, Distance};
+use usp_linalg::{kernel, topk, topk::TopK, Distance};
 use usp_quant::{ProductQuantizer, ProductQuantizerConfig};
 use usp_serve::{QueryEngine, QueryOptions};
 
@@ -86,6 +86,24 @@ fn main() {
             std::hint::black_box(top.into_sorted());
         }
     });
+    // `AdcScan` hands back a set in stream order: the kept positions, and each
+    // winner's distance bits, must be those of scoring every code and then selecting.
+    {
+        let table = pq.adc_table(DIST, queries.row(0));
+        let code = |i: usize| &codes[i * m..(i + 1) * m];
+        let mut scan = kernel::AdcScan::new(&table, m, budget);
+        scan.scan_segment(&codes, n, 0);
+        let kept = scan.into_winners();
+        let mut want = topk::smallest_k_by(n, budget, |i| kernel::adc_eval(&table, code(i)));
+        want.sort_unstable();
+        assert_eq!(kept.iter().map(|w| w.2).collect::<Vec<_>>(), want);
+        for &(_, _, pos, dist) in &kept {
+            assert_eq!(
+                dist.to_bits(),
+                kernel::adc_eval(&table, code(pos)).to_bits()
+            );
+        }
+    }
     let adc_ms = best_ms(reps, || {
         for qi in 0..kernel_queries {
             let table = pq.adc_table(DIST, queries.row(qi));

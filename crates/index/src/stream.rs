@@ -123,7 +123,18 @@ impl<P: Partitioner> PartitionIndex<P> {
         let cap = cap.unwrap_or(usize::MAX);
         let dim = self.dims();
         let code_len = self.quantizer().map_or(0, |q| q.code_len());
-        let mut runs = Vec::with_capacity(bins.len());
+        // Room for every run up front: a block with `t` tombstones is at most `t + 1`
+        // runs. Nothing on this path grows push by push: it runs per query on every
+        // pool thread, and each step of a `realloc` chain takes an allocator arena
+        // lock — the arena of the chunk the chain started in, which may be another
+        // thread's (DESIGN.md §2.4).
+        let room = |b: usize| {
+            delta.map_or(1, |d| {
+                let mb = d.membin(b);
+                2 + d.csr_dead_in_bin(b) + (mb.len() - mb.live())
+            })
+        };
+        let mut runs = Vec::with_capacity(bins.iter().map(|&b| room(b)).sum());
         let mut pos = 0usize;
         // Appends the live rows of one contiguous block. `mask` is the block's
         // tombstones, or `None` when it has none: an untouched block stays one run.
@@ -133,11 +144,9 @@ impl<P: Partitioner> PartitionIndex<P> {
                         codes: Option<&'a [u8]>,
                         ids: &'a [u32]| {
             let room = cap - pos;
-            let whole = [(0, ids.len().min(room))];
-            let masked = mask.map(|m| kernel::live_runs(m, room));
-            for &(off, len) in masked.as_deref().unwrap_or(&whole) {
+            let mut run = |(off, len): (usize, usize)| {
                 if len == 0 {
-                    continue;
+                    return;
                 }
                 runs.push(Run {
                     bin,
@@ -147,6 +156,10 @@ impl<P: Partitioner> PartitionIndex<P> {
                     ids: &ids[off..off + len],
                 });
                 pos += len;
+            };
+            match mask {
+                Some(m) => kernel::live_runs(m, room).for_each(run),
+                None => run((0, ids.len().min(room))),
             }
         };
         for &b in bins {
@@ -169,6 +182,10 @@ impl<P: Partitioner> PartitionIndex<P> {
     /// builds it here). `budget` caps the exact distance evaluations either way — as
     /// a stream cap in exact mode, as the shortlist size (default: the configured
     /// `rerank_budget`; floored at `k`) in two-phase mode.
+    ///
+    /// # Panics
+    /// If `query` is not [`Self::dims`] long: the one check of a query's length, on
+    /// behalf of every row it is then scored against.
     pub fn consumer<'q>(
         &self,
         query: &'q [f32],
@@ -176,6 +193,7 @@ impl<P: Partitioner> PartitionIndex<P> {
         budget: Option<usize>,
         table: Option<&'q AdcTable>,
     ) -> Consumer<'q> {
+        assert_eq!(query.len(), self.dims(), "consumer: query dimension");
         let adc = self.quantizer().map(|q| Adc {
             table: table.map_or_else(
                 || Cow::Owned(q.adc_table(self.distance(), query)),
@@ -216,6 +234,7 @@ impl Consumer<'_> {
     /// Every row through the blocked distance kernels, keeping the top `k`.
     fn exact_pass<'a>(&self, runs: &[Run<'a>]) -> Partial<'a> {
         let mut scan = kernel::SegmentedScan::new(self.distance, self.query, self.dim, self.k);
+        scan.reserve_segments(runs.len());
         for (ri, run) in runs.iter().enumerate() {
             scan.scan_segment(run.rows, run.len(), ri);
         }
@@ -235,8 +254,10 @@ impl Consumer<'_> {
         let coded = runs.iter().filter(|r| r.codes.is_some()).map(Run::len);
         let keep = adc.shortlist.min(coded.sum());
         let mut scan = kernel::AdcScan::new(&adc.table, adc.code_len, keep);
+        scan.reserve_segments(runs.len());
         let scorer = kernel::QueryScorer::new(self.distance, self.query);
-        let mut tail = Vec::new();
+        let codeless = runs.iter().filter(|r| r.codes.is_none()).map(Run::len);
+        let mut tail = Vec::with_capacity(codeless.sum());
         for (ri, run) in runs.iter().enumerate() {
             match run.codes {
                 Some(codes) => scan.scan_segment(codes, run.len(), ri),
@@ -257,17 +278,25 @@ impl Consumer<'_> {
 
     /// Merges the passes over one query's stream into its answer.
     ///
-    /// Pooled hits are put back in stream order first, so selecting by (score, index)
-    /// is selecting by (score, stream position) — the order a single pass over the
-    /// whole stream uses — and every global winner is present because it survived its
-    /// own pass. Two-phase mode re-selects the global shortlist the same way, re-scores
-    /// it exactly in stream order from the runs' rows, and ranks the exactly scored
-    /// codeless rows after it.
-    pub fn finish<'a: 'p, 'p>(
-        &self,
-        partials: impl IntoIterator<Item = &'p Partial<'a>>,
-    ) -> SearchResult {
-        let (mut hits, mut tail, mut streamed) = (Vec::new(), Vec::new(), 0);
+    /// A pass hands back a set; the order is made here. Pooled hits are put in stream
+    /// order first, so selecting by (score, index) is selecting by (score, stream
+    /// position) — the order a single pass over the whole stream uses — and every
+    /// global winner is present because it survived its own pass. Two-phase mode
+    /// re-selects the global shortlist the same way (again as a set in stream order),
+    /// re-scores it exactly from the runs' rows, and ranks the exactly scored codeless
+    /// rows after it.
+    pub fn finish<'a: 'p, 'p, I>(&self, partials: I) -> SearchResult
+    where
+        I: IntoIterator<Item = &'p Partial<'a>>,
+        I::IntoIter: Clone,
+    {
+        // Sized once, like the runs (`candidate_runs` says why): the pooled hits, with
+        // room for the codeless rows that join them in two-phase mode.
+        let partials = partials.into_iter();
+        let tails: usize = partials.clone().map(|p| p.tail.len()).sum();
+        let pooled: usize = partials.clone().map(|p| p.hits.len()).sum();
+        let mut hits = Vec::with_capacity(pooled + tails);
+        let (mut tail, mut streamed) = (Vec::with_capacity(tails), 0);
         for p in partials {
             hits.extend_from_slice(&p.hits);
             tail.extend_from_slice(&p.tail);
@@ -277,9 +306,18 @@ impl Consumer<'_> {
         let (mut scanned, mut compressed) = (streamed, 0);
         if let Some(adc) = &self.adc {
             if hits.len() > adc.shortlist {
-                let mut keep = topk::smallest_k_by(hits.len(), adc.shortlist, |i| hits[i].score);
-                keep.sort_unstable();
-                hits = keep.into_iter().map(|i| hits[i]).collect();
+                let pooled = u32::try_from(hits.len()).expect("pooled shortlists fit u32");
+                let mut keep = topk::Shortlist::new(adc.shortlist);
+                for (i, h) in (0..pooled).zip(&hits) {
+                    keep.push(i, h.score);
+                }
+                // Kept positions ascend, so each survivor moves down onto a slot
+                // already read.
+                let kept = keep.into_kept();
+                for (slot, &(i, _)) in kept.iter().enumerate() {
+                    hits[slot] = hits[i as usize];
+                }
+                hits.truncate(kept.len());
             }
             let scorer = kernel::QueryScorer::new(self.distance, self.query);
             for h in &mut hits {

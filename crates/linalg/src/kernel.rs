@@ -5,8 +5,17 @@
 //! [`Distance::eval`] closures walk one lane at a time, so the whole scan is serialized
 //! behind one chain of dependent adds; the kernels here split the inner loop across
 //! **multiple independent accumulators** (8-wide, or dual 4-wide for cosine's fused
-//! dot+norm pass) so the compiler can keep several FMAs in flight and/or vectorise,
-//! then combine the lanes in one **fixed pairwise order**.
+//! dot+norm pass), then combine the lanes in one **fixed pairwise order**.
+//!
+//! That arithmetic — which element lands in which lane, a separate `mul` and `add` per
+//! term, the combine order — is the contract; the instructions are not. On an x86-64
+//! host with AVX2 ([`Backend::detect`], observed when a scorer is built, never per
+//! row) the same lanes are `__m256` registers and the combine is an `hadd` tree
+//! (the `avx2` submodule), four rows per query-chunk load. The portable functions in this
+//! file are what every other host runs and the oracle the AVX2 path is proptested
+//! against, **bit for bit**. (One carve-out: when a distance is NaN, *which* NaN is
+//! unspecified on either path — every selection canonicalises NaN, so no answer can
+//! depend on it.)
 //!
 //! Multi-accumulator summation changes float rounding, so blocked and scalar results
 //! can differ in the last bits. That makes the kernel a *policy*, not just an
@@ -20,10 +29,17 @@
 //! as the scalar path ranks them).
 
 use crate::distance::Distance;
-use crate::topk::{FlatTopK, TopK};
+use crate::topk::{Shortlist, TopK};
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 /// Lane count of the blocked accumulators.
 const LANES: usize = 8;
+
+/// Candidates scored per stack tile: a scan fills a tile with distances in one
+/// branch-free loop (one backend or table dispatch per tile), then selects from it.
+const TILE: usize = 256;
 
 /// Fixed pairwise lane combine — the summation-order contract documented in
 /// DESIGN.md §2.2. Changing this order changes result bits everywhere at once.
@@ -35,7 +51,11 @@ fn combine(acc: [f32; LANES]) -> f32 {
 /// Blocked squared Euclidean distance: 8 independent difference-square accumulators.
 #[inline]
 pub fn squared_euclidean_blocked(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "squared_euclidean_blocked: lengths differ"
+    );
     let mut acc = [0.0f32; LANES];
     let chunks = a.len() / LANES;
     for c in 0..chunks {
@@ -56,7 +76,7 @@ pub fn squared_euclidean_blocked(a: &[f32], b: &[f32]) -> f32 {
 /// Blocked dot product: 8 independent product accumulators.
 #[inline]
 pub fn dot_blocked(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "dot_blocked: lengths differ");
     let mut acc = [0.0f32; LANES];
     let chunks = a.len() / LANES;
     for c in 0..chunks {
@@ -77,7 +97,7 @@ pub fn dot_blocked(a: &[f32], b: &[f32]) -> f32 {
 /// both its projection on the query and its own norm.
 #[inline]
 fn dot_and_self_blocked(a: &[f32], b: &[f32]) -> (f32, f32) {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "dot_and_self_blocked: lengths differ");
     const W: usize = 4;
     let mut acc_ab = [0.0f32; W];
     let mut acc_bb = [0.0f32; W];
@@ -100,11 +120,11 @@ fn dot_and_self_blocked(a: &[f32], b: &[f32]) -> (f32, f32) {
     )
 }
 
-/// Cosine distance given the query's precomputed norm (zero norms are maximally
-/// distant, matching [`crate::distance::cosine`]).
+/// Cosine distance from the query's precomputed norm and a row's fused
+/// `(dot(q, r), dot(r, r))` (zero norms are maximally distant, matching
+/// [`crate::distance::cosine`]).
 #[inline]
-fn cosine_with_query_norm(query_norm: f32, q: &[f32], r: &[f32]) -> f32 {
-    let (ab, bb) = dot_and_self_blocked(q, r);
+fn cosine_from_parts(query_norm: f32, ab: f32, bb: f32) -> f32 {
     let nr = bb.sqrt();
     if query_norm == 0.0 || nr == 0.0 {
         return 1.0;
@@ -122,24 +142,62 @@ fn query_norm_for(distance: Distance, query: &[f32]) -> f32 {
     }
 }
 
-/// A per-query scorer: the query borrow plus its hoisted precomputation (cosine's
-/// query norm), so scanning many rows against one query pays the query-side work
-/// once instead of per row. [`eval`] and [`scan_block`] are thin wrappers over this,
-/// so all three produce **identical bits** for the same `(query, row)` pair.
+/// Which implementation of the row kernels runs. Both produce the same bits (module
+/// docs), so this is a fact about the host to report, not a setting to choose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The blocked scalar code in this file.
+    Portable,
+    /// 256-bit lanes and an `hadd` combine; x86-64 hosts that report AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Backend {
+    /// The backend this host's scorers use.
+    pub fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Backend::Avx2;
+        }
+        Backend::Portable
+    }
+
+    /// `"portable"` or `"avx2"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => "avx2",
+        }
+    }
+}
+
+/// A per-query scorer: the query borrow plus what a scan can hoist out of its row loop
+/// (cosine's query norm, the detected [`Backend`]), so scanning many rows against one
+/// query pays the query-side work once instead of per row. [`eval`] and [`scan_block`]
+/// are thin wrappers over this, so all three produce **identical bits** for the same
+/// `(query, row)` pair.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryScorer<'a> {
     distance: Distance,
     query: &'a [f32],
     query_norm: f32,
+    backend: Backend,
 }
 
 impl<'a> QueryScorer<'a> {
     /// Hoists the query-side precomputation for `distance`.
     pub fn new(distance: Distance, query: &'a [f32]) -> Self {
+        Self::with_backend(distance, query, Backend::detect())
+    }
+
+    fn with_backend(distance: Distance, query: &'a [f32], backend: Backend) -> Self {
         Self {
             distance,
             query,
             query_norm: query_norm_for(distance, query),
+            backend,
         }
     }
 
@@ -148,13 +206,86 @@ impl<'a> QueryScorer<'a> {
     /// Same contract as [`Distance::eval`] (smaller is closer, NaN poisons,
     /// zero-norm cosine is maximally distant) but computed with the
     /// multi-accumulator kernels.
+    ///
+    /// # Panics
+    /// If `row` is not as long as the query.
     #[inline]
     pub fn eval(&self, row: &[f32]) -> f32 {
+        let mut out = [0.0];
+        self.eval_rows(row, &mut out);
+        out[0]
+    }
+
+    /// `out[i]` = the distance to row `i` of the row-major block `rows`.
+    ///
+    /// The one length check of a scan: everything below it, the raw-pointer AVX2 loop
+    /// included, relies on `rows.len() == out.len() * query.len()` and nothing else.
+    fn eval_rows(&self, rows: &[f32], out: &mut [f32]) {
+        let dim = self.query.len();
+        assert_eq!(
+            rows.len(),
+            out.len() * dim,
+            "QueryScorer: {} floats is not {} rows as long as the {dim}-d query",
+            rows.len(),
+            out.len()
+        );
+        match self.backend {
+            Backend::Portable => {
+                if dim == 0 {
+                    out.fill(self.eval_portable(&[]));
+                    return;
+                }
+                for (o, row) in out.iter_mut().zip(rows.chunks_exact(dim)) {
+                    *o = self.eval_portable(row);
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => {
+                let (d, qn, q) = (self.distance, self.query_norm, self.query.as_ptr());
+                // SAFETY: `Avx2` is only ever built by `Backend::detect` on a host that
+                // reports the feature; `query` holds `dim` floats and `rows` holds
+                // `out.len() * dim` (asserted above).
+                unsafe { avx2::score_rows(d, qn, q, rows.as_ptr(), dim, out) }
+            }
+        }
+    }
+
+    #[inline]
+    fn eval_portable(&self, row: &[f32]) -> f32 {
         match self.distance {
             Distance::SquaredEuclidean => squared_euclidean_blocked(self.query, row),
             Distance::Euclidean => squared_euclidean_blocked(self.query, row).sqrt(),
             Distance::InnerProduct => -dot_blocked(self.query, row),
-            Distance::Cosine => cosine_with_query_norm(self.query_norm, self.query, row),
+            Distance::Cosine => {
+                let (ab, bb) = dot_and_self_blocked(self.query, row);
+                cosine_from_parts(self.query_norm, ab, bb)
+            }
+        }
+    }
+
+    /// Streams the rows of `rows` into `out` under indices `first, first + 1, …`.
+    ///
+    /// Rows are scored a tile at a time into a stack buffer (one backend dispatch per
+    /// tile), then offered to the heap behind its rejection bound, so a row that cannot
+    /// be kept costs one comparison. The pushes that do happen are, in order, exactly
+    /// those of a per-row `eval` + `push` loop that would change the heap.
+    ///
+    /// The query must not be zero-dimensional.
+    fn scan_rows(&self, rows: &[f32], first: usize, out: &mut TopK) {
+        let dim = self.query.len();
+        let mut dists = [0.0f32; TILE];
+        for (tile, first) in rows.chunks(TILE * dim).zip((first..).step_by(TILE)) {
+            let dists = &mut dists[..tile.len() / dim];
+            self.eval_rows(tile, dists);
+            let mut bound = out.bound();
+            for (index, &d) in (first..).zip(dists.iter()) {
+                // A NaN on either side is "not above": the heap decides.
+                if d > bound {
+                    continue;
+                }
+                out.push(index, d);
+                bound = out.bound();
+            }
         }
     }
 }
@@ -175,6 +306,9 @@ pub fn eval(distance: Distance, query: &[f32], row: &[f32]) -> f32 {
 /// ties by ascending index — so scanning segments in stream order with increasing
 /// `base` reproduces exactly the selection a materialised
 /// [`crate::topk::smallest_k_by`] over the concatenated stream would make.
+///
+/// # Panics
+/// If `dim` is zero, `query` is not `dim` long, or `rows` is not whole rows.
 pub fn scan_block(
     distance: Distance,
     query: &[f32],
@@ -191,11 +325,8 @@ pub fn scan_block(
         rows.len(),
         dim
     );
-    debug_assert_eq!(query.len(), dim);
-    let scorer = QueryScorer::new(distance, query);
-    for (i, row) in rows.chunks_exact(dim).enumerate() {
-        out.push(base + i, scorer.eval(row));
-    }
+    assert_eq!(query.len(), dim, "scan_block: query is not {dim}-d");
+    QueryScorer::new(distance, query).scan_rows(rows, base, out);
 }
 
 /// A fused multi-segment candidate scan: stream contiguous row blocks in stream order,
@@ -224,7 +355,11 @@ pub struct SegmentedScan<'a> {
 
 impl<'a> SegmentedScan<'a> {
     /// A scan against `query` keeping the best `k` of everything streamed.
+    ///
+    /// # Panics
+    /// If `query` is not `dim` long.
     pub fn new(distance: Distance, query: &'a [f32], dim: usize, k: usize) -> Self {
+        assert_eq!(query.len(), dim, "SegmentedScan: query is not {dim}-d");
         Self {
             scorer: QueryScorer::new(distance, query),
             dim,
@@ -232,6 +367,13 @@ impl<'a> SegmentedScan<'a> {
             segments: Vec::new(),
             pos: 0,
         }
+    }
+
+    /// Makes room for `n` more segments at once. A caller that knows how many it will
+    /// stream (a dirty bin is one segment per live run) says so here, and the
+    /// bookkeeping is one allocation instead of a `realloc` every doubling.
+    pub fn reserve_segments(&mut self, n: usize) {
+        self.segments.reserve_exact(n);
     }
 
     /// Streams the next `count` contiguous rows (`rows.len() == count * dim`) as one
@@ -254,9 +396,7 @@ impl<'a> SegmentedScan<'a> {
                 self.top.push(self.pos + j, d);
             }
         } else {
-            for (i, row) in rows.chunks_exact(self.dim).enumerate() {
-                self.top.push(self.pos + i, self.scorer.eval(row));
-            }
+            self.scorer.scan_rows(rows, self.pos, &mut self.top);
         }
         self.pos += count;
     }
@@ -284,29 +424,32 @@ impl<'a> SegmentedScan<'a> {
 /// Splits a tombstone mask into maximal `(start, len)` runs of live (non-deleted)
 /// rows, truncated so the runs cover at most `cap` live rows in total.
 ///
-/// This is the segmentation step of a tombstone-aware candidate scan: each returned
+/// This is the segmentation step of a tombstone-aware candidate scan: each yielded
 /// run is a contiguous row block that can be streamed through
 /// [`SegmentedScan::scan_segment`] / [`AdcScan::scan_segment`] unchanged, so deleted
 /// rows never enter selection and the live stream keeps the positional tie-order of a
 /// scan over a dataset that never contained them. The final run may be cut short by
 /// `cap` (budgeted scans stop mid-bin); `cap == usize::MAX` means "all live rows".
-pub fn live_runs(deleted: &[bool], cap: usize) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut remaining = cap;
-    let mut i = 0;
-    while i < deleted.len() && remaining > 0 {
-        if deleted[i] {
+///
+/// The runs are yielded, not collected: a dirty scan calls this once per probed block
+/// of every query, and a vector grown push by push there is a chain of `realloc`s on
+/// the hot path (see `PartitionIndex::candidate_runs`).
+pub fn live_runs(deleted: &[bool], cap: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let (mut i, mut remaining) = (0, cap);
+    std::iter::from_fn(move || {
+        while i < deleted.len() && deleted[i] {
             i += 1;
-            continue;
+        }
+        if i == deleted.len() || remaining == 0 {
+            return None;
         }
         let start = i;
         while i < deleted.len() && !deleted[i] && i - start < remaining {
             i += 1;
         }
-        runs.push((start, i - start));
         remaining -= i - start;
-    }
-    runs
+        Some((start, i - start))
+    })
 }
 
 /// Unroll width of the ADC lookup accumulation (one code byte per lane).
@@ -401,20 +544,17 @@ pub fn adc_eval(table: &AdcTable, code: &[u8]) -> f32 {
 /// in stream order, each tagged with a caller-side base, keeping the best `k` under
 /// the (ADC distance, stream position) total order.
 ///
-/// Winners come back as `(segment base, offset within segment, stream position,
-/// distance)` — the stream position is reported too because a compressed first pass
-/// re-ranks its survivors exactly, and the re-rank wants them in stream order so its
-/// distance ties break exactly like an exact scan over the same stream would.
+/// What comes back is a *set*: the kept candidates as `(segment base, offset within
+/// segment, stream position, distance)` in **stream order**, not by score. A compressed
+/// first pass re-ranks its survivors exactly, and the re-rank wants them in stream
+/// order so its distance ties break exactly like an exact scan over the same stream
+/// would — so a by-score order would only be sorted away again.
 pub struct AdcScan<'a> {
     table: &'a AdcTable,
     code_len: usize,
-    /// Shortlist selector: compressed first passes keep `rerank_budget`-sized
-    /// shortlists (hundreds of survivors), where the flat pruned buffer beats the
-    /// bounded heap while producing the identical kept set and order.
-    top: FlatTopK,
-    /// Per-segment distance scratch, reused across segments so evaluation runs as
-    /// one long unbranched loop before any selection work.
-    dist_buf: Vec<f32>,
+    /// Compressed first passes keep `rerank_budget`-sized shortlists (hundreds of
+    /// survivors), which is [`Shortlist`]'s case, not the bounded heap's.
+    top: Shortlist,
     /// `(stream start, caller base)` per non-empty scanned segment (see
     /// [`SegmentedScan`]).
     segments: Vec<(usize, usize)>,
@@ -429,15 +569,24 @@ impl<'a> AdcScan<'a> {
         Self {
             table,
             code_len,
-            top: FlatTopK::new(k),
-            dist_buf: Vec::new(),
+            top: Shortlist::new(k),
             segments: Vec::new(),
             pos: 0,
         }
     }
 
+    /// Makes room for `n` more segments at once (see
+    /// [`SegmentedScan::reserve_segments`]).
+    pub fn reserve_segments(&mut self, n: usize) {
+        self.segments.reserve_exact(n);
+    }
+
     /// Streams the next `count` contiguous codes (`codes.len() == count * code_len`)
     /// as one segment tagged `base`.
+    ///
+    /// # Panics
+    /// If `codes` is not `count` codes, or the stream outgrows the `u32` positions the
+    /// shortlist packs.
     pub fn scan_segment(&mut self, codes: &[u8], count: usize, base: usize) {
         assert_eq!(
             codes.len(),
@@ -449,30 +598,38 @@ impl<'a> AdcScan<'a> {
         if count == 0 {
             return;
         }
+        let end = self.pos + count;
+        assert!(
+            u32::try_from(end).is_ok(),
+            "AdcScan: stream position {end} does not fit the shortlist's u32"
+        );
         self.segments.push((self.pos, base));
-        // Two-pass loop: evaluate the whole segment into a reused distance buffer
-        // (the table variant is matched once, so the lookup loop is a long branch-free
-        // stream the compiler can pipeline), then offer the buffer to the selector,
-        // whose cached bound turns non-surviving rows into a single comparison.
-        // Evaluation bits and push order are identical to a naive per-row
-        // `table.eval` + push loop.
-        let m = self.code_len;
-        self.dist_buf.clear();
-        match self.table {
-            AdcTable::Sum { table, n_centroids } => {
-                let nc = *n_centroids;
-                self.dist_buf
-                    .extend(codes.chunks_exact(m).map(|code| lut_sum(table, nc, code)));
+        // A tile of lookups at a time, then the tile's selection: the lookup loop stays a
+        // branch-free stream (the table variant is matched once per tile) and the
+        // selection's unpredictable branches stall nothing but themselves. Evaluation
+        // bits and push order are those of a naive per-row `table.eval` + push loop.
+        let mut dists = [0.0f32; TILE];
+        let tiles = codes.chunks(TILE * self.code_len);
+        for (tile, first) in tiles.zip((self.pos as u32..).step_by(TILE)) {
+            let tile = tile.chunks_exact(self.code_len);
+            let dists = &mut dists[..tile.len()];
+            match self.table {
+                AdcTable::Sum { table, n_centroids } => {
+                    for (d, code) in dists.iter_mut().zip(tile) {
+                        *d = lut_sum(table, *n_centroids, code);
+                    }
+                }
+                cosine => {
+                    for (d, code) in dists.iter_mut().zip(tile) {
+                        *d = cosine.eval(code);
+                    }
+                }
             }
-            cosine => {
-                self.dist_buf
-                    .extend(codes.chunks_exact(m).map(|code| cosine.eval(code)));
+            for (pos, &d) in (first..).zip(dists.iter()) {
+                self.top.push(pos, d);
             }
         }
-        for (r, &d) in self.dist_buf.iter().enumerate() {
-            self.top.push(self.pos + r, d);
-        }
-        self.pos += count;
+        self.pos = end;
     }
 
     /// Total codes streamed so far.
@@ -480,14 +637,15 @@ impl<'a> AdcScan<'a> {
         self.pos
     }
 
-    /// The winners as `(segment base, offset within segment, stream position,
-    /// distance)`, best first.
+    /// The kept set as `(segment base, offset within segment, stream position,
+    /// distance)`, in ascending stream position.
     pub fn into_winners(self) -> Vec<(usize, usize, usize, f32)> {
         let segments = self.segments;
         self.top
-            .into_sorted()
+            .into_kept()
             .into_iter()
             .map(|(pos, d)| {
+                let pos = pos as usize;
                 let si = segments.partition_point(|&(start, _)| start <= pos) - 1;
                 let (stream_start, base) = segments[si];
                 (base, pos - stream_start, pos, d)
@@ -551,17 +709,20 @@ mod tests {
 
     #[test]
     fn scan_block_equals_per_pair_eval_plus_selection() {
-        // The fused scan must reproduce exactly: eval every row, then smallest_k_by.
+        // The fused scan must reproduce exactly: eval every row, then smallest_k_by —
+        // within one tile of the scan and across several.
         let dim = 13;
         let q = rows_matrix(1, dim, 5);
-        let rows = rows_matrix(40, dim, 6);
-        for d in ALL_DISTANCES {
-            let mut top = TopK::new(7);
-            scan_block(d, &q, &rows, dim, 0, &mut top);
-            let fused: Vec<usize> = top.into_sorted().into_iter().map(|(i, _)| i).collect();
-            let reference =
-                topk::smallest_k_by(40, 7, |i| eval(d, &q, &rows[i * dim..(i + 1) * dim]));
-            assert_eq!(fused, reference, "{}", d.name());
+        for n in [40, 2 * TILE + 88] {
+            let rows = rows_matrix(n, dim, 6);
+            for d in ALL_DISTANCES {
+                let mut top = TopK::new(7);
+                scan_block(d, &q, &rows, dim, 0, &mut top);
+                let fused: Vec<usize> = top.into_sorted().into_iter().map(|(i, _)| i).collect();
+                let reference =
+                    topk::smallest_k_by(n, 7, |i| eval(d, &q, &rows[i * dim..(i + 1) * dim]));
+                assert_eq!(fused, reference, "{} over {n} rows", d.name());
+            }
         }
     }
 
@@ -708,60 +869,90 @@ mod tests {
 
     #[test]
     fn adc_scan_matches_materialised_selection() {
-        // The segmented compressed scan must select exactly what evaluating every
-        // code and running smallest_k_by over the concatenated stream selects.
-        let (m, k_cent, n) = (5, 32, 40);
+        // The segmented compressed scan must keep exactly the set that evaluating every
+        // code and running smallest_k_by over the concatenated stream selects, and
+        // report it in stream order — with the second segment inside one tile of the
+        // scan, and spanning several.
+        let (m, k_cent) = (5, 32);
         let table = sum_table(m, k_cent, 7);
-        let codes = codes_for(n, m, k_cent, 3);
-        let reference = topk::smallest_k_by(n, 6, |i| adc_eval(&table, &codes[i * m..(i + 1) * m]));
+        for n in [40, 2 * TILE + 88] {
+            let codes = codes_for(n, m, k_cent, 3);
+            let mut reference =
+                topk::smallest_k_by(n, 6, |i| adc_eval(&table, &codes[i * m..(i + 1) * m]));
+            reference.sort_unstable();
 
-        let mut scan = AdcScan::new(&table, m, 6);
-        scan.scan_segment(&codes[..12 * m], 12, 0);
-        scan.scan_segment(&[], 0, 777); // empty segments leave no trace
-        scan.scan_segment(&codes[12 * m..], 28, 12);
-        assert_eq!(scan.scanned(), n);
-        let winners = scan.into_winners();
-        let stream: Vec<usize> = winners
-            .iter()
-            .map(|&(base, off, _, _)| base + off)
-            .collect();
-        assert_eq!(stream, reference);
-        // Stream positions and distances are consistent with the stream indices.
-        for &(base, off, pos, dist) in &winners {
-            assert_eq!(base + off, pos);
-            assert_eq!(
-                dist.to_bits(),
-                adc_eval(&table, &codes[pos * m..(pos + 1) * m]).to_bits()
-            );
+            let mut scan = AdcScan::new(&table, m, 6);
+            scan.scan_segment(&codes[..12 * m], 12, 0);
+            scan.scan_segment(&[], 0, 777); // empty segments leave no trace
+            scan.scan_segment(&codes[12 * m..], n - 12, 12);
+            assert_eq!(scan.scanned(), n);
+            let winners = scan.into_winners();
+            let stream: Vec<usize> = winners
+                .iter()
+                .map(|&(base, off, _, _)| base + off)
+                .collect();
+            assert_eq!(stream, reference, "{n} codes");
+            // Stream positions and distances are consistent with the stream indices.
+            for &(base, off, pos, dist) in &winners {
+                assert_eq!(base + off, pos);
+                assert_eq!(
+                    dist.to_bits(),
+                    adc_eval(&table, &codes[pos * m..(pos + 1) * m]).to_bits()
+                );
+            }
         }
+    }
+
+    // The three below fail in `--release` at the parent of the change that added them:
+    // the query's length was only `debug_assert`ed, so a short query silently scored a
+    // prefix of every row.
+    #[test]
+    #[should_panic(expected = "scan_block: query is not 16-d")]
+    fn scan_block_rejects_a_query_of_the_wrong_length() {
+        let mut top = TopK::new(1);
+        let (query, rows) = ([1.0; 8], [0.0; 32]);
+        scan_block(Distance::SquaredEuclidean, &query, &rows, 16, 0, &mut top);
+    }
+
+    #[test]
+    #[should_panic(expected = "SegmentedScan: query is not 16-d")]
+    fn segmented_scan_rejects_a_query_of_the_wrong_length() {
+        SegmentedScan::new(Distance::InnerProduct, &[1.0; 8], 16, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 rows as long as the 8-d query")]
+    fn eval_rejects_a_row_of_the_wrong_length() {
+        eval(Distance::SquaredEuclidean, &[1.0; 8], &[0.0; 16]);
+    }
+
+    fn live(deleted: &[bool], cap: usize) -> Vec<(usize, usize)> {
+        live_runs(deleted, cap).collect()
     }
 
     #[test]
     fn live_runs_splits_on_tombstones() {
-        assert_eq!(live_runs(&[], usize::MAX), vec![]);
-        assert_eq!(live_runs(&[false; 4], usize::MAX), vec![(0, 4)]);
-        assert_eq!(live_runs(&[true; 3], usize::MAX), vec![]);
+        assert_eq!(live(&[], usize::MAX), vec![]);
+        assert_eq!(live(&[false; 4], usize::MAX), vec![(0, 4)]);
+        assert_eq!(live(&[true; 3], usize::MAX), vec![]);
         assert_eq!(
-            live_runs(&[false, true, false, false, true, false], usize::MAX),
+            live(&[false, true, false, false, true, false], usize::MAX),
             vec![(0, 1), (2, 2), (5, 1)]
         );
         // Leading and trailing tombstones.
-        assert_eq!(
-            live_runs(&[true, false, false, true], usize::MAX),
-            vec![(1, 2)]
-        );
+        assert_eq!(live(&[true, false, false, true], usize::MAX), vec![(1, 2)]);
     }
 
     #[test]
     fn live_runs_cap_truncates_the_live_stream() {
         let mask = [false, false, true, false, false, false];
-        assert_eq!(live_runs(&mask, 0), vec![]);
-        assert_eq!(live_runs(&mask, 1), vec![(0, 1)]);
-        assert_eq!(live_runs(&mask, 2), vec![(0, 2)]);
+        assert_eq!(live(&mask, 0), vec![]);
+        assert_eq!(live(&mask, 1), vec![(0, 1)]);
+        assert_eq!(live(&mask, 2), vec![(0, 2)]);
         // Cap cuts the second run mid-way.
-        assert_eq!(live_runs(&mask, 4), vec![(0, 2), (3, 2)]);
-        assert_eq!(live_runs(&mask, 5), vec![(0, 2), (3, 3)]);
-        assert_eq!(live_runs(&mask, 99), vec![(0, 2), (3, 3)]);
+        assert_eq!(live(&mask, 4), vec![(0, 2), (3, 2)]);
+        assert_eq!(live(&mask, 5), vec![(0, 2), (3, 3)]);
+        assert_eq!(live(&mask, 99), vec![(0, 2), (3, 3)]);
     }
 
     #[test]
@@ -773,9 +964,8 @@ mod tests {
         ];
         let live: Vec<usize> = (0..mask.len()).filter(|&i| !mask[i]).collect();
         for cap in 0..=live.len() + 2 {
-            let runs = live_runs(&mask, cap);
             let mut covered = Vec::new();
-            for (start, len) in runs {
+            for (start, len) in live_runs(&mask, cap) {
                 covered.extend(start..start + len);
                 assert!((start..start + len).all(|i| !mask[i]));
             }
@@ -836,6 +1026,22 @@ mod proptests {
     use crate::topk;
     use proptest::prelude::*;
 
+    /// The explicit-SIMD backend of this host, or `None` — said once on stderr, so a run
+    /// on a host without one shows the comparison was skipped, not passed.
+    fn simd_backend_or_report_skip() -> Option<Backend> {
+        static REPORT: std::sync::Once = std::sync::Once::new();
+        match Backend::detect() {
+            Backend::Portable => {
+                REPORT.call_once(|| {
+                    eprintln!("SKIPPED avx2_matches_portable_bit_for_bit: this host has no AVX2; only the portable kernels ran")
+                });
+                None
+            }
+            #[cfg(target_arch = "x86_64")]
+            simd => Some(simd),
+        }
+    }
+
     proptest! {
         /// Blocked values stay within 1e-5 relative of the scalar kernels on arbitrary
         /// finite inputs (the accumulators only reorder the same additions).
@@ -887,6 +1093,67 @@ mod proptests {
                 let scalar_order =
                     topk::smallest_k_by(n, k, |i| d.eval(&q, &rows[i * dim..(i + 1) * dim]));
                 prop_assert_eq!(&blocked_order, &scalar_order, "{} ordering", d.name());
+            }
+        }
+
+        /// The AVX2 kernels against their oracle, the portable blocked code: the same
+        /// bits for every metric, through the block path (four rows per query chunk,
+        /// then the `n % 4` left over), the single-row path and a whole scan. `dim`
+        /// covers partial chunks (`dim % 8 ≠ 0`, and `dim % 4 ≠ 0` for cosine's 4-wide
+        /// lanes), the query starts one float into its allocation and the rows `dim + 2`
+        /// floats in so loads are unaligned, and rows and query are seeded with NaN, ±∞
+        /// and ±0.0.
+        #[test]
+        fn avx2_matches_portable_bit_for_bit(
+            dim in 1usize..=200,
+            n in 0usize..14,
+            seed in 0u64..1 << 40,
+            specials in prop::collection::vec((0usize..1 << 20, 0u8..5), 0..8),
+            special_query in 0u8..4,
+            k in 1usize..6,
+        ) {
+            let Some(simd) = simd_backend_or_report_skip() else { return Ok(()) };
+            let special = |class: u8| match class {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => 0.0,
+                _ => -0.0,
+            };
+            let mut values = crate::rng::normal_vector(&mut crate::rng::seeded(seed), 2 + (n + 1) * dim);
+            for &(at, class) in &specials {
+                // Mostly in the rows; `special_query == 0` also poisons the query.
+                let lo = if special_query == 0 { 1 } else { 2 + dim };
+                if lo < values.len() {
+                    let at = lo + at % (values.len() - lo);
+                    values[at] = special(class);
+                }
+            }
+            let (query, rows) = (&values[1..1 + dim], &values[2 + dim..]);
+            let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+            for d in ALL_DISTANCES {
+                let portable = QueryScorer::with_backend(d, query, Backend::Portable);
+                let simd = QueryScorer::with_backend(d, query, simd);
+                let (mut want, mut got) = (vec![0.0f32; n], vec![0.0f32; n]);
+                portable.eval_rows(rows, &mut want);
+                simd.eval_rows(rows, &mut got);
+                for i in 0..n {
+                    prop_assert!(
+                        same(want[i], got[i]),
+                        "{} dim={dim} row {i} of {n}: portable {:?} ({:#x}) vs simd {:?} ({:#x})",
+                        d.name(), want[i], want[i].to_bits(), got[i], got[i].to_bits()
+                    );
+                    let single = simd.eval(&rows[i * dim..(i + 1) * dim]);
+                    prop_assert!(same(want[i], single), "{} dim={dim} single row {i}", d.name());
+                }
+                let (mut want_top, mut got_top) = (TopK::new(k), TopK::new(k));
+                portable.scan_rows(rows, 0, &mut want_top);
+                simd.scan_rows(rows, 0, &mut got_top);
+                let (want_top, got_top) = (want_top.into_sorted(), got_top.into_sorted());
+                prop_assert_eq!(want_top.len(), got_top.len());
+                for (w, g) in want_top.iter().zip(&got_top) {
+                    prop_assert!(w.0 == g.0 && same(w.1, g.1), "{} scan: {w:?} vs {g:?}", d.name());
+                }
             }
         }
 

@@ -212,6 +212,18 @@ impl TopK {
         }
     }
 
+    /// A key strictly above this cannot be kept, whatever its index: it is the current
+    /// `k`-th best. NaN — which no key compares above — while fewer than `k` entries
+    /// are kept or the `k`-th best is itself NaN. Scans test it before [`Self::push`]
+    /// so a losing candidate costs one comparison.
+    #[inline]
+    pub fn bound(&self) -> f32 {
+        match self.heap.peek() {
+            Some(worst) if self.heap.len() >= self.k && !worst.nan => worst.key,
+            _ => f32::NAN,
+        }
+    }
+
     /// Number of entries currently kept (≤ `k`).
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -240,33 +252,66 @@ impl TopK {
     }
 }
 
-/// A drop-in alternative to [`TopK`] for *large* `k` (shortlist selection): instead of
-/// a bounded heap — whose `O(log k)` pop/push per accepted candidate dominates scans
-/// that keep hundreds of survivors — candidates accumulate in a flat buffer guarded by
-/// a cached rejection bound, and the buffer is pruned back to `k` by an `O(len)`
-/// selection whenever it doubles. Pushes that cannot survive cost one comparison;
-/// accepted pushes cost one append, amortized `O(1)`.
+/// The order-preserving 32-bit image of a selection key: `a` ranks before `b` in the
+/// module's total order exactly when `rank_bits(a) < rank_bits(b)`, and they tie exactly
+/// when the images are equal (so `-0.0` and `0.0` share one, and every NaN maps to the
+/// single largest).
+#[inline]
+fn rank_bits(key: f32) -> u32 {
+    if key.is_nan() {
+        return u32::MAX;
+    }
+    // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+    let bits = (key + 0.0).to_bits();
+    // Non-negative floats already order like their bits; negative ones in reverse.
+    if bits >> 31 == 0 {
+        bits | 1 << 31
+    } else {
+        !bits
+    }
+}
+
+/// The key of an image: the pushed key itself up to [`rank_bits`]' ties (`f32::NAN` for
+/// any NaN, as [`TopK::into_sorted`] returns it, and `+0.0` for either zero).
+#[inline]
+fn key_of_rank_bits(image: u32) -> f32 {
+    if image == u32::MAX {
+        f32::NAN
+    } else if image >> 31 == 1 {
+        f32::from_bits(image & !(1 << 31))
+    } else {
+        f32::from_bits(!image)
+    }
+}
+
+/// Bounded selection for *large* `k` (shortlists of hundreds), where a heap's
+/// `O(log k)` sift per accepted candidate dominates the scan feeding it.
 ///
-/// The kept set and the [`FlatTopK::into_sorted`] order are **identical** to [`TopK`]
-/// over the same pushes: both implement the module's total order (ascending key, NaN
-/// strictly last, ties by ascending push index), and the cached bound only ever
-/// rejects keys the heap would reject too — a rejected key is `>=` the `k`-th best of
-/// a prefix of the stream, and (pushes arriving in ascending index order) it loses
-/// the index tie-break against all of them as well. The proptests below pin the
-/// equivalence push-for-push against [`TopK`] over NaN/±∞/±0.0-seeded streams.
+/// A candidate is one `u64`: [`rank_bits`] of its key above its `u32` position, so
+/// integer order on candidates **is** the module's total order (ascending key, NaN
+/// strictly last, `-0.0 ≡ 0.0`, ties by ascending position) and a comparison is one
+/// instruction. Candidates accumulate in a flat buffer; whenever it reaches `2k` it is
+/// cut back to the `k` smallest by `select_nth_unstable`, and the largest survivor's
+/// key becomes the bound that turns a later key above it into a single comparison (a
+/// tie with the bound is buffered and left to the next prune). Amortised `O(1)` per
+/// push, in any push order.
+///
+/// The result is a **set**: [`Shortlist::into_kept`] hands back the `k` best in
+/// position order, never sorted by key. The kept set is exactly [`TopK`]'s over the
+/// same pushes (proptested push for push over NaN/±∞/±0.0-seeded streams).
 #[derive(Debug, Clone)]
-pub struct FlatTopK {
+pub struct Shortlist {
     k: usize,
     /// Prune trigger: `2k`, so each `O(len)` prune amortizes over `k` appends.
     cap: usize,
-    buf: Vec<Scored>,
-    /// Quick-reject threshold: keys `>= bound` cannot survive. NaN (compares false
-    /// with everything) while fewer than `k` candidates have been admitted or the
-    /// current `k`-th best is itself NaN.
+    buf: Vec<u64>,
+    /// The key of the `k`-th best candidate as of the last prune: a key above it is
+    /// beaten by `k` candidates already seen. NaN — which no key compares above — until
+    /// the first prune, or while that candidate's key is itself NaN.
     bound: f32,
 }
 
-impl FlatTopK {
+impl Shortlist {
     /// A selector keeping the `k` smallest pushed keys.
     pub fn new(k: usize) -> Self {
         Self {
@@ -274,19 +319,19 @@ impl FlatTopK {
             cap: k.saturating_mul(2),
             // Capacity is a hint, as in TopK: an oversized "rank everything" k must
             // not pre-allocate k slots.
-            buf: Vec::with_capacity(k.saturating_mul(2).saturating_add(1).min(4096)),
+            buf: Vec::with_capacity(k.saturating_mul(2).min(4096)),
             bound: f32::NAN,
         }
     }
 
-    /// Offers one `(index, key)` pair; kept iff it beats the current `k`-th best.
-    /// Indices must be pushed in ascending order (stream positions).
+    /// Offers one candidate; positions identify candidates and must not repeat.
     #[inline]
-    pub fn push(&mut self, index: usize, key: f32) {
-        if key >= self.bound || self.k == 0 {
+    pub fn push(&mut self, position: u32, key: f32) {
+        if key > self.bound || self.k == 0 {
             return;
         }
-        self.buf.push(Scored::new(index, key));
+        self.buf
+            .push(u64::from(rank_bits(key)) << 32 | u64::from(position));
         if self.buf.len() >= self.cap {
             self.prune();
         }
@@ -294,33 +339,21 @@ impl FlatTopK {
 
     /// Shrinks the buffer back to the `k` best and refreshes the rejection bound.
     fn prune(&mut self) {
-        if self.buf.len() <= self.k {
-            return;
+        if self.buf.len() > self.k {
+            self.buf.select_nth_unstable(self.k - 1);
+            self.buf.truncate(self.k);
+            self.bound = key_of_rank_bits((self.buf[self.k - 1] >> 32) as u32);
         }
-        self.buf.select_nth_unstable(self.k - 1);
-        self.buf.truncate(self.k);
-        let worst = self.buf[self.k - 1];
-        self.bound = if worst.nan { f32::NAN } else { worst.key };
     }
 
-    /// Number of candidates currently buffered (may exceed `k` between prunes).
-    pub fn len(&self) -> usize {
-        self.buf.len().min(self.k)
-    }
-
-    /// True when nothing has been kept.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The kept entries as `(index, key)` pairs, best first — [`TopK::into_sorted`]'s
-    /// exact order and NaN convention.
-    pub fn into_sorted(mut self) -> Vec<(usize, f32)> {
-        self.buf.sort_unstable();
-        self.buf.truncate(self.k);
+    /// The `k` best candidates as `(position, key)`, in ascending position. Keys come
+    /// back equal to what was pushed, with NaN as `f32::NAN` and either zero as `+0.0`.
+    pub fn into_kept(mut self) -> Vec<(u32, f32)> {
+        self.prune();
+        self.buf.sort_unstable_by_key(|&c| c as u32);
         self.buf
             .into_iter()
-            .map(|s| (s.index, if s.nan { f32::NAN } else { s.key }))
+            .map(|c| (c as u32, key_of_rank_bits((c >> 32) as u32)))
             .collect()
     }
 }
@@ -495,14 +528,13 @@ mod tests {
         top.push(0, 1.0);
         assert!(top.is_empty());
         assert!(top.into_sorted().is_empty());
-        let mut flat = FlatTopK::new(0);
-        flat.push(0, 1.0);
-        assert!(flat.is_empty());
-        assert!(flat.into_sorted().is_empty());
+        let mut shortlist = Shortlist::new(0);
+        shortlist.push(0, 1.0);
+        assert!(shortlist.into_kept().is_empty());
     }
 
     #[test]
-    fn flat_topk_matches_heap_topk_across_prunes() {
+    fn shortlist_keeps_the_heap_topk_set_across_prunes() {
         // 10k ascending-then-descending keys force many prune cycles at k=100.
         let keys: Vec<f32> = (0..10_000)
             .map(|i| {
@@ -514,23 +546,73 @@ mod tests {
             })
             .collect();
         let mut heap = TopK::new(100);
-        let mut flat = FlatTopK::new(100);
+        let mut shortlist = Shortlist::new(100);
         for (i, &x) in keys.iter().enumerate() {
             heap.push(i, x);
-            flat.push(i, x);
+            shortlist.push(i as u32, x);
         }
-        assert_eq!(heap.into_sorted(), flat.into_sorted());
+        // The heap's set as `into_kept` reports one: by position.
+        let mut want = heap.into_sorted();
+        want.sort_unstable_by_key(|&(i, _)| i);
+        let kept = shortlist.into_kept().into_iter();
+        assert_eq!(want, kept.map(|(i, x)| (i as usize, x)).collect::<Vec<_>>());
     }
 
     #[test]
-    fn flat_topk_with_oversized_k_returns_everything() {
+    fn shortlist_with_oversized_k_returns_everything_in_position_order() {
         let v = [3.0f32, 1.0, 2.0];
-        let mut flat = FlatTopK::new(usize::MAX);
+        let mut shortlist = Shortlist::new(usize::MAX);
         for (i, &x) in v.iter().enumerate() {
-            flat.push(i, x);
+            shortlist.push(i as u32, x);
         }
-        let got: Vec<usize> = flat.into_sorted().into_iter().map(|(i, _)| i).collect();
-        assert_eq!(got, vec![1, 2, 0]);
+        assert_eq!(shortlist.into_kept(), vec![(0, 3.0), (1, 1.0), (2, 2.0)]);
+    }
+
+    #[test]
+    fn rank_bits_order_is_the_scored_order() {
+        let ladder = [
+            f32::NEG_INFINITY,
+            f32::MIN,
+            -1.0,
+            -f32::MIN_POSITIVE,
+            -1e-45, // the negative subnormal nearest zero
+            0.0,
+            1e-45,
+            f32::MIN_POSITIVE,
+            1.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for pair in ladder.windows(2) {
+            assert!(rank_bits(pair[0]) < rank_bits(pair[1]), "{pair:?}");
+        }
+        assert_eq!(rank_bits(-0.0), rank_bits(0.0));
+        assert_eq!(rank_bits(-f32::NAN), rank_bits(f32::NAN));
+        for &x in &ladder[..ladder.len() - 1] {
+            assert_eq!(key_of_rank_bits(rank_bits(x)).to_bits(), x.to_bits());
+        }
+        assert_eq!(
+            key_of_rank_bits(rank_bits(-0.0)).to_bits(),
+            0.0f32.to_bits()
+        );
+        assert!(key_of_rank_bits(rank_bits(-f32::NAN)).is_nan());
+    }
+
+    #[test]
+    fn bound_rejects_only_what_push_would_drop() {
+        let mut top = TopK::new(2);
+        assert!(top.bound().is_nan(), "no bound before k entries are kept");
+        top.push(0, 5.0);
+        assert!(top.bound().is_nan());
+        top.push(1, f32::NAN);
+        assert!(top.bound().is_nan(), "a NaN k-th best rejects nothing");
+        top.push(2, 7.0);
+        assert_eq!(top.bound(), 7.0);
+        // A tie with the bound is not above it: the heap decides it by index.
+        top.push(1, 7.0);
+        assert_eq!(top.into_sorted(), vec![(0, 5.0), (1, 7.0)]);
+        assert!(TopK::new(0).bound().is_nan());
     }
 
     #[test]
@@ -637,25 +719,37 @@ mod proptests {
             }
         }
 
+        /// After every push the shortlist holds exactly the heap's set — so its bound
+        /// never rejected a key the heap keeps — over streams seeded with NaN, ±∞,
+        /// ±0.0 and repeated finite keys, for `k = 0` and for `k` past the stream's end.
         #[test]
-        fn flat_topk_is_push_for_push_identical_to_heap_topk(
+        fn shortlist_is_push_for_push_the_heap_topk_set(
             finites in prop::collection::vec(-1e3f32..1e3, 1..300),
             classes in prop::collection::vec(0u8..12, 1..300),
-            k in 1usize..40,
+            k in 0usize..40,
+            descending in 0u8..2,
         ) {
-            let values = build_special(&finites, &classes);
+            // Whole-number keys: a few hundred draws from ±10 repeat most of them.
+            let coarse: Vec<f32> = finites.iter().map(|f| (f / 100.0).round()).collect();
+            let values = build_special(&coarse, &classes);
+            let n = values.len();
             let mut heap = TopK::new(k);
-            let mut flat = FlatTopK::new(k);
-            for (i, &x) in values.iter().enumerate() {
-                heap.push(i, x);
-                flat.push(i, x);
-            }
-            let heap_entries = heap.into_sorted();
-            let flat_entries = flat.into_sorted();
-            prop_assert_eq!(heap_entries.len(), flat_entries.len());
-            for (h, f) in heap_entries.iter().zip(&flat_entries) {
-                prop_assert_eq!(h.0, f.0);
-                prop_assert_eq!(h.1.to_bits(), f.1.to_bits());
+            let mut shortlist = Shortlist::new(k);
+            for step in 0..n {
+                // Either push order: the packed bound does not need ascending positions.
+                let i = if descending == 1 { n - 1 - step } else { step };
+                heap.push(i, values[i]);
+                shortlist.push(i as u32, values[i]);
+                let mut want = heap.clone().into_sorted();
+                want.sort_unstable_by_key(|&(i, _)| i);
+                let got = shortlist.clone().into_kept();
+                prop_assert_eq!(want.len(), got.len());
+                for (w, g) in want.iter().zip(&got) {
+                    prop_assert_eq!(w.0, g.0 as usize);
+                    // The key that was pushed: NaN as NaN, either zero as a zero.
+                    prop_assert!(w.1 == g.1 || (w.1.is_nan() && g.1.is_nan()));
+                    prop_assert_eq!(values[w.0].is_nan(), g.1.is_nan());
+                }
             }
         }
 

@@ -79,6 +79,10 @@ pub fn nan_unsafe_cmp(file: &LexedFile, findings: &mut Vec<Finding>) {
 /// training needs raw residual arithmetic), and vendored shims.
 const SCORING_ALLOWED: &[&str] = &["crates/linalg/", "crates/quant/", "vendor/"];
 
+/// The one home of explicit SIMD: `kernel.rs` and its backend submodules. The prefix
+/// has no trailing slash on purpose — it covers `kernel.rs` and `kernel/*.rs`.
+const INTRINSICS_ALLOWED: &[&str] = &["crates/linalg/src/kernel", "vendor/"];
+
 /// §2.2's contract: every online scoring path calls `usp-linalg::kernel`, so any
 /// two paths comparing distances compare identical bits (multi-accumulator
 /// summation changes rounding). A hand-rolled distance loop outside the kernel
@@ -86,7 +90,33 @@ const SCORING_ALLOWED: &[&str] = &["crates/linalg/", "crates/quant/", "vendor/"]
 /// bit-identity suites. Heuristics: (a) squared-difference accumulation
 /// (`acc += d * d`), (b) additive lookups into a `*table*`/`*lut*` array.
 /// Test scopes are exempt — proptest oracles hand-roll distances on purpose.
+///
+/// (c) A `std::arch` / `core::arch` path outside `usp-linalg::kernel`, tests included:
+/// the AVX2 kernels are bit-identical to the portable ones only because they are
+/// proptested against them lane for lane, and that proptest lives with the kernel. An
+/// intrinsic anywhere else is a second scoring implementation nobody compares.
 pub fn scoring_outside_kernel(file: &LexedFile, findings: &mut Vec<Finding>) {
+    if !in_any(&file.path, INTRINSICS_ALLOWED) {
+        let toks = &file.tokens;
+        for i in 0..toks.len().saturating_sub(2) {
+            if (toks[i].is_ident("std") || toks[i].is_ident("core"))
+                && toks[i + 1].is_punct("::")
+                && toks[i + 2].is_ident("arch")
+            {
+                findings.push(finding(
+                    "scoring-outside-kernel",
+                    file,
+                    &toks[i],
+                    format!(
+                        "`{}::arch` outside crates/linalg/src/kernel*: explicit SIMD lives \
+                         in usp_linalg::kernel alone, where it is proptested bit for bit \
+                         against the portable kernels (DESIGN §2.2)",
+                        toks[i].text
+                    ),
+                ));
+            }
+        }
+    }
     if in_any(&file.path, SCORING_ALLOWED) || file.is_test_file {
         return;
     }
@@ -491,6 +521,38 @@ mod tests {
         let f = lint_one(
             "#[cfg(test)]\nmod tests {\n fn oracle(a: &[f32]) -> f32 { let mut s = 0.0; for &x in a { let d = x; s += d * d; } s }\n}",
         );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn scoring_fires_on_arch_paths_outside_the_kernel_module() {
+        for src in [
+            "use std::arch::x86_64::*;",
+            "fn f() -> bool { core::arch::is_x86_feature_detected!(\"avx2\") }",
+            // Test scopes are not exempt: an intrinsic oracle is still a second kernel.
+            "#[cfg(test)]\nmod tests {\n use std::arch::x86_64::_mm256_add_ps;\n}",
+        ] {
+            let f = lint_one(src);
+            assert_eq!(f.len(), 1, "{src}: {f:?}");
+            assert_eq!(f[0].rule, "scoring-outside-kernel");
+        }
+        // Elsewhere in usp-linalg is still outside the kernel module.
+        let f = lint_at("crates/linalg/src/matrix.rs", "use std::arch::x86_64::*;");
+        assert_eq!(f.len(), 1, "{f:?}");
+    }
+
+    #[test]
+    fn scoring_allows_arch_paths_inside_the_kernel_module() {
+        for path in [
+            "crates/linalg/src/kernel.rs",
+            "crates/linalg/src/kernel/avx2.rs",
+            "vendor/rayon/src/lib.rs",
+        ] {
+            let f = lint_at(path, "use std::arch::x86_64::*;");
+            assert!(f.is_empty(), "{path}: {f:?}");
+        }
+        // `arch` as an ordinary name is not the module.
+        let f = lint_one("fn f(arch: &str) -> usize { std::mem::size_of_val(arch) }");
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -270,10 +270,10 @@ impl<P: Partitioner> QueryEngine<P> {
                         .candidate_runs(&ranked[qi], delta.as_deref(), consumer.cap());
                 // Stable, so each shard's runs stay in stream order.
                 runs.sort_by_key(shard_of);
-                let passes: Vec<Partial> = runs
-                    .chunk_by(|a, b| shard_of(a) == shard_of(b))
-                    .map(|shard_runs| consumer.pass(shard_runs))
-                    .collect();
+                // At most one pass per shard; sized here because `chunk_by` cannot say.
+                let mut passes: Vec<Partial> = Vec::with_capacity(self.map.num_shards());
+                let shares = runs.chunk_by(|a, b| shard_of(a) == shard_of(b));
+                passes.extend(shares.map(|shard_runs| consumer.pass(shard_runs)));
                 let result = consumer.finish(&passes);
                 (result, shared_us + t.elapsed().as_micros() as u64)
             })

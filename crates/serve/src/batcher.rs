@@ -1,14 +1,17 @@
 //! Micro-batching for single-query traffic.
 //!
 //! Point lookups arrive one at a time, but the engine's throughput comes from batches
-//! (one router forward — a single GEMM — per batch). `Pending` holds the policy once:
-//! a batch is due when `max_batch` queries wait **or** the oldest has waited
-//! `max_delay`, and never holds more than `max_batch`. Two drivers use it: the network
-//! event loop ([`crate::ingress`]) tags entries `(connection, request_id)` and serves
-//! due batches on its own thread; the [`MicroBatcher`], for in-process callers, tags
+//! (one router forward — a single GEMM — one pool hand-off and one delta guard per
+//! batch). `Pending` is the accumulator both drivers share — arrival order, and never
+//! more than `max_batch` queries to a batch — but *when* a batch is cut is each
+//! driver's own. The network event loop ([`crate::ingress`]) tags entries
+//! `(connection, request_id)` and is work-conserving: it serves whatever is pending
+//! the moment it is idle, so its batches form from what arrives while the previous one
+//! is served and it has no window. The [`MicroBatcher`], for in-process callers, tags
 //! them with reply senders — [`submit`](MicroBatcher::submit) returns the receiver at
-//! once — and serves due batches on a background flusher thread. Either way the
-//! answers are identical to direct [`crate::QueryEngine::query`] answers (batching
+//! once — and keeps the classic window: its background flusher thread serves a batch
+//! when `max_batch` queries wait **or** the oldest has waited `max_delay`. Either way
+//! the answers are identical to direct [`crate::QueryEngine::query`] answers (batching
 //! never changes semantics).
 
 use std::any::Any;
@@ -27,18 +30,16 @@ use crate::engine::{BatchEngine, QueryOptions};
 pub(crate) struct Pending<T> {
     dims: usize,
     max_batch: usize,
-    max_delay: Duration,
     rows: Vec<f32>,
     tags: Vec<(T, Instant)>,
 }
 
 impl<T> Pending<T> {
-    pub(crate) fn new(dims: usize, max_batch: usize, max_delay: Duration) -> Self {
+    pub(crate) fn new(dims: usize, max_batch: usize) -> Self {
         assert!(max_batch >= 1, "micro-batching: max_batch must be >= 1");
         Self {
             dims,
             max_batch,
-            max_delay,
             rows: Vec::new(),
             tags: Vec::new(),
         }
@@ -62,22 +63,12 @@ impl<T> Pending<T> {
         self.tags.push((tag, Instant::now()));
     }
 
-    /// How long until a batch is due: `None` while nothing waits, zero once `max_batch`
-    /// queries wait or the oldest has waited `max_delay`, else the rest of its window.
-    pub(crate) fn due_in(&self) -> Option<Duration> {
-        let (_, oldest) = self.tags.first()?;
-        if self.tags.len() >= self.max_batch {
-            return Some(Duration::ZERO);
-        }
-        Some(self.max_delay.saturating_sub(oldest.elapsed()))
-    }
-
-    /// Removes the oldest `min(len, max_batch)` queries as one batch; the overflow
-    /// stays for the next one.
-    pub(crate) fn take(&mut self) -> (Matrix, Vec<T>) {
+    /// Removes the oldest `min(len, max_batch)` queries as one batch, each tag with
+    /// its admission time; the overflow stays for the next one.
+    pub(crate) fn take(&mut self) -> (Matrix, Vec<(T, Instant)>) {
         let n = self.tags.len().min(self.max_batch);
         let rows: Vec<f32> = self.rows.drain(..n * self.dims).collect();
-        let tags = self.tags.drain(..n).map(|(tag, _)| tag).collect();
+        let tags = self.tags.drain(..n).collect();
         (Matrix::from_vec(n, self.dims, rows), tags)
     }
 
@@ -138,6 +129,8 @@ fn lock_state(state: &Mutex<State>) -> MutexGuard<'_, State> {
 struct Shared<E: BatchEngine> {
     engine: Arc<E>,
     opts: QueryOptions,
+    /// The flusher's window: how long a lone query waits for company.
+    max_delay: Duration,
     state: Mutex<State>,
     cv: Condvar,
 }
@@ -150,6 +143,19 @@ struct State {
     /// outstanding receivers observe [`mpsc::RecvError`] instead of blocking
     /// forever, and the next [`MicroBatcher::submit`] resurfaces the panic.
     panicked: Option<String>,
+}
+
+impl State {
+    /// How long until the flusher's next batch is due: `None` while nothing waits, zero
+    /// once `max_batch` queries wait or the oldest has waited `max_delay`, else the rest
+    /// of its window.
+    fn due_in(&self, max_delay: Duration) -> Option<Duration> {
+        let (_, oldest) = self.pending.tags.first()?;
+        if self.pending.len() >= self.pending.max_batch {
+            return Some(Duration::ZERO);
+        }
+        Some(max_delay.saturating_sub(oldest.elapsed()))
+    }
 }
 
 /// Accumulates single queries from in-process callers into micro-batches served on
@@ -167,10 +173,11 @@ impl<E: BatchEngine + 'static> MicroBatcher<E> {
     /// Starts the background flusher. `max_batch` bounds the batch size (flush
     /// trigger); `max_delay` bounds how long a lone query waits for company.
     pub fn new(engine: Arc<E>, opts: QueryOptions, max_batch: usize, max_delay: Duration) -> Self {
-        let pending = Pending::new(engine.dims(), max_batch, max_delay);
+        let pending = Pending::new(engine.dims(), max_batch);
         let shared = Arc::new(Shared {
             engine,
             opts,
+            max_delay,
             state: Mutex::new(State {
                 pending,
                 shutdown: false,
@@ -277,7 +284,7 @@ fn flusher_loop<E: BatchEngine>(shared: &Shared<E>) {
             // Sleep until a batch is due; shutdown flushes whatever waits at once and
             // exits when nothing does.
             loop {
-                state = match state.pending.due_in() {
+                state = match state.due_in(shared.max_delay) {
                     None if state.shutdown => return,
                     Some(wait) if state.shutdown || wait.is_zero() => break,
                     None => shared
@@ -317,7 +324,7 @@ fn flusher_loop<E: BatchEngine>(shared: &Shared<E>) {
                 resume_unwind(payload);
             }
         };
-        for (tx, result) in senders.into_iter().zip(results) {
+        for ((tx, _admitted), result) in senders.into_iter().zip(results) {
             // A caller that dropped its receiver just doesn't get the answer.
             let _ = tx.send(result);
         }

@@ -3,11 +3,14 @@
 //! One thread owns a level-triggered epoll loop (via the vendored `mio` shim)
 //! accepting TCP connections and speaking the length-prefixed protocol of
 //! [`crate::protocol`]. Admitted queries wait in the loop's own `Pending`
-//! (`batcher.rs`); when a batch is due the loop calls
-//! [`BatchEngine::serve_batch`] itself (the pool fans the scan out, the caller is
-//! one of its workers) and encodes the answers into the connections' write
-//! buffers, and the time to the next due batch is its poll timeout — the served
-//! path is socket → loop → pool, with no other thread, channel or tick in it.
+//! (`batcher.rs`), and the loop is work-conserving: once a poll pass has admitted
+//! what was readable it calls [`BatchEngine::serve_batch`] itself on whatever is
+//! pending, up to `max_batch` (the pool fans the scan out, the caller is one of its
+//! workers), and encodes the answers into the connections' write buffers. Nothing
+//! waits for company beside an idle engine; the next batch is whatever arrived while
+//! this one was served, so batches are one or two queries at light load and fill to
+//! `max_batch` under overload. The served path is socket → loop → pool, with no
+//! other thread, channel, tick or window in it.
 //! Inserts, deletes and stats execute inline through the same trait, so a
 //! [`crate::QueryEngine`] is servable unchanged at any shard count.
 //!
@@ -40,7 +43,7 @@ use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mio::{Events, Interest, Poll, Token};
 
@@ -57,8 +60,8 @@ const LISTENER: Token = Token(0);
 /// Per-`read` chunk size. Level-triggered readiness re-reports leftovers, so the
 /// value only trades syscalls against per-tick latency.
 const READ_CHUNK: usize = 64 * 1024;
-/// Longest poll timeout: what an idle loop sleeps, and the cap on a partial
-/// batch's remaining window (bounds shutdown latency).
+/// What the loop sleeps in `poll` while nothing is pending (bounds shutdown
+/// latency); with queries pending it does not sleep at all.
 const POLL_IDLE: Duration = Duration::from_millis(20);
 
 /// Configuration for [`IngressHandle::spawn`].
@@ -66,10 +69,9 @@ const POLL_IDLE: Duration = Duration::from_millis(20);
 pub struct IngressConfig {
     /// Serving knobs applied to every query admitted through this ingress.
     pub opts: QueryOptions,
-    /// Micro-batch size bound: a batch is served as soon as this many queries wait.
+    /// Micro-batch size bound: the loop serves whatever is pending as soon as it is
+    /// idle, at most this many queries to one engine call.
     pub max_batch: usize,
-    /// Micro-batching window: how long a lone query waits for company.
-    pub max_delay: Duration,
     /// Pending-queue capacity; `0` means the default `8 × max_batch`. Queries
     /// arriving while the queue is full are answered with `SHED`.
     pub queue_cap: usize,
@@ -81,13 +83,12 @@ pub struct IngressConfig {
 }
 
 impl IngressConfig {
-    /// Defaults tuned for micro-batched point lookups: batches of 32 with a 1 ms
-    /// window, an 8×-batch pending queue, 10 ms retry hint, 1 MiB write bound.
+    /// Defaults tuned for micro-batched point lookups: batches of at most 32, an
+    /// 8×-batch pending queue, 10 ms retry hint, 1 MiB write bound.
     pub fn new(opts: QueryOptions) -> Self {
         Self {
             opts,
             max_batch: 32,
-            max_delay: Duration::from_millis(1),
             queue_cap: 0,
             retry_after_ms: 10,
             max_conn_buffer: 1 << 20,
@@ -153,9 +154,9 @@ impl IngressHandle {
         self.local_addr
     }
 
-    /// Ingress-side counters: accepted/shed/malformed frames and the
-    /// pending-queue high-water mark (the serving fields are all zero — engine
-    /// counters live on the engine; `OP_STATS` replies merge both sides).
+    /// Ingress-side counters: accepted/shed/malformed frames, the pending-queue
+    /// high-water mark and the pending-wait percentiles (the serving fields are all
+    /// zero — engine counters live on the engine; `OP_STATS` replies merge both sides).
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
     }
@@ -254,6 +255,9 @@ struct Loop<E: BatchEngine + 'static> {
     /// Scratch for `read`, allocated once (the loop thread also serves batches, so
     /// per-event overhead is scan time).
     read_buf: Vec<u8>,
+    /// Scratch for `drain_frames`' token order, kept for the same reason: the loop
+    /// turns once per small batch, thousands of times a second at light load.
+    drain_order: Vec<usize>,
 }
 
 impl<E: BatchEngine + 'static> Loop<E> {
@@ -265,7 +269,7 @@ impl<E: BatchEngine + 'static> Loop<E> {
         stop: Arc<AtomicBool>,
         stats: Arc<ServeStats>,
     ) -> Self {
-        let pending = Pending::new(engine.dims(), config.max_batch, config.max_delay);
+        let pending = Pending::new(engine.dims(), config.max_batch);
         engine.warm_up();
         Self {
             engine,
@@ -279,6 +283,7 @@ impl<E: BatchEngine + 'static> Loop<E> {
             next_token: LISTENER.0 + 1,
             rr_next: LISTENER.0 + 1,
             read_buf: vec![0; READ_CHUNK],
+            drain_order: Vec::new(),
         }
     }
 
@@ -287,9 +292,13 @@ impl<E: BatchEngine + 'static> Loop<E> {
         // ordering: Acquire pairs with the Release store in shutdown()/Drop —
         // the loop observes everything written before the stop request.
         while !self.stop.load(Ordering::Acquire) {
-            // Zero while a batch is due (pick up what arrived, then serve it), the
-            // rest of the window while a partial batch waits, idle otherwise.
-            let timeout = self.pending.due_in().unwrap_or(POLL_IDLE).min(POLL_IDLE);
+            // Work-conserving: with queries pending (the overflow of the batch just
+            // served) only pick up what is already readable; sleep only when idle.
+            let timeout = if self.pending.len() > 0 {
+                Duration::ZERO
+            } else {
+                POLL_IDLE
+            };
             if self.poll.poll(&mut events, Some(timeout)).is_err() {
                 // A failed wait (beyond EINTR, which the shim swallows) means the
                 // poller fd itself is gone; nothing to serve without it.
@@ -310,8 +319,8 @@ impl<E: BatchEngine + 'static> Loop<E> {
                 self.accept_new();
             }
             self.drain_frames();
-            if self.pending.due_in() == Some(Duration::ZERO) {
-                self.serve_due_batch();
+            if self.pending.len() > 0 {
+                self.serve_pending_batch();
             }
             self.sync_all_interests();
         }
@@ -399,10 +408,12 @@ impl<E: BatchEngine + 'static> Loop<E> {
     /// Drains decoded frames round-robin: one frame per connection per round,
     /// starting each pass at a rotating token, until a full round yields nothing.
     fn drain_frames(&mut self) {
-        let mut tokens: Vec<usize> = self.conns.keys().copied().collect();
-        if tokens.is_empty() {
+        if self.conns.is_empty() {
             return;
         }
+        let mut tokens = std::mem::take(&mut self.drain_order);
+        tokens.clear();
+        tokens.extend(self.conns.keys().copied());
         tokens.sort_unstable();
         let start = tokens.iter().position(|&t| t >= self.rr_next).unwrap_or(0);
         tokens.rotate_left(start);
@@ -415,9 +426,10 @@ impl<E: BatchEngine + 'static> Loop<E> {
                 }
             }
             if !any {
-                return;
+                break;
             }
         }
+        self.drain_order = tokens;
     }
 
     /// Decodes and dispatches at most one frame from `token`. Returns whether a
@@ -513,8 +525,13 @@ impl<E: BatchEngine + 'static> Loop<E> {
     /// Serves the oldest `≤ max_batch` pending queries as one engine call on this
     /// thread and queues their replies. An engine panic is contained to the batch:
     /// its queries get error replies and the loop keeps serving.
-    fn serve_due_batch(&mut self) {
+    fn serve_pending_batch(&mut self) {
         let (queries, tags) = self.pending.take();
+        let taken = Instant::now();
+        self.stats.record_pending_waits(
+            tags.iter()
+                .map(|(_, admitted)| taken.duration_since(*admitted).as_micros() as u64),
+        );
         let mut failure = "query dropped by the engine".to_string();
         let results = catch_unwind(AssertUnwindSafe(|| {
             self.engine.serve_batch(&queries, &self.config.opts)
@@ -525,7 +542,7 @@ impl<E: BatchEngine + 'static> Loop<E> {
             Vec::new()
         });
         let mut results = results.into_iter();
-        for (token, request_id) in tags {
+        for ((token, request_id), _admitted) in tags {
             let result = results.next();
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue; // the connection is gone; the answer has no reader
@@ -634,8 +651,8 @@ mod tests {
         ))))
     }
 
-    fn spawn_ingress(
-        engine: Arc<QueryEngine<RoundRobinPartitioner>>,
+    fn spawn_ingress<E: BatchEngine + 'static>(
+        engine: Arc<E>,
         config: IngressConfig,
     ) -> IngressHandle {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -869,17 +886,34 @@ mod tests {
         handle.shutdown();
     }
 
+    /// A real engine that takes 50 ms per batch: overload the way production meets it.
+    struct SleepsPerBatch(Arc<QueryEngine<RoundRobinPartitioner>>);
+
+    impl BatchEngine for SleepsPerBatch {
+        fn dims(&self) -> usize {
+            self.0.dims()
+        }
+
+        fn serve_batch(
+            &self,
+            queries: &Matrix,
+            opts: &QueryOptions,
+        ) -> Vec<usp_index::SearchResult> {
+            std::thread::sleep(Duration::from_millis(50));
+            self.0.serve_batch(queries, opts)
+        }
+    }
+
     #[test]
     fn overload_is_shed_with_a_retry_hint_and_a_bounded_queue() {
         let engine = engine();
         let opts = QueryOptions::new(2, 2);
         let mut config = IngressConfig::new(opts);
-        // A tiny queue and a wide batching window guarantee the cap is hit.
+        // A tiny queue in front of a slow engine guarantees the cap is hit.
         config.max_batch = 2;
         config.queue_cap = 2;
-        config.max_delay = Duration::from_millis(50);
         config.retry_after_ms = 33;
-        let handle = spawn_ingress(Arc::clone(&engine), config);
+        let handle = spawn_ingress(Arc::new(SleepsPerBatch(Arc::clone(&engine))), config);
         let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
         let mut wire = Vec::new();
         for rid in 0..30u32 {

@@ -18,15 +18,17 @@
 //! * [`batcher::MicroBatcher`] — accumulates single queries from in-process callers
 //!   into micro-batches (served when full or when the batching window closes) so point
 //!   lookups ride the same batched path; generic over [`engine::BatchEngine`]. The
-//!   fill-or-window policy itself lives in one private accumulator in [`batcher`] that
-//!   the network loop uses too;
+//!   window is this driver's alone: the private accumulator in [`batcher`] is shared
+//!   with the network loop, which has none;
 //! * [`ingress::IngressHandle`] — a single-threaded epoll event loop (vendored `mio`
 //!   shim) speaking the length-prefixed binary protocol of [`protocol`] over TCP. The
-//!   loop owns the micro-batch and calls the engine itself (socket → loop → pool, no
-//!   other thread or queue), with explicit backpressure: a bounded pending queue past
-//!   which queries get `SHED` replies with a retry hint, round-robin frame draining
-//!   across connections, per-connection write buffering so one slow reader never
-//!   blocks the loop, and an engine panic contained to the queries of one batch;
+//!   loop owns the micro-batch, calls the engine itself (socket → loop → pool, no
+//!   other thread or queue) and is work-conserving — it serves whatever is pending the
+//!   moment it is idle, and the next batch forms while this one is served — with
+//!   explicit backpressure: a bounded pending queue past which queries get `SHED`
+//!   replies with a retry hint, round-robin frame draining across connections,
+//!   per-connection write buffering so one slow reader never blocks the loop, and an
+//!   engine panic contained to the queries of one batch;
 //! * determinism: batch answers are **bit-identical** to per-query
 //!   [`AnnSearcher`](usp_index::AnnSearcher) results for any pool size — batching and
 //!   sharding are execution strategies, never a semantic change

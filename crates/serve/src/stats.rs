@@ -137,6 +137,8 @@ struct Inner {
     malformed_frames: u64,
     /// High-water mark of the ingress pending queue depth.
     queue_depth_hwm: u64,
+    /// Ingress stage span: admission → the query's batch being taken, µs.
+    pending_wait: LatencyHistogram,
 }
 
 impl Inner {
@@ -155,6 +157,7 @@ impl Inner {
             shed_frames: 0,
             malformed_frames: 0,
             queue_depth_hwm: 0,
+            pending_wait: LatencyHistogram::new(),
         }
     }
 }
@@ -227,6 +230,15 @@ impl ServeStats {
         inner.queue_depth_hwm = inner.queue_depth_hwm.max(depth);
     }
 
+    /// Folds one ingress batch's admission → batch-taken waits (µs, one per query)
+    /// into the pending-wait histogram, under one lock.
+    pub(crate) fn record_pending_waits(&self, waits_us: impl Iterator<Item = u64>) {
+        let mut inner = self.lock();
+        for w in waits_us {
+            inner.pending_wait.record(w);
+        }
+    }
+
     /// A point-in-time summary of everything recorded so far.
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let inner = self.lock();
@@ -255,6 +267,8 @@ impl ServeStats {
             shed_frames: inner.shed_frames,
             malformed_frames: inner.malformed_frames,
             queue_depth_hwm: inner.queue_depth_hwm,
+            pending_wait_p50_us: inner.pending_wait.percentile(0.50),
+            pending_wait_p99_us: inner.pending_wait.percentile(0.99),
             // WAL counters live on the index's log, not here; engines overlay
             // them via StatsSnapshot::overlay_wal when a log is attached.
             wal_appends: 0,
@@ -328,6 +342,15 @@ pub struct StatsSnapshot {
     /// configured queue capacity whenever backpressure is working.
     #[serde(default)]
     pub queue_depth_hwm: u64,
+    /// Median time an admitted query waited in the ingress pending queue before its
+    /// batch was taken, µs (same histogram error as the latency percentiles). The
+    /// ingress serves whatever is pending the moment it is idle, so this is time
+    /// spent behind the batch being served, never a batching window.
+    #[serde(default)]
+    pub pending_wait_p50_us: u64,
+    /// 99th-percentile pending-queue wait, µs.
+    #[serde(default)]
+    pub pending_wait_p99_us: u64,
     /// Write-ahead-log records appended (acked mutations reaching the log); 0 for
     /// an engine without a WAL. Overlaid from the index's log — the durability
     /// source of truth — so these survive engine-level stat resets.
@@ -362,13 +385,16 @@ impl StatsSnapshot {
         self.wal_epoch = w.epoch;
     }
 
-    /// Copies the frame counters and the queue high-water mark of an ingress-side
-    /// snapshot into this (engine-side) one — what an `OP_STATS` reply carries.
+    /// Copies the frame counters, the queue high-water mark and the pending-wait
+    /// percentiles of an ingress-side snapshot into this (engine-side) one — what an
+    /// `OP_STATS` reply carries.
     pub fn overlay_ingress(&mut self, ingress: &StatsSnapshot) {
         self.accepted_frames = ingress.accepted_frames;
         self.shed_frames = ingress.shed_frames;
         self.malformed_frames = ingress.malformed_frames;
         self.queue_depth_hwm = ingress.queue_depth_hwm;
+        self.pending_wait_p50_us = ingress.pending_wait_p50_us;
+        self.pending_wait_p99_us = ingress.pending_wait_p99_us;
     }
 }
 
@@ -594,6 +620,29 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.accepted_frames, 0);
         assert_eq!(snap.queue_depth_hwm, 0);
+    }
+
+    #[test]
+    fn pending_waits_are_their_own_histogram_and_ride_the_ingress_overlay() {
+        let stats = ServeStats::new(1);
+        stats.record_pending_waits([3u64, 40, 90].into_iter());
+        stats.record_pending_waits(std::iter::empty());
+        let ingress = stats.snapshot();
+        assert_eq!(ingress.pending_wait_p50_us, 40);
+        assert_eq!(ingress.pending_wait_p99_us, 90);
+        // A stage span of the ingress, not a served query's latency.
+        assert_eq!((ingress.queries, ingress.p99_latency_us), (0, 0));
+        let mut engine_side = ServeStats::new(1).snapshot();
+        engine_side.overlay_ingress(&ingress);
+        assert_eq!(
+            (
+                engine_side.pending_wait_p50_us,
+                engine_side.pending_wait_p99_us
+            ),
+            (40, 90)
+        );
+        stats.reset();
+        assert_eq!(stats.snapshot().pending_wait_p99_us, 0);
     }
 
     #[test]

@@ -1,21 +1,26 @@
 //! End-to-end loopback tests for the TCP ingress: real sockets, mixed
 //! well-behaved/abusive/pipelined clients, a 2× overload run proving the
 //! pending queue stays bounded while answers remain bit-identical to direct
-//! [`QueryEngine::query`] calls, the loop's batching rule (fill or window, never
-//! more than `max_batch`) and per-batch containment of an engine panic.
+//! [`QueryEngine::query`] calls, the loop's batching rule (serve what is pending
+//! the moment the loop is idle, never more than `max_batch`; the next batch forms
+//! while this one is served) and per-batch containment of an engine panic.
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use usp_index::partitioner::RoundRobinPartitioner;
 use usp_index::{PartitionIndex, SearchResult};
 use usp_linalg::{Distance, Matrix};
-use usp_serve::protocol::{encode_frame, encode_query, parse_reply, read_frame, Reply, OP_QUERY};
-use usp_serve::{IngressConfig, IngressHandle, QueryEngine, QueryOptions, ShardMap};
+use usp_serve::protocol::{
+    encode_frame, encode_query, encode_stats, parse_reply, read_frame, Reply, OP_QUERY,
+};
+use usp_serve::{
+    BatchEngine, IngressConfig, IngressHandle, QueryEngine, QueryOptions, ShardMap, StatsSnapshot,
+};
 
 const DIMS: usize = 6;
 
@@ -42,7 +47,7 @@ fn queries(n: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn spawn_on_ephemeral<E: usp_serve::BatchEngine + 'static>(
+fn spawn_on_ephemeral<E: BatchEngine + 'static>(
     engine: Arc<E>,
     config: IngressConfig,
 ) -> IngressHandle {
@@ -73,6 +78,38 @@ fn run_pipelined_client(
         );
     }
     replies
+}
+
+/// Calls `hold` with the batch's row count on entry to every `serve_batch`, then
+/// delegates to a real engine: a slow engine when `hold` sleeps, a recorded or gated
+/// one when it reports to the test.
+struct HeldEngine<H> {
+    inner: QueryEngine<RoundRobinPartitioner>,
+    hold: H,
+}
+
+impl<H: Fn(usize) + Send + Sync> HeldEngine<H> {
+    fn new(index: Arc<PartitionIndex<RoundRobinPartitioner>>, hold: H) -> Self {
+        Self {
+            inner: QueryEngine::new(index),
+            hold,
+        }
+    }
+}
+
+impl<H: Fn(usize) + Send + Sync> BatchEngine for HeldEngine<H> {
+    fn dims(&self) -> usize {
+        DIMS
+    }
+
+    fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
+        (self.hold)(queries.rows());
+        self.inner.serve_batch(queries, opts)
+    }
+
+    fn stats(&self) -> StatsSnapshot {
+        self.inner.stats()
+    }
 }
 
 #[test]
@@ -215,16 +252,18 @@ fn sharded_engine_is_served_bit_identically() {
 fn two_x_overload_sheds_explicitly_and_stays_bounded() {
     let index = index();
     let opts = QueryOptions::new(4, 3);
-    let engine = Arc::new(QueryEngine::new(Arc::clone(&index)));
-    // A deliberately slow server: at most 4 queries per 20ms window. The
-    // client pipelines 120 queries instantly — far beyond 2× that capacity —
-    // so the bounded queue must shed most of them.
+    // A deliberately slow engine: 20 ms per batch of at most 4. The client
+    // pipelines 120 queries instantly — far beyond 2× that capacity — so the
+    // bounded queue must shed most of them.
+    let delay = Duration::from_millis(20);
+    let engine = Arc::new(HeldEngine::new(Arc::clone(&index), move |_| {
+        std::thread::sleep(delay)
+    }));
     let mut config = IngressConfig::new(opts);
     config.max_batch = 4;
-    config.max_delay = Duration::from_millis(20);
     config.queue_cap = 8;
     config.retry_after_ms = 7;
-    let handle = spawn_on_ephemeral(Arc::clone(&engine), config);
+    let handle = spawn_on_ephemeral(engine, config);
 
     let qs: Vec<(u32, Vec<f32>)> = queries(120)
         .into_iter()
@@ -240,8 +279,13 @@ fn two_x_overload_sheds_explicitly_and_stays_bounded() {
             Reply::Query(result) => {
                 served += 1;
                 // Overload changes *which* queries are answered, never the bits
-                // of the answers themselves.
-                assert_eq!(result, &engine.query(q, &opts), "request {rid}");
+                // of the answers themselves. (Held to the index, not the engine, so
+                // the reference calls add nothing to the counters checked below.)
+                assert_eq!(
+                    result,
+                    &index.search(q, opts.k, opts.probes),
+                    "request {rid}"
+                );
             }
             Reply::Shed { retry_after_ms } => {
                 shed += 1;
@@ -262,29 +306,47 @@ fn two_x_overload_sheds_explicitly_and_stays_bounded() {
         "pending queue never exceeds its cap: hwm = {}",
         snap.queue_depth_hwm
     );
+    // The queue's second batch was admitted before the first one's 20 ms serve began,
+    // so the pending-wait span saw it (the histogram reads at most 1/64 low)...
+    assert!(
+        snap.pending_wait_p99_us >= 19_000,
+        "pending wait p99 = {} us behind a 20 ms batch",
+        snap.pending_wait_p99_us
+    );
+    // ...and any client can read the span through `OP_STATS` alone.
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut wire = Vec::new();
+    encode_stats(&mut wire, 9_999);
+    stream.write_all(&wire).expect("write stats request");
+    let frame = read_frame(&mut stream).expect("stats reply");
+    let wire_snap: StatsSnapshot = match parse_reply(&frame).expect("conforming reply") {
+        Reply::Stats(json) => serde_json::from_str(&json).expect("stats reply parses"),
+        other => panic!("unexpected reply {other:?}"),
+    };
+    assert_eq!(
+        (wire_snap.pending_wait_p50_us, wire_snap.pending_wait_p99_us),
+        (snap.pending_wait_p50_us, snap.pending_wait_p99_us)
+    );
+    assert_eq!(wire_snap.queries, served, "engine-side counters ride along");
     handle.shutdown();
-}
-
-/// A batch of exactly `max_batch` queries on one connection is due the moment
-/// it is complete, whatever the window; this config makes the window irrelevant.
-fn fill_only_config(opts: QueryOptions) -> IngressConfig {
-    let mut config = IngressConfig::new(opts);
-    config.max_batch = 4;
-    config.max_delay = Duration::from_secs(3600);
-    config
 }
 
 #[test]
 fn full_batches_never_wait_and_never_exceed_max_batch() {
     let index = index();
     let opts = QueryOptions::new(4, 3);
-    let engine = Arc::new(QueryEngine::new(Arc::clone(&index)));
-    let config = fill_only_config(opts);
+    let batch_rows = Arc::new(Mutex::new(Vec::new()));
+    let engine = Arc::new(HeldEngine::new(Arc::clone(&index), {
+        let batch_rows = Arc::clone(&batch_rows);
+        move |rows| batch_rows.lock().unwrap().push(rows)
+    }));
+    let mut config = IngressConfig::new(opts);
+    config.max_batch = 4;
     let queue_cap = 8 * config.max_batch as u64; // the default the config leaves in place
-    let handle = spawn_on_ephemeral(Arc::clone(&engine), config);
+    let handle = spawn_on_ephemeral(engine, config);
 
-    // Ten queries through max_batch = 4 with a window that never closes: two
-    // full batches are served at once, the last two queries keep waiting.
+    // Ten queries through max_batch = 4: nothing waits for company, so all ten are
+    // answered — oldest first, in batches of at most four.
     let qs = queries(10);
     let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
     let mut wire = Vec::new();
@@ -292,31 +354,24 @@ fn full_batches_never_wait_and_never_exceed_max_batch() {
         encode_query(&mut wire, rid as u32, q);
     }
     stream.write_all(&wire).expect("write pipeline");
-    for _ in 0..8 {
+    for (rid, q) in qs.iter().enumerate() {
         let frame = read_frame(&mut stream).expect("reply frame");
-        let rid = frame.request_id as usize;
-        assert!(rid < 8, "batches are cut oldest first, got request {rid}");
-        // Compared against the index, not the engine, so that the reference
-        // calls add no batches to the counters checked below.
+        assert_eq!(
+            frame.request_id as usize, rid,
+            "batches are cut oldest first"
+        );
         match parse_reply(&frame).expect("conforming reply") {
-            Reply::Query(result) => {
-                assert_eq!(result, index.search(&qs[rid], opts.k, opts.probes))
-            }
+            Reply::Query(result) => assert_eq!(result, index.search(q, opts.k, opts.probes)),
             other => panic!("unexpected reply {other:?}"),
         }
     }
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .expect("set timeout");
-    assert!(
-        read_frame(&mut stream).is_err(),
-        "a partial batch inside its window must keep waiting"
-    );
 
-    let served = engine.stats();
-    assert_eq!(served.queries, 8);
-    assert_eq!(served.batches, 2, "a batch never exceeds max_batch");
-    assert_eq!(served.mean_batch_size, 4.0);
+    let batch_rows = batch_rows.lock().unwrap().clone();
+    assert_eq!(batch_rows.iter().sum::<usize>(), 10);
+    assert!(
+        batch_rows.len() >= 3 && batch_rows.iter().all(|&rows| rows <= 4),
+        "a batch never exceeds max_batch: {batch_rows:?}"
+    );
     let snap = handle.stats();
     assert_eq!(snap.accepted_frames, 10);
     assert!(
@@ -325,14 +380,68 @@ fn full_batches_never_wait_and_never_exceed_max_batch() {
         snap.queue_depth_hwm
     );
 
-    // Two queries still pending: shutdown does not wait out their window.
     let t0 = Instant::now();
     handle.shutdown();
     assert!(
         t0.elapsed() < Duration::from_secs(1),
-        "shutdown took {:?} with queries pending",
+        "shutdown took {:?}",
         t0.elapsed()
     );
+}
+
+#[test]
+fn the_next_batch_forms_while_this_one_is_served() {
+    let index = index();
+    let opts = QueryOptions::new(4, 3);
+    let max_batch = 4;
+    // Every `serve_batch` reports its row count and then waits for the test's release
+    // (or for the release side to be dropped), so the interleaving below is forced.
+    let (entered_tx, entered) = mpsc::channel::<usize>();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let gate = Mutex::new((entered_tx, release_rx));
+    let engine = Arc::new(HeldEngine::new(Arc::clone(&index), move |rows| {
+        let (entered, release) = &*gate.lock().unwrap();
+        entered.send(rows).expect("the test outlives the engine");
+        let _ = release.recv();
+    }));
+    let mut config = IngressConfig::new(opts);
+    config.max_batch = max_batch;
+    let handle = spawn_on_ephemeral(engine, config);
+
+    let qs = queries(1 + max_batch + 3);
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut send = |rids: std::ops::Range<usize>| {
+        let mut wire = Vec::new();
+        for rid in rids {
+            encode_query(&mut wire, rid as u32, &qs[rid]);
+        }
+        stream.write_all(&wire).expect("write");
+    };
+
+    // A lone query is served alone, with no second arrival to trigger it...
+    send(0..1);
+    assert_eq!(entered.recv_timeout(Duration::from_secs(10)), Ok(1));
+    // ...and what arrives while it is being served becomes the next batches: one full,
+    // one of the remaining three — never singles, never more than `max_batch`.
+    send(1..qs.len());
+    drop(release);
+    assert_eq!(entered.recv_timeout(Duration::from_secs(10)), Ok(max_batch));
+    assert_eq!(entered.recv_timeout(Duration::from_secs(10)), Ok(3));
+
+    for (rid, q) in qs.iter().enumerate() {
+        let frame = read_frame(&mut stream).expect("reply frame");
+        assert_eq!(frame.request_id as usize, rid);
+        match parse_reply(&frame).expect("conforming reply") {
+            Reply::Query(result) => assert_eq!(result, index.search(q, opts.k, opts.probes)),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(
+        entered.try_recv(),
+        Err(mpsc::TryRecvError::Empty),
+        "eight queries, three batches"
+    );
+    handle.shutdown();
 }
 
 /// Panics under its first batch, then delegates to a real engine.
@@ -341,7 +450,7 @@ struct FirstBatchPanics {
     tripped: AtomicBool,
 }
 
-impl usp_serve::BatchEngine for FirstBatchPanics {
+impl BatchEngine for FirstBatchPanics {
     fn dims(&self) -> usize {
         DIMS
     }
@@ -362,7 +471,9 @@ fn an_engine_panic_costs_one_batch_not_the_server() {
         inner: QueryEngine::new(index()),
         tripped: AtomicBool::new(false),
     });
-    let handle = spawn_on_ephemeral(Arc::clone(&engine), fill_only_config(opts));
+    let mut config = IngressConfig::new(opts);
+    config.max_batch = 4;
+    let handle = spawn_on_ephemeral(Arc::clone(&engine), config);
 
     let qs = queries(8);
     let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");

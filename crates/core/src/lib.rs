@@ -19,7 +19,9 @@
 //! * [`ensemble`] — Algorithms 3–4: boosting-style input weights and confidence-based
 //!   query routing across complementary partitions;
 //! * [`hierarchical`] — §4.4.2: recursive partitioning with probability chaining;
-//! * [`pipeline`] — §5.4.3: the USP + ScaNN-style quantized search pipeline (Figure 7).
+//! * [`pipeline`] — §5.4.3: the USP + ScaNN-style quantized search pipeline (Figure 7),
+//!   which is the partitioner's index under compressed scoring with a ScaNN-configured
+//!   quantizer.
 
 pub mod config;
 pub mod ensemble;

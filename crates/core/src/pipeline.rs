@@ -3,57 +3,51 @@
 //! The paper's strongest end-to-end configuration first restricts the search to the
 //! candidate set produced by a partitioner (the unsupervised partitioner, or K-means for
 //! the "K-means + ScaNN" baseline) and then searches that candidate set with ScaNN-style
-//! anisotropic quantization. [`PartitionedScann`] composes any [`Partitioner`] with the
-//! [`usp_quant::ScannSearcher`] to realise both pipelines.
+//! anisotropic quantization. That is what a [`PartitionIndex`] under
+//! [`Scoring::compressed`] does — ADC-score the probed bins' contiguous codes, keep a
+//! shortlist, re-rank it exactly (`usp_index::stream`) — so [`PartitionedScann`] *is*
+//! such an index, built with the quantizer a [`ScannConfig`] describes, plus a default
+//! probe count. It holds one copy of the vectors, and Figure 7 times the code path the
+//! served engine runs.
 
-use usp_index::{AnnSearcher, PartitionIndex, Partitioner, SearchResult};
+use std::sync::Arc;
+
+use usp_index::{AnnSearcher, PartitionIndex, Partitioner, Scoring, SearchResult};
 use usp_linalg::{Distance, Matrix};
-use usp_quant::{ScannConfig, ScannSearcher};
+use usp_quant::{ProductQuantizer, ScannConfig};
 
 /// A partitioner-then-quantized-search pipeline.
 pub struct PartitionedScann<P: Partitioner> {
     index: PartitionIndex<P>,
-    scann: ScannSearcher,
+    scann_name: String,
     probes: usize,
 }
 
 impl<P: Partitioner> PartitionedScann<P> {
-    /// Builds the pipeline: a lookup-table index for the partitioner plus a quantized
-    /// searcher over the same data.
+    /// Builds the pipeline: fits the quantizer `scann_config` describes on `data` and
+    /// builds the partitioner's index over bin-contiguous rows and codes, re-ranking
+    /// `scann_config.rerank_size` (at least `k`) ADC survivors exactly per query.
     pub fn build(partitioner: P, data: &Matrix, scann_config: ScannConfig, probes: usize) -> Self {
-        let distance = scann_config.distance;
-        let index = PartitionIndex::build(partitioner, data, distance);
-        let scann = ScannSearcher::build(data, scann_config);
+        let pq = ProductQuantizer::fit(data, &scann_config.quantizer_config());
+        // A `rerank_size` of 0 has always meant "re-rank `k`"; the index floors its
+        // budget at `k` per query but wants a positive default.
+        let scoring = Scoring::compressed(Arc::new(pq), scann_config.rerank_size.max(1));
         Self {
-            index,
-            scann,
+            index: PartitionIndex::build(partitioner, data, scann_config.distance)
+                .with_scoring(scoring),
+            scann_name: scann_config.name(),
             probes: probes.max(1),
         }
     }
 
-    /// Wraps pre-built components (lets callers reuse an existing index or quantizer).
-    pub fn from_parts(index: PartitionIndex<P>, scann: ScannSearcher, probes: usize) -> Self {
-        Self {
-            index,
-            scann,
-            probes: probes.max(1),
-        }
-    }
-
-    /// The partition index.
+    /// The compressed partition index the pipeline searches.
     pub fn index(&self) -> &PartitionIndex<P> {
         &self.index
     }
 
-    /// The quantized searcher.
-    pub fn scann(&self) -> &ScannSearcher {
-        &self.scann
-    }
-
     /// Searches with an explicit probe count.
     pub fn search_with_probes(&self, query: &[f32], k: usize, probes: usize) -> SearchResult {
-        let candidates = self.index.candidates(query, probes);
-        self.scann.search_in_candidates(query, &candidates, k)
+        self.index.search(query, k, probes)
     }
 
     /// Mean number of candidate points produced by the partitioner at the configured probe
@@ -73,11 +67,7 @@ impl<P: Partitioner> AnnSearcher for PartitionedScann<P> {
     }
 
     fn name(&self) -> String {
-        format!(
-            "{} + {}",
-            self.index.partitioner().name(),
-            self.scann.name()
-        )
+        format!("{} + {}", self.index.partitioner().name(), self.scann_name)
     }
 }
 
@@ -163,5 +153,43 @@ mod tests {
             r / split.queries.rows() as f64
         };
         assert!(recall(8) >= recall(1) - 1e-9);
+    }
+
+    #[test]
+    fn pipeline_is_the_compressed_index() {
+        use usp_index::partitioner::RoundRobinPartitioner;
+
+        let split = synthetic::sift_like(500, 8, 23).split_queries(20);
+        let data = split.base.points();
+        let defaults = usp_plus_scann(RoundRobinPartitioner::new(8), data, 2);
+        let custom = PartitionedScann::build(
+            RoundRobinPartitioner::new(8),
+            data,
+            ScannConfig {
+                rerank_size: 37,
+                ..ScannConfig::default()
+            },
+            2,
+        );
+        for (pipeline, rerank) in [
+            (&defaults, ScannConfig::default().rerank_size),
+            (&custom, 37),
+        ] {
+            let index = pipeline.index();
+            assert_eq!(index.compressed_rerank_budget(), Some(rerank));
+            assert!(index.quantizer().is_some());
+            for qi in 0..split.queries.rows() {
+                let q = split.queries.row(qi);
+                for probes in [1, 2, 8] {
+                    let res = pipeline.search_with_probes(q, 10, probes);
+                    assert_eq!(
+                        res,
+                        index.search(q, 10, probes),
+                        "query {qi} probes {probes}"
+                    );
+                    assert_eq!(res.candidates_scanned, rerank.min(res.compressed_scanned));
+                }
+            }
+        }
     }
 }

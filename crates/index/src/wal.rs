@@ -929,6 +929,23 @@ mod tests {
             .expect_err("3rd syncs and fails");
         assert!(matches!(err, WalError::Io(_)));
         assert_eq!(wal.stats().sync_errors, 1);
+
+        // `OnFlush` is the policy with no nth append: the armed failure waits,
+        // however many records go by, until the caller's own `flush` takes it.
+        let storage = MemStorage::new();
+        storage.set_plan(FaultPlan {
+            fail_syncs: 1,
+            ..Default::default()
+        });
+        let mut wal = Wal::new(Box::new(storage.clone()), SyncPolicy::OnFlush);
+        for id in 0..64 {
+            wal.append(&WalRecord::Delete { id })
+                .expect("OnFlush: an append never syncs");
+        }
+        assert_eq!(wal.stats().sync_errors, 0);
+        let err = wal.flush().expect_err("flush syncs and fails");
+        assert!(matches!(err, WalError::Io(_)));
+        assert_eq!(wal.stats().sync_errors, 1);
     }
 
     #[test]

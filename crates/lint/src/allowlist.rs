@@ -34,14 +34,6 @@ pub const REPO_ALLOWLIST: &[AllowEntry] = &[
     },
     AllowEntry {
         rule: "vendored-shim-drift",
-        path_prefix: "vendor/rayon/",
-        item: Some("shutdown_pool"),
-        reason: "documented shim-only lifecycle hook (see the module docs): explicit \
-                 teardown so restart tests can prove workers exit; exercised by the \
-                 shim's own test suite",
-    },
-    AllowEntry {
-        rule: "vendored-shim-drift",
         path_prefix: "vendor/serde/",
         item: Some("de_field"),
         reason: "called from serde_derive-generated impls, which are emitted as source \

@@ -61,7 +61,6 @@ const ALLOWED_DEPS: &[(&str, &[&str])] = &[
             "usp-linalg",
             "usp-nn",
             "usp-quant",
-            "usp-serve",
         ],
     ),
     // The linter sits outside the DAG it checks.
@@ -84,6 +83,24 @@ const ALLOWED_DEPS: &[(&str, &[&str])] = &[
             "usp-serve",
         ],
     ),
+];
+
+/// `servebench/` (the `BENCHMARK.json` harness, a package outside the workspace) is a
+/// second package named `usp-bench` until a `[benchmark]` PR renames it (ROADMAP
+/// item 3), so it is told apart by where its manifest lives. It alone sits above the
+/// serving layer — the served index is what it measures.
+const HARNESS_MANIFEST: &str = "servebench/Cargo.toml";
+const HARNESS_DEPS: &[&str] = &[
+    "usp-baselines",
+    "usp-core",
+    "usp-data",
+    "usp-eval",
+    "usp-graph",
+    "usp-index",
+    "usp-linalg",
+    "usp-nn",
+    "usp-quant",
+    "usp-serve",
 ];
 
 /// Vendored shims and the (few) edges between them. Vendor crates must never
@@ -155,7 +172,12 @@ pub fn layering(ws: &Workspace, findings: &mut Vec<Finding>) {
             }
             continue;
         }
-        let Some(allowed) = lookup(ALLOWED_DEPS, &m.package) else {
+        let registered = if m.path == HARNESS_MANIFEST {
+            Some(HARNESS_DEPS)
+        } else {
+            lookup(ALLOWED_DEPS, &m.package)
+        };
+        let Some(allowed) = registered else {
             push(
                 1,
                 format!(
@@ -601,6 +623,14 @@ mod tests {
         assert_eq!(f[0].rule, "layering");
         assert_eq!(f[0].line, 5);
         assert!(f[0].message.contains("usp-core"));
+
+        // The experiment bins do not reach the serving layer; only the harness does.
+        let bench =
+            "[package]\nname = \"usp-bench\"\n\n[dependencies]\nusp-serve.workspace = true\n";
+        let f = lint(&[], &[("crates/bench/Cargo.toml", bench)]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("usp-serve"));
+        assert!(lint(&[], &[("servebench/Cargo.toml", bench)]).is_empty());
     }
 
     #[test]

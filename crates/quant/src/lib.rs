@@ -13,7 +13,9 @@
 //!   (Guo et al. 2020): the residual component parallel to the data point is penalised
 //!   more than the orthogonal component;
 //! * [`scann`] — a ScaNN-like searcher: anisotropic-PQ ADC scan (optionally restricted to
-//!   a candidate list) followed by exact re-ranking of the best codes;
+//!   a candidate list) followed by exact re-ranking of the best codes — Figure 7's
+//!   "vanilla ScaNN" baseline — and the `ScannConfig` the partition pipelines in
+//!   `usp-core` fit the same quantizer from;
 //! * [`ivf`] — an inverted-file index (FAISS IVF-Flat stand-in) implementing the common
 //!   [`usp_index::AnnSearcher`] interface.
 

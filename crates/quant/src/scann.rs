@@ -2,10 +2,13 @@
 //!
 //! The paper's Figure 7 uses ScaNN in two ways: standalone ("vanilla ScaNN": quantized scan
 //! over the whole dataset) and as the *within-candidate-set* search of partitioning
-//! pipelines ("USP + ScaNN", "K-means + ScaNN"). [`ScannSearcher`] provides both entry
-//! points: [`ScannSearcher::search`] scans every code, while
-//! [`ScannSearcher::search_in_candidates`] scores only a caller-supplied candidate list —
-//! which is exactly how the partition-then-sketch pipelines in `usp-core` compose it.
+//! pipelines ("USP + ScaNN", "K-means + ScaNN"). [`ScannSearcher`] is the standalone
+//! baseline: [`ScannSearcher::search`] scans every code, and
+//! [`ScannSearcher::search_in_candidates`] scores a caller-supplied id list by gather.
+//! The partition pipelines in `usp-core` do not go through it: they hand the quantizer
+//! [`ScannConfig::quantizer_config`] describes to a compressed `PartitionIndex`, which
+//! scores bin-contiguous codes (`usp_index::stream`). [`ScannConfig`] is what the two
+//! share, so both fit the same codebooks and print the same name.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -45,6 +48,28 @@ impl Default for ScannConfig {
     }
 }
 
+impl ScannConfig {
+    /// The quantizer this configuration describes: anisotropic codebooks when
+    /// `eta > 1`, classic PQ otherwise, trained from `seed`.
+    pub fn quantizer_config(&self) -> ProductQuantizerConfig {
+        let mut config = if self.eta > 1.0 {
+            ProductQuantizerConfig::anisotropic(self.n_subspaces, self.n_centroids, self.eta)
+        } else {
+            ProductQuantizerConfig::standard(self.n_subspaces, self.n_centroids)
+        };
+        config.seed = self.seed;
+        config
+    }
+
+    /// The searcher name reports print for this configuration.
+    pub fn name(&self) -> String {
+        format!(
+            "scann(m={},k*={},eta={},rerank={})",
+            self.n_subspaces, self.n_centroids, self.eta, self.rerank_size
+        )
+    }
+}
+
 /// Anisotropic-PQ index over a dataset with exact re-ranking.
 pub struct ScannSearcher {
     pq: ProductQuantizer,
@@ -56,20 +81,7 @@ pub struct ScannSearcher {
 impl ScannSearcher {
     /// Trains the quantizer and encodes the dataset.
     pub fn build(data: &Matrix, config: ScannConfig) -> Self {
-        let pq_cfg = if config.eta > 1.0 {
-            let mut c = ProductQuantizerConfig::anisotropic(
-                config.n_subspaces,
-                config.n_centroids,
-                config.eta,
-            );
-            c.seed = config.seed;
-            c
-        } else {
-            let mut c = ProductQuantizerConfig::standard(config.n_subspaces, config.n_centroids);
-            c.seed = config.seed;
-            c
-        };
-        let pq = ProductQuantizer::fit(data, &pq_cfg);
+        let pq = ProductQuantizer::fit(data, &config.quantizer_config());
         let codes = pq.encode_all(data);
         Self {
             pq,
@@ -171,13 +183,7 @@ impl AnnSearcher for ScannSearcher {
     }
 
     fn name(&self) -> String {
-        format!(
-            "scann(m={},k*={},eta={},rerank={})",
-            self.config.n_subspaces,
-            self.config.n_centroids,
-            self.config.eta,
-            self.config.rerank_size
-        )
+        self.config.name()
     }
 }
 

@@ -98,8 +98,6 @@ pub enum SubmitError {
     /// The flusher thread died in a previous flush (the engine panicked under a
     /// batch); the original panic message is carried along.
     EnginePanicked(String),
-    /// The batcher is shutting down; the query was not enqueued.
-    ShutDown,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -109,7 +107,6 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "query has {got} dims, engine serves {want}")
             }
             SubmitError::EnginePanicked(msg) => write!(f, "flusher thread panicked: {msg}"),
-            SubmitError::ShutDown => write!(f, "batcher is shutting down"),
         }
     }
 }
@@ -217,9 +214,6 @@ impl<E: BatchEngine + 'static> MicroBatcher<E> {
         if let Some(msg) = state.panicked.clone() {
             return Err(SubmitError::EnginePanicked(msg));
         }
-        if state.shutdown {
-            return Err(SubmitError::ShutDown);
-        }
         state.pending.push(&query, tx);
         drop(state);
         self.shared.cv.notify_all();
@@ -244,18 +238,7 @@ impl<E: BatchEngine + 'static> MicroBatcher<E> {
             Err(SubmitError::EnginePanicked(msg)) => {
                 panic!("MicroBatcher: flusher thread panicked: {msg}")
             }
-            Err(SubmitError::ShutDown) => {
-                // Defensive (unreachable through safe code: `Drop` takes `&mut self`,
-                // so no `&self` caller can race it): a dead receiver reports
-                // `RecvError` instead of blocking on a flush that will never come.
-                mpsc::channel().1
-            }
         }
-    }
-
-    /// Number of queries waiting for the next flush (diagnostic).
-    pub fn pending(&self) -> usize {
-        lock_state(&self.shared.state).pending.len()
     }
 }
 

@@ -49,5 +49,7 @@ pub use ingress::{IngressConfig, IngressHandle};
 pub use shard::ShardMap;
 pub use stats::StatsSnapshot;
 
-/// The name the benchmark harness builds its many-shard engine under.
+/// The name `servebench/` (the `BENCHMARK.json` harness) builds its many-shard engine
+/// under — the alias's one remaining consumer; it goes when a `[benchmark]` PR drops
+/// the name there.
 pub type ShardedEngine<P> = QueryEngine<P>;

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use neural_partitioner::baselines::KMeansPartitioner;
-use neural_partitioner::serve::{QueryEngine, QueryOptions, ShardedEngine};
+use neural_partitioner::serve::{QueryEngine, QueryOptions};
 use rayon::with_num_threads;
 use usp_data::synthetic;
 use usp_index::{CodeQuantizer, PartitionIndex, Partitioner, Scoring};
@@ -135,8 +135,8 @@ fn sharded_compressed_engine_is_bit_identical_to_the_monolith() {
     let index = Arc::new(compressed);
     let engines = [
         QueryEngine::new(Arc::clone(&index)),
-        ShardedEngine::with_shards(Arc::clone(&index), 2),
-        ShardedEngine::with_shards(Arc::clone(&index), 4),
+        QueryEngine::with_shards(Arc::clone(&index), 2),
+        QueryEngine::with_shards(Arc::clone(&index), 4),
     ];
     for budget in [None, Some(15), Some(2000)] {
         let mut opts = QueryOptions::new(10, 4);
@@ -243,7 +243,7 @@ fn recorded_latency_includes_the_adc_table_build_for_every_shard_count() {
     // The histogram reports a bucket's lower bound, up to 1/64 below the sample.
     let floor = SlowTables::BUILD.as_micros() as u64 * 63 / 64;
     for shards in [1usize, 2] {
-        let engine = ShardedEngine::with_shards(Arc::clone(&index), shards);
+        let engine = QueryEngine::with_shards(Arc::clone(&index), shards);
         engine.serve_batch(&split.queries, &QueryOptions::new(5, 3));
         let p50 = engine.stats().p50_latency_us;
         assert!(

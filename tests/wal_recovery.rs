@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use neural_partitioner::serve::{QueryEngine, QueryOptions, ShardedEngine};
+use neural_partitioner::serve::{QueryEngine, QueryOptions};
 use proptest::prelude::*;
 use rayon::with_num_threads;
 use usp_index::partitioner::RoundRobinPartitioner;
@@ -524,7 +524,7 @@ fn engine_acks_carry_durability_and_stats_surface_wal_counters() {
         .expect("recovery")
         .0,
     );
-    let sharded = ShardedEngine::with_shards(Arc::clone(&recovered), 2);
+    let sharded = QueryEngine::with_shards(Arc::clone(&recovered), 2);
     let queries = normal_points(4, 2, 19);
     let opts = QueryOptions::new(3, 2);
     assert_eq!(

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use neural_partitioner::baselines::KMeansPartitioner;
-use neural_partitioner::serve::{QueryEngine, QueryOptions, ShardedEngine};
+use neural_partitioner::serve::{QueryEngine, QueryOptions};
 use rayon::{pool_worker_count, with_num_threads};
 use usp_data::synthetic;
 use usp_index::PartitionIndex;
@@ -62,7 +62,7 @@ fn warm_up_prespawns_the_pool_so_serving_never_does() {
 
         // Same for the sharded engine (construction included — shard views build on
         // the already-warm pool).
-        let sharded = ShardedEngine::with_shards(Arc::clone(&index), 3);
+        let sharded = QueryEngine::with_shards(Arc::clone(&index), 3);
         sharded.warm_up(); // idempotent: workers already exist
         assert_eq!(pool_worker_count(), 3);
         let sharded_batch = sharded.serve_batch(&queries, &opts);

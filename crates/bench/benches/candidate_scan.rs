@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use usp_index::rerank::rerank;
-use usp_linalg::kernel::{self, AdcScan, AdcTable, Backend};
+use usp_linalg::kernel::{self, AdcScan, AdcTable, Backend, SegmentedScan};
 use usp_linalg::rng;
 use usp_linalg::topk::TopK;
 
@@ -28,12 +28,13 @@ fn bench_candidate_scan(c: &mut Criterion) {
 }
 
 /// The same top-10 scan twice: row by row through the portable blocked kernel, and
-/// through `scan_block`, which runs the host's backend (named in the bench id).
+/// through `SegmentedScan` — what the index runs — on the host's backend (named in the
+/// bench id).
 ///
 /// The portable side is the public oracle called across the crate boundary, where it
 /// is not inlined into the row loop; the same code inside `usp-linalg` (what a host
 /// without AVX2 runs) measured about half its time. Compare a commit's `portable`
-/// with another commit's `portable`, not with the parent's `scan_block`.
+/// with another commit's `portable`, not with the parent's backend series.
 fn bench_exact_scan_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("exact_scan");
     for dim in [64usize, 128] {
@@ -50,9 +51,9 @@ fn bench_exact_scan_backends(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new(Backend::detect().name(), dim), |b| {
             b.iter(|| {
-                let mut top = TopK::new(10);
-                kernel::scan_block(usp_bench::DIST, query, rows, dim, 0, &mut top);
-                black_box(top.into_sorted())
+                let mut scan = SegmentedScan::new(usp_bench::DIST, query, dim, 10);
+                scan.scan_segment(rows, ROWS, 0);
+                black_box(scan.into_winners())
             })
         });
     }

@@ -10,11 +10,9 @@
 //! probe count. It holds one copy of the vectors, and Figure 7 times the code path the
 //! served engine runs.
 
-use std::sync::Arc;
-
-use usp_index::{AnnSearcher, PartitionIndex, Partitioner, Scoring, SearchResult};
+use usp_index::{AnnSearcher, PartitionIndex, Partitioner, SearchResult};
 use usp_linalg::{Distance, Matrix};
-use usp_quant::{ProductQuantizer, ScannConfig};
+use usp_quant::ScannConfig;
 
 /// A partitioner-then-quantized-search pipeline.
 pub struct PartitionedScann<P: Partitioner> {
@@ -28,10 +26,7 @@ impl<P: Partitioner> PartitionedScann<P> {
     /// builds the partitioner's index over bin-contiguous rows and codes, re-ranking
     /// `scann_config.rerank_size` (at least `k`) ADC survivors exactly per query.
     pub fn build(partitioner: P, data: &Matrix, scann_config: ScannConfig, probes: usize) -> Self {
-        let pq = ProductQuantizer::fit(data, &scann_config.quantizer_config());
-        // A `rerank_size` of 0 has always meant "re-rank `k`"; the index floors its
-        // budget at `k` per query but wants a positive default.
-        let scoring = Scoring::compressed(Arc::new(pq), scann_config.rerank_size.max(1));
+        let (_, scoring) = scann_config.fit_scoring(data);
         Self {
             index: PartitionIndex::build(partitioner, data, scann_config.distance)
                 .with_scoring(scoring),

@@ -12,7 +12,8 @@
 //! * [`io`] — fvecs/ivecs/bvecs readers and writers so the real ann-benchmarks files can be
 //!   dropped in when available;
 //! * [`ground_truth`] — exact (brute-force, parallel) k-NN computation and the k′-NN matrix
-//!   that is the paper's only preprocessing step (§4.2.1).
+//!   that is the paper's only preprocessing step (§4.2.1), both on the streaming scan
+//!   the index itself runs (`usp_linalg::kernel::SegmentedScan`).
 
 pub mod dataset;
 pub mod ground_truth;

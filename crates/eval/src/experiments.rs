@@ -21,9 +21,11 @@ use usp_data::{exact_knn, synthetic, KnnMatrix, SplitDataset};
 use usp_graph::{Hnsw, HnswConfig};
 use usp_index::{PartitionIndex, Partitioner};
 use usp_linalg::Distance;
-use usp_quant::{IvfConfig, IvfIndex, KMeansConfig, ScannConfig, ScannSearcher};
+use usp_quant::{KMeansConfig, ScannConfig, ScannSearcher};
 
-use crate::recall::{candidates_at_recall, default_probe_ladder, sweep_probes, SweepPoint};
+use crate::recall::{
+    candidates_at_recall, default_probe_ladder, recall_at_k, sweep_probes, SweepPoint,
+};
 use crate::report::{ExperimentReport, Series};
 use crate::scale::Scale;
 
@@ -300,25 +302,28 @@ pub fn figure7(scale: &Scale) -> ExperimentReport {
         let bins = 16usize;
         let mut series = Vec::new();
 
+        // The clock covers the searches only: answers are collected inside it and
+        // scored against the ground truth after it.
         let timed_sweep = |label: &str,
                            knobs: &[usize],
-                           mut search: Box<dyn FnMut(&[f32], usize) -> Vec<usize>>|
+                           search: Box<dyn Fn(&[f32], usize) -> Vec<usize>>|
          -> Series {
-            let mut points = Vec::new();
-            for &knob in knobs {
-                let start = std::time::Instant::now();
-                let mut recall = 0.0;
-                for qi in 0..split.queries.rows() {
-                    let ids = search(split.queries.row(qi), knob);
-                    recall += usp_data::ground_truth::knn_accuracy(&ids, &truth[qi]);
-                }
-                let elapsed_us = start.elapsed().as_micros() as f64 / split.queries.rows() as f64;
-                points.push(SweepPoint {
-                    probes: knob,
-                    mean_candidates: elapsed_us,
-                    recall: recall / split.queries.rows() as f64,
-                });
-            }
+            let queries = &split.queries;
+            let points = knobs
+                .iter()
+                .map(|&knob| {
+                    let start = std::time::Instant::now();
+                    let answers: Vec<Vec<usize>> = (0..queries.rows())
+                        .map(|qi| search(queries.row(qi), knob))
+                        .collect();
+                    let elapsed_us = start.elapsed().as_micros() as f64 / queries.rows() as f64;
+                    SweepPoint {
+                        probes: knob,
+                        mean_candidates: elapsed_us,
+                        recall: recall_at_k(&answers, &truth),
+                    }
+                })
+                .collect();
             Series {
                 name: label.into(),
                 points,
@@ -360,43 +365,13 @@ pub fn figure7(scale: &Scale) -> ExperimentReport {
         ));
 
         // Vanilla ScaNN: quantized scan over the whole dataset; the knob is the exact
-        // re-ranking budget.
-        let scann_variants: Vec<(usize, ScannSearcher)> = [32usize, 64, 128, 256]
-            .iter()
-            .map(|&r| {
-                (
-                    r,
-                    ScannSearcher::build(
-                        data,
-                        ScannConfig {
-                            rerank_size: r,
-                            ..ScannConfig::default()
-                        },
-                    ),
-                )
-            })
-            .collect();
-        {
-            let mut points = Vec::new();
-            for (r, scann) in &scann_variants {
-                let start = std::time::Instant::now();
-                let mut recall = 0.0;
-                for qi in 0..split.queries.rows() {
-                    let res = scann.search_all(split.queries.row(qi), K);
-                    recall += usp_data::ground_truth::knn_accuracy(&res.ids, &truth[qi]);
-                }
-                let elapsed_us = start.elapsed().as_micros() as f64 / split.queries.rows() as f64;
-                points.push(SweepPoint {
-                    probes: *r,
-                    mean_candidates: elapsed_us,
-                    recall: recall / split.queries.rows() as f64,
-                });
-            }
-            series.push(Series {
-                name: "Vanilla ScaNN".into(),
-                points,
-            });
-        }
+        // re-ranking budget, a per-query argument of the one index.
+        let scann = ScannSearcher::build(data, ScannConfig::default());
+        series.push(timed_sweep(
+            "Vanilla ScaNN",
+            &[32, 64, 128, 256],
+            Box::new(move |q, rerank| scann.index().scan_bins(q, &[0], K, Some(rerank)).ids),
+        ));
 
         // HNSW with an ef sweep.
         let hnsw = Hnsw::build(
@@ -414,21 +389,23 @@ pub fn figure7(scale: &Scale) -> ExperimentReport {
             Box::new(move |q, ef| hnsw.search(q, K, ef).0),
         ));
 
-        // IVF-Flat (FAISS stand-in) with an nprobe sweep.
-        let ivf = IvfIndex::build(
+        // IVF-Flat (FAISS stand-in) with an nprobe sweep: a coarse k-means quantizer
+        // over inverted lists is the K-means partition index, scanned exactly.
+        let coarse = KMeansConfig {
+            k: bins,
+            max_iters: 25,
+            tol: 1e-4,
+            seed: 5,
+        };
+        let ivf = PartitionIndex::build(
+            KMeansPartitioner::fit_with_config(data, &coarse),
             data,
-            IvfConfig {
-                n_lists: bins,
-                nprobe: 1,
-                max_iters: 25,
-                distance: DIST,
-                seed: 5,
-            },
+            DIST,
         );
         series.push(timed_sweep(
             "FAISS (IVF-Flat)",
             &[1, 2, 4, 8],
-            Box::new(move |q, nprobe| ivf.search_with_nprobe(q, K, nprobe).ids),
+            Box::new(move |q, nprobe| ivf.search(q, K, nprobe).ids),
         ));
 
         report.add_panel(dataset_name.to_string(), series);
@@ -929,6 +906,53 @@ mod tests {
                     s.name
                 );
             }
+        }
+    }
+
+    #[test]
+    fn figure7_tiny_runs_five_series_and_vanilla_scann_reaches_exact_at_full_budget() {
+        // Both datasets no larger than vanilla ScaNN's last budget (256), so its last
+        // point re-ranks every row exactly.
+        let report = figure7(&Scale {
+            sift_n: 256,
+            mnist_n: 200,
+            ..tiny()
+        });
+        assert_eq!(report.panels.len(), 2);
+        for (panel, series) in &report.panels {
+            let names: Vec<&str> = series.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "USP + ScaNN (ours)",
+                    "K-means + ScaNN",
+                    "Vanilla ScaNN",
+                    "HNSW",
+                    "FAISS (IVF-Flat)"
+                ],
+                "{panel}"
+            );
+            for s in series {
+                assert_eq!(s.points.len(), 4, "{panel}/{}", s.name);
+                for p in &s.points {
+                    assert!(
+                        p.recall > 0.0 && p.recall <= 1.0,
+                        "{panel}/{} knob {}: recall {}",
+                        s.name,
+                        p.probes,
+                        p.recall
+                    );
+                }
+            }
+            let vanilla = &series[2].points;
+            assert!(
+                vanilla.windows(2).all(|w| w[0].recall <= w[1].recall),
+                "{panel}: vanilla ScaNN recall fell as its budget grew: {vanilla:?}"
+            );
+            assert_eq!(
+                vanilla[3].recall, 1.0,
+                "{panel}: budget >= n is an exact scan"
+            );
         }
     }
 

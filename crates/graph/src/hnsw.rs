@@ -12,6 +12,7 @@ use std::collections::BinaryHeap;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use usp_linalg::kernel::QueryScorer;
 use usp_linalg::{rng as lrng, Distance, Matrix};
 
 /// Construction parameters.
@@ -103,10 +104,6 @@ impl Hnsw {
         self.max_level
     }
 
-    fn dist(&self, a: &[f32], id: u32) -> f32 {
-        self.config.distance.eval(a, self.data.row(id as usize))
-    }
-
     fn sample_level(&self, rng: &mut StdRng) -> usize {
         let u: f64 = (1.0 - rng.random::<f64>()).max(1e-12);
         ((-u.ln()) * self.level_mult).floor() as usize
@@ -123,12 +120,13 @@ impl Hnsw {
             return;
         }
 
+        let scorer = QueryScorer::new(self.config.distance, &query);
         let mut ep = vec![self.entry as u32];
         // Greedy descent through layers above the new node's level.
         let mut lc = self.max_level;
         while lc > level {
             ep = self
-                .search_layer(&query, &ep, 1, lc, &mut 0)
+                .search_layer(&scorer, &ep, 1, lc, &mut 0)
                 .into_iter()
                 .map(|h| h.id)
                 .collect();
@@ -143,7 +141,7 @@ impl Hnsw {
         for l in (0..=top).rev() {
             let mut visited_count = 0usize;
             let found = self.search_layer(
-                &query,
+                &scorer,
                 &ep,
                 self.config.ef_construction,
                 l,
@@ -161,17 +159,11 @@ impl Hnsw {
                 nbr_list.push(id as u32);
                 if nbr_list.len() > max_links {
                     // Prune to the closest `max_links` neighbours of `nbr`.
-                    let nbr_point = self.data.row_to_vec(nbr as usize);
+                    let from_nbr =
+                        QueryScorer::new(self.config.distance, self.data.row(nbr as usize));
                     let mut with_d: Vec<(f32, u32)> = self.neighbors[nbr as usize][l]
                         .iter()
-                        .map(|&x| {
-                            (
-                                self.config
-                                    .distance
-                                    .eval(&nbr_point, self.data.row(x as usize)),
-                                x,
-                            )
-                        })
+                        .map(|&x| (from_nbr.eval(self.data.row(x as usize)), x))
                         .collect();
                     with_d.sort_by(|a, b| usp_linalg::topk::nan_class_cmp(a.0, b.0));
                     with_d.truncate(max_links);
@@ -191,7 +183,7 @@ impl Hnsw {
     /// distance; `visited_count` accumulates the number of distance evaluations.
     fn search_layer(
         &self,
-        query: &[f32],
+        scorer: &QueryScorer<'_>,
         entry_points: &[u32],
         ef: usize,
         level: usize,
@@ -206,7 +198,7 @@ impl Hnsw {
         for &ep in entry_points {
             if (ep as usize) < visited.len() && !visited[ep as usize] {
                 visited[ep as usize] = true;
-                let d = self.dist(query, ep);
+                let d = scorer.eval(self.data.row(ep as usize));
                 *visited_count += 1;
                 candidates.push(std::cmp::Reverse(HeapItem { dist: d, id: ep }));
                 results.push(HeapItem { dist: d, id: ep });
@@ -226,7 +218,7 @@ impl Hnsw {
                         continue;
                     }
                     visited[ni] = true;
-                    let d = self.dist(query, nbr);
+                    let d = scorer.eval(self.data.row(ni));
                     *visited_count += 1;
                     let worst = results.peek().map(|h| h.dist).unwrap_or(f32::INFINITY);
                     if results.len() < ef || d < worst {
@@ -251,18 +243,19 @@ impl Hnsw {
         if self.is_empty() {
             return (Vec::new(), 0);
         }
+        let scorer = QueryScorer::new(self.config.distance, query);
         let mut visited_count = 0usize;
         let mut ep = vec![self.entry as u32];
         let mut lc = self.max_level;
         while lc > 0 {
             ep = self
-                .search_layer(query, &ep, 1, lc, &mut visited_count)
+                .search_layer(&scorer, &ep, 1, lc, &mut visited_count)
                 .into_iter()
                 .map(|h| h.id)
                 .collect();
             lc -= 1;
         }
-        let found = self.search_layer(query, &ep, ef.max(k), 0, &mut visited_count);
+        let found = self.search_layer(&scorer, &ep, ef.max(k), 0, &mut visited_count);
         let ids = found.into_iter().take(k).map(|h| h.id as usize).collect();
         (ids, visited_count)
     }

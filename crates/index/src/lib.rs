@@ -13,7 +13,8 @@
 //!   two consumers that score it (step 3): exact, or ADC shortlist + exact re-rank;
 //! * [`searcher::AnnSearcher`] / [`searcher::SearchResult`] — the common interface the
 //!   evaluation harness uses to sweep recall against candidate-set size, also implemented
-//!   by the non-partitioning indexes (HNSW, IVF) compared in Figure 7;
+//!   by the other searchers compared in Figure 7 (vanilla ScaNN, the partition + ScaNN
+//!   pipelines);
 //! * [`scoring`] — the exact-f32 vs compressed (PQ/ADC) scoring switch and the
 //!   [`scoring::CodeQuantizer`] interface quantizers implement to plug into it;
 //! * [`mutation`] — the streaming write path: per-bin membins, tombstones, and the
@@ -21,7 +22,8 @@
 //! * [`wal`] — crash consistency for that write path: length-prefixed checksummed
 //!   records appended before every ack, torn-tail-tolerant recovery
 //!   (`PartitionIndex::recover`), and the checkpoint/truncate compaction protocol;
-//! * [`rerank`] — brute-force re-ranking of a candidate list;
+//! * [`rerank`] — id-gather re-ranking of an arbitrary candidate list: the reference the
+//!   streaming scan is tested against, not a query path;
 //! * [`balance`] — partition balance statistics (the computational-cost side of the loss).
 
 pub mod balance;

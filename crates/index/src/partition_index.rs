@@ -788,11 +788,6 @@ impl<P: Partitioner> PartitionIndex<P> {
         self.wal_slot().as_ref().map(|w| w.stats())
     }
 
-    /// True when a write-ahead log is attached.
-    pub fn has_wal(&self) -> bool {
-        self.wal_slot().is_some()
-    }
-
     /// Syncs the attached log now — the durability point of
     /// [`crate::wal::SyncPolicy::OnFlush`]. A no-op without a WAL.
     pub fn wal_flush(&self) -> Result<(), MutationError> {

@@ -1,32 +1,14 @@
-//! Exact re-ranking of candidate sets (step 3 of Algorithm 2).
+//! Exact re-ranking of an arbitrary candidate id list: the id-gather **reference**.
 //!
-//! Scoring goes through the blocked kernels ([`usp_linalg::kernel`]), the single
-//! scoring source of truth of the online phase: a gather-based re-rank over candidate
-//! ids here and a contiguous CSR scan in
-//! [`crate::PartitionIndex::scan_bins`] evaluate every `(query, row)` pair with
-//! identical float operations, so the two paths rank candidates identically bit for
-//! bit. The bounded heap consumes distances as they are produced — no distance vector
-//! is materialised, and winners' distances are returned from the selection instead of
-//! being re-derived.
+//! Every search in the workspace scores contiguous rows through the streaming scan
+//! ([`crate::stream`]); nothing on a query path gathers rows by id. This function stays
+//! as what the streaming scan is tested against — it scores the same `(query, row)`
+//! pairs through the same blocked kernel ([`usp_linalg::kernel`]) and selects with the
+//! same [`TopK`], so over the same candidate order the two rank identically bit for
+//! bit (`scan_bins_matches_gathered_rerank_over_the_same_stream`) — and as the way to
+//! rank an id list that is not a run of the index (a test's random-candidates control).
 
 use usp_linalg::{kernel, topk::TopK, Distance, Matrix};
-
-/// The shared selection core: `(position into `candidates`, distance)` pairs of the
-/// `k` best candidates, best first, scored by the blocked kernel.
-fn select(
-    data: &Matrix,
-    query: &[f32],
-    candidates: &[u32],
-    k: usize,
-    distance: Distance,
-) -> Vec<(usize, f32)> {
-    let mut top = TopK::new(k.min(candidates.len()));
-    let scorer = kernel::QueryScorer::new(distance, query);
-    for (i, &id) in candidates.iter().enumerate() {
-        top.push(i, scorer.eval(data.row(id as usize)));
-    }
-    top.into_sorted()
-}
 
 /// Returns the `k` candidate ids closest to the query under `distance`, scanning every
 /// candidate exactly once (the `O(c·d)` term of the paper's §4.5 complexity analysis).
@@ -37,27 +19,14 @@ pub fn rerank(
     k: usize,
     distance: Distance,
 ) -> Vec<usize> {
-    select(data, query, candidates, k, distance)
+    let mut top = TopK::new(k.min(candidates.len()));
+    let scorer = kernel::QueryScorer::new(distance, query);
+    for (i, &id) in candidates.iter().enumerate() {
+        top.push(i, scorer.eval(data.row(id as usize)));
+    }
+    top.into_sorted()
         .into_iter()
         .map(|(i, _)| candidates[i] as usize)
-        .collect()
-}
-
-/// Re-ranking that also returns the distances (ascending, NaN winners last).
-///
-/// The distances are the ones computed *during* selection — each winner's distance was
-/// already evaluated to rank it, so re-deriving it per id would double the winners'
-/// kernel work for nothing.
-pub fn rerank_with_distances(
-    data: &Matrix,
-    query: &[f32],
-    candidates: &[u32],
-    k: usize,
-    distance: Distance,
-) -> Vec<(usize, f32)> {
-    select(data, query, candidates, k, distance)
-        .into_iter()
-        .map(|(i, d)| (candidates[i] as usize, d))
         .collect()
 }
 
@@ -83,56 +52,6 @@ mod tests {
         let data = line(4);
         let got = rerank(&data, &[0.0], &[2, 1], 10, Distance::SquaredEuclidean);
         assert_eq!(got, vec![1, 2]);
-    }
-
-    #[test]
-    fn rerank_with_distances_is_sorted() {
-        let data = line(8);
-        let got = rerank_with_distances(
-            &data,
-            &[4.2],
-            &[0, 1, 2, 3, 4, 5, 6, 7],
-            4,
-            Distance::Euclidean,
-        );
-        assert_eq!(got[0].0, 4);
-        assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn rerank_with_distances_returns_the_selection_distances() {
-        // The returned distance must be bit-equal to the kernel evaluation of that
-        // pair — i.e. the value the selection ranked on, not a re-derivation through
-        // some other code path.
-        let data = line(9);
-        let candidates = vec![8u32, 1, 6, 3, 0];
-        for d in [
-            Distance::SquaredEuclidean,
-            Distance::Euclidean,
-            Distance::InnerProduct,
-            Distance::Cosine,
-        ] {
-            let got = rerank_with_distances(&data, &[2.7], &candidates, 3, d);
-            assert_eq!(got.len(), 3);
-            for (id, dist) in got {
-                assert_eq!(
-                    dist.to_bits(),
-                    kernel::eval(d, &[2.7], data.row(id)).to_bits(),
-                    "{} id {id}",
-                    d.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rerank_ids_agree_with_rerank_with_distances() {
-        let data = line(12);
-        let candidates: Vec<u32> = (0..12).rev().collect();
-        let ids = rerank(&data, &[5.4], &candidates, 5, Distance::SquaredEuclidean);
-        let with_d =
-            rerank_with_distances(&data, &[5.4], &candidates, 5, Distance::SquaredEuclidean);
-        assert_eq!(ids, with_d.iter().map(|&(id, _)| id).collect::<Vec<_>>());
     }
 
     #[test]

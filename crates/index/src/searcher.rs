@@ -1,7 +1,7 @@
 //! The common search interface used by the evaluation harness.
 //!
 //! Figure 5/6 sweeps plot k-NN accuracy against *candidate-set size*; Figure 7 compares
-//! end-to-end methods (partition + sketch pipelines, HNSW, IVF). [`SearchResult`] carries
+//! end-to-end methods (partition + sketch pipelines, HNSW, IVF-Flat). [`SearchResult`] carries
 //! both the returned ids and the number of points actually scanned so every method is
 //! measured on the same axes.
 

@@ -20,7 +20,7 @@
 //! Multi-accumulator summation changes float rounding, so blocked and scalar results
 //! can differ in the last bits. That makes the kernel a *policy*, not just an
 //! optimisation: every online scoring path (`PartitionIndex::scan_bins`, the candidate
-//! re-rank, the serving engines' shard tasks) must route through [`eval`]/[`scan_block`]
+//! re-rank, the serving engines' shard tasks) must route through [`eval`]/[`SegmentedScan`]
 //! and nothing else, so that any two paths comparing distances compare **identical
 //! bits**. The equivalence suites (engine-vs-searcher, shard-vs-monolith) stay green by
 //! construction because both sides call the same kernel; the proptests at the bottom
@@ -175,7 +175,7 @@ impl Backend {
 
 /// A per-query scorer: the query borrow plus what a scan can hoist out of its row loop
 /// (cosine's query norm, the detected [`Backend`]), so scanning many rows against one
-/// query pays the query-side work once instead of per row. [`eval`] and [`scan_block`]
+/// query pays the query-side work once instead of per row. [`eval`] and [`SegmentedScan`]
 /// are thin wrappers over this, so all three produce **identical bits** for the same
 /// `(query, row)` pair.
 #[derive(Debug, Clone, Copy)]
@@ -297,48 +297,20 @@ pub fn eval(distance: Distance, query: &[f32], row: &[f32]) -> f32 {
     QueryScorer::new(distance, query).eval(row)
 }
 
-/// Scans a contiguous block of `rows` (row-major, `dim` columns each) against `query`,
-/// streaming each blocked distance straight into `out` under index `base + row`.
-///
-/// No distance vector is materialised: the bounded heap consumes values as the scan
-/// produces them, so the whole candidate pass is one read of the block plus `O(k)`
-/// state. The (index, distance) order is [`TopK`]'s — ascending distance, NaN last,
-/// ties by ascending index — so scanning segments in stream order with increasing
-/// `base` reproduces exactly the selection a materialised
-/// [`crate::topk::smallest_k_by`] over the concatenated stream would make.
-///
-/// # Panics
-/// If `dim` is zero, `query` is not `dim` long, or `rows` is not whole rows.
-pub fn scan_block(
-    distance: Distance,
-    query: &[f32],
-    rows: &[f32],
-    dim: usize,
-    base: usize,
-    out: &mut TopK,
-) {
-    assert!(dim > 0, "scan_block: zero-dimensional rows");
-    assert_eq!(
-        rows.len() % dim,
-        0,
-        "scan_block: block length {} is not a multiple of dim {}",
-        rows.len(),
-        dim
-    );
-    assert_eq!(query.len(), dim, "scan_block: query is not {dim}-d");
-    QueryScorer::new(distance, query).scan_rows(rows, base, out);
-}
-
 /// A fused multi-segment candidate scan: stream contiguous row blocks in stream order,
 /// each tagged with a caller-side base, and read the winners back already resolved to
 /// `(segment base, offset within segment, distance)`.
 ///
-/// This is the shape both online scan sites share — `PartitionIndex::scan_bins` tags
-/// segments with their CSR row start, the sharded scatter task tags them with the
-/// slice index — so the subtle stream-position bookkeeping (segment starts recorded
-/// during the scan, winners mapped back by binary search) lives here once. Stream
-/// positions are assigned in push order, so the selection's distance-tie order is the
-/// scan order, exactly as [`scan_block`] over the concatenated stream.
+/// This is the one exact scan of the workspace — `PartitionIndex::scan_bins` tags
+/// segments with their CSR row start, the ground truth (`usp_data::exact_knn`,
+/// `KnnMatrix::build`) tags them with their first row — so the subtle stream-position
+/// bookkeeping (segment starts recorded during the scan, winners mapped back by binary
+/// search) lives here once. No distance vector is materialised: the bounded heap
+/// consumes values as the scan produces them, so a pass is one read of the rows plus
+/// `O(k)` state. Stream positions are assigned in push order and the order is
+/// [`TopK`]'s — ascending distance, NaN last, ties by ascending position — so the
+/// winners are exactly the selection a materialised [`crate::topk::smallest_k_by`]
+/// over the concatenated stream would make.
 ///
 /// Zero-dimensional rows are handled (every metric's empty-row distance — 0 for the
 /// Euclidean family, 1 for cosine — is pushed `count` times), which is why
@@ -666,6 +638,29 @@ const ALL_DISTANCES: [Distance; 4] = [
 mod tests {
     use super::*;
     use crate::topk;
+
+    /// One-segment form of the scan, with the argument checks a caller outside this
+    /// module gets from [`SegmentedScan`]: streams `rows` into `out` under index
+    /// `base + row`.
+    pub(super) fn scan_block(
+        distance: Distance,
+        query: &[f32],
+        rows: &[f32],
+        dim: usize,
+        base: usize,
+        out: &mut TopK,
+    ) {
+        assert!(dim > 0, "scan_block: zero-dimensional rows");
+        assert_eq!(
+            rows.len() % dim,
+            0,
+            "scan_block: block length {} is not a multiple of dim {}",
+            rows.len(),
+            dim
+        );
+        assert_eq!(query.len(), dim, "scan_block: query is not {dim}-d");
+        QueryScorer::new(distance, query).scan_rows(rows, base, out);
+    }
 
     fn rows_matrix(n: usize, dim: usize, seed: u64) -> Vec<f32> {
         crate::rng::normal_vector(&mut crate::rng::seeded(seed), n * dim)
@@ -1022,6 +1017,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::scan_block;
     use super::*;
     use crate::topk;
     use proptest::prelude::*;
@@ -1158,8 +1154,8 @@ mod proptests {
         }
 
         /// The fused scan returns each winner's distance bit-equal to re-evaluating
-        /// that pair — the contract that lets `rerank_with_distances` stop re-deriving
-        /// winners' distances.
+        /// that pair — the contract that lets every consumer take winners' distances
+        /// from the selection instead of re-deriving them.
         #[test]
         fn fused_scan_reports_the_evaluated_distances(
             q in prop::collection::vec(-50.0f32..50.0, 2..16),

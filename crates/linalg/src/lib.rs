@@ -8,7 +8,7 @@
 //!   [`distance::Distance`] dispatch enum;
 //! * [`kernel`] — blocked multi-accumulator distance kernels fused with streaming
 //!   top-k selection: the single scoring source of truth for the online phase;
-//! * [`topk`] — top-k selection (both smallest and largest), argmax/argsort helpers;
+//! * [`topk`] — top-k selection (both smallest and largest) and argmax;
 //! * [`stats`] — softmax and friends, means and variances;
 //! * [`pca`] — principal components via power iteration on the (implicit) covariance;
 //! * [`rng`] — seeded RNG construction and Gaussian sampling helpers.

@@ -10,8 +10,8 @@
 //! distance it touches), so the selection order here is total and pins NaN explicitly:
 //! **NaN ranks strictly worst in both directions** — after every finite value and both
 //! infinities, whether selecting smallest or largest — and ties (including `-0.0` vs
-//! `0.0`, which compare equal) break by ascending index. [`argmax`]/[`argmin`] skip NaN
-//! entirely and return `None` when no comparable element exists. The property tests at
+//! `0.0`, which compare equal) break by ascending index. [`argmax`] skips NaN
+//! entirely and returns `None` when no comparable element exists. The property tests at
 //! the bottom pin all of this against a full-sort oracle over inputs seeded with NaN,
 //! ±∞ and ±0.0.
 
@@ -109,24 +109,6 @@ pub fn argmax(values: &[f32]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the minimum element (first one on ties), skipping NaN entries.
-///
-/// Returns `None` for an empty or all-NaN slice (see [`argmax`]).
-#[inline]
-pub fn argmin(values: &[f32]) -> Option<usize> {
-    let mut best: Option<(usize, f32)> = None;
-    for (i, &v) in values.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if v >= bv => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 /// Indices of the `k` smallest values, ordered ascending by value (NaN last, ties by
 /// index).
 pub fn smallest_k(values: &[f32], k: usize) -> Vec<usize> {
@@ -174,7 +156,7 @@ pub fn largest_k_by(n: usize, k: usize, key: impl Fn(usize) -> f32) -> Vec<usize
 /// materialising the key vector.
 ///
 /// This is the consumer side of the fused candidate-scan kernels
-/// ([`crate::kernel::scan_block`]): distance values go straight from the kernel's
+/// ([`crate::kernel::SegmentedScan`]): distance values go straight from the kernel's
 /// accumulators into the heap, and [`TopK::into_sorted`] hands back the surviving
 /// `(index, key)` pairs so callers never re-derive a winner's distance.
 #[derive(Debug, Clone)]
@@ -358,28 +340,6 @@ impl Shortlist {
     }
 }
 
-/// `(index, value)` pairs of the `k` smallest values, ascending.
-pub fn smallest_k_with_values(values: &[f32], k: usize) -> Vec<(usize, f32)> {
-    smallest_k(values, k)
-        .into_iter()
-        .map(|i| (i, values[i]))
-        .collect()
-}
-
-/// Returns all indices sorted ascending by value (NaN last, deterministic on ties).
-pub fn argsort(values: &[f32]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| Scored::new(a, values[a]).cmp(&Scored::new(b, values[b])));
-    idx
-}
-
-/// Returns all indices sorted descending by value (NaN last, deterministic on ties).
-pub fn argsort_desc(values: &[f32]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| Scored::new(a, -values[a]).cmp(&Scored::new(b, -values[b])));
-    idx
-}
-
 /// Selects, for each column of a row-major `rows x cols` buffer, the `k` largest entries,
 /// and returns their flat positions (`row * cols + col`).
 ///
@@ -404,33 +364,26 @@ mod tests {
     fn argmax_argmin_basic() {
         let v = [1.0, 5.0, 3.0, 5.0];
         assert_eq!(argmax(&v), Some(1));
-        assert_eq!(argmin(&v), Some(0));
     }
 
     #[test]
     fn argmax_argmin_empty_and_all_nan_return_none() {
         assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
         assert_eq!(argmax(&[f32::NAN, f32::NAN]), None);
-        assert_eq!(argmin(&[f32::NAN]), None);
     }
 
     #[test]
     fn argmax_argmin_skip_nan_entries() {
         let v = [f32::NAN, 2.0, f32::NAN, 7.0, -1.0];
         assert_eq!(argmax(&v), Some(3));
-        assert_eq!(argmin(&v), Some(4));
         // A NaN in front must not shadow a real extremum behind it.
         assert_eq!(argmax(&[f32::NAN, -5.0]), Some(1));
-        assert_eq!(argmin(&[f32::NAN, 5.0]), Some(1));
     }
 
     #[test]
     fn argmax_argmin_handle_infinities() {
         assert_eq!(argmax(&[f32::NEG_INFINITY, f32::NEG_INFINITY]), Some(0));
-        assert_eq!(argmin(&[f32::INFINITY, f32::INFINITY]), Some(0));
         assert_eq!(argmax(&[1.0, f32::INFINITY]), Some(1));
-        assert_eq!(argmin(&[1.0, f32::NEG_INFINITY]), Some(1));
     }
 
     #[test]
@@ -448,25 +401,11 @@ mod tests {
     }
 
     #[test]
-    fn smallest_k_with_values_pairs() {
-        let v = [0.5, 0.1, 0.9];
-        assert_eq!(smallest_k_with_values(&v, 2), vec![(1, 0.1), (0, 0.5)]);
-    }
-
-    #[test]
-    fn argsort_is_stable_on_ties() {
-        let v = [1.0, 0.0, 1.0, 0.0];
-        assert_eq!(argsort(&v), vec![1, 3, 0, 2]);
-        assert_eq!(argsort_desc(&v), vec![0, 2, 1, 3]);
-    }
-
-    #[test]
     fn signed_zeros_tie_by_index_in_both_directions() {
         let v = [0.0f32, -0.0, 0.0, -0.0];
         assert_eq!(smallest_k(&v, 4), vec![0, 1, 2, 3]);
         assert_eq!(largest_k(&v, 4), vec![0, 1, 2, 3]);
         assert_eq!(argmax(&v), Some(0));
-        assert_eq!(argmin(&v), Some(0));
     }
 
     #[test]
@@ -652,12 +591,12 @@ mod tests {
 
     #[test]
     fn nan_class_cmp_with_index_tiebreak_matches_module_selection_order() {
-        // Sorting by (nan_class_cmp, index) must reproduce argsort exactly — the
-        // exported comparator is the same total order Scored implements.
+        // Sorting by (nan_class_cmp, index) must reproduce a full selection exactly —
+        // the exported comparator is the same total order Scored implements.
         let v = [2.0f32, f32::NAN, -1.0, f32::NAN, 2.0, f32::INFINITY];
         let mut idx: Vec<usize> = (0..v.len()).collect();
         idx.sort_by(|&a, &b| nan_class_cmp(v[a], v[b]).then_with(|| a.cmp(&b)));
-        assert_eq!(idx, argsort(&v));
+        assert_eq!(idx, smallest_k(&v, v.len()));
     }
 
     #[test]
@@ -699,7 +638,9 @@ mod proptests {
         #[test]
         fn smallest_k_matches_full_sort(values in prop::collection::vec(-1e4f32..1e4, 0..200), k in 0usize..50) {
             let by_heap = smallest_k(&values, k);
-            let by_sort: Vec<usize> = argsort(&values).into_iter().take(k.min(values.len())).collect();
+            let mut by_sort: Vec<usize> = (0..values.len()).collect();
+            by_sort.sort_by(|&a, &b| nan_class_cmp(values[a], values[b]).then(a.cmp(&b)));
+            by_sort.truncate(k);
             prop_assert_eq!(by_heap, by_sort);
         }
 
@@ -792,10 +733,8 @@ mod proptests {
 
             prop_assert_eq!(smallest_k(&values, k), asc[..k].to_vec());
             prop_assert_eq!(largest_k(&values, k), desc[..k].to_vec());
-            prop_assert_eq!(argsort(&values), asc.clone());
-            prop_assert_eq!(argsort_desc(&values), desc);
 
-            // argmax/argmin agree with the oracle's first non-NaN endpoint.
+            // argmax agrees with the oracle's first non-NaN endpoint.
             let first_non_nan_desc = desc.iter().copied().find(|&i| !values[i].is_nan());
             let expected_max = first_non_nan_desc.map(|top| {
                 // first index holding a value equal to the max (argmax is first-on-ties)
@@ -804,13 +743,6 @@ mod proptests {
                     .unwrap()
             });
             prop_assert_eq!(argmax(&values), expected_max);
-            let first_non_nan_asc = asc.iter().copied().find(|&i| !values[i].is_nan());
-            let expected_min = first_non_nan_asc.map(|bottom| {
-                (0..n)
-                    .find(|&i| values[i] == values[bottom])
-                    .unwrap()
-            });
-            prop_assert_eq!(argmin(&values), expected_min);
         }
     }
 }

@@ -79,6 +79,10 @@ pub fn nan_unsafe_cmp(file: &LexedFile, findings: &mut Vec<Finding>) {
 /// training needs raw residual arithmetic), and vendored shims.
 const SCORING_ALLOWED: &[&str] = &["crates/linalg/", "crates/quant/", "vendor/"];
 
+/// Paths allowed to score inside a `smallest_k_by` / `largest_k_by` closure: the layer
+/// that defines the streaming scans, and vendored shims.
+const SELECTION_SCAN_ALLOWED: &[&str] = &["crates/linalg/", "vendor/"];
+
 /// The one home of explicit SIMD: `kernel.rs` and its backend submodules. The prefix
 /// has no trailing slash on purpose — it covers `kernel.rs` and `kernel/*.rs`.
 const INTRINSICS_ALLOWED: &[&str] = &["crates/linalg/src/kernel", "vendor/"];
@@ -95,6 +99,13 @@ const INTRINSICS_ALLOWED: &[&str] = &["crates/linalg/src/kernel", "vendor/"];
 /// the AVX2 kernels are bit-identical to the portable ones only because they are
 /// proptested against them lane for lane, and that proptest lives with the kernel. An
 /// intrinsic anywhere else is a second scoring implementation nobody compares.
+///
+/// (d) A `smallest_k_by` / `largest_k_by` call whose closure evaluates a distance
+/// (`.eval(`) or an ADC code (`adc_eval(`), outside `usp-linalg` and test scopes — the
+/// `usp-quant` allowance of (a)/(b) does not apply. That is a brute-force scan written
+/// one pair a call: it skips the tile and the rejection bound of
+/// `SegmentedScan`/`AdcScan`, and it is how the ground truth, IVF and vanilla ScaNN
+/// each came to run on a slower loop than the index they were compared with.
 pub fn scoring_outside_kernel(file: &LexedFile, findings: &mut Vec<Finding>) {
     if !in_any(&file.path, INTRINSICS_ALLOWED) {
         let toks = &file.tokens;
@@ -117,7 +128,13 @@ pub fn scoring_outside_kernel(file: &LexedFile, findings: &mut Vec<Finding>) {
             }
         }
     }
-    if in_any(&file.path, SCORING_ALLOWED) || file.is_test_file {
+    if file.is_test_file {
+        return;
+    }
+    if !in_any(&file.path, SELECTION_SCAN_ALLOWED) {
+        selection_scan(file, findings);
+    }
+    if in_any(&file.path, SCORING_ALLOWED) {
         return;
     }
     let toks = &file.tokens;
@@ -169,6 +186,49 @@ pub fn scoring_outside_kernel(file: &LexedFile, findings: &mut Vec<Finding>) {
                 break;
             }
             j += 1;
+        }
+    }
+}
+
+/// Heuristic (d) of [`scoring_outside_kernel`]: scoring calls inside the closure of a
+/// materialised top-k selection.
+fn selection_scan(file: &LexedFile, findings: &mut Vec<Finding>) {
+    let toks = &file.tokens;
+    for i in 0..toks.len().saturating_sub(1) {
+        let by = toks[i].is_ident("smallest_k_by") || toks[i].is_ident("largest_k_by");
+        if !by || toks[i].in_test || !toks[i + 1].is_punct("(") {
+            continue;
+        }
+        // Walk the call's argument list; the closure starts at the first `|`.
+        let (mut parens, mut in_closure) = (0usize, false);
+        for j in i + 1..toks.len() {
+            if toks[j].is_punct("(") {
+                parens += 1;
+            } else if toks[j].is_punct(")") {
+                parens -= 1;
+                if parens == 0 {
+                    break;
+                }
+            } else if toks[j].is_punct("|") || toks[j].is_punct("||") {
+                in_closure = true;
+            }
+            let scores = toks[j].is_ident("adc_eval")
+                || (toks[j].is_ident("eval") && toks[j - 1].is_punct("."));
+            if in_closure && scores && toks.get(j + 1).is_some_and(|t| t.is_punct("(")) {
+                findings.push(finding(
+                    "scoring-outside-kernel",
+                    file,
+                    &toks[i],
+                    format!(
+                        "`{}` over a closure that calls `{}`: a brute-force scan one pair a \
+                         call skips the tile and the rejection bound; stream the rows \
+                         through usp_linalg::kernel::{{SegmentedScan, AdcScan}} — directly, \
+                         or via PartitionIndex (DESIGN §2.2)",
+                        toks[i].text, toks[j].text
+                    ),
+                ));
+                break;
+            }
         }
     }
 }
@@ -508,7 +568,7 @@ mod tests {
     fn scoring_conforming_and_exempt_sites_do_not_fire() {
         // Kernel calls, plain sums, and cross-ident products are fine.
         let f = lint_one(
-            "fn f(xs: &[f32], w: &[f32]) -> f32 { let mut s = 0.0; for i in 0..xs.len() { s += xs[i] * w[i]; } kernel::scan_block(xs) + s }",
+            "fn f(xs: &[f32], w: &[f32]) -> f32 { let mut s = 0.0; for i in 0..xs.len() { s += xs[i] * w[i]; } kernel::eval(DIST, xs, w) + s }",
         );
         assert!(f.is_empty(), "{f:?}");
         // The kernel layer itself is allowed.
@@ -553,6 +613,54 @@ mod tests {
         }
         // `arch` as an ordinary name is not the module.
         let f = lint_one("fn f(arch: &str) -> usize { std::mem::size_of_val(arch) }");
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn scoring_fires_on_a_selection_closure_that_scores() {
+        // The shapes the ground truth, IVF and vanilla ScaNN were written in; the
+        // usp-quant allowance of (a)/(b) does not cover them.
+        for (path, src) in [
+            (
+                "crates/data/src/ground_truth.rs",
+                "fn knn(n: usize, k: usize) -> Vec<usize> { topk::smallest_k_by(n, k, |i| distance.eval(q, base.row(i))) }",
+            ),
+            (
+                "crates/quant/src/scann.rs",
+                "fn shortlist(n: usize, r: usize) -> Vec<usize> { smallest_k_by(n, r, |i| { kernel::adc_eval(&table, code_of(ids[i])) }) }",
+            ),
+            (
+                "crates/x/src/a.rs",
+                "fn far(n: usize, k: usize) -> Vec<usize> { largest_k_by(n, k, |i| scorer.eval(rows.row(i))) }",
+            ),
+        ] {
+            let f = lint_at(path, src);
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, "scoring-outside-kernel");
+        }
+    }
+
+    #[test]
+    fn scoring_allows_selection_over_precomputed_scores() {
+        // `stream.rs`'s shape: the scores were produced by the scan; this only ranks.
+        let f = lint_at(
+            "crates/index/src/stream.rs",
+            "fn ids(&self, hits: &[Hit]) -> Vec<usize> { topk::smallest_k_by(hits.len(), self.k, |i| hits[i].score) }",
+        );
+        assert!(f.is_empty(), "{f:?}");
+        // An `eval` among the plain arguments, or a kernel-layer oracle, is not a scan.
+        let f = lint_one(
+            "fn f(n: usize) -> Vec<usize> { smallest_k_by(n, budget.eval(n), |i| cached[i]) }",
+        );
+        assert!(f.is_empty(), "{f:?}");
+        let f = lint_at(
+            "crates/linalg/src/kernel.rs",
+            "fn oracle(n: usize) -> Vec<usize> { topk::smallest_k_by(n, 7, |i| d.eval(q, row(i))) }",
+        );
+        assert!(f.is_empty(), "{f:?}");
+        let f = lint_one(
+            "#[cfg(test)]\nmod tests {\n fn oracle(n: usize) -> Vec<usize> { smallest_k_by(n, 3, |i| adc_eval(&t, code(i))) }\n}",
+        );
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use usp_linalg::{distance, rng as lrng, topk, Matrix};
+use usp_linalg::{distance, rng as lrng, Matrix};
 
 /// Points per accumulation chunk in the parallel update step. Fixed (never derived from
 /// the thread count) so centroid sums merge in the same order on any pool size.
@@ -172,14 +172,6 @@ impl KMeans {
             .collect()
     }
 
-    /// Indices of the `probes` nearest centroids, nearest first.
-    pub fn nearest_centroids(&self, point: &[f32], probes: usize) -> Vec<usize> {
-        let dists: Vec<f32> = (0..self.k())
-            .map(|c| distance::squared_euclidean(point, self.centroids.row(c)))
-            .collect();
-        topk::smallest_k(&dists, probes.min(self.k()))
-    }
-
     /// Assigns every row of a matrix (parallel).
     pub fn assign_all(&self, data: &Matrix) -> Vec<usize> {
         (0..data.rows())
@@ -278,9 +270,7 @@ mod tests {
         let p = data.row(7);
         let scores = km.scores(p);
         assert_eq!(Some(km.assign(p)), usp_linalg::topk::argmax(&scores));
-        let ranked = km.nearest_centroids(p, 4);
-        assert_eq!(ranked[0], km.assign(p));
-        assert_eq!(ranked.len(), 4);
+        assert_eq!(scores.len(), 4);
     }
 
     #[test]

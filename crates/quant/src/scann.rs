@@ -2,19 +2,19 @@
 //!
 //! The paper's Figure 7 uses ScaNN in two ways: standalone ("vanilla ScaNN": quantized scan
 //! over the whole dataset) and as the *within-candidate-set* search of partitioning
-//! pipelines ("USP + ScaNN", "K-means + ScaNN"). [`ScannSearcher`] is the standalone
-//! baseline: [`ScannSearcher::search`] scans every code, and
-//! [`ScannSearcher::search_in_candidates`] scores a caller-supplied id list by gather.
-//! The partition pipelines in `usp-core` do not go through it: they hand the quantizer
-//! [`ScannConfig::quantizer_config`] describes to a compressed `PartitionIndex`, which
-//! scores bin-contiguous codes (`usp_index::stream`). [`ScannConfig`] is what the two
-//! share, so both fit the same codebooks and print the same name.
+//! pipelines ("USP + ScaNN", "K-means + ScaNN"). Both are a compressed `PartitionIndex`
+//! — ADC-score contiguous codes, keep a shortlist, re-rank it exactly
+//! (`usp_index::stream`) — under the scoring [`ScannConfig::fit_scoring`] builds: the
+//! pipelines in `usp-core` over a real partitioner's bins, [`ScannSearcher`] over a
+//! single bin holding the whole dataset. So the series Figure 7 compares differ in the
+//! partition and in nothing else.
 
-use rayon::prelude::*;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
-use usp_index::{AnnSearcher, SearchResult};
-use usp_linalg::kernel::{self, AdcTable};
-use usp_linalg::{topk, Distance, Matrix};
+use usp_index::partitioner::RoundRobinPartitioner;
+use usp_index::{AnnSearcher, PartitionIndex, Scoring, SearchResult};
+use usp_linalg::{Distance, Matrix};
 
 use crate::pq::{ProductQuantizer, ProductQuantizerConfig};
 
@@ -61,6 +61,16 @@ impl ScannConfig {
         config
     }
 
+    /// Fits that quantizer on `data` and wraps it as an index's compressed scoring
+    /// mode, re-ranking `rerank_size` ADC survivors exactly per query by default.
+    pub fn fit_scoring(&self, data: &Matrix) -> (Arc<ProductQuantizer>, Scoring) {
+        let pq = Arc::new(ProductQuantizer::fit(data, &self.quantizer_config()));
+        // A `rerank_size` of 0 has always meant "re-rank `k`"; the index floors its
+        // budget at `k` per query but wants a positive default.
+        let scoring = Scoring::compressed(pq.clone(), self.rerank_size.max(1));
+        (pq, scoring)
+    }
+
     /// The searcher name reports print for this configuration.
     pub fn name(&self) -> String {
         format!(
@@ -70,35 +80,34 @@ impl ScannConfig {
     }
 }
 
-/// Anisotropic-PQ index over a dataset with exact re-ranking.
+/// Anisotropic-PQ scan of a whole dataset with exact re-ranking: a compressed
+/// [`PartitionIndex`] whose one bin holds every point, plus its name.
 pub struct ScannSearcher {
-    pq: ProductQuantizer,
-    codes: Vec<u8>,
-    data: Matrix,
-    config: ScannConfig,
+    index: PartitionIndex<RoundRobinPartitioner>,
+    pq: Arc<ProductQuantizer>,
+    name: String,
 }
 
 impl ScannSearcher {
     /// Trains the quantizer and encodes the dataset.
     pub fn build(data: &Matrix, config: ScannConfig) -> Self {
-        let pq = ProductQuantizer::fit(data, &config.quantizer_config());
-        let codes = pq.encode_all(data);
+        let (pq, scoring) = config.fit_scoring(data);
         Self {
+            index: PartitionIndex::build(RoundRobinPartitioner::new(1), data, config.distance)
+                .with_scoring(scoring),
             pq,
-            codes,
-            data: data.clone(),
-            config,
+            name: config.name(),
         }
     }
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.data.rows()
+        self.index.assignments().len()
     }
 
     /// True when no points are indexed.
     pub fn is_empty(&self) -> bool {
-        self.data.rows() == 0
+        self.len() == 0
     }
 
     /// The underlying product quantizer.
@@ -106,62 +115,18 @@ impl ScannSearcher {
         &self.pq
     }
 
-    fn code_of(&self, id: usize) -> &[u8] {
-        let m = self.pq.n_subspaces();
-        &self.codes[id * m..(id + 1) * m]
+    /// The one-bin compressed index the searcher scans; its per-query budget
+    /// (`index().scan_bins(q, &[0], k, Some(r))`) overrides `rerank_size`.
+    pub fn index(&self) -> &PartitionIndex<RoundRobinPartitioner> {
+        &self.index
     }
 
-    /// The per-query ADC table for this searcher's metric — build it once per query
-    /// and reuse it across candidate lists via
-    /// [`Self::search_in_candidates_with_table`].
-    pub fn adc_table(&self, query: &[f32]) -> AdcTable {
-        self.pq.adc_table(self.config.distance, query)
-    }
-
-    /// ADC-scores a set of candidate ids, exactly re-ranks the best
-    /// `max(rerank_size, k)` of them, and returns the top `k`.
-    ///
-    /// `candidates_scanned` in the returned result counts the *exact* distance evaluations
-    /// (the re-ranked prefix), which is the cost axis shared with the partitioning methods;
-    /// the ADC pass costs one table lookup per subspace per candidate and is reported
-    /// in `compressed_scanned`.
-    pub fn search_in_candidates(
-        &self,
-        query: &[f32],
-        candidates: &[u32],
-        k: usize,
-    ) -> SearchResult {
-        let table = self.adc_table(query);
-        self.search_in_candidates_with_table(query, &table, candidates, k)
-    }
-
-    /// [`Self::search_in_candidates`] with a caller-built table (see
-    /// [`Self::adc_table`]), so one table serves many candidate lists or a whole
-    /// batch. Scoring goes through the workspace's single blocked ADC kernel
-    /// ([`usp_linalg::kernel::adc_eval`]).
-    pub fn search_in_candidates_with_table(
-        &self,
-        query: &[f32],
-        table: &AdcTable,
-        candidates: &[u32],
-        k: usize,
-    ) -> SearchResult {
-        if candidates.is_empty() {
-            return SearchResult::empty();
-        }
-        let rerank = self.config.rerank_size.max(k).min(candidates.len());
-        let shortlist = topk::smallest_k_by(candidates.len(), rerank, |i| {
-            kernel::adc_eval(table, self.code_of(candidates[i] as usize))
-        });
-        let exact_ids: Vec<u32> = shortlist.iter().map(|&i| candidates[i]).collect();
-        let ids = usp_index::rerank::rerank(&self.data, query, &exact_ids, k, self.config.distance);
-        SearchResult::new(ids, rerank).with_compressed_scanned(candidates.len())
-    }
-
-    /// Full-dataset quantized search (the "vanilla ScaNN" baseline of Figure 7).
+    /// Full-dataset quantized search (the "vanilla ScaNN" baseline of Figure 7):
+    /// ADC-scores every code (`compressed_scanned`) and exactly re-ranks the best
+    /// `max(rerank_size, k)` of them (`candidates_scanned`, the cost axis shared with
+    /// the partitioning methods).
     pub fn search_all(&self, query: &[f32], k: usize) -> SearchResult {
-        let all: Vec<u32> = (0..self.data.rows() as u32).collect();
-        self.search_in_candidates(query, &all, k)
+        self.index.scan_bins(query, &[0], k, None)
     }
 }
 
@@ -170,20 +135,12 @@ impl AnnSearcher for ScannSearcher {
         self.search_all(query, k)
     }
 
-    /// Parallel batch path: one ADC table per query through the batch-table API, the
-    /// full-id candidate list allocated once — element-wise identical to per-row
-    /// [`Self::search`] (tables are pure functions of the query).
     fn search_batch(&self, queries: &Matrix, k: usize) -> Vec<SearchResult> {
-        let all: Vec<u32> = (0..self.data.rows() as u32).collect();
-        let tables = self.pq.adc_tables_batch(self.config.distance, queries);
-        (0..queries.rows())
-            .into_par_iter()
-            .map(|qi| self.search_in_candidates_with_table(queries.row(qi), &tables[qi], &all, k))
-            .collect()
+        self.index.search_batch(queries, k, 1)
     }
 
     fn name(&self) -> String {
-        self.config.name()
+        self.name.clone()
     }
 }
 
@@ -191,7 +148,9 @@ impl AnnSearcher for ScannSearcher {
 mod tests {
     use super::*;
     use usp_data::exact_knn;
-    use usp_linalg::rng as lrng;
+    use usp_linalg::{kernel, rng as lrng, topk};
+
+    const DIST: Distance = Distance::SquaredEuclidean;
 
     fn clustered(n: usize, d: usize, seed: u64) -> Matrix {
         let mut rng = lrng::seeded(seed);
@@ -227,31 +186,55 @@ mod tests {
         assert!(recall > 0.85, "ScaNN-like recall too low: {recall}");
     }
 
-    #[test]
-    fn candidate_restricted_search_only_returns_candidates() {
-        let data = clustered(300, 8, 2);
-        let scann = ScannSearcher::build(
-            &data,
-            ScannConfig {
-                rerank_size: 20,
-                ..Default::default()
-            },
-        );
-        let candidates: Vec<u32> = (100..200).collect();
-        let res = scann.search_in_candidates(data.row(150), &candidates, 5);
-        assert_eq!(res.ids.len(), 5);
-        assert!(res.ids.iter().all(|&id| (100..200).contains(&id)));
-        assert!(res.ids.contains(&150));
-        assert!(res.candidates_scanned <= 20);
+    /// The id-gather algorithm `ScannSearcher` was before it became an index: ADC-score
+    /// row-major codes one at a time, shortlist, gather-rerank.
+    fn gathered_reference(
+        data: &Matrix,
+        pq: &ProductQuantizer,
+        q: &[f32],
+        k: usize,
+        rerank: usize,
+    ) -> SearchResult {
+        let (n, m) = (data.rows(), pq.n_subspaces());
+        let (codes, table) = (pq.encode_all(data), pq.adc_table(DIST, q));
+        let keep = rerank.max(k).min(n);
+        let shortlist: Vec<u32> = topk::smallest_k_by(n, keep, |i| {
+            kernel::adc_eval(&table, &codes[i * m..(i + 1) * m])
+        })
+        .into_iter()
+        .map(|i| i as u32)
+        .collect();
+        let ids = usp_index::rerank::rerank(data, q, &shortlist, k, DIST);
+        SearchResult::new(ids, keep).with_compressed_scanned(n)
     }
 
     #[test]
-    fn empty_candidates_return_empty() {
-        let data = clustered(50, 4, 3);
-        let scann = ScannSearcher::build(&data, ScannConfig::default());
-        let res = scann.search_in_candidates(data.row(0), &[], 5);
-        assert!(res.ids.is_empty());
-        assert_eq!(res.candidates_scanned, 0);
+    fn searcher_answers_exactly_as_the_gathered_reference() {
+        let (n, k) = (300, 10);
+        let data = clustered(n, 8, 2);
+        let queries = clustered(12, 8, 78);
+        for rerank in [1, k, 37, n] {
+            let scann = ScannSearcher::build(
+                &data,
+                ScannConfig {
+                    rerank_size: rerank,
+                    ..Default::default()
+                },
+            );
+            for qi in 0..queries.rows() {
+                let q = queries.row(qi);
+                let expect = gathered_reference(&data, scann.quantizer(), q, k, rerank);
+                assert_eq!(scann.search(q, k), expect, "query {qi} rerank {rerank}");
+                // The per-query budget is the same knob as the configured one.
+                let budgeted = scann.index().scan_bins(q, &[0], k, Some(37));
+                let expect = gathered_reference(&data, scann.quantizer(), q, k, 37);
+                assert_eq!(budgeted, expect, "query {qi} budget 37");
+            }
+            let batch = scann.search_batch(&queries, k);
+            for (qi, res) in batch.iter().enumerate() {
+                assert_eq!(res, &scann.search(queries.row(qi), k), "batch row {qi}");
+            }
+        }
     }
 
     #[test]

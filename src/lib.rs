@@ -16,7 +16,7 @@
 //! * [`baselines`] — K-means, LSH families, partition trees, Neural LSH, Boosted Search
 //!   Forest;
 //! * [`graph`] — k-NN graphs, balanced graph partitioning, HNSW;
-//! * [`quant`] — product/anisotropic quantization, ScaNN-like search, IVF;
+//! * [`quant`] — product/anisotropic quantization, ScaNN-like search;
 //! * [`cluster`] — DBSCAN, spectral clustering and clustering metrics;
 //! * [`eval`] — the experiment harness reproducing every table and figure;
 //! * [`serve`] — the batched query-serving engine (persistent-pool batch execution,

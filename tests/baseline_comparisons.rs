@@ -10,7 +10,7 @@ use usp_data::{exact_knn, synthetic, KnnMatrix};
 use usp_graph::{Hnsw, HnswConfig};
 use usp_index::{PartitionIndex, Partitioner, SearchResult};
 use usp_linalg::Distance;
-use usp_quant::{IvfConfig, IvfIndex, ScannConfig, ScannSearcher};
+use usp_quant::{KMeansConfig, ScannConfig, ScannSearcher};
 
 const DIST: Distance = Distance::SquaredEuclidean;
 
@@ -159,10 +159,18 @@ fn graph_and_quantization_baselines_reach_high_recall() {
         .collect();
     assert!(recall(&hnsw_results, &truth) > 0.9, "HNSW recall too low");
 
-    // IVF probing half the lists.
-    let ivf = IvfIndex::build(data, IvfConfig::new(16).with_nprobe(8));
+    // IVF-Flat (a K-means partition index) probing half the lists.
+    let coarse = KMeansConfig {
+        max_iters: 25,
+        ..KMeansConfig::new(16)
+    };
+    let ivf = PartitionIndex::build(
+        KMeansPartitioner::fit_with_config(data, &coarse),
+        data,
+        DIST,
+    );
     let ivf_results: Vec<Vec<usize>> = (0..split.queries.rows())
-        .map(|qi| ivf.search_with_nprobe(split.queries.row(qi), 10, 8).ids)
+        .map(|qi| ivf.search(split.queries.row(qi), 10, 8).ids)
         .collect();
     assert!(recall(&ivf_results, &truth) > 0.9, "IVF recall too low");
 

@@ -15,7 +15,8 @@
 //!
 //! * [`config`] / [`model`] — configuration and the partitioning model (MLP or logistic);
 //! * [`loss`] — the differentiable unsupervised loss and its gradient;
-//! * [`trainer`] — Algorithm 1: mini-batch training, dataset partitioning, lookup table;
+//! * [`trainer`] — Algorithm 1: mini-batch training (one [`train_step`] per batch), dataset
+//!   partitioning, lookup table;
 //! * [`ensemble`] — Algorithms 3–4: boosting-style input weights and confidence-based
 //!   query routing across complementary partitions;
 //! * [`hierarchical`] — §4.4.2: recursive partitioning with probability chaining;
@@ -36,4 +37,4 @@ pub use ensemble::UspEnsemble;
 pub use hierarchical::HierarchicalPartitioner;
 pub use model::PartitionModel;
 pub use pipeline::PartitionedScann;
-pub use trainer::{train_partitioner, TrainedPartitioner, TrainingReport};
+pub use trainer::{train_partitioner, train_step, TrainedPartitioner, TrainingReport};

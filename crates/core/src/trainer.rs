@@ -8,7 +8,7 @@ use usp_linalg::{rng as lrng, Distance, Matrix};
 use usp_nn::{Adam, Optimizer};
 
 use crate::config::UspConfig;
-use crate::loss::{neighbor_bin_targets, unsupervised_loss};
+use crate::loss::{neighbor_bin_targets, unsupervised_loss, LossValue};
 use crate::model::PartitionModel;
 
 /// Per-epoch training diagnostics.
@@ -108,7 +108,6 @@ pub fn train_partitioner(
     let mut optimizer = Adam::new(config.learning_rate);
     let mut rng = lrng::seeded(config.seed ^ 0x5eed);
     let batch_size = config.batch_size.clamp(2, n);
-    let knn_k = knn.k();
 
     let mut epoch_loss = Vec::with_capacity(config.epochs);
     let mut epoch_quality = Vec::with_capacity(config.epochs);
@@ -126,35 +125,15 @@ pub fn train_partitioner(
             if chunk.len() < 2 {
                 continue;
             }
-            let x = data.select_rows(chunk);
-
-            // Neighbour bin assignments under the *current* model (no gradient through
-            // them — Eq. 8–9 treat the neighbour distribution as the target).
-            let mut neighbor_rows: Vec<usize> = Vec::with_capacity(chunk.len() * knn_k);
-            for &i in chunk {
-                neighbor_rows.extend(knn.neighbors_of(i).iter().map(|&j| j as usize));
-            }
-            let neighbor_points = data.select_rows(&neighbor_rows);
-            let neighbor_bins = model.assign_batch(&neighbor_points);
-            let targets = neighbor_bin_targets(
-                &neighbor_bins,
-                chunk.len(),
-                knn_k,
-                config.bins,
-                config.soft_targets,
+            let value = train_step(
+                &mut model,
+                &mut optimizer,
+                data,
+                knn,
+                chunk,
+                weights,
+                config,
             );
-
-            let batch_weights: Option<Vec<f32>> =
-                weights.map(|w| chunk.iter().map(|&i| w[i]).collect());
-
-            // Forward (training mode), loss, backward, step.
-            let logits = model.network_mut().forward(&x, true);
-            let (value, dlogits) =
-                unsupervised_loss(&logits, &targets, batch_weights.as_deref(), config.eta);
-            model.network_mut().zero_grad();
-            model.network_mut().backward(&dlogits);
-            optimizer.step(model.network_mut());
-
             sum_total += value.total as f64;
             sum_quality += value.quality as f64;
             sum_balance += value.balance as f64;
@@ -177,6 +156,61 @@ pub fn train_partitioner(
     TrainedPartitioner { model, report }
 }
 
+/// One mini-batch step of Algorithm 1 on the points `batch` (row ids of `data`): the bins
+/// the *current* model gives each point's k′ neighbours are the targets (no gradient
+/// through them — Eq. 8–9 treat the neighbour distribution as a constant), then a
+/// training-mode forward, the loss, backward and one optimizer step.
+///
+/// The k′-NN lists of a batch overlap, so its `batch.len() · k′` neighbour slots name far
+/// fewer distinct points; an inference-mode forward treats rows independently, so each
+/// distinct neighbour is forwarded once and its bin copied to every slot that names it.
+pub fn train_step(
+    model: &mut PartitionModel,
+    optimizer: &mut impl Optimizer,
+    data: &Matrix,
+    knn: &KnnMatrix,
+    batch: &[usize],
+    weights: Option<&[f32]>,
+    config: &UspConfig,
+) -> LossValue {
+    let neighbor_rows: Vec<usize> = batch
+        .iter()
+        .flat_map(|&i| knn.neighbors_of(i).iter().map(|&j| j as usize))
+        .collect();
+    let (distinct, slot_of) = distinct_rows(&neighbor_rows);
+    let distinct_bins = model.assign_batch(&data.select_rows(&distinct));
+    let neighbor_bins: Vec<usize> = slot_of.iter().map(|&d| distinct_bins[d]).collect();
+    let targets = neighbor_bin_targets(
+        &neighbor_bins,
+        batch.len(),
+        knn.k(),
+        config.bins,
+        config.soft_targets,
+    );
+    let batch_weights: Option<Vec<f32>> = weights.map(|w| batch.iter().map(|&i| w[i]).collect());
+
+    let logits = model.network_mut().forward(&data.select_rows(batch), true);
+    let (value, dlogits) =
+        unsupervised_loss(&logits, &targets, batch_weights.as_deref(), config.eta);
+    model.network_mut().zero_grad();
+    model.network_mut().backward(&dlogits);
+    optimizer.step(model.network_mut());
+    value
+}
+
+/// The distinct values of `rows`, ascending, and for every slot of `rows` the position of
+/// its value among them: `distinct[slot_of[s]] == rows[s]`.
+fn distinct_rows(rows: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let mut distinct = rows.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let slot_of = rows
+        .iter()
+        .map(|r| distinct.binary_search(r).expect("every row was copied in"))
+        .collect();
+    (distinct, slot_of)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +221,115 @@ mod tests {
         let ds = synthetic::sift_like(600, 8, 3);
         let knn = KnnMatrix::build(ds.points(), 5, Distance::SquaredEuclidean);
         (ds.points().clone(), knn)
+    }
+
+    /// Algorithm 1 with every neighbour slot forwarded — the loop `train_partitioner`
+    /// ran before its step forwarded each distinct neighbour once — composed from the
+    /// public pieces. The oracle of [`train_step`].
+    fn reference_train(
+        data: &Matrix,
+        knn: &KnnMatrix,
+        config: &UspConfig,
+        weights: Option<&[f32]>,
+    ) -> (PartitionModel, Vec<f32>) {
+        let n = data.rows();
+        let mut model = PartitionModel::new(config, data.cols());
+        let mut optimizer = Adam::new(config.learning_rate);
+        let mut rng = lrng::seeded(config.seed ^ 0x5eed);
+        let mut epoch_loss = Vec::new();
+        for _ in 0..config.epochs {
+            let mut order: Vec<usize> = (0..n).collect();
+            lrng::shuffle(&mut rng, &mut order);
+            let (mut sum_total, mut batches) = (0.0f64, 0usize);
+            for chunk in order.chunks(config.batch_size.clamp(2, n)) {
+                if chunk.len() < 2 {
+                    continue;
+                }
+                let neighbor_rows: Vec<usize> = chunk
+                    .iter()
+                    .flat_map(|&i| knn.neighbors_of(i).iter().map(|&j| j as usize))
+                    .collect();
+                let neighbor_bins = model.assign_batch(&data.select_rows(&neighbor_rows));
+                let targets = neighbor_bin_targets(
+                    &neighbor_bins,
+                    chunk.len(),
+                    knn.k(),
+                    config.bins,
+                    config.soft_targets,
+                );
+                let batch_weights: Option<Vec<f32>> =
+                    weights.map(|w| chunk.iter().map(|&i| w[i]).collect());
+                let logits = model.network_mut().forward(&data.select_rows(chunk), true);
+                let (value, dlogits) =
+                    unsupervised_loss(&logits, &targets, batch_weights.as_deref(), config.eta);
+                model.network_mut().zero_grad();
+                model.network_mut().backward(&dlogits);
+                optimizer.step(model.network_mut());
+                sum_total += value.total as f64;
+                batches += 1;
+            }
+            epoch_loss.push((sum_total / batches.max(1) as f64) as f32);
+        }
+        (model, epoch_loss)
+    }
+
+    #[test]
+    fn training_matches_the_every_neighbour_reference_bit_for_bit() {
+        let (data, knn) = small_dataset();
+        let mut heavy = vec![1.0f32; data.rows()];
+        for w in heavy.iter_mut().take(data.rows() / 4) {
+            *w = 25.0;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mlp = UspConfig {
+            knn_k: 5,
+            epochs: 6,
+            ..UspConfig::fast(8)
+        };
+        let logistic = UspConfig {
+            knn_k: 5,
+            epochs: 6,
+            batch_size: 256,
+            ..UspConfig::logistic(2)
+        };
+        for cfg in [&mlp, &logistic] {
+            for weights in [None, Some(heavy.as_slice())] {
+                for threads in [1, 4] {
+                    let case = format!(
+                        "{:?}, weights {}, {threads} threads",
+                        cfg.model,
+                        weights.is_some()
+                    );
+                    rayon::with_num_threads(threads, || {
+                        let trained = train_partitioner(&data, &knn, cfg, weights);
+                        let (reference, reference_loss) =
+                            reference_train(&data, &knn, cfg, weights);
+                        assert_eq!(
+                            bits(&trained.report().epoch_loss),
+                            bits(&reference_loss),
+                            "epoch losses differ: {case}"
+                        );
+                        assert_eq!(
+                            bits(trained.bin_scores_batch(&data).as_slice()),
+                            bits(reference.probabilities_batch(&data).as_slice()),
+                            "trained models differ: {case}"
+                        );
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_rows_maps_every_slot_back_to_its_own_row() {
+        let rows = [7usize, 3, 7, 7, 0, 3, 599, 0, 12];
+        let (distinct, slot_of) = distinct_rows(&rows);
+        assert_eq!(distinct, vec![0, 3, 7, 12, 599]);
+        assert_eq!(slot_of.len(), rows.len());
+        for (s, &row) in rows.iter().enumerate() {
+            assert_eq!(distinct[slot_of[s]], row, "slot {s}");
+        }
+        assert_eq!(distinct_rows(&[]), (vec![], vec![]));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! block — four independent add chains in flight, reduced together by three `hadd`s —
 //! and `N = 1` for the up to three rows left over.
 //!
-//! This is the only module in the tree that may name `std::arch` (`usp-lint`'s
-//! `scoring-outside-kernel` rule).
+//! `usp-lint`'s `scoring-outside-kernel` rule confines `std::arch` to this module and
+//! `kernel_gemm` (the `crates/linalg/src/kernel*` prefix).
 
 use std::arch::x86_64::*;
 

@@ -8,6 +8,8 @@
 //!   [`distance::Distance`] dispatch enum;
 //! * [`kernel`] — blocked multi-accumulator distance kernels fused with streaming
 //!   top-k selection: the single scoring source of truth for the online phase;
+//! * [`kernel_gemm`] — the matrix-product kernels under [`Matrix`] and [`matrix::dot`]:
+//!   the arithmetic every trained model's bits depend on;
 //! * [`topk`] — top-k selection (both smallest and largest) and argmax;
 //! * [`stats`] — softmax and friends, means and variances;
 //! * [`pca`] — principal components via power iteration on the (implicit) covariance;
@@ -20,6 +22,7 @@
 pub mod distance;
 pub mod eigen;
 pub mod kernel;
+pub mod kernel_gemm;
 pub mod matrix;
 pub mod pca;
 pub mod rng;

@@ -8,6 +8,13 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use crate::kernel_gemm;
+pub use crate::kernel_gemm::dot;
+
+/// Output rows per pool task of `matmul` / `transpose_matmul`: eight rows of a few
+/// hundred floats stay in L1 while one pass over the other operand feeds all of them.
+const ROW_BLOCK: usize = 8;
+
 /// Row-major dense matrix of `f32` values.
 ///
 /// Invariant: `data.len() == rows * cols`.
@@ -174,26 +181,15 @@ impl Matrix {
             "matmul: inner dimensions mismatch {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        let other_data = &other.data;
+        let (k, m) = (self.cols, other.cols);
+        let mut out = Matrix::zeros(self.rows, m);
         out.data
-            .par_chunks_mut(m)
+            .par_chunks_mut(m * ROW_BLOCK)
             .enumerate()
-            .for_each(|(i, out_row)| {
-                let a_row = &self.data[i * k..(i + 1) * k];
-                // ikj loop order: stream through `other` row by row for cache friendliness.
-                for (p, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &other_data[p * m..(p + 1) * m];
-                    for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += a * b;
-                    }
-                }
+            .for_each(|(block, out_rows)| {
+                let a = |r, p| self.data[(block * ROW_BLOCK + r) * k + p];
+                kernel_gemm::accumulate_rows(a, &other.data, m, out_rows);
             });
-        let _ = n;
         out
     }
 
@@ -207,18 +203,14 @@ impl Matrix {
             "matmul_transpose_b: inner dimensions mismatch {}x{} * ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let m = other.rows;
-        let k = self.cols;
+        let (k, m) = (self.cols, other.rows);
+        let mut out = Matrix::zeros(self.rows, m);
         out.data
             .par_chunks_mut(m)
             .enumerate()
             .for_each(|(i, out_row)| {
                 let a_row = &self.data[i * k..(i + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &other.data[j * k..(j + 1) * k];
-                    *o = dot(a_row, b_row);
-                }
+                kernel_gemm::abt(a_row, &other.data, 1, k, m, out_row);
             });
         out
     }
@@ -232,23 +224,15 @@ impl Matrix {
             "transpose_matmul: row counts mismatch ({}x{})^T * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (k, n, m) = (self.rows, self.cols, other.cols);
+        let (n, m) = (self.cols, other.cols);
         let mut out = Matrix::zeros(n, m);
-        // Parallelise over output rows (columns of self).
+        // Parallelise over blocks of output rows (columns of self).
         out.data
-            .par_chunks_mut(m)
+            .par_chunks_mut(m * ROW_BLOCK)
             .enumerate()
-            .for_each(|(i, out_row)| {
-                for p in 0..k {
-                    let a = self.data[p * n + i];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &other.data[p * m..(p + 1) * m];
-                    for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += a * b;
-                    }
-                }
+            .for_each(|(block, out_rows)| {
+                let a = |r, p| self.data[p * n + block * ROW_BLOCK + r];
+                kernel_gemm::accumulate_rows(a, &other.data, m, out_rows);
             });
         out
     }
@@ -364,30 +348,11 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// Dot product of two equal-length slices.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    // Unrolled-by-4 accumulation: lets LLVM vectorise without relying on fast-math.
-    let chunks = a.len() / 4;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for c in 0..chunks {
-        let i = c * 4;
-        s0 += a[i] * b[i];
-        s1 += a[i + 1] * b[i + 1];
-        s2 += a[i + 2] * b[i + 2];
-        s3 += a[i + 3] * b[i + 3];
-    }
-    let mut rest = 0.0f32;
-    for i in chunks * 4..a.len() {
-        rest += a[i] * b[i];
-    }
-    s0 + s1 + s2 + s3 + rest
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel_gemm::tests::{same, special};
+    use proptest::prelude::*;
 
     #[test]
     fn zeros_and_shape() {
@@ -452,6 +417,68 @@ mod tests {
         let got = a.transpose_matmul(&b);
         for (x, y) in expected.as_slice().iter().zip(got.as_slice()) {
             assert!((x - y).abs() < 1e-4);
+        }
+    }
+
+    /// `Matrix::matmul` as it was before the output rows were blocked: one output row at
+    /// a time, terms in ascending `p`, zero coefficients skipped.
+    fn matmul_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for p in 0..a.cols() {
+                let av = a[(i, p)];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols() {
+                    out[(i, j)] += av * b[(p, j)];
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// The blocked backward products against their per-row loops: the same bits, for
+        /// row counts on both sides of the block height, with zeros in `a` (so the skip
+        /// is exercised — it is visible next to a non-finite `b`) and NaN, ±∞ and ±0.0 in
+        /// both operands.
+        #[test]
+        fn blocked_backward_products_match_their_per_row_loops(
+            n in 0usize..=19,
+            k in 0usize..=21,
+            m in 1usize..=37,
+            seed in 0u64..1 << 40,
+            zeros in prop::collection::vec(0usize..1 << 20, 0..24),
+            specials in prop::collection::vec((0usize..1 << 20, 0u8..5), 0..8),
+        ) {
+            let mut rng = crate::rng::seeded(seed);
+            let mut a = crate::rng::normal_matrix(&mut rng, n, k, 1.0);
+            let mut b = crate::rng::normal_matrix(&mut rng, k, m, 1.0);
+            for (i, &(at, class)) in specials.iter().enumerate() {
+                let target = if i % 2 == 0 { a.as_mut_slice() } else { b.as_mut_slice() };
+                if !target.is_empty() {
+                    target[at % target.len()] = special(class);
+                }
+            }
+            for &at in &zeros {
+                if n * k > 0 {
+                    a.as_mut_slice()[at % (n * k)] = 0.0;
+                }
+            }
+            let want = matmul_oracle(&a, &b);
+            let got = a.matmul(&b);
+            prop_assert_eq!(got.shape(), (n, m));
+            for (at, (&w, &g)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+                prop_assert!(same(w, g), "matmul {n}x{k}*{k}x{m} at {at}: {w:?} vs {g:?}");
+            }
+            // (k x n)^T * (k x m): the same sums, read down the columns of `at`.
+            let at = a.transpose();
+            let got = at.transpose_matmul(&b);
+            prop_assert_eq!(got.shape(), (n, m));
+            for (i, (&w, &g)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
+                prop_assert!(same(w, g), "transpose_matmul ({k}x{n})^T*{k}x{m} at {i}: {w:?} vs {g:?}");
+            }
         }
     }
 

@@ -83,8 +83,9 @@ const SCORING_ALLOWED: &[&str] = &["crates/linalg/", "crates/quant/", "vendor/"]
 /// that defines the streaming scans, and vendored shims.
 const SELECTION_SCAN_ALLOWED: &[&str] = &["crates/linalg/", "vendor/"];
 
-/// The one home of explicit SIMD: `kernel.rs` and its backend submodules. The prefix
-/// has no trailing slash on purpose — it covers `kernel.rs` and `kernel/*.rs`.
+/// The one home of explicit SIMD: `kernel.rs`, its backend submodules and the GEMM
+/// kernels. The prefix has no trailing slash on purpose — it covers `kernel.rs`,
+/// `kernel/*.rs` and `kernel_gemm.rs`.
 const INTRINSICS_ALLOWED: &[&str] = &["crates/linalg/src/kernel", "vendor/"];
 
 /// §2.2's contract: every online scoring path calls `usp-linalg::kernel`, so any
@@ -606,6 +607,7 @@ mod tests {
         for path in [
             "crates/linalg/src/kernel.rs",
             "crates/linalg/src/kernel/avx2.rs",
+            "crates/linalg/src/kernel_gemm.rs",
             "vendor/rayon/src/lib.rs",
         ] {
             let f = lint_at(path, "use std::arch::x86_64::*;");

@@ -44,25 +44,34 @@ impl Linear {
         self.weight.rows()
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+    fn forward_eval(&self, x: &Matrix) -> Matrix {
         let mut out = x.matmul_transpose_b(&self.weight);
         out.add_row_broadcast(&self.bias);
-        if train {
-            self.input = Some(x.clone());
-        }
         out
     }
 
-    fn backward(&mut self, dout: &Matrix) -> Matrix {
+    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+        if train {
+            self.input = Some(x.clone());
+        }
+        self.forward_eval(x)
+    }
+
+    /// Accumulates `dW = dout^T x` and `db = column sums of dout`.
+    fn accumulate_grads(&mut self, dout: &Matrix) {
         let x = self
             .input
             .as_ref()
             .expect("Linear::backward called without a cached forward pass");
-        // dW = dout^T x ; db = column sums of dout ; dx = dout W
         self.grad_weight.add_assign(&dout.transpose_matmul(x));
         for (gb, s) in self.grad_bias.iter_mut().zip(dout.col_sums()) {
             *gb += s;
         }
+    }
+
+    fn backward(&mut self, dout: &Matrix) -> Matrix {
+        self.accumulate_grads(dout);
+        // dx = dout W
         dout.matmul(&self.weight)
     }
 }
@@ -92,10 +101,9 @@ impl ReLU {
             .as_ref()
             .expect("ReLU::backward called without a cached forward pass");
         let mut dx = dout.clone();
+        // A select, not a branch: the mask is a coin flip per element.
         for (g, &m) in dx.as_mut_slice().iter_mut().zip(mask.iter()) {
-            if !m {
-                *g = 0.0;
-            }
+            *g = if m { *g } else { 0.0 };
         }
         dx
     }
@@ -139,48 +147,60 @@ impl BatchNorm1d {
         }
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+    /// Normalises with the running statistics. The per-feature scale is computed once,
+    /// not once per element; the per-element expression and its order are unchanged.
+    fn forward_eval(&self, x: &Matrix) -> Matrix {
+        let inv_std: Vec<f32> = self
+            .running_var
+            .iter()
+            .map(|&v| 1.0 / (v + self.eps).sqrt())
+            .collect();
         let (n, f) = x.shape();
         let mut out = Matrix::zeros(n, f);
-        if train && n > 1 {
-            let mean = x.col_means();
-            let mut var = vec![0.0f32; f];
-            for row in x.row_iter() {
-                for (j, (&v, &m)) in row.iter().zip(mean.iter()).enumerate() {
-                    var[j] += (v - m) * (v - m);
-                }
-            }
-            for v in &mut var {
-                *v /= n as f32;
-            }
-            let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-            let mut x_hat = Matrix::zeros(n, f);
-            for i in 0..n {
-                let xr = x.row(i);
-                let xh = x_hat.row_mut(i);
-                let or = out.row_mut(i);
-                for j in 0..f {
-                    xh[j] = (xr[j] - mean[j]) * inv_std[j];
-                    or[j] = self.gamma[j] * xh[j] + self.beta[j];
-                }
-            }
+        for i in 0..n {
+            let xr = x.row(i);
+            let or = out.row_mut(i);
             for j in 0..f {
-                self.running_mean[j] =
-                    (1.0 - self.momentum) * self.running_mean[j] + self.momentum * mean[j];
-                self.running_var[j] =
-                    (1.0 - self.momentum) * self.running_var[j] + self.momentum * var[j];
-            }
-            self.cache = Some(BnCache { x_hat, inv_std });
-        } else {
-            for i in 0..n {
-                let xr = x.row(i);
-                let or = out.row_mut(i);
-                for j in 0..f {
-                    let inv = 1.0 / (self.running_var[j] + self.eps).sqrt();
-                    or[j] = self.gamma[j] * (xr[j] - self.running_mean[j]) * inv + self.beta[j];
-                }
+                or[j] = self.gamma[j] * (xr[j] - self.running_mean[j]) * inv_std[j] + self.beta[j];
             }
         }
+        out
+    }
+
+    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+        let (n, f) = x.shape();
+        if !(train && n > 1) {
+            return self.forward_eval(x);
+        }
+        let mut out = Matrix::zeros(n, f);
+        let mean = x.col_means();
+        let mut var = vec![0.0f32; f];
+        for row in x.row_iter() {
+            for (j, (&v, &m)) in row.iter().zip(mean.iter()).enumerate() {
+                var[j] += (v - m) * (v - m);
+            }
+        }
+        for v in &mut var {
+            *v /= n as f32;
+        }
+        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
+        let mut x_hat = Matrix::zeros(n, f);
+        for i in 0..n {
+            let xr = x.row(i);
+            let xh = x_hat.row_mut(i);
+            let or = out.row_mut(i);
+            for j in 0..f {
+                xh[j] = (xr[j] - mean[j]) * inv_std[j];
+                or[j] = self.gamma[j] * xh[j] + self.beta[j];
+            }
+        }
+        for j in 0..f {
+            self.running_mean[j] =
+                (1.0 - self.momentum) * self.running_mean[j] + self.momentum * mean[j];
+            self.running_var[j] =
+                (1.0 - self.momentum) * self.running_var[j] + self.momentum * var[j];
+        }
+        self.cache = Some(BnCache { x_hat, inv_std });
         out
     }
 
@@ -318,25 +338,9 @@ impl Layer {
     /// the query-time [`usp_index`-style] partitioners need.
     pub fn forward_eval(&self, x: &Matrix) -> Matrix {
         match self {
-            Layer::Linear(l) => {
-                let mut out = x.matmul_transpose_b(&l.weight);
-                out.add_row_broadcast(&l.bias);
-                out
-            }
+            Layer::Linear(l) => l.forward_eval(x),
             Layer::ReLU(_) => x.map(|v| v.max(0.0)),
-            Layer::BatchNorm(l) => {
-                let (n, f) = x.shape();
-                let mut out = Matrix::zeros(n, f);
-                for i in 0..n {
-                    let xr = x.row(i);
-                    let or = out.row_mut(i);
-                    for j in 0..f {
-                        let inv = 1.0 / (l.running_var[j] + l.eps).sqrt();
-                        or[j] = l.gamma[j] * (xr[j] - l.running_mean[j]) * inv + l.beta[j];
-                    }
-                }
-                out
-            }
+            Layer::BatchNorm(l) => l.forward_eval(x),
             Layer::Dropout(_) => x.clone(),
         }
     }
@@ -349,6 +353,15 @@ impl Layer {
             Layer::ReLU(l) => l.backward(dout),
             Layer::BatchNorm(l) => l.backward(dout),
             Layer::Dropout(l) => l.backward(dout),
+        }
+    }
+
+    /// [`Layer::backward`] for a caller that does not want the input gradient: a linear
+    /// layer skips the `dout · W` product that computes it.
+    pub fn accumulate_grads(&mut self, dout: &Matrix) {
+        match self {
+            Layer::Linear(l) => l.accumulate_grads(dout),
+            _ => drop(self.backward(dout)),
         }
     }
 

@@ -33,22 +33,22 @@ impl Sequential {
     /// Forward pass producing logits. `train = true` enables dropout, batch statistics and
     /// the activation caches needed by [`Sequential::backward`].
     pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h, train);
-        }
-        h
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return x.clone();
+        };
+        let h = first.forward(x, train);
+        rest.iter_mut().fold(h, |h, layer| layer.forward(&h, train))
     }
 
     /// Inference-only forward pass through a shared reference: no caching, no batch-stat
     /// updates, dropout disabled. Equivalent to `forward(x, false)` but usable from the
     /// query path of an index, which only holds `&self`.
     pub fn forward_eval(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for layer in &self.layers {
-            h = layer.forward_eval(&h);
-        }
-        h
+        let Some((first, rest)) = self.layers.split_first() else {
+            return x.clone();
+        };
+        let h = first.forward_eval(x);
+        rest.iter().fold(h, |h, layer| layer.forward_eval(&h))
     }
 
     /// Convenience: forward pass followed by a row-wise softmax (no caching).
@@ -62,14 +62,18 @@ impl Sequential {
         stats::softmax_rows(&self.forward_eval(x))
     }
 
-    /// Backward pass from the gradient w.r.t. the logits; returns the gradient w.r.t. the
-    /// network input (rarely needed, but useful for tests and for stacking models).
-    pub fn backward(&mut self, dlogits: &Matrix) -> Matrix {
-        let mut grad = dlogits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+    /// Backward pass from the gradient w.r.t. the logits: accumulates every layer's
+    /// parameter gradients. The gradient w.r.t. the network input has no reader, so the
+    /// first layer does not compute it.
+    pub fn backward(&mut self, dlogits: &Matrix) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut grad: Option<Matrix> = None;
+        for layer in rest.iter_mut().rev() {
+            grad = Some(layer.backward(grad.as_ref().unwrap_or(dlogits)));
         }
-        grad
+        first.accumulate_grads(grad.as_ref().unwrap_or(dlogits));
     }
 
     /// Zeroes all accumulated parameter gradients.
@@ -225,12 +229,30 @@ mod tests {
     }
 
     #[test]
-    fn backward_shape_matches_input() {
+    fn backward_accumulates_the_layer_chain_gradients() {
+        // `Sequential::backward` skips the first layer's input gradient; every parameter
+        // gradient must still be the one the full layer-by-layer chain accumulates.
         let mut model = MlpConfig::paper_default(8, 4, 7).build();
         let x = lrng::normal_matrix(&mut lrng::seeded(3), 6, 8, 1.0);
         let logits = model.forward(&x, true);
-        let dx = model.backward(&Matrix::full(logits.rows(), logits.cols(), 1.0));
-        assert_eq!(dx.shape(), x.shape());
+        let dlogits = lrng::normal_matrix(&mut lrng::seeded(4), logits.rows(), logits.cols(), 1.0);
+
+        let mut chain = model.layers.clone();
+        let mut grad = dlogits.clone();
+        for layer in chain.iter_mut().rev() {
+            grad = layer.backward(&grad);
+        }
+        assert_eq!(grad.shape(), x.shape());
+        let mut want: Vec<Vec<f32>> = Vec::new();
+        for layer in &mut chain {
+            layer.visit_params(&mut |_, g| want.push(g.to_vec()));
+        }
+
+        model.backward(&dlogits);
+        let mut got: Vec<Vec<f32>> = Vec::new();
+        model.visit_params(&mut |_, g| got.push(g.to_vec()));
+        assert_eq!(want, got);
+        assert!(got.iter().flatten().any(|&g| g != 0.0));
     }
 
     #[test]

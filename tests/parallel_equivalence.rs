@@ -35,42 +35,42 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 
 #[test]
 fn matmul_is_bit_identical_across_thread_counts() {
-    // Odd shapes so blocks do not divide evenly.
-    let a = random_matrix(57, 33, 11);
-    let b = random_matrix(33, 41, 12);
-    let bt = random_matrix(41, 33, 13);
-    let c = random_matrix(57, 29, 14);
-
-    let reference = with_num_threads(1, || {
-        (
-            a.matmul(&b),
-            a.matmul_transpose_b(&bt),
-            a.transpose_matmul(&c),
-        )
-    });
-    for &t in THREAD_COUNTS {
-        let (mm, mtb, tmm) = with_num_threads(t, || {
+    // Odd shapes so blocks do not divide evenly — neither the pool's row blocks nor the
+    // kernels': inner lengths 33 and 35 leave `k % 4` tails of 1 and 3, `bt`'s 41 and 45
+    // rows leave a single row resp. a four-row block and a single past the forward
+    // kernel's eight-row blocks, and every output row count is ragged against the
+    // backward kernels' eight-row blocks.
+    for (seed, (n, k, m, c)) in [(11, (57, 33, 41, 29)), (21, (61, 35, 45, 13))] {
+        let a = random_matrix(n, k, seed);
+        let b = random_matrix(k, m, seed + 1);
+        let bt = random_matrix(m, k, seed + 2);
+        let c = random_matrix(n, c, seed + 3);
+        let products = || {
             (
                 a.matmul(&b),
                 a.matmul_transpose_b(&bt),
                 a.transpose_matmul(&c),
             )
-        });
-        assert_eq!(
-            reference.0.as_slice(),
-            mm.as_slice(),
-            "matmul differs at {t} threads"
-        );
-        assert_eq!(
-            reference.1.as_slice(),
-            mtb.as_slice(),
-            "matmul_transpose_b differs at {t} threads"
-        );
-        assert_eq!(
-            reference.2.as_slice(),
-            tmm.as_slice(),
-            "transpose_matmul differs at {t} threads"
-        );
+        };
+        let reference = with_num_threads(1, products);
+        for &t in THREAD_COUNTS {
+            let (mm, mtb, tmm) = with_num_threads(t, products);
+            assert_eq!(
+                reference.0.as_slice(),
+                mm.as_slice(),
+                "matmul differs at {t} threads"
+            );
+            assert_eq!(
+                reference.1.as_slice(),
+                mtb.as_slice(),
+                "matmul_transpose_b differs at {t} threads"
+            );
+            assert_eq!(
+                reference.2.as_slice(),
+                tmm.as_slice(),
+                "transpose_matmul differs at {t} threads"
+            );
+        }
     }
 }
 

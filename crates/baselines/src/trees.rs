@@ -233,17 +233,6 @@ impl BinaryPartitionTree {
     pub fn depth(&self) -> usize {
         self.depth
     }
-
-    /// Leaf (bin) index reached by descending with a query.
-    pub fn descend(&self, query: &[f32]) -> usize {
-        let mut node = 0usize;
-        for _ in 0..self.depth {
-            let SplitNode { w, t } = &self.nodes[node];
-            let go_right = dot(query, w) >= *t;
-            node = 2 * node + if go_right { 2 } else { 1 };
-        }
-        node - (self.nodes.len())
-    }
 }
 
 impl Partitioner for BinaryPartitionTree {

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use usp_index::rerank::rerank;
-use usp_linalg::kernel::{self, AdcScan, AdcTable, Backend, SegmentedScan};
+use usp_linalg::kernel::{self, AdcTable, Backend, SegmentedScan};
 use usp_linalg::rng;
 use usp_linalg::topk::TopK;
 
@@ -34,7 +34,10 @@ fn bench_candidate_scan(c: &mut Criterion) {
 /// The portable side is the public oracle called across the crate boundary, where it
 /// is not inlined into the row loop; the same code inside `usp-linalg` (what a host
 /// without AVX2 runs) measured about half its time. Compare a commit's `portable`
-/// with another commit's `portable`, not with the parent's backend series.
+/// with another commit's `portable`, not with the parent's backend series. The series
+/// pushes every row with no bound test in front of `push`, so when `TopK` moved from a
+/// heap of three-field entries to packed keys its reading halved (104 → 56 µs at
+/// `dim` 64): half of it had been the per-row heap compare, not the kernel.
 fn bench_exact_scan_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("exact_scan");
     for dim in [64usize, 128] {
@@ -43,7 +46,7 @@ fn bench_exact_scan_backends(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("portable", dim), |b| {
             b.iter(|| {
                 let mut top = TopK::new(10);
-                for (i, row) in rows.chunks_exact(dim).enumerate() {
+                for (i, row) in (0u32..).zip(rows.chunks_exact(dim)) {
                     top.push(i, kernel::squared_euclidean_blocked(query, row));
                 }
                 black_box(top.into_sorted())
@@ -61,7 +64,7 @@ fn bench_exact_scan_backends(c: &mut Criterion) {
 }
 
 /// One compressed first pass (8-byte codes, 256 centroids, shortlist of 200): the
-/// table lookups alone, then the lookups feeding `AdcScan`'s selection.
+/// table lookups alone, then the lookups feeding the compressed `SegmentedScan`'s selection.
 fn bench_adc_pass(c: &mut Criterion) {
     let (m, n_centroids, budget) = (8usize, 256usize, 200usize);
     let table = AdcTable::Sum {
@@ -83,9 +86,9 @@ fn bench_adc_pass(c: &mut Criterion) {
     });
     group.bench_function("lookups_and_selection", |b| {
         b.iter(|| {
-            let mut scan = AdcScan::new(&table, m, budget);
+            let mut scan = SegmentedScan::adc(&table, m, budget);
             scan.scan_segment(&codes, ROWS, 0);
-            black_box(scan.into_winners())
+            black_box(scan.into_kept())
         })
     });
     group.finish();

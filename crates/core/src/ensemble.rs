@@ -9,7 +9,7 @@
 
 use usp_data::KnnMatrix;
 use usp_index::{AnnSearcher, PartitionIndex, Partitioner, SearchResult};
-use usp_linalg::{Distance, Matrix};
+use usp_linalg::{topk, Distance, Matrix};
 
 use crate::config::UspConfig;
 use crate::trainer::{train_partitioner, TrainedPartitioner};
@@ -71,7 +71,14 @@ impl UspEnsemble {
                 }
             }
 
-            indexes.push(trained.build_index(data, distance));
+            // The bins of that one batched forward are the index's: the batch contract
+            // makes them `build_index`'s `n` one-row forwards bit for bit.
+            indexes.push(PartitionIndex::from_assignments(
+                trained,
+                data,
+                assignments,
+                distance,
+            ));
         }
 
         Self { indexes, probes: 1 }
@@ -112,15 +119,18 @@ impl UspEnsemble {
     pub fn search_with_probes(&self, query: &[f32], k: usize, probes: usize) -> SearchResult {
         let mut best_model = 0usize;
         let mut best_confidence = f32::NEG_INFINITY;
+        let mut best_scores = Vec::new();
         for (j, index) in self.indexes.iter().enumerate() {
             let scores = index.partitioner().bin_scores(query);
             let confidence = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            if confidence > best_confidence {
-                best_confidence = confidence;
-                best_model = j;
+            if j == 0 || confidence > best_confidence {
+                (best_model, best_confidence, best_scores) = (j, confidence, scores);
             }
         }
-        self.indexes[best_model].search(query, k, probes)
+        // The winner's ranking from the scores already in hand (`rank_bins` would run
+        // its forward a second time).
+        let bins = topk::largest_k(&best_scores, probes.min(best_scores.len()));
+        self.indexes[best_model].scan_bins(query, &bins, k, None)
     }
 
     /// Mean candidate-set size over a set of queries at a given probe count — the x-axis
@@ -234,6 +244,44 @@ mod tests {
         let recall = recall_at(&ens, &data, &queries, 1);
         // A random balanced 8-bin partition would give ~1/8 recall at one probe.
         assert!(recall > 0.35, "1-probe recall {recall} barely beats random");
+    }
+
+    #[test]
+    fn infers_once_and_routes_once_like_build_index_and_search() {
+        // Algorithm 3 reuses the weight update's batched assignments and Algorithm 4 the
+        // winner's scores; both must be what the one-row paths compute.
+        let (data, queries, knn) = setup();
+        let cfg = UspConfig {
+            knn_k: 5,
+            epochs: 8,
+            ..UspConfig::fast(4)
+        };
+        let ens = UspEnsemble::train(&data, &knn, &cfg, 2, Distance::SquaredEuclidean);
+        for index in ens.indexes() {
+            // What `build_index` (`PartitionIndex::build`) computes: one forward a row.
+            let per_row = (0..data.rows()).map(|i| index.partitioner().assign(data.row(i)));
+            assert_eq!(index.assignments(), per_row.collect::<Vec<_>>());
+        }
+        for probes in [1, 3] {
+            for qi in 0..queries.rows() {
+                let q = queries.row(qi);
+                let confidence = |index: &PartitionIndex<TrainedPartitioner>| {
+                    let scores = index.partitioner().bin_scores(q);
+                    scores.into_iter().fold(f32::NEG_INFINITY, f32::max)
+                };
+                // The first of the most confident members, as Algorithm 4 picks it.
+                let (mut winner, mut best) = (&ens.indexes()[0], f32::NEG_INFINITY);
+                for index in ens.indexes() {
+                    if confidence(index) > best {
+                        (winner, best) = (index, confidence(index));
+                    }
+                }
+                let want = winner.search(q, 10, probes);
+                let got = ens.search_with_probes(q, 10, probes);
+                assert_eq!(got.ids, want.ids, "query {qi} probes {probes}");
+                assert_eq!(got.candidates_scanned, want.candidates_scanned);
+            }
+        }
     }
 
     #[test]

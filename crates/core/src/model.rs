@@ -34,11 +34,6 @@ impl PartitionModel {
         }
     }
 
-    /// Wraps an existing network (used by the hierarchical partitioner's sub-models).
-    pub fn from_network(network: Sequential, bins: usize) -> Self {
-        Self { network, bins }
-    }
-
     /// Number of bins `m`.
     pub fn bins(&self) -> usize {
         self.bins

@@ -273,6 +273,9 @@ mod tests {
         (model, epoch_loss)
     }
 
+    /// The model and the epoch losses of the reference loop bit for bit — MLP and logistic,
+    /// with and without ensembling weights, on whatever pool size the suite runs under (CI:
+    /// 1 and 4). A differing bit here is a different trained router on every benchmark run.
     #[test]
     fn training_matches_the_every_neighbour_reference_bit_for_bit() {
         let (data, knn) = small_dataset();

@@ -10,7 +10,7 @@
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use usp_linalg::kernel::SegmentedScan;
+use usp_linalg::kernel::{QueryScorer, SegmentedScan};
 use usp_linalg::{Distance, Matrix};
 
 /// Exact k-nearest-neighbour indices of every query among the base points.
@@ -34,7 +34,7 @@ pub fn exact_knn(base: &Matrix, queries: &Matrix, k: usize, distance: Distance) 
 }
 
 /// The rows a scan selected, best first (segments are tagged with their first row).
-fn winner_rows(scan: SegmentedScan<'_>) -> impl Iterator<Item = usize> {
+fn winner_rows(scan: SegmentedScan<QueryScorer<'_>>) -> impl Iterator<Item = usize> {
     scan.into_winners()
         .into_iter()
         .map(|(first, offset, _)| first + offset)

@@ -457,7 +457,7 @@ impl<P: Partitioner> PartitionIndex<P> {
 
     /// Inserts a point: routes it through the trained partitioner into its bin's
     /// membin and returns its global id (`base_n + insertion number`). The point is
-    /// visible to every subsequent scan; it gets no code until [`Self::compact`]
+    /// visible to every subsequent scan; it gets no code until [`Self::compacted`]
     /// folds it into the CSR arrays (membins are exact-scanned).
     ///
     /// With a WAL attached ([`Self::with_wal`] / [`Self::recover`]), the record is
@@ -559,7 +559,7 @@ impl<P: Partitioner> PartitionIndex<P> {
     }
 
     /// Sets the delta fraction at which [`Self::needs_compaction`] fires
-    /// (default 0.1). Carried across [`Self::compact`].
+    /// (default 0.1). Carried across [`Self::compacted`].
     pub fn with_compaction_threshold(mut self, threshold: f64) -> Self {
         assert!(
             threshold > 0.0,
@@ -687,30 +687,6 @@ impl<P: Partitioner> PartitionIndex<P> {
         }
         *new.wal.get_mut().expect("wal lock poisoned") = slot.take();
         Ok((new, report))
-    }
-
-    /// Compacts in place: replaces this index with [`Self::compacted`]'s result,
-    /// running the WAL checkpoint protocol when a log is attached. On `Err` the
-    /// index is unchanged.
-    pub fn try_compact(&mut self) -> Result<CompactionReport, MutationError>
-    where
-        P: Clone,
-    {
-        let (new, report) = self.compacted_with_checkpoint()?;
-        *self = new;
-        Ok(report)
-    }
-
-    /// Panicking convenience form of [`Self::try_compact`] (a checkpoint that
-    /// cannot reach storage leaves no safe way to discard the delta).
-    pub fn compact(&mut self) -> CompactionReport
-    where
-        P: Clone,
-    {
-        match self.try_compact() {
-            Ok(report) => report,
-            Err(e) => panic!("compact: {e}"),
-        }
     }
 
     /// Attaches a write-ahead log to a **clean** index: every subsequent
@@ -1290,7 +1266,7 @@ mod tests {
     #[test]
     fn compaction_folds_the_delta_and_resets_to_clean() {
         let data = line_data(4, 5);
-        let mut idx = PartitionIndex::build(
+        let idx = PartitionIndex::build(
             GridPartitioner { bins: 4 },
             &data,
             Distance::SquaredEuclidean,
@@ -1299,7 +1275,7 @@ mod tests {
         let a = idx.insert(&[0.2]);
         let b = idx.insert(&[3.72]);
         idx.delete(a);
-        let report = idx.compact();
+        let (idx, report) = idx.compacted();
         assert!(!idx.is_mutated());
         assert_eq!(report.live_points, 20); // 20 - 1 deleted + 2 inserted - 1 deleted
         assert_eq!(report.merged_inserts, 1);
@@ -1323,12 +1299,12 @@ mod tests {
 
     #[test]
     fn compacted_compressed_index_reencodes_codes() {
-        let mut idx = compressed_grid_index(1000);
+        let idx = compressed_grid_index(1000);
         let id = idx.insert(&[2.6]);
         idx.delete(3);
         // Pre-compaction: the inserted point is found through the membin tail.
         assert_eq!(idx.search(&[2.6], 1, 1).ids, vec![id]);
-        let report = idx.compact();
+        let (idx, report) = idx.compacted();
         assert!(
             idx.quantizer().is_some(),
             "scoring mode survives compaction"

@@ -19,15 +19,14 @@ pub fn rerank(
     k: usize,
     distance: Distance,
 ) -> Vec<usize> {
+    let n = u32::try_from(candidates.len()).expect("rerank: more than u32::MAX candidates");
     let mut top = TopK::new(k.min(candidates.len()));
     let scorer = kernel::QueryScorer::new(distance, query);
-    for (i, &id) in candidates.iter().enumerate() {
+    for (i, &id) in (0..n).zip(candidates) {
         top.push(i, scorer.eval(data.row(id as usize)));
     }
-    top.into_sorted()
-        .into_iter()
-        .map(|(i, _)| candidates[i] as usize)
-        .collect()
+    let ranked = top.into_sorted_indices().into_iter();
+    ranked.map(|i| candidates[i] as usize).collect()
 }
 
 #[cfg(test)]

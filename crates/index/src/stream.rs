@@ -24,7 +24,7 @@
 
 use std::borrow::Cow;
 
-use usp_linalg::kernel::{self, AdcTable};
+use usp_linalg::kernel::{self, AdcTable, SegmentedScan, TileKernel};
 use usp_linalg::{topk, Distance};
 
 use crate::mutation::MutationState;
@@ -217,6 +217,14 @@ impl<P: Partitioner> PartitionIndex<P> {
     }
 }
 
+/// What a pass's scan kept, as a set in stream order ([`Consumer::finish`] owns the
+/// order); segments were tagged with their run's index in `runs`.
+fn kept_hits<'a, K: TileKernel>(scan: SegmentedScan<K>, runs: &[Run<'a>]) -> Vec<Hit<'a>> {
+    let kept = scan.into_kept().into_iter();
+    kept.map(|(ri, off, score)| runs[ri].hit(off, score))
+        .collect()
+}
+
 impl Consumer<'_> {
     /// The cap to produce this query's stream under.
     pub fn cap(&self) -> Option<usize> {
@@ -233,17 +241,15 @@ impl Consumer<'_> {
 
     /// Every row through the blocked distance kernels, keeping the top `k`.
     fn exact_pass<'a>(&self, runs: &[Run<'a>]) -> Partial<'a> {
-        let mut scan = kernel::SegmentedScan::new(self.distance, self.query, self.dim, self.k);
+        let mut scan = SegmentedScan::new(self.distance, self.query, self.dim, self.k);
         scan.reserve_segments(runs.len());
         for (ri, run) in runs.iter().enumerate() {
             scan.scan_segment(run.rows, run.len(), ri);
         }
-        let streamed = scan.scanned();
-        let hits = scan.into_winners().into_iter();
         Partial {
-            hits: hits.map(|(ri, off, d)| runs[ri].hit(off, d)).collect(),
+            streamed: scan.scanned(),
+            hits: kept_hits(scan, runs),
             tail: Vec::new(),
-            streamed,
         }
     }
 
@@ -253,7 +259,7 @@ impl Consumer<'_> {
         // the codes it streams.
         let coded = runs.iter().filter(|r| r.codes.is_some()).map(Run::len);
         let keep = adc.shortlist.min(coded.sum());
-        let mut scan = kernel::AdcScan::new(&adc.table, adc.code_len, keep);
+        let mut scan = SegmentedScan::adc(&adc.table, adc.code_len, keep);
         scan.reserve_segments(runs.len());
         let scorer = kernel::QueryScorer::new(self.distance, self.query);
         let codeless = runs.iter().filter(|r| r.codes.is_none()).map(Run::len);
@@ -267,12 +273,10 @@ impl Consumer<'_> {
                 }
             }
         }
-        let streamed = scan.scanned();
-        let hits = scan.into_winners().into_iter();
         Partial {
-            hits: hits.map(|(ri, off, _, d)| runs[ri].hit(off, d)).collect(),
+            streamed: scan.scanned(),
+            hits: kept_hits(scan, runs),
             tail,
-            streamed,
         }
     }
 
@@ -307,7 +311,7 @@ impl Consumer<'_> {
         if let Some(adc) = &self.adc {
             if hits.len() > adc.shortlist {
                 let pooled = u32::try_from(hits.len()).expect("pooled shortlists fit u32");
-                let mut keep = topk::Shortlist::new(adc.shortlist);
+                let mut keep = topk::TopK::new(adc.shortlist);
                 for (i, h) in (0..pooled).zip(&hits) {
                     keep.push(i, h.score);
                 }

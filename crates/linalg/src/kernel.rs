@@ -29,7 +29,7 @@
 //! as the scalar path ranks them).
 
 use crate::distance::Distance;
-use crate::topk::{Shortlist, TopK};
+use crate::topk::TopK;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -38,7 +38,8 @@ mod avx2;
 const LANES: usize = 8;
 
 /// Candidates scored per stack tile: a scan fills a tile with distances in one
-/// branch-free loop (one backend or table dispatch per tile), then selects from it.
+/// branch-free loop (one [`TileKernel::score_tile`] call: one backend or table
+/// dispatch), then selects from it.
 const TILE: usize = 256;
 
 /// Fixed pairwise lane combine — the summation-order contract documented in
@@ -262,32 +263,6 @@ impl<'a> QueryScorer<'a> {
             }
         }
     }
-
-    /// Streams the rows of `rows` into `out` under indices `first, first + 1, …`.
-    ///
-    /// Rows are scored a tile at a time into a stack buffer (one backend dispatch per
-    /// tile), then offered to the heap behind its rejection bound, so a row that cannot
-    /// be kept costs one comparison. The pushes that do happen are, in order, exactly
-    /// those of a per-row `eval` + `push` loop that would change the heap.
-    ///
-    /// The query must not be zero-dimensional.
-    fn scan_rows(&self, rows: &[f32], first: usize, out: &mut TopK) {
-        let dim = self.query.len();
-        let mut dists = [0.0f32; TILE];
-        for (tile, first) in rows.chunks(TILE * dim).zip((first..).step_by(TILE)) {
-            let dists = &mut dists[..tile.len() / dim];
-            self.eval_rows(tile, dists);
-            let mut bound = out.bound();
-            for (index, &d) in (first..).zip(dists.iter()) {
-                // A NaN on either side is "not above": the heap decides.
-                if d > bound {
-                    continue;
-                }
-                out.push(index, d);
-                bound = out.bound();
-            }
-        }
-    }
 }
 
 /// Blocked evaluation of one `(query, row)` pair — [`QueryScorer`] for a single pair.
@@ -297,27 +272,72 @@ pub fn eval(distance: Distance, query: &[f32], row: &[f32]) -> f32 {
     QueryScorer::new(distance, query).eval(row)
 }
 
-/// A fused multi-segment candidate scan: stream contiguous row blocks in stream order,
-/// each tagged with a caller-side base, and read the winners back already resolved to
-/// `(segment base, offset within segment, distance)`.
+/// What a [`SegmentedScan`] streams: an algorithm that scores a tile of contiguous
+/// items — `f32` rows under a [`QueryScorer`], product codes under an [`AdcTable`].
+pub trait TileKernel {
+    /// What an item is made of: `f32` coordinates or `u8` code bytes.
+    type Elem;
+
+    /// `out[i]` = the score (smaller is closer) of item `i` of `items`, which holds
+    /// `out.len()` contiguous items of `unit` elements each.
+    fn score_tile(&self, items: &[Self::Elem], unit: usize, out: &mut [f32]);
+}
+
+impl TileKernel for QueryScorer<'_> {
+    type Elem = f32;
+
+    #[inline]
+    fn score_tile(&self, rows: &[f32], _dim: usize, out: &mut [f32]) {
+        self.eval_rows(rows, out);
+    }
+}
+
+/// The one tile loop: scores `count` items a tile at a time into a stack buffer, then
+/// offers the tile to `top` under positions `first, first + 1, …`. The scoring loop
+/// stays a branch-free stream and the selection's unpredictable branches stall nothing
+/// but themselves; [`TopK::push`] drops a score above its bound in one comparison.
+/// Score bits and push order are those of a naive per-item score + push loop.
+fn scan_tiles<K: TileKernel>(
+    kernel: &K,
+    items: &[K::Elem],
+    unit: usize,
+    count: usize,
+    first: u32,
+    top: &mut TopK,
+) {
+    let mut scores = [0.0f32; TILE];
+    for start in (0..count).step_by(TILE) {
+        let scores = &mut scores[..TILE.min(count - start)];
+        let tile = &items[start * unit..(start + scores.len()) * unit];
+        kernel.score_tile(tile, unit, scores);
+        for (position, &score) in (first + start as u32..).zip(scores.iter()) {
+            top.push(position, score);
+        }
+    }
+}
+
+/// The one candidate scan of the workspace: stream contiguous blocks of items in
+/// stream order, each tagged with a caller-side base, and read the best `k` back
+/// already resolved to `(segment base, offset within segment, score)`.
 ///
-/// This is the one exact scan of the workspace — `PartitionIndex::scan_bins` tags
-/// segments with their CSR row start, the ground truth (`usp_data::exact_knn`,
-/// `KnnMatrix::build`) tags them with their first row — so the subtle stream-position
-/// bookkeeping (segment starts recorded during the scan, winners mapped back by binary
-/// search) lives here once. No distance vector is materialised: the bounded heap
-/// consumes values as the scan produces them, so a pass is one read of the rows plus
-/// `O(k)` state. Stream positions are assigned in push order and the order is
-/// [`TopK`]'s — ascending distance, NaN last, ties by ascending position — so the
-/// winners are exactly the selection a materialised [`crate::topk::smallest_k_by`]
-/// over the concatenated stream would make.
+/// Over a [`QueryScorer`] it is the exact scan — `PartitionIndex::scan_bins` tags
+/// segments with their run, the ground truth (`usp_data::exact_knn`,
+/// `KnnMatrix::build`) with their first row; over an `&`[`AdcTable`] it is a compressed
+/// first pass over codes. The subtle stream-position bookkeeping (segment starts
+/// recorded during the scan, winners mapped back by binary search) lives here once. No
+/// score vector is materialised: the selector consumes a tile as the kernel produces
+/// it, so a pass is one read of the items plus `O(k)` state. Stream positions are
+/// assigned in scan order and the order is [`TopK`]'s — ascending score, NaN last, ties
+/// by ascending position — so the winners are exactly the selection a materialised
+/// [`crate::topk::smallest_k_by`] over the concatenated stream would make.
 ///
-/// Zero-dimensional rows are handled (every metric's empty-row distance — 0 for the
+/// Zero-element items are handled (every metric's empty-row distance — 0 for the
 /// Euclidean family, 1 for cosine — is pushed `count` times), which is why
-/// [`Self::scan_segment`] takes an explicit row count.
-pub struct SegmentedScan<'a> {
-    scorer: QueryScorer<'a>,
-    dim: usize,
+/// [`Self::scan_segment`] takes an explicit item count.
+pub struct SegmentedScan<K> {
+    kernel: K,
+    /// Elements per item: the rows' dimension, or the codes' length in bytes.
+    unit: usize,
     top: TopK,
     /// `(stream start, caller base)` per non-empty scanned segment; stream starts
     /// strictly increase, which the winner lookup relies on.
@@ -325,16 +345,34 @@ pub struct SegmentedScan<'a> {
     pos: usize,
 }
 
-impl<'a> SegmentedScan<'a> {
-    /// A scan against `query` keeping the best `k` of everything streamed.
+impl<'a> SegmentedScan<QueryScorer<'a>> {
+    /// An exact scan against `query` keeping the best `k` of every row streamed.
     ///
     /// # Panics
     /// If `query` is not `dim` long.
     pub fn new(distance: Distance, query: &'a [f32], dim: usize, k: usize) -> Self {
         assert_eq!(query.len(), dim, "SegmentedScan: query is not {dim}-d");
+        Self::over(QueryScorer::new(distance, query), dim, k)
+    }
+}
+
+impl<'a> SegmentedScan<&'a AdcTable> {
+    /// A compressed scan against `table` over codes of `code_len` bytes, keeping the
+    /// best `k` streamed.
+    ///
+    /// # Panics
+    /// If `code_len` is zero.
+    pub fn adc(table: &'a AdcTable, code_len: usize, k: usize) -> Self {
+        assert!(code_len > 0, "SegmentedScan: zero-length codes");
+        Self::over(table, code_len, k)
+    }
+}
+
+impl<K: TileKernel> SegmentedScan<K> {
+    fn over(kernel: K, unit: usize, k: usize) -> Self {
         Self {
-            scorer: QueryScorer::new(distance, query),
-            dim,
+            kernel,
+            unit,
             top: TopK::new(k),
             segments: Vec::new(),
             pos: 0,
@@ -348,49 +386,63 @@ impl<'a> SegmentedScan<'a> {
         self.segments.reserve_exact(n);
     }
 
-    /// Streams the next `count` contiguous rows (`rows.len() == count * dim`) as one
-    /// segment tagged `base`.
-    pub fn scan_segment(&mut self, rows: &[f32], count: usize, base: usize) {
+    /// Streams the next `count` contiguous items (`items.len() == count * unit`) as
+    /// one segment tagged `base`.
+    ///
+    /// # Panics
+    /// If `items` is not `count` items, or the stream outgrows the `u32` positions the
+    /// selector packs (checked here, once per segment, never per push).
+    pub fn scan_segment(&mut self, items: &[K::Elem], count: usize, base: usize) {
         assert_eq!(
-            rows.len(),
-            count * self.dim,
-            "scan_segment: {} floats is not {count} rows of dim {}",
-            rows.len(),
-            self.dim
+            items.len(),
+            count * self.unit,
+            "scan_segment: {} elements is not {count} items of {}",
+            items.len(),
+            self.unit
         );
         if count == 0 {
             return;
         }
+        let end = self.pos + count;
+        assert!(
+            u32::try_from(end).is_ok(),
+            "SegmentedScan: stream position {end} does not fit the selector's u32"
+        );
         self.segments.push((self.pos, base));
-        if self.dim == 0 {
-            let d = self.scorer.eval(&[]);
-            for j in 0..count {
-                self.top.push(self.pos + j, d);
-            }
-        } else {
-            self.scorer.scan_rows(rows, self.pos, &mut self.top);
-        }
-        self.pos += count;
+        let first = self.pos as u32;
+        scan_tiles(&self.kernel, items, self.unit, count, first, &mut self.top);
+        self.pos = end;
     }
 
-    /// Total rows streamed so far.
+    /// Total items streamed so far.
     pub fn scanned(&self) -> usize {
         self.pos
     }
 
-    /// The winners as `(segment base, offset within segment, distance)`, best first.
+    /// The best `k` as `(segment base, offset within segment, score)`, best first.
     pub fn into_winners(self) -> Vec<(usize, usize, f32)> {
-        let segments = self.segments;
-        self.top
-            .into_sorted()
-            .into_iter()
-            .map(|(pos, d)| {
-                let si = segments.partition_point(|&(start, _)| start <= pos) - 1;
-                let (stream_start, base) = segments[si];
-                (base, pos - stream_start, d)
-            })
-            .collect()
+        resolve(&self.segments, self.top.into_sorted())
     }
+
+    /// The best `k` as a *set*: `(segment base, offset within segment, score)` in
+    /// **stream order**, not by score. A pass whose caller orders the survivors itself
+    /// (`Consumer::finish` pools passes by stream position; a compressed first pass
+    /// re-ranks exactly, with ties broken like an exact scan over the same stream)
+    /// would only sort a by-score order away again.
+    pub fn into_kept(self) -> Vec<(usize, usize, f32)> {
+        resolve(&self.segments, self.top.into_kept())
+    }
+}
+
+/// Maps stream positions back to `(segment base, offset within segment)`.
+fn resolve(segments: &[(usize, usize)], picked: Vec<(u32, f32)>) -> Vec<(usize, usize, f32)> {
+    let locate = |(pos, score): (u32, f32)| {
+        let pos = pos as usize;
+        let si = segments.partition_point(|&(start, _)| start <= pos) - 1;
+        let (stream_start, base) = segments[si];
+        (base, pos - stream_start, score)
+    };
+    picked.into_iter().map(locate).collect()
 }
 
 /// Splits a tombstone mask into maximal `(start, len)` runs of live (non-deleted)
@@ -398,7 +450,7 @@ impl<'a> SegmentedScan<'a> {
 ///
 /// This is the segmentation step of a tombstone-aware candidate scan: each yielded
 /// run is a contiguous row block that can be streamed through
-/// [`SegmentedScan::scan_segment`] / [`AdcScan::scan_segment`] unchanged, so deleted
+/// [`SegmentedScan::scan_segment`] (rows or codes) unchanged, so deleted
 /// rows never enter selection and the live stream keeps the positional tie-order of a
 /// scan over a dataset that never contained them. The final run may be cut short by
 /// `cap` (budgeted scans stop mid-bin); `cap == usize::MAX` means "all live rows".
@@ -512,117 +564,25 @@ pub fn adc_eval(table: &AdcTable, code: &[u8]) -> f32 {
     table.eval(code)
 }
 
-/// The compressed-domain analogue of [`SegmentedScan`]: stream contiguous code slices
-/// in stream order, each tagged with a caller-side base, keeping the best `k` under
-/// the (ADC distance, stream position) total order.
-///
-/// What comes back is a *set*: the kept candidates as `(segment base, offset within
-/// segment, stream position, distance)` in **stream order**, not by score. A compressed
-/// first pass re-ranks its survivors exactly, and the re-rank wants them in stream
-/// order so its distance ties break exactly like an exact scan over the same stream
-/// would — so a by-score order would only be sorted away again.
-pub struct AdcScan<'a> {
-    table: &'a AdcTable,
-    code_len: usize,
-    /// Compressed first passes keep `rerank_budget`-sized shortlists (hundreds of
-    /// survivors), which is [`Shortlist`]'s case, not the bounded heap's.
-    top: Shortlist,
-    /// `(stream start, caller base)` per non-empty scanned segment (see
-    /// [`SegmentedScan`]).
-    segments: Vec<(usize, usize)>,
-    pos: usize,
-}
+impl TileKernel for &AdcTable {
+    type Elem = u8;
 
-impl<'a> AdcScan<'a> {
-    /// A compressed scan against `table` over codes of `code_len` bytes, keeping the
-    /// best `k` streamed.
-    pub fn new(table: &'a AdcTable, code_len: usize, k: usize) -> Self {
-        assert!(code_len > 0, "AdcScan: zero-length codes");
-        Self {
-            table,
-            code_len,
-            top: Shortlist::new(k),
-            segments: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// Makes room for `n` more segments at once (see
-    /// [`SegmentedScan::reserve_segments`]).
-    pub fn reserve_segments(&mut self, n: usize) {
-        self.segments.reserve_exact(n);
-    }
-
-    /// Streams the next `count` contiguous codes (`codes.len() == count * code_len`)
-    /// as one segment tagged `base`.
-    ///
-    /// # Panics
-    /// If `codes` is not `count` codes, or the stream outgrows the `u32` positions the
-    /// shortlist packs.
-    pub fn scan_segment(&mut self, codes: &[u8], count: usize, base: usize) {
-        assert_eq!(
-            codes.len(),
-            count * self.code_len,
-            "scan_segment: {} bytes is not {count} codes of {} bytes",
-            codes.len(),
-            self.code_len
-        );
-        if count == 0 {
-            return;
-        }
-        let end = self.pos + count;
-        assert!(
-            u32::try_from(end).is_ok(),
-            "AdcScan: stream position {end} does not fit the shortlist's u32"
-        );
-        self.segments.push((self.pos, base));
-        // A tile of lookups at a time, then the tile's selection: the lookup loop stays a
-        // branch-free stream (the table variant is matched once per tile) and the
-        // selection's unpredictable branches stall nothing but themselves. Evaluation
-        // bits and push order are those of a naive per-row `table.eval` + push loop.
-        let mut dists = [0.0f32; TILE];
-        let tiles = codes.chunks(TILE * self.code_len);
-        for (tile, first) in tiles.zip((self.pos as u32..).step_by(TILE)) {
-            let tile = tile.chunks_exact(self.code_len);
-            let dists = &mut dists[..tile.len()];
-            match self.table {
-                AdcTable::Sum { table, n_centroids } => {
-                    for (d, code) in dists.iter_mut().zip(tile) {
-                        *d = lut_sum(table, *n_centroids, code);
-                    }
-                }
-                cosine => {
-                    for (d, code) in dists.iter_mut().zip(tile) {
-                        *d = cosine.eval(code);
-                    }
+    /// The table variant is matched once per tile, not per code.
+    #[inline]
+    fn score_tile(&self, codes: &[u8], code_len: usize, out: &mut [f32]) {
+        let codes = codes.chunks_exact(code_len);
+        match self {
+            AdcTable::Sum { table, n_centroids } => {
+                for (d, code) in out.iter_mut().zip(codes) {
+                    *d = lut_sum(table, *n_centroids, code);
                 }
             }
-            for (pos, &d) in (first..).zip(dists.iter()) {
-                self.top.push(pos, d);
+            cosine => {
+                for (d, code) in out.iter_mut().zip(codes) {
+                    *d = cosine.eval(code);
+                }
             }
         }
-        self.pos = end;
-    }
-
-    /// Total codes streamed so far.
-    pub fn scanned(&self) -> usize {
-        self.pos
-    }
-
-    /// The kept set as `(segment base, offset within segment, stream position,
-    /// distance)`, in ascending stream position.
-    pub fn into_winners(self) -> Vec<(usize, usize, usize, f32)> {
-        let segments = self.segments;
-        self.top
-            .into_kept()
-            .into_iter()
-            .map(|(pos, d)| {
-                let pos = pos as usize;
-                let si = segments.partition_point(|&(start, _)| start <= pos) - 1;
-                let (stream_start, base) = segments[si];
-                (base, pos - stream_start, pos, d)
-            })
-            .collect()
     }
 }
 
@@ -639,9 +599,8 @@ mod tests {
     use super::*;
     use crate::topk;
 
-    /// One-segment form of the scan, with the argument checks a caller outside this
-    /// module gets from [`SegmentedScan`]: streams `rows` into `out` under index
-    /// `base + row`.
+    /// The tile loop alone, with the argument checks a caller outside this module gets
+    /// from [`SegmentedScan`]: streams `rows` into `out` under position `base + row`.
     pub(super) fn scan_block(
         distance: Distance,
         query: &[f32],
@@ -659,7 +618,8 @@ mod tests {
             dim
         );
         assert_eq!(query.len(), dim, "scan_block: query is not {dim}-d");
-        QueryScorer::new(distance, query).scan_rows(rows, base, out);
+        let scorer = QueryScorer::new(distance, query);
+        scan_tiles(&scorer, rows, dim, rows.len() / dim, base as u32, out);
     }
 
     fn rows_matrix(n: usize, dim: usize, seed: u64) -> Vec<f32> {
@@ -713,7 +673,7 @@ mod tests {
             for d in ALL_DISTANCES {
                 let mut top = TopK::new(7);
                 scan_block(d, &q, &rows, dim, 0, &mut top);
-                let fused: Vec<usize> = top.into_sorted().into_iter().map(|(i, _)| i).collect();
+                let fused = top.into_sorted_indices();
                 let reference =
                     topk::smallest_k_by(n, 7, |i| eval(d, &q, &rows[i * dim..(i + 1) * dim]));
                 assert_eq!(fused, reference, "{} over {n} rows", d.name());
@@ -749,7 +709,11 @@ mod tests {
         for d in ALL_DISTANCES {
             let mut whole = TopK::new(6);
             scan_block(d, &q, &rows, dim, 0, &mut whole);
-            let reference: Vec<(usize, f32)> = whole.into_sorted();
+            let reference: Vec<(usize, f32)> = whole
+                .into_sorted()
+                .into_iter()
+                .map(|(i, d)| (i as usize, d))
+                .collect();
 
             let mut scan = SegmentedScan::new(d, &q, dim, 6);
             // Segments of 10 / 0 / 14 rows, tagged with their first row index.
@@ -876,25 +840,52 @@ mod tests {
                 topk::smallest_k_by(n, 6, |i| adc_eval(&table, &codes[i * m..(i + 1) * m]));
             reference.sort_unstable();
 
-            let mut scan = AdcScan::new(&table, m, 6);
+            let mut scan = SegmentedScan::adc(&table, m, 6);
             scan.scan_segment(&codes[..12 * m], 12, 0);
             scan.scan_segment(&[], 0, 777); // empty segments leave no trace
             scan.scan_segment(&codes[12 * m..], n - 12, 12);
             assert_eq!(scan.scanned(), n);
-            let winners = scan.into_winners();
-            let stream: Vec<usize> = winners
-                .iter()
-                .map(|&(base, off, _, _)| base + off)
-                .collect();
+            let winners = scan.into_kept();
+            let stream: Vec<usize> = winners.iter().map(|&(base, off, _)| base + off).collect();
             assert_eq!(stream, reference, "{n} codes");
-            // Stream positions and distances are consistent with the stream indices.
-            for &(base, off, pos, dist) in &winners {
-                assert_eq!(base + off, pos);
+            // Distances are consistent with the stream indices.
+            for &(base, off, dist) in &winners {
+                let pos = base + off;
                 assert_eq!(
                     dist.to_bits(),
                     adc_eval(&table, &codes[pos * m..(pos + 1) * m]).to_bits()
                 );
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the selector's u32")]
+    fn a_stream_past_u32_positions_panics_in_the_exact_scan_too() {
+        // Zero-dimensional rows make a 2^32-row segment free to name, and the check
+        // comes before any row is scored. It is the one scan's own, so it is the
+        // compressed scan's too.
+        let mut scan = SegmentedScan::new(Distance::SquaredEuclidean, &[], 0, 1);
+        scan.scan_segment(&[], 5, 0);
+        scan.scan_segment(&[], u32::MAX as usize - 4, 5);
+    }
+
+    #[test]
+    fn into_kept_is_into_winners_in_stream_order() {
+        let dim = 4;
+        let q = rows_matrix(1, dim, 41);
+        let rows = rows_matrix(TILE + 30, dim, 42);
+        let scan = |k| {
+            let mut scan = SegmentedScan::new(Distance::Euclidean, &q, dim, k);
+            scan.scan_segment(&rows[..20 * dim], 20, 1000);
+            scan.scan_segment(&rows[20 * dim..], TILE + 10, 0);
+            scan
+        };
+        for k in [0, 1, 9, 2 * TILE] {
+            let mut winners = scan(k).into_winners();
+            // Stream order: the segment tagged 1000 was streamed first.
+            winners.sort_by_key(|&(base, off, _)| (base == 0, off));
+            assert_eq!(winners, scan(k).into_kept(), "k={k}");
         }
     }
 
@@ -990,7 +981,7 @@ mod tests {
         for d in ALL_DISTANCES {
             let mut top = TopK::new(12);
             scan_block(d, &q, &rows, dim, 0, &mut top);
-            let fused: Vec<usize> = top.into_sorted().into_iter().map(|(i, _)| i).collect();
+            let fused = top.into_sorted_indices();
             let scalar_order =
                 topk::smallest_k_by(12, 12, |i| d.eval(&q, &rows[i * dim..(i + 1) * dim]));
             assert_eq!(fused, scalar_order, "{}", d.name());
@@ -1084,8 +1075,7 @@ mod proptests {
                 }
                 let mut top = TopK::new(k);
                 scan_block(d, &q, &rows, dim, 0, &mut top);
-                let blocked_order: Vec<usize> =
-                    top.into_sorted().into_iter().map(|(i, _)| i).collect();
+                let blocked_order = top.into_sorted_indices();
                 let scalar_order =
                     topk::smallest_k_by(n, k, |i| d.eval(&q, &rows[i * dim..(i + 1) * dim]));
                 prop_assert_eq!(&blocked_order, &scalar_order, "{} ordering", d.name());
@@ -1143,8 +1133,8 @@ mod proptests {
                     prop_assert!(same(want[i], single), "{} dim={dim} single row {i}", d.name());
                 }
                 let (mut want_top, mut got_top) = (TopK::new(k), TopK::new(k));
-                portable.scan_rows(rows, 0, &mut want_top);
-                simd.scan_rows(rows, 0, &mut got_top);
+                scan_tiles(&portable, rows, dim, n, 0, &mut want_top);
+                scan_tiles(&simd, rows, dim, n, 0, &mut got_top);
                 let (want_top, got_top) = (want_top.into_sorted(), got_top.into_sorted());
                 prop_assert_eq!(want_top.len(), got_top.len());
                 for (w, g) in want_top.iter().zip(&got_top) {
@@ -1170,6 +1160,7 @@ mod proptests {
                 let mut top = TopK::new(k);
                 scan_block(d, q, rows, dim, 0, &mut top);
                 for (i, dist) in top.into_sorted() {
+                    let i = i as usize;
                     prop_assert_eq!(
                         dist.to_bits(),
                         eval(d, q, &rows[i * dim..(i + 1) * dim]).to_bits(),

@@ -141,11 +141,6 @@ impl Matrix {
         self.row(i).to_vec()
     }
 
-    /// Copies column `j` into a new `Vec`.
-    pub fn col_to_vec(&self, j: usize) -> Vec<f32> {
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Iterator over row slices.
     pub fn row_iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))

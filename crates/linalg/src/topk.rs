@@ -2,7 +2,8 @@
 //!
 //! The online phase of every partitioning index ranks bins by probability and re-ranks
 //! candidate points by distance; the offline phase selects exact nearest neighbours.
-//! These helpers implement those selections with bounded heaps instead of full sorts.
+//! These helpers implement those selections with one bounded selector, [`TopK`], instead
+//! of full sorts.
 //!
 //! # NaN and signed-zero semantics
 //!
@@ -16,58 +17,15 @@
 //! ±∞ and ±0.0.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// An `(index, key)` pair with a total order: non-NaN keys ascending, NaN keys after
-/// every non-NaN key, ties broken by ascending index. Used by the bounded heaps below.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Scored {
-    index: usize,
-    /// Canonicalised sort key: `0.0` when `nan` is set, so comparisons never see NaN.
-    key: f32,
-    nan: bool,
-}
-
-impl Scored {
-    fn new(index: usize, raw: f32) -> Self {
-        let nan = raw.is_nan();
-        Self {
-            index,
-            key: if nan { 0.0 } else { raw },
-            nan,
-        }
-    }
-}
-
-impl Eq for Scored {}
-
-impl PartialOrd for Scored {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scored {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.nan
-            .cmp(&other.nan)
-            .then_with(|| {
-                self.key
-                    .partial_cmp(&other.key)
-                    .expect("Scored keys are never NaN")
-            })
-            .then_with(|| self.index.cmp(&other.index))
-    }
-}
 
 /// The module's nan-class total order as a bare comparator: non-NaN values ascending
 /// via `partial_cmp`, every NaN strictly after every comparable value, two NaNs equal.
 ///
-/// This is [`Scored`]'s ordering without the index tie-break, exported so ad-hoc
+/// This is [`TopK`]'s order on keys without the position tie-break, exported so ad-hoc
 /// `sort_by`/`min_by` call sites (baseline hash margins, ground-truth oracles, sweep
 /// curves) can share the convention instead of the panicking
 /// `partial_cmp().unwrap()` idiom. Callers wanting deterministic ties should chain
-/// their own index tie-break, exactly as [`Scored::cmp`] does.
+/// their own index tie-break, exactly as a packed [`TopK`] candidate does.
 #[inline]
 pub fn nan_class_cmp(a: f32, b: f32) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
@@ -123,11 +81,15 @@ pub fn largest_k(values: &[f32], k: usize) -> Vec<usize> {
 
 /// Indices `0..n` with the `k` smallest keys (ascending by key, NaN last).
 ///
-/// The key function is called once per index; a bounded max-heap keeps memory at `O(k)`.
+/// The key function is called once per index; a [`TopK`] keeps memory at `O(k)`.
+///
+/// # Panics
+/// If `n` does not fit the selector's `u32` positions (checked once, not per index).
 pub fn smallest_k_by(n: usize, k: usize, key: impl Fn(usize) -> f32) -> Vec<usize> {
+    let n = u32::try_from(n).expect("smallest_k_by: more than u32::MAX indices");
     let mut top = TopK::new(k);
     for i in 0..n {
-        top.push(i, key(i));
+        top.push(i, key(i as usize));
     }
     top.into_sorted_indices()
 }
@@ -137,107 +99,18 @@ pub fn smallest_k_by(n: usize, k: usize, key: impl Fn(usize) -> f32) -> Vec<usiz
 /// Not implemented as `smallest_k_by(-key)` over a plain float comparator: negation
 /// maps `-∞` onto `+∞` — the very sentinel a NaN key would need — so a NaN at a lower
 /// index could outrank a genuine `-∞` (and vice versa). Here the negated key goes
-/// through the NaN-aware [`TopK`] push, whose `Scored` classifier still sees NaN
-/// (negating NaN yields NaN) and keeps it in a class strictly after every comparable
-/// key, while `-∞` negates to the ordinary comparable `+∞`. The proptests below pin
-/// the equivalence with a descending full sort.
+/// through [`TopK`]'s NaN-aware order, which still sees NaN (negating NaN yields NaN)
+/// and keeps it strictly after every comparable key, while `-∞` negates to the
+/// ordinary comparable `+∞`. The proptests below pin the equivalence with a descending
+/// full sort.
 pub fn largest_k_by(n: usize, k: usize, key: impl Fn(usize) -> f32) -> Vec<usize> {
-    let mut top = TopK::new(k);
-    for i in 0..n {
-        top.push(i, -key(i));
-    }
-    top.into_sorted_indices()
+    smallest_k_by(n, k, |i| -key(i))
 }
 
-/// A streaming bounded top-k selector: push `(index, key)` pairs one at a time, read
-/// the `k` best back sorted. The order is the same total order every selection in this
-/// module uses — ascending key, NaN strictly last, ties broken by ascending index — so
-/// a streamed selection is exactly [`smallest_k_by`] over the same pushes, without
-/// materialising the key vector.
-///
-/// This is the consumer side of the fused candidate-scan kernels
-/// ([`crate::kernel::SegmentedScan`]): distance values go straight from the kernel's
-/// accumulators into the heap, and [`TopK::into_sorted`] hands back the surviving
-/// `(index, key)` pairs so callers never re-derive a winner's distance.
-#[derive(Debug, Clone)]
-pub struct TopK {
-    k: usize,
-    heap: BinaryHeap<Scored>,
-}
-
-impl TopK {
-    /// A selector keeping the `k` smallest pushed keys.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            // Capacity is only a hint — the heap never holds more than
-            // min(k, pushes) + 1 entries, so an oversized "rank everything" k must
-            // not pre-allocate k slots (it would abort on huge k).
-            heap: BinaryHeap::with_capacity(k.saturating_add(1).min(4096)),
-        }
-    }
-
-    /// Offers one `(index, key)` pair; kept iff it beats the current `k`-th best.
-    #[inline]
-    pub fn push(&mut self, index: usize, key: f32) {
-        if self.k == 0 {
-            return;
-        }
-        let s = Scored::new(index, key);
-        if self.heap.len() < self.k {
-            self.heap.push(s);
-        } else if let Some(top) = self.heap.peek() {
-            if s < *top {
-                self.heap.pop();
-                self.heap.push(s);
-            }
-        }
-    }
-
-    /// A key strictly above this cannot be kept, whatever its index: it is the current
-    /// `k`-th best. NaN — which no key compares above — while fewer than `k` entries
-    /// are kept or the `k`-th best is itself NaN. Scans test it before [`Self::push`]
-    /// so a losing candidate costs one comparison.
-    #[inline]
-    pub fn bound(&self) -> f32 {
-        match self.heap.peek() {
-            Some(worst) if self.heap.len() >= self.k && !worst.nan => worst.key,
-            _ => f32::NAN,
-        }
-    }
-
-    /// Number of entries currently kept (≤ `k`).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing has been kept.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The kept entries as `(index, key)` pairs, best first. A NaN key comes back as
-    /// NaN (its canonicalised heap form is internal).
-    pub fn into_sorted(self) -> Vec<(usize, f32)> {
-        let mut out: Vec<Scored> = self.heap.into_vec();
-        out.sort();
-        out.into_iter()
-            .map(|s| (s.index, if s.nan { f32::NAN } else { s.key }))
-            .collect()
-    }
-
-    /// The kept indices, best first.
-    pub fn into_sorted_indices(self) -> Vec<usize> {
-        let mut out: Vec<Scored> = self.heap.into_vec();
-        out.sort();
-        out.into_iter().map(|s| s.index).collect()
-    }
-}
-
-/// The order-preserving 32-bit image of a selection key: `a` ranks before `b` in the
-/// module's total order exactly when `rank_bits(a) < rank_bits(b)`, and they tie exactly
-/// when the images are equal (so `-0.0` and `0.0` share one, and every NaN maps to the
-/// single largest).
+/// The order-preserving 32-bit image of a selection key, and the **definition** of the
+/// module's total order: `a` ranks before `b` exactly when `rank_bits(a) <
+/// rank_bits(b)`, and they tie exactly when the images are equal (so `-0.0` and `0.0`
+/// share one, and every NaN maps to the single largest).
 #[inline]
 fn rank_bits(key: f32) -> u32 {
     if key.is_nan() {
@@ -254,7 +127,7 @@ fn rank_bits(key: f32) -> u32 {
 }
 
 /// The key of an image: the pushed key itself up to [`rank_bits`]' ties (`f32::NAN` for
-/// any NaN, as [`TopK::into_sorted`] returns it, and `+0.0` for either zero).
+/// any NaN and `+0.0` for either zero).
 #[inline]
 fn key_of_rank_bits(image: u32) -> f32 {
     if image == u32::MAX {
@@ -266,47 +139,52 @@ fn key_of_rank_bits(image: u32) -> f32 {
     }
 }
 
-/// Bounded selection for *large* `k` (shortlists of hundreds), where a heap's
-/// `O(log k)` sift per accepted candidate dominates the scan feeding it.
+/// The one bounded selector: push `(position, key)` pairs in any order, read the `k`
+/// best back — ranked ([`TopK::into_sorted`]) or as a set ([`TopK::into_kept`]).
 ///
 /// A candidate is one `u64`: [`rank_bits`] of its key above its `u32` position, so
 /// integer order on candidates **is** the module's total order (ascending key, NaN
 /// strictly last, `-0.0 ≡ 0.0`, ties by ascending position) and a comparison is one
 /// instruction. Candidates accumulate in a flat buffer; whenever it reaches `2k` it is
 /// cut back to the `k` smallest by `select_nth_unstable`, and the largest survivor's
-/// key becomes the bound that turns a later key above it into a single comparison (a
-/// tie with the bound is buffered and left to the next prune). Amortised `O(1)` per
-/// push, in any push order.
+/// key becomes the bound above which [`TopK::push`] drops a later key in a single
+/// comparison (a tie with the bound is buffered and left to the next prune). Amortised
+/// `O(1)` per push for any `k`, so a selection is exactly [`smallest_k_by`] over the
+/// same pushes without materialising the key vector.
 ///
-/// The result is a **set**: [`Shortlist::into_kept`] hands back the `k` best in
-/// position order, never sorted by key. The kept set is exactly [`TopK`]'s over the
-/// same pushes (proptested push for push over NaN/±∞/±0.0-seeded streams).
+/// This is the consumer side of the stream scan ([`crate::kernel::SegmentedScan`]):
+/// distances go straight from a tile into the buffer and come back with the winners,
+/// so callers never re-derive one. Keys come back canonical: any NaN as `f32::NAN`,
+/// either zero as `+0.0`, everything else the bits that were pushed.
+///
+/// Positions identify candidates and must not repeat. They are `u32` so a candidate
+/// packs into a word; a producer checks its range once (per segment, per
+/// `smallest_k_by` call), never per push.
 #[derive(Debug, Clone)]
-pub struct Shortlist {
+pub struct TopK {
     k: usize,
     /// Prune trigger: `2k`, so each `O(len)` prune amortizes over `k` appends.
     cap: usize,
     buf: Vec<u64>,
-    /// The key of the `k`-th best candidate as of the last prune: a key above it is
-    /// beaten by `k` candidates already seen. NaN — which no key compares above — until
-    /// the first prune, or while that candidate's key is itself NaN.
+    /// See [`TopK::bound`].
     bound: f32,
 }
 
-impl Shortlist {
+impl TopK {
     /// A selector keeping the `k` smallest pushed keys.
     pub fn new(k: usize) -> Self {
+        let cap = k.saturating_mul(2);
         Self {
             k,
-            cap: k.saturating_mul(2),
-            // Capacity is a hint, as in TopK: an oversized "rank everything" k must
-            // not pre-allocate k slots.
-            buf: Vec::with_capacity(k.saturating_mul(2).min(4096)),
+            cap,
+            // Capacity is only a hint: an oversized "rank everything" k must not
+            // pre-allocate k slots (it would abort on huge k).
+            buf: Vec::with_capacity(cap.min(4096)),
             bound: f32::NAN,
         }
     }
 
-    /// Offers one candidate; positions identify candidates and must not repeat.
+    /// Offers one candidate; dropped here if its key is above [`TopK::bound`].
     #[inline]
     pub fn push(&mut self, position: u32, key: f32) {
         if key > self.bound || self.k == 0 {
@@ -328,16 +206,58 @@ impl Shortlist {
         }
     }
 
-    /// The `k` best candidates as `(position, key)`, in ascending position. Keys come
-    /// back equal to what was pushed, with NaN as `f32::NAN` and either zero as `+0.0`.
+    /// A key strictly above this cannot be kept, whatever its position: `k` candidates
+    /// already seen beat it. The bound is **valid, not tight** — it is the `k`-th best
+    /// key as of the last prune, so the true `k`-th best may already be lower — and NaN,
+    /// which no key compares above, until the first prune or while that candidate's key
+    /// is itself NaN. A pass that can skip work for a whole block of candidates (a
+    /// probed bin whose lower bound exceeds it) reads it here.
+    #[inline]
+    pub fn bound(&self) -> f32 {
+        self.bound
+    }
+
+    /// Number of candidates currently kept (≤ `k`).
+    pub fn len(&self) -> usize {
+        self.buf.len().min(self.k)
+    }
+
+    /// True when nothing has been kept.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// The `k` best as `(position, key)`, best first.
+    pub fn into_sorted(self) -> Vec<(u32, f32)> {
+        unpack(self.sorted())
+    }
+
+    /// The positions of the `k` best, best first.
+    pub fn into_sorted_indices(self) -> Vec<usize> {
+        let sorted = self.sorted().into_iter();
+        sorted.map(|c| c as u32 as usize).collect()
+    }
+
+    /// The `k` best as a set: `(position, key)` in ascending position, for a pass whose
+    /// caller makes the order itself.
     pub fn into_kept(mut self) -> Vec<(u32, f32)> {
         self.prune();
         self.buf.sort_unstable_by_key(|&c| c as u32);
-        self.buf
-            .into_iter()
-            .map(|c| (c as u32, key_of_rank_bits((c >> 32) as u32)))
-            .collect()
+        unpack(self.buf)
     }
+
+    /// The `k` best candidates, packed, in the total order.
+    fn sorted(mut self) -> Vec<u64> {
+        self.prune();
+        self.buf.sort_unstable();
+        self.buf
+    }
+}
+
+/// Packed candidates as `(position, key)`.
+fn unpack(candidates: Vec<u64>) -> Vec<(u32, f32)> {
+    let unpack = |c: u64| (c as u32, key_of_rank_bits((c >> 32) as u32));
+    candidates.into_iter().map(unpack).collect()
 }
 
 /// Selects, for each column of a row-major `rows x cols` buffer, the `k` largest entries,
@@ -359,6 +279,66 @@ pub fn top_k_per_column(data: &[f32], rows: usize, cols: usize, k: usize) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `k` best of `pushed` by a full sort — NaN explicitly last, ties by position,
+    /// written out independently of the packed keys under test.
+    pub(super) fn full_sort_oracle(pushed: &[(u32, f32)], k: usize) -> Vec<(u32, f32)> {
+        let mut all = pushed.to_vec();
+        all.sort_by(|a, b| match (a.1.is_nan(), b.1.is_nan()) {
+            (true, true) => a.0.cmp(&b.0),
+            (true, false) => Ordering::Greater,
+            (false, true) => Ordering::Less,
+            (false, false) => a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)),
+        });
+        all.truncate(k);
+        all
+    }
+
+    /// `top`, fed `pushed`, against the oracle: the ranked read, the set read (the
+    /// ranked one re-sorted by position), canonical keys, and a bound no kept key is
+    /// above.
+    pub(super) fn assert_matches_oracle(
+        top: &TopK,
+        pushed: &[(u32, f32)],
+        k: usize,
+    ) -> Result<(), String> {
+        let want = full_sort_oracle(pushed, k);
+        let sorted = top.clone().into_sorted();
+        if sorted.len() != want.len() || top.len() != want.len() {
+            return Err(format!(
+                "kept {} (len {}), oracle {}",
+                sorted.len(),
+                top.len(),
+                want.len()
+            ));
+        }
+        for (w, g) in want.iter().zip(&sorted) {
+            // The key that was pushed: NaN as NaN, either zero as +0.0.
+            let canonical = if w.1.is_nan() {
+                g.1.is_nan()
+            } else {
+                (w.1 + 0.0).to_bits() == g.1.to_bits()
+            };
+            if w.0 != g.0 || !canonical {
+                return Err(format!("sorted {g:?}, oracle {w:?}"));
+            }
+            if w.1 > top.bound() {
+                return Err(format!("bound {} rejects the oracle's {w:?}", top.bound()));
+            }
+        }
+        let mut by_position = sorted;
+        by_position.sort_unstable_by_key(|&(position, _)| position);
+        let kept = top.clone().into_kept();
+        let same = |a: &(u32, f32), b: &(u32, f32)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits();
+        if kept.len() != by_position.len()
+            || !kept.iter().zip(&by_position).all(|(a, b)| same(a, b))
+        {
+            return Err(format!(
+                "into_kept {kept:?} is not into_sorted by position {by_position:?}"
+            ));
+        }
+        Ok(())
+    }
 
     #[test]
     fn argmax_argmin_basic() {
@@ -426,7 +406,7 @@ mod tests {
         let v = [5.0, 1.0, f32::NAN, 2.0, 1.0, -3.5];
         let mut top = TopK::new(3);
         for (i, &x) in v.iter().enumerate() {
-            top.push(i, x);
+            top.push(i as u32, x);
         }
         assert_eq!(top.len(), 3);
         assert_eq!(top.clone().into_sorted_indices(), smallest_k(&v, 3));
@@ -449,14 +429,14 @@ mod tests {
 
     #[test]
     fn oversized_k_returns_everything_without_allocating_k_slots() {
-        // The bounded heap must treat k as a limit, not an allocation size: asking to
+        // The selector must treat k as a limit, not an allocation size: asking to
         // "rank everything" with a huge k is valid and returns all elements sorted.
         let v = [3.0f32, 1.0, 2.0];
         assert_eq!(smallest_k(&v, usize::MAX), vec![1, 2, 0]);
         assert_eq!(largest_k(&v, usize::MAX), vec![0, 2, 1]);
         let mut top = TopK::new(usize::MAX);
         for (i, &x) in v.iter().enumerate() {
-            top.push(i, x);
+            top.push(i as u32, x);
         }
         assert_eq!(top.into_sorted_indices(), vec![1, 2, 0]);
     }
@@ -466,15 +446,14 @@ mod tests {
         let mut top = TopK::new(0);
         top.push(0, 1.0);
         assert!(top.is_empty());
-        assert!(top.into_sorted().is_empty());
-        let mut shortlist = Shortlist::new(0);
-        shortlist.push(0, 1.0);
-        assert!(shortlist.into_kept().is_empty());
+        assert!(top.clone().into_sorted().is_empty());
+        assert!(top.into_kept().is_empty());
     }
 
     #[test]
     fn shortlist_keeps_the_heap_topk_set_across_prunes() {
-        // 10k ascending-then-descending keys force many prune cycles at k=100.
+        // 10k ascending-then-descending keys force many prune cycles at k=100; the
+        // kept set is checked against the full-sort oracle after every push.
         let keys: Vec<f32> = (0..10_000)
             .map(|i| {
                 if i % 2 == 0 {
@@ -484,27 +463,25 @@ mod tests {
                 }
             })
             .collect();
-        let mut heap = TopK::new(100);
-        let mut shortlist = Shortlist::new(100);
+        let mut top = TopK::new(100);
+        let mut pushed = Vec::new();
         for (i, &x) in keys.iter().enumerate() {
-            heap.push(i, x);
-            shortlist.push(i as u32, x);
+            top.push(i as u32, x);
+            pushed.push((i as u32, x));
+            if i % 97 == 0 || i + 1 == keys.len() {
+                assert_matches_oracle(&top, &pushed, 100).unwrap();
+            }
         }
-        // The heap's set as `into_kept` reports one: by position.
-        let mut want = heap.into_sorted();
-        want.sort_unstable_by_key(|&(i, _)| i);
-        let kept = shortlist.into_kept().into_iter();
-        assert_eq!(want, kept.map(|(i, x)| (i as usize, x)).collect::<Vec<_>>());
     }
 
     #[test]
     fn shortlist_with_oversized_k_returns_everything_in_position_order() {
         let v = [3.0f32, 1.0, 2.0];
-        let mut shortlist = Shortlist::new(usize::MAX);
+        let mut top = TopK::new(usize::MAX);
         for (i, &x) in v.iter().enumerate() {
-            shortlist.push(i as u32, x);
+            top.push(i as u32, x);
         }
-        assert_eq!(shortlist.into_kept(), vec![(0, 3.0), (1, 1.0), (2, 2.0)]);
+        assert_eq!(top.into_kept(), vec![(0, 3.0), (1, 1.0), (2, 2.0)]);
     }
 
     #[test]
@@ -523,8 +500,16 @@ mod tests {
             f32::INFINITY,
             f32::NAN,
         ];
+        // The images order the ladder, and agree with the exported comparator on
+        // every pair: the packed order is the module's order by definition.
         for pair in ladder.windows(2) {
             assert!(rank_bits(pair[0]) < rank_bits(pair[1]), "{pair:?}");
+        }
+        for &a in &ladder {
+            for &b in &ladder {
+                let by_image = rank_bits(a).cmp(&rank_bits(b));
+                assert_eq!(by_image, nan_class_cmp(a, b), "{a} vs {b}");
+            }
         }
         assert_eq!(rank_bits(-0.0), rank_bits(0.0));
         assert_eq!(rank_bits(-f32::NAN), rank_bits(f32::NAN));
@@ -543,15 +528,26 @@ mod tests {
         let mut top = TopK::new(2);
         assert!(top.bound().is_nan(), "no bound before k entries are kept");
         top.push(0, 5.0);
-        assert!(top.bound().is_nan());
         top.push(1, f32::NAN);
-        assert!(top.bound().is_nan(), "a NaN k-th best rejects nothing");
         top.push(2, 7.0);
-        assert_eq!(top.bound(), 7.0);
-        // A tie with the bound is not above it: the heap decides it by index.
+        // Valid, not tight: 7.0 is already the 2nd best, but the bound is the k-th
+        // best as of the last prune, and it never sits below a key the oracle keeps.
+        let bound = top.bound();
+        assert!(bound.is_nan() || bound >= 7.0, "{bound}");
+        top.push(3, 9.0);
+        assert_eq!(top.bound(), 7.0, "the prune at 2k set it");
+        // A tie with the bound is not above it: the position decides it.
         top.push(1, 7.0);
+        top.push(4, 8.0);
         assert_eq!(top.into_sorted(), vec![(0, 5.0), (1, 7.0)]);
         assert!(TopK::new(0).bound().is_nan());
+        // A NaN k-th best rejects nothing.
+        let mut nans = TopK::new(1);
+        nans.push(0, f32::NAN);
+        nans.push(1, f32::NAN);
+        assert!(nans.bound().is_nan());
+        nans.push(2, 3.0);
+        assert_eq!(nans.into_sorted(), vec![(2, 3.0)]);
     }
 
     #[test]
@@ -592,7 +588,7 @@ mod tests {
     #[test]
     fn nan_class_cmp_with_index_tiebreak_matches_module_selection_order() {
         // Sorting by (nan_class_cmp, index) must reproduce a full selection exactly —
-        // the exported comparator is the same total order Scored implements.
+        // the exported comparator is the same total order the packed keys implement.
         let v = [2.0f32, f32::NAN, -1.0, f32::NAN, 2.0, f32::INFINITY];
         let mut idx: Vec<usize> = (0..v.len()).collect();
         idx.sort_by(|&a, &b| nan_class_cmp(v[a], v[b]).then_with(|| a.cmp(&b)));
@@ -637,11 +633,11 @@ mod proptests {
     proptest! {
         #[test]
         fn smallest_k_matches_full_sort(values in prop::collection::vec(-1e4f32..1e4, 0..200), k in 0usize..50) {
-            let by_heap = smallest_k(&values, k);
+            let selected = smallest_k(&values, k);
             let mut by_sort: Vec<usize> = (0..values.len()).collect();
             by_sort.sort_by(|&a, &b| nan_class_cmp(values[a], values[b]).then(a.cmp(&b)));
             by_sort.truncate(k);
-            prop_assert_eq!(by_heap, by_sort);
+            prop_assert_eq!(selected, by_sort);
         }
 
         #[test]
@@ -660,9 +656,10 @@ mod proptests {
             }
         }
 
-        /// After every push the shortlist holds exactly the heap's set — so its bound
-        /// never rejected a key the heap keeps — over streams seeded with NaN, ±∞,
-        /// ±0.0 and repeated finite keys, for `k = 0` and for `k` past the stream's end.
+        /// After every push the selector holds exactly the full-sort oracle's `k` best
+        /// of the pushed prefix — ranked and as a set — with no kept key above its bound,
+        /// over streams seeded with NaN, ±∞, ±0.0 and repeated finite keys, in either
+        /// push order, for `k = 0` and for `k` past the stream's end.
         #[test]
         fn shortlist_is_push_for_push_the_heap_topk_set(
             finites in prop::collection::vec(-1e3f32..1e3, 1..300),
@@ -674,23 +671,15 @@ mod proptests {
             let coarse: Vec<f32> = finites.iter().map(|f| (f / 100.0).round()).collect();
             let values = build_special(&coarse, &classes);
             let n = values.len();
-            let mut heap = TopK::new(k);
-            let mut shortlist = Shortlist::new(k);
+            let mut top = TopK::new(k);
+            let mut pushed = Vec::with_capacity(n);
             for step in 0..n {
                 // Either push order: the packed bound does not need ascending positions.
                 let i = if descending == 1 { n - 1 - step } else { step };
-                heap.push(i, values[i]);
-                shortlist.push(i as u32, values[i]);
-                let mut want = heap.clone().into_sorted();
-                want.sort_unstable_by_key(|&(i, _)| i);
-                let got = shortlist.clone().into_kept();
-                prop_assert_eq!(want.len(), got.len());
-                for (w, g) in want.iter().zip(&got) {
-                    prop_assert_eq!(w.0, g.0 as usize);
-                    // The key that was pushed: NaN as NaN, either zero as a zero.
-                    prop_assert!(w.1 == g.1 || (w.1.is_nan() && g.1.is_nan()));
-                    prop_assert_eq!(values[w.0].is_nan(), g.1.is_nan());
-                }
+                top.push(i as u32, values[i]);
+                pushed.push((i as u32, values[i]));
+                let checked = super::tests::assert_matches_oracle(&top, &pushed, k);
+                prop_assert!(checked.is_ok(), "after {} pushes: {:?}", step + 1, checked);
             }
         }
 
@@ -705,7 +694,7 @@ mod proptests {
             let k = k.min(n);
 
             // Oracle: full sort with NaN explicitly last and ties broken by index —
-            // written out independently of the Scored comparator under test.
+            // written out independently of the packed keys under test.
             let mut asc: Vec<usize> = (0..n).collect();
             asc.sort_by(|&a, &b| {
                 match (values[a].is_nan(), values[b].is_nan()) {

@@ -105,7 +105,7 @@ const INTRINSICS_ALLOWED: &[&str] = &["crates/linalg/src/kernel", "vendor/"];
 /// (`.eval(`) or an ADC code (`adc_eval(`), outside `usp-linalg` and test scopes — the
 /// `usp-quant` allowance of (a)/(b) does not apply. That is a brute-force scan written
 /// one pair a call: it skips the tile and the rejection bound of
-/// `SegmentedScan`/`AdcScan`, and it is how the ground truth, IVF and vanilla ScaNN
+/// `SegmentedScan`, and it is how the ground truth, IVF and vanilla ScaNN
 /// each came to run on a slower loop than the index they were compared with.
 pub fn scoring_outside_kernel(file: &LexedFile, findings: &mut Vec<Finding>) {
     if !in_any(&file.path, INTRINSICS_ALLOWED) {
@@ -179,7 +179,7 @@ pub fn scoring_outside_kernel(file: &LexedFile, findings: &mut Vec<Finding>) {
                     &toks[j],
                     format!(
                         "additive `{}[...]` lookup outside usp-linalg/usp-quant: ADC \
-                         scoring must route through usp_linalg::kernel (AdcTable/AdcScan/\
+                         scoring must route through usp_linalg::kernel (AdcTable/SegmentedScan/\
                          adc_eval), which fixes the summation order (DESIGN §2.3)",
                         toks[j].text
                     ),
@@ -223,7 +223,7 @@ fn selection_scan(file: &LexedFile, findings: &mut Vec<Finding>) {
                     format!(
                         "`{}` over a closure that calls `{}`: a brute-force scan one pair a \
                          call skips the tile and the rejection bound; stream the rows \
-                         through usp_linalg::kernel::{{SegmentedScan, AdcScan}} — directly, \
+                         through usp_linalg::kernel::SegmentedScan — directly, \
                          or via PartitionIndex (DESIGN §2.2)",
                         toks[i].text, toks[j].text
                     ),

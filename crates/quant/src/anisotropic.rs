@@ -12,7 +12,7 @@
 //! the per-centroid normal equations `(Σᵢ Mᵢ) c = Σᵢ Mᵢ xᵢ` with `Mᵢ = I + (η−1) Pᵢ`.
 
 use serde::{Deserialize, Serialize};
-use usp_linalg::{distance, Matrix};
+use usp_linalg::Matrix;
 
 use crate::kmeans::{KMeans, KMeansConfig};
 
@@ -141,21 +141,6 @@ pub fn total_loss(data: &Matrix, codebook: &Matrix, eta: f32) -> f64 {
         .sum()
 }
 
-/// Total *Euclidean* quantization error of a dataset against a codebook (for comparisons
-/// with plain k-means codebooks).
-pub fn total_euclidean_error(data: &Matrix, codebook: &Matrix) -> f64 {
-    (0..data.rows())
-        .map(|i| {
-            let x = data.row(i);
-            let mut best = f32::INFINITY;
-            for c in 0..codebook.rows() {
-                best = best.min(distance::squared_euclidean(x, codebook.row(c)));
-            }
-            best as f64
-        })
-        .sum()
-}
-
 /// Solves `A x = b` by Gaussian elimination with partial pivoting. Returns `None` when the
 /// system is (numerically) singular.
 fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
@@ -200,7 +185,7 @@ fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usp_linalg::rng as lrng;
+    use usp_linalg::{distance, rng as lrng};
 
     #[test]
     fn solve_linear_known_system() {

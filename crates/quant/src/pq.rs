@@ -42,10 +42,6 @@ pub struct ProductQuantizerConfig {
 impl ProductQuantizerConfig {
     /// Classic PQ defaults.
     pub fn standard(n_subspaces: usize, n_centroids: usize) -> Self {
-        assert!(
-            n_centroids <= 256,
-            "codes are stored as bytes; need n_centroids <= 256"
-        );
         Self {
             n_subspaces,
             n_centroids,
@@ -57,10 +53,6 @@ impl ProductQuantizerConfig {
 
     /// ScaNN-style anisotropic PQ.
     pub fn anisotropic(n_subspaces: usize, n_centroids: usize, eta: f32) -> Self {
-        assert!(
-            n_centroids <= 256,
-            "codes are stored as bytes; need n_centroids <= 256"
-        );
         Self {
             n_subspaces,
             n_centroids,
@@ -89,7 +81,17 @@ pub struct ProductQuantizer {
 
 impl ProductQuantizer {
     /// Trains the quantizer on the rows of `data`.
+    ///
+    /// # Panics
+    /// If `config.n_centroids` is not in `1..=256`: a code is one byte per subspace.
+    /// Checked here, the one place every config passes through — the fields are public
+    /// and the struct deserialises, so the constructors cannot vouch for it.
     pub fn fit(data: &Matrix, config: &ProductQuantizerConfig) -> Self {
+        assert!(
+            (1..=256).contains(&config.n_centroids),
+            "codes are stored as bytes; need n_centroids in 1..=256, got {}",
+            config.n_centroids
+        );
         let d = data.cols();
         let m = config.n_subspaces.clamp(1, d);
         // Spread dimensions as evenly as possible: the first `d % m` subspaces get one extra.
@@ -305,15 +307,6 @@ impl ProductQuantizer {
         }
     }
 
-    /// One ADC table per query row, parallel over rows — the batch-table API serving
-    /// layers amortise table construction through.
-    pub fn adc_tables_batch(&self, metric: Distance, queries: &Matrix) -> Vec<AdcTable> {
-        (0..queries.rows())
-            .into_par_iter()
-            .map(|qi| self.adc_table(metric, queries.row(qi)))
-            .collect()
-    }
-
     /// Approximate distance between the query (via its ADC table) and a code,
     /// evaluated by the workspace's single blocked lookup kernel
     /// ([`usp_linalg::kernel::adc_eval`]).
@@ -461,27 +454,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_tables_equal_per_query_tables() {
-        let data = clustered(120, 6, 8);
-        let pq = ProductQuantizer::fit(&data, &ProductQuantizerConfig::standard(3, 8));
-        let queries = clustered(7, 6, 90);
-        for metric in [Distance::SquaredEuclidean, Distance::Cosine] {
-            let batch = pq.adc_tables_batch(metric, &queries);
-            assert_eq!(batch.len(), 7);
-            for qi in 0..queries.rows() {
-                let single = pq.adc_table(metric, queries.row(qi));
-                // Bit-compare through evaluations over a few codes.
-                for i in (0..data.rows()).step_by(31) {
-                    let code = pq.encode(data.row(i));
-                    assert_eq!(
-                        pq.adc_distance(&batch[qi], &code).to_bits(),
-                        pq.adc_distance(&single, &code).to_bits(),
-                        "{} query {qi}",
-                        metric.name()
-                    );
-                }
-            }
-        }
+    #[should_panic(expected = "need n_centroids in 1..=256, got 300")]
+    fn fit_rejects_a_config_whose_codes_would_wrap() {
+        // Hand-built (or deserialised) past the constructors: before the check moved
+        // into `fit` this trained 300-row codebooks and stored `best as u8`.
+        let config = ProductQuantizerConfig {
+            n_centroids: 300,
+            ..ProductQuantizerConfig::standard(2, 8)
+        };
+        ProductQuantizer::fit(&clustered(400, 4, 3), &config);
     }
 
     #[test]

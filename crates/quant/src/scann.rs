@@ -84,18 +84,16 @@ impl ScannConfig {
 /// [`PartitionIndex`] whose one bin holds every point, plus its name.
 pub struct ScannSearcher {
     index: PartitionIndex<RoundRobinPartitioner>,
-    pq: Arc<ProductQuantizer>,
     name: String,
 }
 
 impl ScannSearcher {
     /// Trains the quantizer and encodes the dataset.
     pub fn build(data: &Matrix, config: ScannConfig) -> Self {
-        let (pq, scoring) = config.fit_scoring(data);
+        let (_, scoring) = config.fit_scoring(data);
         Self {
             index: PartitionIndex::build(RoundRobinPartitioner::new(1), data, config.distance)
                 .with_scoring(scoring),
-            pq,
             name: config.name(),
         }
     }
@@ -108,11 +106,6 @@ impl ScannSearcher {
     /// True when no points are indexed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The underlying product quantizer.
-    pub fn quantizer(&self) -> &ProductQuantizer {
-        &self.pq
     }
 
     /// The one-bin compressed index the searcher scans; its per-query budget
@@ -214,20 +207,21 @@ mod tests {
         let data = clustered(n, 8, 2);
         let queries = clustered(12, 8, 78);
         for rerank in [1, k, 37, n] {
-            let scann = ScannSearcher::build(
-                &data,
-                ScannConfig {
-                    rerank_size: rerank,
-                    ..Default::default()
-                },
-            );
+            let config = ScannConfig {
+                rerank_size: rerank,
+                ..Default::default()
+            };
+            // The fit is deterministic in the seed: the reference's quantizer is the
+            // searcher's.
+            let (pq, _) = config.fit_scoring(&data);
+            let scann = ScannSearcher::build(&data, config);
             for qi in 0..queries.rows() {
                 let q = queries.row(qi);
-                let expect = gathered_reference(&data, scann.quantizer(), q, k, rerank);
+                let expect = gathered_reference(&data, &pq, q, k, rerank);
                 assert_eq!(scann.search(q, k), expect, "query {qi} rerank {rerank}");
                 // The per-query budget is the same knob as the configured one.
                 let budgeted = scann.index().scan_bins(q, &[0], k, Some(37));
-                let expect = gathered_reference(&data, scann.quantizer(), q, k, 37);
+                let expect = gathered_reference(&data, &pq, q, k, 37);
                 assert_eq!(budgeted, expect, "query {qi} budget 37");
             }
             let batch = scann.search_batch(&queries, k);

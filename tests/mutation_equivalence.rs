@@ -18,7 +18,7 @@
 //!   compressed mode with shared codebooks (compaction re-encodes through the same
 //!   `CodeQuantizer`), and every CSR invariant holds by construction.
 //!
-//! CI re-runs the whole suite under `USP_NUM_THREADS=1` and `USP_NUM_THREADS=4`; the
+//! CI's two full-suite runs put this file under `USP_NUM_THREADS=1` and `USP_NUM_THREADS=4`; the
 //! proptests additionally pin both pool sizes inside each case.
 
 use std::collections::{HashMap, HashSet};
@@ -467,8 +467,7 @@ fn compaction_threshold_and_report_bookkeeping() {
         (20, 4, 3, 2)
     );
 
-    let mut idx = idx;
-    let report = idx.compact();
+    let (idx, report) = idx.compacted();
     assert_eq!(report.live_points, 22); // 20 - 1 dead base + 3 live inserts
     assert_eq!(report.merged_inserts, 3);
     assert_eq!(report.dropped_tombstones, 2);

@@ -6,8 +6,9 @@
 //! combination, `QueryEngine::serve_batch` must answer **bit-identically** to the
 //! index's own per-query paths — `PartitionIndex::search` when no re-rank budget is
 //! set, and `rank_bins` + `PartitionIndex::scan_bins` (one pass over the whole
-//! stream, which defines budget semantics) otherwise. CI additionally re-runs this
-//! whole suite under `USP_NUM_THREADS=1` and `USP_NUM_THREADS=4`.
+//! stream, which defines budget semantics) otherwise — at shard counts {1, 2, 4, 7},
+//! and for micro-batched submissions. CI's two full-suite runs put this whole file under
+//! `USP_NUM_THREADS=1` and `USP_NUM_THREADS=4`.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -12,7 +12,7 @@
 //! mutation API. It then round-trips: compact (checkpoint + truncate), mutate
 //! again, crash again, recover again — this time on top of the compacted base.
 //! Everything runs in exact *and* compressed scoring mode, under worker pools
-//! of 1 and 4 threads (CI re-runs the file under `USP_NUM_THREADS=1` and `=4`).
+//! of 1 and 4 threads (CI runs the file under `USP_NUM_THREADS=1` and `=4`).
 //!
 //! The deterministic tests pin the fault-model edges from the module docs in
 //! `usp-index/src/wal.rs`: a torn tail is tolerated (truncate + count), a
@@ -218,9 +218,8 @@ fn check_crash_cut(
     assert_bit_identical(&recovered, &reference, queries, 5, 3, "post-recovery");
 
     // --- round trip: checkpoint compaction, more ops, second crash, recover -------
-    let mut recovered = recovered;
-    recovered
-        .try_compact()
+    let (recovered, _) = recovered
+        .compacted_with_checkpoint()
         .expect("checkpoint compaction on a healthy log");
     assert_eq!(
         recovered.wal_stats().expect("wal stays attached").epoch,
@@ -452,8 +451,9 @@ fn sync_failure_never_acks_and_poisons_until_checkpoint() {
 
     // The checkpoint protocol writes a whole new verified image, which is the
     // documented way out of the poisoned state.
-    let mut idx = idx;
-    idx.try_compact().expect("checkpoint replaces the log");
+    let (idx, _) = idx
+        .compacted_with_checkpoint()
+        .expect("checkpoint replaces the log");
     idx.try_insert(&[0.5, 0.5])
         .expect("appends resume after the checkpoint");
     assert_eq!(idx.mutation_stats().inserts, 1);

@@ -4,20 +4,157 @@
 //! experiments). The [`Distance`] enum lets every index in the workspace be generic over
 //! the metric without trait objects on the hot path.
 
+use std::hint::select_unpredictable;
+
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::dot;
 
-/// Squared Euclidean distance between two equal-length vectors.
+/// Squared Euclidean distance between two equal-length vectors: `(a[t] − b[t])²` added
+/// to `0.0` for `t` ascending, one `sub`, one `mul` and one `add` per coordinate.
+///
+/// # Panics
+/// If the lengths differ.
 #[inline]
 pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "squared_euclidean: lengths differ");
     let mut acc = 0.0f32;
     for (x, y) in a.iter().zip(b.iter()) {
         let d = x - y;
         acc += d * d;
     }
     acc
+}
+
+/// Lanes per group: one baseline (SSE2 / NEON) register of `f32`.
+const GROUP: usize = 4;
+/// Groups per register block: four independent add chains per coordinate.
+const GROUPS: usize = 4;
+/// Points per register block of [`squared_euclidean_to_columns`] and [`nearest_column`].
+const COLUMN_BLOCK: usize = GROUP * GROUPS;
+
+/// Sixteen lanes as four groups of four, lane `GROUP * g + l` at `[g][l]`: the shape LLVM
+/// turns into four registers without regrouping lanes across them.
+type Lanes = [[f32; GROUP]; GROUPS];
+
+/// The one shape check of the column kernels.
+#[inline]
+fn assert_columns_shape(q: &[f32], columns: &[f32], m: usize) {
+    assert!(
+        q.len().checked_mul(m) == Some(columns.len()),
+        "column kernel: {} floats are not {} rows of {m} points",
+        columns.len(),
+        q.len()
+    );
+}
+
+/// The squared distances from `q` to the 16 points of columns `j..j + 16`: lane `l` is
+/// [`squared_euclidean`]'s serial chain for point `j + l`, sixteen chains in flight.
+#[inline(always)]
+fn column_block(q: &[f32], columns: &[f32], m: usize, j: usize) -> Lanes {
+    let mut acc = [[0.0f32; GROUP]; GROUPS];
+    for (t, &qt) in q.iter().enumerate() {
+        let c = &columns[t * m + j..t * m + j + COLUMN_BLOCK];
+        for (g, acc) in acc.iter_mut().enumerate() {
+            for (l, a) in acc.iter_mut().enumerate() {
+                let d = qt - c[GROUP * g + l];
+                *a += d * d;
+            }
+        }
+    }
+    acc
+}
+
+/// [`squared_euclidean`] from `q` to the single point in column `j`.
+#[inline]
+fn column_one(q: &[f32], columns: &[f32], m: usize, j: usize) -> f32 {
+    let mut acc = 0.0f32;
+    for (t, &qt) in q.iter().enumerate() {
+        let d = qt - columns[t * m + j];
+        acc += d * d;
+    }
+    acc
+}
+
+/// `out[j] = squared_euclidean(q, point j)` for the `m = out.len()` points stored
+/// column-major in `columns` — `q.len()` rows of `m` floats, coordinate `t` of point `j`
+/// at `columns[t * m + j]` — with every output bit-identical to [`squared_euclidean`]
+/// (DESIGN §2.2): the lanes are points, not coordinates, so each point's sum keeps the
+/// scalar loop's serial order, and sixteen of them run side by side (which LLVM
+/// vectorises on the baseline instruction set without reassociating anything).
+///
+/// Never inlined: whether LLVM vectorises the block loop is decided per inlined copy, so
+/// every caller runs the one copy `cargo bench --bench quantization` (group `codebook`)
+/// measures. The same holds for [`nearest_column`].
+///
+/// # Panics
+/// If `columns` is not `q.len() * out.len()` floats.
+#[inline(never)]
+pub fn squared_euclidean_to_columns(q: &[f32], columns: &[f32], out: &mut [f32]) {
+    let m = out.len();
+    assert_columns_shape(q, columns, m);
+    let full = m - m % COLUMN_BLOCK;
+    for (j, block) in (0..full)
+        .step_by(COLUMN_BLOCK)
+        .zip(out.chunks_exact_mut(COLUMN_BLOCK))
+    {
+        block.copy_from_slice(column_block(q, columns, m, j).as_flattened());
+    }
+    for (j, o) in out.iter_mut().enumerate().skip(full) {
+        *o = column_one(q, columns, m, j);
+    }
+}
+
+/// The nearest of the `m` points stored column-major in `columns` (as for
+/// [`squared_euclidean_to_columns`]) and its squared distance: the result of the scalar
+/// loop `if squared_euclidean(q, point j) < best` over `j` ascending from
+/// `(0, +∞)` — the first minimum wins, a NaN distance never wins, and when no distance
+/// is below `+∞` (all NaN or infinite, or `m == 0`) the answer is `(0, +∞)`.
+///
+/// Each of the 16 lanes keeps a running minimum of its own points (`j ≡ l mod 16`, so
+/// within a lane the first minimum is the lowest index); the lanes are then reduced by
+/// distance with ties to the lowest index, which is the scalar loop's winner, and the
+/// loop's rule runs on over the points past the last whole block.
+///
+/// # Panics
+/// If `columns` is not `q.len() * m` floats.
+#[inline(never)]
+pub fn nearest_column(q: &[f32], columns: &[f32], m: usize) -> (usize, f32) {
+    assert_columns_shape(q, columns, m);
+    // A lane's block number is an `f32` (exact below 2²⁴), so both of its updates are
+    // float blends on the compare's own mask. `select_unpredictable` keeps LLVM from
+    // turning them into sixteen branches, which mispredict on real data (2.5× slower).
+    let blocks = m / COLUMN_BLOCK;
+    assert!(blocks < 1 << 24, "nearest_column: {m} points");
+    let mut best_d = [[f32::INFINITY; GROUP]; GROUPS];
+    let mut best_b = [[0.0f32; GROUP]; GROUPS];
+    for b in 0..blocks {
+        let block = column_block(q, columns, m, b * COLUMN_BLOCK);
+        let b = b as f32;
+        for g in 0..GROUPS {
+            for l in 0..GROUP {
+                let closer = block[g][l] < best_d[g][l];
+                best_d[g][l] = select_unpredictable(closer, block[g][l], best_d[g][l]);
+                best_b[g][l] = select_unpredictable(closer, b, best_b[g][l]);
+            }
+        }
+    }
+    let mut best = (0usize, f32::INFINITY);
+    let lanes = best_d.as_flattened().iter().zip(best_b.as_flattened());
+    for (l, (&d, &b)) in lanes.enumerate() {
+        let j = b as usize * COLUMN_BLOCK + l;
+        // A lane whose minimum is still +∞ never took a point.
+        if d < best.1 || (d == best.1 && d < f32::INFINITY && j < best.0) {
+            best = (j, d);
+        }
+    }
+    for j in blocks * COLUMN_BLOCK..m {
+        let d = column_one(q, columns, m, j);
+        if d < best.1 {
+            best = (j, d);
+        }
+    }
+    best
 }
 
 /// Euclidean (L2) distance.
@@ -92,6 +229,126 @@ impl Distance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel_gemm::tests::{same, special};
+    use proptest::prelude::*;
+
+    // `assert!`, not `debug_assert!`: under `cargo test --release` a short `b` must not be
+    // scored as a prefix (`zip` stops at the shorter slice).
+    #[test]
+    #[should_panic(expected = "lengths differ")]
+    fn squared_euclidean_panics_on_a_short_b() {
+        squared_euclidean(&[1.0; 8], &[1.0; 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lengths differ")]
+    fn squared_euclidean_panics_on_a_long_b() {
+        squared_euclidean(&[1.0; 8], &[1.0; 9]);
+    }
+
+    #[test]
+    fn column_kernels_panic_on_a_wrong_shape() {
+        for len in [11, 13] {
+            let columns = vec![0.0f32; len];
+            let to_columns = std::panic::catch_unwind(|| {
+                squared_euclidean_to_columns(&[0.0; 3], &columns, &mut [0.0; 4])
+            });
+            assert!(to_columns.is_err(), "accepted {len} floats for 3 x 4");
+            let nearest = std::panic::catch_unwind(|| nearest_column(&[0.0; 3], &columns, 4));
+            assert!(nearest.is_err(), "nearest accepted {len} floats for 3 x 4");
+        }
+    }
+
+    /// Point `j` of a column-major block, gathered back into a row.
+    fn column(columns: &[f32], d: usize, m: usize, j: usize) -> Vec<f32> {
+        (0..d).map(|t| columns[t * m + j]).collect()
+    }
+
+    /// The per-pair loop the column kernels replace.
+    fn nearest_by_pairs(q: &[f32], columns: &[f32], m: usize) -> (usize, f32) {
+        let mut best = (0usize, f32::INFINITY);
+        for j in 0..m {
+            let d = squared_euclidean(q, &column(columns, q.len(), m, j));
+            if d < best.1 {
+                best = (j, d);
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Both column kernels against one `squared_euclidean` per point: the same bits
+        /// (up to which NaN, as for the scan kernels), and the scalar loop's winner.
+        /// `d` and `m` cover every block remainder and the 0-dim case, `q` starts one
+        /// float into its allocation and the columns three past it, and entries are
+        /// seeded with NaN, ±∞ and ±0.0.
+        #[test]
+        fn column_kernels_match_squared_euclidean_bit_for_bit(
+            d in 0usize..=40,
+            m in 0usize..=40,
+            seed in 0u64..1 << 40,
+            specials in prop::collection::vec((0usize..1 << 20, 0u8..5), 0..6),
+        ) {
+            let mut values = crate::rng::normal_vector(&mut crate::rng::seeded(seed), 4 + d + d * m);
+            for &(at, class) in &specials {
+                let at = at % values.len();
+                values[at] = special(class);
+            }
+            let (q, columns) = (&values[1..1 + d], &values[4 + d..]);
+            let mut got = vec![f32::NAN; m];
+            squared_euclidean_to_columns(q, columns, &mut got);
+            for (j, &g) in got.iter().enumerate() {
+                let want = squared_euclidean(q, &column(columns, d, m, j));
+                prop_assert!(
+                    same(want, g),
+                    "d={d} m={m} point {j}: per pair {want:?} ({:#x}) vs columns {g:?} ({:#x})",
+                    want.to_bits(), g.to_bits()
+                );
+            }
+            let (want, got) = (nearest_by_pairs(q, columns, m), nearest_column(q, columns, m));
+            prop_assert!(want.0 == got.0 && same(want.1, got.1), "d={d} m={m}: {want:?} vs {got:?}");
+        }
+    }
+
+    #[test]
+    fn nearest_column_keeps_the_scalar_loops_ties_nans_and_infinities() {
+        // Lay out `points` (each `d` long) column-major.
+        let columns_of = |points: &[Vec<f32>]| -> Vec<f32> {
+            let d = points.first().map_or(0, Vec::len);
+            (0..d)
+                .flat_map(|t| points.iter().map(move |p| p[t]))
+                .collect()
+        };
+        let q = [1.0f32, -2.0];
+        // Copies of the nearest point in three lanes of two blocks and in the tail past
+        // the last whole block: the lowest index wins.
+        let mut points = vec![vec![9.0f32, 9.0]; 40];
+        for j in [36, 21, 18, 7] {
+            points[j] = vec![1.5, -2.0];
+        }
+        assert_eq!(nearest_column(&q, &columns_of(&points), 40), (7, 0.25));
+        // A NaN row never wins; when every row is NaN the answer is (0, +∞).
+        points[7] = vec![f32::NAN, 0.0];
+        assert_eq!(nearest_column(&q, &columns_of(&points), 40), (18, 0.25));
+        let nans = vec![vec![f32::NAN, 1.0]; 35];
+        assert_eq!(
+            nearest_column(&q, &columns_of(&nans), 35),
+            (0, f32::INFINITY)
+        );
+        // +∞ distances never win either, and a finite one after them does.
+        let mut far = vec![vec![f32::INFINITY, 0.0]; 35];
+        assert_eq!(
+            nearest_column(&q, &columns_of(&far), 35),
+            (0, f32::INFINITY)
+        );
+        far[34] = vec![1.0, 0.0];
+        assert_eq!(nearest_column(&q, &columns_of(&far), 35), (34, 4.0));
+        // No points, or no dimensions (every distance 0.0: the first point).
+        assert_eq!(nearest_column(&q, &[], 0), (0, f32::INFINITY));
+        assert_eq!(nearest_column(&[], &[], 7), (0, 0.0));
+    }
 
     #[test]
     fn squared_euclidean_known_value() {

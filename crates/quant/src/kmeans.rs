@@ -49,6 +49,10 @@ pub struct KMeans {
     pub inertia: f64,
     /// Number of Lloyd iterations actually run.
     pub iterations: usize,
+    /// `centroids` transposed (one row per coordinate), made once by `fit`: the layout
+    /// [`distance::nearest_column`] scores a query against in [`KMeans::assign`] and
+    /// [`KMeans::scores`].
+    columns: Matrix,
 }
 
 impl KMeans {
@@ -61,33 +65,19 @@ impl KMeans {
         let mut rng = lrng::seeded(config.seed);
 
         let mut centroids = kmeanspp_init(data, k, &mut rng);
-        let mut assignments = vec![0usize; n];
         let mut inertia = f64::INFINITY;
         let mut iterations = 0usize;
 
         for iter in 0..config.max_iters {
             iterations = iter + 1;
-            // Assignment step (parallel over points).
+            // Assignment step (parallel over points), against the centroids laid out
+            // column-major once per iteration.
+            let columns = centroids.transpose();
             let new: Vec<(usize, f32)> = (0..n)
                 .into_par_iter()
-                .map(|i| {
-                    let p = data.row(i);
-                    let mut best = 0usize;
-                    let mut best_d = f32::INFINITY;
-                    for c in 0..k {
-                        let dist = distance::squared_euclidean(p, centroids.row(c));
-                        if dist < best_d {
-                            best_d = dist;
-                            best = c;
-                        }
-                    }
-                    (best, best_d)
-                })
+                .map(|i| distance::nearest_column(data.row(i), columns.as_slice(), k))
                 .collect();
             let new_inertia: f64 = new.iter().map(|&(_, d)| d as f64).sum();
-            for (i, &(c, _)) in new.iter().enumerate() {
-                assignments[i] = c;
-            }
 
             // Update step: chunk-local accumulation merged in chunk order. The chunk
             // width is a fixed constant (not derived from the thread count), so the
@@ -125,8 +115,7 @@ impl KMeans {
                     centroids.row_mut(c).copy_from_slice(data.row(idx));
                 } else {
                     let inv = 1.0 / counts[c] as f32;
-                    let s = sums.row(c).to_vec();
-                    for (cv, sv) in centroids.row_mut(c).iter_mut().zip(s) {
+                    for (cv, &sv) in centroids.row_mut(c).iter_mut().zip(sums.row(c)) {
                         *cv = sv * inv;
                     }
                 }
@@ -140,6 +129,7 @@ impl KMeans {
         }
 
         Self {
+            columns: centroids.transpose(),
             centroids,
             inertia,
             iterations,
@@ -151,25 +141,25 @@ impl KMeans {
         self.centroids.rows()
     }
 
-    /// Index of the nearest centroid to a point.
+    /// Index of the nearest centroid to a point (the first of equally near ones).
+    ///
+    /// # Panics
+    /// If `point` is not as long as a centroid.
     pub fn assign(&self, point: &[f32]) -> usize {
-        let mut best = 0usize;
-        let mut best_d = f32::INFINITY;
-        for c in 0..self.k() {
-            let d = distance::squared_euclidean(point, self.centroids.row(c));
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        best
+        distance::nearest_column(point, self.columns.as_slice(), self.k()).0
     }
 
     /// Negative distances to every centroid (larger = closer), usable as bin scores.
+    ///
+    /// # Panics
+    /// If `point` is not as long as a centroid.
     pub fn scores(&self, point: &[f32]) -> Vec<f32> {
-        (0..self.k())
-            .map(|c| -distance::squared_euclidean(point, self.centroids.row(c)))
-            .collect()
+        let mut scores = vec![0.0f32; self.k()];
+        distance::squared_euclidean_to_columns(point, self.columns.as_slice(), &mut scores);
+        for s in &mut scores {
+            *s = -*s;
+        }
+        scores
     }
 
     /// Assigns every row of a matrix (parallel).
@@ -183,15 +173,19 @@ impl KMeans {
 
 /// k-means++ seeding: the first centre is uniform, each subsequent centre is sampled with
 /// probability proportional to its squared distance to the nearest chosen centre.
+///
+/// Distances are taken one centre against every point, with the points transposed once
+/// so that each lane of [`distance::squared_euclidean_to_columns`] is a point.
 fn kmeanspp_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
     let n = data.rows();
+    let columns = data.transpose();
     let mut centroids = Matrix::zeros(k, data.cols());
     let first = rng.random_range(0..n);
     centroids.row_mut(0).copy_from_slice(data.row(first));
 
-    let mut min_dist: Vec<f32> = (0..n)
-        .map(|i| distance::squared_euclidean(data.row(i), centroids.row(0)))
-        .collect();
+    let mut min_dist = vec![0.0f32; n];
+    distance::squared_euclidean_to_columns(centroids.row(0), columns.as_slice(), &mut min_dist);
+    let mut dist = vec![0.0f32; n];
 
     for c in 1..k {
         let total: f64 = min_dist.iter().map(|&d| d as f64).sum();
@@ -210,10 +204,10 @@ fn kmeanspp_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
             pick
         };
         centroids.row_mut(c).copy_from_slice(data.row(chosen));
-        for i in 0..n {
-            let d = distance::squared_euclidean(data.row(i), centroids.row(c));
-            if d < min_dist[i] {
-                min_dist[i] = d;
+        distance::squared_euclidean_to_columns(centroids.row(c), columns.as_slice(), &mut dist);
+        for (m, &d) in min_dist.iter_mut().zip(&dist) {
+            if d < *m {
+                *m = d;
             }
         }
     }
@@ -294,6 +288,174 @@ mod tests {
         let k2 = KMeans::fit(&data, &KMeansConfig::new(2));
         let k8 = KMeans::fit(&data, &KMeansConfig::new(8));
         assert!(k8.inertia < k2.inertia);
+    }
+
+    /// `KMeans::fit` as it was before the column kernels: one `squared_euclidean` per
+    /// (point, centroid) pair in the assignment step and in the seeding, and the update
+    /// step reading each centroid's sum through a copy. The oracle of the test below.
+    fn fit_per_pair(data: &Matrix, config: &KMeansConfig) -> (Matrix, f64, usize) {
+        let (n, d) = (data.rows(), data.cols());
+        let k = config.k.clamp(1, n);
+        let mut rng = lrng::seeded(config.seed);
+        let mut centroids = Matrix::zeros(k, d);
+        let first = rng.random_range(0..n);
+        centroids.row_mut(0).copy_from_slice(data.row(first));
+        let mut min_dist: Vec<f32> = (0..n)
+            .map(|i| distance::squared_euclidean(data.row(i), centroids.row(0)))
+            .collect();
+        for c in 1..k {
+            let total: f64 = min_dist.iter().map(|&d| d as f64).sum();
+            let chosen = if total <= 0.0 {
+                rng.random_range(0..n)
+            } else {
+                let mut target = rng.random::<f64>() * total;
+                let mut pick = n - 1;
+                for (i, &d) in min_dist.iter().enumerate() {
+                    target -= d as f64;
+                    if target <= 0.0 {
+                        pick = i;
+                        break;
+                    }
+                }
+                pick
+            };
+            centroids.row_mut(c).copy_from_slice(data.row(chosen));
+            for i in 0..n {
+                let d = distance::squared_euclidean(data.row(i), centroids.row(c));
+                if d < min_dist[i] {
+                    min_dist[i] = d;
+                }
+            }
+        }
+        let (mut inertia, mut iterations) = (f64::INFINITY, 0usize);
+        for iter in 0..config.max_iters {
+            iterations = iter + 1;
+            let new: Vec<(usize, f32)> = (0..n)
+                .map(|i| {
+                    let (mut best, mut best_d) = (0usize, f32::INFINITY);
+                    for c in 0..k {
+                        let dist = distance::squared_euclidean(data.row(i), centroids.row(c));
+                        if dist < best_d {
+                            best_d = dist;
+                            best = c;
+                        }
+                    }
+                    (best, best_d)
+                })
+                .collect();
+            let new_inertia: f64 = new.iter().map(|&(_, d)| d as f64).sum();
+            let mut sums = Matrix::zeros(k, d);
+            let mut counts = vec![0usize; k];
+            for (ci, chunk) in new.chunks(UPDATE_CHUNK).enumerate() {
+                let mut partial = Matrix::zeros(k, d);
+                for (off, &(c, _)) in chunk.iter().enumerate() {
+                    counts[c] += 1;
+                    for (sv, &v) in partial
+                        .row_mut(c)
+                        .iter_mut()
+                        .zip(data.row(ci * UPDATE_CHUNK + off))
+                    {
+                        *sv += v;
+                    }
+                }
+                sums.add_assign(&partial);
+            }
+            for c in 0..k {
+                if counts[c] == 0 {
+                    let idx = rng.random_range(0..n);
+                    centroids.row_mut(c).copy_from_slice(data.row(idx));
+                } else {
+                    let inv = 1.0 / counts[c] as f32;
+                    let s = sums.row(c).to_vec();
+                    for (cv, sv) in centroids.row_mut(c).iter_mut().zip(s) {
+                        *cv = sv * inv;
+                    }
+                }
+            }
+            let rel_change = (inertia - new_inertia).abs() / new_inertia.max(1e-12);
+            inertia = new_inertia;
+            if rel_change < config.tol {
+                break;
+            }
+        }
+        (centroids, inertia, iterations)
+    }
+
+    #[test]
+    fn fit_matches_the_per_pair_loops_bit_for_bit() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = lrng::seeded(13);
+        // Rounded coordinates repeat, so distances tie and the first minimum must win.
+        let tied = Matrix::from_vec(
+            1500,
+            8,
+            (0..1500 * 8)
+                .map(|_| (2.0 * lrng::standard_normal(&mut rng)).round())
+                .collect(),
+        );
+        // A NaN and an infinite entry poison distances without ending the fit.
+        let mut poisoned = tied.clone();
+        poisoned[(17, 3)] = f32::NAN;
+        poisoned[(901, 0)] = f32::INFINITY;
+        let wide = Matrix::from_vec(600, 64, lrng::normal_vector(&mut rng, 600 * 64));
+        let cases = [
+            (four_blobs(40, 2).0, 4, 50),
+            (tied, 64, 10),
+            (poisoned, 20, 4),
+            (tied_rows_only(), 7, 5),
+            (wide, 32, 15),
+        ];
+        for (data, k, max_iters) in &cases {
+            let config = KMeansConfig {
+                k: *k,
+                max_iters: *max_iters,
+                tol: 1e-4,
+                seed: 5,
+            };
+            let (centroids, inertia, iterations) = fit_per_pair(data, &config);
+            for threads in [1, 4] {
+                let km = rayon::with_num_threads(threads, || KMeans::fit(data, &config));
+                let shape = (data.rows(), data.cols(), *k, threads);
+                assert_eq!(bits(&km.centroids), bits(&centroids), "{shape:?}");
+                assert_eq!(km.inertia.to_bits(), inertia.to_bits(), "{shape:?}");
+                assert_eq!(km.iterations, iterations, "{shape:?}");
+                let scores = km.scores(data.row(0));
+                let per_pair: Vec<f32> = (0..km.k())
+                    .map(|c| -distance::squared_euclidean(data.row(0), centroids.row(c)))
+                    .collect();
+                assert_eq!(
+                    scores.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    per_pair.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{shape:?}"
+                );
+            }
+        }
+    }
+
+    /// Twelve rows, two distinct: every distance has exact duplicates.
+    fn tied_rows_only() -> Matrix {
+        let rows = [
+            vec![1.0f32, 2.0, 3.0],
+            vec![-1.0, 0.0, 1.0],
+            vec![1.0, 2.0, 3.0],
+        ];
+        Matrix::from_rows(&(0..12).map(|i| rows[i % 3].clone()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    #[should_panic(expected = "column kernel")]
+    fn assign_panics_on_a_short_query() {
+        // In a release build this used to score the query against a prefix of every
+        // centroid and return an answer.
+        let km = KMeans::fit(&four_blobs(10, 1).0, &KMeansConfig::new(4));
+        km.assign(&[0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column kernel")]
+    fn scores_panics_on_a_long_query() {
+        let km = KMeans::fit(&four_blobs(10, 1).0, &KMeansConfig::new(4));
+        km.scores(&[0.0; 3]);
     }
 
     #[test]

@@ -74,6 +74,10 @@ pub struct ProductQuantizer {
     ranges: Vec<(usize, usize)>,
     /// One codebook per subspace, shape `(n_centroids, subspace_len)`.
     codebooks: Vec<Matrix>,
+    /// Each codebook transposed, shape `(subspace_len, n_centroids)`, made once by `fit`:
+    /// the layout the column kernels of [`usp_linalg::distance`] read in `encode_into`
+    /// and `adc_table`.
+    columns: Vec<Matrix>,
     /// η used for encoding when the codebooks are anisotropic (1.0 for standard PQ).
     encode_eta: f32,
     dim: usize,
@@ -160,6 +164,7 @@ impl ProductQuantizer {
 
         Self {
             ranges,
+            columns: codebooks.iter().map(Matrix::transpose).collect(),
             codebooks,
             encode_eta,
             dim: d,
@@ -190,23 +195,15 @@ impl ProductQuantizer {
             self.n_subspaces(),
             "encode_into: code slice length mismatch"
         );
-        for (slot, (&(start, len), cb)) in
-            out.iter_mut().zip(self.ranges.iter().zip(&self.codebooks))
-        {
+        let k = self.n_centroids();
+        for (s, (slot, &(start, len))) in out.iter_mut().zip(&self.ranges).enumerate() {
             let sub = &point[start..start + len];
+            // The anisotropic loss is not a squared distance (it projects the residual on
+            // the point), so η > 1 keeps its own per-centroid loop.
             *slot = if self.encode_eta > 1.0 {
-                anisotropic::assign(sub, cb, self.encode_eta) as u8
+                anisotropic::assign(sub, &self.codebooks[s], self.encode_eta) as u8
             } else {
-                let mut best = 0usize;
-                let mut best_d = f32::INFINITY;
-                for c in 0..cb.rows() {
-                    let d = distance::squared_euclidean(sub, cb.row(c));
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                best as u8
+                distance::nearest_column(sub, self.columns[s].as_slice(), k).0 as u8
             };
         }
     }
@@ -261,18 +258,27 @@ impl ProductQuantizer {
         let m = self.n_subspaces();
         match metric {
             Distance::SquaredEuclidean | Distance::Euclidean => {
-                let mut table = Vec::with_capacity(m * k);
-                for (&(start, len), cb) in self.ranges.iter().zip(&self.codebooks) {
-                    let sub = &query[start..start + len];
-                    for c in 0..k {
-                        table.push(distance::squared_euclidean(sub, cb.row(c)));
-                    }
+                let mut table = vec![0.0f32; m * k];
+                for ((&(start, len), columns), out) in self
+                    .ranges
+                    .iter()
+                    .zip(&self.columns)
+                    .zip(table.chunks_exact_mut(k))
+                {
+                    distance::squared_euclidean_to_columns(
+                        &query[start..start + len],
+                        columns.as_slice(),
+                        out,
+                    );
                 }
                 AdcTable::Sum {
                     table,
                     n_centroids: k,
                 }
             }
+            // Inner-product and cosine entries are `dot`'s four-lane order (the GEMM's
+            // arithmetic contract), not a serial chain, so the column kernel would change
+            // their bits; they keep one `dot` per centroid.
             Distance::InnerProduct => {
                 let mut table = Vec::with_capacity(m * k);
                 for (&(start, len), cb) in self.ranges.iter().zip(&self.codebooks) {
@@ -508,6 +514,70 @@ mod tests {
                 pq.encode(permuted.row(j)),
                 &original[src * 4..(src + 1) * 4]
             );
+        }
+    }
+
+    /// `encode_into` for η ≤ 1 as it was before the column kernels: one
+    /// `squared_euclidean` per centroid, the first minimum kept.
+    fn encode_per_pair(pq: &ProductQuantizer, point: &[f32]) -> Vec<u8> {
+        let mut code = Vec::new();
+        for (&(start, len), cb) in pq.ranges.iter().zip(&pq.codebooks) {
+            let (mut best, mut best_d) = (0usize, f32::INFINITY);
+            for c in 0..cb.rows() {
+                let d = distance::squared_euclidean(&point[start..start + len], cb.row(c));
+                if d < best_d {
+                    best_d = d;
+                    best = c;
+                }
+            }
+            code.push(best as u8);
+        }
+        code
+    }
+
+    /// The squared-Euclidean `adc_table` as it was: one `squared_euclidean` per entry.
+    fn adc_table_per_pair(pq: &ProductQuantizer, query: &[f32]) -> Vec<f32> {
+        let mut table = Vec::new();
+        for (&(start, len), cb) in pq.ranges.iter().zip(&pq.codebooks) {
+            for c in 0..cb.rows() {
+                table.push(distance::squared_euclidean(
+                    &query[start..start + len],
+                    cb.row(c),
+                ));
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn codes_and_tables_match_the_per_pair_loops_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // 10 dimensions over 3 subspaces (4 + 3 + 3), 200 centroids: every block
+        // remainder of the kernel. Coarse rounding leaves fewer distinct subvectors than
+        // centroids, so codebooks hold duplicate centroids and encoding meets exact ties.
+        let mut data = clustered(700, 10, 21);
+        data.map_inplace(|v| (v / 3.0).round());
+        let mut queries = clustered(40, 10, 22);
+        queries[(3, 1)] = f32::NAN;
+        queries[(5, 9)] = f32::INFINITY;
+        for threads in [1, 4] {
+            rayon::with_num_threads(threads, || {
+                let pq = ProductQuantizer::fit(&data, &ProductQuantizerConfig::standard(3, 200));
+                let codes = pq.encode_all(&data);
+                for (i, code) in codes.chunks_exact(3).enumerate() {
+                    assert_eq!(code, encode_per_pair(&pq, data.row(i)), "row {i}");
+                }
+                for i in 0..queries.rows() {
+                    let q = queries.row(i);
+                    assert_eq!(pq.encode(q), encode_per_pair(&pq, q), "query {i}");
+                    for metric in [Distance::SquaredEuclidean, Distance::Euclidean] {
+                        let AdcTable::Sum { table, .. } = pq.adc_table(metric, q) else {
+                            panic!("{} builds a sum table", metric.name());
+                        };
+                        assert_eq!(bits(&table), bits(&adc_table_per_pair(&pq, q)));
+                    }
+                }
+            });
         }
     }
 

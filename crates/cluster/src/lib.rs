@@ -6,7 +6,7 @@
 //! workspace reports the equivalent quantitative scores (Adjusted Rand Index, normalized
 //! mutual information, purity) against the generative labels.
 //!
-//! * [`dbscan`] — density-based clustering (Ester et al., 1996);
+//! * [`dbscan`](mod@dbscan) — density-based clustering (Ester et al., 1996);
 //! * [`spectral`] — normalized-cut spectral clustering (Ng, Jordan & Weiss, 2001) with
 //!   eigenvectors obtained by shifted power iteration;
 //! * [`metrics`] — ARI, NMI and purity. (K-means itself lives in `usp-quant`.)

@@ -4,7 +4,7 @@
 //! candidate set produced by a partitioner (the unsupervised partitioner, or K-means for
 //! the "K-means + ScaNN" baseline) and then searches that candidate set with ScaNN-style
 //! anisotropic quantization. That is what a [`PartitionIndex`] under
-//! [`Scoring::compressed`] does — ADC-score the probed bins' contiguous codes, keep a
+//! [`Scoring::compressed`](usp_index::scoring::Scoring::compressed) does — ADC-score the probed bins' contiguous codes, keep a
 //! shortlist, re-rank it exactly (`usp_index::stream`) — so [`PartitionedScann`] *is*
 //! such an index, built with the quantizer a [`ScannConfig`] describes, plus a default
 //! probe count. It holds one copy of the vectors, and Figure 7 times the code path the

@@ -10,8 +10,8 @@
 //! * **Deletes** record a tombstone: a flag per CSR position (base points) or per
 //!   membin row (inserted points). Tombstoned rows are filtered *before* top-k
 //!   admission in every scan path.
-//! * **Compaction** ([`crate::PartitionIndex::compact`]) folds both back into fresh
-//!   CSR arrays and resets this state to clean.
+//! * **Compaction** ([`crate::PartitionIndex::compacted`]) folds both into the fresh
+//!   CSR arrays of a new, clean index.
 //!
 //! The scan-order contract (DESIGN.md §2.4): a probed bin contributes its live CSR
 //! rows in bucket order, then its live membin rows in insertion order; distance ties
@@ -291,7 +291,7 @@ impl Deref for DeltaView<'_> {
     }
 }
 
-/// What one [`crate::PartitionIndex::compact`] folded in.
+/// What one [`crate::PartitionIndex::compacted`] folded in.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompactionReport {
     /// Points in the compacted index.

@@ -570,8 +570,8 @@ impl<P: Partitioner> PartitionIndex<P> {
     }
 
     /// True once the outstanding delta — inserts plus base tombstones — reaches the
-    /// configured fraction of the base point count. The stats-driven serving loop
-    /// polls this next to its rebalance check.
+    /// configured fraction of the base point count. `QueryEngine::compact` polls it
+    /// before folding the delta.
     pub fn needs_compaction(&self) -> bool {
         if !self.is_mutated() {
             return false;
@@ -667,7 +667,7 @@ impl<P: Partitioner> PartitionIndex<P> {
 
     /// [`Self::compacted`] plus the WAL checkpoint/handoff protocol, through
     /// `&self` (for callers holding the index behind an `Arc`, like
-    /// `QueryEngine::compact_and_rebalance`): builds the compacted twin, writes
+    /// `QueryEngine::compact`): builds the compacted twin, writes
     /// `CompactionCheckpoint{epoch + 1}` by atomically replacing the log
     /// (write-new → sync → rename), and moves the log onto the new index. On
     /// `Err` this index and its log are unchanged (the replace is atomic), so the
@@ -694,11 +694,17 @@ impl<P: Partitioner> PartitionIndex<P> {
     /// applied or acked. To resume from a log that already holds records, use
     /// [`Self::recover`] instead — this method is for fresh logs (empty, or just a
     /// checkpoint from the compaction protocol).
+    ///
+    /// # Panics
+    ///
+    /// If the index is already mutated, or if its insert record (`5 + 4·dims` bytes)
+    /// would exceed [`crate::wal::MAX_RECORD_PAYLOAD`].
     pub fn with_wal(self, wal: Wal) -> Self {
         assert!(
             !self.is_mutated(),
             "with_wal: attach the log before mutating (or recover from it)"
         );
+        crate::wal::assert_insert_fits(self.dims(), "with_wal");
         *self.wal_slot() = Some(wal);
         self
     }
@@ -712,11 +718,17 @@ impl<P: Partitioner> PartitionIndex<P> {
     /// mid-log checkpoint, or a record that replays inconsistently against `base`
     /// (wrong dims, dead id) is a loud [`WalError::Corrupt`] — recovery never
     /// papers over a log that disagrees with its index.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Self::with_wal`]: on a mutated base, or one whose insert record could
+    /// not fit in a log record.
     pub fn recover(base: Self, mut wal: Wal) -> Result<(Self, RecoveryReport), WalError> {
         assert!(
             !base.is_mutated(),
             "recover: the base index must be clean (the log holds the whole delta)"
         );
+        crate::wal::assert_insert_fits(base.dims(), "recover");
         let records = wal.read_for_recovery()?;
         let mut report = RecoveryReport {
             torn_tail_bytes: wal.stats().torn_tail_bytes,

@@ -49,9 +49,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Upper bound on a record's payload length. An insert payload is `5 + 4·dim`
-/// bytes, so this admits vectors up to ~260k dims — far beyond any real index —
-/// while letting the parser reject fabricated lengths as corruption instead of
-/// mis-reading them as a giant torn tail.
+/// bytes, so this admits vectors up to 262 142 dims — far beyond any real index, and
+/// `PartitionIndex::with_wal` / `recover` refuse one with more — while letting the
+/// parser reject fabricated lengths as corruption instead of mis-reading them as a
+/// giant torn tail.
 pub const MAX_RECORD_PAYLOAD: u32 = 1 << 20;
 
 /// Bytes of framing (`len` + `crc`) before each payload.
@@ -169,10 +170,27 @@ pub enum WalRecord {
     },
 }
 
+/// Payload bytes of an insert record for a `dims`-long row: kind, dim, the floats.
+fn insert_payload_len(dims: usize) -> usize {
+    5 + 4 * dims
+}
+
+/// Refuses, for `caller`, an index whose insert record could not fit in
+/// [`MAX_RECORD_PAYLOAD`]: such a record would be written and acked, then rejected by
+/// recovery along with the whole log behind it.
+pub(crate) fn assert_insert_fits(dims: usize, caller: &str) {
+    let need = insert_payload_len(dims);
+    assert!(
+        need <= MAX_RECORD_PAYLOAD as usize,
+        "{caller}: a {dims}-dim insert record is {need} bytes, over the log's \
+         {MAX_RECORD_PAYLOAD}-byte record limit"
+    );
+}
+
 fn encode_payload(rec: &WalRecord) -> Vec<u8> {
     match rec {
         WalRecord::Insert { row } => {
-            let mut out = Vec::with_capacity(5 + 4 * row.len());
+            let mut out = Vec::with_capacity(insert_payload_len(row.len()));
             out.push(KIND_INSERT);
             out.extend_from_slice(&(row.len() as u32).to_le_bytes());
             for &x in row {
@@ -196,9 +214,18 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
 }
 
 /// Frames `rec` as `len | crc | payload` — the exact bytes an append writes.
+///
+/// # Panics
+///
+/// If the payload is longer than [`MAX_RECORD_PAYLOAD`]: [`parse_log`] would reject
+/// the record as corruption, so it must never reach a log.
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     let payload = encode_payload(rec);
-    debug_assert!(payload.len() as u32 <= MAX_RECORD_PAYLOAD);
+    assert!(
+        payload.len() <= MAX_RECORD_PAYLOAD as usize,
+        "wal: a {}-byte record payload is over the {MAX_RECORD_PAYLOAD}-byte limit",
+        payload.len()
+    );
     let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(&payload).to_le_bytes());

@@ -142,7 +142,7 @@ fn key_of_rank_bits(image: u32) -> f32 {
 /// The one bounded selector: push `(position, key)` pairs in any order, read the `k`
 /// best back — ranked ([`TopK::into_sorted`]) or as a set ([`TopK::into_kept`]).
 ///
-/// A candidate is one `u64`: [`rank_bits`] of its key above its `u32` position, so
+/// A candidate is one `u64`: the `rank_bits` image of its key above its `u32` position, so
 /// integer order on candidates **is** the module's total order (ascending key, NaN
 /// strictly last, `-0.0 ≡ 0.0`, ties by ascending position) and a comparison is one
 /// instruction. Candidates accumulate in a flat buffer; whenever it reaches `2k` it is

@@ -335,7 +335,7 @@ impl Layer {
 
     /// Inference-only forward pass: never caches activations, never updates batch
     /// statistics, dropout is a no-op. Usable through a shared reference, which is what
-    /// the query-time [`usp_index`-style] partitioners need.
+    /// the query-time partitioners of `usp_index` need.
     pub fn forward_eval(&self, x: &Matrix) -> Matrix {
         match self {
             Layer::Linear(l) => l.forward_eval(x),

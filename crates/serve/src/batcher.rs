@@ -55,7 +55,7 @@ impl<T> Pending<T> {
     }
 
     /// Admits one query. Callers validate the length where the query enters (the wire
-    /// parser, [`MicroBatcher::try_submit`]); a wrong-length row here would shift every
+    /// parser, [`MicroBatcher::submit`]); a wrong-length row here would shift every
     /// later row of the flat buffer, hence the hard assert.
     pub(crate) fn push(&mut self, row: &[f32], tag: T) {
         assert_eq!(row.len(), self.dims, "micro-batching: row length");
@@ -87,31 +87,6 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
-
-/// Why [`MicroBatcher::try_submit`] refused a query. Every variant is a *per-query*
-/// failure: rejecting one query never affects queries already pending or co-batched
-/// with it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The query's length does not match the engine's indexed dimensionality.
-    DimsMismatch { got: usize, want: usize },
-    /// The flusher thread died in a previous flush (the engine panicked under a
-    /// batch); the original panic message is carried along.
-    EnginePanicked(String),
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::DimsMismatch { got, want } => {
-                write!(f, "query has {got} dims, engine serves {want}")
-            }
-            SubmitError::EnginePanicked(msg) => write!(f, "flusher thread panicked: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
 
 /// Lock the batcher state, recovering from poisoning. The state holds no
 /// cross-field invariant a mid-update panic could break — `pending` is only ever
@@ -196,49 +171,32 @@ impl<E: BatchEngine + 'static> MicroBatcher<E> {
     }
 
     /// Enqueues a query; the returned receiver yields the answer once the query's
-    /// micro-batch is flushed.
-    ///
-    /// Every rejection is per-query — a refused submission never disturbs queries
-    /// already pending. This is the entry point for callers that must turn a bad
-    /// query into an error value rather than a panic.
-    pub fn try_submit(&self, query: Vec<f32>) -> Result<mpsc::Receiver<SearchResult>, SubmitError> {
-        let want = self.shared.engine.dims();
-        if query.len() != want {
-            return Err(SubmitError::DimsMismatch {
-                got: query.len(),
-                want,
-            });
-        }
-        let (tx, rx) = mpsc::channel();
-        let mut state = lock_state(&self.shared.state);
-        if let Some(msg) = state.panicked.clone() {
-            return Err(SubmitError::EnginePanicked(msg));
-        }
-        state.pending.push(&query, tx);
-        drop(state);
-        self.shared.cv.notify_all();
-        Ok(rx)
-    }
-
-    /// Enqueues a query; the returned receiver yields the answer once the query's
     /// micro-batch is flushed. `query.len()` must equal the indexed dimensionality.
     ///
     /// # Panics
     ///
-    /// On dimensionality mismatch, and if the flusher thread died in a previous
-    /// flush (the engine panicked under a batch) — the panic is resurfaced here
-    /// instead of silently enqueueing a query nothing will ever serve. Callers
-    /// that need error values instead of panics use [`try_submit`](Self::try_submit).
+    /// If `query.len()` is not the engine's dimensionality, or if the flusher thread
+    /// died in a previous flush (the engine panicked under a batch) — that panic is
+    /// resurfaced here instead of enqueueing a query nothing will ever serve. Both
+    /// checks run on the caller's thread before anything is enqueued, so a refused
+    /// query never disturbs the queries pending or co-batched around it.
     pub fn submit(&self, query: Vec<f32>) -> mpsc::Receiver<SearchResult> {
-        match self.try_submit(query) {
-            Ok(rx) => rx,
-            Err(SubmitError::DimsMismatch { got, want }) => panic!(
-                "MicroBatcher: query dimensionality mismatch (got {got}, engine serves {want})"
-            ),
-            Err(SubmitError::EnginePanicked(msg)) => {
-                panic!("MicroBatcher: flusher thread panicked: {msg}")
-            }
+        let want = self.shared.engine.dims();
+        assert!(
+            query.len() == want,
+            "MicroBatcher: query dimensionality mismatch (got {}, engine serves {want})",
+            query.len()
+        );
+        let (tx, rx) = mpsc::channel();
+        let mut state = lock_state(&self.shared.state);
+        if let Some(msg) = state.panicked.clone() {
+            drop(state);
+            panic!("MicroBatcher: flusher thread panicked: {msg}");
         }
+        state.pending.push(&query, tx);
+        drop(state);
+        self.shared.cv.notify_all();
+        rx
     }
 }
 
@@ -420,7 +378,7 @@ mod tests {
         // Pre-fix, a wrong-length query reached the flusher, whose
         // `Matrix::from_vec(batch.len(), dims, flat)` panicked — killing the
         // flusher thread and failing every innocent query co-batched with it.
-        // Post-fix the bad query is refused at submission with a per-query error
+        // Post-fix the bad query panics its own submitter before it is enqueued,
         // and everything around it is served normally.
         let engine = engine();
         let opts = QueryOptions::new(3, 2);
@@ -430,14 +388,19 @@ mod tests {
             8,
             Duration::from_millis(20), // wide window: good + bad share a batch
         );
-        let good_a = batcher.try_submit(vec![0.1, 0.2, 0.3]).unwrap();
-        let err = batcher
-            .try_submit(vec![1.0, 2.0]) // 2 dims against a 3-dim engine
-            .expect_err("wrong dims must be refused");
-        assert_eq!(err, SubmitError::DimsMismatch { got: 2, want: 3 });
-        let err = batcher.try_submit(vec![]).expect_err("zero dims too");
-        assert_eq!(err, SubmitError::DimsMismatch { got: 0, want: 3 });
-        let good_b = batcher.try_submit(vec![-1.0, 0.0, 1.0]).unwrap();
+        let good_a = batcher.submit(vec![0.1, 0.2, 0.3]);
+        for bad in [vec![1.0, 2.0], vec![]] {
+            // 2 and 0 dims against a 3-dim engine.
+            let got = bad.len();
+            let err = catch_unwind(AssertUnwindSafe(|| batcher.submit(bad)))
+                .expect_err("wrong dims must be refused");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains(&format!("got {got}, engine serves 3")),
+                "got: {msg}"
+            );
+        }
+        let good_b = batcher.submit(vec![-1.0, 0.0, 1.0]);
         // Both good queries get served, and bit-identically to the direct path.
         assert_eq!(
             good_a.recv().expect("co-batched query must survive"),

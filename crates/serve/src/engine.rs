@@ -8,7 +8,6 @@ use usp_index::stream::{Partial, Run};
 use usp_index::{CompactionReport, MutationError, PartitionIndex, Partitioner, SearchResult};
 use usp_linalg::Matrix;
 
-use crate::shard::ShardMap;
 use crate::stats::{ServeStats, StatsSnapshot};
 
 /// Per-request serving knobs (every request can use different values against the same
@@ -101,8 +100,9 @@ pub trait BatchEngine: Send + Sync {
 
 /// The batched query-serving engine over a [`PartitionIndex`], for any shard count.
 ///
-/// The index stays behind an `Arc` and is the only holder of points; the
-/// [`ShardMap`] says which shard scans which of its bins. [`new`](Self::new) is the
+/// The index stays behind an `Arc` and is the only holder of points — and the only
+/// state the engine replaces ([`compact`](Self::compact)). A shard is a count: bin `b`
+/// is scanned by shard `b % S`, fixed at construction. [`new`](Self::new) is the
 /// one-shard engine — the monolith — and a shard is placement, not a second
 /// scheduler: the unit of pool work is the query for every shard count (see
 /// [`serve_batch`](Self::serve_batch)). The engine is `Send + Sync`; clones of the
@@ -110,7 +110,10 @@ pub trait BatchEngine: Send + Sync {
 /// queries.
 pub struct QueryEngine<P: Partitioner> {
     index: Arc<PartitionIndex<P>>,
-    map: ShardMap,
+    num_shards: usize,
+    /// `shard_of[bin]` = `bin % num_shards`, tabled once: `serve_batch` looks a run's
+    /// shard up several times per run.
+    shard_of: Vec<usize>,
     stats: ServeStats,
 }
 
@@ -120,53 +123,26 @@ impl<P: Partitioner> QueryEngine<P> {
         Self::with_shards(index, 1)
     }
 
-    /// Shards `index` uniformly over `num_shards` shards (no stats needed).
+    /// Serves `index` as `num_shards` shards, bin `b` on shard `b % num_shards`.
+    ///
+    /// # Panics
+    ///
+    /// If `num_shards` is zero.
     pub fn with_shards(index: Arc<PartitionIndex<P>>, num_shards: usize) -> Self {
-        let map = ShardMap::uniform(index.num_bins(), num_shards);
-        Self::with_map(index, map)
-    }
-
-    /// Shards `index` according to `map`.
-    pub fn with_map(index: Arc<PartitionIndex<P>>, map: ShardMap) -> Self {
-        assert_eq!(
-            map.num_bins(),
-            index.num_bins(),
-            "QueryEngine: map covers {} bins but the index has {}",
-            map.num_bins(),
-            index.num_bins()
-        );
+        assert!(num_shards >= 1, "QueryEngine: need at least one shard");
+        let shard_of = (0..index.num_bins()).map(|b| b % num_shards).collect();
         let stats = ServeStats::new(index.num_bins());
-        Self { index, map, stats }
-    }
-
-    /// The bin→shard map in force.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
+        Self {
+            index,
+            num_shards,
+            shard_of,
+            stats,
+        }
     }
 
     /// The underlying index.
     pub fn index(&self) -> &PartitionIndex<P> {
         &self.index
-    }
-
-    /// Number of live points each shard scans over (the storage-balance diagnostic):
-    /// per owned bin, its live base points plus its live inserted points.
-    pub fn shard_point_counts(&self) -> Vec<usize> {
-        let delta = self.index.delta();
-        let live = |&b: &usize| {
-            self.index.bucket(b).len() - delta.csr_dead_in_bin(b) + delta.membin(b).live()
-        };
-        (0..self.map.num_shards())
-            .map(|s| self.map.bins_of(s).iter().map(live).sum())
-            .collect()
-    }
-
-    /// Re-packs the bin→shard map from the probe loads recorded since construction (or
-    /// the last stats reset). Counters are kept — the next rebalance sees the full
-    /// history. Only the placement moves: shards hold no data of their own, so the
-    /// answers cannot change.
-    pub fn rebalance_from_stats(&mut self) {
-        self.map = self.map.rebuild_from_stats(&self.stats.snapshot());
     }
 
     /// Inserts a point through the index's streaming write path (see
@@ -188,34 +164,23 @@ impl<P: Partitioner> QueryEngine<P> {
         Ok(())
     }
 
-    /// Whether the index's outstanding delta crossed its compaction threshold (see
-    /// [`PartitionIndex::needs_compaction`]).
-    pub fn needs_compaction(&self) -> bool {
-        self.index.needs_compaction()
-    }
-
     /// The maintenance tick of a mutable deployment: if the delta crossed the
-    /// compaction threshold, folds it into a fresh index
-    /// ([`PartitionIndex::compacted_with_checkpoint`] — which also runs the WAL
-    /// checkpoint/truncate protocol and moves the log onto the new index) and
-    /// swaps it in; then re-packs the bin→shard map from the recorded probe loads
-    /// either way ([`Self::rebalance_from_stats`]). Returns the compaction report — with
-    /// its id remapping — when a compaction ran. On `Err` (a checkpoint that could
-    /// not reach storage) nothing is swapped: the old index, its delta, and its
-    /// log are all intact.
-    pub fn compact_and_rebalance(&mut self) -> Result<Option<CompactionReport>, MutationError>
+    /// compaction threshold ([`PartitionIndex::needs_compaction`]), folds it into a
+    /// fresh index ([`PartitionIndex::compacted_with_checkpoint`] — which also runs
+    /// the WAL checkpoint/truncate protocol and moves the log onto the new index) and
+    /// swaps it in. Returns the compaction report — with its id remapping — when a
+    /// compaction ran. On `Err` (a checkpoint that could not reach storage) nothing
+    /// is swapped: the old index, its delta, and its log are all intact.
+    pub fn compact(&mut self) -> Result<Option<CompactionReport>, MutationError>
     where
         P: Clone,
     {
-        let report = if self.index.needs_compaction() {
-            let (compacted, report) = self.index.compacted_with_checkpoint()?;
-            self.index = Arc::new(compacted);
-            Some(report)
-        } else {
-            None
-        };
-        self.rebalance_from_stats();
-        Ok(report)
+        if !self.index.needs_compaction() {
+            return Ok(None);
+        }
+        let (compacted, report) = self.index.compacted_with_checkpoint()?;
+        self.index = Arc::new(compacted);
+        Ok(Some(report))
     }
 
     /// Answers one query immediately (a batch of one). Latency-sensitive single
@@ -256,7 +221,7 @@ impl<P: Partitioner> QueryEngine<P> {
             .rank_bins_batch(queries, opts.probes);
         let tables = self.index.adc_tables_batch(queries);
         let shared_us = (t0.elapsed().as_micros() as u64) / (queries.rows().max(1) as u64);
-        let shard_of = |run: &Run| self.map.shard_of(run.bin);
+        let shard_of = |run: &Run| self.shard_of[run.bin];
         let answered: Vec<(SearchResult, u64)> = (0..queries.rows())
             .into_par_iter()
             .map(|qi| {
@@ -271,7 +236,7 @@ impl<P: Partitioner> QueryEngine<P> {
                 // Stable, so each shard's runs stay in stream order.
                 runs.sort_by_key(shard_of);
                 // At most one pass per shard; sized here because `chunk_by` cannot say.
-                let mut passes: Vec<Partial> = Vec::with_capacity(self.map.num_shards());
+                let mut passes: Vec<Partial> = Vec::with_capacity(self.num_shards);
                 let shares = runs.chunk_by(|a, b| shard_of(a) == shard_of(b));
                 passes.extend(shares.map(|shard_runs| consumer.pass(shard_runs)));
                 let result = consumer.finish(&passes);
@@ -345,16 +310,17 @@ mod tests {
     use usp_index::partitioner::RoundRobinPartitioner;
     use usp_linalg::Distance;
 
+    fn points(n: usize) -> Vec<f32> {
+        (0..n * 2)
+            .map(|i| ((i * 37 % 101) as f32) / 10.0 - 5.0)
+            .collect()
+    }
+
     fn small_index() -> Arc<PartitionIndex<RoundRobinPartitioner>> {
         // 40 deterministic 2-D points hashed into 5 bins.
-        let n = 40;
-        let data: Vec<f32> = (0..n * 2)
-            .map(|i| ((i * 37 % 101) as f32) / 10.0 - 5.0)
-            .collect();
-        let data = Matrix::from_vec(n, 2, data);
         Arc::new(PartitionIndex::build(
             RoundRobinPartitioner::new(5),
-            &data,
+            &Matrix::from_vec(40, 2, points(40)),
             Distance::SquaredEuclidean,
         ))
     }
@@ -379,6 +345,12 @@ mod tests {
             assert_eq!(batch[qi], expect, "engine differs from Searcher at {qi}");
             assert_eq!(engine.query(q.row(qi), &opts), expect);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn zero_shards_is_refused() {
+        QueryEngine::with_shards(small_index(), 0);
     }
 
     #[test]
@@ -468,6 +440,56 @@ mod tests {
         }
         let snap = engine.stats();
         assert_eq!((snap.inserts, snap.deletes), (1, 1));
+    }
+
+    #[test]
+    fn compact_folds_the_delta_and_matches_a_fresh_build() {
+        let inserts: Vec<Vec<f32>> = (0..7)
+            .map(|i| vec![i as f32 * 0.25 - 1.0, 1.5 - i as f32 * 0.1])
+            .collect();
+        // The index after the writes below, built fresh: row 5 gone, inserts last.
+        let mut flat = points(40);
+        flat.drain(5 * 2..5 * 2 + 2);
+        for p in &inserts {
+            flat.extend_from_slice(p);
+        }
+        let fresh = PartitionIndex::build(
+            RoundRobinPartitioner::new(5),
+            &Matrix::from_vec(40 - 1 + inserts.len(), 2, flat),
+            Distance::SquaredEuclidean,
+        );
+        let q = queries();
+        for shards in [1, 2, 3, 7] {
+            let mut engine = QueryEngine::with_shards(small_index(), shards);
+            // Clean index: nothing to fold.
+            assert!(engine.compact().expect("no wal to fail").is_none());
+            for p in &inserts {
+                engine.insert(p).expect("dims match");
+            }
+            assert_eq!(engine.delete(5), Ok(()));
+            assert!(
+                engine.index().needs_compaction(),
+                "7 inserts + 1 delete on 40 points"
+            );
+            let report = engine
+                .compact()
+                .expect("no wal to fail")
+                .expect("compaction ran");
+            assert_eq!(report.live_points, 40 + 7 - 1);
+            assert_eq!(report.merged_inserts, 7);
+            assert!(!engine.index().is_mutated());
+            let snap = engine.stats();
+            assert_eq!((snap.inserts, snap.deletes), (7, 1));
+            // The swapped-in index answers like a fresh build over the final point set.
+            let got = engine.serve_batch(&q, &QueryOptions::new(3, 4));
+            for qi in 0..q.rows() {
+                assert_eq!(
+                    got[qi],
+                    fresh.search(q.row(qi), 3, 4),
+                    "shards={shards} query {qi}"
+                );
+            }
+        }
     }
 
     #[test]

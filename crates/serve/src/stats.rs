@@ -326,7 +326,8 @@ pub struct StatsSnapshot {
     /// reset.
     pub deletes: u64,
     /// Per-bin probe counts (`bin_probes[b]` = times bin `b`'s candidates were
-    /// scanned) — the skew diagnostic for sharding decisions.
+    /// scanned) — the per-bin load gauge: how the router spreads traffic over the
+    /// partition.
     pub bin_probes: Vec<u64>,
     /// Network-ingress frames admitted into the serving path (0 when the engine
     /// is driven directly, without an ingress in front).

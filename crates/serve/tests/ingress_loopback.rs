@@ -19,7 +19,7 @@ use usp_serve::protocol::{
     encode_frame, encode_query, encode_stats, parse_reply, read_frame, Reply, OP_QUERY,
 };
 use usp_serve::{
-    BatchEngine, IngressConfig, IngressHandle, QueryEngine, QueryOptions, ShardMap, StatsSnapshot,
+    BatchEngine, IngressConfig, IngressHandle, QueryEngine, QueryOptions, StatsSnapshot,
 };
 
 const DIMS: usize = 6;
@@ -225,10 +225,7 @@ fn sharded_engine_is_served_bit_identically() {
     let index = index();
     let opts = QueryOptions::new(4, 3);
     let monolith = QueryEngine::new(Arc::clone(&index));
-    let sharded = Arc::new(QueryEngine::with_map(
-        Arc::clone(&index),
-        ShardMap::uniform(index.num_bins(), 3),
-    ));
+    let sharded = Arc::new(QueryEngine::with_shards(Arc::clone(&index), 3));
     let handle = spawn_on_ephemeral(sharded, IngressConfig::new(opts));
 
     let qs: Vec<(u32, Vec<f32>)> = queries(24)

@@ -326,13 +326,13 @@ fn assert_every_path_agrees(
             idx.scan_bins(q, &bins, opts.k, opts.rerank_budget)
         })
         .collect();
-    let sharded = [2usize, 3, 4].map(|shards| QueryEngine::with_shards(Arc::clone(idx), shards));
-    for engine in std::iter::once(QueryEngine::new(Arc::clone(idx))).chain(sharded) {
+    let sharded =
+        [2usize, 3, 4].map(|shards| (shards, QueryEngine::with_shards(Arc::clone(idx), shards)));
+    for (shards, engine) in std::iter::once((1, QueryEngine::new(Arc::clone(idx)))).chain(sharded) {
         assert_eq!(
             monolith,
             engine.serve_batch(queries, opts),
-            "QueryEngine at {} shards, budget {:?}",
-            engine.map().num_shards(),
+            "QueryEngine at {shards} shards, budget {:?}",
             opts.rerank_budget
         );
     }

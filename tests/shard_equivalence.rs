@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use neural_partitioner::baselines::KMeansPartitioner;
-use neural_partitioner::serve::{MicroBatcher, QueryEngine, QueryOptions, ShardMap};
+use neural_partitioner::serve::{MicroBatcher, QueryEngine, QueryOptions};
 use rayon::with_num_threads;
 use usp_data::synthetic;
 use usp_index::{PartitionIndex, Partitioner, SearchResult};
@@ -124,41 +124,6 @@ fn rerank_budgets_match_the_unsharded_engine_exactly() {
                     "budgeted answers differ: shards={shards} threads={threads} budget={budget}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn load_aware_maps_and_rebalancing_preserve_equivalence() {
-    let (index, queries) = fixture();
-    let opts = QueryOptions::new(6, 3);
-    let reference = searcher_reference(&index, &queries, opts.k, opts.probes);
-
-    // Record real probe skew on the monolith, then shard by it.
-    let monolith = QueryEngine::new(Arc::clone(&index));
-    monolith.serve_batch(&queries, &opts);
-    let snapshot = monolith.stats();
-    assert!(snapshot.bin_probes.iter().sum::<u64>() > 0);
-
-    for &threads in &POOL_SIZES {
-        for &shards in &SHARD_COUNTS {
-            with_num_threads(threads, || {
-                let map = ShardMap::from_loads(&snapshot.bin_probes, shards);
-                let mut engine = QueryEngine::with_map(Arc::clone(&index), map);
-                assert_eq!(
-                    reference,
-                    engine.serve_batch(&queries, &opts),
-                    "load-aware map differs: shards={shards} threads={threads}"
-                );
-                // Rebalance from the engine's own recorded stats and re-check: the
-                // placement may move, the answers may not.
-                engine.rebalance_from_stats();
-                assert_eq!(
-                    reference,
-                    engine.serve_batch(&queries, &opts),
-                    "post-rebalance answers differ: shards={shards} threads={threads}"
-                );
-            });
         }
     }
 }

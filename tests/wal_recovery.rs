@@ -28,7 +28,7 @@ use neural_partitioner::serve::{QueryEngine, QueryOptions};
 use proptest::prelude::*;
 use rayon::with_num_threads;
 use usp_index::partitioner::RoundRobinPartitioner;
-use usp_index::wal::parse_log;
+use usp_index::wal::{parse_log, MAX_RECORD_PAYLOAD};
 use usp_index::{
     FaultPlan, MemStorage, MutationError, PartitionIndex, Scoring, SyncPolicy, Wal, WalError,
     WalRecord,
@@ -408,6 +408,46 @@ fn device_full_tears_the_tail_and_recovery_keeps_every_acked_op() {
     assert_eq!(report.replayed_inserts, 1, "the acked insert survived");
     assert_eq!(report.torn_tail_bytes, 9);
     assert_eq!(rec.mutation_stats().inserts, 1);
+}
+
+/// An index whose insert record (`5 + 4·dims` bytes) cannot fit in one log record is
+/// refused when the log is attached or replayed. Before, its inserts were acked and
+/// then recovery rejected the whole log as corrupt.
+#[test]
+fn an_index_too_wide_for_a_log_record_is_refused_up_front() {
+    let wide = |dims: usize| {
+        let points = Matrix::from_vec(2, dims, vec![0.25; 2 * dims]);
+        PartitionIndex::build(RoundRobinPartitioner::new(1), &points, DIST)
+    };
+    let log = |storage: MemStorage| Wal::new(Box::new(storage), SyncPolicy::EveryRecord);
+    // The widest row that fits: 5 + 4·262 142 = 1 048 573 bytes.
+    let dims = (MAX_RECORD_PAYLOAD as usize - 5) / 4;
+    let storage = MemStorage::new();
+    let idx = wide(dims).with_wal(log(storage.clone()));
+    idx.try_insert(&vec![0.5; dims])
+        .expect("the widest row is acked");
+    let (_, report) =
+        PartitionIndex::recover(wide(dims), log(storage)).expect("and what was acked recovers");
+    assert_eq!(report.replayed_inserts, 1);
+
+    // One dim more is refused up front, by the index and by the log alike.
+    let refused = |f: &mut dyn FnMut()| {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("a record recovery would reject must be refused");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    };
+    let msg = refused(&mut || drop(wide(dims + 1).with_wal(log(MemStorage::new()))));
+    assert!(msg.contains("1048577 bytes"), "got: {msg}");
+    let msg = refused(&mut || {
+        drop(PartitionIndex::recover(
+            wide(dims + 1),
+            log(MemStorage::new()),
+        ))
+    });
+    assert!(msg.contains("1048577 bytes"), "got: {msg}");
+    let mut wal = log(MemStorage::new());
+    let row = vec![0.5; dims + 1];
+    refused(&mut || drop(wal.append(&WalRecord::Insert { row: row.clone() })));
 }
 
 /// A failed sync refuses the ack, leaves the index unmutated, and poisons the

@@ -1,10 +1,15 @@
 //! The partitioning model: a thin wrapper around a `usp-nn` network that maps points to
 //! probability distributions over bins (Eq. 6 of the paper).
 
+use rayon::prelude::*;
 use usp_linalg::Matrix;
 use usp_nn::{logistic_regression, MlpConfig, Sequential};
 
 use crate::config::{ModelKind, UspConfig};
+
+/// Rows per pool task of [`PartitionModel::assign_batch`]: a block's input, its 128-wide
+/// hidden layer and its bin scores stay in L1 from the first GEMM to the argmax.
+const ASSIGN_BLOCK: usize = 32;
 
 /// A (trained or untrained) partitioning model.
 #[derive(Debug, Clone)]
@@ -66,8 +71,23 @@ impl PartitionModel {
     }
 
     /// Most probable bin per row of `points` (inference mode).
+    ///
+    /// Blocks of rows go through the whole eval network on their own thread, one pool
+    /// region for the batch: both GEMMs, bias, batch norm, ReLU, softmax and argmax run
+    /// while the block is in cache. Every eval-mode layer treats rows independently, so
+    /// each row's bin is the one [`Self::probabilities_batch`]`(points).row_argmax()`
+    /// gives it, bit for bit.
     pub fn assign_batch(&self, points: &Matrix) -> Vec<usize> {
-        self.probabilities_batch(points).row_argmax()
+        let (n, dim) = points.shape();
+        (0..n.div_ceil(ASSIGN_BLOCK))
+            .into_par_iter()
+            .flat_map_iter(|b| {
+                let rows = b * ASSIGN_BLOCK..n.min((b + 1) * ASSIGN_BLOCK);
+                let flat = points.as_slice()[rows.start * dim..rows.end * dim].to_vec();
+                let block = Matrix::from_vec(rows.len(), dim, flat);
+                self.probabilities_batch(&block).row_argmax()
+            })
+            .collect()
     }
 }
 
@@ -107,5 +127,29 @@ mod tests {
             }
         }
         assert_eq!(model.assign_batch(&batch).len(), 6);
+    }
+
+    /// Block by block on the pool, every row gets the argmax of its own one-row forward —
+    /// at sizes below, at and across the block, on one and four threads, with batch-norm
+    /// statistics that are not the identity's.
+    #[test]
+    fn assign_batch_is_the_per_row_argmax_across_block_boundaries() {
+        const B: usize = ASSIGN_BLOCK;
+        let mut model = PartitionModel::new(&UspConfig::fast(8), 5);
+        let warm = lrng::normal_matrix(&mut lrng::seeded(2), 64, 5, 3.0);
+        model.network_mut().forward(&warm, true);
+        for n in [0, 1, B - 1, B, B + 1, 3 * B + 5] {
+            let points = lrng::normal_matrix(&mut lrng::seeded(n as u64), n, 5, 2.0);
+            let want: Vec<usize> = (0..n)
+                .map(|i| {
+                    let p = model.probabilities(points.row(i));
+                    usp_linalg::topk::argmax(&p).unwrap_or(0)
+                })
+                .collect();
+            for threads in [1, 4] {
+                let got = rayon::with_num_threads(threads, || model.assign_batch(&points));
+                assert_eq!(got, want, "{n} rows, {threads} threads");
+            }
+        }
     }
 }

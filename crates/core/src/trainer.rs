@@ -99,6 +99,12 @@ pub fn train_partitioner(
         n,
         "train_partitioner: k'-NN matrix size mismatch"
     );
+    // `KnnMatrix::build` refuses k' = 0, but `from_rows` of empty lists makes one: every
+    // target row would be 0/0 and the router would come out uniform.
+    assert!(
+        knn.k() >= 1,
+        "train_partitioner: the k'-NN matrix lists no neighbours"
+    );
     if let Some(w) = weights {
         assert_eq!(w.len(), n, "train_partitioner: weight count mismatch");
     }
@@ -225,7 +231,9 @@ mod tests {
 
     /// Algorithm 1 with every neighbour slot forwarded — the loop `train_partitioner`
     /// ran before its step forwarded each distinct neighbour once — composed from the
-    /// public pieces. The oracle of [`train_step`].
+    /// public pieces, the neighbour bins from one whole-matrix forward so that the
+    /// blocked `assign_batch` is compared with it, not with itself. The oracle of
+    /// [`train_step`].
     fn reference_train(
         data: &Matrix,
         knn: &KnnMatrix,
@@ -249,7 +257,9 @@ mod tests {
                     .iter()
                     .flat_map(|&i| knn.neighbors_of(i).iter().map(|&j| j as usize))
                     .collect();
-                let neighbor_bins = model.assign_batch(&data.select_rows(&neighbor_rows));
+                let neighbor_bins = model
+                    .probabilities_batch(&data.select_rows(&neighbor_rows))
+                    .row_argmax();
                 let targets = neighbor_bin_targets(
                     &neighbor_bins,
                     chunk.len(),
@@ -321,6 +331,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lists no neighbours")]
+    fn training_refuses_a_k_prime_of_zero() {
+        let data = synthetic::sift_like(20, 4, 1).points().clone();
+        let knn = KnnMatrix::from_rows(&vec![Vec::new(); 20]);
+        train_partitioner(&data, &knn, &UspConfig::fast(8), None);
     }
 
     #[test]

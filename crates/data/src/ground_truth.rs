@@ -3,41 +3,31 @@
 //! The paper's only preprocessing step (§4.2.1, Figure 2) is a k′-NN matrix: row `i` holds
 //! the indices of the `k′` true nearest neighbours of point `p_i` in the dataset. The same
 //! brute-force machinery computes the exact query ground truth used to measure k-NN
-//! accuracy (Eq. 1). That machinery is the index's own streaming scan
-//! ([`SegmentedScan`]: tiled, bound-rejected, on the host's SIMD backend) over the whole
-//! dataset, so the preprocessing the paper calls cheap is measured at the speed of the
-//! searches it is compared with, and truth and answers are ranked on identical bits.
+//! accuracy (Eq. 1). That machinery is the kernel's tile walker
+//! ([`kernel::nearest_rows`], [`kernel::nearest_other_rows`]: cache-sized blocks of rows,
+//! scored by the index's own tile kernel on the host's SIMD backend), so the
+//! preprocessing the paper calls cheap is measured at the speed of the searches it is
+//! compared with, and truth and answers are ranked on identical bits.
 
-use rayon::prelude::*;
+use std::collections::HashSet;
+
 use serde::{Deserialize, Serialize};
-use usp_linalg::kernel::{QueryScorer, SegmentedScan};
+use usp_linalg::kernel;
+use usp_linalg::topk::TopK;
 use usp_linalg::{Distance, Matrix};
 
-/// Exact k-nearest-neighbour indices of every query among the base points.
+/// Exact k-nearest-neighbour indices of every query among the base points, best first.
 ///
-/// Brute force, parallelised over queries: `O(n_queries * n_base * d)`, each query one
-/// pass of the index's own streaming scan ([`SegmentedScan`]) over the whole base.
+/// Brute force, `O(n_queries * n_base * d)`: groups of queries walk the base a cache-sized
+/// block at a time, in parallel over the groups ([`kernel::nearest_rows`]).
+///
+/// # Panics
+/// If the queries' dimensionality is not the base's.
 pub fn exact_knn(base: &Matrix, queries: &Matrix, k: usize, distance: Distance) -> Vec<Vec<usize>> {
-    assert_eq!(
-        base.cols(),
-        queries.cols(),
-        "exact_knn: dimensionality mismatch"
-    );
-    (0..queries.rows())
-        .into_par_iter()
-        .map(|qi| {
-            let mut scan = SegmentedScan::new(distance, queries.row(qi), base.cols(), k);
-            scan.scan_segment(base.as_slice(), base.rows(), 0);
-            winner_rows(scan).collect()
-        })
-        .collect()
-}
-
-/// The rows a scan selected, best first (segments are tagged with their first row).
-fn winner_rows(scan: SegmentedScan<QueryScorer<'_>>) -> impl Iterator<Item = usize> {
-    scan.into_winners()
+    kernel::nearest_rows(distance, base, queries, k)
         .into_iter()
-        .map(|(first, offset, _)| first + offset)
+        .map(TopK::into_sorted_indices)
+        .collect()
 }
 
 /// The k′-NN matrix of a dataset: for every point, the indices of its k′ nearest
@@ -51,27 +41,25 @@ pub struct KnnMatrix {
 }
 
 impl KnnMatrix {
-    /// Builds the k′-NN matrix by brute force (parallel over points).
+    /// Builds the k′-NN matrix by brute force: every unordered pair of points scored
+    /// once where the metric is bitwise symmetric ([`kernel::nearest_other_rows`]).
     ///
     /// This is the paper's "approximately 30 minutes on a million-sized dataset" step;
-    /// on the streaming scan it is 0.20–0.25 s for 8 000 × 64-d on two threads
+    /// on the tile walker it is about 0.1 s for 8 000 × 64-d on two threads
     /// (`servebench`'s fixture, `data.knn_s`).
+    ///
+    /// # Panics
+    /// If there are fewer than two points or `k` is 0: a k′ = 0 matrix gives every
+    /// training target row 0/0, and the router trained on it is uniform.
     pub fn build(points: &Matrix, k: usize, distance: Distance) -> Self {
         let n = points.rows();
         assert!(n > 1, "KnnMatrix::build: need at least two points");
+        assert!(k >= 1, "KnnMatrix::build: k' must be at least 1");
         let k = k.min(n - 1);
-        let (rows, dim) = (points.as_slice(), points.cols());
-        let neighbors: Vec<u32> = (0..n)
-            .into_par_iter()
-            .flat_map_iter(|i| {
-                // Self is left out by position — the rows before `i`, then the rows
-                // after it — not by distance: a duplicate of `p_i` is a neighbour, and
-                // under inner product `p_i` need not be its own nearest row.
-                let mut scan = SegmentedScan::new(distance, points.row(i), dim, k);
-                scan.scan_segment(&rows[..i * dim], i, 0);
-                scan.scan_segment(&rows[(i + 1) * dim..], n - i - 1, i + 1);
-                winner_rows(scan).map(|j| j as u32)
-            })
+        let neighbors: Vec<u32> = kernel::nearest_other_rows(distance, points, k)
+            .into_iter()
+            .flat_map(TopK::into_sorted)
+            .map(|(j, _)| j)
             .collect();
         assert_eq!(neighbors.len(), n * k);
         Self { k, n, neighbors }
@@ -122,14 +110,19 @@ impl KnnMatrix {
 }
 
 /// Computes the k-NN accuracy (recall) of an answer set against the ground truth (Eq. 1):
-/// `|answers ∩ truth| / k`.
+/// `|answers ∩ truth| / k`. The intersection is of sets: an answer repeated in `answers`
+/// is found once.
 pub fn knn_accuracy(answers: &[usize], truth: &[usize]) -> f64 {
     if truth.is_empty() {
         return 0.0;
     }
-    let truth_set: std::collections::HashSet<usize> = truth.iter().copied().collect();
-    let hit = answers.iter().filter(|a| truth_set.contains(a)).count();
-    hit as f64 / truth.len() as f64
+    let truth_set: HashSet<usize> = truth.iter().copied().collect();
+    let found: HashSet<usize> = answers
+        .iter()
+        .copied()
+        .filter(|a| truth_set.contains(a))
+        .collect();
+    found.len() as f64 / truth.len() as f64
 }
 
 #[cfg(test)]
@@ -220,6 +213,66 @@ mod tests {
         assert_eq!(knn_accuracy(&[], &[1, 2]), 0.0);
         assert_eq!(knn_accuracy(&[1], &[]), 0.0);
     }
+
+    #[test]
+    fn knn_accuracy_finds_a_repeated_answer_once() {
+        // Eq. 1 intersects sets: three copies of one true neighbour are one of three.
+        assert_eq!(knn_accuracy(&[1, 1, 1], &[1, 2, 3]), 1.0 / 3.0);
+        assert_eq!(knn_accuracy(&[2, 9, 2, 3], &[1, 2, 3]), 2.0 / 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "k' must be at least 1")]
+    fn knn_matrix_refuses_k_zero() {
+        KnnMatrix::build(&line_points(5), 0, Distance::SquaredEuclidean);
+    }
+}
+
+/// The per-row scans the tile walker replaced, kept as its oracle: one [`SegmentedScan`]
+/// per point over the rows either side of it (self left out by position), and one per
+/// query over the whole base. Segments are tagged with their first row, so a winner's
+/// row is `base + offset`.
+#[cfg(test)]
+pub(crate) mod reference {
+    use usp_linalg::kernel::{QueryScorer, SegmentedScan};
+    use usp_linalg::{Distance, Matrix};
+
+    fn winner_rows(scan: SegmentedScan<QueryScorer<'_>>) -> impl Iterator<Item = usize> {
+        scan.into_winners()
+            .into_iter()
+            .map(|(first, offset, _)| first + offset)
+    }
+
+    /// The flat `n × min(k, n − 1)` neighbour buffer of [`super::KnnMatrix::build`].
+    pub(crate) fn knn_matrix(points: &Matrix, k: usize, distance: Distance) -> Vec<u32> {
+        let (n, dim) = points.shape();
+        let k = k.min(n - 1);
+        let rows = points.as_slice();
+        (0..n)
+            .flat_map(|i| {
+                let mut scan = SegmentedScan::new(distance, points.row(i), dim, k);
+                scan.scan_segment(&rows[..i * dim], i, 0);
+                scan.scan_segment(&rows[(i + 1) * dim..], n - i - 1, i + 1);
+                winner_rows(scan).map(|j| j as u32).collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// [`super::exact_knn`].
+    pub(crate) fn exact_knn(
+        base: &Matrix,
+        queries: &Matrix,
+        k: usize,
+        distance: Distance,
+    ) -> Vec<Vec<usize>> {
+        (0..queries.rows())
+            .map(|qi| {
+                let mut scan = SegmentedScan::new(distance, queries.row(qi), base.cols(), k);
+                scan.scan_segment(base.as_slice(), base.rows(), 0);
+                winner_rows(scan).collect()
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -258,6 +311,75 @@ mod proptests {
             dists.sort_by(|a, b| topk::nan_class_cmp(a.1, b.1).then(a.0.cmp(&b.0)));
             let naive: Vec<usize> = dists.into_iter().take(k).map(|(i, _)| i).collect();
             prop_assert_eq!(&fast[0], &naive);
+        }
+
+        /// The walker against the per-row scans it replaced, for all four metrics, on one
+        /// and four threads: the k′-NN matrix and the ground truth are equal. `n` lies
+        /// below, at and across a block boundary, and across three blocks (an odd count,
+        /// so one block sits out each round-robin round); the dimension covers 0, the
+        /// 8-lane tail either side of a chunk, and 64; coordinates are seeded with NaN,
+        /// ±∞ and ±0.0 and rows duplicated (exact ties, broken by position); `k` runs up
+        /// to past `n − 1`; the query count crosses the walker's query groups.
+        #[test]
+        fn walker_matches_the_per_row_scans(
+            shape in 0usize..15,
+            dim_class in 0usize..6,
+            seed in 0u64..1 << 40,
+            specials in prop::collection::vec((0usize..1 << 20, 0u8..6), 0..10),
+            draw in 0usize..160,
+        ) {
+            const B: usize = kernel::WALK_BLOCK;
+            let (size, offset) = (shape / 5, shape % 5);
+            let (k_class, n_queries) = (draw % 4, draw / 4);
+            let n = [2 + offset, B - 2 + offset, 3 * B - 2 + offset][size];
+            // Three blocks of 64-d rows are slow in a debug build; the tails are the point.
+            let dim = [0, 1, 7, 8, 9, 64][if size == 2 { dim_class % 5 } else { dim_class }];
+            let k = [1, 1 + offset, n - 1, n + 3][k_class];
+            let mut rng = usp_linalg::rng::seeded(seed);
+            let mut values = usp_linalg::rng::normal_vector(&mut rng, (n + n_queries) * dim);
+            for &(at, class) in &specials {
+                if class == 5 {
+                    // Row `at % n` becomes a copy of its neighbour.
+                    let (to, from) = (at % n, (at + 1) % n);
+                    values.copy_within(from * dim..(from + 1) * dim, to * dim);
+                } else if !values.is_empty() {
+                    let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+                    let at = at % values.len();
+                    values[at] = special[class as usize];
+                }
+            }
+            let points = Matrix::from_vec(n, dim, values[..n * dim].to_vec());
+            // A few queries are copies of points: ties at distance zero.
+            let mut queries = Matrix::from_vec(n_queries, dim, values[n * dim..].to_vec());
+            for q in (0..n_queries).step_by(3) {
+                queries.row_mut(q).copy_from_slice(points.row(q % n));
+            }
+            for distance in [
+                Distance::SquaredEuclidean,
+                Distance::Euclidean,
+                Distance::InnerProduct,
+                Distance::Cosine,
+            ] {
+                let matrix = super::reference::knn_matrix(&points, k, distance);
+                let truth = super::reference::exact_knn(&points, &queries, k, distance);
+                for threads in [1, 4] {
+                    let (walked, exact) = rayon::with_num_threads(threads, || {
+                        (
+                            KnnMatrix::build(&points, k, distance),
+                            exact_knn(&points, &queries, k, distance),
+                        )
+                    });
+                    prop_assert_eq!(walked.k(), k.min(n - 1));
+                    prop_assert!(
+                        walked.as_slice() == matrix.as_slice(),
+                        "{} k'-NN matrix, n={n} dim={dim} k={k}, {threads} threads", distance.name()
+                    );
+                    prop_assert!(
+                        exact == truth,
+                        "{} ground truth, n={n} dim={dim} k={k}, {threads} threads", distance.name()
+                    );
+                }
+            }
         }
 
         #[test]

@@ -33,6 +33,9 @@ use crate::topk::TopK;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+mod walk;
+
+pub use walk::{nearest_other_rows, nearest_rows, WALK_BLOCK};
 
 /// Lane count of the blocked accumulators.
 const LANES: usize = 8;
@@ -321,9 +324,9 @@ fn scan_tiles<K: TileKernel>(
 /// already resolved to `(segment base, offset within segment, score)`.
 ///
 /// Over a [`QueryScorer`] it is the exact scan — `PartitionIndex::scan_bins` tags
-/// segments with their run, the ground truth (`usp_data::exact_knn`,
-/// `KnnMatrix::build`) with their first row; over an `&`[`AdcTable`] it is a compressed
-/// first pass over codes. The subtle stream-position bookkeeping (segment starts
+/// segments with their run; over an `&`[`AdcTable`] it is a compressed first pass over
+/// codes. (Brute force over a whole dataset is not a stream of segments but a walk over
+/// block pairs, [`nearest_rows`] / [`nearest_other_rows`], on the same tile kernel.) The subtle stream-position bookkeeping (segment starts
 /// recorded during the scan, winners mapped back by binary search) lives here once. No
 /// score vector is materialised: the selector consumes a tile as the kernel produces
 /// it, so a pass is one read of the items plus `O(k)` state. Stream positions are

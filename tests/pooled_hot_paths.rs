@@ -1,6 +1,6 @@
 //! Pooled-region contract: every headline hot path — `Matrix::matmul`, `exact_knn`,
-//! `PartitionIndex::build`, `QueryEngine::serve_batch` — hands work to the persistent
-//! pool when the pool has more than one thread.
+//! `KnnMatrix::build`, `PartitionIndex::build`, `QueryEngine::serve_batch` — hands work
+//! to the persistent pool when the pool has more than one thread.
 //!
 //! `tests/parallel_equivalence.rs` cannot see a path that lost its `par_iter`: a
 //! sequential run is still bit-identical. The count can. Workers are spawned at region
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use neural_partitioner::baselines::KMeansPartitioner;
 use neural_partitioner::serve::{QueryEngine, QueryOptions};
 use rayon::{pool_worker_count, shutdown_pool, with_num_threads};
-use usp_data::{exact_knn, synthetic};
+use usp_data::{exact_knn, synthetic, KnnMatrix};
 use usp_index::PartitionIndex;
 use usp_linalg::Distance;
 
@@ -46,6 +46,7 @@ fn every_headline_hot_path_opens_a_pooled_region() {
 
     assert_opens_a_region("Matrix::matmul", || queries.matmul(&data.transpose()));
     assert_opens_a_region("exact_knn", || exact_knn(data, queries, 5, DIST));
+    assert_opens_a_region("KnnMatrix::build", || KnnMatrix::build(data, 5, DIST));
     let index = assert_opens_a_region("PartitionIndex::build", || {
         Arc::new(PartitionIndex::build(partitioner, data, DIST))
     });

@@ -8,7 +8,7 @@
 //! the most confident model is searched (Algorithm 4).
 
 use usp_data::KnnMatrix;
-use usp_index::{AnnSearcher, PartitionIndex, Partitioner, SearchResult};
+use usp_index::{PartitionIndex, Partitioner, SearchResult};
 use usp_linalg::{topk, Distance, Matrix};
 
 use crate::config::UspConfig;
@@ -17,7 +17,6 @@ use crate::trainer::{train_partitioner, TrainedPartitioner};
 /// An ensemble of unsupervised partitioning models over one dataset.
 pub struct UspEnsemble {
     indexes: Vec<PartitionIndex<TrainedPartitioner>>,
-    probes: usize,
 }
 
 impl UspEnsemble {
@@ -81,7 +80,7 @@ impl UspEnsemble {
             ));
         }
 
-        Self { indexes, probes: 1 }
+        Self { indexes }
     }
 
     /// Number of models in the ensemble.
@@ -107,13 +106,6 @@ impl UspEnsemble {
             .sum()
     }
 
-    /// Sets the number of bins probed per query (shared by all members) and returns self,
-    /// for use as an [`AnnSearcher`].
-    pub fn with_probes(mut self, probes: usize) -> Self {
-        self.probes = probes.max(1);
-        self
-    }
-
     /// Algorithm 4: every model scores the query; the candidate set of the most confident
     /// model (highest maximum bin probability) is searched with `probes` bins.
     pub fn search_with_probes(&self, query: &[f32], k: usize, probes: usize) -> SearchResult {
@@ -131,32 +123,6 @@ impl UspEnsemble {
         // its forward a second time).
         let bins = topk::largest_k(&best_scores, probes.min(best_scores.len()));
         self.indexes[best_model].scan_bins(query, &bins, k, None)
-    }
-
-    /// Mean candidate-set size over a set of queries at a given probe count — the x-axis
-    /// quantity of Figures 5–6.
-    pub fn mean_candidates(&self, queries: &Matrix, probes: usize) -> f64 {
-        let mut total = 0usize;
-        for qi in 0..queries.rows() {
-            let res = self.search_with_probes(queries.row(qi), 1, probes);
-            total += res.candidates_scanned;
-        }
-        total as f64 / queries.rows().max(1) as f64
-    }
-}
-
-impl AnnSearcher for UspEnsemble {
-    fn search(&self, query: &[f32], k: usize) -> SearchResult {
-        self.search_with_probes(query, k, self.probes)
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "usp-ensemble(models={},bins={},probes={})",
-            self.indexes.len(),
-            self.indexes.first().map(|i| i.num_bins()).unwrap_or(0),
-            self.probes
-        )
     }
 }
 
@@ -194,7 +160,6 @@ mod tests {
         assert_eq!(ens.len(), 2);
         assert!(!ens.is_empty());
         assert!(ens.num_parameters() > 0);
-        assert!(ens.name().contains("usp-ensemble"));
     }
 
     #[test]
@@ -282,21 +247,5 @@ mod tests {
                 assert_eq!(got.candidates_scanned, want.candidates_scanned);
             }
         }
-    }
-
-    #[test]
-    fn searcher_interface_uses_configured_probes() {
-        let (data, queries, knn) = setup();
-        let cfg = UspConfig {
-            knn_k: 5,
-            epochs: 6,
-            ..UspConfig::fast(4)
-        };
-        let ens =
-            UspEnsemble::train(&data, &knn, &cfg, 1, Distance::SquaredEuclidean).with_probes(2);
-        let res = ens.search(queries.row(0), 5);
-        assert_eq!(res.ids.len(), 5);
-        let mean = ens.mean_candidates(&queries, 2);
-        assert!(mean > 0.0 && mean <= data.rows() as f64);
     }
 }

@@ -19,22 +19,20 @@
 //!   partitioning, lookup table;
 //! * [`ensemble`] — Algorithms 3–4: boosting-style input weights and confidence-based
 //!   query routing across complementary partitions;
-//! * [`hierarchical`] — §4.4.2: recursive partitioning with probability chaining;
-//! * [`pipeline`] — §5.4.3: the USP + ScaNN-style quantized search pipeline (Figure 7),
-//!   which is the partitioner's index under compressed scoring with a ScaNN-configured
-//!   quantizer.
+//! * [`hierarchical`] — §4.4.2: recursive partitioning with probability chaining.
+//!
+//! The USP + ScaNN pipeline of §5.4.3 (Figure 7) is the trained partitioner's index under
+//! compressed scoring: `usp_quant::ScannConfig::build_index`.
 
 pub mod config;
 pub mod ensemble;
 pub mod hierarchical;
 pub mod loss;
 pub mod model;
-pub mod pipeline;
 pub mod trainer;
 
 pub use config::{ModelKind, UspConfig};
 pub use ensemble::UspEnsemble;
 pub use hierarchical::HierarchicalPartitioner;
 pub use model::PartitionModel;
-pub use pipeline::PartitionedScann;
 pub use trainer::{train_partitioner, train_step, TrainedPartitioner, TrainingReport};

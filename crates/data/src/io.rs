@@ -42,9 +42,9 @@ impl From<io::Error> for IoError {
 /// Parses an fvecs byte buffer into a matrix. `limit` caps the number of vectors read.
 pub fn parse_fvecs(bytes: &[u8], limit: Option<usize>) -> Result<Matrix, IoError> {
     let mut buf = bytes;
-    let mut rows: Vec<Vec<f32>> = Vec::new();
+    let (mut flat, mut rows) = (Vec::new(), 0usize);
     let mut dim: Option<usize> = None;
-    while limit.is_none_or(|l| rows.len() < l) {
+    while limit.is_none_or(|l| rows < l) {
         match buf.remaining() {
             0 => break,
             n @ 1..=3 => {
@@ -71,13 +71,10 @@ pub fn parse_fvecs(bytes: &[u8], limit: Option<usize>) -> Result<Matrix, IoError
         if buf.remaining() < 4 * d {
             return Err(IoError::Format("truncated vector record".into()));
         }
-        let mut row = Vec::with_capacity(d);
-        for _ in 0..d {
-            row.push(buf.get_f32_le());
-        }
-        rows.push(row);
+        flat.extend((0..d).map(|_| buf.get_f32_le()));
+        rows += 1;
     }
-    Ok(Matrix::from_rows(&rows))
+    Ok(Matrix::from_vec(rows, dim.unwrap_or(0), flat))
 }
 
 /// Serialises a matrix to fvecs bytes.
@@ -116,7 +113,11 @@ pub fn parse_ivecs(bytes: &[u8], limit: Option<usize>) -> Result<Vec<Vec<u32>>, 
         }
         let mut row = Vec::with_capacity(d);
         for _ in 0..d {
-            row.push(buf.get_i32_le() as u32);
+            let id = buf.get_i32_le();
+            row.push(
+                u32::try_from(id)
+                    .map_err(|_| IoError::Format(format!("negative component {id}")))?,
+            );
         }
         rows.push(row);
     }
@@ -138,9 +139,9 @@ pub fn write_ivecs_bytes(rows: &[Vec<u32>]) -> Vec<u8> {
 /// Parses a bvecs buffer (byte-quantised vectors) into a float matrix.
 pub fn parse_bvecs(bytes: &[u8], limit: Option<usize>) -> Result<Matrix, IoError> {
     let mut buf = bytes;
-    let mut rows: Vec<Vec<f32>> = Vec::new();
+    let (mut flat, mut rows) = (Vec::new(), 0usize);
     let mut dim: Option<usize> = None;
-    while limit.is_none_or(|l| rows.len() < l) {
+    while limit.is_none_or(|l| rows < l) {
         match buf.remaining() {
             0 => break,
             n @ 1..=3 => {
@@ -155,7 +156,7 @@ pub fn parse_bvecs(bytes: &[u8], limit: Option<usize>) -> Result<Matrix, IoError
             return Err(IoError::Format(format!("non-positive dimension {d}")));
         }
         let d = d as usize;
-        // Ragged records must be an error, not a `Matrix::from_rows` panic.
+        // Ragged records must be an error, not a mis-shaped `Matrix`.
         match dim {
             None => dim = Some(d),
             Some(prev) if prev != d => {
@@ -168,13 +169,10 @@ pub fn parse_bvecs(bytes: &[u8], limit: Option<usize>) -> Result<Matrix, IoError
         if buf.remaining() < d {
             return Err(IoError::Format("truncated bvecs record".into()));
         }
-        let mut row = Vec::with_capacity(d);
-        for _ in 0..d {
-            row.push(buf.get_u8() as f32);
-        }
-        rows.push(row);
+        flat.extend((0..d).map(|_| buf.get_u8() as f32));
+        rows += 1;
     }
-    Ok(Matrix::from_rows(&rows))
+    Ok(Matrix::from_vec(rows, dim.unwrap_or(0), flat))
 }
 
 /// Reads an fvecs file from disk.
@@ -255,6 +253,17 @@ mod tests {
         let bytes = write_ivecs_bytes(&rows);
         let back = parse_ivecs(&bytes, None).unwrap();
         assert_eq!(rows, back);
+    }
+
+    #[test]
+    fn ivecs_negative_id_is_an_error() {
+        // Regression: a `-1` component used to come back as id 4 294 967 295; the
+        // bits round-trip, so only this test sees it.
+        let mut bytes = Vec::new();
+        bytes.extend(2i32.to_le_bytes());
+        bytes.extend(7i32.to_le_bytes());
+        bytes.extend((-1i32).to_le_bytes());
+        assert!(matches!(parse_ivecs(&bytes, None), Err(IoError::Format(_))));
     }
 
     #[test]

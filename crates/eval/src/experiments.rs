@@ -14,14 +14,13 @@ use usp_cluster::{
     adjusted_rand_index, dbscan, normalized_mutual_information, purity, spectral_clustering,
     DbscanConfig, SpectralConfig,
 };
-use usp_core::{
-    train_partitioner, HierarchicalPartitioner, ModelKind, PartitionedScann, UspConfig, UspEnsemble,
-};
+use usp_core::{train_partitioner, HierarchicalPartitioner, ModelKind, UspConfig, UspEnsemble};
 use usp_data::{exact_knn, synthetic, KnnMatrix, SplitDataset};
 use usp_graph::{Hnsw, HnswConfig};
+use usp_index::partitioner::RoundRobinPartitioner;
 use usp_index::{PartitionIndex, Partitioner};
 use usp_linalg::Distance;
-use usp_quant::{KMeansConfig, ScannConfig, ScannSearcher};
+use usp_quant::{KMeansConfig, ScannConfig};
 
 use crate::recall::{
     candidates_at_recall, default_probe_ladder, recall_at_k, sweep_probes, SweepPoint,
@@ -330,47 +329,32 @@ pub fn figure7(scale: &Scale) -> ExperimentReport {
             }
         };
 
-        // USP + ScaNN.
+        // USP + ScaNN and K-means + ScaNN: the partition's compressed index.
+        let pipeline_config = ScannConfig {
+            rerank_size: 64,
+            ..ScannConfig::default()
+        };
         let usp = train_partitioner(data, &knn, &usp_config(scale, bins, 7.0, 13), None);
-        let usp_pipeline = PartitionedScann::build(
-            usp,
-            data,
-            ScannConfig {
-                rerank_size: 64,
-                ..ScannConfig::default()
-            },
-            1,
-        );
+        let usp_scann = pipeline_config.build_index(usp, data);
         series.push(timed_sweep(
             "USP + ScaNN (ours)",
             &[1, 2, 4, 8],
-            Box::new(move |q, probes| usp_pipeline.search_with_probes(q, K, probes).ids),
+            Box::new(move |q, probes| usp_scann.search(q, K, probes).ids),
         ));
-
-        // K-means + ScaNN.
-        let km = KMeansPartitioner::fit(data, bins, 17);
-        let km_pipeline = PartitionedScann::build(
-            km,
-            data,
-            ScannConfig {
-                rerank_size: 64,
-                ..ScannConfig::default()
-            },
-            1,
-        );
+        let km_scann = pipeline_config.build_index(KMeansPartitioner::fit(data, bins, 17), data);
         series.push(timed_sweep(
             "K-means + ScaNN",
             &[1, 2, 4, 8],
-            Box::new(move |q, probes| km_pipeline.search_with_probes(q, K, probes).ids),
+            Box::new(move |q, probes| km_scann.search(q, K, probes).ids),
         ));
 
-        // Vanilla ScaNN: quantized scan over the whole dataset; the knob is the exact
-        // re-ranking budget, a per-query argument of the one index.
-        let scann = ScannSearcher::build(data, ScannConfig::default());
+        // Vanilla ScaNN: quantized scan over the whole dataset, one bin; the knob is the
+        // exact re-ranking budget, a per-query argument of the one index.
+        let scann = ScannConfig::default().build_index(RoundRobinPartitioner::new(1), data);
         series.push(timed_sweep(
             "Vanilla ScaNN",
             &[32, 64, 128, 256],
-            Box::new(move |q, rerank| scann.index().scan_bins(q, &[0], K, Some(rerank)).ids),
+            Box::new(move |q, rerank| scann.scan_bins(q, &[0], K, Some(rerank)).ids),
         ));
 
         // HNSW with an ef sweep.

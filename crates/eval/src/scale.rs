@@ -75,16 +75,26 @@ impl Scale {
         }
     }
 
-    /// Reads `USP_SCALE` (small/medium/large), defaulting to small.
+    /// Reads `USP_SCALE` (small/medium/large), defaulting to small when it is unset or
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// On any other value: a misspelt scale must not silently run the small one.
     pub fn from_env() -> Self {
-        match std::env::var("USP_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "medium" => Self::medium(),
-            "large" => Self::large(),
-            _ => Self::small(),
+        let name = std::env::var("USP_SCALE").unwrap_or_default();
+        Self::named(&name).unwrap_or_else(|| {
+            panic!("USP_SCALE={name:?} is not one of small|medium|large (or unset)")
+        })
+    }
+
+    /// The scale `USP_SCALE` names, case-insensitively; `""` is small.
+    fn named(name: &str) -> Option<Self> {
+        match name.to_lowercase().as_str() {
+            "" | "small" => Some(Self::small()),
+            "medium" => Some(Self::medium()),
+            "large" => Some(Self::large()),
+            _ => None,
         }
     }
 
@@ -130,5 +140,19 @@ mod tests {
     fn from_env_defaults_to_small() {
         std::env::remove_var("USP_SCALE");
         assert_eq!(Scale::from_env().name, "small");
+    }
+
+    #[test]
+    fn only_the_three_scale_names_are_recognised() {
+        let known = [
+            ("", "small"),
+            ("Small", "small"),
+            ("medium", "medium"),
+            ("LARGE", "large"),
+        ];
+        for (name, want) in known {
+            assert_eq!(Scale::named(name).unwrap().name, want);
+        }
+        assert!(Scale::named("lage").is_none());
     }
 }

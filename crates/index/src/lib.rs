@@ -11,10 +11,8 @@
 //!   bin-contiguous dataset, and the write path;
 //! * [`stream`] — the candidate stream of the probed bins (Algorithm 2 step 2) and the
 //!   two consumers that score it (step 3): exact, or ADC shortlist + exact re-rank;
-//! * [`searcher::AnnSearcher`] / [`searcher::SearchResult`] — the common interface the
-//!   evaluation harness uses to sweep recall against candidate-set size, also implemented
-//!   by the other searchers compared in Figure 7 (vanilla ScaNN, the partition + ScaNN
-//!   pipelines);
+//! * [`searcher::SearchResult`] — a query's ids and its exact and compressed scan
+//!   counts, the axes the evaluation harness sweeps recall against;
 //! * [`scoring`] — the exact-f32 vs compressed (PQ/ADC) scoring switch and the
 //!   [`scoring::CodeQuantizer`] interface quantizers implement to plug into it;
 //! * [`mutation`] — the streaming write path: per-bin membins, tombstones, and the
@@ -40,7 +38,7 @@ pub use mutation::{CompactionReport, MutationError, MutationStats};
 pub use partition_index::{PartitionIndex, RecoveryReport};
 pub use partitioner::Partitioner;
 pub use scoring::{CodeQuantizer, Scoring};
-pub use searcher::{AnnSearcher, SearchResult};
+pub use searcher::SearchResult;
 pub use wal::{
     FaultPlan, FileStorage, MemStorage, SyncPolicy, Wal, WalError, WalRecord, WalStats, WalStorage,
 };

@@ -38,7 +38,7 @@ use crate::balance::BalanceStats;
 use crate::mutation::{CompactionReport, DeltaView, MutationError, MutationState, MutationStats};
 use crate::partitioner::Partitioner;
 use crate::scoring::{CodeQuantizer, Scoring};
-use crate::searcher::{AnnSearcher, SearchResult};
+use crate::searcher::SearchResult;
 use crate::wal::{Wal, WalError, WalRecord, WalStats};
 
 /// Default [`PartitionIndex::needs_compaction`] threshold: compact once the delta
@@ -805,34 +805,6 @@ impl<P: Partitioner> PartitionIndex<P> {
             .map(|qi| self.search(queries.row(qi), k, probes))
             .collect()
     }
-
-    /// Wraps the index with a fixed probe count so it can be used as an [`AnnSearcher`].
-    pub fn with_probes(&self, probes: usize) -> ProbedIndex<'_, P> {
-        ProbedIndex {
-            index: self,
-            probes,
-        }
-    }
-}
-
-/// A [`PartitionIndex`] with a fixed number of probed bins, usable as an [`AnnSearcher`].
-pub struct ProbedIndex<'a, P: Partitioner> {
-    index: &'a PartitionIndex<P>,
-    probes: usize,
-}
-
-impl<'a, P: Partitioner> AnnSearcher for ProbedIndex<'a, P> {
-    fn search(&self, query: &[f32], k: usize) -> SearchResult {
-        self.index.search(query, k, self.probes)
-    }
-
-    fn search_batch(&self, queries: &Matrix, k: usize) -> Vec<SearchResult> {
-        self.index.search_batch(queries, k, self.probes)
-    }
-
-    fn name(&self) -> String {
-        format!("{} (probes={})", self.index.partitioner.name(), self.probes)
-    }
 }
 
 #[cfg(test)]
@@ -1140,10 +1112,6 @@ mod tests {
             let expect = idx.search(queries.row(qi), 3, 2);
             assert_eq!(got, &expect, "batch result differs for query {qi}");
         }
-        // The ProbedIndex searcher's batch path must agree with its scalar path too.
-        let searcher = idx.with_probes(2);
-        let via_trait = searcher.search_batch(&queries, 3);
-        assert_eq!(via_trait, batch);
     }
 
     #[test]
@@ -1363,21 +1331,6 @@ mod tests {
         let data = line_data(2, 2);
         let idx = PartitionIndex::build(GridPartitioner { bins: 2 }, &data, Distance::Euclidean);
         assert!(matches!(idx.distance(), Distance::Euclidean));
-    }
-
-    #[test]
-    fn probed_index_implements_searcher() {
-        let data = line_data(3, 4);
-        let idx = PartitionIndex::build(
-            GridPartitioner { bins: 3 },
-            &data,
-            Distance::SquaredEuclidean,
-        );
-        let searcher = idx.with_probes(1);
-        let r = searcher.search(&[0.5], 2);
-        assert_eq!(r.ids.len(), 2);
-        assert_eq!(r.candidates_scanned, 4);
-        assert!(searcher.name().contains("grid"));
     }
 }
 

@@ -21,7 +21,7 @@ const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("usp-cluster", &["usp-data", "usp-linalg", "usp-quant"]),
     (
         "usp-core",
-        &["usp-data", "usp-index", "usp-linalg", "usp-nn", "usp-quant"],
+        &["usp-data", "usp-index", "usp-linalg", "usp-nn"],
     ),
     (
         "usp-baselines",

@@ -13,10 +13,10 @@
 //! * [`anisotropic`] — score-aware (anisotropic) codebook training as published for ScaNN
 //!   (Guo et al. 2020): the residual component parallel to the data point is penalised
 //!   more than the orthogonal component;
-//! * [`scann`] — a ScaNN-like searcher: anisotropic-PQ ADC scan of the whole dataset
-//!   followed by exact re-ranking of the best codes — Figure 7's "vanilla ScaNN"
-//!   baseline, a one-bin compressed `PartitionIndex` — and the `ScannConfig` the
-//!   partition pipelines in `usp-core` fit the same quantizer from.
+//! * [`scann`] — ScaNN-like search: `ScannConfig::build_index` is the compressed
+//!   `PartitionIndex` (anisotropic-PQ ADC scan, exact re-ranking of the best codes) of
+//!   every ScaNN series in Figure 7 — over one bin for "vanilla ScaNN", over a
+//!   partitioner's bins for "USP + ScaNN" and "K-means + ScaNN".
 //!
 //! No search loop lives here: every scan above the codebooks is the index's
 //! (`usp_index::stream`).
@@ -29,4 +29,4 @@ pub mod scann;
 pub use anisotropic::AnisotropicConfig;
 pub use kmeans::{KMeans, KMeansConfig};
 pub use pq::{CodebookKind, ProductQuantizer, ProductQuantizerConfig};
-pub use scann::{ScannConfig, ScannSearcher};
+pub use scann::ScannConfig;

@@ -1,24 +1,22 @@
-//! A ScaNN-like searcher: anisotropic product quantization + ADC scan + exact re-ranking.
+//! ScaNN-like search: anisotropic product quantization + ADC scan + exact re-ranking.
 //!
 //! The paper's Figure 7 uses ScaNN in two ways: standalone ("vanilla ScaNN": quantized scan
 //! over the whole dataset) and as the *within-candidate-set* search of partitioning
-//! pipelines ("USP + ScaNN", "K-means + ScaNN"). Both are a compressed `PartitionIndex`
-//! — ADC-score contiguous codes, keep a shortlist, re-rank it exactly
-//! (`usp_index::stream`) — under the scoring [`ScannConfig::fit_scoring`] builds: the
-//! pipelines in `usp-core` over a real partitioner's bins, [`ScannSearcher`] over a
-//! single bin holding the whole dataset. So the series Figure 7 compares differ in the
-//! partition and in nothing else.
+//! pipelines ("USP + ScaNN", "K-means + ScaNN"). Both are the compressed `PartitionIndex`
+//! [`ScannConfig::build_index`] builds — ADC-score contiguous codes, keep a shortlist,
+//! re-rank it exactly (`usp_index::stream`) — over a real partitioner's bins for the
+//! pipelines and over a single bin holding the whole dataset for vanilla ScaNN. So the
+//! series Figure 7 compares differ in the partition and in nothing else.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use usp_index::partitioner::RoundRobinPartitioner;
-use usp_index::{AnnSearcher, PartitionIndex, Scoring, SearchResult};
+use usp_index::{PartitionIndex, Partitioner, Scoring};
 use usp_linalg::{Distance, Matrix};
 
 use crate::pq::{ProductQuantizer, ProductQuantizerConfig};
 
-/// Configuration of the ScaNN-like searcher.
+/// Configuration of the ScaNN-like search.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScannConfig {
     /// Number of PQ subspaces.
@@ -61,79 +59,18 @@ impl ScannConfig {
         config
     }
 
-    /// Fits that quantizer on `data` and wraps it as an index's compressed scoring
-    /// mode, re-ranking `rerank_size` ADC survivors exactly per query by default.
-    pub fn fit_scoring(&self, data: &Matrix) -> (Arc<ProductQuantizer>, Scoring) {
-        let pq = Arc::new(ProductQuantizer::fit(data, &self.quantizer_config()));
+    /// The compressed index Figure 7's ScaNN series search: `partitioner`'s bins over
+    /// bin-contiguous rows and the codes of [`Self::quantizer_config`]'s quantizer, fitted
+    /// on `data`, re-ranking `rerank_size` ADC survivors exactly under `distance` by
+    /// default. "USP + ScaNN" and "K-means + ScaNN" search it with
+    /// `search(q, k, probes)`; "vanilla ScaNN" is the one-bin index of
+    /// `RoundRobinPartitioner::new(1)`, scanned with `scan_bins(q, &[0], k, budget)`.
+    pub fn build_index<P: Partitioner>(&self, partitioner: P, data: &Matrix) -> PartitionIndex<P> {
+        let pq = ProductQuantizer::fit(data, &self.quantizer_config());
         // A `rerank_size` of 0 has always meant "re-rank `k`"; the index floors its
         // budget at `k` per query but wants a positive default.
-        let scoring = Scoring::compressed(pq.clone(), self.rerank_size.max(1));
-        (pq, scoring)
-    }
-
-    /// The searcher name reports print for this configuration.
-    pub fn name(&self) -> String {
-        format!(
-            "scann(m={},k*={},eta={},rerank={})",
-            self.n_subspaces, self.n_centroids, self.eta, self.rerank_size
-        )
-    }
-}
-
-/// Anisotropic-PQ scan of a whole dataset with exact re-ranking: a compressed
-/// [`PartitionIndex`] whose one bin holds every point, plus its name.
-pub struct ScannSearcher {
-    index: PartitionIndex<RoundRobinPartitioner>,
-    name: String,
-}
-
-impl ScannSearcher {
-    /// Trains the quantizer and encodes the dataset.
-    pub fn build(data: &Matrix, config: ScannConfig) -> Self {
-        let (_, scoring) = config.fit_scoring(data);
-        Self {
-            index: PartitionIndex::build(RoundRobinPartitioner::new(1), data, config.distance)
-                .with_scoring(scoring),
-            name: config.name(),
-        }
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.index.assignments().len()
-    }
-
-    /// True when no points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The one-bin compressed index the searcher scans; its per-query budget
-    /// (`index().scan_bins(q, &[0], k, Some(r))`) overrides `rerank_size`.
-    pub fn index(&self) -> &PartitionIndex<RoundRobinPartitioner> {
-        &self.index
-    }
-
-    /// Full-dataset quantized search (the "vanilla ScaNN" baseline of Figure 7):
-    /// ADC-scores every code (`compressed_scanned`) and exactly re-ranks the best
-    /// `max(rerank_size, k)` of them (`candidates_scanned`, the cost axis shared with
-    /// the partitioning methods).
-    pub fn search_all(&self, query: &[f32], k: usize) -> SearchResult {
-        self.index.scan_bins(query, &[0], k, None)
-    }
-}
-
-impl AnnSearcher for ScannSearcher {
-    fn search(&self, query: &[f32], k: usize) -> SearchResult {
-        self.search_all(query, k)
-    }
-
-    fn search_batch(&self, queries: &Matrix, k: usize) -> Vec<SearchResult> {
-        self.index.search_batch(queries, k, 1)
-    }
-
-    fn name(&self) -> String {
-        self.name.clone()
+        let scoring = Scoring::compressed(Arc::new(pq), self.rerank_size.max(1));
+        PartitionIndex::build(partitioner, data, self.distance).with_scoring(scoring)
     }
 }
 
@@ -141,6 +78,8 @@ impl AnnSearcher for ScannSearcher {
 mod tests {
     use super::*;
     use usp_data::exact_knn;
+    use usp_index::partitioner::RoundRobinPartitioner;
+    use usp_index::SearchResult;
     use usp_linalg::{kernel, rng as lrng, topk};
 
     const DIST: Distance = Distance::SquaredEuclidean;
@@ -157,21 +96,24 @@ mod tests {
         m
     }
 
+    /// Vanilla ScaNN: the one-bin compressed index over the whole dataset.
+    fn vanilla(data: &Matrix, rerank_size: usize) -> PartitionIndex<RoundRobinPartitioner> {
+        let config = ScannConfig {
+            rerank_size,
+            ..Default::default()
+        };
+        config.build_index(RoundRobinPartitioner::new(1), data)
+    }
+
     #[test]
     fn full_search_has_high_recall() {
         let data = clustered(800, 16, 1);
-        let scann = ScannSearcher::build(
-            &data,
-            ScannConfig {
-                rerank_size: 60,
-                ..Default::default()
-            },
-        );
+        let scann = vanilla(&data, 60);
         let queries = clustered(15, 16, 77);
         let truth = exact_knn(&data, &queries, 10, Distance::SquaredEuclidean);
         let mut recall = 0.0;
         for qi in 0..queries.rows() {
-            let res = scann.search(queries.row(qi), 10);
+            let res = scann.scan_bins(queries.row(qi), &[0], 10, None);
             let t: std::collections::HashSet<usize> = truth[qi].iter().copied().collect();
             recall += res.ids.iter().filter(|i| t.contains(i)).count() as f64 / 10.0;
         }
@@ -179,7 +121,7 @@ mod tests {
         assert!(recall > 0.85, "ScaNN-like recall too low: {recall}");
     }
 
-    /// The id-gather algorithm `ScannSearcher` was before it became an index: ADC-score
+    /// The id-gather algorithm vanilla ScaNN was before it became an index: ADC-score
     /// row-major codes one at a time, shortlist, gather-rerank.
     fn gathered_reference(
         data: &Matrix,
@@ -206,27 +148,27 @@ mod tests {
         let (n, k) = (300, 10);
         let data = clustered(n, 8, 2);
         let queries = clustered(12, 8, 78);
+        // The fit is deterministic in the seed: the reference's quantizer is the index's.
+        let pq = ProductQuantizer::fit(&data, &ScannConfig::default().quantizer_config());
         for rerank in [1, k, 37, n] {
-            let config = ScannConfig {
-                rerank_size: rerank,
-                ..Default::default()
-            };
-            // The fit is deterministic in the seed: the reference's quantizer is the
-            // searcher's.
-            let (pq, _) = config.fit_scoring(&data);
-            let scann = ScannSearcher::build(&data, config);
+            let scann = vanilla(&data, rerank);
             for qi in 0..queries.rows() {
                 let q = queries.row(qi);
                 let expect = gathered_reference(&data, &pq, q, k, rerank);
-                assert_eq!(scann.search(q, k), expect, "query {qi} rerank {rerank}");
+                assert_eq!(
+                    scann.scan_bins(q, &[0], k, None),
+                    expect,
+                    "query {qi} rerank {rerank}"
+                );
                 // The per-query budget is the same knob as the configured one.
-                let budgeted = scann.index().scan_bins(q, &[0], k, Some(37));
+                let budgeted = scann.scan_bins(q, &[0], k, Some(37));
                 let expect = gathered_reference(&data, &pq, q, k, 37);
                 assert_eq!(budgeted, expect, "query {qi} budget 37");
             }
-            let batch = scann.search_batch(&queries, k);
+            let batch = scann.search_batch(&queries, k, 1);
             for (qi, res) in batch.iter().enumerate() {
-                assert_eq!(res, &scann.search(queries.row(qi), k), "batch row {qi}");
+                let expect = scann.scan_bins(queries.row(qi), &[0], k, None);
+                assert_eq!(res, &expect, "batch row {qi}");
             }
         }
     }
@@ -234,23 +176,33 @@ mod tests {
     #[test]
     fn rerank_budget_bounds_exact_evaluations() {
         let data = clustered(500, 8, 4);
-        let scann = ScannSearcher::build(
-            &data,
-            ScannConfig {
-                rerank_size: 37,
-                ..Default::default()
-            },
-        );
-        let res = scann.search(data.row(0), 10);
+        let res = vanilla(&data, 37).scan_bins(data.row(0), &[0], 10, None);
         assert_eq!(res.candidates_scanned, 37);
     }
 
     #[test]
-    fn searcher_name_mentions_parameters() {
-        let data = clustered(60, 8, 5);
-        let scann = ScannSearcher::build(&data, ScannConfig::default());
-        assert!(scann.name().contains("scann"));
-        assert!(!scann.is_empty());
-        assert_eq!(scann.len(), 60);
+    fn build_index_is_the_compressed_index() {
+        let data = clustered(500, 8, 23);
+        let queries = clustered(20, 8, 79);
+        let custom = ScannConfig {
+            rerank_size: 37,
+            ..ScannConfig::default()
+        };
+        for config in [ScannConfig::default(), custom] {
+            let index = config.build_index(RoundRobinPartitioner::new(8), &data);
+            let rerank = config.rerank_size;
+            assert_eq!(index.compressed_rerank_budget(), Some(rerank));
+            assert!(index.quantizer().is_some());
+            for qi in 0..queries.rows() {
+                for probes in [1, 2, 8] {
+                    let res = index.search(queries.row(qi), 10, probes);
+                    assert_eq!(
+                        res.candidates_scanned,
+                        rerank.min(res.compressed_scanned),
+                        "query {qi} probes {probes}"
+                    );
+                }
+            }
+        }
     }
 }

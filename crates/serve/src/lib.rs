@@ -29,8 +29,8 @@
 //!   per-connection write buffering so one slow reader never blocks the loop, and an
 //!   engine panic contained to the queries of one batch;
 //! * determinism: batch answers are **bit-identical** to per-query
-//!   [`AnnSearcher`](usp_index::AnnSearcher) results for any pool size — batching and
-//!   sharding are execution strategies, never a semantic change
+//!   [`PartitionIndex::search`](usp_index::PartitionIndex::search) results for any
+//!   pool size — batching and sharding are execution strategies, never a semantic change
 //!   (`tests/parallel_equivalence.rs` pins this).
 //!
 //! See `DESIGN.md` §5 for the serving architecture and the pool lifecycle.

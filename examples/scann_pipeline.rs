@@ -5,13 +5,14 @@
 //!
 //! Run with: `cargo run --release --example scann_pipeline`
 
-use neural_partitioner::core::{train_partitioner, PartitionedScann, UspConfig};
+use neural_partitioner::core::{train_partitioner, UspConfig};
 use usp_baselines::KMeansPartitioner;
 use usp_data::{exact_knn, synthetic, KnnMatrix};
 use usp_graph::{Hnsw, HnswConfig};
-use usp_index::{AnnSearcher, PartitionIndex};
+use usp_index::partitioner::RoundRobinPartitioner;
+use usp_index::PartitionIndex;
 use usp_linalg::Distance;
-use usp_quant::{KMeansConfig, ScannConfig, ScannSearcher};
+use usp_quant::{KMeansConfig, ScannConfig};
 
 const DIST: Distance = Distance::SquaredEuclidean;
 const K: usize = 10;
@@ -47,6 +48,13 @@ fn main() {
         split.n_queries()
     );
 
+    // Every ScaNN series is the compressed index this configuration builds over a
+    // partition; they differ in the partition alone.
+    let scann_config = ScannConfig {
+        rerank_size: 80,
+        ..ScannConfig::default()
+    };
+
     // USP + ScaNN: partition first, then quantized search inside the candidate set.
     let knn = KnnMatrix::build(data, 10, DIST);
     let usp = train_partitioner(
@@ -58,43 +66,21 @@ fn main() {
         },
         None,
     );
-    let usp_scann = PartitionedScann::build(
-        usp,
-        data,
-        ScannConfig {
-            rerank_size: 80,
-            ..ScannConfig::default()
-        },
-        2,
-    );
+    let usp_scann = scann_config.build_index(usp, data);
     measure("USP + ScaNN (ours)", &split.queries, &truth, |q| {
-        usp_scann.search(q, K).ids
+        usp_scann.search(q, K, 2).ids
     });
 
     // K-means + ScaNN.
-    let km_scann = PartitionedScann::build(
-        KMeansPartitioner::fit(data, 16, 3),
-        data,
-        ScannConfig {
-            rerank_size: 80,
-            ..ScannConfig::default()
-        },
-        2,
-    );
+    let km_scann = scann_config.build_index(KMeansPartitioner::fit(data, 16, 3), data);
     measure("K-means + ScaNN", &split.queries, &truth, |q| {
-        km_scann.search(q, K).ids
+        km_scann.search(q, K, 2).ids
     });
 
-    // Vanilla ScaNN: quantized scan of the whole dataset.
-    let scann = ScannSearcher::build(
-        data,
-        ScannConfig {
-            rerank_size: 80,
-            ..ScannConfig::default()
-        },
-    );
+    // Vanilla ScaNN: quantized scan of the whole dataset, held in one bin.
+    let scann = scann_config.build_index(RoundRobinPartitioner::new(1), data);
     measure("Vanilla ScaNN", &split.queries, &truth, |q| {
-        scann.search_all(q, K).ids
+        scann.scan_bins(q, &[0], K, None).ids
     });
 
     // HNSW.

@@ -10,7 +10,7 @@ use usp_data::{exact_knn, synthetic, KnnMatrix};
 use usp_graph::{Hnsw, HnswConfig};
 use usp_index::{PartitionIndex, Partitioner, SearchResult};
 use usp_linalg::Distance;
-use usp_quant::{KMeansConfig, ScannConfig, ScannSearcher};
+use usp_quant::{KMeansConfig, ScannConfig};
 
 const DIST: Distance = Distance::SquaredEuclidean;
 
@@ -174,16 +174,14 @@ fn graph_and_quantization_baselines_reach_high_recall() {
         .collect();
     assert!(recall(&ivf_results, &truth) > 0.9, "IVF recall too low");
 
-    // ScaNN-like quantized scan with exact re-ranking.
-    let scann = ScannSearcher::build(
-        data,
-        ScannConfig {
-            rerank_size: 100,
-            ..ScannConfig::default()
-        },
-    );
+    // ScaNN-like quantized scan of one bin holding every point, with exact re-ranking.
+    let scann = ScannConfig {
+        rerank_size: 100,
+        ..ScannConfig::default()
+    }
+    .build_index(usp_index::partitioner::RoundRobinPartitioner::new(1), data);
     let scann_results: Vec<Vec<usize>> = (0..split.queries.rows())
-        .map(|qi| scann.search_all(split.queries.row(qi), 10).ids)
+        .map(|qi| scann.scan_bins(split.queries.row(qi), &[0], 10, None).ids)
         .collect();
     assert!(
         recall(&scann_results, &truth) > 0.8,

@@ -6,6 +6,7 @@ use neural_partitioner::core::{train_partitioner, UspConfig, UspEnsemble};
 use usp_data::{exact_knn, synthetic, KnnMatrix};
 use usp_index::Partitioner;
 use usp_linalg::Distance;
+use usp_quant::ScannConfig;
 
 const DIST: Distance = Distance::SquaredEuclidean;
 
@@ -157,13 +158,13 @@ fn pipeline_composition_with_quantizer_preserves_most_recall() {
     // Build the exact index first, then the quantized pipeline from the same partitioner
     // family (fresh training with the same seed gives the same model).
     let exact_index = train_partitioner(data, &knn, &cfg, None).build_index(data, DIST);
-    let pipeline = neural_partitioner::core::pipeline::usp_plus_scann(partitioner, data, 4);
+    let pipeline = ScannConfig::default().build_index(partitioner, data);
 
     let mut exact_recall = 0.0;
     let mut quant_recall = 0.0;
     for qi in 0..split.queries.rows() {
         let e = exact_index.search(split.queries.row(qi), 10, 4);
-        let qv = pipeline.search_with_probes(split.queries.row(qi), 10, 4);
+        let qv = pipeline.search(split.queries.row(qi), 10, 4);
         exact_recall += usp_data::ground_truth::knn_accuracy(&e.ids, &truth[qi]);
         quant_recall += usp_data::ground_truth::knn_accuracy(&qv.ids, &truth[qi]);
     }
@@ -173,6 +174,62 @@ fn pipeline_composition_with_quantizer_preserves_most_recall() {
         quant_recall > exact_recall * 0.75,
         "quantized pipeline recall {quant_recall:.3} lost too much vs exact re-ranking {exact_recall:.3}"
     );
+}
+
+#[test]
+fn pipeline_restricts_search_to_partition_candidates() {
+    let split = synthetic::sift_like(900, 16, 21).split_queries(40);
+    let data = split.base.points();
+    let knn = KnnMatrix::build(data, 5, DIST);
+    let cfg = UspConfig {
+        knn_k: 5,
+        epochs: 20,
+        ..UspConfig::fast(8)
+    };
+    let partitioner = train_partitioner(data, &knn, &cfg, None);
+    let pipeline = ScannConfig::default().build_index(partitioner, data);
+
+    let truth = exact_knn(data, &split.queries, 10, DIST);
+    let mut results = Vec::new();
+    let (mut scanned, mut partition_candidates) = (0usize, 0usize);
+    for qi in 0..split.queries.rows() {
+        let res = pipeline.search(split.queries.row(qi), 10, 2);
+        scanned += res.candidates_scanned;
+        partition_candidates += res.compressed_scanned;
+        results.push(res.ids);
+    }
+    let recall = mean_recall(&results, &truth);
+    let mean_exact = scanned as f64 / split.queries.rows() as f64;
+    // The quantized shortlist keeps the exact re-ranking cost far below the dataset
+    // size while retaining good recall on clustered data.
+    assert!(
+        mean_exact <= 100.0 + 1e-9,
+        "exact evaluations per query {mean_exact}"
+    );
+    assert!(recall > 0.5, "pipeline recall {recall}");
+    assert!(partition_candidates > 0);
+}
+
+#[test]
+fn more_probes_improve_or_maintain_pipeline_recall() {
+    let split = synthetic::sift_like(600, 8, 22).split_queries(30);
+    let data = split.base.points();
+    let knn = KnnMatrix::build(data, 5, DIST);
+    let cfg = UspConfig {
+        knn_k: 5,
+        epochs: 15,
+        ..UspConfig::fast(8)
+    };
+    let partitioner = train_partitioner(data, &knn, &cfg, None);
+    let pipeline = ScannConfig::default().build_index(partitioner, data);
+    let truth = exact_knn(data, &split.queries, 10, DIST);
+    let recall = |probes: usize| {
+        let results: Vec<Vec<usize>> = (0..split.queries.rows())
+            .map(|qi| pipeline.search(split.queries.row(qi), 10, probes).ids)
+            .collect();
+        mean_recall(&results, &truth)
+    };
+    assert!(recall(8) >= recall(1) - 1e-9);
 }
 
 #[test]

@@ -15,7 +15,7 @@ use neural_partitioner::baselines::KMeansPartitioner;
 use neural_partitioner::serve::{QueryEngine, QueryOptions};
 use rayon::with_num_threads;
 use usp_data::{exact_knn, synthetic, KnnMatrix};
-use usp_index::{AnnSearcher, PartitionIndex};
+use usp_index::PartitionIndex;
 use usp_linalg::{rng as lrng, Distance, Matrix};
 use usp_quant::{KMeans, KMeansConfig, ProductQuantizer, ProductQuantizerConfig};
 
@@ -249,11 +249,10 @@ fn serve_batch_is_bit_identical_to_per_query_searcher_results() {
     });
 
     for &t in &[1usize, 4] {
-        let (batch, via_trait, engine_batch, micro) = with_num_threads(t, || {
+        let (batch, engine_batch, micro) = with_num_threads(t, || {
             let partitioner = KMeansPartitioner::fit(data, 8, 5);
             let index = Arc::new(PartitionIndex::build(partitioner, data, DIST));
             let batch = index.search_batch(queries, k, probes);
-            let via_trait = index.with_probes(probes).search_batch(queries, k);
             let engine = QueryEngine::new(Arc::clone(&index));
             let engine_batch = engine.serve_batch(queries, &QueryOptions::new(k, probes));
             // Micro-batched single submissions must land on the same answers.
@@ -267,15 +266,11 @@ fn serve_batch_is_bit_identical_to_per_query_searcher_results() {
                 .map(|qi| batcher.submit(queries.row(qi).to_vec()))
                 .collect();
             let micro: Vec<_> = receivers.into_iter().map(|rx| rx.recv().unwrap()).collect();
-            (batch, via_trait, engine_batch, micro)
+            (batch, engine_batch, micro)
         });
         assert_eq!(
             reference, batch,
             "index.search_batch differs at {t} threads"
-        );
-        assert_eq!(
-            reference, via_trait,
-            "AnnSearcher batch differs at {t} threads"
         );
         assert_eq!(
             reference, engine_batch,

@@ -21,8 +21,8 @@
 //!
 //! # One candidate stream
 //!
-//! Every query path — [`PartitionIndex::search`] and the serving engine, one shard at
-//! a time — walks the probed bins through [`crate::stream`]: one producer
+//! Every query path — [`PartitionIndex::search`] and the serving engine — walks the
+//! probed bins through [`crate::stream`] in one pass: one producer
 //! of contiguous runs over `flat` / the codes / the membins, and an exact or a
 //! two-phase (ADC shortlist, exact re-rank) consumer picked by the configured
 //! [`Scoring`]. This file owns the storage and the write path; it scores nothing.
@@ -359,8 +359,8 @@ impl<P: Partitioner> PartitionIndex<P> {
     /// `compressed_scanned` counts the first-pass codes.
     ///
     /// [`Self::search`] calls this with the ranked bins, and the serving engine runs
-    /// the same consumer over per-shard pieces of the same stream (the whole stream
-    /// when it has one shard), so they answer bit-identically by construction.
+    /// the same consumer over the same stream, so they answer bit-identically by
+    /// construction.
     pub fn scan_bins(
         &self,
         query: &[f32],
@@ -386,7 +386,7 @@ impl<P: Partitioner> PartitionIndex<P> {
         let delta = self.is_mutated().then(|| self.delta());
         let consumer = self.consumer(query, k, budget, table);
         let runs = self.candidate_runs(bins, delta.as_deref(), consumer.cap());
-        consumer.finish([&consumer.pass(&runs)])
+        consumer.scan(&runs)
     }
 
     /// The quantizer behind [`Scoring::Compressed`], if one is configured.
@@ -670,8 +670,10 @@ impl<P: Partitioner> PartitionIndex<P> {
     /// `QueryEngine::compact`): builds the compacted twin, writes
     /// `CompactionCheckpoint{epoch + 1}` by atomically replacing the log
     /// (write-new → sync → rename), and moves the log onto the new index. On
-    /// `Err` this index and its log are unchanged (the replace is atomic), so the
-    /// delta is still fully recoverable.
+    /// `Err` this index keeps its delta and its log, but the log is poisoned: a
+    /// replace that failed after its rename left the log file unlinked under the old
+    /// handle, so this index refuses writes ([`WalError::Poisoned`]) until a retried
+    /// call succeeds or the log is recovered.
     ///
     /// Like [`Self::compacted`], the caller must ensure no writer races this call:
     /// a mutation landing between the delta snapshot and the log replace would be

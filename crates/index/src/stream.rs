@@ -7,8 +7,8 @@
 //! live membin rows in insertion order (DESIGN.md §2.4). A clean index is simply the
 //! stream whose runs are whole bins and whose membin tails are empty.
 //!
-//! A [`Consumer`] scores runs in one of two ways, both through [`usp_linalg::kernel`]
-//! only:
+//! A [`Consumer`] scores a query's whole stream in one [`Consumer::scan`], in one of
+//! two ways, both through [`usp_linalg::kernel`] only:
 //!
 //! * **exact** — every row through the blocked distance kernels, keeping the top `k`
 //!   under (distance, stream position);
@@ -16,15 +16,13 @@
 //!   without codes (membin rows) are scored exactly; the shortlist is then re-ranked
 //!   exactly from the runs' own rows and the codeless rows join after it.
 //!
-//! Scoring is split into [`Consumer::pass`] over any subset of a query's runs and
-//! [`Consumer::finish`] over the passes' [`Partial`]s. The monolithic scan is one pass
-//! over the whole stream; a sharded scan is one pass per shard over that shard's runs.
-//! Both finish the same way, so they agree bit for bit: every score is the same kernel
-//! over the same rows, and every selection breaks ties by [`Run::pos`].
+//! [`PartitionIndex::scan_bins`] and the serving engine both call it, so they agree bit
+//! for bit: every score is the same kernel over the same rows, and every selection
+//! breaks ties by stream position.
 
 use std::borrow::Cow;
 
-use usp_linalg::kernel::{self, AdcTable, SegmentedScan, TileKernel};
+use usp_linalg::kernel::{self, AdcTable, SegmentedScan};
 use usp_linalg::{topk, Distance};
 
 use crate::mutation::MutationState;
@@ -35,10 +33,6 @@ use crate::searcher::SearchResult;
 /// A contiguous piece of one query's candidate stream.
 #[derive(Debug, Clone, Copy)]
 pub struct Run<'a> {
-    /// The probed bin the rows belong to (what a shard map places).
-    pub bin: usize,
-    /// Stream position of the run's first row; runs tile the stream densely.
-    pub pos: usize,
     /// `ids.len()` rows, row-major.
     pub rows: &'a [f32],
     /// The rows' codes (stride = the quantizer's code length) on a compressed index;
@@ -48,7 +42,7 @@ pub struct Run<'a> {
     pub ids: &'a [u32],
 }
 
-impl<'a> Run<'a> {
+impl Run<'_> {
     /// Number of candidates in the run.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -58,37 +52,6 @@ impl<'a> Run<'a> {
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
-
-    fn hit(&self, off: usize, score: f32) -> Hit<'a> {
-        let dim = self.rows.len() / self.len();
-        Hit {
-            pos: self.pos + off,
-            score,
-            id: self.ids[off],
-            row: &self.rows[off * dim..(off + 1) * dim],
-        }
-    }
-}
-
-/// One scored candidate kept by a pass.
-#[derive(Debug, Clone, Copy)]
-struct Hit<'a> {
-    pos: usize,
-    score: f32,
-    id: u32,
-    row: &'a [f32],
-}
-
-/// What one [`Consumer::pass`] kept of the runs it scored.
-#[derive(Debug)]
-pub struct Partial<'a> {
-    /// Exact mode: the pass's top `k`. Two-phase: its ADC shortlist.
-    hits: Vec<Hit<'a>>,
-    /// Two-phase only: every codeless row, exactly scored (none may be dropped
-    /// per pass — all of them reach the final selection).
-    tail: Vec<Hit<'a>>,
-    /// Rows streamed through the pass's blocked scan (exact rows, or codes).
-    streamed: usize,
 }
 
 /// How one query scores its candidate stream (see the module docs). Built by
@@ -135,43 +98,39 @@ impl<P: Partitioner> PartitionIndex<P> {
             })
         };
         let mut runs = Vec::with_capacity(bins.iter().map(|&b| room(b)).sum());
-        let mut pos = 0usize;
+        // Candidates produced so far, which the cap counts.
+        let mut taken = 0usize;
         // Appends the live rows of one contiguous block. `mask` is the block's
         // tombstones, or `None` when it has none: an untouched block stays one run.
-        let mut push = |bin,
-                        mask: Option<&[bool]>,
-                        rows: &'a [f32],
-                        codes: Option<&'a [u8]>,
-                        ids: &'a [u32]| {
-            let room = cap - pos;
-            let mut run = |(off, len): (usize, usize)| {
-                if len == 0 {
-                    return;
+        let mut push =
+            |mask: Option<&[bool]>, rows: &'a [f32], codes: Option<&'a [u8]>, ids: &'a [u32]| {
+                let room = cap - taken;
+                let mut run = |(off, len): (usize, usize)| {
+                    if len == 0 {
+                        return;
+                    }
+                    runs.push(Run {
+                        rows: &rows[off * dim..(off + len) * dim],
+                        codes: codes.map(|c| &c[off * code_len..(off + len) * code_len]),
+                        ids: &ids[off..off + len],
+                    });
+                    taken += len;
+                };
+                match mask {
+                    Some(m) => kernel::live_runs(m, room).for_each(run),
+                    None => run((0, ids.len().min(room))),
                 }
-                runs.push(Run {
-                    bin,
-                    pos,
-                    rows: &rows[off * dim..(off + len) * dim],
-                    codes: codes.map(|c| &c[off * code_len..(off + len) * code_len]),
-                    ids: &ids[off..off + len],
-                });
-                pos += len;
             };
-            match mask {
-                Some(m) => kernel::live_runs(m, room).for_each(run),
-                None => run((0, ids.len().min(room))),
-            }
-        };
         for &b in bins {
             let ids = self.bucket(b);
             let start = self.bin_offsets()[b];
             let mask = delta
                 .filter(|d| d.csr_dead_in_bin(b) > 0)
                 .map(|d| &d.csr_deleted()[start..start + ids.len()]);
-            push(b, mask, self.bin_rows(b), self.bin_codes(b), ids);
+            push(mask, self.bin_rows(b), self.bin_codes(b), ids);
             if let Some(mb) = delta.map(|d| d.membin(b)) {
                 let mask = (mb.live() < mb.len()).then(|| mb.deleted());
-                push(b, mask, mb.rows(), None, mb.ids());
+                push(mask, mb.rows(), None, mb.ids());
             }
         }
         runs
@@ -217,125 +176,75 @@ impl<P: Partitioner> PartitionIndex<P> {
     }
 }
 
-/// What a pass's scan kept, as a set in stream order ([`Consumer::finish`] owns the
-/// order); segments were tagged with their run's index in `runs`.
-fn kept_hits<'a, K: TileKernel>(scan: SegmentedScan<K>, runs: &[Run<'a>]) -> Vec<Hit<'a>> {
-    let kept = scan.into_kept().into_iter();
-    kept.map(|(ri, off, score)| runs[ri].hit(off, score))
-        .collect()
-}
-
 impl Consumer<'_> {
     /// The cap to produce this query's stream under.
     pub fn cap(&self) -> Option<usize> {
         self.cap
     }
 
-    /// Scores `runs` — the whole stream or one shard's share of it, in stream order.
-    pub fn pass<'a>(&self, runs: &[Run<'a>]) -> Partial<'a> {
+    /// Scores the query's whole candidate stream — `runs` in stream order, as
+    /// [`PartitionIndex::candidate_runs`] produced them under [`Self::cap`] — into its
+    /// answer.
+    pub fn scan(&self, runs: &[Run]) -> SearchResult {
         match &self.adc {
-            None => self.exact_pass(runs),
-            Some(adc) => self.two_phase_pass(adc, runs),
+            None => self.exact_scan(runs),
+            Some(adc) => self.two_phase_scan(adc, runs),
         }
     }
 
     /// Every row through the blocked distance kernels, keeping the top `k`.
-    fn exact_pass<'a>(&self, runs: &[Run<'a>]) -> Partial<'a> {
+    fn exact_scan(&self, runs: &[Run]) -> SearchResult {
         let mut scan = SegmentedScan::new(self.distance, self.query, self.dim, self.k);
         scan.reserve_segments(runs.len());
         for (ri, run) in runs.iter().enumerate() {
             scan.scan_segment(run.rows, run.len(), ri);
         }
-        Partial {
-            streamed: scan.scanned(),
-            hits: kept_hits(scan, runs),
-            tail: Vec::new(),
-        }
+        let scanned = scan.scanned();
+        let winners = scan.into_winners().into_iter();
+        let ids = winners.map(|(ri, off, _)| runs[ri].ids[off] as usize);
+        SearchResult::new(ids.collect(), scanned)
     }
 
-    /// Runs with codes through the ADC table into a shortlist; runs without, exactly.
-    fn two_phase_pass<'a>(&self, adc: &Adc<'_>, runs: &[Run<'a>]) -> Partial<'a> {
-        // A pass's share of the global shortlist can exceed neither the shortlist nor
-        // the codes it streams.
+    /// Runs with codes through the ADC table into a shortlist, re-scored exactly;
+    /// runs without codes scored exactly and ranked after it.
+    fn two_phase_scan(&self, adc: &Adc<'_>, runs: &[Run]) -> SearchResult {
+        // The shortlist holds no more than the codes streamed; sized by both, the
+        // selector never outgrows its buffer.
         let coded = runs.iter().filter(|r| r.codes.is_some()).map(Run::len);
         let keep = adc.shortlist.min(coded.sum());
         let mut scan = SegmentedScan::adc(&adc.table, adc.code_len, keep);
         scan.reserve_segments(runs.len());
-        let scorer = kernel::QueryScorer::new(self.distance, self.query);
-        let codeless = runs.iter().filter(|r| r.codes.is_none()).map(Run::len);
-        let mut tail = Vec::with_capacity(codeless.sum());
         for (ri, run) in runs.iter().enumerate() {
-            match run.codes {
-                Some(codes) => scan.scan_segment(codes, run.len(), ri),
-                None => {
-                    let rows = run.rows.chunks_exact(self.dim).enumerate();
-                    tail.extend(rows.map(|(off, row)| run.hit(off, scorer.eval(row))));
-                }
+            if let Some(codes) = run.codes {
+                scan.scan_segment(codes, run.len(), ri);
             }
         }
-        Partial {
-            streamed: scan.scanned(),
-            hits: kept_hits(scan, runs),
-            tail,
+        let compressed = scan.scanned();
+        // The shortlist in stream order, then the codeless rows in stream order: the
+        // order the final selection breaks ties in. Sized once, like the runs
+        // (`candidate_runs` says why).
+        let kept = scan.into_kept();
+        let codeless = runs.iter().filter(|r| r.codes.is_none());
+        let tail: usize = codeless.clone().map(Run::len).sum();
+        let mut hits = Vec::with_capacity(kept.len() + tail);
+        let scorer = kernel::QueryScorer::new(self.distance, self.query);
+        let dim = self.dim;
+        for (ri, off, _) in kept {
+            let run = &runs[ri];
+            hits.push((
+                scorer.eval(&run.rows[off * dim..(off + 1) * dim]),
+                run.ids[off],
+            ));
         }
-    }
-
-    /// Merges the passes over one query's stream into its answer.
-    ///
-    /// A pass hands back a set; the order is made here. Pooled hits are put in stream
-    /// order first, so selecting by (score, index) is selecting by (score, stream
-    /// position) — the order a single pass over the whole stream uses — and every
-    /// global winner is present because it survived its own pass. Two-phase mode
-    /// re-selects the global shortlist the same way (again as a set in stream order),
-    /// re-scores it exactly from the runs' rows, and ranks the exactly scored codeless
-    /// rows after it.
-    pub fn finish<'a: 'p, 'p, I>(&self, partials: I) -> SearchResult
-    where
-        I: IntoIterator<Item = &'p Partial<'a>>,
-        I::IntoIter: Clone,
-    {
-        // Sized once, like the runs (`candidate_runs` says why): the pooled hits, with
-        // room for the codeless rows that join them in two-phase mode.
-        let partials = partials.into_iter();
-        let tails: usize = partials.clone().map(|p| p.tail.len()).sum();
-        let pooled: usize = partials.clone().map(|p| p.hits.len()).sum();
-        let mut hits = Vec::with_capacity(pooled + tails);
-        let (mut tail, mut streamed) = (Vec::with_capacity(tails), 0);
-        for p in partials {
-            hits.extend_from_slice(&p.hits);
-            tail.extend_from_slice(&p.tail);
-            streamed += p.streamed;
+        for run in codeless {
+            let rows = run.rows.chunks_exact(dim).zip(run.ids);
+            hits.extend(rows.map(|(row, &id)| (scorer.eval(row), id)));
         }
-        hits.sort_unstable_by_key(|h| h.pos);
-        let (mut scanned, mut compressed) = (streamed, 0);
-        if let Some(adc) = &self.adc {
-            if hits.len() > adc.shortlist {
-                let pooled = u32::try_from(hits.len()).expect("pooled shortlists fit u32");
-                let mut keep = topk::TopK::new(adc.shortlist);
-                for (i, h) in (0..pooled).zip(&hits) {
-                    keep.push(i, h.score);
-                }
-                // Kept positions ascend, so each survivor moves down onto a slot
-                // already read.
-                let kept = keep.into_kept();
-                for (slot, &(i, _)) in kept.iter().enumerate() {
-                    hits[slot] = hits[i as usize];
-                }
-                hits.truncate(kept.len());
-            }
-            let scorer = kernel::QueryScorer::new(self.distance, self.query);
-            for h in &mut hits {
-                h.score = scorer.eval(h.row);
-            }
-            tail.sort_unstable_by_key(|h| h.pos);
-            hits.append(&mut tail);
-            (scanned, compressed) = (hits.len(), streamed);
-        }
-        let ids = topk::smallest_k_by(hits.len(), self.k, |i| hits[i].score)
+        let ids = topk::smallest_k_by(hits.len(), self.k, |i| hits[i].0)
             .into_iter()
-            .map(|i| hits[i].id as usize)
+            .map(|i| hits[i].1 as usize)
             .collect();
-        SearchResult::new(ids, scanned).with_compressed_scanned(compressed)
+        SearchResult::new(ids, hits.len()).with_compressed_scanned(compressed)
     }
 }
 
@@ -401,8 +310,8 @@ mod proptests {
             let clean = idx.candidate_runs(&probed, None, None);
             let non_empty = probed.iter().filter(|&&b| !idx.bucket(b).is_empty());
             prop_assert_eq!(
-                clean.iter().map(|r| (r.bin, r.ids)).collect::<Vec<_>>(),
-                non_empty.map(|&b| (b, idx.bucket(b))).collect::<Vec<_>>()
+                clean.iter().map(|r| r.ids).collect::<Vec<_>>(),
+                non_empty.map(|&b| idx.bucket(b)).collect::<Vec<_>>()
             );
 
             // The model: every inserted point with its bin, and the set of dead ids.
@@ -430,11 +339,8 @@ mod proptests {
             let runs = idx.candidate_runs(&probed, Some(&delta), cap);
             let ids: Vec<u32> = runs.iter().flat_map(|r| r.ids).copied().collect();
             prop_assert_eq!(ids, naive);
-            let mut pos = 0;
             for run in &runs {
                 prop_assert!(!run.is_empty());
-                prop_assert_eq!(run.pos, pos);
-                pos += run.len();
                 prop_assert_eq!(run.rows.len(), run.len() * dim);
                 for (j, &id) in run.ids.iter().enumerate() {
                     let row = &run.rows[j * dim..(j + 1) * dim];

@@ -36,11 +36,12 @@
 //! [`SyncPolicy`] decides when appends reach stable storage: `EveryRecord` syncs
 //! before the ack (no acked mutation can be lost), `EveryN(n)` bounds the loss
 //! window to `n - 1` acked records, `OnFlush` leaves syncing to explicit
-//! [`Wal::flush`] calls. After *any* append or sync failure the log poisons itself
-//! and refuses further appends ([`WalError::Poisoned`]): a failed fsync says
-//! nothing about which dirty pages survived (the "fsyncgate" lesson), so the only
-//! safe continuations are recovery (re-read what storage actually holds) or a
-//! compaction checkpoint (atomically replace the log with a known image).
+//! [`Wal::flush`] calls. After *any* append, sync or replace failure the log
+//! poisons itself and refuses further appends ([`WalError::Poisoned`]): a failed
+//! fsync says nothing about which dirty pages survived (the "fsyncgate" lesson), so
+//! the only safe continuations are recovery (re-read what storage actually holds) or
+//! a successful compaction checkpoint (atomically replace the log with a known
+//! image).
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -115,9 +116,9 @@ pub enum WalError {
     /// mismatch on a complete record, unknown kind, out-of-range length, or a
     /// record that replays inconsistently against the base index.
     Corrupt { offset: u64, reason: String },
-    /// A previous append or sync on this log failed, so the on-storage tail is
-    /// unknown; appends are refused until recovery or a checkpoint re-establishes
-    /// a verified image.
+    /// A previous append, sync or checkpoint on this log failed, so the on-storage
+    /// tail is unknown; appends are refused until recovery or a checkpoint
+    /// re-establishes a verified image.
     Poisoned,
 }
 
@@ -615,7 +616,8 @@ pub struct Wal {
     policy: SyncPolicy,
     /// Appends since the last successful sync (drives `EveryN`).
     unsynced: usize,
-    /// Set by any append/sync failure; cleared only by recovery or a checkpoint.
+    /// Set by any append, sync or replace failure; cleared only by recovery or a
+    /// successful checkpoint.
     poisoned: bool,
     stats: WalStats,
 }
@@ -728,9 +730,16 @@ impl Wal {
     /// files). On success the log is a fresh, verified image, which also clears
     /// any poison — compaction folds exactly the acked in-memory delta, so the
     /// replaced log and the index agree by construction.
+    ///
+    /// A failed replace poisons the log, like a failed sync: it may have failed
+    /// after the rename (syncing the directory, re-opening the file), when the
+    /// handle appends go to is the unlinked old file that recovery never reads.
     pub fn checkpoint(&mut self, epoch: u64) -> Result<(), WalError> {
         let rec = encode_record(&WalRecord::CompactionCheckpoint { epoch });
-        self.storage.replace(&rec)?;
+        if let Err(e) = self.storage.replace(&rec) {
+            self.poisoned = true;
+            return Err(e);
+        }
         self.stats.epoch = epoch;
         self.unsynced = 0;
         self.poisoned = false;
@@ -933,6 +942,37 @@ mod tests {
         assert_eq!(
             parsed.records,
             vec![WalRecord::CompactionCheckpoint { epoch: 1 }]
+        );
+    }
+
+    #[test]
+    fn a_failed_checkpoint_poisons_until_one_succeeds() {
+        let storage = MemStorage::new();
+        let mut wal = Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord);
+        wal.append(&WalRecord::Delete { id: 1 })
+            .expect("a healthy append");
+        storage.set_plan(FaultPlan {
+            fail_syncs: 1,
+            ..Default::default()
+        });
+        assert!(matches!(wal.checkpoint(1), Err(WalError::Io(_))));
+        assert!(wal.is_poisoned());
+        assert_eq!(
+            wal.append(&WalRecord::Delete { id: 2 }),
+            Err(WalError::Poisoned)
+        );
+        wal.checkpoint(1)
+            .expect("the retried checkpoint replaces the log");
+        assert!(!wal.is_poisoned());
+        wal.append(&WalRecord::Delete { id: 3 })
+            .expect("appends resume after the checkpoint");
+        let parsed = parse_log(&storage.contents()).expect("the new image parses");
+        assert_eq!(
+            parsed.records,
+            vec![
+                WalRecord::CompactionCheckpoint { epoch: 1 },
+                WalRecord::Delete { id: 3 }
+            ]
         );
     }
 

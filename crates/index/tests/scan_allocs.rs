@@ -11,9 +11,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use usp_index::partitioner::RoundRobinPartitioner;
-use usp_index::PartitionIndex;
+use usp_index::{CodeQuantizer, PartitionIndex, Scoring};
+use usp_linalg::kernel::{AdcTable, QueryScorer};
 use usp_linalg::{rng, Distance};
 
 thread_local! {
@@ -53,9 +55,36 @@ fn reallocs_in<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (out, REALLOCS.with(Cell::get) - before)
 }
 
+/// One byte per 8-d point — the signs of its coordinates — decoded to (±1, …, ±1).
+struct SignBits;
+
+impl CodeQuantizer for SignBits {
+    fn dim(&self) -> usize {
+        8
+    }
+    fn code_len(&self) -> usize {
+        1
+    }
+    fn encode_into(&self, point: &[f32], out: &mut [u8]) {
+        out[0] = (0..8).map(|j| ((point[j] > 0.0) as u8) << j).sum();
+    }
+    fn adc_table(&self, distance: Distance, query: &[f32]) -> AdcTable {
+        let scorer = QueryScorer::new(distance, query);
+        let decode = |c: usize| -> Vec<f32> {
+            (0..8)
+                .map(|j| if c >> j & 1 == 0 { -1.0 } else { 1.0 })
+                .collect()
+        };
+        AdcTable::Sum {
+            table: (0..256).map(|c| scorer.eval(&decode(c))).collect(),
+            n_centroids: 256,
+        }
+    }
+}
+
 /// 6 bins of 100 rows, every 7th base id tombstoned (so each bin splits into a dozen
-/// live runs), 30 inserts of which every 4th is deleted again.
-fn dirty_index() -> (PartitionIndex<RoundRobinPartitioner>, Vec<f32>) {
+/// live runs), 30 inserts of which every 4th is deleted again; scored under `scoring`.
+fn dirty_index(scoring: Scoring) -> (PartitionIndex<RoundRobinPartitioner>, Vec<f32>) {
     let (n, dim, bins) = (600, 8, 6);
     let data = rng::normal_matrix(&mut rng::seeded(7), n + 31, dim, 1.0);
     let base = data.select_rows(&(0..n).collect::<Vec<_>>());
@@ -63,7 +92,8 @@ fn dirty_index() -> (PartitionIndex<RoundRobinPartitioner>, Vec<f32>) {
         RoundRobinPartitioner::new(bins),
         &base,
         Distance::SquaredEuclidean,
-    );
+    )
+    .with_scoring(scoring);
     for id in (0..n).step_by(7) {
         assert!(index.delete(id), "delete a live base id");
     }
@@ -78,7 +108,7 @@ fn dirty_index() -> (PartitionIndex<RoundRobinPartitioner>, Vec<f32>) {
 
 #[test]
 fn a_dirty_exact_scan_never_reallocs() {
-    let (index, query) = dirty_index();
+    let (index, query) = dirty_index(Scoring::Exact);
     let bins: Vec<usize> = (0..6).collect();
     let (result, reallocs) = reallocs_in(|| index.scan_bins(&query, &bins, 10, None));
     assert_eq!(result.ids.len(), 10);
@@ -90,23 +120,18 @@ fn a_dirty_exact_scan_never_reallocs() {
 }
 
 #[test]
-fn a_scan_split_over_several_passes_never_reallocs() {
-    // What the engine does with more than one shard: one pass per share of the runs,
-    // then one `finish` over the passes.
-    let (index, query) = dirty_index();
+fn a_dirty_compressed_scan_never_reallocs() {
+    // The two-phase consumer: an ADC shortlist over the live CSR codes, the codeless
+    // membin rows scored exactly, the shortlist re-ranked from the rows.
+    let (index, query) = dirty_index(Scoring::compressed(Arc::new(SignBits), 40));
     let bins: Vec<usize> = (0..6).collect();
-    let whole = index.scan_bins(&query, &bins, 10, None);
-    let (split, reallocs) = reallocs_in(|| {
-        let delta = index.delta();
-        let consumer = index.consumer(&query, 10, None, None);
-        let runs = index.candidate_runs(&bins, Some(&delta), consumer.cap());
-        assert!(runs.len() > 6 * 10, "the fixture is meant to be fragmented");
-        let passes = [
-            consumer.pass(&runs[..runs.len() / 3]),
-            consumer.pass(&runs[runs.len() / 3..]),
-        ];
-        consumer.finish(&passes)
-    });
-    assert_eq!(split, whole);
-    assert_eq!(reallocs, 0, "pass/finish grew a buffer in place");
+    for budget in [None, Some(25)] {
+        let (result, reallocs) = reallocs_in(|| index.scan_bins(&query, &bins, 10, budget));
+        assert_eq!(result.ids.len(), 10);
+        assert!(result.compressed_scanned > 0, "the codes were ADC-scored");
+        assert_eq!(
+            reallocs, 0,
+            "a compressed scan_bins grew a buffer in place (budget {budget:?})"
+        );
+    }
 }

@@ -20,13 +20,13 @@
 //! Multi-accumulator summation changes float rounding, so blocked and scalar results
 //! can differ in the last bits. That makes the kernel a *policy*, not just an
 //! optimisation: every online scoring path (`PartitionIndex::scan_bins`, the candidate
-//! re-rank, the serving engines' shard tasks) must route through [`eval`]/[`SegmentedScan`]
-//! and nothing else, so that any two paths comparing distances compare **identical
-//! bits**. The equivalence suites (engine-vs-searcher, shard-vs-monolith) stay green by
-//! construction because both sides call the same kernel; the proptests at the bottom
-//! pin the blocked-vs-scalar contract instead (≤1e-5 relative value agreement,
-//! identical ordering on exactly-representable inputs, NaN/±inf rows ranking exactly
-//! as the scalar path ranks them).
+//! re-rank, the serving engine's per-query scan) must route through
+//! [`eval`]/[`SegmentedScan`] and nothing else, so that any two paths comparing
+//! distances compare **identical bits**. The equivalence suites (searcher ≡ engine ≡
+//! wire) stay green by construction because both sides call the same kernel; the
+//! proptests at the bottom pin the blocked-vs-scalar contract instead (≤1e-5 relative
+//! value agreement, identical ordering on exactly-representable inputs, NaN/±inf rows
+//! ranking exactly as the scalar path ranks them).
 
 use crate::distance::Distance;
 use crate::topk::TopK;
@@ -429,9 +429,8 @@ impl<K: TileKernel> SegmentedScan<K> {
 
     /// The best `k` as a *set*: `(segment base, offset within segment, score)` in
     /// **stream order**, not by score. A pass whose caller orders the survivors itself
-    /// (`Consumer::finish` pools passes by stream position; a compressed first pass
-    /// re-ranks exactly, with ties broken like an exact scan over the same stream)
-    /// would only sort a by-score order away again.
+    /// (a compressed first pass re-ranks exactly, with ties broken like an exact scan
+    /// over the same stream) would only sort a by-score order away again.
     pub fn into_kept(self) -> Vec<(usize, usize, f32)> {
         resolve(&self.segments, self.top.into_kept())
     }

@@ -133,8 +133,8 @@ impl State {
 /// Accumulates single queries from in-process callers into micro-batches served on
 /// the engine's pooled path.
 ///
-/// Generic over [`BatchEngine`], so the same bridge feeds a [`crate::QueryEngine`] at
-/// any shard count. Dropping the batcher flushes every pending query before the
+/// Generic over [`BatchEngine`], so the same bridge feeds a [`crate::QueryEngine`] or
+/// a test engine. Dropping the batcher flushes every pending query before the
 /// background thread exits, so submitted queries are never lost.
 pub struct MicroBatcher<E: BatchEngine + 'static> {
     shared: Arc<Shared<E>>,

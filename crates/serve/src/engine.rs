@@ -4,7 +4,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rayon::prelude::*;
-use usp_index::stream::{Partial, Run};
 use usp_index::{CompactionReport, MutationError, PartitionIndex, Partitioner, SearchResult};
 use usp_linalg::Matrix;
 
@@ -98,46 +97,37 @@ pub trait BatchEngine: Send + Sync {
     }
 }
 
-/// The batched query-serving engine over a [`PartitionIndex`], for any shard count.
+/// The batched query-serving engine over a [`PartitionIndex`].
 ///
 /// The index stays behind an `Arc` and is the only holder of points — and the only
-/// state the engine replaces ([`compact`](Self::compact)). A shard is a count: bin `b`
-/// is scanned by shard `b % S`, fixed at construction. [`new`](Self::new) is the
-/// one-shard engine — the monolith — and a shard is placement, not a second
-/// scheduler: the unit of pool work is the query for every shard count (see
+/// state the engine replaces ([`compact`](Self::compact)). The unit of pool work is
+/// the query: each is one pass over its own candidate stream (see
 /// [`serve_batch`](Self::serve_batch)). The engine is `Send + Sync`; clones of the
 /// `Arc`-held index are cheap and a [`crate::MicroBatcher`] can feed it single
 /// queries.
 pub struct QueryEngine<P: Partitioner> {
     index: Arc<PartitionIndex<P>>,
-    num_shards: usize,
-    /// `shard_of[bin]` = `bin % num_shards`, tabled once: `serve_batch` looks a run's
-    /// shard up several times per run.
-    shard_of: Vec<usize>,
     stats: ServeStats,
 }
 
 impl<P: Partitioner> QueryEngine<P> {
-    /// Wraps an index for serving, all bins on one shard.
+    /// Wraps an index for serving.
     pub fn new(index: Arc<PartitionIndex<P>>) -> Self {
-        Self::with_shards(index, 1)
+        let stats = ServeStats::new(index.num_bins());
+        Self { index, stats }
     }
 
-    /// Serves `index` as `num_shards` shards, bin `b` on shard `b % num_shards`.
+    /// [`new`](Self::new) under the name `servebench/` (the `BENCHMARK.json` harness)
+    /// builds its "sharded" engine with, like [`crate::ShardedEngine`]: in one process
+    /// a shard count changes nothing, so any `shards >= 1` is the one engine. Both names
+    /// go when a `[benchmark]` change drops them there.
     ///
     /// # Panics
     ///
-    /// If `num_shards` is zero.
-    pub fn with_shards(index: Arc<PartitionIndex<P>>, num_shards: usize) -> Self {
-        assert!(num_shards >= 1, "QueryEngine: need at least one shard");
-        let shard_of = (0..index.num_bins()).map(|b| b % num_shards).collect();
-        let stats = ServeStats::new(index.num_bins());
-        Self {
-            index,
-            num_shards,
-            shard_of,
-            stats,
-        }
+    /// If `shards` is zero.
+    pub fn with_shards(index: Arc<PartitionIndex<P>>, shards: usize) -> Self {
+        assert!(shards >= 1, "QueryEngine: need at least one shard");
+        Self::new(index)
     }
 
     /// The underlying index.
@@ -147,10 +137,9 @@ impl<P: Partitioner> QueryEngine<P> {
 
     /// Inserts a point through the index's streaming write path (see
     /// [`PartitionIndex::try_insert`]) and returns its id. The point lands in its
-    /// bin's membin, so it is served by whichever shard owns that bin, and
-    /// subsequent queries on this engine see it immediately. With a WAL attached,
-    /// `Ok` means the record is on the log (append-before-ack, per its sync policy)
-    /// — stats count only applied mutations.
+    /// bin's membin, and subsequent queries on this engine see it immediately. With a
+    /// WAL attached, `Ok` means the record is on the log (append-before-ack, per its
+    /// sync policy) — stats count only applied mutations.
     pub fn insert(&self, point: &[f32]) -> Result<usize, MutationError> {
         let id = self.index.try_insert(point)?;
         self.stats.record_insert();
@@ -170,7 +159,8 @@ impl<P: Partitioner> QueryEngine<P> {
     /// the WAL checkpoint/truncate protocol and moves the log onto the new index) and
     /// swaps it in. Returns the compaction report — with its id remapping — when a
     /// compaction ran. On `Err` (a checkpoint that could not reach storage) nothing
-    /// is swapped: the old index, its delta, and its log are all intact.
+    /// is swapped: the old index keeps its delta and its log, but the log is
+    /// poisoned, so writes are refused until a retried `compact` succeeds.
     pub fn compact(&mut self) -> Result<Option<CompactionReport>, MutationError>
     where
         P: Clone,
@@ -201,17 +191,16 @@ impl<P: Partitioner> QueryEngine<P> {
     /// partitioners) and, on a compressed index, one batched ADC-table build (tables
     /// are pure functions of the query). Then **one** parallel region runs over the
     /// queries, no thread spawned on the hot path: the worker that picks a query up
-    /// produces its candidate stream ([`usp_index::stream`]), groups the runs by
-    /// owning shard, makes one pass per touched shard and finishes them. With one
-    /// shard that is [`PartitionIndex::scan_bins_with_table`] verbatim.
+    /// produces its candidate stream ([`usp_index::stream`]) and scans it in one
+    /// pass — [`PartitionIndex::scan_bins_with_table`] verbatim, under the batch's
+    /// guard.
     ///
     /// Results come back in request order and are bit-identical to per-row
     /// [`PartitionIndex::search`] (to [`PartitionIndex::scan_bins`] when a re-rank
-    /// budget is set) for any shard count and pool size: the batched forward is
-    /// bit-identical per row to the per-query one (the `Partitioner` batch contract),
-    /// every run keeps its stream position through the grouping, and `finish` merges
-    /// passes by that position. A query's recorded latency is its even share of the
-    /// batch-shared work plus its own time on its worker.
+    /// budget is set) for any pool size: the batched forward is bit-identical per row
+    /// to the per-query one (the `Partitioner` batch contract), and the scan is the
+    /// same call. A query's recorded latency is its even share of the batch-shared
+    /// work plus its own time on its worker.
     pub fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
         let t0 = Instant::now();
         let delta = self.index.is_mutated().then(|| self.index.delta());
@@ -221,7 +210,6 @@ impl<P: Partitioner> QueryEngine<P> {
             .rank_bins_batch(queries, opts.probes);
         let tables = self.index.adc_tables_batch(queries);
         let shared_us = (t0.elapsed().as_micros() as u64) / (queries.rows().max(1) as u64);
-        let shard_of = |run: &Run| self.shard_of[run.bin];
         let answered: Vec<(SearchResult, u64)> = (0..queries.rows())
             .into_par_iter()
             .map(|qi| {
@@ -230,16 +218,10 @@ impl<P: Partitioner> QueryEngine<P> {
                 let consumer =
                     self.index
                         .consumer(queries.row(qi), opts.k, opts.rerank_budget, table);
-                let mut runs =
-                    self.index
-                        .candidate_runs(&ranked[qi], delta.as_deref(), consumer.cap());
-                // Stable, so each shard's runs stay in stream order.
-                runs.sort_by_key(shard_of);
-                // At most one pass per shard; sized here because `chunk_by` cannot say.
-                let mut passes: Vec<Partial> = Vec::with_capacity(self.num_shards);
-                let shares = runs.chunk_by(|a, b| shard_of(a) == shard_of(b));
-                passes.extend(shares.map(|shard_runs| consumer.pass(shard_runs)));
-                let result = consumer.finish(&passes);
+                let runs = self
+                    .index
+                    .candidate_runs(&ranked[qi], delta.as_deref(), consumer.cap());
+                let result = consumer.scan(&runs);
                 (result, shared_us + t.elapsed().as_micros() as u64)
             })
             .collect();
@@ -308,6 +290,8 @@ impl<P: Partitioner> BatchEngine for QueryEngine<P> {
 mod tests {
     use super::*;
     use usp_index::partitioner::RoundRobinPartitioner;
+    use usp_index::scoring::{CodeQuantizer, Scoring};
+    use usp_linalg::kernel::{AdcTable, QueryScorer};
     use usp_linalg::Distance;
 
     fn points(n: usize) -> Vec<f32> {
@@ -316,13 +300,17 @@ mod tests {
             .collect()
     }
 
-    fn small_index() -> Arc<PartitionIndex<RoundRobinPartitioner>> {
-        // 40 deterministic 2-D points hashed into 5 bins.
-        Arc::new(PartitionIndex::build(
+    /// 40 deterministic 2-D points hashed into 5 bins.
+    fn small_build() -> PartitionIndex<RoundRobinPartitioner> {
+        PartitionIndex::build(
             RoundRobinPartitioner::new(5),
             &Matrix::from_vec(40, 2, points(40)),
             Distance::SquaredEuclidean,
-        ))
+        )
+    }
+
+    fn small_index() -> Arc<PartitionIndex<RoundRobinPartitioner>> {
+        Arc::new(small_build())
     }
 
     fn queries() -> Matrix {
@@ -401,6 +389,72 @@ mod tests {
         assert_eq!(engine.stats().queries, 0);
     }
 
+    /// Two bits per point — the signs of its coordinates — decoded to (±2.5, ±2.5).
+    struct SignBits;
+
+    impl CodeQuantizer for SignBits {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn code_len(&self) -> usize {
+            1
+        }
+        fn encode_into(&self, point: &[f32], out: &mut [u8]) {
+            out[0] = (point[0] > 0.0) as u8 | ((point[1] > 0.0) as u8) << 1;
+        }
+        fn adc_table(&self, distance: Distance, query: &[f32]) -> AdcTable {
+            let scorer = QueryScorer::new(distance, query);
+            let side = |bit: u8| if bit == 0 { -2.5 } else { 2.5 };
+            AdcTable::Sum {
+                table: (0..4u8)
+                    .map(|c| scorer.eval(&[side(c & 1), side(c >> 1)]))
+                    .collect(),
+                n_centroids: 4,
+            }
+        }
+    }
+
+    #[test]
+    fn stats_record_like_the_scan() {
+        let compressed_dirty =
+            Arc::new(small_build().with_scoring(Scoring::compressed(Arc::new(SignBits), 5)));
+        for id in [2usize, 31, 37] {
+            assert!(compressed_dirty.delete(id));
+        }
+        for i in 0..4 {
+            compressed_dirty.insert(&[0.4 * i as f32 - 1.0, 1.0 - 0.6 * i as f32]);
+        }
+        let q = queries();
+        let opts = QueryOptions::new(2, 3);
+        for index in [small_index(), compressed_dirty] {
+            // What the counters must say, from the per-query scan alone.
+            let reference: Vec<SearchResult> = (0..q.rows())
+                .map(|qi| {
+                    let bins = index.partitioner().rank_bins(q.row(qi), opts.probes);
+                    index.scan_bins(q.row(qi), &bins, opts.k, opts.rerank_budget)
+                })
+                .collect();
+            let mean = |f: fn(&SearchResult) -> usize| {
+                reference.iter().map(f).sum::<usize>() as f64 / q.rows() as f64
+            };
+            let mut bin_probes = vec![0u64; index.num_bins()];
+            for qi in 0..q.rows() {
+                for b in index.partitioner().rank_bins(q.row(qi), opts.probes) {
+                    bin_probes[b] += 1;
+                }
+            }
+            let compressed = index.quantizer().is_some();
+            let engine = QueryEngine::new(Arc::clone(&index));
+            assert_eq!(engine.serve_batch(&q, &opts), reference);
+            let s = engine.stats();
+            assert_eq!((s.queries, s.batches), (q.rows() as u64, 1));
+            assert_eq!(s.bin_probes, bin_probes);
+            assert_eq!(s.mean_candidates, mean(|r| r.candidates_scanned));
+            assert_eq!(s.mean_compressed_candidates, mean(|r| r.compressed_scanned));
+            assert_eq!(s.mean_compressed_candidates > 0.0, compressed);
+        }
+    }
+
     #[test]
     fn mutations_flow_through_serving_and_the_stats() {
         let index = small_index();
@@ -459,36 +513,30 @@ mod tests {
             Distance::SquaredEuclidean,
         );
         let q = queries();
-        for shards in [1, 2, 3, 7] {
-            let mut engine = QueryEngine::with_shards(small_index(), shards);
-            // Clean index: nothing to fold.
-            assert!(engine.compact().expect("no wal to fail").is_none());
-            for p in &inserts {
-                engine.insert(p).expect("dims match");
-            }
-            assert_eq!(engine.delete(5), Ok(()));
-            assert!(
-                engine.index().needs_compaction(),
-                "7 inserts + 1 delete on 40 points"
-            );
-            let report = engine
-                .compact()
-                .expect("no wal to fail")
-                .expect("compaction ran");
-            assert_eq!(report.live_points, 40 + 7 - 1);
-            assert_eq!(report.merged_inserts, 7);
-            assert!(!engine.index().is_mutated());
-            let snap = engine.stats();
-            assert_eq!((snap.inserts, snap.deletes), (7, 1));
-            // The swapped-in index answers like a fresh build over the final point set.
-            let got = engine.serve_batch(&q, &QueryOptions::new(3, 4));
-            for qi in 0..q.rows() {
-                assert_eq!(
-                    got[qi],
-                    fresh.search(q.row(qi), 3, 4),
-                    "shards={shards} query {qi}"
-                );
-            }
+        let mut engine = QueryEngine::new(small_index());
+        // Clean index: nothing to fold.
+        assert!(engine.compact().expect("no wal to fail").is_none());
+        for p in &inserts {
+            engine.insert(p).expect("dims match");
+        }
+        assert_eq!(engine.delete(5), Ok(()));
+        assert!(
+            engine.index().needs_compaction(),
+            "7 inserts + 1 delete on 40 points"
+        );
+        let report = engine
+            .compact()
+            .expect("no wal to fail")
+            .expect("compaction ran");
+        assert_eq!(report.live_points, 40 + 7 - 1);
+        assert_eq!(report.merged_inserts, 7);
+        assert!(!engine.index().is_mutated());
+        let snap = engine.stats();
+        assert_eq!((snap.inserts, snap.deletes), (7, 1));
+        // The swapped-in index answers like a fresh build over the final point set.
+        let got = engine.serve_batch(&q, &QueryOptions::new(3, 4));
+        for qi in 0..q.rows() {
+            assert_eq!(got[qi], fresh.search(q.row(qi), 3, 4), "query {qi}");
         }
     }
 

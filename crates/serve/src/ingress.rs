@@ -11,8 +11,8 @@
 //! this one was served, so batches are one or two queries at light load and fill to
 //! `max_batch` under overload. The served path is socket → loop → pool, with no
 //! other thread, channel, tick or window in it.
-//! Inserts, deletes and stats execute inline through the same trait, so a
-//! [`crate::QueryEngine`] is servable unchanged at any shard count.
+//! Inserts, deletes and stats execute inline through the same trait, so any
+//! [`crate::BatchEngine`] is servable unchanged.
 //!
 //! The load-management invariants, in order of importance:
 //!

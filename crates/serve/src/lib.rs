@@ -10,10 +10,8 @@
 //!   work is the query, no thread spawns on the hot path), with per-request knobs
 //!   ([`engine::QueryOptions`]: `k`, `probes`, re-rank budget) and running serving
 //!   statistics ([`stats::StatsSnapshot`]: QPS, p50/p99 latency, per-bin probe counts).
-//!   A shard is a count and nothing more: [`engine::QueryEngine::with_shards`] places
-//!   bin `b` on shard `b % S` (one shard by default), a query's candidate stream is
-//!   scored one shard at a time and merged by stream position, so answers are
-//!   **bit-identical for any shard count** (`tests/shard_equivalence.rs` pins this);
+//!   Each query is one pass over its own candidate stream — the same call
+//!   [`PartitionIndex::scan_bins`](usp_index::PartitionIndex::scan_bins) makes;
 //! * [`batcher::MicroBatcher`] — accumulates single queries from in-process callers
 //!   into micro-batches (served when full or when the batching window closes) so point
 //!   lookups ride the same batched path; generic over [`engine::BatchEngine`]. The
@@ -30,7 +28,7 @@
 //!   engine panic contained to the queries of one batch;
 //! * determinism: batch answers are **bit-identical** to per-query
 //!   [`PartitionIndex::search`](usp_index::PartitionIndex::search) results for any
-//!   pool size — batching and sharding are execution strategies, never a semantic change
+//!   pool size — batching is an execution strategy, never a semantic change
 //!   (`tests/parallel_equivalence.rs` pins this).
 //!
 //! See `DESIGN.md` §5 for the serving architecture and the pool lifecycle.
@@ -46,13 +44,7 @@ pub use engine::{BatchEngine, QueryEngine, QueryOptions};
 pub use ingress::{IngressConfig, IngressHandle};
 pub use stats::StatsSnapshot;
 
-/// The name `servebench/` (the `BENCHMARK.json` harness) builds its many-shard engine
-/// under — the alias's one remaining consumer; it goes when a `[benchmark]` PR drops
-/// the name there.
+/// The name `servebench/` (the `BENCHMARK.json` harness) builds its "sharded" engine
+/// under — the one engine, whatever the shard count it is given. It goes, with that
+/// constructor, when a `[benchmark]` change drops the name there.
 pub type ShardedEngine<P> = QueryEngine<P>;
-
-/// The engine's tests at several shard counts (`shard/tests.rs`).
-#[cfg(test)]
-mod shard {
-    mod tests;
-}

@@ -311,8 +311,17 @@ pub fn encode_delete_reply(out: &mut Vec<u8>, request_id: u32, deleted: bool) {
     encode_frame(out, request_id, OP_REPLY_DELETE, &[deleted as u8]);
 }
 
-/// Server side: the reply to a stats request (`json` is a serialized snapshot).
+/// Server side: the reply to a stats request (`json` is a serialized snapshot). The
+/// snapshot grows with the bin count, so one too large for a frame is answered with an
+/// [`OP_REPLY_ERROR`] naming the limit instead of a panic in the event loop.
 pub fn encode_stats_reply(out: &mut Vec<u8>, request_id: u32, json: &[u8]) {
+    if FRAME_OVERHEAD + json.len() > MAX_FRAME_LEN as usize {
+        let reason = format!(
+            "stats snapshot of {} bytes does not fit a frame (MAX_FRAME_LEN {MAX_FRAME_LEN})",
+            json.len()
+        );
+        return encode_error(out, request_id, &reason);
+    }
     encode_frame(out, request_id, OP_REPLY_STATS, json);
 }
 

@@ -3,7 +3,8 @@
 //! pending queue stays bounded while answers remain bit-identical to direct
 //! [`QueryEngine::query`] calls, the loop's batching rule (serve what is pending
 //! the moment the loop is idle, never more than `max_batch`; the next batch forms
-//! while this one is served) and per-batch containment of an engine panic.
+//! while this one is served), per-batch containment of an engine panic, and an error
+//! reply (not a dead loop) for a stats snapshot too large for a frame.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -220,27 +221,51 @@ fn mixed_clients_get_isolated_correct_answers() {
     handle.shutdown();
 }
 
-#[test]
-fn sharded_engine_is_served_bit_identically() {
-    let index = index();
-    let opts = QueryOptions::new(4, 3);
-    let monolith = QueryEngine::new(Arc::clone(&index));
-    let sharded = Arc::new(QueryEngine::with_shards(Arc::clone(&index), 3));
-    let handle = spawn_on_ephemeral(sharded, IngressConfig::new(opts));
+/// A real engine whose stats snapshot carries 60 000 bins of `u64::MAX` probes: about
+/// 1.26 MB of JSON, over the 1 MiB frame limit.
+struct OversizedStats(QueryEngine<RoundRobinPartitioner>);
 
-    let qs: Vec<(u32, Vec<f32>)> = queries(24)
-        .into_iter()
-        .enumerate()
-        .map(|(i, q)| (i as u32, q))
-        .collect();
-    let replies = run_pipelined_client(handle.local_addr(), &qs);
-    for (rid, q) in &qs {
-        match &replies[rid] {
-            Reply::Query(result) => {
-                assert_eq!(result, &monolith.query(q, &opts), "request {rid}")
-            }
-            other => panic!("unexpected reply {other:?}"),
+impl BatchEngine for OversizedStats {
+    fn dims(&self) -> usize {
+        DIMS
+    }
+
+    fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
+        self.0.serve_batch(queries, opts)
+    }
+
+    fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            bin_probes: vec![u64::MAX; 60_000],
+            ..self.0.stats()
         }
+    }
+}
+
+#[test]
+fn a_stats_snapshot_too_large_for_a_frame_is_an_error_reply() {
+    let opts = QueryOptions::new(4, 3);
+    let engine = Arc::new(OversizedStats(QueryEngine::new(index())));
+    let handle = spawn_on_ephemeral(Arc::clone(&engine), IngressConfig::new(opts));
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut wire = Vec::new();
+    encode_stats(&mut wire, 1);
+    stream.write_all(&wire).expect("write stats request");
+    let frame = read_frame(&mut stream).expect("the connection stays open");
+    match parse_reply(&frame).expect("conforming reply") {
+        Reply::Error(reason) => assert!(reason.contains("MAX_FRAME_LEN"), "{reason}"),
+        other => panic!("an oversized snapshot got {other:?}"),
+    }
+    // The loop survived: the same connection's next query is answered.
+    let q = &queries(1)[0];
+    wire.clear();
+    encode_query(&mut wire, 2, q);
+    stream.write_all(&wire).expect("write query");
+    let frame = read_frame(&mut stream).expect("the loop keeps serving");
+    assert_eq!(frame.request_id, 2);
+    match parse_reply(&frame).expect("conforming reply") {
+        Reply::Query(result) => assert_eq!(result, engine.0.query(q, &opts)),
+        other => panic!("the query after the stats request got {other:?}"),
     }
     handle.shutdown();
 }

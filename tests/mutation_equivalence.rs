@@ -11,8 +11,8 @@
 //!   but only the set is contractual). Tombstoned points never appear.
 //! - **Cross-path** — on the same dirty index, the per-query `PartitionIndex::search`
 //!   reference (`rank_bins` + `scan_bins` under a re-rank budget) and the batched
-//!   `QueryEngine` at every shard count answer **bit-identically**; an execution
-//!   strategy is never a semantic change, mutated or not.
+//!   `QueryEngine` answer **bit-identically**; an execution strategy is never a
+//!   semantic change, mutated or not.
 //! - **Compacted** — after folding the delta, the index answers bit-identically to
 //!   `PartitionIndex::build` over the same final point set, in exact mode *and* in
 //!   compressed mode with shared codebooks (compaction re-encodes through the same
@@ -171,8 +171,8 @@ fn assert_csr_invariants<P: Partitioner>(idx: &PartitionIndex<P>, n: usize) {
 }
 
 /// Cross-path bit-identity on a (possibly dirty) index: searcher vs the whole-stream
-/// scan vs `QueryEngine` at every shard count, unbudgeted and budgeted. Returns the
-/// per-query searcher answers.
+/// scan vs `QueryEngine`, unbudgeted and budgeted. Returns the per-query searcher
+/// answers.
 fn assert_cross_path(
     idx: &Arc<PartitionIndex<RoundRobinPartitioner>>,
     queries: &Matrix,
@@ -189,7 +189,7 @@ fn assert_cross_path(
         "scan_bins diverged from the per-query searcher"
     );
     // Budget semantics are defined by one `scan_bins` over the whole stream; the
-    // engine must replicate them through its delta-aware per-shard passes.
+    // engine must replicate them under its batch-wide delta guard.
     assert_every_path_agrees(idx, queries, &opts.with_rerank_budget(5));
     per_query
 }
@@ -312,8 +312,7 @@ proptest! {
 }
 
 /// Every serving path over one (possibly dirty) index under `opts`, asserted
-/// bit-identical: the monolith scan (one pass over the whole stream — the reference)
-/// and `QueryEngine` at {1, 2, 3, 4} shards, `QueryEngine::new` being the one-shard row.
+/// bit-identical: the per-query scan (the reference) and `QueryEngine`.
 fn assert_every_path_agrees(
     idx: &Arc<PartitionIndex<RoundRobinPartitioner>>,
     queries: &Matrix,
@@ -326,23 +325,19 @@ fn assert_every_path_agrees(
             idx.scan_bins(q, &bins, opts.k, opts.rerank_budget)
         })
         .collect();
-    let sharded =
-        [2usize, 3, 4].map(|shards| (shards, QueryEngine::with_shards(Arc::clone(idx), shards)));
-    for (shards, engine) in std::iter::once((1, QueryEngine::new(Arc::clone(idx)))).chain(sharded) {
-        assert_eq!(
-            monolith,
-            engine.serve_batch(queries, opts),
-            "QueryEngine at {shards} shards, budget {:?}",
-            opts.rerank_budget
-        );
-    }
+    assert_eq!(
+        monolith,
+        QueryEngine::new(Arc::clone(idx)).serve_batch(queries, opts),
+        "QueryEngine, budget {:?}",
+        opts.rerank_budget
+    );
     monolith
 }
 
 /// A compressed index whose probed bins hold no live base point: no code is
 /// ADC-scored (`compressed_scanned == 0`) and every candidate is a membin row, which
-/// has no code and is scored exactly. The sharded gather used to pick its mode from
-/// that count; it must come from the index.
+/// has no code and is scored exactly. The mode must come from the index, never from
+/// that count.
 #[test]
 fn compressed_index_with_only_membin_candidates_agrees_on_every_path() {
     let (n, dim, bins, k, probes) = (64, 4, 8, 3, 2);
@@ -510,7 +505,7 @@ fn mutated_micro_batcher_survives_submits_racing_drop() {
         .map(|qi| idx.search(queries.row(qi), opts.k, opts.probes))
         .collect();
 
-    let engine = Arc::new(QueryEngine::with_shards(Arc::clone(&idx), 3));
+    let engine = Arc::new(QueryEngine::new(Arc::clone(&idx)));
     let batcher = Arc::new(MicroBatcher::new(engine, opts, 8, Duration::from_millis(1)));
     let workers: Vec<_> = (0..4)
         .map(|t| {

@@ -5,9 +5,9 @@
 //!
 //! - **Exactness where promised** — exact-mode indexes are bit-identical to indexes
 //!   built with no scoring configuration; compressed-mode answers are identical
-//!   across the per-query searcher and the batched engine (every pool size, shard
-//!   count and budget), because each path re-ranks the same ADC shortlist with the
-//!   same exact kernels under the same tie order.
+//!   across the per-query searcher and the batched engine (every pool size and
+//!   budget), because each path re-ranks the same ADC shortlist with the same exact
+//!   kernels under the same tie order.
 //! - **Accuracy where approximate** — against an exact-mode index with the *same*
 //!   routing, the PQ first pass keeps recall@10 ≥ 0.85 on clustered data for every
 //!   `Distance` variant, and the CSR code array is exactly the quantizer's encoding
@@ -133,11 +133,7 @@ fn sharded_compressed_engine_is_bit_identical_to_the_monolith() {
     let queries = &split.queries;
     let (_, compressed) = twin_indexes(data, 10, Distance::SquaredEuclidean, 60);
     let index = Arc::new(compressed);
-    let engines = [
-        QueryEngine::new(Arc::clone(&index)),
-        QueryEngine::with_shards(Arc::clone(&index), 2),
-        QueryEngine::with_shards(Arc::clone(&index), 4),
-    ];
+    let engine = QueryEngine::new(Arc::clone(&index));
     for budget in [None, Some(15), Some(2000)] {
         let mut opts = QueryOptions::new(10, 4);
         opts.rerank_budget = budget;
@@ -148,12 +144,10 @@ fn sharded_compressed_engine_is_bit_identical_to_the_monolith() {
                 index.scan_bins(queries.row(qi), &bins, opts.k, budget)
             })
             .collect();
-        for (shards, engine) in [1, 2, 4].iter().zip(&engines) {
-            let got = engine.serve_batch(queries, &opts);
-            assert_eq!(got, expect, "shards={shards} budget={budget:?}");
-            // Spot-check the single-query path too.
-            assert_eq!(engine.query(queries.row(0), &opts), expect[0]);
-        }
+        let got = engine.serve_batch(queries, &opts);
+        assert_eq!(got, expect, "budget={budget:?}");
+        // Spot-check the single-query path too.
+        assert_eq!(engine.query(queries.row(0), &opts), expect[0]);
     }
 }
 
@@ -238,18 +232,15 @@ fn recorded_latency_includes_the_adc_table_build_for_every_shard_count() {
     let pq = ProductQuantizer::fit(data, &ProductQuantizerConfig::standard(4, 16));
     let index = PartitionIndex::build(KMeansPartitioner::fit(data, 4, 7), data, DIST)
         .with_scoring(Scoring::compressed(Arc::new(SlowTables(pq)), 20));
-    let index = Arc::new(index);
     // The histogram reports a bucket's lower bound, up to 1/64 below the sample.
     let floor = SlowTables::BUILD.as_micros() as u64 * 63 / 64;
-    for shards in [1usize, 2] {
-        let engine = QueryEngine::with_shards(Arc::clone(&index), shards);
-        engine.serve_batch(&split.queries, &QueryOptions::new(5, 3));
-        let p50 = engine.stats().p50_latency_us;
-        assert!(
-            p50 >= floor,
-            "shards={shards}: p50 {p50} us leaves out the {floor} us table build"
-        );
-    }
+    let engine = QueryEngine::new(Arc::new(index));
+    engine.serve_batch(&split.queries, &QueryOptions::new(5, 3));
+    let p50 = engine.stats().p50_latency_us;
+    assert!(
+        p50 >= floor,
+        "p50 {p50} us leaves out the {floor} us table build"
+    );
 }
 
 mod proptests {

@@ -19,8 +19,9 @@
 //! mid-log checksum mismatch is a loud [`WalError::Corrupt`], a device-full
 //! torn write refuses the ack and recovery resumes past it, and a failed sync
 //! poisons the log (fsyncgate) without mutating the index — cleared only by
-//! the checkpoint protocol. The engine-path test pins that serving acks carry
-//! durability and that WAL counters surface through `StatsSnapshot`.
+//! the checkpoint protocol — and so does a failed checkpoint, until a retry
+//! succeeds. The engine-path test pins that serving acks carry durability and
+//! that WAL counters surface through `StatsSnapshot`.
 
 use std::sync::Arc;
 
@@ -551,29 +552,58 @@ fn engine_acks_carry_durability_and_stats_surface_wal_counters() {
     let snap = engine.stats();
     assert_eq!(snap.wal_replayed_records, acked.records.len() as u64);
 
-    // The sharded engine overlays the same counters and keeps serving the
-    // recovered state bit-identically to the unsharded path.
-    let recovered = Arc::new(
-        PartitionIndex::recover(
-            build_base(3, &base, None),
-            Wal::new(
-                Box::new(MemStorage::from_bytes(storage.contents())),
-                SyncPolicy::EveryRecord,
-            ),
-        )
-        .expect("recovery")
-        .0,
-    );
-    let sharded = QueryEngine::with_shards(Arc::clone(&recovered), 2);
+    // The engine serves the recovered state bit-identically to the index's own
+    // search.
     let queries = normal_points(4, 2, 19);
     let opts = QueryOptions::new(3, 2);
+    let expect: Vec<_> = (0..queries.rows())
+        .map(|qi| engine.index().search(queries.row(qi), opts.k, opts.probes))
+        .collect();
     assert_eq!(
-        sharded.serve_batch(&queries, &opts),
-        QueryEngine::new(recovered).serve_batch(&queries, &opts),
-        "sharded serving of a recovered index matches the unsharded path"
+        engine.serve_batch(&queries, &opts),
+        expect,
+        "serving a recovered index matches its own search"
+    );
+}
+
+/// A checkpoint that fails poisons the log like a failed sync: the replace may have
+/// failed after its rename, leaving the old index's log handle on a file recovery
+/// never reads. The old index refuses writes until a retried compaction succeeds.
+#[test]
+fn a_failed_checkpoint_compaction_refuses_writes_until_a_retry_succeeds() {
+    let base = normal_points(10, 2, 23);
+    let storage = MemStorage::new();
+    let idx = build_base(2, &base, None)
+        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord));
+    idx.try_insert(&[0.5, 0.5]).expect("a durable insert");
+
+    storage.set_plan(FaultPlan {
+        fail_syncs: 1,
+        ..FaultPlan::default()
+    });
+    let err = idx
+        .compacted_with_checkpoint()
+        .map(|_| ())
+        .expect_err("the log replace fails");
+    assert!(
+        matches!(err, MutationError::Wal(WalError::Io(_))),
+        "got {err:?}"
     );
     assert_eq!(
-        sharded.stats().wal_replayed_records,
-        acked.records.len() as u64
+        idx.try_insert(&[0.25, -0.5]),
+        Err(MutationError::Wal(WalError::Poisoned))
     );
+    assert_eq!(
+        idx.mutation_stats().inserts,
+        1,
+        "the refusal applied nothing"
+    );
+
+    let (idx, _) = idx
+        .compacted_with_checkpoint()
+        .expect("the retried checkpoint replaces the log");
+    idx.try_insert(&[0.25, -0.5])
+        .expect("writes resume on the compacted index");
+    let log = parse_log(&storage.contents()).expect("the new log parses");
+    assert_eq!(log.records.len(), 2, "the checkpoint, then the insert");
 }

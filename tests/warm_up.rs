@@ -60,23 +60,14 @@ fn warm_up_prespawns_the_pool_so_serving_never_does() {
             "serve_batch after warm_up must not spawn workers"
         );
 
-        // Same for the sharded engine (construction included — shard views build on
-        // the already-warm pool).
-        let sharded = QueryEngine::with_shards(Arc::clone(&index), 3);
-        sharded.warm_up(); // idempotent: workers already exist
+        // Warming again is idempotent: the workers already exist.
+        engine.warm_up();
         assert_eq!(pool_worker_count(), 3);
-        let sharded_batch = sharded.serve_batch(&queries, &opts);
-        assert_eq!(
-            pool_worker_count(),
-            3,
-            "sharded serve_batch after warm_up must not spawn workers"
-        );
 
         // Sanity: the served answers are still the real ones.
         for qi in 0..queries.rows() {
             let expect = index.search(queries.row(qi), opts.k, opts.probes);
             assert_eq!(batch[qi], expect);
-            assert_eq!(sharded_batch[qi], expect);
         }
     });
 

@@ -336,7 +336,7 @@ mod tests {
         };
         let tree = BinaryPartitionTree::build(&data, &TreeConfig::new(1), &strategy);
         let idx = PartitionIndex::build(tree, &data, Distance::SquaredEuclidean);
-        let a = idx.assignments();
+        let a: Vec<_> = (0..data.rows()).map(|id| idx.bin_of(id)).collect();
         // The two blobs must land (almost entirely) in different leaves.
         let first_blob_majority = a[..40].iter().filter(|&&x| x == a[0]).count();
         let second_blob_other = a[40..].iter().filter(|&&x| x != a[0]).count();

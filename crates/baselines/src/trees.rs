@@ -370,7 +370,7 @@ mod tests {
         let data = Matrix::from_rows(&rows);
         let tree = BinaryPartitionTree::two_means(&data, &TreeConfig::new(1));
         let idx = PartitionIndex::build(tree, &data, Distance::SquaredEuclidean);
-        let a = idx.assignments();
+        let a: Vec<_> = (0..data.rows()).map(|id| idx.bin_of(id)).collect();
         assert!(a[..40].iter().all(|&x| x == a[0]));
         assert!(a[40..].iter().all(|&x| x != a[0]));
     }

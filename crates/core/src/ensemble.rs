@@ -171,8 +171,11 @@ mod tests {
             ..UspConfig::fast(4)
         };
         let ens = UspEnsemble::train(&data, &knn, &cfg, 2, Distance::SquaredEuclidean);
-        let a = ens.indexes()[0].assignments();
-        let b = ens.indexes()[1].assignments();
+        let bins = |i: usize| -> Vec<_> {
+            let index = &ens.indexes()[i];
+            (0..data.rows()).map(|id| index.bin_of(id)).collect()
+        };
+        let (a, b) = (bins(0), bins(1));
         assert_ne!(
             a, b,
             "boosted members should produce complementary partitions"
@@ -224,8 +227,10 @@ mod tests {
         let ens = UspEnsemble::train(&data, &knn, &cfg, 2, Distance::SquaredEuclidean);
         for index in ens.indexes() {
             // What `build_index` (`PartitionIndex::build`) computes: one forward a row.
-            let per_row = (0..data.rows()).map(|i| index.partitioner().assign(data.row(i)));
-            assert_eq!(index.assignments(), per_row.collect::<Vec<_>>());
+            for i in 0..data.rows() {
+                let per_row = index.partitioner().assign(data.row(i));
+                assert_eq!(index.bin_of(i), Some(per_row));
+            }
         }
         for probes in [1, 3] {
             for qi in 0..queries.rows() {

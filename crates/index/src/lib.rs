@@ -16,7 +16,7 @@
 //! * [`scoring`] — the exact-f32 vs compressed (PQ/ADC) scoring switch and the
 //!   [`scoring::CodeQuantizer`] interface quantizers implement to plug into it;
 //! * [`mutation`] — the streaming write path: per-bin membins, tombstones, and the
-//!   compaction bookkeeping behind `PartitionIndex::{insert, delete, compact}`;
+//!   compaction report behind `PartitionIndex::{insert, delete, compacted}`;
 //! * [`wal`] — crash consistency for that write path: length-prefixed checksummed
 //!   records appended before every ack, torn-tail-tolerant recovery
 //!   (`PartitionIndex::recover`), and the checkpoint/truncate compaction protocol;

@@ -10,8 +10,9 @@
 //! * **Deletes** record a tombstone: a flag per CSR position (base points) or per
 //!   membin row (inserted points). Tombstoned rows are filtered *before* top-k
 //!   admission in every scan path.
-//! * **Compaction** ([`crate::PartitionIndex::compacted`]) folds both into the fresh
-//!   CSR arrays of a new, clean index.
+//! * **Compaction** ([`crate::PartitionIndex::compacted`]) writes every bin's live
+//!   candidate stream down as the CSR arrays of a new, clean index. Ids never move:
+//!   live points keep theirs, inserts take the next one, and none is reused.
 //!
 //! The scan-order contract (DESIGN.md §2.4): a probed bin contributes its live CSR
 //! rows in bucket order, then its live membin rows in insertion order; distance ties
@@ -19,13 +20,11 @@
 //! existed.
 //!
 //! All of this lives behind one `RwLock` on the index: queries take a read guard
-//! ([`DeltaView`]) for the duration of a scan, writers take the write lock per
-//! operation. A clean index never touches the lock on the query path — an atomic
-//! flag short-circuits straight to the immutable CSR scan.
+//! ([`crate::PartitionIndex::delta`]) for the duration of a scan, writers take the
+//! write lock per operation. A clean index never touches the lock on the query path —
+//! an atomic flag short-circuits straight to the immutable CSR scan.
 
 use std::fmt;
-use std::ops::Deref;
-use std::sync::RwLockReadGuard;
 
 use serde::{Deserialize, Serialize};
 
@@ -41,8 +40,10 @@ pub enum MutationError {
     DimsMismatch { got: usize, want: usize },
     /// The deleted id was never assigned (out of range).
     UnknownId { id: usize },
-    /// The deleted id is already tombstoned.
+    /// The deleted id is already tombstoned, or an earlier compaction dropped it.
     AlreadyDeleted { id: usize },
+    /// Every `u32` id has been issued; ids are never reused, so no insert can get one.
+    IdSpaceExhausted,
     /// The engine's index does not support online mutations.
     Unsupported,
     /// The write-ahead append failed: the mutation was **not** applied and must
@@ -58,6 +59,7 @@ impl fmt::Display for MutationError {
             }
             MutationError::UnknownId { id } => write!(f, "id {id} out of range"),
             MutationError::AlreadyDeleted { id } => write!(f, "id {id} already deleted"),
+            MutationError::IdSpaceExhausted => write!(f, "every u32 id has been issued"),
             MutationError::Unsupported => write!(f, "engine does not support online mutations"),
             MutationError::Wal(e) => write!(f, "wal append failed: {e}"),
         }
@@ -160,12 +162,11 @@ impl MemBin {
 
 /// The whole delta of one index: per-bin membins plus tombstones over the immutable
 /// CSR positions. Owned by the index behind a `RwLock`; scans read it through
-/// [`DeltaView`].
+/// [`crate::PartitionIndex::delta`].
 #[derive(Debug)]
 pub struct MutationState {
-    dim: usize,
-    /// Number of points in the CSR arrays (ids `0..base_n` are base points).
-    base_n: usize,
+    /// The id this delta's first insert takes; every id below it was issued earlier.
+    first_id: usize,
     /// One membin per bin.
     membins: Vec<MemBin>,
     /// Tombstones over **CSR local positions** (not global ids): position `local`
@@ -177,19 +178,19 @@ pub struct MutationState {
     /// Total set CSR tombstones.
     csr_dead: usize,
     /// Location of every inserted id, in insertion order: entry `j` places id
-    /// `base_n + j` at `membins[bin].row(row)`.
+    /// `first_id + j` at `membins[bin].row(row)`.
     insert_locs: Vec<(u32, u32)>,
     /// Inserted-then-deleted count.
     dead_inserts: usize,
 }
 
 impl MutationState {
-    pub(crate) fn new(dim: usize, base_n: usize, bins: usize) -> Self {
+    /// A clean delta over `rows` CSR rows whose inserts take ids from `first_id` on.
+    pub(crate) fn new(dim: usize, rows: usize, bins: usize, first_id: usize) -> Self {
         Self {
-            dim,
-            base_n,
+            first_id,
             membins: (0..bins).map(|_| MemBin::new(dim)).collect(),
-            csr_deleted: vec![false; base_n],
+            csr_deleted: vec![false; rows],
             csr_dead_in_bin: vec![0; bins],
             csr_dead: 0,
             insert_locs: Vec::new(),
@@ -197,9 +198,16 @@ impl MutationState {
         }
     }
 
-    /// Number of base (CSR) points.
-    pub fn base_n(&self) -> usize {
-        self.base_n
+    /// The id the next insert takes.
+    pub(crate) fn next_id(&self) -> usize {
+        self.first_id + self.insert_locs.len()
+    }
+
+    /// `(bin, membin row)` of inserted id `id`, or `None` when `id` was not issued
+    /// by this delta.
+    pub(crate) fn insert_loc(&self, id: usize) -> Option<(u32, u32)> {
+        let j = id.checked_sub(self.first_id)?;
+        self.insert_locs.get(j).copied()
     }
 
     /// Number of points ever inserted (live + tombstoned).
@@ -227,7 +235,7 @@ impl MutationState {
         self.csr_dead_in_bin[bin]
     }
 
-    /// The CSR-position tombstone mask (length `base_n`).
+    /// The CSR-position tombstone mask (one flag per CSR row).
     pub fn csr_deleted(&self) -> &[bool] {
         &self.csr_deleted
     }
@@ -237,19 +245,8 @@ impl MutationState {
         &self.membins[bin]
     }
 
-    /// `(bin, membin row)` of every inserted id, in insertion order.
-    pub fn insert_locs(&self) -> &[(u32, u32)] {
-        &self.insert_locs
-    }
-
-    /// True when no insert or delete is outstanding.
-    pub fn is_clean(&self) -> bool {
-        self.insert_locs.is_empty() && self.csr_dead == 0
-    }
-
     /// Appends a point to `bin`'s membin under global id `id`.
     pub(crate) fn push_insert(&mut self, bin: usize, id: u32, point: &[f32]) {
-        debug_assert_eq!(point.len(), self.dim);
         let row = self.membins[bin].len() as u32;
         self.membins[bin].push(id, point);
         self.insert_locs.push((bin as u32, row));
@@ -266,28 +263,15 @@ impl MutationState {
         true
     }
 
-    /// Tombstones inserted id `id` (`>= base_n`); false when already set.
+    /// Tombstones inserted id `id` (issued by this delta); false when already set.
     pub(crate) fn tombstone_insert(&mut self, id: usize) -> bool {
-        let (bin, row) = self.insert_locs[id - self.base_n];
+        let (bin, row) = self.insert_locs[id - self.first_id];
         if self.membins[bin as usize].tombstone(row as usize) {
             self.dead_inserts += 1;
             true
         } else {
             false
         }
-    }
-}
-
-/// A read guard over an index's [`MutationState`]: held for the duration of one scan
-/// (or one served batch) so inserts and deletes racing the scan serialize before or
-/// after it, never mid-stream.
-pub struct DeltaView<'a>(pub(crate) RwLockReadGuard<'a, MutationState>);
-
-impl Deref for DeltaView<'_> {
-    type Target = MutationState;
-
-    fn deref(&self) -> &MutationState {
-        &self.0
     }
 }
 
@@ -298,19 +282,16 @@ pub struct CompactionReport {
     pub live_points: usize,
     /// Membin rows merged into the new CSR arrays.
     pub merged_inserts: usize,
-    /// Tombstoned points (base + inserted) dropped for good.
+    /// Tombstoned points (base + inserted) dropped for good. Their ids are not
+    /// reused: deleting one again reports [`MutationError::AlreadyDeleted`].
     pub dropped_tombstones: usize,
-    /// Old id → new id, `None` for tombstoned ids. Indexed by old id over
-    /// `0..base_n + total_inserts`; survivors are renumbered densely, base points
-    /// first (ascending old id) then live inserts (insertion order).
-    pub id_map: Vec<Option<u32>>,
 }
 
 /// A snapshot of an index's outstanding delta, for compaction policies and stats
 /// endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MutationStats {
-    /// Points in the immutable CSR arrays.
+    /// Rows in the immutable CSR arrays.
     pub base_points: usize,
     /// Points ever inserted since the last compaction (live + tombstoned).
     pub inserts: usize,
@@ -345,13 +326,14 @@ mod tests {
 
     #[test]
     fn state_tracks_inserts_and_tombstones_per_bin() {
-        let mut s = MutationState::new(1, 4, 2);
-        assert!(s.is_clean());
+        let mut s = MutationState::new(1, 4, 2, 4);
+        assert_eq!((s.total_inserts(), s.csr_dead()), (0, 0));
         s.push_insert(1, 4, &[9.0]);
         s.push_insert(0, 5, &[8.0]);
         s.push_insert(1, 6, &[7.0]);
-        assert_eq!(s.insert_locs(), &[(1, 0), (0, 0), (1, 1)]);
-        assert_eq!(s.total_inserts(), 3);
+        let locs: Vec<_> = (3..8).map(|id| s.insert_loc(id)).collect();
+        assert_eq!(locs, [None, Some((1, 0)), Some((0, 0)), Some((1, 1)), None]);
+        assert_eq!((s.total_inserts(), s.next_id()), (3, 7));
         assert_eq!(s.membin(1).ids(), &[4, 6]);
         assert!(s.tombstone_insert(6));
         assert!(!s.tombstone_insert(6));
@@ -361,6 +343,5 @@ mod tests {
         assert_eq!((s.csr_dead(), s.csr_dead_in_bin(0)), (1, 1));
         assert_eq!(s.csr_dead_in_bin(1), 0);
         assert_eq!(s.csr_deleted(), &[false, false, true, false]);
-        assert!(!s.is_clean());
     }
 }

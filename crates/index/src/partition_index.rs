@@ -13,8 +13,9 @@
 //! Probing a bin therefore streams one contiguous slice through the blocked distance
 //! kernels ([`usp_linalg::kernel`]) — a cache-resident scan, the layout every
 //! production partition-based system (IVF, ScaNN) scans in. A point is found back by
-//! id through its recorded bin ([`PartitionIndex::point`]); nothing is kept in the
-//! original row order.
+//! id through a binary search of the rows in ascending-id order
+//! ([`PartitionIndex::point`]); nothing is indexed by id. An id is issued once and
+//! never moves: [`PartitionIndex::compacted`] keeps every live point's id.
 //!
 //! [`PartitionIndex::with_scoring`] optionally adds a bin-contiguous code array of
 //! `n * code_len` bytes in the **same** order, encoded by a trained [`CodeQuantizer`].
@@ -28,22 +29,22 @@
 //! [`Scoring`]. This file owns the storage and the write path; it scores nothing.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use rayon::prelude::*;
 use usp_linalg::kernel::AdcTable;
 use usp_linalg::{Distance, Matrix};
 
 use crate::balance::BalanceStats;
-use crate::mutation::{CompactionReport, DeltaView, MutationError, MutationState, MutationStats};
+use crate::mutation::{CompactionReport, MutationError, MutationState, MutationStats};
 use crate::partitioner::Partitioner;
 use crate::scoring::{CodeQuantizer, Scoring};
 use crate::searcher::SearchResult;
 use crate::wal::{Wal, WalError, WalRecord, WalStats};
 
-/// Default [`PartitionIndex::needs_compaction`] threshold: compact once the delta
-/// (inserts + base tombstones) reaches 10% of the base point count.
-const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.1;
+/// [`PartitionIndex::needs_compaction`] fires once the delta (inserts + base
+/// tombstones) reaches this fraction of the base row count.
+const COMPACTION_THRESHOLD: f64 = 0.1;
 
 /// The resolved scoring state: [`Scoring`] plus the code array built from it.
 enum ScoringMode {
@@ -61,11 +62,14 @@ enum ScoringMode {
 /// A searchable index: a partitioner plus the lookup table over a concrete dataset.
 pub struct PartitionIndex<P: Partitioner> {
     partitioner: P,
-    assignments: Vec<usize>,
     distance: Distance,
     /// Bucket concatenation: `ids[bin_offsets[b]..bin_offsets[b + 1]]` = bin `b`'s
-    /// point ids, ascending. A permutation of `0..n`.
+    /// point ids, ascending. A permutation of `0..n` until the first compaction, the
+    /// live ids after it.
     ids: Vec<u32>,
+    /// The CSR rows in ascending-id order (`ids[rows_by_id[j]]` ascends in `j`): the
+    /// id → row lookup, one binary search, sized by the rows and not by the ids.
+    rows_by_id: Vec<u32>,
     /// CSR row offsets per bin, length `num_bins + 1`, monotone, ending at `n`.
     bin_offsets: Vec<usize>,
     /// The dataset in bin-contiguous order: row `local` is point `ids[local]`. The
@@ -76,11 +80,9 @@ pub struct PartitionIndex<P: Partitioner> {
     /// Outstanding inserts and tombstones (see [`crate::mutation`]). Queries read it
     /// through [`Self::delta`]; `insert`/`delete` take the write lock per operation.
     mutation: RwLock<MutationState>,
-    /// Fast dirty flag mirroring `!mutation.is_clean()`: a clean index's query path
+    /// Fast dirty flag, set by the first insert or delete: a clean index's query path
     /// never touches the lock (its candidate stream is produced with no delta).
     mutated: AtomicBool,
-    /// [`Self::needs_compaction`] fires when the delta fraction reaches this.
-    compaction_threshold: f64,
     /// Optional write-ahead log for the delta ([`crate::wal`]). `Mutex<Option<..>>`
     /// rather than a plain field so compaction can move the log onto the rebuilt
     /// index through `&self` (engines hold the index behind an `Arc`). Lock order:
@@ -110,11 +112,13 @@ impl<P: Partitioner> PartitionIndex<P> {
             .into_par_iter()
             .map(|i| partitioner.assign(data.row(i)))
             .collect();
-        Self::from_parts(partitioner, data, assignments, distance)
+        Self::from_assignments(partitioner, data, assignments, distance)
     }
 
     /// Builds the index from precomputed assignments (used when the offline phase already
-    /// produced per-point bins, e.g. from graph partitioning labels).
+    /// produced per-point bins, e.g. from graph partitioning labels): lays them out as
+    /// CSR and permutes the dataset into bin-contiguous order (the row copies run
+    /// parallel on the pool).
     pub fn from_assignments(
         partitioner: P,
         data: &Matrix,
@@ -122,35 +126,20 @@ impl<P: Partitioner> PartitionIndex<P> {
         distance: Distance,
     ) -> Self {
         assert_eq!(assignments.len(), data.rows());
-        Self::from_parts(partitioner, data, assignments, distance)
-    }
-
-    /// Shared constructor: lays the assignments out as CSR and permutes the dataset
-    /// into bin-contiguous order (the row copies run parallel on the pool).
-    fn from_parts(
-        partitioner: P,
-        data: &Matrix,
-        assignments: Vec<usize>,
-        distance: Distance,
-    ) -> Self {
         let m = partitioner.num_bins();
         let n = data.rows();
         let dim = data.cols();
 
-        let mut counts = vec![0usize; m];
+        let mut bin_offsets = vec![0usize; m + 1];
         for &b in &assignments {
             assert!(
                 b < m,
                 "partitioner assigned bin {b} but reports only {m} bins"
             );
-            counts[b] += 1;
+            bin_offsets[b + 1] += 1;
         }
-        let mut bin_offsets = Vec::with_capacity(m + 1);
-        let mut acc = 0usize;
-        bin_offsets.push(0);
-        for &c in &counts {
-            acc += c;
-            bin_offsets.push(acc);
+        for b in 0..m {
+            bin_offsets[b + 1] += bin_offsets[b];
         }
 
         // Stable fill: points in id order land in their bin's slot in id order, so
@@ -172,17 +161,41 @@ impl<P: Partitioner> PartitionIndex<P> {
                 }
             });
 
+        Self::from_csr(
+            partitioner,
+            distance,
+            bin_offsets,
+            ids,
+            flat,
+            ScoringMode::Exact,
+            n,
+        )
+    }
+
+    /// The constructor build and compaction share, over finished CSR arrays: a clean
+    /// index whose inserts take ids from `next_id` on.
+    fn from_csr(
+        partitioner: P,
+        distance: Distance,
+        bin_offsets: Vec<usize>,
+        ids: Vec<u32>,
+        flat: Matrix,
+        scoring: ScoringMode,
+        next_id: usize,
+    ) -> Self {
+        let mut rows_by_id: Vec<u32> = (0..ids.len() as u32).collect();
+        rows_by_id.sort_unstable_by_key(|&row| ids[row as usize]);
+        let mutation = MutationState::new(flat.cols(), ids.len(), bin_offsets.len() - 1, next_id);
         Self {
             partitioner,
-            assignments,
             distance,
             ids,
+            rows_by_id,
             bin_offsets,
             flat,
-            scoring: ScoringMode::Exact,
-            mutation: RwLock::new(MutationState::new(dim, n, m)),
+            scoring,
+            mutation: RwLock::new(mutation),
             mutated: AtomicBool::new(false),
-            compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
             wal: Mutex::new(None),
         }
     }
@@ -250,39 +263,37 @@ impl<P: Partitioner> PartitionIndex<P> {
         self.flat.cols()
     }
 
-    /// CSR position of base point `id`: its recorded bin, then a binary search of
-    /// that bin's ascending bucket.
-    fn local_of(&self, id: usize) -> usize {
-        let b = self.assignments[id];
-        let at = self.bucket(b).binary_search(&(id as u32));
-        self.bin_offsets[b] + at.expect("assigned bin's bucket holds the id")
+    /// The CSR row holding point `id`, if one does.
+    fn row_of(&self, id: usize) -> Option<usize> {
+        let id = u32::try_from(id).ok()?;
+        let at = self
+            .rows_by_id
+            .binary_search_by_key(&id, |&row| self.ids[row as usize]);
+        at.ok().map(|at| self.rows_by_id[at] as usize)
     }
 
-    /// The row of base point `id` (an id of the build-time dataset; inserted points
-    /// live in the delta until compaction).
+    /// The bin whose bucket holds CSR row `row`.
+    fn bin_of_row(&self, row: usize) -> usize {
+        self.bin_offsets.partition_point(|&start| start <= row) - 1
+    }
+
+    /// The bin whose CSR rows hold point `id`, tombstoned or not. `None` when no CSR
+    /// row does: an insert still in its membin (it gets a row at the next
+    /// compaction), an id an earlier compaction dropped, or one never issued.
+    pub fn bin_of(&self, id: usize) -> Option<usize> {
+        self.row_of(id).map(|row| self.bin_of_row(row))
+    }
+
+    /// The CSR row of point `id`; panics when none holds it (see [`Self::bin_of`]).
     pub fn point(&self, id: usize) -> &[f32] {
-        self.flat.row(self.local_of(id))
-    }
-
-    /// The base points copied back into id order — the build-time dataset — for
-    /// offline callers that want it whole.
-    pub fn to_matrix(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.flat.rows(), self.dims());
-        for (local, &id) in self.ids.iter().enumerate() {
-            out.row_mut(id as usize)
-                .copy_from_slice(self.flat.row(local));
-        }
-        out
+        let row = self.row_of(id);
+        self.flat
+            .row(row.unwrap_or_else(|| panic!("point: no CSR row holds id {id}")))
     }
 
     /// Number of bins.
     pub fn num_bins(&self) -> usize {
         self.bin_offsets.len() - 1
-    }
-
-    /// Per-point bin assignments recorded at build time.
-    pub fn assignments(&self) -> &[usize] {
-        &self.assignments
     }
 
     /// Point ids stored in a bin (ascending).
@@ -301,8 +312,8 @@ impl<P: Partitioner> PartitionIndex<P> {
         &self.bin_offsets
     }
 
-    /// The local→global id table of the bin-contiguous layout: a permutation of
-    /// `0..n` equal to the concatenation of every bucket in bin order.
+    /// The local→global id table of the bin-contiguous layout: the concatenation of
+    /// every bucket in bin order (a permutation of `0..n` until the first compaction).
     pub fn local_to_global(&self) -> &[u32] {
         &self.ids
     }
@@ -328,12 +339,6 @@ impl<P: Partitioner> PartitionIndex<P> {
         let runs = self.candidate_runs(&bins, delta.as_deref(), None);
         let ids = runs.iter().flat_map(|r| r.ids).copied().collect();
         (bins, ids)
-    }
-
-    /// Candidate ids for a query when probing the `probes` most probable bins
-    /// (Algorithm 2 step 2).
-    pub fn candidates(&self, query: &[f32], probes: usize) -> Vec<u32> {
-        self.probe(query, probes).1
     }
 
     /// The distance metric candidates are re-ranked under.
@@ -444,9 +449,10 @@ impl<P: Partitioner> PartitionIndex<P> {
     }
 
     /// A read view of the outstanding delta, held for the duration of one scan or
-    /// one served batch. Blocks writers for as long as it is held.
-    pub fn delta(&self) -> DeltaView<'_> {
-        DeltaView(self.mutation.read().expect("mutation lock poisoned"))
+    /// one served batch, so writes racing it serialize before or after it, never
+    /// mid-stream.
+    pub fn delta(&self) -> RwLockReadGuard<'_, MutationState> {
+        self.mutation.read().expect("mutation lock poisoned")
     }
 
     /// Locks the WAL slot (loud on poison: a panic mid-append leaves counters in
@@ -456,8 +462,9 @@ impl<P: Partitioner> PartitionIndex<P> {
     }
 
     /// Inserts a point: routes it through the trained partitioner into its bin's
-    /// membin and returns its global id (`base_n + insertion number`). The point is
-    /// visible to every subsequent scan; it gets no code until [`Self::compacted`]
+    /// membin and returns its global id, the next one never issued — ids are not
+    /// reused, so [`MutationError::IdSpaceExhausted`] once all `u32`s are. The point
+    /// is visible to every subsequent scan; it gets no code until [`Self::compacted`]
     /// folds it into the CSR arrays (membins are exact-scanned).
     ///
     /// With a WAL attached ([`Self::with_wal`] / [`Self::recover`]), the record is
@@ -479,13 +486,14 @@ impl<P: Partitioner> PartitionIndex<P> {
             self.num_bins()
         );
         let mut state = self.mutation.write().expect("mutation lock poisoned");
+        let id = state.next_id();
+        let id32 = u32::try_from(id).map_err(|_| MutationError::IdSpaceExhausted)?;
         if let Some(w) = self.wal_slot().as_mut() {
             w.append(&WalRecord::Insert {
                 row: point.to_vec(),
             })?;
         }
-        let id = state.base_n() + state.total_inserts();
-        state.push_insert(bin, u32::try_from(id).expect("id exceeds u32"), point);
+        state.push_insert(bin, id32, point);
         drop(state);
         // ordering: Release publishes the delta written above (under the lock,
         // now dropped) to any reader whose is_mutated() Acquire-load sees `true`.
@@ -503,41 +511,30 @@ impl<P: Partitioner> PartitionIndex<P> {
         }
     }
 
-    /// Tombstones a point by global id (base or inserted), with the same
-    /// append-before-apply WAL contract as [`Self::try_insert`]: the id is
+    /// Tombstones a point by id (an id a compaction dropped is `AlreadyDeleted`), with
+    /// the same append-before-apply WAL contract as [`Self::try_insert`]: the id is
     /// validated first, so a refused delete reaches neither the log nor the state.
     pub fn try_delete(&self, id: usize) -> Result<(), MutationError> {
         let mut state = self.mutation.write().expect("mutation lock poisoned");
-        // Resolve the tombstone slot and check liveness *before* logging: a dead
-        // or unknown id must never produce a record (replaying one is corruption).
-        enum Slot {
-            Csr { bin: usize, pos: usize },
-            Membin,
-        }
-        let slot = if id < state.base_n() {
-            let at = self.local_of(id);
-            if state.csr_deleted()[at] {
-                return Err(MutationError::AlreadyDeleted { id });
-            }
-            Slot::Csr {
-                bin: self.assignments[id],
-                pos: at,
-            }
-        } else if id < state.base_n() + state.total_inserts() {
-            let (bin, row) = state.insert_locs()[id - state.base_n()];
-            if state.membin(bin as usize).deleted()[row as usize] {
-                return Err(MutationError::AlreadyDeleted { id });
-            }
-            Slot::Membin
-        } else {
-            return Err(MutationError::UnknownId { id });
+        // Resolve the point and check liveness *before* logging: a dead or unknown
+        // id must never produce a record (replaying one is corruption).
+        let row = self.row_of(id);
+        let live = match (row, state.insert_loc(id)) {
+            (Some(pos), _) => !state.csr_deleted()[pos],
+            (None, Some((bin, j))) => !state.membin(bin as usize).deleted()[j as usize],
+            // Issued, and dropped by an earlier compaction.
+            (None, None) if id < state.next_id() => false,
+            (None, None) => return Err(MutationError::UnknownId { id }),
         };
+        if !live {
+            return Err(MutationError::AlreadyDeleted { id });
+        }
         if let Some(w) = self.wal_slot().as_mut() {
             w.append(&WalRecord::Delete { id: id as u64 })?;
         }
-        let fresh = match slot {
-            Slot::Csr { bin, pos } => state.tombstone_csr(bin, pos),
-            Slot::Membin => state.tombstone_insert(id),
+        let fresh = match row {
+            Some(pos) => state.tombstone_csr(self.bin_of_row(pos), pos),
+            None => state.tombstone_insert(id),
         };
         debug_assert!(fresh, "liveness was checked under this same write lock");
         drop(state);
@@ -558,110 +555,92 @@ impl<P: Partitioner> PartitionIndex<P> {
         }
     }
 
-    /// Sets the delta fraction at which [`Self::needs_compaction`] fires
-    /// (default 0.1). Carried across [`Self::compacted`].
-    pub fn with_compaction_threshold(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold > 0.0,
-            "with_compaction_threshold: threshold must be positive"
-        );
-        self.compaction_threshold = threshold;
-        self
-    }
-
-    /// True once the outstanding delta — inserts plus base tombstones — reaches the
-    /// configured fraction of the base point count. `QueryEngine::compact` polls it
-    /// before folding the delta.
+    /// True once the outstanding delta — inserts plus base tombstones — reaches a
+    /// tenth of the base row count. `QueryEngine::compact` polls it before folding
+    /// the delta.
     pub fn needs_compaction(&self) -> bool {
-        if !self.is_mutated() {
-            return false;
-        }
-        let state = self.mutation.read().expect("mutation lock poisoned");
-        let delta = (state.total_inserts() + state.csr_dead()) as f64;
-        delta >= self.compaction_threshold * state.base_n().max(1) as f64
+        self.is_mutated() && self.mutation_stats().delta_fraction >= COMPACTION_THRESHOLD
     }
 
     /// A snapshot of the outstanding delta.
     pub fn mutation_stats(&self) -> MutationStats {
-        let state = self.mutation.read().expect("mutation lock poisoned");
+        let state = self.delta();
         MutationStats {
-            base_points: state.base_n(),
+            base_points: self.ids.len(),
             inserts: state.total_inserts(),
             live_inserts: state.live_inserts(),
             tombstones: state.csr_dead() + state.dead_inserts(),
             delta_fraction: (state.total_inserts() + state.csr_dead()) as f64
-                / state.base_n().max(1) as f64,
+                / self.ids.len().max(1) as f64,
         }
     }
 
-    /// Builds the compacted index: the delta folded into fresh CSR arrays
-    /// (`bin_offsets`/`ids`/`flat`, plus a re-encoded code array when compressed)
-    /// over the final live point set — live base points first in ascending old id,
-    /// then live inserts in insertion order, each keeping its recorded bin. The
-    /// result is clean, preserves every CSR invariant by construction (it goes
-    /// through the same constructor as a fresh build), and answers **bit-identically**
-    /// to `PartitionIndex::from_assignments` over the same point set — the
-    /// equivalence `tests/mutation_equivalence.rs` pins.
+    /// Builds the compacted index: each bin's live candidate stream
+    /// ([`Self::candidate_runs`]) written down as its new CSR bin. Base rows keep their
+    /// codes and only the inserts are encoded; every live point keeps its id. The
+    /// result is clean and, in exact mode, answers **bit-identically** to this index;
+    /// in compressed mode it answers like a fresh build over the live points, ids
+    /// mapped through the ascending live ids (`tests/mutation_equivalence.rs`).
     pub fn compacted(&self) -> (Self, CompactionReport)
     where
         P: Clone,
     {
-        let state = self.mutation.read().expect("mutation lock poisoned");
+        let state = self.delta();
         let dim = self.dims();
-        let base_n = state.base_n();
-        let total = base_n + state.total_inserts();
-        let mut id_map: Vec<Option<u32>> = vec![None; total];
-        let mut flat: Vec<f32> = Vec::new();
-        let mut assignments: Vec<usize> = Vec::new();
-        let mut next = 0u32;
-        // Ids ascending, a cursor per bin: the walk that laid the CSR out, so the
-        // cursor of id's bin stands on id's row.
-        let mut cursor = self.bin_offsets[..self.num_bins()].to_vec();
-        for (id, &b) in self.assignments.iter().enumerate() {
-            let local = cursor[b];
-            cursor[b] += 1;
-            if state.csr_deleted()[local] {
-                continue;
+        let live = self.ids.len() - state.csr_dead() + state.live_inserts();
+        let quantizer = self.quantizer();
+        let code_len = quantizer.map_or(0, |q| q.code_len());
+        let mut flat = Vec::with_capacity(live * dim);
+        let mut ids = Vec::with_capacity(live);
+        let mut codes = Vec::with_capacity(live * code_len);
+        let mut bin_offsets = Vec::with_capacity(self.num_bins() + 1);
+        bin_offsets.push(0);
+        for b in 0..self.num_bins() {
+            for run in self.candidate_runs(&[b], Some(&state), None) {
+                flat.extend_from_slice(run.rows);
+                ids.extend_from_slice(run.ids);
+                match (run.codes, quantizer) {
+                    (Some(run_codes), _) => codes.extend_from_slice(run_codes),
+                    (None, Some(q)) => {
+                        for row in run.rows.chunks_exact(dim) {
+                            let at = codes.len();
+                            codes.resize(at + code_len, 0);
+                            q.encode_into(row, &mut codes[at..]);
+                        }
+                    }
+                    (None, None) => {}
+                }
             }
-            id_map[id] = Some(next);
-            next += 1;
-            flat.extend_from_slice(self.flat.row(local));
-            assignments.push(b);
+            bin_offsets.push(ids.len());
         }
-        let mut merged_inserts = 0;
-        for (j, &(bin, row)) in state.insert_locs().iter().enumerate() {
-            let mb = state.membin(bin as usize);
-            if mb.deleted()[row as usize] {
-                continue;
-            }
-            id_map[base_n + j] = Some(next);
-            next += 1;
-            flat.extend_from_slice(mb.row(row as usize));
-            assignments.push(bin as usize);
-            merged_inserts += 1;
-        }
-        drop(state);
-        let live = next as usize;
-        let data = Matrix::from_vec(live, dim, flat);
         let report = CompactionReport {
             live_points: live,
-            merged_inserts,
-            dropped_tombstones: total - live,
-            id_map,
+            merged_inserts: state.live_inserts(),
+            dropped_tombstones: state.csr_dead() + state.dead_inserts(),
         };
-        let mut new = Self::from_parts(self.partitioner.clone(), &data, assignments, self.distance);
-        new.compaction_threshold = self.compaction_threshold;
-        let new = match &self.scoring {
-            ScoringMode::Exact => new,
+        let next_id = state.next_id();
+        drop(state);
+        let scoring = match &self.scoring {
+            ScoringMode::Exact => ScoringMode::Exact,
             ScoringMode::Compressed {
                 quantizer,
                 rerank_budget,
                 ..
-            } => new.with_scoring(Scoring::Compressed {
+            } => ScoringMode::Compressed {
                 quantizer: Arc::clone(quantizer),
+                codes,
                 rerank_budget: *rerank_budget,
-            }),
+            },
         };
+        let new = Self::from_csr(
+            self.partitioner.clone(),
+            self.distance,
+            bin_offsets,
+            ids,
+            Matrix::from_vec(live, dim, flat),
+            scoring,
+            next_id,
+        );
         (new, report)
     }
 
@@ -712,8 +691,9 @@ impl<P: Partitioner> PartitionIndex<P> {
     }
 
     /// Replays `wal` into `base` — a clean index over the last checkpointed point
-    /// set — rebuilding a delta bit-identical to the pre-crash in-memory state,
-    /// then re-attaches the log so serving can resume appending where it left off.
+    /// set, with its ids and its next id — rebuilding a delta bit-identical to the
+    /// pre-crash in-memory state, then re-attaches the log so serving can resume
+    /// appending where it left off.
     ///
     /// At most one torn tail record is tolerated (truncated in storage and
     /// reported); a checksum mismatch mid-log, an unknown record kind, a
@@ -813,6 +793,7 @@ impl<P: Partitioner> PartitionIndex<P> {
 mod tests {
     use super::*;
     use crate::partitioner::Partitioner;
+    use crate::wal::{MemStorage, SyncPolicy};
     use usp_linalg::kernel;
 
     /// A 1-D grid partitioner: bin = floor(x) clamped to [0, bins).
@@ -904,9 +885,9 @@ mod tests {
             Distance::SquaredEuclidean,
         );
         let q = [1.6f32];
-        let c1: std::collections::HashSet<u32> = idx.candidates(&q, 1).into_iter().collect();
-        let c2: std::collections::HashSet<u32> = idx.candidates(&q, 2).into_iter().collect();
-        let c4: std::collections::HashSet<u32> = idx.candidates(&q, 4).into_iter().collect();
+        let c1: std::collections::HashSet<u32> = idx.probe(&q, 1).1.into_iter().collect();
+        let c2: std::collections::HashSet<u32> = idx.probe(&q, 2).1.into_iter().collect();
+        let c4: std::collections::HashSet<u32> = idx.probe(&q, 4).1.into_iter().collect();
         assert!(c1.is_subset(&c2));
         assert!(c2.is_subset(&c4));
         assert_eq!(c4.len(), 20);
@@ -1096,7 +1077,8 @@ mod tests {
         );
         assert_eq!(idx.bucket(1), &[0, 1]);
         assert_eq!(idx.bucket(0), &[2, 3]);
-        assert_eq!(idx.assignments(), &[1, 1, 0, 0]);
+        let bins: Vec<_> = (0..5).map(|id| idx.bin_of(id)).collect();
+        assert_eq!(bins, [Some(1), Some(1), Some(0), Some(0), None]);
     }
 
     #[test]
@@ -1262,21 +1244,26 @@ mod tests {
         assert_eq!(report.live_points, 20); // 20 - 1 deleted + 2 inserted - 1 deleted
         assert_eq!(report.merged_inserts, 1);
         assert_eq!(report.dropped_tombstones, 2);
-        assert_eq!(report.id_map.len(), 22);
-        assert_eq!(report.id_map[7], None);
-        assert_eq!(report.id_map[a], None);
-        // Survivors keep ascending-id order: ids below 7 unchanged, above shifted.
-        assert_eq!(report.id_map[0], Some(0));
-        assert_eq!(report.id_map[8], Some(7));
-        let new_b = report.id_map[b].unwrap() as usize;
-        assert_eq!(new_b, 19);
-        // The merged insert is a first-class CSR point now.
-        assert_eq!(idx.search(&[3.73], 1, 1).ids, vec![new_b]);
-        // CSR invariants hold on the compacted arrays.
+        // Ids kept: the survivors are the old ids, the merged insert a CSR point.
+        let mut live = idx.local_to_global().to_vec();
+        live.sort_unstable();
+        let expect: Vec<u32> = (0..20).filter(|&id| id != 7).chain([b as u32]).collect();
+        assert_eq!(live, expect);
         assert_eq!(*idx.bin_offsets().last().unwrap(), 20);
-        let mut sorted = idx.local_to_global().to_vec();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..20).collect::<Vec<u32>>());
+        assert_eq!((idx.bin_of(b), idx.point(b)), (Some(3), &[3.72][..]));
+        assert_eq!(idx.point(8), data.row(8));
+        assert_eq!(idx.search(&[3.73], 1, 1).ids, vec![b]);
+        // Dropped ids stay dropped; the next insert takes a fresh id.
+        assert_eq!((idx.bin_of(7), idx.bin_of(a)), (None, None));
+        for gone in [7, a] {
+            assert_eq!(
+                idx.try_delete(gone),
+                Err(MutationError::AlreadyDeleted { id: gone })
+            );
+        }
+        assert_eq!(idx.insert(&[1.5]), 22);
+        assert_eq!(idx.try_delete(23), Err(MutationError::UnknownId { id: 23 }));
+        assert_eq!((idx.try_delete(b), idx.try_delete(22)), (Ok(()), Ok(())));
     }
 
     #[test]
@@ -1286,15 +1273,14 @@ mod tests {
         idx.delete(3);
         // Pre-compaction: the inserted point is found through the membin tail.
         assert_eq!(idx.search(&[2.6], 1, 1).ids, vec![id]);
-        let (idx, report) = idx.compacted();
+        let (idx, _) = idx.compacted();
         assert!(
             idx.quantizer().is_some(),
             "scoring mode survives compaction"
         );
         assert_eq!(idx.compressed_rerank_budget(), Some(1000));
-        let new_id = report.id_map[id].unwrap() as usize;
-        assert_eq!(idx.search(&[2.6], 1, 1).ids, vec![new_id]);
-        // The re-encoded code array mirrors the new CSR permutation.
+        assert_eq!(idx.search(&[2.6], 1, 1).ids, vec![id]);
+        // The code array mirrors the new CSR permutation, the insert's code included.
         for bin in 0..4 {
             let codes = idx.bin_codes(bin).unwrap();
             for (j, &pid) in idx.bucket(bin).iter().enumerate() {
@@ -1306,26 +1292,44 @@ mod tests {
 
     #[test]
     fn needs_compaction_thresholds_the_delta_fraction() {
-        let data = line_data(4, 5); // base_n = 20
+        let data = line_data(4, 5); // 20 base rows: fires at delta >= 2
         let idx = PartitionIndex::build(
             GridPartitioner { bins: 4 },
             &data,
             Distance::SquaredEuclidean,
-        )
-        .with_compaction_threshold(0.2); // fires at delta >= 4
+        );
         assert!(!idx.needs_compaction());
         idx.insert(&[1.0]);
-        idx.insert(&[2.0]);
-        idx.delete(0);
         assert!(!idx.needs_compaction());
+        idx.delete(0);
         let stats = idx.mutation_stats();
         assert_eq!(
             (stats.base_points, stats.inserts, stats.tombstones),
-            (20, 2, 1)
+            (20, 1, 1)
         );
-        assert!((stats.delta_fraction - 0.15).abs() < 1e-12);
-        idx.delete(1);
+        assert!((stats.delta_fraction - 0.1).abs() < 1e-12);
         assert!(idx.needs_compaction());
+    }
+
+    #[test]
+    fn an_insert_past_the_id_space_is_refused_before_the_log() {
+        let storage = MemStorage::new();
+        let mut idx = PartitionIndex::build(
+            GridPartitioner { bins: 4 },
+            &line_data(4, 5),
+            Distance::SquaredEuclidean,
+        )
+        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord));
+        // Every u32 id issued: the next insert has none to take.
+        *idx.mutation.get_mut().unwrap() = MutationState::new(1, 20, 4, 1 << 32);
+        let before = storage.contents();
+        assert_eq!(idx.try_insert(&[1.5]), Err(MutationError::IdSpaceExhausted));
+        assert_eq!(
+            storage.contents(),
+            before,
+            "a refused insert reached the log"
+        );
+        assert!(!idx.is_mutated());
     }
 
     #[test]
@@ -1378,7 +1382,7 @@ mod proptests {
             prop_assert_eq!(sorted, (0..n as u32).collect::<Vec<u32>>());
 
             for (local, &global) in idx.local_to_global().iter().enumerate() {
-                let b = idx.assignments()[global as usize];
+                let b = idx.bin_of(global as usize).unwrap();
                 let start = idx.bin_offsets()[b];
                 let row = &idx.bin_rows(b)[(local - start) * dim..(local - start + 1) * dim];
                 prop_assert_eq!(row, data.row(global as usize));

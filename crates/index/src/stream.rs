@@ -5,7 +5,8 @@
 //! walked. [`PartitionIndex::candidate_runs`] produces it as contiguous [`Run`]s in
 //! stream order: per probed bin, the live CSR rows in bucket order, then the bin's
 //! live membin rows in insertion order (DESIGN.md §2.4). A clean index is simply the
-//! stream whose runs are whole bins and whose membin tails are empty.
+//! stream whose runs are whole bins and whose membin tails are empty, and compaction
+//! ([`PartitionIndex::compacted`]) writes each bin's stream down as its new bin.
 //!
 //! A [`Consumer`] scores a query's whole stream in one [`Consumer::scan`], in one of
 //! two ways, both through [`usp_linalg::kernel`] only:

@@ -159,6 +159,7 @@ pub enum WalRecord {
     Insert {
         row: Vec<f32>,
     },
+    /// Names a stable id: the same point before and after any compaction.
     Delete {
         id: u64,
     },

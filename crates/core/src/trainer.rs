@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use usp_data::KnnMatrix;
 use usp_index::{PartitionIndex, Partitioner};
 use usp_linalg::{rng as lrng, Distance, Matrix};
-use usp_nn::{Adam, Optimizer};
+use usp_nn::Adam;
 
 use crate::config::UspConfig;
 use crate::loss::{neighbor_bin_targets, unsupervised_loss, LossValue};
@@ -172,7 +172,7 @@ pub fn train_partitioner(
 /// distinct neighbour is forwarded once and its bin copied to every slot that names it.
 pub fn train_step(
     model: &mut PartitionModel,
-    optimizer: &mut impl Optimizer,
+    optimizer: &mut Adam,
     data: &Matrix,
     knn: &KnnMatrix,
     batch: &[usize],
@@ -195,7 +195,7 @@ pub fn train_step(
     );
     let batch_weights: Option<Vec<f32>> = weights.map(|w| batch.iter().map(|&i| w[i]).collect());
 
-    let logits = model.network_mut().forward(&data.select_rows(batch), true);
+    let logits = model.network_mut().forward(&data.select_rows(batch));
     let (value, dlogits) =
         unsupervised_loss(&logits, &targets, batch_weights.as_deref(), config.eta);
     model.network_mut().zero_grad();
@@ -269,7 +269,7 @@ mod tests {
                 );
                 let batch_weights: Option<Vec<f32>> =
                     weights.map(|w| chunk.iter().map(|&i| w[i]).collect());
-                let logits = model.network_mut().forward(&data.select_rows(chunk), true);
+                let logits = model.network_mut().forward(&data.select_rows(chunk));
                 let (value, dlogits) =
                     unsupervised_loss(&logits, &targets, batch_weights.as_deref(), config.eta);
                 model.network_mut().zero_grad();

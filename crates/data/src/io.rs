@@ -4,13 +4,16 @@
 //! * `.ivecs` — same layout with `i32` components (used for ground-truth files);
 //! * `.bvecs` — `i32` dimension followed by `dim` bytes (SIFT1B descriptors).
 //!
-//! When the real SIFT/MNIST files are present these loaders let the experiments run on
-//! them unchanged; otherwise the synthetic generators in [`crate::synthetic`] are used.
+//! No experiment opens a file yet: the experiments run on the synthetic generators in
+//! [`crate::synthetic`], and these readers are for the real SIFT/MNIST files of ROADMAP
+//! items 3(2) and 14(1). All three formats go through one streaming record walker, so a
+//! file is never resident beside the matrix parsed from it and a `limit` stops reading at
+//! its last record.
 
-use std::io::{self, Read, Write};
+use std::fs::File;
+use std::io::{self, BufReader, Read};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, BytesMut};
 use usp_linalg::Matrix;
 
 /// Errors produced by the vector-file readers.
@@ -39,168 +42,167 @@ impl From<io::Error> for IoError {
     }
 }
 
-/// Parses an fvecs byte buffer into a matrix. `limit` caps the number of vectors read.
-pub fn parse_fvecs(bytes: &[u8], limit: Option<usize>) -> Result<Matrix, IoError> {
-    let mut buf = bytes;
-    let (mut flat, mut rows) = (Vec::new(), 0usize);
-    let mut dim: Option<usize> = None;
+/// The record walker: reads `i32` headers and `d × width`-byte bodies until the stream
+/// ends cleanly or `limit` records are read, and returns the record count. `dim` turns a
+/// header into `d` or refuses it; `body` decodes one record. Reading never runs past the
+/// last record it returns, and a body grows only as its bytes arrive, so a lying header
+/// cannot make it allocate.
+fn walk_records(
+    mut r: impl Read,
+    limit: Option<usize>,
+    width: usize,
+    mut dim: impl FnMut(i32) -> Result<usize, IoError>,
+    mut body: impl FnMut(&[u8]) -> Result<(), IoError>,
+) -> Result<usize, IoError> {
+    let (mut buf, mut rows) = (Vec::new(), 0usize);
     while limit.is_none_or(|l| rows < l) {
-        match buf.remaining() {
+        buf.clear();
+        match r.by_ref().take(4).read_to_end(&mut buf)? {
             0 => break,
-            n @ 1..=3 => {
+            4 => {}
+            n => {
                 return Err(IoError::Format(format!(
                     "{n} trailing byte(s) after the last record"
                 )))
             }
-            _ => {}
         }
-        let d = buf.get_i32_le();
-        if d <= 0 {
-            return Err(IoError::Format(format!("non-positive dimension {d}")));
-        }
-        let d = d as usize;
-        match dim {
-            None => dim = Some(d),
-            Some(prev) if prev != d => {
-                return Err(IoError::Format(format!(
-                    "inconsistent dimensions {prev} vs {d}"
-                )))
-            }
-            _ => {}
-        }
-        if buf.remaining() < 4 * d {
+        let d = dim(i32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]))?;
+        let len = d as u64 * width as u64;
+        buf.clear();
+        if (r.by_ref().take(len).read_to_end(&mut buf)? as u64) < len {
             return Err(IoError::Format("truncated vector record".into()));
         }
-        flat.extend((0..d).map(|_| buf.get_f32_le()));
+        body(&buf)?;
         rows += 1;
-    }
-    Ok(Matrix::from_vec(rows, dim.unwrap_or(0), flat))
-}
-
-/// Serialises a matrix to fvecs bytes.
-pub fn write_fvecs_bytes(m: &Matrix) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(m.rows() * (4 + 4 * m.cols()));
-    for row in m.row_iter() {
-        buf.put_i32_le(m.cols() as i32);
-        for &v in row {
-            buf.put_f32_le(v);
-        }
-    }
-    buf.to_vec()
-}
-
-/// Parses an ivecs byte buffer into integer neighbour lists.
-pub fn parse_ivecs(bytes: &[u8], limit: Option<usize>) -> Result<Vec<Vec<u32>>, IoError> {
-    let mut buf = bytes;
-    let mut rows = Vec::new();
-    while limit.is_none_or(|l| rows.len() < l) {
-        match buf.remaining() {
-            0 => break,
-            n @ 1..=3 => {
-                return Err(IoError::Format(format!(
-                    "{n} trailing byte(s) after the last record"
-                )))
-            }
-            _ => {}
-        }
-        let d = buf.get_i32_le();
-        if d < 0 {
-            return Err(IoError::Format(format!("negative dimension {d}")));
-        }
-        let d = d as usize;
-        if buf.remaining() < 4 * d {
-            return Err(IoError::Format("truncated ivecs record".into()));
-        }
-        let mut row = Vec::with_capacity(d);
-        for _ in 0..d {
-            let id = buf.get_i32_le();
-            row.push(
-                u32::try_from(id)
-                    .map_err(|_| IoError::Format(format!("negative component {id}")))?,
-            );
-        }
-        rows.push(row);
     }
     Ok(rows)
 }
 
-/// Serialises integer neighbour lists to ivecs bytes.
-pub fn write_ivecs_bytes(rows: &[Vec<u32>]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    for row in rows {
-        buf.put_i32_le(row.len() as i32);
+/// `.fvecs` / `.bvecs`: every dimension positive and equal to the first; each
+/// `width`-byte component goes through `decode`.
+fn read_matrix(
+    r: impl Read,
+    limit: Option<usize>,
+    width: usize,
+    decode: impl Fn(&[u8]) -> f32,
+) -> Result<Matrix, IoError> {
+    let (mut flat, mut dim) = (Vec::new(), None);
+    let rows = walk_records(
+        r,
+        limit,
+        width,
+        |d| {
+            if d <= 0 {
+                return Err(IoError::Format(format!("non-positive dimension {d}")));
+            }
+            let d = d as usize;
+            match *dim.get_or_insert(d) {
+                prev if prev != d => Err(IoError::Format(format!(
+                    "inconsistent dimensions {prev} vs {d}"
+                ))),
+                _ => Ok(d),
+            }
+        },
+        |body| {
+            flat.extend(body.chunks_exact(width).map(&decode));
+            Ok(())
+        },
+    )?;
+    Ok(Matrix::from_vec(rows, dim.unwrap_or(0), flat))
+}
+
+fn read_fvecs_from(r: impl Read, limit: Option<usize>) -> Result<Matrix, IoError> {
+    read_matrix(r, limit, 4, |c| {
+        f32::from_le_bytes([c[0], c[1], c[2], c[3]])
+    })
+}
+
+fn read_bvecs_from(r: impl Read, limit: Option<usize>) -> Result<Matrix, IoError> {
+    read_matrix(r, limit, 1, |c| c[0] as f32)
+}
+
+/// `.ivecs`: ragged rows (a dimension of 0 is an empty row), non-negative components.
+fn read_ivecs_from(r: impl Read, limit: Option<usize>) -> Result<Vec<Vec<u32>>, IoError> {
+    let mut rows = Vec::new();
+    walk_records(
+        r,
+        limit,
+        4,
+        |d| usize::try_from(d).map_err(|_| IoError::Format(format!("negative dimension {d}"))),
+        |body| {
+            let row = body
+                .chunks_exact(4)
+                .map(|c| {
+                    let id = i32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+                    u32::try_from(id)
+                        .map_err(|_| IoError::Format(format!("negative component {id}")))
+                })
+                .collect::<Result<_, _>>()?;
+            rows.push(row);
+            Ok(())
+        },
+    )?;
+    Ok(rows)
+}
+
+/// Parses an fvecs byte buffer into a matrix. `limit` caps the number of vectors read.
+pub fn parse_fvecs(bytes: &[u8], limit: Option<usize>) -> Result<Matrix, IoError> {
+    read_fvecs_from(bytes, limit)
+}
+
+/// Serialises a matrix to fvecs bytes.
+pub fn write_fvecs_bytes(m: &Matrix) -> Vec<u8> {
+    let mut out = Vec::with_capacity(m.rows() * (4 + 4 * m.cols()));
+    for row in m.row_iter() {
+        out.extend_from_slice(&(m.cols() as i32).to_le_bytes());
         for &v in row {
-            buf.put_i32_le(v as i32);
+            out.extend_from_slice(&v.to_le_bytes());
         }
     }
-    buf.to_vec()
+    out
+}
+
+/// Parses an ivecs byte buffer into integer neighbour lists.
+pub fn parse_ivecs(bytes: &[u8], limit: Option<usize>) -> Result<Vec<Vec<u32>>, IoError> {
+    read_ivecs_from(bytes, limit)
+}
+
+/// Serialises integer neighbour lists to ivecs bytes.
+pub fn write_ivecs_bytes(rows: &[Vec<u32>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for row in rows {
+        out.extend_from_slice(&(row.len() as i32).to_le_bytes());
+        for &v in row {
+            out.extend_from_slice(&(v as i32).to_le_bytes());
+        }
+    }
+    out
 }
 
 /// Parses a bvecs buffer (byte-quantised vectors) into a float matrix.
 pub fn parse_bvecs(bytes: &[u8], limit: Option<usize>) -> Result<Matrix, IoError> {
-    let mut buf = bytes;
-    let (mut flat, mut rows) = (Vec::new(), 0usize);
-    let mut dim: Option<usize> = None;
-    while limit.is_none_or(|l| rows < l) {
-        match buf.remaining() {
-            0 => break,
-            n @ 1..=3 => {
-                return Err(IoError::Format(format!(
-                    "{n} trailing byte(s) after the last record"
-                )))
-            }
-            _ => {}
-        }
-        let d = buf.get_i32_le();
-        if d <= 0 {
-            return Err(IoError::Format(format!("non-positive dimension {d}")));
-        }
-        let d = d as usize;
-        // Ragged records must be an error, not a mis-shaped `Matrix`.
-        match dim {
-            None => dim = Some(d),
-            Some(prev) if prev != d => {
-                return Err(IoError::Format(format!(
-                    "inconsistent dimensions {prev} vs {d}"
-                )))
-            }
-            _ => {}
-        }
-        if buf.remaining() < d {
-            return Err(IoError::Format("truncated bvecs record".into()));
-        }
-        flat.extend((0..d).map(|_| buf.get_u8() as f32));
-        rows += 1;
-    }
-    Ok(Matrix::from_vec(rows, dim.unwrap_or(0), flat))
+    read_bvecs_from(bytes, limit)
 }
 
 /// Reads an fvecs file from disk.
 pub fn read_fvecs(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Matrix, IoError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    parse_fvecs(&bytes, limit)
+    read_fvecs_from(BufReader::new(File::open(path)?), limit)
 }
 
 /// Writes a matrix as an fvecs file.
 pub fn write_fvecs(path: impl AsRef<Path>, m: &Matrix) -> Result<(), IoError> {
-    let bytes = write_fvecs_bytes(m);
-    std::fs::File::create(path)?.write_all(&bytes)?;
+    std::fs::write(path, write_fvecs_bytes(m))?;
     Ok(())
 }
 
 /// Reads an ivecs file from disk.
 pub fn read_ivecs(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Vec<Vec<u32>>, IoError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    parse_ivecs(&bytes, limit)
+    read_ivecs_from(BufReader::new(File::open(path)?), limit)
 }
 
 /// Reads a bvecs file from disk.
 pub fn read_bvecs(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Matrix, IoError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    parse_bvecs(&bytes, limit)
+    read_bvecs_from(BufReader::new(File::open(path)?), limit)
 }
 
 #[cfg(test)]
@@ -362,6 +364,62 @@ mod tests {
         let back = read_fvecs(&path, None).unwrap();
         assert_eq!(m, back);
         std::fs::remove_file(&path).ok();
+
+        // 300 records of 37 components: records straddle `BufReader`'s 8 KiB buffer.
+        let (n, d) = (300usize, 37usize);
+        let ids: Vec<Vec<u32>> = (0..n)
+            .map(|i| (0..d).map(|j| (i * d + j) as u32 * 7919).collect())
+            .collect();
+        let path = dir.join("neighbours.ivecs");
+        std::fs::write(&path, write_ivecs_bytes(&ids)).unwrap();
+        assert_eq!(read_ivecs(&path, None).unwrap(), ids);
+        assert_eq!(read_ivecs(&path, Some(111)).unwrap(), ids[..111]);
+        std::fs::remove_file(&path).ok();
+
+        let codes: Vec<u8> = (0..n * d).map(|i| (i * 31 % 256) as u8).collect();
+        let mut bvecs = Vec::new();
+        for row in codes.chunks_exact(d) {
+            bvecs.extend((d as i32).to_le_bytes());
+            bvecs.extend(row);
+        }
+        let path = dir.join("codes.bvecs");
+        std::fs::write(&path, bvecs).unwrap();
+        let want = Matrix::from_vec(n, d, codes.iter().map(|&b| b as f32).collect());
+        assert_eq!(read_bvecs(&path, None).unwrap(), want);
+        let head = read_bvecs(&path, Some(222)).unwrap();
+        assert_eq!(head.rows(), 222);
+        assert_eq!(head.row(221), want.row(221));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A reader that counts the bytes it hands out.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_limited_read_stops_at_its_last_record() {
+        let (rows, d) = (50usize, 37usize);
+        let m = Matrix::from_vec(rows, d, (0..rows * d).map(|x| x as f32).collect());
+        let bytes = write_fvecs_bytes(&m);
+        for n in [0usize, 1, 7, rows] {
+            let mut r = Counting {
+                inner: &bytes[..],
+                read: 0,
+            };
+            let back = read_fvecs_from(&mut r, Some(n)).unwrap();
+            assert_eq!(back.rows(), n);
+            assert_eq!(r.read, n * (4 + 4 * d), "limit {n}");
+        }
     }
 }
 

@@ -9,8 +9,8 @@
 //! * [`synthetic`] — seeded generators: clustered high-dimensional data standing in for
 //!   SIFT/MNIST (`sift_like`, `mnist_like`), plus `moons`, `circles`, `blobs` and
 //!   `classification` used by the clustering experiments (Table 5);
-//! * [`io`] — fvecs/ivecs/bvecs readers and writers so the real ann-benchmarks files can be
-//!   dropped in when available;
+//! * [`io`] — fvecs/ivecs/bvecs readers and writers for the real ann-benchmarks files
+//!   (no experiment reads one yet; ROADMAP items 3(2) and 14(1) bring them in);
 //! * [`ground_truth`] — exact (brute-force, parallel) k-NN computation and the k′-NN matrix
 //!   that is the paper's only preprocessing step (§4.2.1), both on the streaming scan
 //!   the index itself runs (`usp_linalg::kernel::SegmentedScan`).

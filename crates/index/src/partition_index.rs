@@ -1319,7 +1319,7 @@ mod tests {
             &line_data(4, 5),
             Distance::SquaredEuclidean,
         )
-        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord));
+        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryN(1)));
         // Every u32 id issued: the next insert has none to take.
         *idx.mutation.get_mut().unwrap() = MutationState::new(1, 20, 4, 1 << 32);
         let before = storage.contents();

@@ -33,9 +33,9 @@
 //!
 //! # Durability contract
 //!
-//! [`SyncPolicy`] decides when appends reach stable storage: `EveryRecord` syncs
-//! before the ack (no acked mutation can be lost), `EveryN(n)` bounds the loss
-//! window to `n - 1` acked records, `OnFlush` leaves syncing to explicit
+//! [`SyncPolicy`] decides when appends reach stable storage: `EveryN(n)` bounds the
+//! loss window to `n - 1` acked records, so `EveryN(1)` syncs before every ack (no
+//! acked mutation can be lost), and `OnFlush` leaves syncing to explicit
 //! [`Wal::flush`] calls. After *any* append, sync or replace failure the log
 //! poisons itself and refuses further appends ([`WalError::Poisoned`]): a failed
 //! fsync says nothing about which dirty pages survived (the "fsyncgate" lesson), so
@@ -584,9 +584,8 @@ impl WalStorage for MemStorage {
 /// module docs for the exact loss-window contract of each policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Sync before every ack: no acked mutation is ever lost.
-    EveryRecord,
-    /// Sync every `n` appends: at most `n - 1` acked records at risk.
+    /// Sync every `n` appends: at most `n - 1` acked records at risk; `EveryN(1)` syncs
+    /// before every ack, so no acked mutation is ever lost.
     EveryN(usize),
     /// Sync only on explicit [`Wal::flush`]: fastest, weakest.
     OnFlush,
@@ -674,7 +673,6 @@ impl Wal {
         self.stats.bytes += bytes.len() as u64;
         self.unsynced += 1;
         let due = match self.policy {
-            SyncPolicy::EveryRecord => true,
             SyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
             SyncPolicy::OnFlush => false,
         };
@@ -865,7 +863,7 @@ mod tests {
     fn short_writes_poison_the_log_and_leave_a_recoverable_torn_tail() {
         let storage = MemStorage::new();
         let handle = storage.clone();
-        let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryRecord);
+        let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryN(1));
         wal.append(&WalRecord::Delete { id: 1 })
             .expect("first append lands");
         handle.set_plan(FaultPlan {
@@ -888,7 +886,7 @@ mod tests {
             "failed appends are not counted as acked"
         );
         // The surviving image is record 1 plus 5 torn bytes; recovery truncates.
-        let mut wal = Wal::new(Box::new(handle.clone()), SyncPolicy::EveryRecord);
+        let mut wal = Wal::new(Box::new(handle.clone()), SyncPolicy::EveryN(1));
         let recs = wal.read_for_recovery().expect("torn tail recovers");
         assert_eq!(recs, vec![WalRecord::Delete { id: 1 }]);
         assert_eq!(wal.stats().torn_tail_bytes, 5);
@@ -927,7 +925,7 @@ mod tests {
             fail_syncs: 1,
             ..Default::default()
         });
-        let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryRecord);
+        let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryN(1));
         let err = wal
             .append(&WalRecord::Delete { id: 1 })
             .expect_err("sync fails");
@@ -949,7 +947,7 @@ mod tests {
     #[test]
     fn a_failed_checkpoint_poisons_until_one_succeeds() {
         let storage = MemStorage::new();
-        let mut wal = Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord);
+        let mut wal = Wal::new(Box::new(storage.clone()), SyncPolicy::EveryN(1));
         wal.append(&WalRecord::Delete { id: 1 })
             .expect("a healthy append");
         storage.set_plan(FaultPlan {
@@ -1022,7 +1020,7 @@ mod tests {
         let path = dir.join("index.wal");
         {
             let storage = FileStorage::open(&path).expect("open creates");
-            let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryRecord);
+            let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryN(1));
             wal.append(&WalRecord::Insert {
                 row: vec![1.5, 2.5],
             })
@@ -1035,7 +1033,7 @@ mod tests {
             f.write_all(&[0xAB, 0xCD, 0xEF]).expect("tear");
         }
         let storage = FileStorage::open(&path).expect("reopen");
-        let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryRecord);
+        let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryN(1));
         let recs = wal
             .read_for_recovery()
             .expect("recovery truncates the tear");
@@ -1057,14 +1055,14 @@ mod tests {
         // Checkpoint: the log becomes exactly one checkpoint record, via rename.
         wal.checkpoint(4).expect("checkpoint");
         let storage = FileStorage::open(&path).expect("reopen after rename");
-        let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryRecord);
+        let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryN(1));
         let recs = wal.read_for_recovery().expect("fresh image parses");
         assert_eq!(recs, vec![WalRecord::CompactionCheckpoint { epoch: 4 }]);
         // Appends after recovery land *after* the checkpoint record.
         wal.append(&WalRecord::Delete { id: 2 })
             .expect("append after checkpoint");
         let storage = FileStorage::open(&path).expect("reopen");
-        let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryRecord);
+        let mut wal = Wal::new(Box::new(storage), SyncPolicy::EveryN(1));
         assert_eq!(wal.read_for_recovery().expect("parses").len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }

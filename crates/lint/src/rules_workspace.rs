@@ -107,7 +107,6 @@ const HARNESS_DEPS: &[&str] = &[
 /// depend on workspace crates, and a new name here means a new shim was
 /// vendored — which is a DESIGN-level decision, not a `Cargo.toml` edit.
 const VENDOR_DEPS: &[(&str, &[&str])] = &[
-    ("bytes", &[]),
     ("criterion", &[]),
     ("mio", &[]),
     ("proptest", &["rand"]),

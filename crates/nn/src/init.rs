@@ -4,7 +4,7 @@
 //! (§5.2, citing Glorot & Bengio 2010).
 
 use rand::Rng;
-use usp_linalg::{rng as lrng, Matrix};
+use usp_linalg::Matrix;
 
 /// Glorot-uniform initialisation for a weight matrix of shape `(fan_out, fan_in)`.
 ///
@@ -18,16 +18,10 @@ pub fn glorot_uniform<R: Rng + ?Sized>(rng: &mut R, fan_out: usize, fan_in: usiz
     Matrix::from_vec(fan_out, fan_in, data)
 }
 
-/// Glorot-normal initialisation (std = sqrt(2 / (fan_in + fan_out))).
-pub fn glorot_normal<R: Rng + ?Sized>(rng: &mut R, fan_out: usize, fan_in: usize) -> Matrix {
-    let std = (2.0f32 / (fan_in + fan_out) as f32).sqrt();
-    lrng::normal_matrix(rng, fan_out, fan_in, std)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usp_linalg::stats;
+    use usp_linalg::{rng as lrng, stats};
 
     #[test]
     fn glorot_uniform_respects_limit() {
@@ -37,18 +31,6 @@ mod tests {
         assert!(w.as_slice().iter().all(|&x| x.abs() <= limit + 1e-6));
         // Mean close to zero.
         assert!(stats::mean(w.as_slice()).abs() < 0.02);
-    }
-
-    #[test]
-    fn glorot_normal_has_expected_std() {
-        let mut rng = lrng::seeded(2);
-        let w = glorot_normal(&mut rng, 100, 100);
-        let expected = (2.0f32 / 200.0).sqrt();
-        let got = stats::std_dev(w.as_slice());
-        assert!(
-            (got - expected).abs() < expected * 0.1,
-            "std {got} vs {expected}"
-        );
     }
 
     #[test]

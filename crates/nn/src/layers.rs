@@ -50,10 +50,8 @@ impl Linear {
         out
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if train {
-            self.input = Some(x.clone());
-        }
+    fn forward(&mut self, x: &Matrix) -> Matrix {
+        self.input = Some(x.clone());
         self.forward_eval(x)
     }
 
@@ -88,10 +86,8 @@ impl ReLU {
         Self::default()
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if train {
-            self.mask = Some(x.as_slice().iter().map(|&v| v > 0.0).collect());
-        }
+    fn forward(&mut self, x: &Matrix) -> Matrix {
+        self.mask = Some(x.as_slice().iter().map(|&v| v > 0.0).collect());
         x.map(|v| v.max(0.0))
     }
 
@@ -167,9 +163,10 @@ impl BatchNorm1d {
         out
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
         let (n, f) = x.shape();
-        if !(train && n > 1) {
+        if n <= 1 {
+            // One row has no batch statistics: normalise with the running ones.
             return self.forward_eval(x);
         }
         let mut out = Matrix::zeros(n, f);
@@ -268,8 +265,8 @@ impl Dropout {
         }
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if !train || self.p == 0.0 {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
+        if self.p == 0.0 {
             self.mask = None;
             return x.clone();
         }
@@ -323,13 +320,14 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Forward pass. `train` enables caching, batch statistics and dropout.
-    pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+    /// Training forward pass: caches what [`Layer::backward`] needs, uses and updates
+    /// batch statistics, and applies dropout.
+    pub fn forward(&mut self, x: &Matrix) -> Matrix {
         match self {
-            Layer::Linear(l) => l.forward(x, train),
-            Layer::ReLU(l) => l.forward(x, train),
-            Layer::BatchNorm(l) => l.forward(x, train),
-            Layer::Dropout(l) => l.forward(x, train),
+            Layer::Linear(l) => l.forward(x),
+            Layer::ReLU(l) => l.forward(x),
+            Layer::BatchNorm(l) => l.forward(x),
+            Layer::Dropout(l) => l.forward(x),
         }
     }
 
@@ -419,7 +417,7 @@ mod tests {
         l.weight = Matrix::from_vec(3, 2, vec![1., 0., 0., 1., 1., 1.]);
         l.bias = vec![0.5, -0.5, 0.0];
         let x = Matrix::from_vec(1, 2, vec![2.0, 3.0]);
-        let y = l.forward(&x, false);
+        let y = l.forward_eval(&x);
         assert_eq!(y.row(0), &[2.5, 2.5, 5.0]);
     }
 
@@ -429,7 +427,7 @@ mod tests {
         let mut l = Linear::new(3, 2, &mut rng);
         let x = lrng::normal_matrix(&mut rng, 4, 3, 1.0);
         // Loss = sum of outputs; dL/dout = ones.
-        let out = l.forward(&x, true);
+        let out = l.forward(&x);
         let dout = Matrix::full(out.rows(), out.cols(), 1.0);
         let dx = l.backward(&dout);
 
@@ -457,7 +455,7 @@ mod tests {
     fn relu_masks_negative_values() {
         let mut relu = ReLU::new();
         let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -3.0]);
-        let y = relu.forward(&x, true);
+        let y = relu.forward(&x);
         assert_eq!(y.row(0), &[0.0, 0.0, 2.0, 0.0]);
         let dout = Matrix::full(1, 4, 1.0);
         let dx = relu.backward(&dout);
@@ -468,7 +466,7 @@ mod tests {
     fn batchnorm_normalises_training_batch() {
         let mut bn = BatchNorm1d::new(2);
         let x = Matrix::from_vec(4, 2, vec![1., 10., 2., 20., 3., 30., 4., 40.]);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         // Each output column must have ~zero mean and ~unit variance.
         let means = y.col_means();
         assert!(means.iter().all(|m| m.abs() < 1e-4));
@@ -487,10 +485,10 @@ mod tests {
         // Alternating 4/6 batch: mean 5, variance 1.
         let x = Matrix::from_vec(8, 1, vec![4.0, 6.0, 4.0, 6.0, 4.0, 6.0, 4.0, 6.0]);
         for _ in 0..50 {
-            let _ = bn.forward(&x, true);
+            let _ = bn.forward(&x);
         }
         // At eval time a constant input near the running mean maps near beta (=0).
-        let y = bn.forward(&Matrix::from_vec(1, 1, vec![5.0]), false);
+        let y = bn.forward_eval(&Matrix::from_vec(1, 1, vec![5.0]));
         assert!(y[(0, 0)].abs() < 0.2, "eval output {}", y[(0, 0)]);
     }
 
@@ -499,7 +497,7 @@ mod tests {
         // For loss = sum(y), dL/dx of batchnorm must be ~0 (shift invariance).
         let mut bn = BatchNorm1d::new(3);
         let x = lrng::normal_matrix(&mut rng(), 16, 3, 2.0);
-        let _ = bn.forward(&x, true);
+        let _ = bn.forward(&x);
         let dout = Matrix::full(16, 3, 1.0);
         let dx = bn.backward(&dout);
         assert!(dx.as_slice().iter().all(|&g| g.abs() < 1e-3));
@@ -511,8 +509,8 @@ mod tests {
     fn dropout_eval_is_identity_and_train_scales() {
         let mut d = Dropout::new(0.5, 7);
         let x = Matrix::full(64, 8, 1.0);
-        assert_eq!(d.forward(&x, false), x);
-        let y = d.forward(&x, true);
+        assert_eq!(Layer::Dropout(d.clone()).forward_eval(&x), x);
+        let y = d.forward(&x);
         let kept = y.as_slice().iter().filter(|&&v| v > 0.0).count();
         // Roughly half the units survive, each scaled by 2.
         assert!((kept as f32 / 512.0 - 0.5).abs() < 0.1);
@@ -542,7 +540,7 @@ mod tests {
         let mut rng = rng();
         let mut layer = Layer::Linear(Linear::new(3, 2, &mut rng));
         let x = Matrix::full(2, 3, 1.0);
-        let _ = layer.forward(&x, true);
+        let _ = layer.forward(&x);
         let _ = layer.backward(&Matrix::full(2, 2, 1.0));
         let mut any_nonzero = false;
         layer.visit_params(&mut |_, g| any_nonzero |= g.iter().any(|&v| v != 0.0));

@@ -8,7 +8,7 @@
 //! * [`layers`] — `Linear`, `ReLU`, `BatchNorm1d`, `Dropout` and the [`layers::Layer`] enum;
 //! * [`mlp`] — the [`mlp::Sequential`] container plus builders for the paper's two
 //!   architectures ([`mlp::MlpConfig`] and [`mlp::logistic_regression`]);
-//! * [`optim`] — SGD and Adam;
+//! * [`optim`] — Adam;
 //! * [`loss`] — softmax cross-entropy against *soft* targets (the quality cost of the
 //!   paper's loss needs a distribution target, Eq. 10), with per-example weights for the
 //!   ensembling scheme (Eq. 14);
@@ -25,4 +25,4 @@ pub mod optim;
 
 pub use layers::Layer;
 pub use mlp::{logistic_regression, MlpConfig, Sequential};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;

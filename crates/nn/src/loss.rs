@@ -70,22 +70,6 @@ pub fn cross_entropy_with_labels(logits: &Matrix, labels: &[usize]) -> (f32, Mat
     weighted_soft_cross_entropy(logits, &targets, None)
 }
 
-/// Mean squared error, returning `(loss, gradient)` — used in tests and by the
-/// quantization crate's codebook diagnostics.
-pub fn mse(predictions: &Matrix, targets: &Matrix) -> (f32, Matrix) {
-    assert_eq!(predictions.shape(), targets.shape(), "mse: shape mismatch");
-    let n = predictions.as_slice().len().max(1) as f32;
-    let mut grad = predictions.clone();
-    let mut loss = 0.0f32;
-    for (g, &t) in grad.as_mut_slice().iter_mut().zip(targets.as_slice()) {
-        let diff = *g - t;
-        // lint:allow(scoring-outside-kernel): training loss, not an online scoring path
-        loss += diff * diff;
-        *g = 2.0 * diff / n;
-    }
-    (loss / n, grad)
-}
-
 /// Classification accuracy of logits against hard labels.
 pub fn accuracy(logits: &Matrix, labels: &[usize]) -> f32 {
     if labels.is_empty() {
@@ -179,15 +163,6 @@ mod tests {
         let (l2, g2) = weighted_soft_cross_entropy(&logits, &targets, None);
         assert!((l1 - l2).abs() < 1e-6);
         assert_eq!(g1, g2);
-    }
-
-    #[test]
-    fn mse_known_value_and_gradient() {
-        let p = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let t = Matrix::from_vec(1, 2, vec![0.0, 0.0]);
-        let (loss, grad) = mse(&p, &t);
-        assert!((loss - 2.5).abs() < 1e-6);
-        assert_eq!(grad.row(0), &[1.0, 2.0]);
     }
 
     #[test]

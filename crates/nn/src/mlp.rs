@@ -30,31 +30,25 @@ impl Sequential {
         &self.layers
     }
 
-    /// Forward pass producing logits. `train = true` enables dropout, batch statistics and
-    /// the activation caches needed by [`Sequential::backward`].
-    pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+    /// Training forward pass producing logits: dropout, batch statistics and the
+    /// activation caches needed by [`Sequential::backward`].
+    pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return x.clone();
         };
-        let h = first.forward(x, train);
-        rest.iter_mut().fold(h, |h, layer| layer.forward(&h, train))
+        let h = first.forward(x);
+        rest.iter_mut().fold(h, |h, layer| layer.forward(&h))
     }
 
-    /// Inference-only forward pass through a shared reference: no caching, no batch-stat
-    /// updates, dropout disabled. Equivalent to `forward(x, false)` but usable from the
-    /// query path of an index, which only holds `&self`.
+    /// Inference forward pass through a shared reference: no caching, no batch-stat
+    /// updates, dropout disabled — usable from the query path of an index, which only
+    /// holds `&self`.
     pub fn forward_eval(&self, x: &Matrix) -> Matrix {
         let Some((first, rest)) = self.layers.split_first() else {
             return x.clone();
         };
         let h = first.forward_eval(x);
         rest.iter().fold(h, |h, layer| layer.forward_eval(&h))
-    }
-
-    /// Convenience: forward pass followed by a row-wise softmax (no caching).
-    pub fn predict_proba(&mut self, x: &Matrix) -> Matrix {
-        let logits = self.forward(x, false);
-        stats::softmax_rows(&logits)
     }
 
     /// Softmax probabilities through a shared reference (see [`Sequential::forward_eval`]).
@@ -209,9 +203,9 @@ mod tests {
 
     #[test]
     fn predict_proba_rows_sum_to_one() {
-        let mut model = MlpConfig::paper_default(8, 4, 5).build();
+        let model = MlpConfig::paper_default(8, 4, 5).build();
         let x = lrng::normal_matrix(&mut lrng::seeded(1), 10, 8, 1.0);
-        let p = model.predict_proba(&x);
+        let p = model.predict_proba_eval(&x);
         assert_eq!(p.shape(), (10, 4));
         for row in p.row_iter() {
             let s: f32 = row.iter().sum();
@@ -221,10 +215,10 @@ mod tests {
 
     #[test]
     fn forward_eval_is_deterministic() {
-        let mut model = MlpConfig::paper_default(8, 4, 5).build();
+        let model = MlpConfig::paper_default(8, 4, 5).build();
         let x = lrng::normal_matrix(&mut lrng::seeded(2), 6, 8, 1.0);
-        let a = model.forward(&x, false);
-        let b = model.forward(&x, false);
+        let a = model.forward_eval(&x);
+        let b = model.forward_eval(&x);
         assert_eq!(a, b);
     }
 
@@ -234,7 +228,7 @@ mod tests {
         // gradient must still be the one the full layer-by-layer chain accumulates.
         let mut model = MlpConfig::paper_default(8, 4, 7).build();
         let x = lrng::normal_matrix(&mut lrng::seeded(3), 6, 8, 1.0);
-        let logits = model.forward(&x, true);
+        let logits = model.forward(&x);
         let dlogits = lrng::normal_matrix(&mut lrng::seeded(4), logits.rows(), logits.cols(), 1.0);
 
         let mut chain = model.layers.clone();
@@ -253,21 +247,6 @@ mod tests {
         model.visit_params(&mut |_, g| got.push(g.to_vec()));
         assert_eq!(want, got);
         assert!(got.iter().flatten().any(|&g| g != 0.0));
-    }
-
-    #[test]
-    fn forward_eval_matches_eval_mode_forward() {
-        let mut model = MlpConfig::paper_default(6, 5, 9).build();
-        let x = lrng::normal_matrix(&mut lrng::seeded(4), 12, 6, 1.0);
-        // Run a training pass first so batch-norm running stats are non-trivial.
-        let _ = model.forward(&x, true);
-        let a = model.forward(&x, false);
-        let b = model.forward_eval(&x);
-        for (p, q) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((p - q).abs() < 1e-5);
-        }
-        let probs = model.predict_proba_eval(&x);
-        assert!((probs.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-4);
     }
 
     #[test]

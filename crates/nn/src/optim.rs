@@ -1,67 +1,13 @@
-//! First-order optimizers.
+//! The optimizer.
 //!
-//! The paper trains every model with Adam (§5.2, citing Kingma & Ba). Plain SGD is also
-//! provided for tests and ablations. Optimizers operate on the `(parameter, gradient)`
-//! slice pairs exposed by [`crate::Sequential::visit_params`]; per-parameter state is
-//! keyed by visit order, which is deterministic.
-
-use serde::{Deserialize, Serialize};
+//! The paper trains every model with Adam (§5.2, citing Kingma & Ba). Adam operates on the
+//! `(parameter, gradient)` slice pairs exposed by [`crate::Sequential::visit_params`];
+//! per-parameter state is keyed by visit order, which is deterministic.
 
 use crate::mlp::Sequential;
 
-/// A first-order optimizer that updates a [`Sequential`] model in place from its
-/// accumulated gradients.
-pub trait Optimizer {
-    /// Applies one update step and leaves the gradients untouched (call
-    /// [`Sequential::zero_grad`] afterwards).
-    fn step(&mut self, model: &mut Sequential);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0.0 disables momentum).
-    pub momentum: f32,
-    #[serde(skip)]
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut Sequential) {
-        let mut idx = 0usize;
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
-        model.visit_params(&mut |param, grad| {
-            if velocity.len() <= idx {
-                velocity.push(vec![0.0; param.len()]);
-            }
-            let v = &mut velocity[idx];
-            debug_assert_eq!(v.len(), param.len());
-            for ((p, &g), vi) in param.iter_mut().zip(grad.iter()).zip(v.iter_mut()) {
-                *vi = momentum * *vi - lr * g;
-                *p += *vi;
-            }
-            idx += 1;
-        });
-    }
-}
-
 /// The Adam optimizer (Kingma & Ba, 2015).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate (paper-typical default 1e-3).
     pub lr: f32,
@@ -71,12 +17,8 @@ pub struct Adam {
     pub beta2: f32,
     /// Numerical stabiliser.
     pub eps: f32,
-    /// Optional L2 weight decay.
-    pub weight_decay: f32,
     t: u64,
-    #[serde(skip)]
     m: Vec<Vec<f32>>,
-    #[serde(skip)]
     v: Vec<Vec<f32>>,
 }
 
@@ -88,26 +30,18 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
     }
 
-    /// Adds decoupled L2 weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, model: &mut Sequential) {
+    /// Updates `model` in place from its accumulated gradients and leaves the gradients
+    /// untouched (call [`Sequential::zero_grad`] afterwards).
+    pub fn step(&mut self, model: &mut Sequential) {
         self.t += 1;
         let t = self.t as f32;
-        let (beta1, beta2, eps, lr, wd) =
-            (self.beta1, self.beta2, self.eps, self.lr, self.weight_decay);
+        let (beta1, beta2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
         let bias1 = 1.0 - beta1.powf(t);
         let bias2 = 1.0 - beta2.powf(t);
         let mut idx = 0usize;
@@ -121,10 +55,7 @@ impl Optimizer for Adam {
             let m = &mut m_state[idx];
             let v = &mut v_state[idx];
             for i in 0..param.len() {
-                let mut g = grad[i];
-                if wd > 0.0 {
-                    g += wd * param[i];
-                }
+                let g = grad[i];
                 m[i] = beta1 * m[i] + (1.0 - beta1) * g;
                 v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
                 let m_hat = m[i] / bias1;
@@ -144,7 +75,7 @@ mod tests {
     use usp_linalg::{rng as lrng, Matrix};
 
     /// Trains a model to map two Gaussian blobs to two classes and returns final accuracy.
-    fn train_toy(mut model: Sequential, mut opt: impl Optimizer, steps: usize) -> f32 {
+    fn train_toy(mut model: Sequential, mut opt: Adam, steps: usize) -> f32 {
         let mut rng = lrng::seeded(9);
         let n = 256;
         let mut x = Matrix::zeros(n, 2);
@@ -157,13 +88,13 @@ mod tests {
             t[(i, class)] = 1.0;
         }
         for _ in 0..steps {
-            let logits = model.forward(&x, true);
+            let logits = model.forward(&x);
             let (_, dlogits) = weighted_soft_cross_entropy(&logits, &t, None);
             model.zero_grad();
             model.backward(&dlogits);
             opt.step(&mut model);
         }
-        let probs = model.predict_proba(&x);
+        let probs = model.predict_proba_eval(&x);
         let pred = probs.row_argmax();
         let correct = pred
             .iter()
@@ -178,13 +109,6 @@ mod tests {
         let model = logistic_regression(2, 2, 1);
         let acc = train_toy(model, Adam::new(0.05), 150);
         assert!(acc > 0.97, "accuracy {acc}");
-    }
-
-    #[test]
-    fn sgd_learns_separable_problem() {
-        let model = logistic_regression(2, 2, 2);
-        let acc = train_toy(model, Sgd::new(0.1, 0.9), 200);
-        assert!(acc > 0.95, "accuracy {acc}");
     }
 
     #[test]
@@ -206,7 +130,7 @@ mod tests {
         let mut first = 0.0;
         let mut last = 0.0;
         for step in 0..60 {
-            let logits = model.forward(&x, true);
+            let logits = model.forward(&x);
             let (loss, dlogits) = weighted_soft_cross_entropy(&logits, &targets, None);
             if step == 0 {
                 first = loss;
@@ -217,34 +141,5 @@ mod tests {
             opt.step(&mut model);
         }
         assert!(last < first, "loss did not decrease: {first} -> {last}");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut model = logistic_regression(8, 2, 6);
-        let mut opt = Adam::new(0.01).with_weight_decay(0.5);
-        let x = Matrix::zeros(4, 8);
-        let targets = Matrix::from_vec(4, 2, vec![0.5; 8]);
-        let before: f32 = {
-            let mut norm = 0.0;
-            model.visit_params(&mut |p, _| norm += p.iter().map(|x| x * x).sum::<f32>());
-            norm
-        };
-        for _ in 0..50 {
-            let logits = model.forward(&x, true);
-            let (_, dlogits) = weighted_soft_cross_entropy(&logits, &targets, None);
-            model.zero_grad();
-            model.backward(&dlogits);
-            opt.step(&mut model);
-        }
-        let after: f32 = {
-            let mut norm = 0.0;
-            model.visit_params(&mut |p, _| norm += p.iter().map(|x| x * x).sum::<f32>());
-            norm
-        };
-        assert!(
-            after < before,
-            "weight decay did not shrink weights: {before} -> {after}"
-        );
     }
 }

@@ -786,7 +786,7 @@ mod tests {
         )
         .with_wal(usp_index::Wal::new(
             Box::new(storage.clone()),
-            usp_index::SyncPolicy::EveryRecord,
+            usp_index::SyncPolicy::EveryN(1),
         ));
         let engine = Arc::new(QueryEngine::new(Arc::new(index)));
         let handle = spawn_ingress(

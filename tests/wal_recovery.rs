@@ -1,6 +1,6 @@
 //! Crash-recovery harness for the mutable index's write-ahead log.
 //!
-//! The durability contract under test: with `SyncPolicy::EveryRecord`, every
+//! The durability contract under test: with `SyncPolicy::EveryN(1)`, every
 //! mutation the index *acked* (returned `Ok` for) is on storage before the ack,
 //! so after a crash at **any byte offset** into the log,
 //! [`PartitionIndex::recover`] rebuilds a state bit-identical to replaying
@@ -173,11 +173,11 @@ fn check_crash_cut(
     // --- run the workload against a WAL-attached index, then "crash" -------------
     let storage = MemStorage::new();
     let idx = build_base(bins, base, pq)
-        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord));
+        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryN(1)));
     let mut live: Vec<usize> = (0..base.rows()).collect();
     let applied = apply_ops(&idx, &mut live, ops, dim, 0);
     let image = storage.contents();
-    // EveryRecord means the full image holds exactly one record per acked op.
+    // EveryN(1) means the full image holds exactly one record per acked op.
     assert_eq!(
         parse_log(&image)
             .expect("uncut log parses clean")
@@ -197,7 +197,7 @@ fn check_crash_cut(
     let cut_storage = MemStorage::from_bytes(cut_image);
     let (recovered, report) = PartitionIndex::recover(
         build_base(bins, base, pq),
-        Wal::new(Box::new(cut_storage.clone()), SyncPolicy::EveryRecord),
+        Wal::new(Box::new(cut_storage.clone()), SyncPolicy::EveryN(1)),
     )
     .expect("recovery tolerates a torn tail");
     assert_eq!(
@@ -256,7 +256,7 @@ fn check_crash_cut(
         rebuild(),
         Wal::new(
             Box::new(MemStorage::from_bytes(cut2_image)),
-            SyncPolicy::EveryRecord,
+            SyncPolicy::EveryN(1),
         ),
     )
     .expect("second recovery");
@@ -325,7 +325,7 @@ fn torn_tail_is_tolerated_but_mid_log_corruption_is_fatal() {
     let base = normal_points(12, 3, 7);
     let storage = MemStorage::new();
     let idx = build_base(3, &base, None)
-        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord));
+        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryN(1)));
     let extra = normal_points(3, 3, 8);
     for i in 0..3 {
         idx.try_insert(extra.row(i)).expect("insert");
@@ -339,7 +339,7 @@ fn torn_tail_is_tolerated_but_mid_log_corruption_is_fatal() {
         build_base(3, &base, None),
         Wal::new(
             Box::new(MemStorage::from_bytes(torn)),
-            SyncPolicy::EveryRecord,
+            SyncPolicy::EveryN(1),
         ),
     )
     .expect("torn tail is not corruption");
@@ -357,10 +357,7 @@ fn torn_tail_is_tolerated_but_mid_log_corruption_is_fatal() {
     bad[10] ^= 0xff;
     let err = PartitionIndex::recover(
         build_base(3, &base, None),
-        Wal::new(
-            Box::new(MemStorage::from_bytes(bad)),
-            SyncPolicy::EveryRecord,
-        ),
+        Wal::new(Box::new(MemStorage::from_bytes(bad)), SyncPolicy::EveryN(1)),
     )
     .map(|_| ())
     .expect_err("mid-log corruption is fatal");
@@ -383,7 +380,7 @@ fn device_full_tears_the_tail_and_recovery_keeps_every_acked_op() {
         ..FaultPlan::default()
     });
     let idx = build_base(2, &base, None)
-        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord));
+        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryN(1)));
     idx.try_insert(&[0.25, -0.5])
         .expect("fits under the byte budget");
     let err = idx
@@ -397,7 +394,7 @@ fn device_full_tears_the_tail_and_recovery_keeps_every_acked_op() {
         build_base(2, &base, None),
         Wal::new(
             Box::new(MemStorage::from_bytes(image)),
-            SyncPolicy::EveryRecord,
+            SyncPolicy::EveryN(1),
         ),
     )
     .expect("recovery resumes past the torn write");
@@ -415,7 +412,7 @@ fn an_index_too_wide_for_a_log_record_is_refused_up_front() {
         let points = Matrix::from_vec(2, dims, vec![0.25; 2 * dims]);
         PartitionIndex::build(RoundRobinPartitioner::new(1), &points, DIST)
     };
-    let log = |storage: MemStorage| Wal::new(Box::new(storage), SyncPolicy::EveryRecord);
+    let log = |storage: MemStorage| Wal::new(Box::new(storage), SyncPolicy::EveryN(1));
     // The widest row that fits: 5 + 4·262 142 = 1 048 573 bytes.
     let dims = (MAX_RECORD_PAYLOAD as usize - 5) / 4;
     let storage = MemStorage::new();
@@ -454,7 +451,7 @@ fn sync_failure_never_acks_and_poisons_until_checkpoint() {
     let base = normal_points(10, 2, 13);
     let storage = MemStorage::new();
     let idx = build_base(2, &base, None)
-        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord));
+        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryN(1)));
     let q = [0.1f32, 0.2];
     let pre = idx.search(&q, 3, 2);
 
@@ -503,7 +500,7 @@ fn engine_acks_carry_durability_and_stats_surface_wal_counters() {
     let storage = MemStorage::new();
     let idx = Arc::new(
         build_base(3, &base, None)
-            .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord)),
+            .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryN(1))),
     );
     let engine = QueryEngine::new(Arc::clone(&idx));
     engine.insert(&[0.3, 0.4]).expect("durable insert acks");
@@ -539,7 +536,7 @@ fn engine_acks_carry_durability_and_stats_surface_wal_counters() {
         build_base(3, &base, None),
         Wal::new(
             Box::new(MemStorage::from_bytes(image)),
-            SyncPolicy::EveryRecord,
+            SyncPolicy::EveryN(1),
         ),
     )
     .expect("recovery");
@@ -569,7 +566,7 @@ fn a_failed_checkpoint_compaction_refuses_writes_until_a_retry_succeeds() {
     let base = normal_points(10, 2, 23);
     let storage = MemStorage::new();
     let idx = build_base(2, &base, None)
-        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryRecord));
+        .with_wal(Wal::new(Box::new(storage.clone()), SyncPolicy::EveryN(1)));
     idx.try_insert(&[0.5, 0.5]).expect("a durable insert");
 
     storage.set_plan(FaultPlan {

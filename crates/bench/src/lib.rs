@@ -1,5 +1,5 @@
 //! Shared helpers for the benchmark suite: small seeded workloads used by both the
-//! Criterion micro-benchmarks and (indirectly) the experiment binaries.
+//! Criterion micro-benchmarks.
 
 use usp_data::{Dataset, KnnMatrix, SplitDataset};
 use usp_linalg::Distance;

@@ -17,6 +17,7 @@
 //! for the quality term, a masked softmax backward for the balance term).
 
 use usp_linalg::{stats, topk, Matrix};
+use usp_nn::loss::weighted_soft_cross_entropy;
 
 /// Breakdown of one loss evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,33 +107,11 @@ pub fn unsupervised_loss(
         targets.shape(),
         "unsupervised_loss: shape mismatch"
     );
-    let probs = stats::softmax_rows(logits);
-    let (batch, bins) = logits.shape();
-
     // Quality term: weighted soft cross-entropy; gradient w.r.t. logits is w_i (p_i - t_i).
-    let mut quality = 0.0f64;
-    let mut total_weight = 0.0f64;
-    let mut dlogits = Matrix::zeros(batch, bins);
-    for i in 0..batch {
-        let w = weights.map(|w| w[i]).unwrap_or(1.0);
-        total_weight += w as f64;
-        let p = probs.row(i);
-        let t = targets.row(i);
-        quality += (w * stats::cross_entropy(t, p)) as f64;
-        let g = dlogits.row_mut(i);
-        for j in 0..bins {
-            g[j] = w * (p[j] - t[j]);
-        }
-    }
-    let norm = if total_weight > 0.0 {
-        total_weight as f32
-    } else {
-        1.0
-    };
-    dlogits.scale(1.0 / norm);
-    let quality = quality as f32 / norm;
+    let (quality, mut dlogits) = weighted_soft_cross_entropy(logits, targets, weights);
 
     // Balance term: push its gradient through the softmax.
+    let probs = stats::softmax_rows(logits);
     let (balance, dprobs) = balance_cost(&probs);
     let dbalance_logits = stats::softmax_backward(&probs, &dprobs);
     dlogits.axpy(eta, &dbalance_logits);

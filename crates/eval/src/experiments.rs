@@ -18,8 +18,8 @@ use usp_core::{train_partitioner, HierarchicalPartitioner, ModelKind, UspConfig,
 use usp_data::{exact_knn, synthetic, KnnMatrix, SplitDataset};
 use usp_graph::{Hnsw, HnswConfig};
 use usp_index::partitioner::RoundRobinPartitioner;
-use usp_index::{PartitionIndex, Partitioner};
-use usp_linalg::Distance;
+use usp_index::{PartitionIndex, Partitioner, SearchResult};
+use usp_linalg::{Distance, Matrix};
 use usp_quant::{KMeansConfig, ScannConfig};
 
 use crate::recall::{
@@ -52,15 +52,59 @@ fn usp_config(scale: &Scale, bins: usize, eta: f32, seed: u64) -> UspConfig {
     }
 }
 
-fn sweep_index<P: Partitioner>(
-    index: &PartitionIndex<P>,
-    split: &SplitDataset,
-    truth: &[Vec<usize>],
-    probes: &[usize],
-) -> Vec<SweepPoint> {
-    sweep_probes(&split.queries, truth, K, probes, |q, p| {
-        index.search(q, K, p)
-    })
+/// One figure panel: recall-vs-candidates series over one query set and probe ladder.
+struct Panel<'a> {
+    split: &'a SplitDataset,
+    truth: &'a [Vec<usize>],
+    probes: Vec<usize>,
+    series: Vec<Series>,
+}
+
+impl<'a> Panel<'a> {
+    fn new(split: &'a SplitDataset, truth: &'a [Vec<usize>], bins: usize) -> Self {
+        Self {
+            split,
+            truth,
+            probes: default_probe_ladder(bins),
+            series: Vec::new(),
+        }
+    }
+
+    /// Sweeps `search` over the probe ladder and appends it as series `name`.
+    fn sweep(&mut self, name: &str, search: impl Fn(&[f32], usize) -> SearchResult + Sync) {
+        let points = sweep_probes(&self.split.queries, self.truth, &self.probes, search);
+        self.series.push(Series {
+            name: name.into(),
+            points,
+        });
+    }
+
+    fn index<P: Partitioner>(&mut self, name: &str, index: &PartitionIndex<P>) {
+        self.sweep(name, |q, p| index.search(q, K, p));
+    }
+
+    /// Indexes the base points under `partitioner` and sweeps the index.
+    fn partition(&mut self, name: &str, partitioner: impl Partitioner) {
+        let index = PartitionIndex::build(partitioner, self.split.base.points(), DIST);
+        self.index(name, &index);
+    }
+}
+
+/// Neural LSH (Dong et al.) over `bins` bins: the graph-partition labels it is trained
+/// on are its bins, so the index takes them as they are.
+fn neural_lsh_index(
+    scale: &Scale,
+    data: &Matrix,
+    knn: &KnnMatrix,
+    bins: usize,
+) -> PartitionIndex<NeuralLsh> {
+    let config = NeuralLshConfig {
+        epochs: scale.epochs,
+        ..NeuralLshConfig::small(bins)
+    };
+    let nlsh = NeuralLsh::fit(data, knn, &config);
+    let labels = nlsh.labels().to_vec();
+    PartitionIndex::from_assignments(nlsh, data, labels, DIST)
 }
 
 /// Figure 5 — comparison with space-partitioning methods (neural-network model).
@@ -86,101 +130,31 @@ pub fn figure5(scale: &Scale) -> ExperimentReport {
         let data = split.base.points();
         let knn = KnnMatrix::build(data, 10, DIST);
 
-        // ---------- 16 bins ----------
-        let bins = 16usize;
-        let probes = default_probe_ladder(bins);
-        let mut series = Vec::new();
-
-        let ens = UspEnsemble::train(data, &knn, &usp_config(scale, bins, eta16, 1), 3, DIST);
-        series.push(Series {
-            name: "Ours (ensemble of 3)".into(),
-            points: sweep_probes(&split.queries, &truth, K, &probes, |q, p| {
-                ens.search_with_probes(q, K, p)
-            }),
-        });
-
-        let single = UspEnsemble::train(data, &knn, &usp_config(scale, bins, eta16, 5), 1, DIST);
-        series.push(Series {
-            name: "Ours (single model)".into(),
-            points: sweep_probes(&split.queries, &truth, K, &probes, |q, p| {
-                single.search_with_probes(q, K, p)
-            }),
-        });
-
-        let nlsh = NeuralLsh::fit(
-            data,
-            &knn,
-            &NeuralLshConfig {
-                epochs: scale.epochs,
-                ..NeuralLshConfig::small(bins)
-            },
-        );
-        let labels = nlsh.labels().to_vec();
-        let nlsh_index = PartitionIndex::from_assignments(nlsh, data, labels, DIST);
-        series.push(Series {
-            name: "Neural LSH".into(),
-            points: sweep_index(&nlsh_index, &split, &truth, &probes),
-        });
-
-        let kmeans_index = PartitionIndex::build(KMeansPartitioner::fit(data, bins, 3), data, DIST);
-        series.push(Series {
-            name: "K-means".into(),
-            points: sweep_index(&kmeans_index, &split, &truth, &probes),
-        });
-
-        let lsh_index = PartitionIndex::build(CrossPolytopeLsh::fit(data, bins, 4), data, DIST);
-        series.push(Series {
-            name: "Cross-polytope LSH".into(),
-            points: sweep_index(&lsh_index, &split, &truth, &probes),
-        });
-
-        report.add_panel(format!("{dataset_name}, 16 bins"), series);
-
-        // ---------- 256 bins (hierarchical 16 x 16 for our method) ----------
-        let bins = 256usize;
-        let probes = default_probe_ladder(bins);
-        let mut series = Vec::new();
-
-        let hier = HierarchicalPartitioner::train(
-            data,
-            &usp_config(scale, 16, eta256, 7),
-            &[16, 16],
-            DIST,
-        );
-        let hier_index = PartitionIndex::build(hier, data, DIST);
-        series.push(Series {
-            name: "Ours (hierarchical 16x16)".into(),
-            points: sweep_index(&hier_index, &split, &truth, &probes),
-        });
-
-        let nlsh = NeuralLsh::fit(
-            data,
-            &knn,
-            &NeuralLshConfig {
-                epochs: scale.epochs,
-                ..NeuralLshConfig::small(bins)
-            },
-        );
-        let labels = nlsh.labels().to_vec();
-        let nlsh_index = PartitionIndex::from_assignments(nlsh, data, labels, DIST);
-        series.push(Series {
-            name: "Neural LSH".into(),
-            points: sweep_index(&nlsh_index, &split, &truth, &probes),
-        });
-
-        let kmeans_index = PartitionIndex::build(KMeansPartitioner::fit(data, bins, 9), data, DIST);
-        series.push(Series {
-            name: "K-means".into(),
-            points: sweep_index(&kmeans_index, &split, &truth, &probes),
-        });
-
-        let lsh_index = PartitionIndex::build(CrossPolytopeLsh::fit(data, bins, 11), data, DIST);
-        series.push(Series {
-            name: "Cross-polytope LSH".into(),
-            points: sweep_index(&lsh_index, &split, &truth, &probes),
-        });
-
-        report.add_panel(format!("{dataset_name}, 256 bins"), series);
+        // Each panel's bin count with its K-means and cross-polytope LSH seeds.
+        for (bins, kmeans_seed, lsh_seed) in [(16usize, 3, 4), (256, 9, 11)] {
+            let mut panel = Panel::new(&split, &truth, bins);
+            if bins == 16 {
+                for (name, seed, members) in [
+                    ("Ours (ensemble of 3)", 1, 3),
+                    ("Ours (single model)", 5, 1),
+                ] {
+                    let cfg = usp_config(scale, bins, eta16, seed);
+                    let ens = UspEnsemble::train(data, &knn, &cfg, members, DIST);
+                    panel.sweep(name, |q, p| ens.search_with_probes(q, K, p));
+                }
+            } else {
+                let cfg = usp_config(scale, 16, eta256, 7);
+                let hier = HierarchicalPartitioner::train(data, &cfg, &[16, 16], DIST);
+                panel.partition("Ours (hierarchical 16x16)", hier);
+            }
+            panel.index("Neural LSH", &neural_lsh_index(scale, data, &knn, bins));
+            panel.partition("K-means", KMeansPartitioner::fit(data, bins, kmeans_seed));
+            panel.partition(
+                "Cross-polytope LSH",
+                CrossPolytopeLsh::fit(data, bins, lsh_seed),
+            );
+            report.add_panel(format!("{dataset_name}, {bins} bins"), panel.series);
+        }
     }
     report
 }
@@ -205,75 +179,62 @@ pub fn figure6(scale: &Scale) -> ExperimentReport {
     ] {
         let truth = truth_for(&split);
         let data = split.base.points();
-        let probes = default_probe_ladder(bins);
-        let mut series = Vec::new();
-
+        let tree = TreeConfig::new(depth);
         // Ours: hierarchical binary logistic models trained with the unsupervised loss.
-        let cfg = UspConfig {
+        let ours = UspConfig {
             epochs: (scale.epochs / 2).max(10),
             batch_size: 256,
             learning_rate: 5e-3,
             ..UspConfig::logistic(2)
         };
-        let ours = HierarchicalPartitioner::train(data, &cfg, &vec![2; depth], DIST);
-        let ours_index = PartitionIndex::build(ours, data, DIST);
-        series.push(Series {
-            name: "Ours (logistic regression)".into(),
-            points: sweep_index(&ours_index, &split, &truth, &probes),
-        });
-
-        // Regression LSH: graph-partition-supervised logistic splits.
-        let reg = BinaryPartitionTree::build(
-            data,
-            &TreeConfig::new(depth),
-            &RegressionLshSplit::default(),
-        );
-        let reg_index = PartitionIndex::build(reg, data, DIST);
-        series.push(Series {
-            name: "Regression LSH".into(),
-            points: sweep_index(&reg_index, &split, &truth, &probes),
-        });
-
-        // 2-means tree, PCA tree, RP tree, learned KD-tree.
-        for (name, tree) in [
+        // Regression LSH splits on graph-partition-supervised logistic models; the
+        // Boosted Search Forest is one neighbour-preserving tree at the same depth.
+        let knn = KnnMatrix::build(data, 10, DIST);
+        let partitioners: [(&str, Box<dyn Partitioner>); 7] = [
+            (
+                "Ours (logistic regression)",
+                Box::new(HierarchicalPartitioner::train(
+                    data,
+                    &ours,
+                    &vec![2; depth],
+                    DIST,
+                )),
+            ),
+            (
+                "Regression LSH",
+                Box::new(BinaryPartitionTree::build(
+                    data,
+                    &tree,
+                    &RegressionLshSplit::default(),
+                )),
+            ),
             (
                 "2-means tree",
-                BinaryPartitionTree::two_means(data, &TreeConfig::new(depth)),
+                Box::new(BinaryPartitionTree::two_means(data, &tree)),
             ),
-            (
-                "PCA tree",
-                BinaryPartitionTree::pca(data, &TreeConfig::new(depth)),
-            ),
+            ("PCA tree", Box::new(BinaryPartitionTree::pca(data, &tree))),
             (
                 "Random projection tree",
-                BinaryPartitionTree::random_projection(data, &TreeConfig::new(depth)),
+                Box::new(BinaryPartitionTree::random_projection(data, &tree)),
             ),
             (
                 "Learned KD-tree",
-                BinaryPartitionTree::kd(data, &TreeConfig::new(depth)),
+                Box::new(BinaryPartitionTree::kd(data, &tree)),
             ),
-        ] {
-            let index = PartitionIndex::build(tree, data, DIST);
-            series.push(Series {
-                name: name.into(),
-                points: sweep_index(&index, &split, &truth, &probes),
-            });
+            (
+                "Boosted Search Forest",
+                Box::new(BinaryPartitionTree::build(
+                    data,
+                    &tree,
+                    &BoostedForestStrategy::new(knn, 12),
+                )),
+            ),
+        ];
+        let mut panel = Panel::new(&split, &truth, bins);
+        for (name, partitioner) in partitioners {
+            panel.partition(name, partitioner);
         }
-
-        // Boosted Search Forest (single neighbour-preserving tree at the same depth).
-        let knn = KnnMatrix::build(data, 10, DIST);
-        let bsf = BinaryPartitionTree::build(
-            data,
-            &TreeConfig::new(depth),
-            &BoostedForestStrategy::new(knn, 12),
-        );
-        let bsf_index = PartitionIndex::build(bsf, data, DIST);
-        series.push(Series {
-            name: "Boosted Search Forest".into(),
-            points: sweep_index(&bsf_index, &split, &truth, &probes),
-        });
-
-        report.add_panel(format!("{dataset_name}, {bins} bins"), series);
+        report.add_panel(format!("{dataset_name}, {bins} bins"), panel.series);
     }
     report
 }
@@ -405,54 +366,32 @@ pub fn table2() -> ExperimentReport {
     );
     let d = 128usize;
     let bins = 256usize;
-
+    let mlp_params = |hidden: usize| {
+        let config = usp_nn::MlpConfig {
+            input_dim: d,
+            hidden: vec![hidden],
+            output_dim: bins,
+            dropout: 0.1,
+            batch_norm: true,
+            seed: 1,
+        };
+        config.build().num_params().to_string()
+    };
     // Neural LSH: one hidden layer of 512 units (plus batch-norm), as in the original.
-    let neural_lsh = usp_nn::MlpConfig {
-        input_dim: d,
-        hidden: vec![512],
-        output_dim: bins,
-        dropout: 0.1,
-        batch_norm: true,
-        seed: 1,
+    // Ours: one hidden layer of 128 units. K-means: the centroid coordinates.
+    for (name, params, hidden) in [
+        ("Neural LSH", mlp_params(512), "512"),
+        ("Ours", mlp_params(128), "128"),
+        ("K-means", (bins * d).to_string(), "-"),
+    ] {
+        report.add_row(
+            name,
+            vec![
+                ("total parameters".into(), params),
+                ("hidden layer size".into(), hidden.into()),
+            ],
+        );
     }
-    .build();
-    // Ours: one hidden layer of 128 units.
-    let ours = usp_nn::MlpConfig {
-        input_dim: d,
-        hidden: vec![128],
-        output_dim: bins,
-        dropout: 0.1,
-        batch_norm: true,
-        seed: 1,
-    }
-    .build();
-    // K-means: the centroid coordinates.
-    let kmeans_params = bins * d;
-
-    report.add_row(
-        "Neural LSH",
-        vec![
-            (
-                "total parameters".into(),
-                neural_lsh.num_params().to_string(),
-            ),
-            ("hidden layer size".into(), "512".into()),
-        ],
-    );
-    report.add_row(
-        "Ours",
-        vec![
-            ("total parameters".into(), ours.num_params().to_string()),
-            ("hidden layer size".into(), "128".into()),
-        ],
-    );
-    report.add_row(
-        "K-means",
-        vec![
-            ("total parameters".into(), kmeans_params.to_string()),
-            ("hidden layer size".into(), "-".into()),
-        ],
-    );
     report.add_note(
         "Paper reports ≈729k / 183k / 33k; exact counts depend on bias and batch-norm bookkeeping.",
     );
@@ -467,14 +406,14 @@ pub fn table3(scale: &Scale) -> ExperimentReport {
     );
     report.add_note(format!("scale={}; times are wall-clock for a 3-model ensemble (16 bins) or one hierarchical 16x16 model (256 bins), on CPU", scale.name));
 
-    let configs: [(&str, usize, f32); 4] = [
-        ("MNIST-like, 16 bins", 16, 7.0),
-        ("MNIST-like, 256 bins", 256, 30.0),
-        ("SIFT-like, 16 bins", 16, 7.0),
-        ("SIFT-like, 256 bins", 256, 10.0),
-    ];
-    for (name, bins, eta) in configs {
-        let split = if name.starts_with("MNIST") {
+    // Each row's dataset, bins and η, with the paper's training minutes.
+    for (name, mnist, bins, eta, paper_minutes) in [
+        ("MNIST-like, 16 bins", true, 16usize, 7.0f32, 2),
+        ("MNIST-like, 256 bins", true, 256, 30.0, 12),
+        ("SIFT-like, 16 bins", false, 16, 7.0, 6),
+        ("SIFT-like, 256 bins", false, 256, 10.0, 40),
+    ] {
+        let split = if mnist {
             scale.mnist_like(71)
         } else {
             scale.sift_like(72)
@@ -493,12 +432,6 @@ pub fn table3(scale: &Scale) -> ExperimentReport {
             );
         }
         let seconds = start.elapsed().as_secs_f64();
-        let paper_minutes = match (name.starts_with("MNIST"), bins) {
-            (true, 16) => 2,
-            (true, _) => 12,
-            (false, 16) => 6,
-            (false, _) => 40,
-        };
         report.add_row(
             name,
             vec![
@@ -527,58 +460,33 @@ pub fn table4(scale: &Scale) -> ExperimentReport {
     let data = split.base.points();
     let knn = KnnMatrix::build(data, 10, DIST);
     let bins = 16usize;
-    let probes = default_probe_ladder(bins);
 
+    let mut panel = Panel::new(&split, &truth, bins);
     let ens = UspEnsemble::train(data, &knn, &usp_config(scale, bins, 7.0, 41), 3, DIST);
-    let ours = sweep_probes(&split.queries, &truth, K, &probes, |q, p| {
+    panel.sweep("Ours (ensemble of 3)", |q, p| {
         ens.search_with_probes(q, K, p)
     });
-
-    let nlsh = NeuralLsh::fit(
-        data,
-        &knn,
-        &NeuralLshConfig {
-            epochs: scale.epochs,
-            ..NeuralLshConfig::small(bins)
-        },
-    );
-    let labels = nlsh.labels().to_vec();
-    let nlsh_index = PartitionIndex::from_assignments(nlsh, data, labels, DIST);
-    let nlsh_sweep = sweep_index(&nlsh_index, &split, &truth, &probes);
-
-    let km_index = PartitionIndex::build(KMeansPartitioner::fit(data, bins, 43), data, DIST);
-    let km_sweep = sweep_index(&km_index, &split, &truth, &probes);
+    panel.index("Neural LSH", &neural_lsh_index(scale, data, &knn, bins));
+    panel.partition("K-means", KMeansPartitioner::fit(data, bins, 43));
 
     let target = 0.85;
-    let ours_c = candidates_at_recall(&ours, target);
-    let nlsh_c = candidates_at_recall(&nlsh_sweep, target);
-    let km_c = candidates_at_recall(&km_sweep, target);
     let fmt = |c: Option<f64>| {
         c.map(|v| format!("{v:.0}"))
             .unwrap_or_else(|| "not reached".into())
     };
-    let reduction = |base: Option<f64>| match (ours_c, base) {
-        (Some(o), Some(b)) if b > 0.0 => format!("{:.0}%", (1.0 - o / b) * 100.0),
-        _ => "n/a".into(),
-    };
-    report.add_row(
-        "Ours (ensemble of 3)",
-        vec![("candidates @85%".into(), fmt(ours_c))],
-    );
-    report.add_row(
-        "Neural LSH",
-        vec![
-            ("candidates @85%".into(), fmt(nlsh_c)),
-            ("decrease vs ours".into(), reduction(nlsh_c)),
-        ],
-    );
-    report.add_row(
-        "K-means",
-        vec![
-            ("candidates @85%".into(), fmt(km_c)),
-            ("decrease vs ours".into(), reduction(km_c)),
-        ],
-    );
+    let ours_c = candidates_at_recall(&panel.series[0].points, target);
+    for (i, series) in panel.series.iter().enumerate() {
+        let c = candidates_at_recall(&series.points, target);
+        let mut cells = vec![("candidates @85%".into(), fmt(c))];
+        if i > 0 {
+            let reduction = match (ours_c, c) {
+                (Some(o), Some(b)) if b > 0.0 => format!("{:.0}%", (1.0 - o / b) * 100.0),
+                _ => "n/a".into(),
+            };
+            cells.push(("decrease vs ours".into(), reduction));
+        }
+        report.add_row(&series.name, cells);
+    }
     report.add_note("Paper reports 33% (vs Neural LSH) and 38% (vs K-means) reductions on SIFT.");
     report
 }
@@ -695,38 +603,36 @@ pub fn ablations(scale: &Scale) -> ExperimentReport {
     let data = split.base.points();
     let bins = 16usize;
 
-    let evaluate = |cfg: &UspConfig, knn: &KnnMatrix| -> (f64, f64) {
-        let trained = train_partitioner(data, knn, cfg, None);
-        let index = trained.build_index(data, DIST);
-        let imbalance = index.balance().imbalance;
-        let pts = sweep_probes(&split.queries, &truth, K, &[2], |q, p| {
-            index.search(q, K, p)
-        });
-        (pts[0].recall, imbalance)
+    // One row per trained configuration: recall with 2 probes and the bins' imbalance.
+    let mut row = |name: String, cfg: UspConfig, knn: &KnnMatrix| {
+        let index = train_partitioner(data, knn, &cfg, None).build_index(data, DIST);
+        let pts = sweep_probes(&split.queries, &truth, &[2], |q, p| index.search(q, K, p));
+        report.add_row(
+            name,
+            vec![
+                (
+                    "recall@10 (2 probes)".into(),
+                    format!("{:.3}", pts[0].recall),
+                ),
+                (
+                    "imbalance".into(),
+                    format!("{:.2}", index.balance().imbalance),
+                ),
+            ],
+        );
     };
 
     let knn10 = KnnMatrix::build(data, 10, DIST);
     let base_cfg = usp_config(scale, bins, 7.0, 77);
 
     // k' ablation.
-    for kprime in [5usize, 10, 20] {
-        let knn = if kprime == 10 {
-            knn10.clone()
-        } else {
-            KnnMatrix::build(data, kprime, DIST)
-        };
+    for knn_k in [5usize, 10, 20] {
         let cfg = UspConfig {
-            knn_k: kprime,
+            knn_k,
             ..base_cfg.clone()
         };
-        let (recall, imbalance) = evaluate(&cfg, &knn);
-        report.add_row(
-            format!("k' = {kprime}"),
-            vec![
-                ("recall@10 (2 probes)".into(), format!("{recall:.3}")),
-                ("imbalance".into(), format!("{imbalance:.2}")),
-            ],
-        );
+        let knn = (knn_k != 10).then(|| KnnMatrix::build(data, knn_k, DIST));
+        row(format!("k' = {knn_k}"), cfg, knn.as_ref().unwrap_or(&knn10));
     }
 
     // eta ablation.
@@ -735,48 +641,29 @@ pub fn ablations(scale: &Scale) -> ExperimentReport {
             eta,
             ..base_cfg.clone()
         };
-        let (recall, imbalance) = evaluate(&cfg, &knn10);
-        report.add_row(
-            format!("eta = {eta}"),
-            vec![
-                ("recall@10 (2 probes)".into(), format!("{recall:.3}")),
-                ("imbalance".into(), format!("{imbalance:.2}")),
-            ],
-        );
+        row(format!("eta = {eta}"), cfg, &knn10);
     }
 
     // Target type ablation (soft neighbour distribution vs hard majority bin).
-    for (name, soft) in [("soft targets", true), ("hard targets", false)] {
+    for (name, soft_targets) in [("soft targets", true), ("hard targets", false)] {
         let cfg = UspConfig {
-            soft_targets: soft,
+            soft_targets,
             ..base_cfg.clone()
         };
-        let (recall, imbalance) = evaluate(&cfg, &knn10);
-        report.add_row(
-            name,
-            vec![
-                ("recall@10 (2 probes)".into(), format!("{recall:.3}")),
-                ("imbalance".into(), format!("{imbalance:.2}")),
-            ],
-        );
+        row(name.into(), cfg, &knn10);
     }
 
     // Batch-size (fraction of dataset) ablation — §4.2.2 claims ≈4% per batch suffices.
-    for batch in [64usize, 256, 1024] {
+    for batch_size in [64usize, 256, 1024] {
         let cfg = UspConfig {
-            batch_size: batch,
+            batch_size,
             ..base_cfg.clone()
         };
-        let (recall, imbalance) = evaluate(&cfg, &knn10);
-        report.add_row(
-            format!(
-                "batch = {batch} ({:.1}% of n)",
-                100.0 * batch as f64 / data.rows() as f64
-            ),
-            vec![
-                ("recall@10 (2 probes)".into(), format!("{recall:.3}")),
-                ("imbalance".into(), format!("{imbalance:.2}")),
-            ],
+        let share = 100.0 * batch_size as f64 / data.rows() as f64;
+        row(
+            format!("batch = {batch_size} ({share:.1}% of n)"),
+            cfg,
+            &knn10,
         );
     }
 
@@ -795,20 +682,13 @@ pub fn ablations(scale: &Scale) -> ExperimentReport {
             model,
             ..base_cfg.clone()
         };
-        let (recall, imbalance) = evaluate(&cfg, &knn10);
-        report.add_row(
-            name,
-            vec![
-                ("recall@10 (2 probes)".into(), format!("{recall:.3}")),
-                ("imbalance".into(), format!("{imbalance:.2}")),
-            ],
-        );
+        row(name.into(), cfg, &knn10);
     }
 
     // Ensemble size ablation.
     for e in [1usize, 2, 3] {
         let ens = UspEnsemble::train(data, &knn10, &base_cfg, e, DIST);
-        let pts = sweep_probes(&split.queries, &truth, K, &[2], |q, p| {
+        let pts = sweep_probes(&split.queries, &truth, &[2], |q, p| {
             ens.search_with_probes(q, K, p)
         });
         report.add_row(

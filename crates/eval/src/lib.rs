@@ -10,7 +10,7 @@
 //! * [`experiments`] — one entry point per table/figure: `figure5`, `figure6`, `figure7`,
 //!   `table2`, `table3`, `table4`, `table5`, and the §5.1.4 parameter ablations.
 //!
-//! The binaries in `usp-bench` are thin wrappers over these functions.
+//! `usp-bench`'s `run_all` runs these functions by report id and saves their reports.
 
 pub mod experiments;
 pub mod recall;

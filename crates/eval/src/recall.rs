@@ -45,7 +45,6 @@ pub fn recall_at_k(results: &[Vec<usize>], truth: &[Vec<usize>]) -> f64 {
 pub fn sweep_probes(
     queries: &Matrix,
     truth: &[Vec<usize>],
-    k: usize,
     probe_counts: &[usize],
     search: impl Fn(&[f32], usize) -> SearchResult + Sync,
 ) -> Vec<SweepPoint> {
@@ -72,7 +71,6 @@ pub fn sweep_probes(
             mean_candidates: candidates as f64 / n,
             recall: recall / n,
         });
-        let _ = k;
     }
     points
 }
@@ -139,7 +137,7 @@ mod tests {
     fn sweep_reports_monotone_candidates_for_monotone_search() {
         let queries = Matrix::from_vec(3, 1, vec![0.0, 1.0, 2.0]);
         let truth = vec![vec![0], vec![1], vec![2]];
-        let points = sweep_probes(&queries, &truth, 1, &[1, 2, 4], |q, probes| {
+        let points = sweep_probes(&queries, &truth, &[1, 2, 4], |q, probes| {
             // A fake index: more probes scan more and, with >= 2 probes, find the truth.
             let found = if probes >= 2 {
                 vec![q[0] as usize]

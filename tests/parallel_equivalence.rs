@@ -213,7 +213,7 @@ fn recall_sweep_is_thread_count_invariant() {
         with_num_threads(threads, || {
             let partitioner = KMeansPartitioner::fit(data, 8, 3);
             let index = PartitionIndex::build(partitioner, data, DIST);
-            usp_eval::sweep_probes(&split.queries, &truth, 10, &[1, 2, 4, 8], |q, p| {
+            usp_eval::sweep_probes(&split.queries, &truth, &[1, 2, 4, 8], |q, p| {
                 index.search(q, 10, p)
             })
         })

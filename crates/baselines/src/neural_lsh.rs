@@ -234,8 +234,8 @@ impl SplitStrategy for RegressionLshSplit {
         // Extract the separating hyperplane: logit_1 - logit_0 = (w1 - w0)·x + (b1 - b0).
         let (w, t) = match model.layers().first() {
             Some(usp_nn::Layer::Linear(lin)) => {
-                let w0 = lin.weight.row(0);
-                let w1 = lin.weight.row(1);
+                let w0 = lin.weight().row(0);
+                let w1 = lin.weight().row(1);
                 let w: Vec<f32> = w1.iter().zip(w0).map(|(a, b)| a - b).collect();
                 let t = lin.bias[0] - lin.bias[1];
                 (w, t)

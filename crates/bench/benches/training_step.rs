@@ -1,11 +1,12 @@
 //! Criterion bench: one mini-batch step of Algorithm 1 (`usp_core::train_step`:
 //! neighbour assignment + forward + loss + backward + Adam) for the paper's MLP and for
-//! logistic regression, plus the kernel-level A/B under it: the forward GEMM one `dot`
-//! per output against the register-blocked kernel, on the calling thread.
+//! logistic regression, plus the kernels under it (group `gemm`): the forward GEMM one
+//! `dot` per output against the blocked kernel on the calling thread, and the three
+//! backward products of a `mix64` training step on one and two pool threads.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use usp_core::{train_step, ModelKind, PartitionModel, UspConfig};
-use usp_linalg::{kernel_gemm, rng};
+use usp_linalg::{kernel_gemm, rng, Matrix};
 use usp_nn::Adam;
 
 fn bench_training_step(c: &mut Criterion) {
@@ -62,6 +63,44 @@ fn bench_gemm(c: &mut Criterion) {
                 black_box(out[rows * m - 1])
             })
         });
+        let packed = kernel_gemm::PackedBt::new(b, m, k);
+        group.bench_function(BenchmarkId::new("blocked_prepacked", rows), |bench| {
+            bench.iter(|| {
+                kernel_gemm::abt_packed(a, rows, &packed, &mut out);
+                black_box(out[rows * m - 1])
+            })
+        });
+    }
+
+    // `mix64`'s step: a 1024-row batch through 64 -> 128 -> 32, so the backward computes
+    // dW1 = (1024x128)^T (1024x64), dW2 = (1024x32)^T (1024x128) and dX2 = (1024x32)(32x128).
+    let matrix =
+        |rows, cols| rng::normal_matrix(&mut rng::seeded((rows * cols) as u64), rows, cols, 1.0);
+    let (x, dout1, h, dlogits, w2) = (
+        matrix(1024, 64),
+        matrix(1024, 128),
+        matrix(1024, 128),
+        matrix(1024, 32),
+        matrix(32, 128),
+    );
+    type Product<'a> = (
+        &'a str,
+        &'a Matrix,
+        &'a Matrix,
+        fn(&Matrix, &Matrix) -> Matrix,
+    );
+    let products: [Product; 3] = [
+        ("dW1", &dout1, &x, Matrix::transpose_matmul),
+        ("dW2", &dlogits, &h, Matrix::transpose_matmul),
+        ("dX2", &dlogits, &w2, Matrix::matmul),
+    ];
+    for (name, a, b, product) in products {
+        for threads in [1, 2] {
+            let id = BenchmarkId::new(name, format!("{threads}_threads"));
+            group.bench_function(id, |bench| {
+                bench.iter(|| rayon::with_num_threads(threads, || black_box(product(a, b))))
+            });
+        }
     }
     group.finish();
 }

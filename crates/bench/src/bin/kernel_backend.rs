@@ -1,7 +1,13 @@
-//! Prints the distance-kernel backend this host selects (`portable` or `avx2`) and
-//! nothing else. CI runs it after the test steps and fails an x86-64 job that did not
-//! get `avx2`, so a green run cannot have exercised only the portable fallback.
+//! Prints the form each arithmetic contract runs in on this host (`portable` or `avx2`):
+//! the scan's distance kernels on one line, the GEMMs under the trainer (the form a
+//! packed weight is laid out for) on the next. CI runs it after the test steps and fails
+//! an x86-64 job where either is `portable`, so a green run cannot have exercised only
+//! the portable fallback.
+
+use usp_linalg::kernel::Backend;
+use usp_linalg::kernel_gemm::PackedBt;
 
 fn main() {
-    println!("{}", usp_linalg::kernel::Backend::detect().name());
+    println!("scan {}", Backend::detect().name());
+    println!("gemm {}", PackedBt::new(&[], 0, 0).backend().name());
 }

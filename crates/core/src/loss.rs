@@ -17,7 +17,7 @@
 //! for the quality term, a masked softmax backward for the balance term).
 
 use usp_linalg::{stats, topk, Matrix};
-use usp_nn::loss::weighted_soft_cross_entropy;
+use usp_nn::loss::soft_cross_entropy_of_probs;
 
 /// Breakdown of one loss evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,11 +107,12 @@ pub fn unsupervised_loss(
         targets.shape(),
         "unsupervised_loss: shape mismatch"
     );
+    // One softmax for both terms.
+    let probs = stats::softmax_rows(logits);
     // Quality term: weighted soft cross-entropy; gradient w.r.t. logits is w_i (p_i - t_i).
-    let (quality, mut dlogits) = weighted_soft_cross_entropy(logits, targets, weights);
+    let (quality, mut dlogits) = soft_cross_entropy_of_probs(&probs, targets, weights);
 
     // Balance term: push its gradient through the softmax.
-    let probs = stats::softmax_rows(logits);
     let (balance, dprobs) = balance_cost(&probs);
     let dbalance_logits = stats::softmax_backward(&probs, &dprobs);
     dlogits.axpy(eta, &dbalance_logits);

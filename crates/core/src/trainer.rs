@@ -93,7 +93,12 @@ pub fn train_partitioner(
     weights: Option<&[f32]>,
 ) -> TrainedPartitioner {
     let n = data.rows();
-    assert!(n > 0, "train_partitioner: empty dataset");
+    // A mini-batch needs two points for its batch statistics (as `KnnMatrix::build`
+    // needs two for a neighbour).
+    assert!(
+        n > 1,
+        "train_partitioner: need at least two points, got {n}"
+    );
     assert_eq!(
         knn.len(),
         n,
@@ -183,7 +188,7 @@ pub fn train_step(
         .iter()
         .flat_map(|&i| knn.neighbors_of(i).iter().map(|&j| j as usize))
         .collect();
-    let (distinct, slot_of) = distinct_rows(&neighbor_rows);
+    let (distinct, slot_of) = distinct_rows(&neighbor_rows, data.rows());
     let distinct_bins = model.assign_batch(&data.select_rows(&distinct));
     let neighbor_bins: Vec<usize> = slot_of.iter().map(|&d| distinct_bins[d]).collect();
     let targets = neighbor_bin_targets(
@@ -204,16 +209,20 @@ pub fn train_step(
     value
 }
 
-/// The distinct values of `rows`, ascending, and for every slot of `rows` the position of
-/// its value among them: `distinct[slot_of[s]] == rows[s]`.
-fn distinct_rows(rows: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let mut distinct = rows.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let slot_of = rows
-        .iter()
-        .map(|r| distinct.binary_search(r).expect("every row was copied in"))
-        .collect();
+/// The distinct values of `rows` (each below `n`), ascending, and for every slot of
+/// `rows` the position of its value among them: `distinct[slot_of[s]] == rows[s]`.
+/// Marks in a table of `n` flags, not a sort: a step names a few thousand of them.
+fn distinct_rows(rows: &[usize], n: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut named = vec![false; n];
+    for &r in rows {
+        named[r] = true;
+    }
+    let distinct: Vec<usize> = (0..n).filter(|&r| named[r]).collect();
+    let mut position = vec![0; n];
+    for (d, &r) in distinct.iter().enumerate() {
+        position[r] = d;
+    }
+    let slot_of = rows.iter().map(|&r| position[r]).collect();
     (distinct, slot_of)
 }
 
@@ -333,6 +342,43 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.into_iter().flat_map(u32::to_le_bytes) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// Every parameter bit of a trained router and every bin it assigns, hashed and
+    /// compared with a constant recorded before the GEMMs got their AVX2 forms. The
+    /// reference test above runs on the same `Matrix` products as the trainer, so a
+    /// kernel change that moves both would pass it; this one pins the bits themselves,
+    /// on any pool size and in debug and release alike.
+    #[test]
+    fn a_trained_router_has_the_recorded_bits() {
+        let (data, knn) = small_dataset();
+        let trained = train_partitioner(&data, &knn, &UspConfig::fast(8), None);
+        let mut network = trained.model().network().clone();
+        let mut params = Vec::new();
+        network.visit_params(&mut |p, _| params.extend(p.iter().map(|x| x.to_bits())));
+        let bins = trained.model().assign_batch(&data);
+        let hash = fnv1a(params.into_iter().chain(bins.iter().map(|&b| b as u32)));
+        assert_eq!(
+            hash, 0x6b08_5c8a_0f3a_bb4c,
+            "a trained router's bits moved: {hash:#018x}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "train_partitioner: need at least two points, got 1")]
+    fn training_refuses_a_one_point_dataset() {
+        let data = synthetic::sift_like(1, 4, 1).points().clone();
+        let knn = KnnMatrix::from_rows(&[vec![0]]);
+        train_partitioner(&data, &knn, &UspConfig::fast(8), None);
+    }
+
     #[test]
     #[should_panic(expected = "lists no neighbours")]
     fn training_refuses_a_k_prime_of_zero() {
@@ -344,13 +390,13 @@ mod tests {
     #[test]
     fn distinct_rows_maps_every_slot_back_to_its_own_row() {
         let rows = [7usize, 3, 7, 7, 0, 3, 599, 0, 12];
-        let (distinct, slot_of) = distinct_rows(&rows);
+        let (distinct, slot_of) = distinct_rows(&rows, 600);
         assert_eq!(distinct, vec![0, 3, 7, 12, 599]);
         assert_eq!(slot_of.len(), rows.len());
         for (s, &row) in rows.iter().enumerate() {
             assert_eq!(distinct[slot_of[s]], row, "slot {s}");
         }
-        assert_eq!(distinct_rows(&[]), (vec![], vec![]));
+        assert_eq!(distinct_rows(&[], 600), (vec![], vec![]));
     }
 
     #[test]

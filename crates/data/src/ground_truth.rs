@@ -67,12 +67,20 @@ impl KnnMatrix {
 
     /// Builds a k′-NN matrix from precomputed neighbour lists (used by tests and by
     /// approximate constructions).
+    ///
+    /// # Panics
+    /// If the rows are ragged or a row names a neighbour that is not one of the `n` points.
     pub fn from_rows(rows: &[Vec<usize>]) -> Self {
         let n = rows.len();
         let k = rows.first().map(|r| r.len()).unwrap_or(0);
         let mut neighbors = Vec::with_capacity(n * k);
-        for r in rows {
+        for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.len(), k, "KnnMatrix::from_rows: ragged rows");
+            if let Some(&j) = r.iter().find(|&&j| j >= n) {
+                panic!(
+                    "KnnMatrix::from_rows: point {i} lists neighbour {j}, but there are {n} points"
+                );
+            }
             neighbors.extend(r.iter().map(|&x| x as u32));
         }
         Self { k, n, neighbors }
@@ -186,6 +194,16 @@ mod tests {
         let m = KnnMatrix::from_rows(&[vec![1, 2], vec![0, 2], vec![0, 1]]);
         assert_eq!(m.neighbors_of(1), &[0, 2]);
         assert_eq!(m.as_slice().len(), 6);
+    }
+
+    /// An id past the last point is refused here, naming it, instead of panicking in
+    /// the trainer's row gather far from the input that caused it.
+    #[test]
+    #[should_panic(
+        expected = "KnnMatrix::from_rows: point 2 lists neighbour 3, but there are 3 points"
+    )]
+    fn from_rows_refuses_a_neighbour_past_the_last_point() {
+        KnnMatrix::from_rows(&[vec![1, 2], vec![0, 2], vec![0, 3]]);
     }
 
     #[test]

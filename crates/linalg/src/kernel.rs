@@ -29,6 +29,7 @@
 //! ranking exactly as the scalar path ranks them).
 
 use crate::distance::Distance;
+pub use crate::kernel_backend::Backend;
 use crate::topk::TopK;
 
 #[cfg(target_arch = "x86_64")]
@@ -143,37 +144,6 @@ fn query_norm_for(distance: Distance, query: &[f32]) -> f32 {
     match distance {
         Distance::Cosine => dot_blocked(query, query).sqrt(),
         _ => 0.0,
-    }
-}
-
-/// Which implementation of the row kernels runs. Both produce the same bits (module
-/// docs), so this is a fact about the host to report, not a setting to choose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The blocked scalar code in this file.
-    Portable,
-    /// 256-bit lanes and an `hadd` combine; x86-64 hosts that report AVX2.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Backend {
-    /// The backend this host's scorers use.
-    pub fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Backend::Avx2;
-        }
-        Backend::Portable
-    }
-
-    /// `"portable"` or `"avx2"`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Portable => "portable",
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => "avx2",
-        }
     }
 }
 

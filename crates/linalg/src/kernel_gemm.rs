@@ -5,23 +5,28 @@
 //! not the instructions (DESIGN.md §2.2). It is a second contract, older than the scan's
 //! and deliberately not unified with it: every model ever trained by this tree was
 //! trained on [`dot`]'s 4-lane order, and a router trained on the scan's 8-lane order is
-//! a different router.
+//! a different router. The two contracts do share their forms and the detection that
+//! picks one ([`Backend::detect`]): a portable one, and an AVX2 one on x86-64 hosts that
+//! report it, proptested against the portable one bit for bit.
 //!
 //! * `A·Bᵀ` ([`abt`], the forward GEMM): every output is [`dot`] of a row of `A` with a
 //!   row of `B` — four accumulators, lane `l` taking elements `l, l + 4, …` in order,
 //!   one `mul` then one `add` per term (no FMA), combined as `((s0 + s1) + s2) + s3`,
 //!   then `+ rest`, the `k % 4` tail summed in order. [`abt_portable`] is that sentence
-//!   as a loop over `dot`: what every non-x86-64 host runs and the oracle of the
-//!   proptest below. On x86-64 the four lanes are one SSE2 register (baseline there, so
-//!   there is nothing to detect or dispatch), and eight rows of `B` share each load of
-//!   the row of `A` — eight independent add chains in flight where the per-element loop
-//!   has one.
+//!   as a loop over `dot`: what a host without AVX2 runs and the oracle of the proptest
+//!   below. The AVX2 form holds two outputs' four lanes in one `__m256`, reads `B` from
+//!   a [`PackedBt`] (a layer packs its weight once per optimizer step, not per product)
+//!   and passes two rows of `A` over each panel of eight rows of `B`.
 //! * `Aᵀ·B` and `A·B` ([`accumulate_rows`], the backward GEMMs): output row `r` is
 //!   `Σ_p a(r, p) · B.row(p)`, terms added in ascending `p`, a term whose `a(r, p)` is
-//!   `0.0` skipped. Blocking over output rows changes which row of `B` is in cache, not
-//!   the order any one output sees its terms in.
-//!
-//! This is a leaf module: [`crate::matrix`] imports it, and it imports nothing.
+//!   `0.0` skipped. The AVX2 form keeps a tile of 4 rows × 16 columns in registers for
+//!   the whole sum; tiling changes which outputs are in flight, not the order any one
+//!   output sees its terms in.
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+
+use crate::kernel_backend::Backend;
 
 /// Dot product of two equal-length slices, in the order the module docs fix.
 ///
@@ -47,17 +52,70 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     s0 + s1 + s2 + s3 + rest
 }
 
-/// The one shape check of a product: the raw-pointer loop under [`abt`] relies on it and
+/// The one shape check of a product: the raw-pointer loops under [`abt`] rely on it and
 /// on nothing else.
 #[inline]
-fn assert_abt_shape(a: &[f32], b: &[f32], rows: usize, k: usize, m: usize, out: &[f32]) {
+fn assert_abt_shape(a: &[f32], b: usize, rows: usize, k: usize, m: usize, out: &[f32]) {
     assert!(
-        a.len() == rows * k && b.len() == m * k && out.len() == rows * m,
-        "abt: {} / {} / {} floats are not ({rows}x{k}) * ({m}x{k})^T -> {rows}x{m}",
+        a.len() == rows * k && b == m * k && out.len() == rows * m,
+        "abt: {} / {b} / {} floats are not ({rows}x{k}) * ({m}x{k})^T -> {rows}x{m}",
         a.len(),
-        b.len(),
         out.len()
     );
+}
+
+/// The right-hand side of `A·Bᵀ`, `B` (`m × k`, row-major), laid out for this host's
+/// form of [`abt`]: a copy of `B` where that form is the portable one, panels of eight
+/// rows two to a register where it is AVX2. Packing costs one pass over `B`; a layer
+/// whose weight is `B` keeps one and repacks it when the weight changes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedBt {
+    backend: Backend,
+    m: usize,
+    k: usize,
+    data: Vec<f32>,
+}
+
+impl PackedBt {
+    /// Packs `b`, `m` rows of `k` floats.
+    ///
+    /// # Panics
+    /// If `b.len() != m * k`.
+    pub fn new(b: &[f32], m: usize, k: usize) -> Self {
+        assert_eq!(
+            b.len(),
+            m * k,
+            "PackedBt: {} floats are not {m}x{k}",
+            b.len()
+        );
+        let backend = Backend::detect();
+        let data = match backend {
+            Backend::Portable => b.to_vec(),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => avx2::pack(b, m, k),
+        };
+        Self {
+            backend,
+            m,
+            k,
+            data,
+        }
+    }
+
+    /// Rows of `B`: the outputs per row of `A`.
+    pub fn rows(&self) -> usize {
+        self.m
+    }
+
+    /// Columns of `B`: the length of every dot product.
+    pub fn cols(&self) -> usize {
+        self.k
+    }
+
+    /// The form of [`abt`] this packing is for: the host's [`Backend::detect`].
+    pub fn backend(&self) -> Backend {
+        self.backend
+    }
 }
 
 /// `out = A·Bᵀ` for row-major `A` (`rows × k`), `B` (`m × k`) and `out` (`rows × m`):
@@ -65,31 +123,37 @@ fn assert_abt_shape(a: &[f32], b: &[f32], rows: usize, k: usize, m: usize, out: 
 ///
 /// # Panics
 /// If a slice is not as long as its shape says.
-#[inline]
 pub fn abt(a: &[f32], b: &[f32], rows: usize, k: usize, m: usize, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        assert_abt_shape(a, b, rows, k, m, out);
-        for i in 0..rows {
-            // SAFETY: SSE2 is part of the x86-64 baseline. By the assert above, row `i`
-            // of `a` is `k` floats at `i * k`, `b` is `m` rows of `k` floats, and row `i`
-            // of `out` is `m` floats at `i * m`.
-            unsafe {
-                let (a_row, out_row) = (a.as_ptr().add(i * k), out.as_mut_ptr().add(i * m));
-                sse2::row_times_bt(a_row, b.as_ptr(), k, m, out_row);
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    abt_portable(a, b, rows, k, m, out);
+    assert_abt_shape(a, b.len(), rows, k, m, out);
+    abt_packed(a, rows, &PackedBt::new(b, m, k), out);
 }
 
-/// [`abt`] one [`dot`] per output: the portable form and the blocked kernel's oracle.
+/// [`abt`] against a `B` packed beforehand.
+///
+/// # Panics
+/// If `a` is not `rows` rows of `b.cols()` floats or `out` not `rows` rows of
+/// `b.rows()`.
+pub fn abt_packed(a: &[f32], rows: usize, b: &PackedBt, out: &mut [f32]) {
+    let (m, k) = (b.m, b.k);
+    assert_abt_shape(a, m * k, rows, k, m, out);
+    match b.backend {
+        Backend::Portable => abt_portable(a, &b.data, rows, k, m, out),
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => {
+            // SAFETY: `Avx2` is only ever built by `Backend::detect` on a host that
+            // reports the feature. By the assert above `a` is `rows * k` floats and `out`
+            // `rows * m`, and `avx2::pack` made `data` `ceil(m / 8) * 8 * k` floats.
+            unsafe { avx2::abt(a.as_ptr(), rows, k, m, b.data.as_ptr(), out.as_mut_ptr()) }
+        }
+    }
+}
+
+/// [`abt`] one [`dot`] per output: the portable form and the AVX2 kernel's oracle.
 ///
 /// # Panics
 /// As [`abt`].
 pub fn abt_portable(a: &[f32], b: &[f32], rows: usize, k: usize, m: usize, out: &mut [f32]) {
-    assert_abt_shape(a, b, rows, k, m, out);
+    assert_abt_shape(a, b.len(), rows, k, m, out);
     for i in 0..rows {
         for j in 0..m {
             out[i * m + j] = dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
@@ -97,133 +161,85 @@ pub fn abt_portable(a: &[f32], b: &[f32], rows: usize, k: usize, m: usize, out: 
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod sse2 {
-    use std::arch::x86_64::*;
-
-    /// Rows of `B` that share one load of the row of `A`.
-    const BLOCK: usize = 8;
-
-    /// `dot`'s lane combine for four accumulators at once: lane `n` of the result is
-    /// `((s0 + s1) + s2) + s3` of `acc[n]`.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn combine4(acc: [__m128; 4]) -> __m128 {
-        // A 4x4 transpose: `s[l]` holds lane `l` of each accumulator.
-        let lo01 = _mm_unpacklo_ps(acc[0], acc[1]);
-        let lo23 = _mm_unpacklo_ps(acc[2], acc[3]);
-        let hi01 = _mm_unpackhi_ps(acc[0], acc[1]);
-        let hi23 = _mm_unpackhi_ps(acc[2], acc[3]);
-        let s0 = _mm_movelh_ps(lo01, lo23);
-        let s1 = _mm_movehl_ps(lo23, lo01);
-        let s2 = _mm_movelh_ps(hi01, hi23);
-        let s3 = _mm_movehl_ps(hi23, hi01);
-        _mm_add_ps(_mm_add_ps(_mm_add_ps(s0, s1), s2), s3)
-    }
-
-    /// The 4-lane accumulators of `dot(a, row n of b)` and its `k % 4` tail sum, for `N`
-    /// consecutive `k`-float rows at `b`.
-    ///
-    /// # Safety
-    /// `a` valid for `k` reads and `b` for `N * k`.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn accumulate<const N: usize>(
-        a: *const f32,
-        b: *const f32,
-        k: usize,
-    ) -> ([__m128; N], [f32; N]) {
-        let full = k & !3;
-        let mut acc = [_mm_setzero_ps(); N];
-        let mut p = 0;
-        while p < full {
-            let av = _mm_loadu_ps(a.add(p));
-            for n in 0..N {
-                let bv = _mm_loadu_ps(b.add(n * k + p));
-                acc[n] = _mm_add_ps(acc[n], _mm_mul_ps(av, bv));
-            }
-            p += 4;
-        }
-        let mut rest = [0.0f32; N];
-        for p in full..k {
-            for n in 0..N {
-                rest[n] += *a.add(p) * *b.add(n * k + p);
-            }
-        }
-        (acc, rest)
-    }
-
-    /// `out[n] = dot(a, row n of b)` for `N` rows, `N` a multiple of four.
-    ///
-    /// # Safety
-    /// As [`accumulate`], and `out` valid for `N` writes.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn dots<const N: usize>(a: *const f32, b: *const f32, k: usize, out: *mut f32) {
-        const { assert!(N.is_multiple_of(4)) };
-        let (acc, rest) = accumulate::<N>(a, b, k);
-        for g in (0..N).step_by(4) {
-            let lanes = combine4([acc[g], acc[g + 1], acc[g + 2], acc[g + 3]]);
-            let tails = _mm_loadu_ps(rest.as_ptr().add(g));
-            _mm_storeu_ps(out.add(g), _mm_add_ps(lanes, tails));
-        }
-    }
-
-    /// `out[j] = dot(a, row j of b)` for all `m` rows of `b`: eight at a time, then four,
-    /// then singly.
-    ///
-    /// # Safety
-    /// `a` valid for `k` reads, `b` for `m * k`, `out` for `m` writes.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn row_times_bt(
-        a: *const f32,
-        b: *const f32,
-        k: usize,
-        m: usize,
-        out: *mut f32,
-    ) {
-        let mut j = 0;
-        while j + BLOCK <= m {
-            dots::<BLOCK>(a, b.add(j * k), k, out.add(j));
-            j += BLOCK;
-        }
-        if j + 4 <= m {
-            dots::<4>(a, b.add(j * k), k, out.add(j));
-            j += 4;
-        }
-        while j < m {
-            let ([acc], [rest]) = accumulate::<1>(a, b.add(j * k), k);
-            let mut s = [0.0f32; 4];
-            _mm_storeu_ps(s.as_mut_ptr(), acc);
-            *out.add(j) = s[0] + s[1] + s[2] + s[3] + rest;
-            j += 1;
-        }
-    }
-}
-
-/// `out.row(r) += Σ_p a(r, p) · B.row(p)` for every `m`-float row `r` of `out` and every
-/// `m`-float row `p` of `b`, `p` ascending, a term whose `a(r, p)` is `0.0` skipped — the
-/// per-element order of `Matrix::matmul` and `Matrix::transpose_matmul`, which differ
-/// only in where `a(r, p)` lives. Each row of `B` is read once per call, not once per
-/// output row, so callers pass a block of output rows small enough to stay in L1.
-///
-/// # Panics
-/// If `b` or `out` is not whole rows of `m` floats.
-pub fn accumulate_rows(a: impl Fn(usize, usize) -> f32, b: &[f32], m: usize, out: &mut [f32]) {
+/// The one shape check of a backward product: returns the number of terms (rows of `b`)
+/// and output rows after checking that every `a(r, p)` is inside `a`.
+fn backward_shape(
+    a: &[f32],
+    (row_stride, p_stride): (usize, usize),
+    b: &[f32],
+    m: usize,
+    out: &[f32],
+) -> (usize, usize) {
     assert!(
         m > 0 && b.len().is_multiple_of(m) && out.len().is_multiple_of(m),
         "accumulate_rows: {} / {} floats are not whole rows of {m}",
         b.len(),
         out.len()
     );
+    let (terms, rows) = (b.len() / m, out.len() / m);
+    if terms > 0 && rows > 0 {
+        let last = (rows - 1) * row_stride + (terms - 1) * p_stride;
+        assert!(
+            last < a.len(),
+            "accumulate_rows: a({}, {}) is at {last}, past the {} coefficients",
+            rows - 1,
+            terms - 1,
+            a.len()
+        );
+    }
+    (terms, rows)
+}
+
+/// `out.row(r) += Σ_p a(r, p) · B.row(p)` for every `m`-float row `r` of `out` and every
+/// `m`-float row `p` of `b`, `p` ascending, a term whose `a(r, p)` is `0.0` skipped — the
+/// per-element order of `Matrix::matmul` and `Matrix::transpose_matmul`, which differ
+/// only in where `a(r, p) = a[r · strides.0 + p · strides.1]` lives.
+///
+/// # Panics
+/// If `b` or `out` is not whole rows of `m` floats, or a coefficient is out of `a`.
+pub fn accumulate_rows(a: &[f32], strides: (usize, usize), b: &[f32], m: usize, out: &mut [f32]) {
+    let (terms, rows) = backward_shape(a, strides, b, m, out);
+    let done = match Backend::detect() {
+        Backend::Portable => 0,
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the host reports AVX2 (`Backend::detect`). By `backward_shape`, `b` is
+        // `terms` rows and `out` `rows` rows of `m` floats, and every `a(r, p)` with
+        // `r < rows` and `p < terms` is inside `a`.
+        Backend::Avx2 => unsafe {
+            avx2::accumulate_rows(
+                a.as_ptr(),
+                strides,
+                b.as_ptr(),
+                terms,
+                m,
+                rows,
+                out.as_mut_ptr(),
+            )
+        },
+    };
+    accumulate_columns(a, strides, b, m, out, done);
+}
+
+/// [`accumulate_rows`] over the columns `first..m` alone, in the per-row loop: the
+/// portable form (from column 0) and the AVX2 form's `m % 8` columns.
+fn accumulate_columns(
+    a: &[f32],
+    (row_stride, p_stride): (usize, usize),
+    b: &[f32],
+    m: usize,
+    out: &mut [f32],
+    first: usize,
+) {
+    if first == m {
+        return;
+    }
     for (p, b_row) in b.chunks_exact(m).enumerate() {
         for (r, out_row) in out.chunks_exact_mut(m).enumerate() {
-            let av = a(r, p);
+            let av = a[r * row_stride + p * p_stride];
             if av == 0.0 {
                 continue;
             }
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+            for (o, &bv) in out_row[first..].iter_mut().zip(&b_row[first..]) {
                 *o += av * bv;
             }
         }
@@ -295,42 +311,83 @@ pub(crate) mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
-    /// Every `k % 4` tail (and `k < 4`) against every remainder of the eight- and four-row
-    /// blocks, exhaustively — the proptest below samples the same space at larger `k`.
+    /// Every `k % 4` tail (and `k < 4`) against every remainder of the eight-row panel and
+    /// both row parities, exhaustively — the proptest below samples the same space at
+    /// larger `k`.
     #[test]
     fn blocked_abt_matches_dot_on_every_small_shape() {
         let values = crate::rng::normal_vector(&mut crate::rng::seeded(7), 3 * 13 + 19 * 13);
-        for k in 0..=13 {
-            for m in 0..=19 {
-                let (a, b) = (&values[..3 * k], &values[3 * 13..3 * 13 + m * k]);
-                let (mut want, mut got) = (vec![0.0f32; 3 * m], vec![f32::NAN; 3 * m]);
-                abt_portable(a, b, 3, k, m, &mut want);
-                abt(a, b, 3, k, m, &mut got);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&want), bits(&got), "k={k} m={m}");
+        for rows in [2, 3] {
+            for k in 0..=13 {
+                for m in 0..=19 {
+                    let (a, b) = (&values[..rows * k], &values[3 * 13..3 * 13 + m * k]);
+                    let (mut want, mut got) = (vec![0.0f32; rows * m], vec![f32::NAN; rows * m]);
+                    abt_portable(a, b, rows, k, m, &mut want);
+                    abt(a, b, rows, k, m, &mut got);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&want), bits(&got), "rows={rows} k={k} m={m}");
+                }
             }
         }
     }
 
+    /// The host has no AVX2: say so once, as the scan's proptest does.
+    fn portable_host_reports_skip(test: &str) -> bool {
+        if Backend::detect() != Backend::Portable {
+            return false;
+        }
+        static REPORT: std::sync::Once = std::sync::Once::new();
+        REPORT.call_once(|| {
+            eprintln!("SKIPPED {test}: this host has no AVX2; the products run their portable form")
+        });
+        true
+    }
+
+    /// `out += A·B` one output row at a time, terms in ascending `p`, zero coefficients
+    /// skipped: the order every form of [`accumulate_rows`] keeps.
+    fn per_row_loop(a: &[f32], (rs, ps): (usize, usize), b: &[f32], m: usize, out: &mut [f32]) {
+        for (r, out_row) in out.chunks_exact_mut(m).enumerate() {
+            for (p, b_row) in b.chunks_exact(m).enumerate() {
+                let av = a[r * rs + p * ps];
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_rows_refuses_a_coefficient_past_the_end() {
+        let run = |a: usize, strides: (usize, usize)| {
+            std::panic::catch_unwind(|| {
+                accumulate_rows(&vec![1.0; a], strides, &[1.0; 6], 3, &mut [0.0; 12])
+            })
+        };
+        // 4 output rows, 2 terms: a(3, 1) is at 3 * 2 + 1 (row-major) or 3 + 1 * 4.
+        assert!(run(8, (2, 1)).is_ok());
+        assert!(run(7, (2, 1)).is_err());
+        assert!(run(8, (1, 4)).is_ok());
+        assert!(run(7, (1, 4)).is_err());
+    }
+
     proptest! {
         /// The blocked `A·Bᵀ` against its oracle, one `dot` per output: the same bits.
-        /// `k` covers every `k % 4` tail, `m` every remainder of the eight- and
-        /// four-row blocks, `A` starts one float into the allocation and `B` three floats
-        /// past the end of `A` so loads are unaligned, and both are seeded with NaN, ±∞
-        /// and ±0.0.
+        /// `k` covers every `k % 4` tail, `m` every remainder of the eight-row panel and
+        /// `rows` both parities of the two-row pass; `A` starts one float into the
+        /// allocation and `B` three floats past the end of `A` so loads are unaligned,
+        /// and both are seeded with NaN, ±∞ and ±0.0.
         #[test]
         fn blocked_abt_matches_per_element_dot_bit_for_bit(
             k in 1usize..=200,
-            m in 0usize..=19,
+            m in 0usize..=25,
             rows in 0usize..=9,
             seed in 0u64..1 << 40,
             specials in prop::collection::vec((0usize..1 << 20, 0u8..5), 0..8),
         ) {
-            if cfg!(not(target_arch = "x86_64")) {
-                static REPORT: std::sync::Once = std::sync::Once::new();
-                REPORT.call_once(|| {
-                    eprintln!("SKIPPED blocked_abt_matches_per_element_dot_bit_for_bit: this target has no blocked GEMM; `abt` is the per-element loop")
-                });
+            if portable_host_reports_skip("blocked_abt_matches_per_element_dot_bit_for_bit") {
                 return Ok(());
             }
             let mut values = crate::rng::normal_vector(&mut crate::rng::seeded(seed), 4 + (rows + m) * k);
@@ -347,6 +404,99 @@ pub(crate) mod tests {
                     same(w, g),
                     "k={k} m={m} output ({}, {}): dot {w:?} ({:#x}) vs blocked {g:?} ({:#x})",
                     at / m, at % m, w.to_bits(), g.to_bits()
+                );
+            }
+        }
+
+    }
+
+    /// Every remainder of the 4-row × 16-column tile, exhaustively, both coefficient
+    /// layouts, with zero coefficients in every row and a non-finite `b` beside them —
+    /// the proptest below samples the same space with more terms.
+    #[test]
+    fn tiled_backward_products_match_the_per_row_loop_on_every_tile_remainder() {
+        let values = crate::rng::normal_vector(&mut crate::rng::seeded(11), 13 * 7 + 7 * 40);
+        for rows in 0..=13 {
+            for m in 1..=40 {
+                let terms = 7;
+                let mut a = values[..rows * terms].to_vec();
+                let mut b = values[13 * 7..13 * 7 + terms * m].to_vec();
+                for (i, v) in a.iter_mut().enumerate() {
+                    if i % 5 == 2 {
+                        *v = 0.0;
+                    }
+                }
+                b[m / 2] = f32::INFINITY;
+                b[terms * m - 1] = f32::NAN;
+                for strides in [(terms, 1), (1, rows)] {
+                    let (mut want, mut got) = (vec![0.5f32; rows * m], vec![0.5f32; rows * m]);
+                    per_row_loop(&a, strides, &b, m, &mut want);
+                    accumulate_rows(&a, strides, &b, m, &mut got);
+                    for (at, (&w, &g)) in want.iter().zip(&got).enumerate() {
+                        assert!(
+                            same(w, g),
+                            "rows={rows} m={m} {strides:?} at {at}: {w:?} vs {g:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The tiled backward products against the per-row loop: the same bits, for every
+        /// remainder of the 4-row × 16-column tile (and the `m % 8` columns the loop
+        /// keeps), coefficients laid out both ways (`A·B` row-major, `Aᵀ·B` down the
+        /// columns), every operand starting an odd number of floats into its allocation,
+        /// zero coefficients beside NaN, ±∞ and ±0.0 in both operands, and an `out` that
+        /// does not start at zero.
+        #[test]
+        fn tiled_backward_products_match_the_per_row_loop(
+            rows in 0usize..=13,
+            m in 1usize..=40,
+            terms in 0usize..=70,
+            seed in 0u64..1 << 40,
+            zeros in prop::collection::vec(0usize..1 << 20, 0..40),
+            specials in prop::collection::vec((0usize..1 << 20, 0u8..5), 0..10),
+        ) {
+            let mut rng = crate::rng::seeded(seed);
+            let values = crate::rng::normal_vector(&mut rng, 1 + rows * terms + 3 + terms * m + 5 + rows * m);
+            let (a, rest) = values[1..].split_at(rows * terms);
+            let (b, rest) = rest[3..].split_at(terms * m);
+            let (mut a, mut b, start) = (a.to_vec(), b.to_vec(), &rest[5..]);
+            for (i, &(at, class)) in specials.iter().enumerate() {
+                let target = if i % 2 == 0 { &mut a } else { &mut b };
+                if !target.is_empty() {
+                    let at = at % target.len();
+                    target[at] = special(class);
+                }
+            }
+            for &at in &zeros {
+                if !a.is_empty() {
+                    let at = at % a.len();
+                    a[at] = 0.0;
+                }
+            }
+            // The seed's low bit picks the layout (the shim takes six strategies at most).
+            let transposed = seed % 2 == 1;
+            let strides = if transposed { (1, rows) } else { (terms, 1) };
+            // Operands one and three floats into their buffers, so no load is aligned.
+            let mut a_buf = vec![0.0f32; 1 + a.len()];
+            a_buf[1..].copy_from_slice(&a);
+            let mut b_buf = vec![0.0f32; 3 + b.len()];
+            b_buf[3..].copy_from_slice(&b);
+            let mut out_buf = vec![0.0f32; 1 + start.len()];
+            out_buf[1..].copy_from_slice(start);
+            let mut want = start.to_vec();
+            per_row_loop(&a, strides, &b, m, &mut want);
+            accumulate_rows(&a_buf[1..], strides, &b_buf[3..], m, &mut out_buf[1..]);
+            for (at, (&w, &g)) in want.iter().zip(&out_buf[1..]).enumerate() {
+                prop_assert!(
+                    same(w, g),
+                    "{rows}x{terms}*{terms}x{m} (transposed {transposed}) at ({}, {}): {w:?} vs {g:?}",
+                    at / m, at % m
                 );
             }
         }

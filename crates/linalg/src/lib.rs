@@ -22,6 +22,7 @@
 pub mod distance;
 pub mod eigen;
 pub mod kernel;
+mod kernel_backend;
 pub mod kernel_gemm;
 pub mod matrix;
 pub mod pca;

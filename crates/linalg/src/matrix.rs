@@ -8,12 +8,15 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::kernel_gemm;
 pub use crate::kernel_gemm::dot;
+use crate::kernel_gemm::{self, PackedBt};
 
-/// Output rows per pool task of `matmul` / `transpose_matmul`: eight rows of a few
-/// hundred floats stay in L1 while one pass over the other operand feeds all of them.
+/// Output rows per pool task of `matmul` / `transpose_matmul`: two register tiles of
+/// the backward kernel, which stream the other operand once per tile.
 const ROW_BLOCK: usize = 8;
+
+/// Rows of `A` per pool task of `A·Bᵀ`: eight two-row passes of the forward kernel.
+const FORWARD_BLOCK: usize = 16;
 
 /// Row-major dense matrix of `f32` values.
 ///
@@ -166,7 +169,8 @@ impl Matrix {
         out
     }
 
-    /// Dense matrix multiplication `self * other`, parallelised over rows of `self`.
+    /// Dense matrix multiplication `self * other`, parallelised over blocks of rows of
+    /// `self`.
     ///
     /// # Panics
     /// Panics if the inner dimensions do not match.
@@ -176,36 +180,47 @@ impl Matrix {
             "matmul: inner dimensions mismatch {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (k, m) = (self.cols, other.cols);
-        let mut out = Matrix::zeros(self.rows, m);
-        out.data
-            .par_chunks_mut(m * ROW_BLOCK)
-            .enumerate()
-            .for_each(|(block, out_rows)| {
-                let a = |r, p| self.data[(block * ROW_BLOCK + r) * k + p];
-                kernel_gemm::accumulate_rows(a, &other.data, m, out_rows);
-            });
-        out
+        // a(r, p) = self[r][p]: a row stride of `cols`, a term stride of 1.
+        self.accumulate_products((self.cols, 1), other, self.rows)
     }
 
     /// Computes `self * other^T` without materialising the transpose.
     ///
     /// This is the hot path for linear layers where weights are stored as
-    /// `(out_features, in_features)`.
+    /// `(out_features, in_features)`; a layer that applies one weight many times packs
+    /// it once and calls [`Matrix::matmul_packed_bt`].
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_transpose_b: inner dimensions mismatch {}x{} * ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (k, m) = (self.cols, other.rows);
+        self.matmul_packed_bt(&PackedBt::new(&other.data, other.rows, other.cols))
+    }
+
+    /// `self * Bᵀ` for a `B` packed beforehand, parallelised over blocks of rows of
+    /// `self`: the bits of [`Matrix::matmul_transpose_b`].
+    ///
+    /// # Panics
+    /// Panics if `self.cols() != b.cols()`.
+    pub fn matmul_packed_bt(&self, b: &PackedBt) -> Matrix {
+        let (k, m) = (b.cols(), b.rows());
+        assert_eq!(
+            self.cols, k,
+            "matmul_packed_bt: inner dimensions mismatch {}x{} * ({m}x{k})^T",
+            self.rows, self.cols
+        );
         let mut out = Matrix::zeros(self.rows, m);
+        if m == 0 {
+            return out;
+        }
         out.data
-            .par_chunks_mut(m)
+            .par_chunks_mut(m * FORWARD_BLOCK)
             .enumerate()
-            .for_each(|(i, out_row)| {
-                let a_row = &self.data[i * k..(i + 1) * k];
-                kernel_gemm::abt(a_row, &other.data, 1, k, m, out_row);
+            .for_each(|(block, out_rows)| {
+                let rows = out_rows.len() / m;
+                let a = &self.data[block * FORWARD_BLOCK * k..][..rows * k];
+                kernel_gemm::abt_packed(a, rows, b, out_rows);
             });
         out
     }
@@ -219,15 +234,24 @@ impl Matrix {
             "transpose_matmul: row counts mismatch ({}x{})^T * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (n, m) = (self.cols, other.cols);
-        let mut out = Matrix::zeros(n, m);
-        // Parallelise over blocks of output rows (columns of self).
+        // a(r, p) = self[p][r]: output row r is column r of self.
+        self.accumulate_products((1, self.cols), other, self.cols)
+    }
+
+    /// `rows × other.cols` outputs `Σ_p a(r, p) · other.row(p)` with `a(r, p)` in `self`
+    /// at `strides`, blocks of [`ROW_BLOCK`] output rows on the pool.
+    fn accumulate_products(&self, strides: (usize, usize), other: &Matrix, rows: usize) -> Matrix {
+        let m = other.cols;
+        let mut out = Matrix::zeros(rows, m);
+        if m == 0 || other.rows == 0 {
+            return out;
+        }
         out.data
             .par_chunks_mut(m * ROW_BLOCK)
             .enumerate()
             .for_each(|(block, out_rows)| {
-                let a = |r, p| self.data[p * n + block * ROW_BLOCK + r];
-                kernel_gemm::accumulate_rows(a, &other.data, m, out_rows);
+                let a = &self.data[block * ROW_BLOCK * strides.0..];
+                kernel_gemm::accumulate_rows(a, strides, &other.data, m, out_rows);
             });
         out
     }
@@ -441,8 +465,8 @@ mod tests {
         #[test]
         fn blocked_backward_products_match_their_per_row_loops(
             n in 0usize..=19,
-            k in 0usize..=21,
-            m in 1usize..=37,
+            k in 0usize..=70,
+            m in 1usize..=40,
             seed in 0u64..1 << 40,
             zeros in prop::collection::vec(0usize..1 << 20, 0..24),
             specials in prop::collection::vec((0usize..1 << 20, 0u8..5), 0..8),

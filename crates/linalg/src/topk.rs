@@ -52,19 +52,14 @@ pub fn nan_class_cmp_f64(a: f64, b: f64) -> Ordering {
 /// Returns `None` for an empty or all-NaN slice — the pre-hardening version silently
 /// answered `0` in both cases, which let a NaN-poisoned score vector masquerade as a
 /// confident vote for bin 0.
+///
+/// Two branch-free passes: `f32::max` ignores NaN, so the fold is the largest non-NaN
+/// value (`-∞` when there is none, which no NaN equals), and the first element equal to
+/// it is the answer (`-0.0 == 0.0`, so either signed zero ties with the other).
 #[inline]
 pub fn argmax(values: &[f32]) -> Option<usize> {
-    let mut best: Option<(usize, f32)> = None;
-    for (i, &v) in values.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if v <= bv => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
+    let max = values.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    values.iter().position(|&v| v == max)
 }
 
 /// Indices of the `k` smallest values, ordered ascending by value (NaN last, ties by

@@ -6,15 +6,20 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use usp_linalg::kernel_gemm::PackedBt;
 use usp_linalg::{rng as lrng, Matrix};
 
 use crate::init;
 
 /// A fully-connected layer `y = x W^T + b` with weight shape `(out_features, in_features)`.
+///
+/// The forward product reads `W` packed for the GEMM kernel. The layer keeps that copy
+/// beside the weight and repacks it whenever the weight is handed out mutably (the
+/// optimizer's [`Layer::visit_params`]), so a forward packs nothing.
 #[derive(Debug, Clone)]
 pub struct Linear {
-    /// Weight matrix, `(out_features, in_features)`.
-    pub weight: Matrix,
+    weight: Matrix,
+    packed: PackedBt,
     /// Bias vector, length `out_features`.
     pub bias: Vec<f32>,
     grad_weight: Matrix,
@@ -25,13 +30,26 @@ pub struct Linear {
 impl Linear {
     /// Creates a Glorot-initialised linear layer.
     pub fn new(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
+        let weight = init::glorot_uniform(rng, out_features, in_features);
+        Self::from_parts(weight, vec![0.0; out_features])
+    }
+
+    /// A layer with the given weight, `(out_features, in_features)`, and bias.
+    fn from_parts(weight: Matrix, bias: Vec<f32>) -> Self {
+        let (out_features, in_features) = weight.shape();
         Self {
-            weight: init::glorot_uniform(rng, out_features, in_features),
-            bias: vec![0.0; out_features],
+            packed: pack(&weight),
+            weight,
+            bias,
             grad_weight: Matrix::zeros(out_features, in_features),
             grad_bias: vec![0.0; out_features],
             input: None,
         }
+    }
+
+    /// Weight matrix, `(out_features, in_features)`.
+    pub fn weight(&self) -> &Matrix {
+        &self.weight
     }
 
     /// Number of input features.
@@ -45,7 +63,7 @@ impl Linear {
     }
 
     fn forward_eval(&self, x: &Matrix) -> Matrix {
-        let mut out = x.matmul_transpose_b(&self.weight);
+        let mut out = x.matmul_packed_bt(&self.packed);
         out.add_row_broadcast(&self.bias);
         out
     }
@@ -72,6 +90,11 @@ impl Linear {
         // dx = dout W
         dout.matmul(&self.weight)
     }
+}
+
+/// `weight` packed as the right-hand side of `x · weightᵀ`.
+fn pack(weight: &Matrix) -> PackedBt {
+    PackedBt::new(weight.as_slice(), weight.rows(), weight.cols())
 }
 
 /// Rectified linear unit.
@@ -151,13 +174,11 @@ impl BatchNorm1d {
             .iter()
             .map(|&v| 1.0 / (v + self.eps).sqrt())
             .collect();
-        let (n, f) = x.shape();
-        let mut out = Matrix::zeros(n, f);
-        for i in 0..n {
-            let xr = x.row(i);
-            let or = out.row_mut(i);
-            for j in 0..f {
-                or[j] = self.gamma[j] * (xr[j] - self.running_mean[j]) * inv_std[j] + self.beta[j];
+        let mut out = x.clone();
+        for row in out.as_mut_slice().chunks_exact_mut(x.cols().max(1)) {
+            let params = self.gamma.iter().zip(&self.running_mean).zip(&inv_std);
+            for ((o, ((&g, &m), &s)), &b) in row.iter_mut().zip(params).zip(&self.beta) {
+                *o = g * (*o - m) * s + b;
             }
         }
         out
@@ -169,34 +190,40 @@ impl BatchNorm1d {
             // One row has no batch statistics: normalise with the running ones.
             return self.forward_eval(x);
         }
-        let mut out = Matrix::zeros(n, f);
+        let n_f = n as f32;
+        // Per column, rows in order: the mean, then the biased variance about it. Each
+        // pass is one sweep down the rows with a lane per column, which vectorises.
         let mean = x.col_means();
         let mut var = vec![0.0f32; f];
         for row in x.row_iter() {
-            for (j, (&v, &m)) in row.iter().zip(mean.iter()).enumerate() {
-                var[j] += (v - m) * (v - m);
+            for ((v, &xv), &m) in var.iter_mut().zip(row).zip(&mean) {
+                *v += (xv - m) * (xv - m);
             }
         }
         for v in &mut var {
-            *v /= n as f32;
+            *v /= n_f;
         }
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut x_hat = Matrix::zeros(n, f);
-        for i in 0..n {
-            let xr = x.row(i);
-            let xh = x_hat.row_mut(i);
-            let or = out.row_mut(i);
-            for j in 0..f {
-                xh[j] = (xr[j] - mean[j]) * inv_std[j];
-                or[j] = self.gamma[j] * xh[j] + self.beta[j];
+        let mut x_hat = x.clone();
+        let mut out = Matrix::zeros(n, f);
+        let rows = x_hat.as_mut_slice().chunks_exact_mut(f.max(1));
+        for (xh, or) in rows.zip(out.as_mut_slice().chunks_exact_mut(f.max(1))) {
+            let params = mean
+                .iter()
+                .zip(&inv_std)
+                .zip(self.gamma.iter().zip(&self.beta));
+            for ((h, o), ((&m, &s), (&g, &b))) in xh.iter_mut().zip(or).zip(params) {
+                *h = (*h - m) * s;
+                *o = g * *h + b;
             }
         }
-        for j in 0..f {
-            self.running_mean[j] =
-                (1.0 - self.momentum) * self.running_mean[j] + self.momentum * mean[j];
-            self.running_var[j] =
-                (1.0 - self.momentum) * self.running_var[j] + self.momentum * var[j];
-        }
+        let mix = |running: &mut [f32], batch: &[f32]| {
+            for (r, &b) in running.iter_mut().zip(batch) {
+                *r = (1.0 - self.momentum) * *r + self.momentum * b;
+            }
+        };
+        mix(&mut self.running_mean, &mean);
+        mix(&mut self.running_var, &var);
         self.cache = Some(BnCache { x_hat, inv_std });
         out
     }
@@ -208,29 +235,35 @@ impl BatchNorm1d {
             .expect("BatchNorm1d::backward called without a cached training forward pass");
         let (n, f) = dout.shape();
         let n_f = n as f32;
-        // Column-wise sums of dout and dout * x_hat.
+        // Column-wise sums of dout and dout * x_hat, rows in order.
         let mut sum_dout = vec![0.0f32; f];
         let mut sum_dout_xhat = vec![0.0f32; f];
-        for i in 0..n {
-            let dr = dout.row(i);
-            let xh = cache.x_hat.row(i);
-            for j in 0..f {
-                sum_dout[j] += dr[j];
-                sum_dout_xhat[j] += dr[j] * xh[j];
+        for (dr, xh) in dout.row_iter().zip(cache.x_hat.row_iter()) {
+            let sums = sum_dout.iter_mut().zip(sum_dout_xhat.iter_mut());
+            for ((&d, &h), (sd, sdh)) in dr.iter().zip(xh).zip(sums) {
+                *sd += d;
+                *sdh += d * h;
             }
         }
-        for j in 0..f {
-            self.grad_beta[j] += sum_dout[j];
-            self.grad_gamma[j] += sum_dout_xhat[j];
+        for (g, &s) in self.grad_beta.iter_mut().zip(&sum_dout) {
+            *g += s;
         }
-        let mut dx = Matrix::zeros(n, f);
-        for i in 0..n {
-            let dr = dout.row(i);
-            let xh = cache.x_hat.row(i);
-            let dxr = dx.row_mut(i);
-            for j in 0..f {
-                dxr[j] = self.gamma[j] * cache.inv_std[j] / n_f
-                    * (n_f * dr[j] - sum_dout[j] - xh[j] * sum_dout_xhat[j]);
+        for (g, &s) in self.grad_gamma.iter_mut().zip(&sum_dout_xhat) {
+            *g += s;
+        }
+        // Per column, `gamma * inv_std / n` is the same factor for every row.
+        let scale: Vec<f32> = self
+            .gamma
+            .iter()
+            .zip(&cache.inv_std)
+            .map(|(&g, &s)| g * s / n_f)
+            .collect();
+        let mut dx = dout.clone();
+        let rows = dx.as_mut_slice().chunks_exact_mut(f.max(1));
+        for (dr, xh) in rows.zip(cache.x_hat.row_iter()) {
+            let sums = sum_dout.iter().zip(&sum_dout_xhat);
+            for ((d, &h), (&c, (&sd, &sdh))) in dr.iter_mut().zip(xh).zip(scale.iter().zip(sums)) {
+                *d = c * (n_f * *d - sd - h * sdh);
             }
         }
         dx
@@ -274,19 +307,19 @@ impl Dropout {
         let mut rng: StdRng =
             lrng::seeded(self.seed ^ self.calls.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let keep = 1.0 - self.p;
-        let mask: Vec<f32> = (0..x.as_slice().len())
-            .map(|_| {
-                if rng.random::<f32>() < keep {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mut out = x.clone();
-        for (o, &m) in out.as_mut_slice().iter_mut().zip(mask.iter()) {
-            *o *= m;
-        }
+        let scale = 1.0 / keep;
+        // The mask is drawn in element order, into the last call's buffer.
+        let mut mask = self.mask.take().unwrap_or_default();
+        mask.clear();
+        mask.extend((0..x.as_slice().len()).map(|_| {
+            if rng.random::<f32>() < keep {
+                scale
+            } else {
+                0.0
+            }
+        }));
+        let out = x.as_slice().iter().zip(&mask).map(|(&v, &m)| v * m);
+        let out = Matrix::from_vec(x.rows(), x.cols(), out.collect());
         self.mask = Some(mask);
         out
     }
@@ -295,11 +328,8 @@ impl Dropout {
         match &self.mask {
             None => dout.clone(),
             Some(mask) => {
-                let mut dx = dout.clone();
-                for (g, &m) in dx.as_mut_slice().iter_mut().zip(mask.iter()) {
-                    *g *= m;
-                }
-                dx
+                let dx = dout.as_slice().iter().zip(mask).map(|(&g, &m)| g * m);
+                Matrix::from_vec(dout.rows(), dout.cols(), dx.collect())
             }
         }
     }
@@ -383,6 +413,7 @@ impl Layer {
         match self {
             Layer::Linear(l) => {
                 f(l.weight.as_mut_slice(), l.grad_weight.as_mut_slice());
+                l.packed = pack(&l.weight);
                 f(&mut l.bias, &mut l.grad_bias);
             }
             Layer::BatchNorm(l) => {
@@ -413,12 +444,28 @@ mod tests {
 
     #[test]
     fn linear_forward_known_values() {
-        let mut l = Linear::new(2, 3, &mut rng());
-        l.weight = Matrix::from_vec(3, 2, vec![1., 0., 0., 1., 1., 1.]);
-        l.bias = vec![0.5, -0.5, 0.0];
+        let weight = Matrix::from_vec(3, 2, vec![1., 0., 0., 1., 1., 1.]);
+        let l = Linear::from_parts(weight, vec![0.5, -0.5, 0.0]);
         let x = Matrix::from_vec(1, 2, vec![2.0, 3.0]);
         let y = l.forward_eval(&x);
         assert_eq!(y.row(0), &[2.5, 2.5, 5.0]);
+    }
+
+    /// The packed copy of the weight follows every write through `visit_params`.
+    #[test]
+    fn linear_forward_reads_the_weight_the_optimizer_last_wrote() {
+        let mut layer = Layer::Linear(Linear::new(5, 9, &mut rng()));
+        let x = lrng::normal_matrix(&mut rng(), 3, 5, 1.0);
+        let before = layer.forward_eval(&x);
+        layer.visit_params(&mut |p, _| p.iter_mut().for_each(|v| *v = *v * 0.5 + 0.25));
+        let Layer::Linear(l) = &layer else {
+            unreachable!()
+        };
+        let mut want = x.matmul_transpose_b(l.weight());
+        want.add_row_broadcast(&l.bias);
+        let got = layer.forward_eval(&x);
+        assert_ne!(got, before);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -21,17 +21,26 @@ pub fn weighted_soft_cross_entropy(
     targets: &Matrix,
     weights: Option<&[f32]>,
 ) -> (f32, Matrix) {
+    soft_cross_entropy_of_probs(&stats::softmax_rows(logits), targets, weights)
+}
+
+/// [`weighted_soft_cross_entropy`] from `probs = softmax_rows(logits)`, for a caller that
+/// needs the probabilities for another term as well: the softmax is computed once.
+pub fn soft_cross_entropy_of_probs(
+    probs: &Matrix,
+    targets: &Matrix,
+    weights: Option<&[f32]>,
+) -> (f32, Matrix) {
     assert_eq!(
-        logits.shape(),
+        probs.shape(),
         targets.shape(),
         "loss: logits/targets shape mismatch"
     );
-    let (n, _c) = logits.shape();
+    let n = probs.rows();
     if let Some(w) = weights {
         assert_eq!(w.len(), n, "loss: weight length mismatch");
     }
-    let probs = stats::softmax_rows(logits);
-    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+    let mut grad = Matrix::zeros(probs.rows(), probs.cols());
     let mut total = 0.0f64;
     let mut total_weight = 0.0f64;
     for i in 0..n {
@@ -40,9 +49,8 @@ pub fn weighted_soft_cross_entropy(
         let p = probs.row(i);
         let t = targets.row(i);
         total += (w * stats::cross_entropy(t, p)) as f64;
-        let g = grad.row_mut(i);
-        for j in 0..p.len() {
-            g[j] = w * (p[j] - t[j]);
+        for ((g, &pj), &tj) in grad.row_mut(i).iter_mut().zip(p).zip(t) {
+            *g = w * (pj - tj);
         }
     }
     let norm = if total_weight > 0.0 {

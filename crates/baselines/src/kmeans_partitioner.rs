@@ -117,6 +117,48 @@ mod tests {
         assert!(p.name().contains("k-means"));
     }
 
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.into_iter().flat_map(u32::to_le_bytes) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// Every codebook bit and code of a product quantizer and every bin of a K-means
+    /// partition, hashed and compared with a constant recorded before the column kernels
+    /// got their AVX2 form. The per-pair oracle tests in `usp-quant` run the same
+    /// `squared_euclidean` the kernels are checked against, so a change that moved both
+    /// would pass them; this one pins the bits themselves, on any pool size and in debug
+    /// and release alike. 256 centroids are eight 32-point blocks; 45 bins leave a
+    /// remainder past the last whole block.
+    #[test]
+    fn quantizer_and_partition_have_the_recorded_bits() {
+        let data = usp_data::synthetic::sift_like(1200, 24, 17)
+            .points()
+            .clone();
+        let config = usp_quant::ProductQuantizerConfig {
+            max_iters: 12,
+            ..usp_quant::ProductQuantizerConfig::standard(3, 256)
+        };
+        let pq = usp_quant::ProductQuantizer::fit(&data, &config);
+        let codebooks = (0..=255u8).flat_map(|c| pq.decode(&[c; 3]));
+        let codes = pq.encode_all(&data);
+        let p = KMeansPartitioner::fit(&data, 45, 3);
+        let bins = (0..data.rows()).map(|i| p.assign(data.row(i)) as u32);
+        let hash = fnv1a(
+            codebooks
+                .map(f32::to_bits)
+                .chain(codes.iter().map(|&c| u32::from(c)))
+                .chain(bins),
+        );
+        assert_eq!(
+            hash, 0xd4bc_48ac_e72b_ad8f,
+            "the quantizer's or the partition's bits moved: {hash:#018x}"
+        );
+    }
+
     #[test]
     fn search_recovers_neighbours_within_cell() {
         let data = blobs(40, &[[0., 0.], [20., 20.]], 4);

@@ -1,10 +1,14 @@
 //! Criterion bench: quantized (ADC) distance evaluation vs exact distances, and encoding
 //! cost — the sketching speed-up exploited by the Figure 7 pipelines — plus the
 //! codebook-level A/B under the quantizer: one `squared_euclidean` per (point, centroid)
-//! pair against the column kernels, on the calling thread.
+//! pair against the column kernels, and the kernels' portable form against this host's,
+//! on the calling thread.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use usp_linalg::distance::{nearest_column, squared_euclidean, squared_euclidean_to_columns};
+use usp_linalg::distance::squared_euclidean;
+use usp_linalg::kernel_columns::{
+    nearest_column, nearest_column_portable, squared_euclidean_to_columns,
+};
 use usp_linalg::{rng, Distance, Matrix};
 use usp_quant::{KMeans, KMeansConfig, ProductQuantizer, ProductQuantizerConfig};
 
@@ -43,9 +47,11 @@ fn bench_quantization(c: &mut Criterion) {
 }
 
 /// The served quantizer's shape (`closed_pq_sharded`: 64 dimensions in 8 subspaces of
-/// 8, 256 centroids each): one subspace's distances and nearest centroid, the whole
-/// 8 × 256 ADC table, and one subspace's codebook fit (8 000 × 8, k = 256, 25 Lloyd
-/// iterations) on one thread.
+/// 8, 256 centroids each): one subspace's distances and nearest centroid, the nearest
+/// centroid of 8 000 distinct points (a Lloyd pass's access pattern) on the portable
+/// form and on this host's, the whole 8 × 256 ADC table, one subspace's codebook fit
+/// (8 000 × 8, k = 256, 25 Lloyd iterations) on one thread, and the whole quantizer's
+/// fit (8 000 × 64) on two.
 fn bench_codebook(c: &mut Criterion) {
     let (subspaces, dim, k) = (8usize, 8usize, 256usize);
     let mut r = rng::seeded(25);
@@ -92,6 +98,24 @@ fn bench_codebook(c: &mut Criterion) {
             ))
         })
     });
+    let points = rng::normal_vector(&mut r, 8_000 * dim);
+    for (form, nearest) in [
+        (
+            "nearest_columns_portable",
+            nearest_column_portable as fn(_, _, _) -> _,
+        ),
+        ("nearest_columns", nearest_column),
+    ] {
+        group.bench_function(BenchmarkId::new(form, "8000x8x256"), |b| {
+            b.iter(|| {
+                let mut sum = 0usize;
+                for point in points.chunks_exact(dim) {
+                    sum += nearest(point, columns[0].as_slice(), k).0;
+                }
+                black_box(sum)
+            })
+        });
+    }
     group.bench_function(BenchmarkId::new("table_per_pair", "8x8x256"), |b| {
         b.iter(|| {
             for (s, (cb, out)) in codebooks.iter().zip(table.chunks_exact_mut(k)).enumerate() {
@@ -121,6 +145,19 @@ fn bench_codebook(c: &mut Criterion) {
     group.sample_size(3);
     group.bench_function(BenchmarkId::new("kmeans_fit", "8000x8_k256_25it"), |b| {
         b.iter(|| rayon::with_num_threads(1, || black_box(KMeans::fit(&sub, &config).inertia)))
+    });
+    let served = Matrix::from_vec(
+        8_000,
+        subspaces * dim,
+        rng::normal_vector(&mut r, 8_000 * subspaces * dim),
+    );
+    let pq_config = ProductQuantizerConfig::standard(subspaces, k);
+    group.bench_function(BenchmarkId::new("pq_fit", "8000x64_8x256_2threads"), |b| {
+        b.iter(|| {
+            rayon::with_num_threads(2, || {
+                black_box(ProductQuantizer::fit(&served, &pq_config).n_centroids())
+            })
+        })
     });
     group.finish();
 }

@@ -1,8 +1,9 @@
 //! Prints the form each arithmetic contract runs in on this host (`portable` or `avx2`):
-//! the scan's distance kernels on one line, the GEMMs under the trainer (the form a
-//! packed weight is laid out for) on the next. CI runs it after the test steps and fails
-//! an x86-64 job where either is `portable`, so a green run cannot have exercised only
-//! the portable fallback.
+//! the scan's distance kernels on the first line, the GEMMs under the trainer (the form
+//! a packed weight is laid out for) on the second, and the codebooks' column kernels
+//! under k-means, PQ encoding and ADC tables on the third. CI runs it after the test
+//! steps and fails an x86-64 job where any of them is `portable`, so a green run cannot
+//! have exercised only the portable fallback.
 
 use usp_linalg::kernel::Backend;
 use usp_linalg::kernel_gemm::PackedBt;
@@ -10,4 +11,5 @@ use usp_linalg::kernel_gemm::PackedBt;
 fn main() {
     println!("scan {}", Backend::detect().name());
     println!("gemm {}", PackedBt::new(&[], 0, 0).backend().name());
+    println!("columns {}", Backend::detect().name());
 }

@@ -4,14 +4,13 @@
 //! experiments). The [`Distance`] enum lets every index in the workspace be generic over
 //! the metric without trait objects on the hot path.
 
-use std::hint::select_unpredictable;
-
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::dot;
 
 /// Squared Euclidean distance between two equal-length vectors: `(a[t] − b[t])²` added
 /// to `0.0` for `t` ascending, one `sub`, one `mul` and one `add` per coordinate.
+/// [`crate::kernel_columns`] runs this chain from one vector to many points at once.
 ///
 /// # Panics
 /// If the lengths differ.
@@ -24,137 +23,6 @@ pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
         acc += d * d;
     }
     acc
-}
-
-/// Lanes per group: one baseline (SSE2 / NEON) register of `f32`.
-const GROUP: usize = 4;
-/// Groups per register block: four independent add chains per coordinate.
-const GROUPS: usize = 4;
-/// Points per register block of [`squared_euclidean_to_columns`] and [`nearest_column`].
-const COLUMN_BLOCK: usize = GROUP * GROUPS;
-
-/// Sixteen lanes as four groups of four, lane `GROUP * g + l` at `[g][l]`: the shape LLVM
-/// turns into four registers without regrouping lanes across them.
-type Lanes = [[f32; GROUP]; GROUPS];
-
-/// The one shape check of the column kernels.
-#[inline]
-fn assert_columns_shape(q: &[f32], columns: &[f32], m: usize) {
-    assert!(
-        q.len().checked_mul(m) == Some(columns.len()),
-        "column kernel: {} floats are not {} rows of {m} points",
-        columns.len(),
-        q.len()
-    );
-}
-
-/// The squared distances from `q` to the 16 points of columns `j..j + 16`: lane `l` is
-/// [`squared_euclidean`]'s serial chain for point `j + l`, sixteen chains in flight.
-#[inline(always)]
-fn column_block(q: &[f32], columns: &[f32], m: usize, j: usize) -> Lanes {
-    let mut acc = [[0.0f32; GROUP]; GROUPS];
-    for (t, &qt) in q.iter().enumerate() {
-        let c = &columns[t * m + j..t * m + j + COLUMN_BLOCK];
-        for (g, acc) in acc.iter_mut().enumerate() {
-            for (l, a) in acc.iter_mut().enumerate() {
-                let d = qt - c[GROUP * g + l];
-                *a += d * d;
-            }
-        }
-    }
-    acc
-}
-
-/// [`squared_euclidean`] from `q` to the single point in column `j`.
-#[inline]
-fn column_one(q: &[f32], columns: &[f32], m: usize, j: usize) -> f32 {
-    let mut acc = 0.0f32;
-    for (t, &qt) in q.iter().enumerate() {
-        let d = qt - columns[t * m + j];
-        acc += d * d;
-    }
-    acc
-}
-
-/// `out[j] = squared_euclidean(q, point j)` for the `m = out.len()` points stored
-/// column-major in `columns` — `q.len()` rows of `m` floats, coordinate `t` of point `j`
-/// at `columns[t * m + j]` — with every output bit-identical to [`squared_euclidean`]
-/// (DESIGN §2.2): the lanes are points, not coordinates, so each point's sum keeps the
-/// scalar loop's serial order, and sixteen of them run side by side (which LLVM
-/// vectorises on the baseline instruction set without reassociating anything).
-///
-/// Never inlined: whether LLVM vectorises the block loop is decided per inlined copy, so
-/// every caller runs the one copy `cargo bench --bench quantization` (group `codebook`)
-/// measures. The same holds for [`nearest_column`].
-///
-/// # Panics
-/// If `columns` is not `q.len() * out.len()` floats.
-#[inline(never)]
-pub fn squared_euclidean_to_columns(q: &[f32], columns: &[f32], out: &mut [f32]) {
-    let m = out.len();
-    assert_columns_shape(q, columns, m);
-    let full = m - m % COLUMN_BLOCK;
-    for (j, block) in (0..full)
-        .step_by(COLUMN_BLOCK)
-        .zip(out.chunks_exact_mut(COLUMN_BLOCK))
-    {
-        block.copy_from_slice(column_block(q, columns, m, j).as_flattened());
-    }
-    for (j, o) in out.iter_mut().enumerate().skip(full) {
-        *o = column_one(q, columns, m, j);
-    }
-}
-
-/// The nearest of the `m` points stored column-major in `columns` (as for
-/// [`squared_euclidean_to_columns`]) and its squared distance: the result of the scalar
-/// loop `if squared_euclidean(q, point j) < best` over `j` ascending from
-/// `(0, +∞)` — the first minimum wins, a NaN distance never wins, and when no distance
-/// is below `+∞` (all NaN or infinite, or `m == 0`) the answer is `(0, +∞)`.
-///
-/// Each of the 16 lanes keeps a running minimum of its own points (`j ≡ l mod 16`, so
-/// within a lane the first minimum is the lowest index); the lanes are then reduced by
-/// distance with ties to the lowest index, which is the scalar loop's winner, and the
-/// loop's rule runs on over the points past the last whole block.
-///
-/// # Panics
-/// If `columns` is not `q.len() * m` floats.
-#[inline(never)]
-pub fn nearest_column(q: &[f32], columns: &[f32], m: usize) -> (usize, f32) {
-    assert_columns_shape(q, columns, m);
-    // A lane's block number is an `f32` (exact below 2²⁴), so both of its updates are
-    // float blends on the compare's own mask. `select_unpredictable` keeps LLVM from
-    // turning them into sixteen branches, which mispredict on real data (2.5× slower).
-    let blocks = m / COLUMN_BLOCK;
-    assert!(blocks < 1 << 24, "nearest_column: {m} points");
-    let mut best_d = [[f32::INFINITY; GROUP]; GROUPS];
-    let mut best_b = [[0.0f32; GROUP]; GROUPS];
-    for b in 0..blocks {
-        let block = column_block(q, columns, m, b * COLUMN_BLOCK);
-        let b = b as f32;
-        for g in 0..GROUPS {
-            for l in 0..GROUP {
-                let closer = block[g][l] < best_d[g][l];
-                best_d[g][l] = select_unpredictable(closer, block[g][l], best_d[g][l]);
-                best_b[g][l] = select_unpredictable(closer, b, best_b[g][l]);
-            }
-        }
-    }
-    let mut best = (0usize, f32::INFINITY);
-    let lanes = best_d.as_flattened().iter().zip(best_b.as_flattened());
-    for (l, (&d, &b)) in lanes.enumerate() {
-        let j = b as usize * COLUMN_BLOCK + l;
-        // A lane whose minimum is still +∞ never took a point.
-        if d < best.1 || (d == best.1 && d < f32::INFINITY && j < best.0) {
-            best = (j, d);
-        }
-    }
-    for j in blocks * COLUMN_BLOCK..m {
-        let d = column_one(q, columns, m, j);
-        if d < best.1 {
-            best = (j, d);
-        }
-    }
-    best
 }
 
 /// Euclidean (L2) distance.
@@ -229,6 +97,7 @@ impl Distance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel_columns::{nearest_column, squared_euclidean_to_columns};
     use crate::kernel_gemm::tests::{same, special};
     use proptest::prelude::*;
 
@@ -281,16 +150,18 @@ mod tests {
 
         /// Both column kernels against one `squared_euclidean` per point: the same bits
         /// (up to which NaN, as for the scan kernels), and the scalar loop's winner.
-        /// `d` and `m` cover every block remainder and the 0-dim case, `q` starts one
-        /// float into its allocation and the columns three past it, and entries are
-        /// seeded with NaN, ±∞ and ±0.0.
+        /// `m` covers two whole blocks of either form (16 and 32 points) and every
+        /// remainder past them, and the served codebook's 256 (drawn as 96); `d` covers
+        /// the 0-dim case; `q` starts one float into its allocation and the columns
+        /// three past it, and entries are seeded with NaN, ±∞ and ±0.0.
         #[test]
         fn column_kernels_match_squared_euclidean_bit_for_bit(
             d in 0usize..=40,
-            m in 0usize..=40,
+            m in 0usize..=96,
             seed in 0u64..1 << 40,
             specials in prop::collection::vec((0usize..1 << 20, 0u8..5), 0..6),
         ) {
+            let m = if m == 96 { 256 } else { m };
             let mut values = crate::rng::normal_vector(&mut crate::rng::seeded(seed), 4 + d + d * m);
             for &(at, class) in &specials {
                 let at = at % values.len();

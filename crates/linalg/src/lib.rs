@@ -8,6 +8,8 @@
 //!   [`distance::Distance`] dispatch enum;
 //! * [`kernel`] — blocked multi-accumulator distance kernels fused with streaming
 //!   top-k selection: the single scoring source of truth for the online phase;
+//! * [`kernel_columns`] — one vector against the column-major points of a codebook or
+//!   dataset: the distances and nearest point under k-means, PQ encoding and ADC tables;
 //! * [`kernel_gemm`] — the matrix-product kernels under [`Matrix`] and [`matrix::dot`]:
 //!   the arithmetic every trained model's bits depend on;
 //! * [`topk`] — top-k selection (both smallest and largest) and argmax;
@@ -23,6 +25,7 @@ pub mod distance;
 pub mod eigen;
 pub mod kernel;
 mod kernel_backend;
+pub mod kernel_columns;
 pub mod kernel_gemm;
 pub mod matrix;
 pub mod pca;

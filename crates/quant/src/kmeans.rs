@@ -9,10 +9,12 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use usp_linalg::{distance, rng as lrng, Matrix};
+use usp_linalg::kernel_columns::{nearest_column, squared_euclidean_to_columns};
+use usp_linalg::{rng as lrng, Matrix};
 
-/// Points per accumulation chunk in the parallel update step. Fixed (never derived from
-/// the thread count) so centroid sums merge in the same order on any pool size.
+/// Points per task of a Lloyd iteration, which assigns them and sums them per centroid.
+/// Fixed (never derived from the thread count) so centroid sums merge in the same order
+/// on any pool size.
 const UPDATE_CHUNK: usize = 1024;
 
 /// K-means configuration.
@@ -50,49 +52,58 @@ pub struct KMeans {
     /// Number of Lloyd iterations actually run.
     pub iterations: usize,
     /// `centroids` transposed (one row per coordinate), made once by `fit`: the layout
-    /// [`distance::nearest_column`] scores a query against in [`KMeans::assign`] and
+    /// [`nearest_column`] scores a query against in [`KMeans::assign`] and
     /// [`KMeans::scores`].
     columns: Matrix,
 }
 
 impl KMeans {
     /// Fits k-means to the rows of `data`.
+    ///
+    /// # Panics
+    /// If `data` has no rows, or a coordinate that is NaN or infinite: a non-finite
+    /// distance makes the k-means++ draw's total NaN and every Lloyd inertia `+∞`, so the
+    /// fit would return copies of one row instead of an answer.
     pub fn fit(data: &Matrix, config: &KMeansConfig) -> Self {
         let n = data.rows();
         let d = data.cols();
         assert!(n > 0, "KMeans::fit: empty dataset");
+        if let Some(at) = data.as_slice().iter().position(|v| !v.is_finite()) {
+            panic!(
+                "KMeans::fit: row {} column {} is {}; k-means needs finite coordinates",
+                at / d,
+                at % d,
+                data.as_slice()[at]
+            );
+        }
         let k = config.k.clamp(1, n);
         let mut rng = lrng::seeded(config.seed);
 
         let mut centroids = kmeanspp_init(data, k, &mut rng);
         let mut inertia = f64::INFINITY;
+        let mut nearest = vec![0.0f32; n];
         let mut iterations = 0usize;
 
         for iter in 0..config.max_iters {
             iterations = iter + 1;
-            // Assignment step (parallel over points), against the centroids laid out
-            // column-major once per iteration.
+            // One pool region per iteration: each chunk of points is assigned against
+            // the centroids laid out column-major and summed into its own partial while
+            // its rows are in cache. The chunk width is a fixed constant (not derived
+            // from the thread count), so the floating-point merge tree — and therefore
+            // the centroids — are identical for every pool size.
             let columns = centroids.transpose();
-            let new: Vec<(usize, f32)> = (0..n)
-                .into_par_iter()
-                .map(|i| distance::nearest_column(data.row(i), columns.as_slice(), k))
-                .collect();
-            let new_inertia: f64 = new.iter().map(|&(_, d)| d as f64).sum();
-
-            // Update step: chunk-local accumulation merged in chunk order. The chunk
-            // width is a fixed constant (not derived from the thread count), so the
-            // floating-point merge tree — and therefore the centroids — are identical
-            // for every pool size.
-            let partials: Vec<(Matrix, Vec<usize>)> = new
-                .par_chunks(UPDATE_CHUNK)
+            let partials: Vec<(Matrix, Vec<usize>)> = nearest
+                .par_chunks_mut(UPDATE_CHUNK)
                 .enumerate()
-                .map(|(ci, chunk)| {
+                .map(|(ci, dists)| {
                     let base = ci * UPDATE_CHUNK;
                     let mut sums = Matrix::zeros(k, d);
                     let mut counts = vec![0usize; k];
-                    for (off, &(c, _)) in chunk.iter().enumerate() {
-                        counts[c] += 1;
+                    for (off, dist) in dists.iter_mut().enumerate() {
                         let row = data.row(base + off);
+                        let (c, to_c) = nearest_column(row, columns.as_slice(), k);
+                        *dist = to_c;
+                        counts[c] += 1;
                         for (sv, &v) in sums.row_mut(c).iter_mut().zip(row) {
                             *sv += v;
                         }
@@ -100,6 +111,7 @@ impl KMeans {
                     (sums, counts)
                 })
                 .collect();
+            let new_inertia: f64 = nearest.iter().map(|&d| d as f64).sum();
             let mut sums = Matrix::zeros(k, d);
             let mut counts = vec![0usize; k];
             for (partial_sums, partial_counts) in partials {
@@ -146,7 +158,7 @@ impl KMeans {
     /// # Panics
     /// If `point` is not as long as a centroid.
     pub fn assign(&self, point: &[f32]) -> usize {
-        distance::nearest_column(point, self.columns.as_slice(), self.k()).0
+        nearest_column(point, self.columns.as_slice(), self.k()).0
     }
 
     /// Negative distances to every centroid (larger = closer), usable as bin scores.
@@ -155,7 +167,7 @@ impl KMeans {
     /// If `point` is not as long as a centroid.
     pub fn scores(&self, point: &[f32]) -> Vec<f32> {
         let mut scores = vec![0.0f32; self.k()];
-        distance::squared_euclidean_to_columns(point, self.columns.as_slice(), &mut scores);
+        squared_euclidean_to_columns(point, self.columns.as_slice(), &mut scores);
         for s in &mut scores {
             *s = -*s;
         }
@@ -175,7 +187,7 @@ impl KMeans {
 /// probability proportional to its squared distance to the nearest chosen centre.
 ///
 /// Distances are taken one centre against every point, with the points transposed once
-/// so that each lane of [`distance::squared_euclidean_to_columns`] is a point.
+/// so that each lane of [`squared_euclidean_to_columns`] is a point.
 fn kmeanspp_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
     let n = data.rows();
     let columns = data.transpose();
@@ -184,7 +196,7 @@ fn kmeanspp_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
     centroids.row_mut(0).copy_from_slice(data.row(first));
 
     let mut min_dist = vec![0.0f32; n];
-    distance::squared_euclidean_to_columns(centroids.row(0), columns.as_slice(), &mut min_dist);
+    squared_euclidean_to_columns(centroids.row(0), columns.as_slice(), &mut min_dist);
     let mut dist = vec![0.0f32; n];
 
     for c in 1..k {
@@ -204,7 +216,7 @@ fn kmeanspp_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
             pick
         };
         centroids.row_mut(c).copy_from_slice(data.row(chosen));
-        distance::squared_euclidean_to_columns(centroids.row(c), columns.as_slice(), &mut dist);
+        squared_euclidean_to_columns(centroids.row(c), columns.as_slice(), &mut dist);
         for (m, &d) in min_dist.iter_mut().zip(&dist) {
             if d < *m {
                 *m = d;
@@ -217,6 +229,7 @@ fn kmeanspp_init(data: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use usp_linalg::distance;
 
     fn four_blobs(per: usize, seed: u64) -> (Matrix, Vec<usize>) {
         let centers = [[0.0f32, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]];
@@ -393,15 +406,10 @@ mod tests {
                 .map(|_| (2.0 * lrng::standard_normal(&mut rng)).round())
                 .collect(),
         );
-        // A NaN and an infinite entry poison distances without ending the fit.
-        let mut poisoned = tied.clone();
-        poisoned[(17, 3)] = f32::NAN;
-        poisoned[(901, 0)] = f32::INFINITY;
         let wide = Matrix::from_vec(600, 64, lrng::normal_vector(&mut rng, 600 * 64));
         let cases = [
             (four_blobs(40, 2).0, 4, 50),
             (tied, 64, 10),
-            (poisoned, 20, 4),
             (tied_rows_only(), 7, 5),
             (wide, 32, 15),
         ];
@@ -430,6 +438,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "KMeans::fit: row 17 column 1 is NaN")]
+    fn fit_refuses_a_nan_coordinate() {
+        // A 20 × 10 grid with one NaN. Before the check, k-means++ drew every seed after
+        // the first as a copy of the last row (the draw's total was NaN, so no target
+        // was ever reached) and Lloyd ran all its iterations at inertia `+∞`.
+        let mut grid = Matrix::from_rows(
+            &(0..200)
+                .map(|i| vec![(i / 10) as f32, (i % 10) as f32])
+                .collect::<Vec<_>>(),
+        );
+        grid[(17, 1)] = f32::NAN;
+        KMeans::fit(&grid, &KMeansConfig::new(8));
     }
 
     /// Twelve rows, two distinct: every distance has exact duplicates.

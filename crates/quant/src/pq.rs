@@ -10,7 +10,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use usp_index::scoring::CodeQuantizer;
 use usp_linalg::kernel::{self, AdcTable};
-use usp_linalg::{distance, Distance, Matrix};
+use usp_linalg::{distance, kernel_columns, Distance, Matrix};
 
 use crate::anisotropic::{self, AnisotropicConfig};
 use crate::kmeans::{KMeans, KMeansConfig};
@@ -75,8 +75,8 @@ pub struct ProductQuantizer {
     /// One codebook per subspace, shape `(n_centroids, subspace_len)`.
     codebooks: Vec<Matrix>,
     /// Each codebook transposed, shape `(subspace_len, n_centroids)`, made once by `fit`:
-    /// the layout the column kernels of [`usp_linalg::distance`] read in `encode_into`
-    /// and `adc_table`.
+    /// the layout the column kernels of [`usp_linalg::kernel_columns`] read in
+    /// `encode_into` and `adc_table`.
     columns: Vec<Matrix>,
     /// η used for encoding when the codebooks are anisotropic (1.0 for standard PQ).
     encode_eta: f32,
@@ -89,7 +89,9 @@ impl ProductQuantizer {
     /// # Panics
     /// If `config.n_centroids` is not in `1..=256`: a code is one byte per subspace.
     /// Checked here, the one place every config passes through — the fields are public
-    /// and the struct deserialises, so the constructors cannot vouch for it.
+    /// and the struct deserialises, so the constructors cannot vouch for it. Also if
+    /// `data` has no columns (there is no subspace to give a codebook), and, through
+    /// [`KMeans::fit`], if it has no rows or a coordinate that is not finite.
     pub fn fit(data: &Matrix, config: &ProductQuantizerConfig) -> Self {
         assert!(
             (1..=256).contains(&config.n_centroids),
@@ -97,6 +99,11 @@ impl ProductQuantizer {
             config.n_centroids
         );
         let d = data.cols();
+        assert!(
+            d > 0,
+            "ProductQuantizer::fit: need data with at least one column, got {} x 0",
+            data.rows()
+        );
         let m = config.n_subspaces.clamp(1, d);
         // Spread dimensions as evenly as possible: the first `d % m` subspaces get one extra.
         let base = d / m;
@@ -203,7 +210,7 @@ impl ProductQuantizer {
             *slot = if self.encode_eta > 1.0 {
                 anisotropic::assign(sub, &self.codebooks[s], self.encode_eta) as u8
             } else {
-                distance::nearest_column(sub, self.columns[s].as_slice(), k).0 as u8
+                kernel_columns::nearest_column(sub, self.columns[s].as_slice(), k).0 as u8
             };
         }
     }
@@ -265,7 +272,7 @@ impl ProductQuantizer {
                     .zip(&self.columns)
                     .zip(table.chunks_exact_mut(k))
                 {
-                    distance::squared_euclidean_to_columns(
+                    kernel_columns::squared_euclidean_to_columns(
                         &query[start..start + len],
                         columns.as_slice(),
                         out,
@@ -469,6 +476,16 @@ mod tests {
             ..ProductQuantizerConfig::standard(2, 8)
         };
         ProductQuantizer::fit(&clustered(400, 4, 3), &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "need data with at least one column, got 50 x 0")]
+    fn fit_refuses_data_without_columns() {
+        // This used to panic inside `usize::clamp` ("min > max").
+        ProductQuantizer::fit(
+            &Matrix::zeros(50, 0),
+            &ProductQuantizerConfig::standard(4, 8),
+        );
     }
 
     #[test]

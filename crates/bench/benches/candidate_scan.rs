@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use usp_index::rerank::rerank;
-use usp_linalg::kernel::{self, AdcTable, Backend, SegmentedScan};
+use usp_linalg::kernel::{self, AdcTable, Backend, SegmentedScan, TileKernel};
 use usp_linalg::rng;
 use usp_linalg::topk::TopK;
 
@@ -64,7 +64,10 @@ fn bench_exact_scan_backends(c: &mut Criterion) {
 }
 
 /// One compressed first pass (8-byte codes, 256 centroids, shortlist of 200): the
-/// table lookups alone, then the lookups feeding the compressed `SegmentedScan`'s selection.
+/// table lookups alone — code by code through `adc_eval` (the portable form), then a
+/// tile of 256 codes at a time on the host's backend (named in the bench id), as the
+/// scan scores them — and then the lookups feeding the compressed `SegmentedScan`'s
+/// selection.
 fn bench_adc_pass(c: &mut Criterion) {
     let (m, n_centroids, budget) = (8usize, 256usize, 200usize);
     let table = AdcTable::Sum {
@@ -84,6 +87,21 @@ fn bench_adc_pass(c: &mut Criterion) {
             black_box(sum)
         })
     });
+    group.bench_function(
+        BenchmarkId::new("lookups_tiled", Backend::detect().name()),
+        |b| {
+            let mut scores = [0.0f32; 256];
+            b.iter(|| {
+                let mut sum = 0.0f32;
+                for tile in codes.chunks(256 * m) {
+                    let scores = &mut scores[..tile.len() / m];
+                    (&table).score_tile(tile, m, scores);
+                    sum += scores.iter().sum::<f32>();
+                }
+                black_box(sum)
+            })
+        },
+    );
     group.bench_function("lookups_and_selection", |b| {
         b.iter(|| {
             let mut scan = SegmentedScan::adc(&table, m, budget);

@@ -23,7 +23,7 @@
 
 use std::borrow::Cow;
 
-use usp_linalg::kernel::{self, AdcTable, SegmentedScan};
+use usp_linalg::kernel::{self, AdcTable, SegmentedScan, TileKernel};
 use usp_linalg::{topk, Distance};
 
 use crate::mutation::MutationState;
@@ -226,26 +226,28 @@ impl Consumer<'_> {
         // (`candidate_runs` says why).
         let kept = scan.into_kept();
         let codeless = runs.iter().filter(|r| r.codes.is_none());
-        let tail: usize = codeless.clone().map(Run::len).sum();
-        let mut hits = Vec::with_capacity(kept.len() + tail);
+        let n = kept.len() + codeless.clone().map(Run::len).sum::<usize>();
+        let (mut scores, mut ids) = (Vec::with_capacity(n), Vec::with_capacity(n));
         let scorer = kernel::QueryScorer::new(self.distance, self.query);
         let dim = self.dim;
-        for (ri, off, _) in kept {
-            let run = &runs[ri];
-            hits.push((
-                scorer.eval(&run.rows[off * dim..(off + 1) * dim]),
-                run.ids[off],
-            ));
+        let row = |&(ri, off, _): &(usize, usize, f32)| &runs[ri].rows[off * dim..(off + 1) * dim];
+        // The survivors four at a time, each row gathered from its run …
+        let mut fours = kept.chunks_exact(4);
+        for four in fours.by_ref() {
+            scores.extend(scorer.eval4(std::array::from_fn(|j| row(&four[j]))));
         }
+        scores.extend(fours.remainder().iter().map(|s| scorer.eval(row(s))));
+        ids.extend(kept.iter().map(|&(ri, off, _)| runs[ri].ids[off]));
+        // … then each codeless run as one contiguous block of rows.
         for run in codeless {
-            let rows = run.rows.chunks_exact(dim).zip(run.ids);
-            hits.extend(rows.map(|(row, &id)| (scorer.eval(row), id)));
+            let start = scores.len();
+            scores.resize(start + run.len(), 0.0);
+            scorer.score_tile(run.rows, dim, &mut scores[start..]);
+            ids.extend_from_slice(run.ids);
         }
-        let ids = topk::smallest_k_by(hits.len(), self.k, |i| hits[i].0)
-            .into_iter()
-            .map(|i| hits[i].1 as usize)
-            .collect();
-        SearchResult::new(ids, hits.len()).with_compressed_scanned(compressed)
+        let top = topk::smallest_k_by(scores.len(), self.k, |i| scores[i]);
+        let ids = top.into_iter().map(|i| ids[i] as usize).collect();
+        SearchResult::new(ids, scores.len()).with_compressed_scanned(compressed)
     }
 }
 

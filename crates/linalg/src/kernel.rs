@@ -190,6 +190,36 @@ impl<'a> QueryScorer<'a> {
         out[0]
     }
 
+    /// The distances to four rows anywhere in memory — a re-rank's survivors, gathered
+    /// from their runs — with the bits [`Self::eval`] gives each: on an AVX2 host the
+    /// four share each query-chunk load, as four contiguous rows of a tile do.
+    ///
+    /// # Panics
+    /// If a row is not as long as the query.
+    #[inline]
+    pub fn eval4(&self, rows: [&[f32]; 4]) -> [f32; 4] {
+        let dim = self.query.len();
+        for row in rows {
+            assert_eq!(
+                row.len(),
+                dim,
+                "QueryScorer: a {}-float row against the {dim}-d query",
+                row.len()
+            );
+        }
+        match self.backend {
+            Backend::Portable => rows.map(|row| self.eval_portable(row)),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => {
+                let (d, qn, q) = (self.distance, self.query_norm, self.query.as_ptr());
+                // SAFETY: `Avx2` is only ever built by `Backend::detect` on a host that
+                // reports the feature; the query and every row hold `dim` floats
+                // (asserted above).
+                unsafe { avx2::score4(d, qn, q, rows.map(<[f32]>::as_ptr), dim) }
+            }
+        }
+    }
+
     /// `out[i]` = the distance to row `i` of the row-major block `rows`.
     ///
     /// The one length check of a scan: everything below it, the raw-pointer AVX2 loop
@@ -454,7 +484,9 @@ const ADC_LANES: usize = 4;
 /// Blocked sum of one lookup per subspace: `Σ_s table[s * n_centroids + code[s]]`,
 /// accumulated over [`ADC_LANES`] independent lanes and combined in a fixed pairwise
 /// order — the compressed-domain analogue of the blocked row kernels above, and the
-/// same policy: every ADC scoring path must produce these bits.
+/// same policy: every ADC scoring path must produce these bits. The portable form of
+/// the lookup and the oracle of its AVX2 form, which keeps these four accumulators per
+/// code in the lanes of four `__m256`s.
 #[inline]
 fn lut_sum(table: &[f32], n_centroids: usize, code: &[u8]) -> f32 {
     let mut acc = [0.0f32; ADC_LANES];
@@ -508,8 +540,19 @@ pub enum AdcTable {
 impl AdcTable {
     /// Approximate distance of one code (smaller is closer, same conventions as the
     /// exact kernels: cosine with any zero norm is maximally distant at 1.0).
+    ///
+    /// # Panics
+    /// If the code is not one byte per subspace of the table, or a byte names no
+    /// centroid.
     #[inline]
     pub fn eval(&self, code: &[u8]) -> f32 {
+        self.check(code, code.len());
+        self.eval_portable(code)
+    }
+
+    /// [`Self::eval`] past the check: the portable form, the oracle.
+    #[inline]
+    fn eval_portable(&self, code: &[u8]) -> f32 {
         match self {
             AdcTable::Sum { table, n_centroids } => lut_sum(table, *n_centroids, code),
             AdcTable::Cosine {
@@ -519,14 +562,127 @@ impl AdcTable {
                 query_norm,
             } => {
                 let ab = lut_sum(dot, *n_centroids, code);
-                let nr = lut_sum(norm2, *n_centroids, code).sqrt();
-                if *query_norm == 0.0 || nr == 0.0 {
-                    return 1.0;
-                }
-                1.0 - ab / (query_norm * nr)
+                let bb = lut_sum(norm2, *n_centroids, code);
+                cosine_from_parts(*query_norm, ab, bb)
             }
         }
     }
+
+    /// Refuses codes this table cannot score, naming the shape: each of `codes` must be
+    /// one byte per subspace of the table, and each byte must name a centroid. Without
+    /// it a short code scores a prefix of the subspaces and a byte past `n_centroids`
+    /// reads the next subspace's entry — or, in the AVX2 gather, memory past the table.
+    /// Once per tile: the largest byte is one vectorised pass over the tile, skipped
+    /// when every byte names a centroid (256 of them).
+    #[inline]
+    fn check(&self, codes: &[u8], code_len: usize) {
+        let (n_centroids, entries, norm_entries) = match self {
+            AdcTable::Sum { table, n_centroids } => (*n_centroids, table.len(), table.len()),
+            AdcTable::Cosine {
+                dot,
+                norm2,
+                n_centroids,
+                ..
+            } => (*n_centroids, dot.len(), norm2.len()),
+        };
+        if code_len.checked_mul(n_centroids) != Some(entries) || norm_entries != entries {
+            refuse_shape(code_len, n_centroids, entries, norm_entries);
+        }
+        if n_centroids <= usize::from(u8::MAX) {
+            if let Some(max) = codes.iter().copied().max() {
+                if usize::from(max) >= n_centroids {
+                    refuse_byte(max, n_centroids);
+                }
+            }
+        }
+    }
+
+    /// `out[i]` = the score of code `i` of `codes` (`code_len` bytes each) on `backend`.
+    ///
+    /// The one check of a tile ([`Self::check`]): everything below it, the AVX2
+    /// gathers included, relies on it and on `codes.len() == out.len() * code_len`.
+    fn score_codes(&self, codes: &[u8], code_len: usize, out: &mut [f32], backend: Backend) {
+        assert_eq!(
+            codes.len(),
+            out.len() * code_len,
+            "AdcTable: {} bytes is not {} codes of {code_len}",
+            codes.len(),
+            out.len()
+        );
+        self.check(codes, code_len);
+        // The AVX2 form scores whole groups of eight codes; the rest run portably.
+        let done = match backend {
+            Backend::Portable => 0,
+            // Its gathers address a group's code bytes with i32 offsets.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 if code_len > i32::MAX as usize / 8 => 0,
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => {
+                let full = out.len() & !7;
+                // SAFETY: `Avx2` is only ever built by `Backend::detect` on a host that
+                // reports the feature. `codes` holds `full * code_len` bytes and more
+                // (asserted above), and by `check` every table holds `code_len *
+                // n_centroids` entries and every byte is below `n_centroids`, so each
+                // gathered entry is in its table; `8 * code_len` fits an i32.
+                unsafe {
+                    match self {
+                        AdcTable::Sum { table, n_centroids } => avx2::adc_sums(
+                            table.as_ptr(),
+                            *n_centroids,
+                            codes.as_ptr(),
+                            code_len,
+                            &mut out[..full],
+                        ),
+                        AdcTable::Cosine {
+                            dot,
+                            norm2,
+                            n_centroids,
+                            query_norm,
+                        } => avx2::adc_cosines(
+                            [dot.as_ptr(), norm2.as_ptr()],
+                            *n_centroids,
+                            *query_norm,
+                            codes.as_ptr(),
+                            code_len,
+                            &mut out[..full],
+                        ),
+                    }
+                }
+                full
+            }
+        };
+        let code = |i: usize| &codes[i * code_len..(i + 1) * code_len];
+        match self {
+            AdcTable::Sum { table, n_centroids } => {
+                for (i, d) in out.iter_mut().enumerate().skip(done) {
+                    *d = lut_sum(table, *n_centroids, code(i));
+                }
+            }
+            cosine => {
+                for (i, d) in out.iter_mut().enumerate().skip(done) {
+                    *d = cosine.eval_portable(code(i));
+                }
+            }
+        }
+    }
+}
+
+/// [`AdcTable::check`]'s refusal of a table shape, out of the checked path.
+#[cold]
+#[inline(never)]
+fn refuse_shape(code_len: usize, n_centroids: usize, entries: usize, norm_entries: usize) -> ! {
+    assert_eq!(
+        entries, norm_entries,
+        "AdcTable::Cosine: {entries} dot entries but {norm_entries} norm entries"
+    );
+    panic!("AdcTable: {code_len}-byte codes against {entries} entries of {n_centroids} centroids per subspace");
+}
+
+/// [`AdcTable::check`]'s refusal of a code byte, out of the checked path.
+#[cold]
+#[inline(never)]
+fn refuse_byte(byte: u8, n_centroids: usize) -> ! {
+    panic!("AdcTable: code byte {byte} names no centroid of the {n_centroids} per subspace");
 }
 
 /// Blocked ADC evaluation of one code against a per-query table — the single
@@ -539,22 +695,14 @@ pub fn adc_eval(table: &AdcTable, code: &[u8]) -> f32 {
 impl TileKernel for &AdcTable {
     type Elem = u8;
 
-    /// The table variant is matched once per tile, not per code.
+    /// The table is checked and its variant matched once per tile, not per code; on an
+    /// AVX2 host each lane of a `__m256` scores one code, eight codes a step.
+    ///
+    /// # Panics
+    /// As [`AdcTable::eval`], and if `codes` is not `out.len()` codes.
     #[inline]
     fn score_tile(&self, codes: &[u8], code_len: usize, out: &mut [f32]) {
-        let codes = codes.chunks_exact(code_len);
-        match self {
-            AdcTable::Sum { table, n_centroids } => {
-                for (d, code) in out.iter_mut().zip(codes) {
-                    *d = lut_sum(table, *n_centroids, code);
-                }
-            }
-            cosine => {
-                for (d, code) in out.iter_mut().zip(codes) {
-                    *d = cosine.eval(code);
-                }
-            }
-        }
+        self.score_codes(codes, code_len, out, Backend::detect());
     }
 }
 
@@ -798,6 +946,102 @@ mod tests {
         assert_eq!(adc_eval(&zero_row, &code), 1.0);
     }
 
+    /// The message scoring `codes` on `backend` panics with, or `None` if it scored them.
+    fn refusal(
+        table: &AdcTable,
+        codes: &[u8],
+        code_len: usize,
+        backend: Backend,
+    ) -> Option<String> {
+        let mut out = vec![0.0f32; codes.len() / code_len];
+        let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            table.score_codes(codes, code_len, &mut out, backend)
+        }));
+        scored
+            .err()
+            .map(|e| e.downcast_ref::<String>().cloned().unwrap_or_default())
+    }
+
+    /// Two subspaces of four centroids. Before the check, code `[5, 0]` scored 201
+    /// (`table[5] + table[4]`), `[1]` scored 1 and `[0, 4]` indexed past the table.
+    fn two_by_four() -> AdcTable {
+        let table = vec![0.0, 1.0, 2.0, 3.0, 100.0, 101.0, 102.0, 103.0];
+        AdcTable::Sum {
+            table,
+            n_centroids: 4,
+        }
+    }
+
+    /// Asserts that `bad` is refused with `message`, alone through `adc_eval` and as
+    /// code 3 of a tile of nine (in the AVX2 form's first group of eight), on the
+    /// portable form and on the host's.
+    fn assert_refused(bad: &[u8], message: &str) {
+        let table = two_by_four();
+        let single = std::panic::catch_unwind(|| adc_eval(&table, bad));
+        let single = single
+            .err()
+            .and_then(|e| e.downcast_ref::<String>().cloned());
+        assert!(
+            single.as_deref().is_some_and(|m| m.contains(message)),
+            "{single:?}"
+        );
+        let mut tile: Vec<u8> = [1, 2].repeat(9)[..9 * bad.len()].to_vec();
+        tile[3 * bad.len()..4 * bad.len()].copy_from_slice(bad);
+        for backend in [Backend::Portable, Backend::detect()] {
+            let refused = refusal(&table, &tile, bad.len(), backend);
+            assert!(
+                refused.as_deref().is_some_and(|m| m.contains(message)),
+                "{}: {refused:?}",
+                backend.name()
+            );
+        }
+    }
+
+    #[test]
+    fn adc_refuses_a_byte_past_an_inner_subspaces_centroids() {
+        assert_refused(
+            &[5, 0],
+            "code byte 5 names no centroid of the 4 per subspace",
+        );
+    }
+
+    #[test]
+    fn adc_refuses_a_byte_past_the_last_subspaces_centroids() {
+        assert_refused(
+            &[0, 4],
+            "code byte 4 names no centroid of the 4 per subspace",
+        );
+    }
+
+    #[test]
+    fn adc_refuses_a_code_shorter_than_the_table() {
+        assert_refused(
+            &[1],
+            "1-byte codes against 8 entries of 4 centroids per subspace",
+        );
+    }
+
+    #[test]
+    fn adc_scores_well_formed_codes_on_every_form() {
+        let table = two_by_four();
+        assert_eq!(adc_eval(&table, &[3, 1]), 104.0);
+        let tile: Vec<u8> = (0..9 * 2).map(|i| (i % 4) as u8).collect();
+        for backend in [Backend::Portable, Backend::detect()] {
+            assert_eq!(
+                refusal(&table, &tile, 2, backend),
+                None,
+                "{}",
+                backend.name()
+            );
+        }
+        // 256 centroids name every byte: no byte is refused.
+        let wide = AdcTable::Sum {
+            table: vec![1.0; 2 * 256],
+            n_centroids: 256,
+        };
+        assert_eq!(adc_eval(&wide, &[255, 0]), 2.0);
+    }
+
     #[test]
     fn adc_scan_matches_materialised_selection() {
         // The segmented compressed scan must keep exactly the set that evaluating every
@@ -985,20 +1229,42 @@ mod proptests {
     use crate::topk;
     use proptest::prelude::*;
 
-    /// The explicit-SIMD backend of this host, or `None` — said once on stderr, so a run
-    /// on a host without one shows the comparison was skipped, not passed.
-    fn simd_backend_or_report_skip() -> Option<Backend> {
-        static REPORT: std::sync::Once = std::sync::Once::new();
+    /// The explicit-SIMD backend of this host, or `None` — said once per test on stderr,
+    /// so a run on a host without one shows the comparison was skipped, not passed.
+    fn simd_backend_or_report_skip(test: &'static str) -> Option<Backend> {
+        static REPORTED: std::sync::Mutex<Vec<&str>> = std::sync::Mutex::new(Vec::new());
         match Backend::detect() {
             Backend::Portable => {
-                REPORT.call_once(|| {
-                    eprintln!("SKIPPED avx2_matches_portable_bit_for_bit: this host has no AVX2; only the portable kernels ran")
-                });
+                let mut reported = REPORTED.lock().unwrap();
+                if !reported.contains(&test) {
+                    reported.push(test);
+                    eprintln!(
+                        "SKIPPED {test}: this host has no AVX2; only the portable kernels ran"
+                    );
+                }
                 None
             }
             #[cfg(target_arch = "x86_64")]
             simd => Some(simd),
         }
+    }
+
+    /// NaN, ±∞, ±0.0 and the smallest and largest subnormals, by class.
+    fn special(class: u8) -> f32 {
+        match class {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => 0.0,
+            4 => -0.0,
+            5 => f32::from_bits(1),
+            _ => -f32::from_bits(0x007f_ffff),
+        }
+    }
+
+    /// Equal bits, or both NaN (which NaN is unspecified, DESIGN.md §2.2).
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
     proptest! {
@@ -1070,14 +1336,7 @@ mod proptests {
             special_query in 0u8..4,
             k in 1usize..6,
         ) {
-            let Some(simd) = simd_backend_or_report_skip() else { return Ok(()) };
-            let special = |class: u8| match class {
-                0 => f32::NAN,
-                1 => f32::INFINITY,
-                2 => f32::NEG_INFINITY,
-                3 => 0.0,
-                _ => -0.0,
-            };
+            let Some(simd) = simd_backend_or_report_skip("avx2_matches_portable_bit_for_bit") else { return Ok(()) };
             let mut values = crate::rng::normal_vector(&mut crate::rng::seeded(seed), 2 + (n + 1) * dim);
             for &(at, class) in &specials {
                 // Mostly in the rows; `special_query == 0` also poisons the query.
@@ -1088,7 +1347,6 @@ mod proptests {
                 }
             }
             let (query, rows) = (&values[1..1 + dim], &values[2 + dim..]);
-            let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
             for d in ALL_DISTANCES {
                 let portable = QueryScorer::with_backend(d, query, Backend::Portable);
                 let simd = QueryScorer::with_backend(d, query, simd);
@@ -1111,6 +1369,100 @@ mod proptests {
                 prop_assert_eq!(want_top.len(), got_top.len());
                 for (w, g) in want_top.iter().zip(&got_top) {
                     prop_assert!(w.0 == g.0 && same(w.1, g.1), "{} scan: {w:?} vs {g:?}", d.name());
+                }
+            }
+        }
+
+        /// The ADC lookup's AVX2 form against its oracle, `lut_sum`: the same bits for
+        /// `Sum` and `Cosine` tables, through whole groups of eight codes and the
+        /// portable tail. Code lengths 1..=33 cover the word gathers with a partial last
+        /// word (`m % 4 ≠ 0`), the padded copy (`m < 4`) and more than one word past it;
+        /// one case in five takes the served one-u64 layout (`m = 8`) outright.
+        /// `n_centroids` covers one centroid, an odd count, 255
+        /// (the largest with a byte check) and 256 (none); the entries carry NaN, ±∞,
+        /// ±0.0 and subnormals, and the query norm zero.
+        #[test]
+        fn adc_avx2_matches_portable_bit_for_bit(
+            m_drawn in 1usize..=41,
+            centroid_class in 0usize..5,
+            n in 0usize..=70,
+            seed in 0u64..1 << 40,
+            specials in prop::collection::vec((0usize..1 << 20, 0u8..7), 0..24),
+            zero_query in 0u8..4,
+        ) {
+            let Some(simd) = simd_backend_or_report_skip("adc_avx2_matches_portable_bit_for_bit") else { return Ok(()) };
+            let m = if m_drawn > 33 { 8 } else { m_drawn };
+            let n_centroids = [1, 2, 17, 255, 256][centroid_class];
+            let mut rng = crate::rng::seeded(seed);
+            let entries = 3 * m * n_centroids;
+            let mut values = crate::rng::normal_vector(&mut rng, entries);
+            for &(at, class) in &specials {
+                values[at % entries] = special(class);
+            }
+            let third = m * n_centroids;
+            let codes: Vec<u8> = (0..n * m)
+                .map(|_| (rand::Rng::random::<u32>(&mut rng) as usize % n_centroids) as u8)
+                .collect();
+            let tables = [
+                AdcTable::Sum { table: values[..third].to_vec(), n_centroids },
+                AdcTable::Cosine {
+                    dot: values[third..2 * third].to_vec(),
+                    norm2: values[2 * third..].to_vec(),
+                    n_centroids,
+                    query_norm: if zero_query == 0 { 0.0 } else { 1.5 },
+                },
+            ];
+            for table in &tables {
+                let (mut want, mut got) = (vec![0.0f32; n], vec![0.0f32; n]);
+                table.score_codes(&codes, m, &mut want, Backend::Portable);
+                table.score_codes(&codes, m, &mut got, simd);
+                for i in 0..n {
+                    prop_assert!(
+                        same(want[i], got[i]),
+                        "m={m} n_centroids={n_centroids} code {i} of {n}: portable {:?} ({:#x}) vs simd {:?} ({:#x})",
+                        want[i], want[i].to_bits(), got[i], got[i].to_bits()
+                    );
+                    prop_assert!(same(want[i], adc_eval(table, &codes[i * m..(i + 1) * m])));
+                }
+            }
+        }
+
+        /// The gathered re-rank against per-row `eval`: four rows anywhere in memory —
+        /// repeats of one row included — score with the bits each row scores alone, on
+        /// both forms, for every metric and every length through a partial last chunk.
+        #[test]
+        fn four_gathered_rows_score_as_each_row_alone(
+            dim in 0usize..=70,
+            seed in 0u64..1 << 40,
+            picks in prop::collection::vec((0usize..5, 0usize..5, 0usize..5, 0usize..5), 1..4),
+            specials in prop::collection::vec((0usize..1 << 20, 0u8..7), 0..6),
+        ) {
+            let mut values = crate::rng::normal_vector(&mut crate::rng::seeded(seed), 6 * dim);
+            if !values.is_empty() {
+                let len = values.len();
+                for &(at, class) in &specials {
+                    values[at % len] = special(class);
+                }
+            }
+            let (query, rows) = values.split_at(dim);
+            let row = |i: usize| &rows[i * dim..(i + 1) * dim];
+            let mut backends = vec![Backend::Portable];
+            backends.extend(simd_backend_or_report_skip("four_gathered_rows_score_as_each_row_alone"));
+            for d in ALL_DISTANCES {
+                for &backend in &backends {
+                    let scorer = QueryScorer::with_backend(d, query, backend);
+                    for &(a, b, c, e) in &picks {
+                        let got = scorer.eval4([row(a), row(b), row(c), row(e)]);
+                        for (j, i) in [a, b, c, e].into_iter().enumerate() {
+                            let alone = QueryScorer::with_backend(d, query, Backend::Portable).eval(row(i));
+                            prop_assert!(
+                                same(got[j], alone),
+                                "{} {} dim={dim} rows {:?}: slot {j} {:?} vs alone {:?}",
+                                d.name(), backend.name(), (a, b, c, e), got[j], alone
+                            );
+                            prop_assert!(same(got[j], scorer.eval(row(i))));
+                        }
+                    }
                 }
             }
         }

@@ -644,4 +644,94 @@ mod tests {
         let large = ProductQuantizer::fit(&data, &ProductQuantizerConfig::standard(4, 64));
         assert!(large.reconstruction_error(&data) < small.reconstruction_error(&data));
     }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.into_iter().flat_map(u32::to_le_bytes) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// Every ADC score, each query's survivor set and every final answer of a fixed
+    /// compressed index, hashed and compared with a constant recorded before the ADC
+    /// lookup got its AVX2 form. It covers `Sum` tables (squared-Euclidean, Euclidean,
+    /// inner product) and `Cosine` tables, the served 8 × 256 quantizer and a 5 × 17 one,
+    /// and a mutated index, so answers mix survivors with tombstones and codeless
+    /// (membin) rows. The kernel's proptests compare its two forms with each other; this
+    /// pins the bits themselves, on any pool size and in debug and release alike.
+    #[test]
+    fn compressed_pass_has_the_recorded_bits() {
+        use std::sync::Arc;
+        use usp_index::partitioner::RoundRobinPartitioner;
+        use usp_index::{PartitionIndex, Partitioner, Scoring};
+        use usp_linalg::kernel::{SegmentedScan, TileKernel};
+
+        let data = usp_data::synthetic::sift_like(1500, 32, 29)
+            .points()
+            .clone();
+        let queries = usp_data::synthetic::sift_like(40, 32, 30).points().clone();
+        let (k, probes, shortlist) = (10, 3, 40);
+        let mut words = Vec::new();
+        for (m, n_centroids) in [(8, 256), (5, 17)] {
+            let config = ProductQuantizerConfig {
+                max_iters: 8,
+                ..ProductQuantizerConfig::standard(m, n_centroids)
+            };
+            let pq = Arc::new(ProductQuantizer::fit(&data, &config));
+            for distance in [
+                Distance::SquaredEuclidean,
+                Distance::Euclidean,
+                Distance::InnerProduct,
+                Distance::Cosine,
+            ] {
+                let idx = PartitionIndex::build(RoundRobinPartitioner::new(6), &data, distance)
+                    .with_scoring(Scoring::compressed(pq.clone(), shortlist));
+                for i in 0..16 {
+                    idx.insert(queries.row(24 + i));
+                }
+                for id in (0..data.rows()).step_by(37) {
+                    idx.delete(id);
+                }
+                for qi in 0..24 {
+                    let q = queries.row(qi);
+                    let table = pq.adc_table(distance, q);
+                    for b in 0..idx.num_bins() {
+                        let codes = idx.bin_codes(b).expect("a compressed index");
+                        let mut scores = vec![0.0f32; codes.len() / m];
+                        (&table).score_tile(codes, m, &mut scores);
+                        words.extend(scores.iter().map(|s| s.to_bits()));
+                    }
+                    let bins = idx.partitioner().rank_bins(q, probes);
+                    {
+                        let delta = idx.delta();
+                        let runs = idx.candidate_runs(&bins, Some(&delta), None);
+                        let coded = runs.iter().filter(|r| r.codes.is_some());
+                        let keep = shortlist.min(coded.map(|r| r.len()).sum());
+                        let mut scan = SegmentedScan::adc(&table, m, keep);
+                        for (ri, run) in runs.iter().enumerate() {
+                            if let Some(codes) = run.codes {
+                                scan.scan_segment(codes, run.len(), ri);
+                            }
+                        }
+                        for (ri, off, score) in scan.into_kept() {
+                            words.extend([runs[ri].ids[off], score.to_bits()]);
+                        }
+                    }
+                    let answer = idx.search(q, k, probes);
+                    words.extend(answer.ids.iter().map(|&id| id as u32));
+                    words.extend([
+                        answer.candidates_scanned as u32,
+                        answer.compressed_scanned as u32,
+                    ]);
+                }
+            }
+        }
+        let hash = fnv1a(words);
+        assert_eq!(
+            hash, 0x3cbe_19b4_fb52_fac0,
+            "an ADC score, a survivor set or an answer moved: {hash:#018x}"
+        );
+    }
 }

@@ -5,13 +5,12 @@
 //! technique ScaNN" (§1). Bins are Voronoi cells of the centroids; bin scores are negative
 //! centroid distances, so multi-probing searches the nearest cells first.
 
-use serde::{Deserialize, Serialize};
 use usp_index::Partitioner;
 use usp_linalg::Matrix;
 use usp_quant::{KMeans, KMeansConfig};
 
 /// A fitted K-means partitioner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMeansPartitioner {
     model: KMeans,
 }

@@ -11,12 +11,11 @@
 //! Both are deliberately independent of the data distribution (only the mean/scale are
 //! used), which is exactly why the paper shows them trailing learned partitions.
 
-use serde::{Deserialize, Serialize};
 use usp_index::Partitioner;
 use usp_linalg::{matrix::dot, rng as lrng, Matrix};
 
 /// Hyperplane (sign-of-projection) LSH with `bits` hyperplanes and `2^bits` bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HyperplaneLsh {
     /// One random unit normal per row.
     normals: Matrix,
@@ -96,7 +95,7 @@ impl Partitioner for HyperplaneLsh {
 }
 
 /// Cross-polytope LSH over a pseudo-random rotation to `m/2` dimensions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrossPolytopeLsh {
     /// Random Gaussian projection, shape `(m/2, d)`.
     projection: Matrix,

@@ -16,7 +16,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use usp_data::KnnMatrix;
 use usp_graph::{partition_graph, GraphPartitionConfig, KnnGraph};
 use usp_index::Partitioner;
@@ -26,7 +25,7 @@ use usp_nn::{loss, Adam, MlpConfig, Sequential};
 use crate::trees::SplitStrategy;
 
 /// Configuration of the Neural LSH baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NeuralLshConfig {
     /// Number of bins the graph partitioner produces (and the classifier predicts).
     pub bins: usize,

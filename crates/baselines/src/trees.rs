@@ -9,13 +9,12 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use usp_index::Partitioner;
 use usp_linalg::{matrix::dot, pca::Pca, rng as lrng, Matrix};
 use usp_quant::{KMeans, KMeansConfig};
 
 /// Tree construction parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TreeConfig {
     /// Tree depth; the partition has `2^depth` bins.
     pub depth: usize,
@@ -168,14 +167,14 @@ impl SplitStrategy for TwoMeansSplit {
 }
 
 /// One node of the complete binary split tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SplitNode {
     w: Vec<f32>,
     t: f32,
 }
 
 /// A complete binary hyperplane partition tree of depth `depth` (= `2^depth` bins).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinaryPartitionTree {
     nodes: Vec<SplitNode>,
     depth: usize,

@@ -6,14 +6,13 @@
 //! shapes K-means cannot, but needs per-dataset `eps` tuning and does not scale to the
 //! high-dimensional ANN workloads the paper targets.
 
-use serde::{Deserialize, Serialize};
 use usp_linalg::{distance, Matrix};
 
 /// Label assigned to noise points.
 pub const NOISE: isize = -1;
 
 /// DBSCAN parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DbscanConfig {
     /// Neighbourhood radius.
     pub eps: f32,

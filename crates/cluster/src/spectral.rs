@@ -9,13 +9,12 @@
 //! graphs have — and whose `O(n^3)` cost is exactly why spectral clustering does not scale
 //! to the ANN-sized datasets the paper targets (§5.5).
 
-use serde::{Deserialize, Serialize};
 use usp_data::KnnMatrix;
 use usp_linalg::{Distance, Matrix};
 use usp_quant::{KMeans, KMeansConfig};
 
 /// Spectral clustering parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpectralConfig {
     /// Number of clusters.
     pub k: usize,

@@ -4,10 +4,8 @@
 //! matrix), m (number of bins), e (ensemble size), model complexity, and η (the balance
 //! weight in the loss).
 
-use serde::{Deserialize, Serialize};
-
 /// Which learning model is trained (§5.2 evaluates both).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ModelKind {
     /// A small MLP: the listed hidden widths, each with batch-norm + ReLU (+ dropout),
     /// then an `m`-way softmax. The paper uses a single hidden layer of 128 units.
@@ -32,7 +30,7 @@ impl ModelKind {
 }
 
 /// Full configuration of one unsupervised partitioning model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UspConfig {
     /// Number of bins `m`.
     pub bins: usize,

@@ -1,7 +1,6 @@
 //! Algorithm 1 — the offline phase: train the model with the unsupervised loss, then run
 //! inference over the dataset to produce the partition and its lookup table.
 
-use serde::{Deserialize, Serialize};
 use usp_data::KnnMatrix;
 use usp_index::{PartitionIndex, Partitioner};
 use usp_linalg::{rng as lrng, Distance, Matrix};
@@ -12,7 +11,7 @@ use crate::loss::{neighbor_bin_targets, unsupervised_loss, LossValue};
 use crate::model::PartitionModel;
 
 /// Per-epoch training diagnostics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingReport {
     /// Mean total loss per epoch.
     pub epoch_loss: Vec<f32>,

@@ -5,11 +5,10 @@
 //! the method is unsupervised). A [`SplitDataset`] bundles base points with out-of-sample
 //! query points, mirroring the ann-benchmarks layout the paper uses.
 
-use serde::{Deserialize, Serialize};
 use usp_linalg::Matrix;
 
 /// A collection of `n` points in `R^d`, with optional generative cluster labels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     name: String,
     points: Matrix,
@@ -115,7 +114,7 @@ impl Dataset {
 }
 
 /// Base points plus out-of-sample queries, the layout used by every ANN experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SplitDataset {
     /// Points to be indexed (the dataset `X` of the paper).
     pub base: Dataset,

@@ -11,7 +11,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
 use usp_linalg::kernel;
 use usp_linalg::topk::TopK;
 use usp_linalg::{Distance, Matrix};
@@ -32,7 +31,7 @@ pub fn exact_knn(base: &Matrix, queries: &Matrix, k: usize, distance: Distance) 
 
 /// The k′-NN matrix of a dataset: for every point, the indices of its k′ nearest
 /// neighbours *excluding the point itself* (Figure 2 of the paper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KnnMatrix {
     k: usize,
     n: usize,

@@ -9,13 +9,12 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use usp_linalg::{rng as lrng, Matrix};
 
 use crate::dataset::Dataset;
 
 /// Parameters of a Gaussian-mixture generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MixtureSpec {
     /// Number of points to generate.
     pub n: usize,

@@ -6,12 +6,11 @@
 //! machinery serves the unsupervised partitioner, every baseline, and the ensembles.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use usp_index::SearchResult;
 use usp_linalg::{topk, Matrix};
 
 /// One point of a recall-vs-candidates curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Number of bins probed.
     pub probes: usize,

@@ -7,12 +7,12 @@
 
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use serde::Value;
 
 use crate::recall::SweepPoint;
 
 /// One named curve of a figure (e.g. "Ours (3 models)", "Neural LSH").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Method name.
     pub name: String,
@@ -21,7 +21,7 @@ pub struct Series {
 }
 
 /// One named row of a table (ordered key/value cells).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Row label (e.g. a method or configuration name).
     pub name: String,
@@ -30,7 +30,7 @@ pub struct Row {
 }
 
 /// A full experiment result: figure-style series grouped by panel, and/or table rows.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentReport {
     /// Stable identifier, e.g. `fig5_sift_16bins` or `table3`.
     pub id: String,
@@ -108,17 +108,73 @@ impl ExperimentReport {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.id));
-        let json = serde_json::to_string_pretty(self).expect("report serialisation cannot fail");
+        let json =
+            serde_json::to_string_pretty(&self.to_value()).expect("writing a Value cannot fail");
         std::fs::write(&path, json)?;
         Ok(path)
     }
 
-    /// Loads a previously saved report.
-    pub fn load_json(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    /// The report's JSON tree: an object of its fields in declaration order, each
+    /// `(name, series)` panel a two-element array.
+    fn to_value(&self) -> Value {
+        let panels = self.panels.iter().map(|(name, series)| {
+            let series = series.iter().map(Series::to_value).collect();
+            Value::Array(vec![Value::Str(name.clone()), Value::Array(series)])
+        });
+        object([
+            ("id", Value::Str(self.id.clone())),
+            ("title", Value::Str(self.title.clone())),
+            ("panels", Value::Array(panels.collect())),
+            (
+                "rows",
+                Value::Array(self.rows.iter().map(Row::to_value).collect()),
+            ),
+            (
+                "notes",
+                Value::Array(self.notes.iter().cloned().map(Value::Str).collect()),
+            ),
+        ])
     }
+}
+
+impl Series {
+    /// `{"name", "points"}`.
+    fn to_value(&self) -> Value {
+        let points = self.points.iter().map(|p| p.to_value()).collect();
+        object([
+            ("name", Value::Str(self.name.clone())),
+            ("points", Value::Array(points)),
+        ])
+    }
+}
+
+impl Row {
+    /// `{"name", "cells"}`, each cell a `[column, value]` array.
+    fn to_value(&self) -> Value {
+        let cells = self.cells.iter().map(|(column, value)| {
+            Value::Array(vec![Value::Str(column.clone()), Value::Str(value.clone())])
+        });
+        object([
+            ("name", Value::Str(self.name.clone())),
+            ("cells", Value::Array(cells.collect())),
+        ])
+    }
+}
+
+impl SweepPoint {
+    /// `{"probes", "mean_candidates", "recall"}`; a NaN is written as `null`.
+    fn to_value(self) -> Value {
+        let probes = i64::try_from(self.probes).map_or(Value::UInt(self.probes as u64), Value::Int);
+        object([
+            ("probes", probes),
+            ("mean_candidates", Value::Float(self.mean_candidates)),
+            ("recall", Value::Float(self.recall)),
+        ])
+    }
+}
+
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
 }
 
 /// The default output directory for experiment JSON (workspace-root `results/`).
@@ -160,14 +216,93 @@ mod tests {
         assert!(text.contains("scale=small"));
     }
 
+    /// `save_json`'s bytes, exactly: two panels, a row with cells, notes, and a NaN
+    /// recall (JSON has no NaN, so it is written as `null`).
     #[test]
-    fn json_roundtrip() {
-        let dir = std::env::temp_dir().join("usp_eval_report_test");
-        let path = sample().save_json(&dir).unwrap();
-        let loaded = ExperimentReport::load_json(&path).unwrap();
-        assert_eq!(loaded.id, "test_report");
-        assert_eq!(loaded.panels.len(), 1);
-        assert_eq!(loaded.rows.len(), 1);
-        std::fs::remove_file(path).ok();
+    fn saved_json_is_byte_stable() {
+        let mut r = ExperimentReport::new("golden", "Golden \"bytes\"");
+        r.add_note("scale=small");
+        r.add_note("wall-clock 1.5 s");
+        r.add_panel(
+            "SIFT, 16 bins",
+            vec![Series {
+                name: "Ours".into(),
+                points: vec![
+                    SweepPoint {
+                        probes: 1,
+                        mean_candidates: 100.0,
+                        recall: 0.8,
+                    },
+                    SweepPoint {
+                        probes: 2,
+                        mean_candidates: 187.5,
+                        recall: f64::NAN,
+                    },
+                ],
+            }],
+        );
+        r.add_panel("MNIST, 256 bins", vec![]);
+        r.add_row(
+            "Ours",
+            vec![
+                ("params".into(), "183k".into()),
+                ("recall".into(), "0.925".into()),
+            ],
+        );
+        let dir =
+            std::env::temp_dir().join(format!("usp_eval_report_golden_{}", std::process::id()));
+        let path = r.save_json(&dir).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let expected = r#"{
+  "id": "golden",
+  "title": "Golden \"bytes\"",
+  "panels": [
+    [
+      "SIFT, 16 bins",
+      [
+        {
+          "name": "Ours",
+          "points": [
+            {
+              "probes": 1,
+              "mean_candidates": 100.0,
+              "recall": 0.8
+            },
+            {
+              "probes": 2,
+              "mean_candidates": 187.5,
+              "recall": null
+            }
+          ]
+        }
+      ]
+    ],
+    [
+      "MNIST, 256 bins",
+      []
+    ]
+  ],
+  "rows": [
+    {
+      "name": "Ours",
+      "cells": [
+        [
+          "params",
+          "183k"
+        ],
+        [
+          "recall",
+          "0.925"
+        ]
+      ]
+    }
+  ],
+  "notes": [
+    "scale=small",
+    "wall-clock 1.5 s"
+  ]
+}"#;
+        assert_eq!(text, expected);
     }
 }

@@ -8,11 +8,10 @@
 //! * `USP_SCALE=medium` — ~4× more points;
 //! * `USP_SCALE=large`  — ~16× more points (closer to the paper's regime, much slower).
 
-use serde::{Deserialize, Serialize};
 use usp_data::{synthetic, SplitDataset};
 
 /// Sizes used by every experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scale {
     /// Human-readable name of the scale (small/medium/large/custom).
     pub name: String,

@@ -11,12 +11,11 @@ use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use usp_linalg::kernel::QueryScorer;
 use usp_linalg::{rng as lrng, Distance, Matrix};
 
 /// Construction parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HnswConfig {
     /// Maximum number of links per node on the upper layers (level 0 allows `2 * m`).
     pub m: usize,

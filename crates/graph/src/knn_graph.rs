@@ -1,10 +1,9 @@
 //! Undirected k-NN graphs built from the k′-NN matrix.
 
-use serde::{Deserialize, Serialize};
 use usp_data::KnnMatrix;
 
 /// An undirected graph over dataset points, stored as adjacency lists.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KnnGraph {
     adj: Vec<Vec<u32>>,
 }

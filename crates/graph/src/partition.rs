@@ -15,13 +15,12 @@
 //! as supervision — at a small fraction of KaHIP's engineering.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use usp_linalg::rng as lrng;
 
 use crate::knn_graph::KnnGraph;
 
 /// Configuration of the balanced graph partitioner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GraphPartitionConfig {
     /// Number of parts (bins) to produce.
     pub bins: usize,

@@ -6,10 +6,8 @@
 //! produced partition actually is; they are reported by the experiments and asserted on by
 //! property tests.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of bin occupancies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BalanceStats {
     /// Number of bins (including empty ones).
     pub bins: usize,

@@ -26,8 +26,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::wal::WalError;
 
 /// Why a mutation was refused — the one error type every write path (searcher,
@@ -276,7 +274,7 @@ impl MutationState {
 }
 
 /// What one [`crate::PartitionIndex::compacted`] folded in.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompactionReport {
     /// Points in the compacted index.
     pub live_points: usize,
@@ -289,7 +287,7 @@ pub struct CompactionReport {
 
 /// A snapshot of an index's outstanding delta, for compaction policies and stats
 /// endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MutationStats {
     /// Rows in the immutable CSR arrays.
     pub base_points: usize,

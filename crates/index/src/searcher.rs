@@ -5,10 +5,8 @@
 //! both the returned ids and the number of points actually scanned so every method is
 //! measured on the same axes.
 
-use serde::{Deserialize, Serialize};
-
 /// The outcome of one approximate k-NN query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchResult {
     /// Returned point ids, closest first.
     pub ids: Vec<usize>,

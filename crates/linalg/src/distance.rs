@@ -4,8 +4,6 @@
 //! experiments). The [`Distance`] enum lets every index in the workspace be generic over
 //! the metric without trait objects on the hot path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::dot;
 
 /// Squared Euclidean distance between two equal-length vectors: `(a[t] − b[t])²` added
@@ -58,7 +56,7 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// All variants return values where **smaller means closer**, so candidate re-ranking code
 /// can be metric-agnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Distance {
     /// Squared Euclidean distance (monotone in Euclidean distance; avoids the sqrt).
     #[default]

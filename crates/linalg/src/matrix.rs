@@ -6,7 +6,6 @@
 //! parallelised over rows with rayon.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 pub use crate::kernel_gemm::dot;
 use crate::kernel_gemm::{self, PackedBt};
@@ -21,7 +20,7 @@ const FORWARD_BLOCK: usize = 16;
 /// Row-major dense matrix of `f32` values.
 ///
 /// Invariant: `data.len() == rows * cols`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -24,29 +24,13 @@ pub struct AllowEntry {
 /// Deliberately retained vendor surface. Keep this list short: every entry is
 /// API we ship and maintain without a caller, so each one needs to earn its
 /// place. Populated entries are audited whenever a shim is touched.
-pub const REPO_ALLOWLIST: &[AllowEntry] = &[
-    AllowEntry {
-        rule: "vendored-shim-drift",
-        path_prefix: "vendor/rand/",
-        item: Some("SmallRng"),
-        reason: "API-parity alias with the real rand crate; the shim backs every \
-                 generator with StdRng, so callers naming SmallRng port unchanged",
-    },
-    AllowEntry {
-        rule: "vendored-shim-drift",
-        path_prefix: "vendor/serde/",
-        item: Some("de_field"),
-        reason: "called from serde_derive-generated impls, which are emitted as source \
-                 *strings* the token scan cannot see into",
-    },
-    AllowEntry {
-        rule: "vendored-shim-drift",
-        path_prefix: "vendor/serde/",
-        item: Some("de_field_or_default"),
-        reason: "the `#[serde(default)]` twin of `de_field`, likewise called only from \
-                 serde_derive-generated source strings",
-    },
-];
+pub const REPO_ALLOWLIST: &[AllowEntry] = &[AllowEntry {
+    rule: "vendored-shim-drift",
+    path_prefix: "vendor/rand/",
+    item: Some("SmallRng"),
+    reason: "API-parity alias with the real rand crate; the shim backs every \
+             generator with StdRng, so callers naming SmallRng port unchanged",
+}];
 
 /// True when a repo-level entry covers the finding.
 pub fn covers(f: &Finding) -> bool {

@@ -112,8 +112,7 @@ const VENDOR_DEPS: &[(&str, &[&str])] = &[
     ("proptest", &["rand"]),
     ("rand", &[]),
     ("rayon", &[]),
-    ("serde", &["serde_derive"]),
-    ("serde_derive", &[]),
+    ("serde", &[]),
     ("serde_json", &["serde"]),
 ];
 
@@ -121,7 +120,10 @@ fn lookup<'a>(table: &[(&'a str, &'a [&'a str])], name: &str) -> Option<&'a [&'a
     table.iter().find(|(n, _)| *n == name).map(|(_, d)| *d)
 }
 
-/// Checks every manifest's dependency edges against the DESIGN §1 DAG.
+/// Checks every manifest's dependency edges against the DESIGN §1 DAG, and that
+/// each edge is used: a dependency whose name (`-` read as `_`) is no identifier
+/// in the package's own `src/`, `tests/`, `benches/` or `examples/` is dead weight
+/// in every build. A package with none of those sources loaded is not judged.
 pub fn layering(ws: &Workspace, findings: &mut Vec<Finding>) {
     let vendor_names: Vec<&str> = VENDOR_DEPS.iter().map(|(n, _)| *n).collect();
     for m in &ws.manifests {
@@ -137,6 +139,34 @@ pub fn layering(ws: &Workspace, findings: &mut Vec<Finding>) {
                 message,
             });
         };
+        let dir = m.path.strip_suffix("Cargo.toml").unwrap_or("");
+        let own: Vec<_> = ws
+            .files
+            .iter()
+            .filter(|f| {
+                ["src/", "tests/", "benches/", "examples/"]
+                    .iter()
+                    .any(|sub| f.path.starts_with(&format!("{dir}{sub}")))
+            })
+            .collect();
+        for d in &m.deps {
+            let ident = d.name.replace('-', "_");
+            let named = own.iter().any(|f| {
+                f.tokens
+                    .iter()
+                    .any(|t| t.kind == TokKind::Ident && t.text == ident)
+            });
+            if !own.is_empty() && !named {
+                push(
+                    d.line,
+                    format!(
+                        "`{}` declares a dependency on `{}`, but no source of the package \
+                         names `{ident}` — delete the unused edge",
+                        m.package, d.name
+                    ),
+                );
+            }
+        }
         if let Some(allowed) = lookup(VENDOR_DEPS, &m.package) {
             for d in &m.deps {
                 if d.name.starts_with("usp-") || d.name == "neural-partitioner" {
@@ -284,7 +314,7 @@ pub fn vendored_shim_drift(ws: &Workspace, findings: &mut Vec<Finding>) {
         };
         let toks = &file.tokens;
         let private = private_mod_ranges(file);
-        'tok: for i in 0..toks.len() {
+        for i in 0..toks.len() {
             // `#[macro_export] macro_rules! name` exports regardless of `pub`.
             if toks[i].is_ident("macro_rules")
                 && !toks[i].in_test
@@ -346,16 +376,6 @@ pub fn vendored_shim_drift(ws: &Workspace, findings: &mut Vec<Finding>) {
             };
             if name.kind != TokKind::Ident {
                 continue;
-            }
-            // Proc-macro entry points are invoked via derive/attribute syntax,
-            // not by name, so usage counting would always flag them. The window
-            // must span a full `#[proc_macro_derive(Name, attributes(...))]`.
-            let attr_window = toks[i.saturating_sub(16)..i].iter();
-            if attr_window
-                .clone()
-                .any(|t| t.text.starts_with("proc_macro"))
-            {
-                continue 'tok;
             }
             items.push(PubItem {
                 name: name.text.clone(),
@@ -682,6 +702,38 @@ mod tests {
                     "[package]\nname = \"proptest\"\n\n[dependencies]\nrand = { path = \"../rand\" }\n",
                 ),
             ],
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn layering_fires_on_a_dependency_no_source_names() {
+        let manifest = "[package]\nname = \"usp-quant\"\n\n[dependencies]\nusp-linalg.workspace = true\n\n[dev-dependencies]\nproptest.workspace = true\n";
+        // A doc comment that says "proptests" is not a use; `usp_linalg` is.
+        let src = "//! The kernel's proptests live in usp-linalg.\nuse usp_linalg::Matrix;\n";
+        let f = lint(
+            &[("crates/quant/src/lib.rs", src)],
+            &[("crates/quant/Cargo.toml", manifest)],
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("layering", 8));
+        assert!(f[0].message.contains("`proptest`"), "{f:?}");
+        // Another package's use does not count for this one.
+        let f = lint(
+            &[
+                ("crates/quant/src/lib.rs", src),
+                ("crates/serve/tests/t.rs", "use proptest::prelude::*;\n"),
+            ],
+            &[("crates/quant/Cargo.toml", manifest)],
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        // A use in the package's tests does.
+        let f = lint(
+            &[
+                ("crates/quant/src/lib.rs", src),
+                ("crates/quant/tests/t.rs", "use proptest::prelude::*;\n"),
+            ],
+            &[("crates/quant/Cargo.toml", manifest)],
         );
         assert!(f.is_empty(), "{f:?}");
     }

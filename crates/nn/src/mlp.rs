@@ -8,7 +8,6 @@
 //! simple and numerically stable).
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use usp_linalg::{rng as lrng, stats, Matrix};
 
 use crate::layers::{BatchNorm1d, Dropout, Layer, Linear, ReLU};
@@ -114,7 +113,7 @@ impl Sequential {
 }
 
 /// Configuration of the paper's MLP architecture.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MlpConfig {
     /// Input dimensionality `d`.
     pub input_dim: usize,

@@ -11,13 +11,12 @@
 //! assignment by anisotropic loss, then a closed-form centroid update obtained by solving
 //! the per-centroid normal equations `(Σᵢ Mᵢ) c = Σᵢ Mᵢ xᵢ` with `Mᵢ = I + (η−1) Pᵢ`.
 
-use serde::{Deserialize, Serialize};
 use usp_linalg::Matrix;
 
 use crate::kmeans::{KMeans, KMeansConfig};
 
 /// Configuration of the anisotropic codebook trainer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnisotropicConfig {
     /// Parallel-error weight η (η = 1 recovers plain k-means; ScaNN defaults around 2–5).
     pub eta: f32,

@@ -8,7 +8,6 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use usp_linalg::kernel_columns::{nearest_column, squared_euclidean_to_columns};
 use usp_linalg::{rng as lrng, Matrix};
 
@@ -18,7 +17,7 @@ use usp_linalg::{rng as lrng, Matrix};
 const UPDATE_CHUNK: usize = 1024;
 
 /// K-means configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
@@ -43,7 +42,7 @@ impl KMeansConfig {
 }
 
 /// A fitted k-means model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMeans {
     /// Cluster centroids, one per row.
     pub centroids: Matrix,

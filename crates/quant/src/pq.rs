@@ -7,7 +7,6 @@
 //! sketching speed-up the paper's Figure 7 pipeline relies on.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use usp_index::scoring::CodeQuantizer;
 use usp_linalg::kernel::{self, AdcTable};
 use usp_linalg::{distance, kernel_columns, Distance, Matrix};
@@ -16,7 +15,7 @@ use crate::anisotropic::{self, AnisotropicConfig};
 use crate::kmeans::{KMeans, KMeansConfig};
 
 /// Which loss the per-subspace codebooks are trained with.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum CodebookKind {
     /// Plain k-means codebooks (classic PQ).
     Standard,
@@ -25,7 +24,7 @@ pub enum CodebookKind {
 }
 
 /// Product-quantizer configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProductQuantizerConfig {
     /// Number of subspaces `M` (each point is encoded as `M` bytes).
     pub n_subspaces: usize,
@@ -68,7 +67,7 @@ impl ProductQuantizerConfig {
 }
 
 /// A fitted product quantizer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProductQuantizer {
     /// `(start, len)` of each subspace within the full vector.
     ranges: Vec<(usize, usize)>,
@@ -88,8 +87,8 @@ impl ProductQuantizer {
     ///
     /// # Panics
     /// If `config.n_centroids` is not in `1..=256`: a code is one byte per subspace.
-    /// Checked here, the one place every config passes through — the fields are public
-    /// and the struct deserialises, so the constructors cannot vouch for it. Also if
+    /// Checked here, the one place every config passes through — the fields are public,
+    /// so the constructors cannot vouch for it. Also if
     /// `data` has no columns (there is no subspace to give a codebook), and, through
     /// [`KMeans::fit`], if it has no rows or a coordinate that is not finite.
     pub fn fit(data: &Matrix, config: &ProductQuantizerConfig) -> Self {
@@ -469,7 +468,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "need n_centroids in 1..=256, got 300")]
     fn fit_rejects_a_config_whose_codes_would_wrap() {
-        // Hand-built (or deserialised) past the constructors: before the check moved
+        // Hand-built past the constructors: before the check moved
         // into `fit` this trained 300-row codebooks and stored `best as u8`.
         let config = ProductQuantizerConfig {
             n_centroids: 300,

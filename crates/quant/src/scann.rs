@@ -10,14 +10,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use usp_index::{PartitionIndex, Partitioner, Scoring};
 use usp_linalg::{Distance, Matrix};
 
 use crate::pq::{ProductQuantizer, ProductQuantizerConfig};
 
 /// Configuration of the ScaNN-like search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScannConfig {
     /// Number of PQ subspaces.
     pub n_subspaces: usize,

@@ -515,7 +515,7 @@ impl<E: BatchEngine + 'static> Loop<E> {
                 // Serving counters from the engine, frame counters from here.
                 let mut snap = self.engine.stats();
                 snap.overlay_ingress(&self.stats.snapshot());
-                let json = serde_json::to_string(&snap).unwrap_or_else(|_| "{}".into());
+                let json = stats_json(&snap);
                 conn.queue_reply(|out| encode_stats_reply(out, request_id, json.as_bytes()));
             }
         }
@@ -625,6 +625,11 @@ impl<E: BatchEngine + 'static> Loop<E> {
     }
 }
 
+/// The JSON body of an `OP_STATS` reply.
+fn stats_json(snap: &StatsSnapshot) -> String {
+    serde_json::to_string(&snap.to_value()).expect("writing a Value cannot fail")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,6 +654,14 @@ mod tests {
             &data,
             Distance::SquaredEuclidean,
         ))))
+    }
+
+    /// One counter of a parsed `OP_STATS` reply.
+    fn stat(snap: &serde::Value, name: &str) -> i64 {
+        match snap.get(name) {
+            Some(serde::Value::Int(n)) => *n,
+            other => panic!("`{name}` reads {other:?}"),
+        }
     }
 
     fn spawn_ingress<E: BatchEngine + 'static>(
@@ -766,10 +779,10 @@ mod tests {
             Reply::Stats(json) => json,
             other => panic!("unexpected reply {other:?}"),
         };
-        let snap: StatsSnapshot = serde_json::from_str(&json).expect("stats reply parses");
-        assert_eq!((snap.inserts, snap.deletes), (1, 1));
+        let snap = serde_json::from_str(&json).expect("stats reply parses");
+        assert_eq!((stat(&snap, "inserts"), stat(&snap, "deletes")), (1, 1));
         // The stats frame itself is the 4th accepted frame.
-        assert_eq!(snap.accepted_frames, 4);
+        assert_eq!(stat(&snap, "accepted_frames"), 4);
         handle.shutdown();
     }
 
@@ -841,11 +854,15 @@ mod tests {
             Reply::Stats(json) => json,
             other => panic!("unexpected reply {other:?}"),
         };
-        let snap: StatsSnapshot = serde_json::from_str(&json).expect("stats reply parses");
-        assert_eq!(snap.inserts, 1, "the refused insert must not count");
-        assert_eq!(snap.wal_appends, 2);
-        assert_eq!(snap.wal_sync_errors, 1);
-        assert_eq!(snap.malformed_frames, 1);
+        let snap = serde_json::from_str(&json).expect("stats reply parses");
+        assert_eq!(
+            stat(&snap, "inserts"),
+            1,
+            "the refused insert must not count"
+        );
+        assert_eq!(stat(&snap, "wal_appends"), 2);
+        assert_eq!(stat(&snap, "wal_sync_errors"), 1);
+        assert_eq!(stat(&snap, "malformed_frames"), 1);
         handle.shutdown();
     }
 
@@ -971,5 +988,49 @@ mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
         handle.shutdown();
+    }
+
+    /// The `OP_STATS` body, byte for byte: every field non-zero, five bins, a `u64`
+    /// above `i64::MAX` and a float printed with an exponent.
+    #[test]
+    fn stats_reply_json_is_byte_stable() {
+        let snap = StatsSnapshot {
+            queries: 1_234,
+            batches: 56,
+            mean_batch_size: 22.035714285714285,
+            qps: 1.5e20,
+            mean_candidates: 317.25,
+            mean_compressed_candidates: 3942.0,
+            survivor_ratio: 0.05,
+            mean_latency_us: 88.125,
+            p50_latency_us: 71,
+            p99_latency_us: 403,
+            inserts: 7,
+            deletes: 3,
+            bin_probes: vec![9, 0x7fff_ffff_ffff_ffff, 1, 40, 2],
+            accepted_frames: 1_300,
+            shed_frames: 11,
+            malformed_frames: 2,
+            queue_depth_hwm: 64,
+            pending_wait_p50_us: 150,
+            pending_wait_p99_us: 2_100,
+            wal_appends: 10,
+            wal_bytes: u64::MAX - 6,
+            wal_sync_errors: 1,
+            wal_replayed_records: 4,
+            wal_torn_tail_bytes: 17,
+            wal_epoch: 5,
+        };
+        let expected = concat!(
+            r#"{"queries":1234,"batches":56,"mean_batch_size":22.035714285714285,"qps":1.5e20,"#,
+            r#""mean_candidates":317.25,"mean_compressed_candidates":3942.0,"survivor_ratio":0.05,"#,
+            r#""mean_latency_us":88.125,"p50_latency_us":71,"p99_latency_us":403,"inserts":7,"#,
+            r#""deletes":3,"bin_probes":[9,9223372036854775807,1,40,2],"accepted_frames":1300,"#,
+            r#""shed_frames":11,"malformed_frames":2,"queue_depth_hwm":64,"#,
+            r#""pending_wait_p50_us":150,"pending_wait_p99_us":2100,"wal_appends":10,"#,
+            r#""wal_bytes":18446744073709551609,"wal_sync_errors":1,"wal_replayed_records":4,"#,
+            r#""wal_torn_tail_bytes":17,"wal_epoch":5}"#,
+        );
+        assert_eq!(stats_json(&snap), expected);
     }
 }

@@ -9,7 +9,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use serde::{Deserialize, Serialize};
+use serde::Value;
 use usp_index::WalStats;
 
 /// Sub-bucket resolution bits of the latency histogram: each power-of-two octave is
@@ -295,8 +295,8 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Point-in-time serving summary, serialisable for benchmark reports.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Point-in-time serving summary, the body of an `OP_STATS` reply.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// Queries answered.
     pub queries: u64,
@@ -331,46 +331,34 @@ pub struct StatsSnapshot {
     pub bin_probes: Vec<u64>,
     /// Network-ingress frames admitted into the serving path (0 when the engine
     /// is driven directly, without an ingress in front).
-    #[serde(default)]
     pub accepted_frames: u64,
     /// Network-ingress frames refused with a `SHED` reply (queue at capacity).
-    #[serde(default)]
     pub shed_frames: u64,
     /// Network-ingress frames answered with a malformed-frame reply.
-    #[serde(default)]
     pub malformed_frames: u64,
     /// High-water mark of the ingress pending queue depth — bounded by the
     /// configured queue capacity whenever backpressure is working.
-    #[serde(default)]
     pub queue_depth_hwm: u64,
     /// Median time an admitted query waited in the ingress pending queue before its
     /// batch was taken, µs (same histogram error as the latency percentiles). The
     /// ingress serves whatever is pending the moment it is idle, so this is time
     /// spent behind the batch being served, never a batching window.
-    #[serde(default)]
     pub pending_wait_p50_us: u64,
     /// 99th-percentile pending-queue wait, µs.
-    #[serde(default)]
     pub pending_wait_p99_us: u64,
     /// Write-ahead-log records appended (acked mutations reaching the log); 0 for
     /// an engine without a WAL. Overlaid from the index's log — the durability
     /// source of truth — so these survive engine-level stat resets.
-    #[serde(default)]
     pub wal_appends: u64,
     /// Framed bytes appended to the write-ahead log.
-    #[serde(default)]
     pub wal_bytes: u64,
     /// Failed WAL sync attempts (each one poisons the log until recovery).
-    #[serde(default)]
     pub wal_sync_errors: u64,
     /// Records replayed by the most recent `PartitionIndex::recover` on this log.
-    #[serde(default)]
     pub wal_replayed_records: u64,
     /// Bytes dropped as a torn tail by the most recent recovery.
-    #[serde(default)]
     pub wal_torn_tail_bytes: u64,
     /// The log's compaction epoch (bumped by every checkpoint).
-    #[serde(default)]
     pub wal_epoch: u64,
 }
 
@@ -396,6 +384,46 @@ impl StatsSnapshot {
         self.queue_depth_hwm = ingress.queue_depth_hwm;
         self.pending_wait_p50_us = ingress.pending_wait_p50_us;
         self.pending_wait_p99_us = ingress.pending_wait_p99_us;
+    }
+
+    /// The JSON tree of an `OP_STATS` reply: every field under its own name, in
+    /// declaration order; a count above `i64::MAX` is a `UInt`.
+    pub(crate) fn to_value(&self) -> Value {
+        let count = |n: u64| i64::try_from(n).map_or(Value::UInt(n), Value::Int);
+        let fields = [
+            ("queries", count(self.queries)),
+            ("batches", count(self.batches)),
+            ("mean_batch_size", Value::Float(self.mean_batch_size)),
+            ("qps", Value::Float(self.qps)),
+            ("mean_candidates", Value::Float(self.mean_candidates)),
+            (
+                "mean_compressed_candidates",
+                Value::Float(self.mean_compressed_candidates),
+            ),
+            ("survivor_ratio", Value::Float(self.survivor_ratio)),
+            ("mean_latency_us", Value::Float(self.mean_latency_us)),
+            ("p50_latency_us", count(self.p50_latency_us)),
+            ("p99_latency_us", count(self.p99_latency_us)),
+            ("inserts", count(self.inserts)),
+            ("deletes", count(self.deletes)),
+            (
+                "bin_probes",
+                Value::Array(self.bin_probes.iter().map(|&n| count(n)).collect()),
+            ),
+            ("accepted_frames", count(self.accepted_frames)),
+            ("shed_frames", count(self.shed_frames)),
+            ("malformed_frames", count(self.malformed_frames)),
+            ("queue_depth_hwm", count(self.queue_depth_hwm)),
+            ("pending_wait_p50_us", count(self.pending_wait_p50_us)),
+            ("pending_wait_p99_us", count(self.pending_wait_p99_us)),
+            ("wal_appends", count(self.wal_appends)),
+            ("wal_bytes", count(self.wal_bytes)),
+            ("wal_sync_errors", count(self.wal_sync_errors)),
+            ("wal_replayed_records", count(self.wal_replayed_records)),
+            ("wal_torn_tail_bytes", count(self.wal_torn_tail_bytes)),
+            ("wal_epoch", count(self.wal_epoch)),
+        ];
+        Value::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
     }
 }
 

@@ -25,7 +25,7 @@ use usp_quant::{KMeansConfig, ScannConfig};
 use crate::recall::{
     candidates_at_recall, default_probe_ladder, recall_at_k, sweep_probes, SweepPoint,
 };
-use crate::report::{ExperimentReport, Series};
+use crate::report::{ExperimentReport, Series, XAxis};
 use crate::scale::Scale;
 
 const DIST: Distance = Distance::SquaredEuclidean;
@@ -247,10 +247,8 @@ pub fn figure7(scale: &Scale) -> ExperimentReport {
         "fig7_scann_pipeline",
         "10-NN accuracy vs mean query time (end-to-end ANNS)",
     );
-    report.add_note(format!(
-        "scale={}; x-axis (mean_candidates column) is mean query time in microseconds",
-        scale.name
-    ));
+    report.x_axis = XAxis::QueryUs;
+    report.add_note(format!("scale={}", scale.name));
 
     for (dataset_name, split) in [
         ("SIFT-like", scale.sift_like(505)),

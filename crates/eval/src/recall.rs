@@ -14,7 +14,8 @@ use usp_linalg::{topk, Matrix};
 pub struct SweepPoint {
     /// Number of bins probed.
     pub probes: usize,
-    /// Mean candidate-set size over the query set.
+    /// Mean candidate-set size over the query set (mean query time in µs on a
+    /// report whose `x_axis` is [`XAxis::QueryUs`](crate::report::XAxis::QueryUs)).
     pub mean_candidates: f64,
     /// Mean k-NN accuracy (Eq. 1) over the query set.
     pub recall: f64,

@@ -29,6 +29,34 @@ pub struct Row {
     pub cells: Vec<(String, String)>,
 }
 
+/// What a figure's x-axis, each point's [`SweepPoint::mean_candidates`], measures.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum XAxis {
+    /// Mean candidate-set size per query, written as `mean_candidates`.
+    #[default]
+    Candidates,
+    /// Mean wall-clock query time in µs, written as `mean_query_us`.
+    QueryUs,
+}
+
+impl XAxis {
+    /// The points' JSON key.
+    fn key(self) -> &'static str {
+        match self {
+            XAxis::Candidates => "mean_candidates",
+            XAxis::QueryUs => "mean_query_us",
+        }
+    }
+
+    /// The rendered column's header.
+    fn label(self) -> &'static str {
+        match self {
+            XAxis::Candidates => "candidates",
+            XAxis::QueryUs => "query µs",
+        }
+    }
+}
+
 /// A full experiment result: figure-style series grouped by panel, and/or table rows.
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentReport {
@@ -42,6 +70,9 @@ pub struct ExperimentReport {
     pub rows: Vec<Row>,
     /// Free-form notes (scale used, substitutions, wall-clock).
     pub notes: Vec<String>,
+    /// What the panels' x-axis measures. It is written as the points' key, not as a
+    /// key of its own.
+    pub x_axis: XAxis,
 }
 
 impl ExperimentReport {
@@ -79,11 +110,12 @@ impl ExperimentReport {
         for note in &self.notes {
             out.push_str(&format!("  note: {note}\n"));
         }
+        let header = format!("    probes  {:>10}   recall\n", self.x_axis.label());
         for (panel, series) in &self.panels {
             out.push_str(&format!("\n-- {panel} --\n"));
             for s in series {
                 out.push_str(&format!("  {}\n", s.name));
-                out.push_str("    probes  candidates   recall\n");
+                out.push_str(&header);
                 for p in &s.points {
                     out.push_str(&format!(
                         "    {:>6}  {:>10.1}  {:>7.4}\n",
@@ -118,7 +150,7 @@ impl ExperimentReport {
     /// `(name, series)` panel a two-element array.
     fn to_value(&self) -> Value {
         let panels = self.panels.iter().map(|(name, series)| {
-            let series = series.iter().map(Series::to_value).collect();
+            let series = series.iter().map(|s| s.to_value(self.x_axis)).collect();
             Value::Array(vec![Value::Str(name.clone()), Value::Array(series)])
         });
         object([
@@ -139,8 +171,8 @@ impl ExperimentReport {
 
 impl Series {
     /// `{"name", "points"}`.
-    fn to_value(&self) -> Value {
-        let points = self.points.iter().map(|p| p.to_value()).collect();
+    fn to_value(&self, x_axis: XAxis) -> Value {
+        let points = self.points.iter().map(|p| p.to_value(x_axis)).collect();
         object([
             ("name", Value::Str(self.name.clone())),
             ("points", Value::Array(points)),
@@ -162,12 +194,12 @@ impl Row {
 }
 
 impl SweepPoint {
-    /// `{"probes", "mean_candidates", "recall"}`; a NaN is written as `null`.
-    fn to_value(self) -> Value {
+    /// `{"probes", <the x-axis key>, "recall"}`; a NaN is written as `null`.
+    fn to_value(self, x_axis: XAxis) -> Value {
         let probes = i64::try_from(self.probes).map_or(Value::UInt(self.probes as u64), Value::Int);
         object([
             ("probes", probes),
-            ("mean_candidates", Value::Float(self.mean_candidates)),
+            (x_axis.key(), Value::Float(self.mean_candidates)),
             ("recall", Value::Float(self.recall)),
         ])
     }
@@ -204,6 +236,19 @@ mod tests {
         );
         r.add_row("Ours", vec![("params".into(), "183k".into())]);
         r
+    }
+
+    #[test]
+    fn a_time_axis_has_its_own_key_and_header() {
+        let candidates = sample().render();
+        assert!(candidates.contains("    probes  candidates   recall\n"));
+        let mut r = sample();
+        r.x_axis = XAxis::QueryUs;
+        let text = r.render();
+        assert!(text.contains("    probes    query µs   recall\n"), "{text}");
+        let json = serde_json::to_string(&r.to_value()).unwrap();
+        assert!(json.contains(r#"{"probes":1,"mean_query_us":100.0,"recall":0.8}"#));
+        assert!(!json.contains("mean_candidates"));
     }
 
     #[test]

@@ -591,7 +591,7 @@ pub enum SyncPolicy {
     OnFlush,
 }
 
-/// Counters the serving stack surfaces (`ServeStats` / `OP_STATS`), plus the
+/// Counters the serving stack surfaces (`StatsSnapshot::wal` / `OP_STATS`), plus the
 /// recovery numbers from the most recent replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {

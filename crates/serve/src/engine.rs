@@ -242,15 +242,14 @@ impl<P: Partitioner> QueryEngine<P> {
     }
 
     /// Serving statistics accumulated since construction (or the last
-    /// [`reset_stats`](Self::reset_stats)), with the index's WAL counters overlaid
-    /// when a log is attached (the log is the source of truth for durability
-    /// numbers — they survive engine-level `reset_stats`).
+    /// [`reset_stats`](Self::reset_stats)). [`StatsSnapshot::wal`] is read from the
+    /// index's log when the snapshot is taken (all zero without one): the log is the
+    /// source of truth for durability numbers, so they survive `reset_stats`.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        if let Some(w) = self.index.wal_stats() {
-            snap.overlay_wal(&w);
+        StatsSnapshot {
+            wal: self.index.wal_stats().unwrap_or_default(),
+            ..self.stats.snapshot()
         }
-        snap
     }
 
     /// Clears the serving statistics.

@@ -640,7 +640,7 @@ mod tests {
     };
     use std::net::{TcpListener, TcpStream};
     use usp_index::partitioner::RoundRobinPartitioner;
-    use usp_index::PartitionIndex;
+    use usp_index::{PartitionIndex, WalStats};
     use usp_linalg::{Distance, Matrix};
 
     fn engine() -> Arc<QueryEngine<RoundRobinPartitioner>> {
@@ -1014,12 +1014,14 @@ mod tests {
             queue_depth_hwm: 64,
             pending_wait_p50_us: 150,
             pending_wait_p99_us: 2_100,
-            wal_appends: 10,
-            wal_bytes: u64::MAX - 6,
-            wal_sync_errors: 1,
-            wal_replayed_records: 4,
-            wal_torn_tail_bytes: 17,
-            wal_epoch: 5,
+            wal: WalStats {
+                appends: 10,
+                bytes: u64::MAX - 6,
+                sync_errors: 1,
+                replayed_records: 4,
+                torn_tail_bytes: 17,
+                epoch: 5,
+            },
         };
         let expected = concat!(
             r#"{"queries":1234,"batches":56,"mean_batch_size":22.035714285714285,"qps":1.5e20,"#,

@@ -111,10 +111,13 @@ pub struct ServeStats {
     inner: Mutex<Inner>,
 }
 
+/// The accumulator behind [`ServeStats`]. The verbatim counters add up in `counts`
+/// itself; beside it sit only the sums and histograms the snapshot's derived fields
+/// are computed from. `counts`' derived fields and its `wal` stay at zero.
 #[derive(Debug)]
 struct Inner {
-    queries: u64,
-    batches: u64,
+    counts: StatsSnapshot,
+    /// Exact distance evaluations, the numerator of `mean_candidates`.
     candidates_scanned: u64,
     /// Candidates scored in the compressed domain (ADC lookups) before the exact
     /// pass; 0 while the engine serves an exact-mode index.
@@ -122,21 +125,7 @@ struct Inner {
     /// Wall-clock busy time across batches, µs (idle time between batches excluded,
     /// so `qps` measures the engine, not the request arrival process).
     busy_us: u64,
-    /// Points inserted through the serving engine since the last reset.
-    inserts: u64,
-    /// Points deleted (tombstoned) through the serving engine since the last reset.
-    deletes: u64,
     latencies: LatencyHistogram,
-    /// `bin_probes[b]` = how many times bin `b` was probed (its candidates scanned).
-    bin_probes: Vec<u64>,
-    /// Network-ingress frames admitted into the serving path.
-    accepted_frames: u64,
-    /// Network-ingress frames refused with a `SHED` reply (queue at capacity).
-    shed_frames: u64,
-    /// Network-ingress frames answered with a malformed-frame reply.
-    malformed_frames: u64,
-    /// High-water mark of the ingress pending queue depth.
-    queue_depth_hwm: u64,
     /// Ingress stage span: admission → the query's batch being taken, µs.
     pending_wait: LatencyHistogram,
 }
@@ -144,19 +133,14 @@ struct Inner {
 impl Inner {
     fn zeroed(bins: usize) -> Self {
         Self {
-            queries: 0,
-            batches: 0,
+            counts: StatsSnapshot {
+                bin_probes: vec![0; bins],
+                ..StatsSnapshot::default()
+            },
             candidates_scanned: 0,
             compressed_scanned: 0,
             busy_us: 0,
-            inserts: 0,
-            deletes: 0,
             latencies: LatencyHistogram::new(),
-            bin_probes: vec![0; bins],
-            accepted_frames: 0,
-            shed_frames: 0,
-            malformed_frames: 0,
-            queue_depth_hwm: 0,
             pending_wait: LatencyHistogram::new(),
         }
     }
@@ -192,8 +176,8 @@ impl ServeStats {
         busy_us: u64,
     ) {
         let mut inner = self.lock();
-        inner.queries += latencies_us.len() as u64;
-        inner.batches += 1;
+        inner.counts.queries += latencies_us.len() as u64;
+        inner.counts.batches += 1;
         inner.candidates_scanned += candidates_scanned;
         inner.compressed_scanned += compressed_scanned;
         inner.busy_us += busy_us;
@@ -201,33 +185,33 @@ impl ServeStats {
             inner.latencies.record(l);
         }
         for b in probed_bins {
-            inner.bin_probes[b] += 1;
+            inner.counts.bin_probes[b] += 1;
         }
     }
 
     /// Counts one point inserted through the engine's write path.
     pub(crate) fn record_insert(&self) {
-        self.lock().inserts += 1;
+        self.lock().counts.inserts += 1;
     }
 
     /// Counts one point deleted (tombstoned) through the engine's write path.
     pub(crate) fn record_delete(&self) {
-        self.lock().deletes += 1;
+        self.lock().counts.deletes += 1;
     }
 
     /// Folds ingress frame dispositions into the counters (one call per event
     /// keeps the ingress loop branch-free; the lock is uncontended there).
     pub(crate) fn record_frames(&self, accepted: u64, shed: u64, malformed: u64) {
-        let mut inner = self.lock();
-        inner.accepted_frames += accepted;
-        inner.shed_frames += shed;
-        inner.malformed_frames += malformed;
+        let counts = &mut self.lock().counts;
+        counts.accepted_frames += accepted;
+        counts.shed_frames += shed;
+        counts.malformed_frames += malformed;
     }
 
     /// Raises the pending-queue high-water mark to `depth` if it exceeds it.
     pub(crate) fn record_queue_depth(&self, depth: u64) {
-        let mut inner = self.lock();
-        inner.queue_depth_hwm = inner.queue_depth_hwm.max(depth);
+        let counts = &mut self.lock().counts;
+        counts.queue_depth_hwm = counts.queue_depth_hwm.max(depth);
     }
 
     /// Folds one ingress batch's admission → batch-taken waits (µs, one per query)
@@ -239,20 +223,17 @@ impl ServeStats {
         }
     }
 
-    /// A point-in-time summary of everything recorded so far.
+    /// A point-in-time summary of everything recorded so far: the verbatim counters
+    /// as accumulated, and the ten derived fields computed from the sums and
+    /// histograms beside them.
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let inner = self.lock();
-        let busy_secs = inner.busy_us as f64 / 1e6;
+        let queries = inner.counts.queries as f64;
         StatsSnapshot {
-            queries: inner.queries,
-            batches: inner.batches,
-            mean_batch_size: ratio(inner.queries as f64, inner.batches as f64),
-            qps: ratio(inner.queries as f64, busy_secs),
-            mean_candidates: ratio(inner.candidates_scanned as f64, inner.queries as f64),
-            mean_compressed_candidates: ratio(
-                inner.compressed_scanned as f64,
-                inner.queries as f64,
-            ),
+            mean_batch_size: ratio(queries, inner.counts.batches as f64),
+            qps: ratio(queries, inner.busy_us as f64 / 1e6),
+            mean_candidates: ratio(inner.candidates_scanned as f64, queries),
+            mean_compressed_candidates: ratio(inner.compressed_scanned as f64, queries),
             survivor_ratio: ratio(
                 inner.candidates_scanned as f64,
                 inner.compressed_scanned as f64,
@@ -260,30 +241,16 @@ impl ServeStats {
             mean_latency_us: inner.latencies.mean(),
             p50_latency_us: inner.latencies.percentile(0.50),
             p99_latency_us: inner.latencies.percentile(0.99),
-            inserts: inner.inserts,
-            deletes: inner.deletes,
-            bin_probes: inner.bin_probes.clone(),
-            accepted_frames: inner.accepted_frames,
-            shed_frames: inner.shed_frames,
-            malformed_frames: inner.malformed_frames,
-            queue_depth_hwm: inner.queue_depth_hwm,
             pending_wait_p50_us: inner.pending_wait.percentile(0.50),
             pending_wait_p99_us: inner.pending_wait.percentile(0.99),
-            // WAL counters live on the index's log, not here; engines overlay
-            // them via StatsSnapshot::overlay_wal when a log is attached.
-            wal_appends: 0,
-            wal_bytes: 0,
-            wal_sync_errors: 0,
-            wal_replayed_records: 0,
-            wal_torn_tail_bytes: 0,
-            wal_epoch: 0,
+            ..inner.counts.clone()
         }
     }
 
     /// Clears every counter (the bin-probe vector keeps its length).
     pub(crate) fn reset(&self) {
         let mut inner = self.lock();
-        *inner = Inner::zeroed(inner.bin_probes.len());
+        *inner = Inner::zeroed(inner.counts.bin_probes.len());
     }
 }
 
@@ -346,34 +313,13 @@ pub struct StatsSnapshot {
     pub pending_wait_p50_us: u64,
     /// 99th-percentile pending-queue wait, µs.
     pub pending_wait_p99_us: u64,
-    /// Write-ahead-log records appended (acked mutations reaching the log); 0 for
-    /// an engine without a WAL. Overlaid from the index's log — the durability
-    /// source of truth — so these survive engine-level stat resets.
-    pub wal_appends: u64,
-    /// Framed bytes appended to the write-ahead log.
-    pub wal_bytes: u64,
-    /// Failed WAL sync attempts (each one poisons the log until recovery).
-    pub wal_sync_errors: u64,
-    /// Records replayed by the most recent `PartitionIndex::recover` on this log.
-    pub wal_replayed_records: u64,
-    /// Bytes dropped as a torn tail by the most recent recovery.
-    pub wal_torn_tail_bytes: u64,
-    /// The log's compaction epoch (bumped by every checkpoint).
-    pub wal_epoch: u64,
+    /// The index's write-ahead-log counters, read from the log — the durability
+    /// source of truth — when the snapshot is taken, so they survive engine-level
+    /// stat resets; all zero for an engine without a WAL.
+    pub wal: WalStats,
 }
 
 impl StatsSnapshot {
-    /// Copies the index's WAL counters into this snapshot (engines call this when
-    /// a log is attached; see `QueryEngine::stats`).
-    pub fn overlay_wal(&mut self, w: &WalStats) {
-        self.wal_appends = w.appends;
-        self.wal_bytes = w.bytes;
-        self.wal_sync_errors = w.sync_errors;
-        self.wal_replayed_records = w.replayed_records;
-        self.wal_torn_tail_bytes = w.torn_tail_bytes;
-        self.wal_epoch = w.epoch;
-    }
-
     /// Copies the frame counters, the queue high-water mark and the pending-wait
     /// percentiles of an ingress-side snapshot into this (engine-side) one — what an
     /// `OP_STATS` reply carries.
@@ -387,7 +333,8 @@ impl StatsSnapshot {
     }
 
     /// The JSON tree of an `OP_STATS` reply: every field under its own name, in
-    /// declaration order; a count above `i64::MAX` is a `UInt`.
+    /// declaration order, the log's counters as `wal_<name>`; a count above
+    /// `i64::MAX` is a `UInt`.
     pub(crate) fn to_value(&self) -> Value {
         let count = |n: u64| i64::try_from(n).map_or(Value::UInt(n), Value::Int);
         let fields = [
@@ -416,12 +363,12 @@ impl StatsSnapshot {
             ("queue_depth_hwm", count(self.queue_depth_hwm)),
             ("pending_wait_p50_us", count(self.pending_wait_p50_us)),
             ("pending_wait_p99_us", count(self.pending_wait_p99_us)),
-            ("wal_appends", count(self.wal_appends)),
-            ("wal_bytes", count(self.wal_bytes)),
-            ("wal_sync_errors", count(self.wal_sync_errors)),
-            ("wal_replayed_records", count(self.wal_replayed_records)),
-            ("wal_torn_tail_bytes", count(self.wal_torn_tail_bytes)),
-            ("wal_epoch", count(self.wal_epoch)),
+            ("wal_appends", count(self.wal.appends)),
+            ("wal_bytes", count(self.wal.bytes)),
+            ("wal_sync_errors", count(self.wal.sync_errors)),
+            ("wal_replayed_records", count(self.wal.replayed_records)),
+            ("wal_torn_tail_bytes", count(self.wal.torn_tail_bytes)),
+            ("wal_epoch", count(self.wal.epoch)),
         ];
         Value::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
     }

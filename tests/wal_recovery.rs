@@ -507,9 +507,9 @@ fn engine_acks_carry_durability_and_stats_surface_wal_counters() {
     assert_eq!(engine.delete(2), Ok(()));
     let snap = engine.stats();
     assert_eq!((snap.inserts, snap.deletes), (1, 1));
-    assert_eq!(snap.wal_appends, 2, "one record per acked mutation");
-    assert!(snap.wal_bytes > 0);
-    assert_eq!(snap.wal_sync_errors, 0);
+    assert_eq!(snap.wal.appends, 2, "one record per acked mutation");
+    assert!(snap.wal.bytes > 0);
+    assert_eq!(snap.wal.sync_errors, 0);
 
     // A sync failure must become an error reply, not a silent ack, and the
     // refused op must not count as served.
@@ -524,9 +524,17 @@ fn engine_acks_carry_durability_and_stats_surface_wal_counters() {
     let snap = engine.stats();
     assert_eq!(snap.inserts, 1, "the refused insert is not counted");
     assert_eq!(
-        snap.wal_sync_errors, 1,
+        snap.wal.sync_errors, 1,
         "the failure is visible in serving stats"
     );
+
+    // Resetting the engine's counters leaves the log's: they are read from the
+    // log itself, not accumulated by the engine.
+    engine.reset_stats();
+    let snap = engine.stats();
+    assert_eq!((snap.inserts, snap.deletes), (0, 0));
+    assert_eq!(snap.wal, idx.wal_stats().expect("wal attached"));
+    assert_eq!(snap.wal.sync_errors, 1, "the reset does not touch the log");
 
     // Recovery counters ride the same snapshot: recover from this log image
     // and serve from the recovered index.
@@ -542,7 +550,7 @@ fn engine_acks_carry_durability_and_stats_surface_wal_counters() {
     .expect("recovery");
     let engine = QueryEngine::new(Arc::new(recovered));
     let snap = engine.stats();
-    assert_eq!(snap.wal_replayed_records, acked.records.len() as u64);
+    assert_eq!(snap.wal.replayed_records, acked.records.len() as u64);
 
     // The engine serves the recovered state bit-identically to the index's own
     // search.

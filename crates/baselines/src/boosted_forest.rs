@@ -134,7 +134,7 @@ impl BoostedSearchForest {
             };
             let tree = BinaryPartitionTree::build(data, &tree_cfg, &strategy);
             // Re-weight: count separated neighbours under this tree's leaves.
-            let leaves: Vec<usize> = (0..n).map(|i| tree.assign(data.row(i))).collect();
+            let leaves = tree.assign_batch(data);
             for i in 0..n {
                 let separated = knn
                     .neighbors_of(i)
@@ -230,7 +230,7 @@ mod tests {
         let tree = BinaryPartitionTree::build(&data, &cfg, &strategy);
         // With two far-apart blobs, the best neighbour-preserving hyperplane separates the
         // blobs, so almost no k-NN pair is broken.
-        let leaves: Vec<usize> = (0..data.rows()).map(|i| tree.assign(data.row(i))).collect();
+        let leaves = tree.assign_batch(&data);
         let broken: usize = (0..data.rows())
             .map(|i| {
                 knn.neighbors_of(i)

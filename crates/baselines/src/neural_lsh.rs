@@ -19,7 +19,7 @@ use rand::Rng;
 use usp_data::KnnMatrix;
 use usp_graph::{partition_graph, GraphPartitionConfig, KnnGraph};
 use usp_index::Partitioner;
-use usp_linalg::{matrix::dot, rng as lrng, Matrix};
+use usp_linalg::{rng as lrng, Matrix};
 use usp_nn::{loss, Adam, MlpConfig, Sequential};
 
 use crate::trees::SplitStrategy;
@@ -252,12 +252,6 @@ impl SplitStrategy for RegressionLshSplit {
     }
 }
 
-/// Verifies that a hyperplane `(w, t)` routes a point to side `right = (w·x >= t)`.
-/// Exposed for tests and diagnostics.
-pub fn side_of(w: &[f32], t: f32, x: &[f32]) -> bool {
-    dot(w, x) >= t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,11 +341,5 @@ mod tests {
             second_blob_other >= 38,
             "second blob split: {second_blob_other}/40"
         );
-    }
-
-    #[test]
-    fn side_of_is_consistent_with_dot_product() {
-        assert!(side_of(&[1.0, 0.0], 0.5, &[1.0, 0.0]));
-        assert!(!side_of(&[1.0, 0.0], 0.5, &[0.0, 0.0]));
     }
 }

@@ -1,6 +1,11 @@
 //! Criterion bench: per-query bin inference cost of each partitioner (the O(d) online
 //! term of §4.5) — USP MLP vs K-means centroid scan vs cross-polytope LSH vs a KD-tree.
+//!
+//! Group `assign_batch` is the index build's assignment of all 2 000 base rows:
+//! `Partitioner::assign_batch` against the per-row loop (one `assign` a row on the
+//! pool), for the trained router (blocked forward) and K-means (which keeps the loop).
 use criterion::{criterion_group, criterion_main, Criterion};
+use rayon::prelude::*;
 use std::hint::black_box;
 use usp_baselines::{BinaryPartitionTree, CrossPolytopeLsh, KMeansPartitioner, TreeConfig};
 use usp_core::{train_partitioner, UspConfig};
@@ -38,6 +43,25 @@ fn bench_assignment(c: &mut Criterion) {
     });
     group.bench_function("kd_tree_depth4", |b| {
         b.iter(|| black_box(tree.assign(black_box(&query))))
+    });
+    group.finish();
+
+    let per_row = |p: &dyn Partitioner| -> Vec<usize> {
+        (0..data.rows())
+            .into_par_iter()
+            .map(|i| p.assign(data.row(i)))
+            .collect()
+    };
+    let mut group = c.benchmark_group("assign_batch");
+    group.bench_function("usp_mlp/batch", |b| {
+        b.iter(|| black_box(usp.assign_batch(black_box(data))))
+    });
+    group.bench_function("usp_mlp/per_row", |b| b.iter(|| black_box(per_row(&usp))));
+    group.bench_function("kmeans_16/batch", |b| {
+        b.iter(|| black_box(kmeans.assign_batch(black_box(data))))
+    });
+    group.bench_function("kmeans_16/per_row", |b| {
+        b.iter(|| black_box(per_row(&kmeans)))
     });
     group.finish();
 }

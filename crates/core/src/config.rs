@@ -96,18 +96,6 @@ impl UspConfig {
             ..Self::paper_default(bins)
         }
     }
-
-    /// Overrides η.
-    pub fn with_eta(mut self, eta: f32) -> Self {
-        self.eta = eta;
-        self
-    }
-
-    /// Overrides the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -135,10 +123,6 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let cfg = UspConfig::fast(16).with_eta(30.0).with_seed(7);
-        assert_eq!(cfg.bins, 16);
-        assert_eq!(cfg.eta, 30.0);
-        assert_eq!(cfg.seed, 7);
         let log = UspConfig::logistic(2);
         assert!(matches!(log.model, ModelKind::Logistic));
     }

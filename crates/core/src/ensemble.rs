@@ -47,7 +47,7 @@ impl UspEnsemble {
             // Weight update (Algorithm 3, step b): the new weight of point i counts how
             // many of its neighbours this model separated from it, multiplied into the
             // running weight so only consistently mis-served points stay heavy.
-            let assignments = trained.model().assign_batch(data);
+            let assignments = trained.assign_batch(data);
             let mut any_positive = false;
             for i in 0..n {
                 let separated = knn
@@ -70,8 +70,8 @@ impl UspEnsemble {
                 }
             }
 
-            // The bins of that one batched forward are the index's: the batch contract
-            // makes them `build_index`'s `n` one-row forwards bit for bit.
+            // The bins of that one batched assignment are the index's:
+            // `PartitionIndex::build` would compute the same `assign_batch`.
             indexes.push(PartitionIndex::from_assignments(
                 trained,
                 data,
@@ -226,7 +226,7 @@ mod tests {
         };
         let ens = UspEnsemble::train(&data, &knn, &cfg, 2, Distance::SquaredEuclidean);
         for index in ens.indexes() {
-            // What `build_index` (`PartitionIndex::build`) computes: one forward a row.
+            // The batch contract: each bin is the one-row forward's.
             for i in 0..data.rows() {
                 let per_row = index.partitioner().assign(data.row(i));
                 assert_eq!(index.bin_of(i), Some(per_row));

@@ -2,8 +2,8 @@
 //! inference over the dataset to produce the partition and its lookup table.
 
 use usp_data::KnnMatrix;
-use usp_index::{PartitionIndex, Partitioner};
-use usp_linalg::{rng as lrng, Distance, Matrix};
+use usp_index::Partitioner;
+use usp_linalg::{rng as lrng, Matrix};
 use usp_nn::Adam;
 
 use crate::config::UspConfig;
@@ -42,15 +42,6 @@ impl TrainedPartitioner {
     pub fn report(&self) -> &TrainingReport {
         &self.report
     }
-
-    /// Builds the lookup-table index over a dataset (Algorithm 1, step 3).
-    pub fn build_index(
-        self,
-        data: &Matrix,
-        distance: Distance,
-    ) -> PartitionIndex<TrainedPartitioner> {
-        PartitionIndex::build(self, data, distance)
-    }
 }
 
 impl Partitioner for TrainedPartitioner {
@@ -69,6 +60,14 @@ impl Partitioner for TrainedPartitioner {
     /// softmax), which `batched_bin_scores_match_per_query_bitwise` pins below.
     fn bin_scores_batch(&self, queries: &Matrix) -> Matrix {
         self.model.probabilities_batch(queries)
+    }
+
+    /// Blocks of rows through the whole eval network ([`PartitionModel::assign_batch`]):
+    /// each bin is the argmax of [`Self::bin_scores_batch`]'s row, `topk::argmax`
+    /// falling back to 0 as [`Partitioner::assign`] does, so entry `i` is
+    /// `assign(points.row(i))` bit for bit.
+    fn assign_batch(&self, points: &Matrix) -> Vec<usize> {
+        self.model.assign_batch(points)
     }
 
     fn num_parameters(&self) -> usize {
@@ -230,6 +229,8 @@ mod tests {
     use super::*;
     use usp_data::synthetic;
     use usp_index::balance::BalanceStats;
+    use usp_index::PartitionIndex;
+    use usp_linalg::Distance;
 
     fn small_dataset() -> (Matrix, KnnMatrix) {
         let ds = synthetic::sift_like(600, 8, 3);
@@ -458,7 +459,7 @@ mod tests {
             ..UspConfig::fast(8)
         };
         let trained = train_partitioner(&data, &knn, &cfg, None);
-        let assignments = trained.model().assign_batch(&data);
+        let assignments = trained.assign_batch(&data);
         let stats = BalanceStats::from_assignments(&assignments, 8);
         assert_eq!(stats.total, 600);
         // The balance term must prevent near-total collapse into a couple of bins.
@@ -474,7 +475,7 @@ mod tests {
             ..UspConfig::fast(8)
         };
         let trained = train_partitioner(&data, &knn, &cfg, None);
-        let assignments = trained.model().assign_batch(&data);
+        let assignments = trained.assign_batch(&data);
         // Fraction of k'-NN pairs co-located in the same bin must beat the random baseline
         // (1/m = 12.5%) by a large margin on clustered data.
         let mut together = 0usize;
@@ -504,9 +505,38 @@ mod tests {
         assert!(trained.name().contains("usp"));
         let scores = trained.bin_scores(data.row(0));
         assert_eq!(scores.len(), 4);
-        let idx = trained.build_index(&data, Distance::SquaredEuclidean);
+        let idx = PartitionIndex::build(trained, &data, Distance::SquaredEuclidean);
         let res = idx.search(data.row(0), 5, 1);
         assert!(res.ids.contains(&0));
+    }
+
+    /// The index over a trained router is built from its blocked `assign_batch`; its
+    /// CSR arrays and rows must be those of the per-row build it replaced
+    /// (`from_assignments` over one `assign` a row), bit for bit.
+    #[test]
+    fn build_over_a_trained_router_is_the_per_row_build() {
+        let (data, knn) = small_dataset();
+        let trained = train_partitioner(&data, &knn, &UspConfig::fast(8), None);
+        let per_row: Vec<usize> = (0..data.rows())
+            .map(|i| trained.assign(data.row(i)))
+            .collect();
+        let twin = || TrainedPartitioner {
+            model: trained.model.clone(),
+            report: trained.report.clone(),
+        };
+        let want =
+            PartitionIndex::from_assignments(twin(), &data, per_row, Distance::SquaredEuclidean);
+        for threads in [1, 4] {
+            let got = rayon::with_num_threads(threads, || {
+                PartitionIndex::build(twin(), &data, Distance::SquaredEuclidean)
+            });
+            assert_eq!(got.bin_offsets(), want.bin_offsets(), "{threads} threads");
+            assert_eq!(got.local_to_global(), want.local_to_global());
+            for b in 0..want.num_bins() {
+                let bits = |rows: &[f32]| rows.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.bin_rows(b)), bits(want.bin_rows(b)), "bin {b}");
+            }
+        }
     }
 
     #[test]
@@ -523,8 +553,8 @@ mod tests {
             *w = 25.0;
         }
         let weighted = train_partitioner(&data, &knn, &cfg, Some(&weights));
-        let a = uniform.model().assign_batch(&data);
-        let b = weighted.model().assign_batch(&data);
+        let a = uniform.assign_batch(&data);
+        let b = weighted.assign_batch(&data);
         assert_ne!(
             a, b,
             "weighting the loss should change the learned partition"
@@ -541,7 +571,7 @@ mod tests {
             ..UspConfig::logistic(2)
         };
         let trained = train_partitioner(&data, &knn, &cfg, None);
-        let assignments = trained.model().assign_batch(&data);
+        let assignments = trained.assign_batch(&data);
         let stats = BalanceStats::from_assignments(&assignments, 2);
         assert_eq!(stats.empty_bins, 0);
     }

@@ -542,12 +542,7 @@ pub fn table5() -> ExperimentReport {
             seed: 3,
         };
         let usp = train_partitioner(data, &knn, &cfg, None);
-        let usp_labels: Vec<isize> = usp
-            .model()
-            .assign_batch(data)
-            .iter()
-            .map(|&l| l as isize)
-            .collect();
+        let usp_labels: Vec<isize> = usp.assign_batch(data).iter().map(|&l| l as isize).collect();
         cells.push((
             "Ours ARI".into(),
             format!("{:.2}", adjusted_rand_index(&usp_labels, truth)),
@@ -603,7 +598,7 @@ pub fn ablations(scale: &Scale) -> ExperimentReport {
 
     // One row per trained configuration: recall with 2 probes and the bins' imbalance.
     let mut row = |name: String, cfg: UspConfig, knn: &KnnMatrix| {
-        let index = train_partitioner(data, knn, &cfg, None).build_index(data, DIST);
+        let index = PartitionIndex::build(train_partitioner(data, knn, &cfg, None), data, DIST);
         let pts = sweep_probes(&split.queries, &truth, &[2], |q, p| index.search(q, K, p));
         report.add_row(
             name,

@@ -106,12 +106,9 @@ pub struct RecoveryReport {
 
 impl<P: Partitioner> PartitionIndex<P> {
     /// Builds the lookup table by assigning every data point to its most probable bin
-    /// (parallel over points).
+    /// ([`Partitioner::assign_batch`]).
     pub fn build(partitioner: P, data: &Matrix, distance: Distance) -> Self {
-        let assignments: Vec<usize> = (0..data.rows())
-            .into_par_iter()
-            .map(|i| partitioner.assign(data.row(i)))
-            .collect();
+        let assignments = partitioner.assign_batch(data);
         Self::from_assignments(partitioner, data, assignments, distance)
     }
 

@@ -11,6 +11,10 @@ use usp_linalg::{topk, Matrix};
 /// everything else 0.0 (or a ranked fallback). The only requirement is that **larger
 /// scores mean more probable bins**, so that ranking bins by score implements the
 /// "search the `m′` most probable bins" step of Algorithm 2.
+///
+/// The two batch methods, [`Partitioner::bin_scores_batch`] and
+/// [`Partitioner::assign_batch`], share one contract: row `i` of the batch is the
+/// one-row call's answer, bit for bit, for any pool size.
 pub trait Partitioner: Send + Sync {
     /// Number of bins `m` in the partition.
     fn num_bins(&self) -> usize;
@@ -32,6 +36,21 @@ pub trait Partitioner: Send + Sync {
             "bin_scores must score every bin"
         );
         topk::argmax(&scores).unwrap_or(0)
+    }
+
+    /// The most probable bin for every row of `points` — the offline phase's last
+    /// step (Algorithm 1 step 3), which fills the lookup table, and the assignment an
+    /// ensemble re-weights from (Algorithm 3).
+    ///
+    /// **Contract:** entry `i` must be **bit-identical** to `assign(points.row(i))`,
+    /// for any pool size — the batch contract of [`Partitioner::bin_scores_batch`].
+    /// The default assigns rows in parallel on the pool, one `assign` a row; the
+    /// trained router overrides it with blocks of rows through one batched forward.
+    fn assign_batch(&self, points: &Matrix) -> Vec<usize> {
+        (0..points.rows())
+            .into_par_iter()
+            .map(|i| self.assign(points.row(i)))
+            .collect()
     }
 
     /// The `probes` most probable bins, most probable first.
@@ -103,6 +122,9 @@ impl<P: Partitioner + ?Sized> Partitioner for Box<P> {
     }
     fn assign(&self, query: &[f32]) -> usize {
         (**self).assign(query)
+    }
+    fn assign_batch(&self, points: &Matrix) -> Vec<usize> {
+        (**self).assign_batch(points)
     }
     fn rank_bins(&self, query: &[f32], probes: usize) -> Vec<usize> {
         (**self).rank_bins(query, probes)

@@ -669,8 +669,6 @@ impl Wal {
             self.poisoned = true;
             return Err(e);
         }
-        self.stats.appends += 1;
-        self.stats.bytes += bytes.len() as u64;
         self.unsynced += 1;
         let due = match self.policy {
             SyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
@@ -679,6 +677,9 @@ impl Wal {
         if due {
             self.sync()?;
         }
+        // Counted only once the caller may ack: a refused record is no append.
+        self.stats.appends += 1;
+        self.stats.bytes += bytes.len() as u64;
         Ok(())
     }
 

@@ -335,11 +335,6 @@ impl Matrix {
         sums
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Per-row argmax (ties resolved to the first maximum). Rows with no comparable
     /// maximum — empty or all-NaN — deterministically map to 0 so one poisoned row
     /// cannot abort a whole batch; callers needing to distinguish that case should use
@@ -536,11 +531,5 @@ mod tests {
         let b: Vec<f32> = (0..13).map(|x| (x * 2) as f32).collect();
         let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!((dot(&a, &b) - naive).abs() < 1e-3);
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let m = Matrix::from_vec(1, 2, vec![3., 4.]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 }

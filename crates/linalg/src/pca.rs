@@ -115,12 +115,6 @@ impl Pca {
             .collect()
     }
 
-    /// Projects every row of a matrix, producing an `n x k` matrix of scores.
-    pub fn project_matrix(&self, data: &Matrix) -> Matrix {
-        let rows: Vec<Vec<f32>> = data.row_iter().map(|r| self.project(r)).collect();
-        Matrix::from_rows(&rows)
-    }
-
     /// The first principal direction (convenience accessor for tree splits).
     pub fn first_component(&self) -> &[f32] {
         self.components.row(0)
@@ -192,14 +186,6 @@ mod tests {
         let pca = Pca::fit(&data, 1, 2);
         let proj = pca.project(&pca.mean.clone());
         assert!(proj[0].abs() < 1e-4);
-    }
-
-    #[test]
-    fn project_matrix_shape() {
-        let data = anisotropic_data(&[1.0, 0.0, 0.0], 50, 2);
-        let pca = Pca::fit(&data, 2, 2);
-        let scores = pca.project_matrix(&data);
-        assert_eq!(scores.shape(), (50, 2));
     }
 
     #[test]

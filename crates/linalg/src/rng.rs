@@ -58,20 +58,6 @@ pub fn random_unit_vector<R: Rng + ?Sized>(rng: &mut R, d: usize) -> Vec<f32> {
     }
 }
 
-/// Samples `k` distinct indices from `0..n` (Floyd's algorithm); `k` is clamped to `n`.
-pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    let k = k.min(n);
-    let mut chosen = std::collections::HashSet::with_capacity(k);
-    let mut out = Vec::with_capacity(k);
-    for j in (n - k)..n {
-        let t = rng.random_range(0..=j);
-        let pick = if chosen.contains(&t) { j } else { t };
-        chosen.insert(pick);
-        out.push(pick);
-    }
-    out
-}
-
 /// Fisher–Yates shuffle of a slice of indices.
 pub fn shuffle<R: Rng + ?Sized, T>(rng: &mut R, items: &mut [T]) {
     let n = items.len();
@@ -122,18 +108,6 @@ mod tests {
             let n: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
             assert!((n - 1.0).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn sample_indices_distinct_and_in_range() {
-        let mut rng = seeded(9);
-        let s = sample_indices(&mut rng, 100, 30);
-        assert_eq!(s.len(), 30);
-        let set: std::collections::HashSet<_> = s.iter().collect();
-        assert_eq!(set.len(), 30);
-        assert!(s.iter().all(|&i| i < 100));
-        // k > n clamps
-        assert_eq!(sample_indices(&mut rng, 5, 50).len(), 5);
     }
 
     #[test]

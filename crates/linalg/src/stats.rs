@@ -38,22 +38,6 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
     out
 }
 
-/// Numerically stable log-softmax of a single row.
-pub fn log_softmax(row: &[f32]) -> Vec<f32> {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let lse: f32 = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
-    row.iter().map(|&v| v - lse).collect()
-}
-
-/// Log-sum-exp of a slice.
-pub fn log_sum_exp(row: &[f32]) -> f32 {
-    if row.is_empty() {
-        return f32::NEG_INFINITY;
-    }
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max
-}
-
 /// Backward pass of a row-wise softmax.
 ///
 /// Given the softmax output `probs` and the gradient of the loss with respect to the
@@ -157,23 +141,6 @@ mod tests {
         let p = softmax_rows(&logits);
         assert_close(p.row(0)[0], 1.0 / 3.0, 1e-6);
         assert_close(p.row(1).iter().sum::<f32>(), 1.0, 1e-6);
-    }
-
-    #[test]
-    fn log_softmax_matches_softmax_log() {
-        let row = vec![0.5, -1.0, 2.0];
-        let mut sm = row.clone();
-        softmax_inplace(&mut sm);
-        let ls = log_softmax(&row);
-        for (a, b) in sm.iter().zip(ls.iter()) {
-            assert_close(a.ln(), *b, 1e-5);
-        }
-    }
-
-    #[test]
-    fn log_sum_exp_known_value() {
-        assert_close(log_sum_exp(&[0.0, 0.0]), 2.0f32.ln(), 1e-6);
-        assert_eq!(log_sum_exp(&[]), f32::NEG_INFINITY);
     }
 
     #[test]

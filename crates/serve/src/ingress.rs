@@ -24,7 +24,7 @@
 //! * **A slow reader never blocks the loop.** Replies go into a per-connection
 //!   write buffer flushed opportunistically; when a kernel buffer fills, the
 //!   connection is registered for writability and the loop moves on. Once a
-//!   connection's buffered replies exceed `max_conn_buffer`, its *reads* are
+//!   connection's buffered replies exceed `MAX_CONN_BUFFER`, its *reads* are
 //!   paused (readable interest dropped) until the backlog halves — per-client
 //!   backpressure instead of server-side memory growth.
 //! * **Per-connection fairness.** Buffered frames drain round-robin, one frame
@@ -60,6 +60,9 @@ const LISTENER: Token = Token(0);
 /// Per-`read` chunk size. Level-triggered readiness re-reports leftovers, so the
 /// value only trades syscalls against per-tick latency.
 const READ_CHUNK: usize = 64 * 1024;
+/// Per-connection buffered-reply bound past which the connection's reads are paused
+/// until the backlog drains below half.
+const MAX_CONN_BUFFER: usize = 1 << 20;
 /// What the loop sleeps in `poll` while nothing is pending (bounds shutdown
 /// latency); with queries pending it does not sleep at all.
 const POLL_IDLE: Duration = Duration::from_millis(20);
@@ -77,21 +80,17 @@ pub struct IngressConfig {
     pub queue_cap: usize,
     /// Retry-after hint carried in `SHED` replies, milliseconds.
     pub retry_after_ms: u32,
-    /// Per-connection buffered-reply bound past which the connection's reads are
-    /// paused until the backlog drains below half.
-    pub max_conn_buffer: usize,
 }
 
 impl IngressConfig {
     /// Defaults tuned for micro-batched point lookups: batches of at most 32, an
-    /// 8×-batch pending queue, 10 ms retry hint, 1 MiB write bound.
+    /// 8×-batch pending queue, 10 ms retry hint.
     pub fn new(opts: QueryOptions) -> Self {
         Self {
             opts,
             max_batch: 32,
             queue_cap: 0,
             retry_after_ms: 10,
-            max_conn_buffer: 1 << 20,
         }
     }
 
@@ -201,7 +200,7 @@ struct Conn {
     read_eof: bool,
     /// Unrecoverable framing error: close as soon as the malformed reply drains.
     closing: bool,
-    /// Reads paused because `buffered_out()` exceeded `max_conn_buffer`.
+    /// Reads paused because `buffered_out()` exceeded `MAX_CONN_BUFFER`.
     paused: bool,
 }
 
@@ -559,7 +558,6 @@ impl<E: BatchEngine + 'static> Loop<E> {
     /// Flushes, applies pause/resume backpressure, fixes poller registrations,
     /// and reaps finished connections.
     fn sync_all_interests(&mut self) {
-        let max_buf = self.config.max_conn_buffer;
         let mut dead = Vec::new();
         for (&token, conn) in &mut self.conns {
             if !conn.flush() {
@@ -569,9 +567,9 @@ impl<E: BatchEngine + 'static> Loop<E> {
             }
             let buffered = conn.buffered_out();
             if conn.paused {
-                conn.paused = buffered > max_buf / 2;
+                conn.paused = buffered > MAX_CONN_BUFFER / 2;
             } else {
-                conn.paused = buffered > max_buf;
+                conn.paused = buffered > MAX_CONN_BUFFER;
             }
             let done_writing = buffered == 0;
             if done_writing && (conn.closing || conn.read_eof) {
@@ -860,7 +858,11 @@ mod tests {
             1,
             "the refused insert must not count"
         );
-        assert_eq!(stat(&snap, "wal_appends"), 2);
+        assert_eq!(
+            stat(&snap, "wal_appends"),
+            1,
+            "the refused insert is no append"
+        );
         assert_eq!(stat(&snap, "wal_sync_errors"), 1);
         assert_eq!(stat(&snap, "malformed_frames"), 1);
         handle.shutdown();

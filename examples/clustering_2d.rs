@@ -7,6 +7,7 @@
 use neural_partitioner::core::{train_partitioner, ModelKind, UspConfig};
 use usp_cluster::{adjusted_rand_index, dbscan, spectral_clustering, DbscanConfig, SpectralConfig};
 use usp_data::{synthetic, Dataset, KnnMatrix};
+use usp_index::Partitioner;
 use usp_linalg::Distance;
 use usp_quant::{KMeans, KMeansConfig};
 
@@ -28,7 +29,6 @@ fn usp_cluster_labels(ds: &Dataset, k: usize) -> Vec<isize> {
     };
     let trained = train_partitioner(ds.points(), &knn, &cfg, None);
     trained
-        .model()
         .assign_batch(ds.points())
         .iter()
         .map(|&l| l as isize)

@@ -5,6 +5,7 @@
 
 use neural_partitioner::core::{train_partitioner, UspConfig};
 use usp_data::{exact_knn, synthetic, KnnMatrix};
+use usp_index::PartitionIndex;
 use usp_linalg::Distance;
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
     );
 
     // 3. Build the lookup-table index and inspect the partition balance.
-    let index = trained.build_index(data, Distance::SquaredEuclidean);
+    let index = PartitionIndex::build(trained, data, Distance::SquaredEuclidean);
     let balance = index.balance();
     println!(
         "partition: {} bins, sizes {}..{} (imbalance {:.2})",

@@ -4,7 +4,7 @@
 
 use neural_partitioner::core::{train_partitioner, UspConfig, UspEnsemble};
 use usp_data::{exact_knn, synthetic, KnnMatrix};
-use usp_index::Partitioner;
+use usp_index::{PartitionIndex, Partitioner};
 use usp_linalg::Distance;
 use usp_quant::ScannConfig;
 
@@ -39,7 +39,7 @@ fn offline_and_online_phases_work_end_to_end() {
         ..UspConfig::fast(8)
     };
     let trained = train_partitioner(data, &knn, &cfg, None);
-    let index = trained.build_index(data, DIST);
+    let index = PartitionIndex::build(trained, data, DIST);
     assert_eq!(index.num_bins(), 8);
     assert!((0..data.rows()).all(|id| index.bin_of(id).is_some()));
 
@@ -119,7 +119,7 @@ fn learned_partition_beats_data_oblivious_lsh() {
         epochs: 25,
         ..UspConfig::fast(16)
     };
-    let usp_index = train_partitioner(data, &knn, &cfg, None).build_index(data, DIST);
+    let usp_index = PartitionIndex::build(train_partitioner(data, &knn, &cfg, None), data, DIST);
     let lsh_index = usp_index::PartitionIndex::build(
         usp_baselines::CrossPolytopeLsh::fit(data, 16, 5),
         data,
@@ -157,7 +157,7 @@ fn pipeline_composition_with_quantizer_preserves_most_recall() {
 
     // Build the exact index first, then the quantized pipeline from the same partitioner
     // family (fresh training with the same seed gives the same model).
-    let exact_index = train_partitioner(data, &knn, &cfg, None).build_index(data, DIST);
+    let exact_index = PartitionIndex::build(train_partitioner(data, &knn, &cfg, None), data, DIST);
     let pipeline = ScannConfig::default().build_index(partitioner, data);
 
     let mut exact_recall = 0.0;
@@ -245,7 +245,7 @@ fn learned_partition_beats_random_candidates_at_equal_budget() {
         epochs: 25,
         ..UspConfig::fast(8)
     };
-    let index = train_partitioner(data, &knn, &cfg, None).build_index(data, DIST);
+    let index = PartitionIndex::build(train_partitioner(data, &knn, &cfg, None), data, DIST);
 
     // Baseline: re-rank a uniformly random candidate set of the same size the index
     // scanned for that query. Any partition that learned anything must beat it.

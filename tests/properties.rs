@@ -44,7 +44,7 @@ proptest! {
         let data = ds.points();
         let knn = KnnMatrix::build(data, 4, DIST);
         let cfg = UspConfig { knn_k: 4, epochs: 3, batch_size: 64, ..UspConfig::fast(4) };
-        let index = train_partitioner(data, &knn, &cfg, None).build_index(data, DIST);
+        let index = PartitionIndex::build(train_partitioner(data, &knn, &cfg, None), data, DIST);
         let q = data.row(0);
         let mut prev = 0usize;
         for probes in 1..=4 {

@@ -510,6 +510,7 @@ fn engine_acks_carry_durability_and_stats_surface_wal_counters() {
     assert_eq!(snap.wal.appends, 2, "one record per acked mutation");
     assert!(snap.wal.bytes > 0);
     assert_eq!(snap.wal.sync_errors, 0);
+    let acked_bytes = snap.wal.bytes;
 
     // A sync failure must become an error reply, not a silent ack, and the
     // refused op must not count as served.
@@ -527,6 +528,8 @@ fn engine_acks_carry_durability_and_stats_surface_wal_counters() {
         snap.wal.sync_errors, 1,
         "the failure is visible in serving stats"
     );
+    assert_eq!(snap.wal.appends, 2, "the refused insert is no append");
+    assert_eq!(snap.wal.bytes, acked_bytes, "nor are its bytes counted");
 
     // Resetting the engine's counters leaves the log's: they are read from the
     // log itself, not accumulated by the engine.

@@ -1,10 +1,10 @@
 //! Principal component analysis by power iteration.
 //!
 //! The PCA-tree baseline (Sproull-style) splits each node along the top principal
-//! direction of the points in the node, and the spectral-clustering comparator needs
-//! leading eigenvectors of small affinity matrices. Both are served by the simple
-//! power-iteration-with-deflation implementation here, which avoids pulling in a full
-//! eigensolver dependency.
+//! direction of the points in the node, and the power-iteration-with-deflation
+//! implementation here serves it without a full eigensolver. Spectral clustering does
+//! not use it: its affinity matrices have nearly degenerate leading eigenvalues, where
+//! power iteration struggles, so it takes the Jacobi decomposition in [`crate::eigen`].
 
 use crate::matrix::{dot, Matrix};
 use crate::rng;

@@ -17,7 +17,7 @@ pub struct AllowEntry {
     /// When set, the finding message must contain `` `item` `` to be covered —
     /// this pins entries to specific pub items rather than whole files.
     pub item: Option<&'static str>,
-    /// Why this surface is kept. Shown by `usp-lint --allowlist`.
+    /// Why this surface is kept: mandatory, so every entry argues its place.
     pub reason: &'static str,
 }
 

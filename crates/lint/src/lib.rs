@@ -18,7 +18,6 @@
 //!   the drift rule would otherwise flag.
 
 pub mod allowlist;
-pub mod fix;
 pub mod lexer;
 pub mod manifest;
 pub mod rules_file;
@@ -289,43 +288,6 @@ pub fn rule_counts(findings: &[Finding]) -> Vec<(&'static str, usize)> {
         .collect()
 }
 
-/// Renders findings as a JSON array for `--json` (machine-readable output for
-/// CI annotators). Hand-rolled: usp-lint sits outside the workspace DAG on
-/// purpose and depends on nothing, the serde shim included.
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
-            esc(f.rule),
-            esc(&f.path),
-            f.line,
-            f.col,
-            esc(&f.message)
-        ));
-    }
-    out.push_str(if findings.is_empty() { "]" } else { "\n]" });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,24 +347,5 @@ fn f() {
         let counts = rule_counts(&[]);
         assert_eq!(counts.len(), RULES.len());
         assert!(counts.iter().all(|(_, n)| *n == 0));
-    }
-
-    #[test]
-    fn findings_render_as_json_with_escaped_messages() {
-        assert_eq!(findings_to_json(&[]), "[]");
-        let f = Finding {
-            rule: "lock-poisoning",
-            path: "crates/x/src/a.rs".to_string(),
-            line: 3,
-            col: 7,
-            message: "say `expect(\"... poisoned ...\")`\nor recover".to_string(),
-        };
-        let json = findings_to_json(&[f]);
-        assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
-        assert!(json.contains("\"rule\":\"lock-poisoning\""), "{json}");
-        assert!(json.contains("\"line\":3,\"col\":7"), "{json}");
-        // Quotes and newlines in the message are escaped, never raw.
-        assert!(json.contains(r#"\"... poisoned ...\""#), "{json}");
-        assert!(json.contains("\\nor recover"), "{json}");
     }
 }

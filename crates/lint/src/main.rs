@@ -2,24 +2,18 @@
 //! tree; see `--help` for flags. Exit codes: 0 clean, 1 findings, 2 usage or
 //! I/O error.
 
-use usp_lint::{allowlist, findings_to_json, fix, lint_workspace, rule_counts, Workspace};
+use usp_lint::{lint_workspace, rule_counts, Workspace};
 
 const USAGE: &str = "\
 usp-lint — the workspace's invariants as machine-checked rules (DESIGN §6)
 
 USAGE:
-    cargo run -p usp-lint [--] [ROOT] [--fix] [--json] [--allowlist]
+    cargo run -p usp-lint [--] [ROOT]
 
 ARGS:
     ROOT         workspace root to lint (default: current directory)
 
 FLAGS:
-    --fix        insert `// ordering:` / `// SAFETY:` TODO stubs at finding
-                 sites (advisory: the lint stays red until a human replaces
-                 each TODO with the actual invariant)
-    --json       print findings as a JSON array on stdout (summary lines go
-                 to stderr); exit codes unchanged
-    --allowlist  print the repo-level allowlist entries and exit
     -h, --help   print this help
 ";
 
@@ -29,27 +23,8 @@ fn main() {
 
 fn run() -> i32 {
     let mut root: Option<std::path::PathBuf> = None;
-    let mut do_fix = false;
-    let mut do_json = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--fix" => do_fix = true,
-            "--json" => do_json = true,
-            "--allowlist" => {
-                if allowlist::REPO_ALLOWLIST.is_empty() {
-                    println!("repo allowlist is empty");
-                }
-                for e in allowlist::REPO_ALLOWLIST {
-                    println!(
-                        "{}: {}{} — {}",
-                        e.rule,
-                        e.path_prefix,
-                        e.item.map(|i| format!(" `{i}`")).unwrap_or_default(),
-                        e.reason
-                    );
-                }
-                return 0;
-            }
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return 0;
@@ -88,58 +63,24 @@ fn run() -> i32 {
     };
     let findings = lint_workspace(&ws);
 
-    if do_json {
-        // Findings own stdout so `usp-lint --json | jq` works; the human
-        // summary moves to stderr.
-        println!("{}", findings_to_json(&findings));
-        eprintln!(
-            "usp-lint: {} file(s), {} manifest(s)",
-            ws.files.len(),
-            ws.manifests.len()
-        );
-        for (rule, n) in rule_counts(&findings) {
-            eprintln!("  {rule:<32} {n}");
-        }
-    } else {
-        for f in &findings {
-            println!("{f}");
-        }
-        if !findings.is_empty() {
-            println!();
-        }
-        println!(
-            "usp-lint: {} file(s), {} manifest(s)",
-            ws.files.len(),
-            ws.manifests.len()
-        );
-        for (rule, n) in rule_counts(&findings) {
-            println!("  {rule:<32} {n}");
-        }
+    for f in &findings {
+        println!("{f}");
     }
-
-    if do_fix {
-        match fix::apply(&root, &findings) {
-            Ok(0) => println!("--fix: nothing to fix"),
-            Ok(n) => println!(
-                "--fix: inserted {n} TODO stub(s) — replace each TODO with the actual \
-                 invariant; the lint stays red until then"
-            ),
-            Err(e) => {
-                eprintln!("error: --fix failed: {e}");
-                return 2;
-            }
-        }
+    if !findings.is_empty() {
+        println!();
     }
-
-    let verdict = if findings.is_empty() {
-        "usp-lint: clean".to_string()
+    println!(
+        "usp-lint: {} file(s), {} manifest(s)",
+        ws.files.len(),
+        ws.manifests.len()
+    );
+    for (rule, n) in rule_counts(&findings) {
+        println!("  {rule:<32} {n}");
+    }
+    if findings.is_empty() {
+        println!("usp-lint: clean");
     } else {
-        format!("usp-lint: {} finding(s)", findings.len())
-    };
-    if do_json {
-        eprintln!("{verdict}");
-    } else {
-        println!("{verdict}");
+        println!("usp-lint: {} finding(s)", findings.len());
     }
     i32::from(!findings.is_empty())
 }

@@ -343,8 +343,8 @@ pub fn undocumented_atomic_ordering(
         if variant.kind != TokKind::Ident || !ATOMIC_VARIANTS.contains(&variant.text.as_str()) {
             continue;
         }
-        // A `--fix` TODO stub is a placeholder, not a justification — it must
-        // keep the site red until a human replaces it (fix.rs is advisory-only).
+        // A `TODO(usp-lint)` placeholder is not a justification — it keeps the
+        // site red until it is replaced with the actual invariant.
         let text = adjacent_comment_text(file, toks[i].line);
         let has_comment = text.contains("ordering:") && !text.contains("TODO(usp-lint)");
         let allowed = pragmas.iter().any(|p| {
@@ -392,7 +392,7 @@ pub fn unsafe_needs_safety_comment(file: &LexedFile, findings: &mut Vec<Finding>
             continue;
         }
         let text = adjacent_comment_text(file, toks[i].line);
-        // `--fix` TODO stubs keep the site red — see the ordering rule.
+        // `TODO(usp-lint)` placeholders keep the site red — see the ordering rule.
         if (text.contains("SAFETY:") || text.contains("# Safety"))
             && !text.contains("TODO(usp-lint)")
         {
@@ -757,8 +757,8 @@ mod tests {
 
     #[test]
     fn fix_todo_stubs_do_not_satisfy_comment_rules() {
-        // `--fix` output is advisory: the site stays red until the TODO is
-        // replaced with a real justification.
+        // A placeholder is not a justification: the site stays red until the
+        // TODO is replaced with a real one.
         let f = lint_one(
             "fn f(a: &AtomicBool) {\n // ordering: TODO(usp-lint): justify this memory ordering choice.\n a.load(Ordering::Acquire);\n}",
         );

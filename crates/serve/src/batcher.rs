@@ -2,20 +2,25 @@
 //!
 //! Point lookups arrive one at a time, but the engine's throughput comes from batches
 //! (one router forward — a single GEMM — one pool hand-off and one delta guard per
-//! batch). `Pending` is the accumulator both drivers share — arrival order, and never
-//! more than `max_batch` queries to a batch — but *when* a batch is cut is each
-//! driver's own. The network event loop ([`crate::ingress`]) tags entries
-//! `(connection, request_id)` and is work-conserving: it serves whatever is pending
-//! the moment it is idle, so its batches form from what arrives while the previous one
-//! is served and it has no window. The [`MicroBatcher`], for in-process callers, tags
-//! them with reply senders — [`submit`](MicroBatcher::submit) returns the receiver at
-//! once — and keeps the classic window: its background flusher thread serves a batch
-//! when `max_batch` queries wait **or** the oldest has waited `max_delay`. Either way
-//! the answers are identical to direct [`crate::QueryEngine::query`] answers (batching
-//! never changes semantics).
+//! batch). The network event loop and the [`MicroBatcher`] share `Pending`, the
+//! accumulator — arrival order, and never more than `max_batch` queries to a batch —
+//! and `serve_taken`, the one batch step: the engine call under the crate's only
+//! `catch_unwind`, each tag paired with its answer or with why it has none. An engine
+//! panic costs the queries of its batch and nothing else; the loop that served it keeps
+//! serving. What each keeps to itself is *when* it takes a batch and how an answer
+//! reaches its tag. The network event loop ([`crate::ingress`]) tags entries
+//! `(connection, request_id)`, replies on the connection (an error reply for a failed
+//! query) and is work-conserving: it serves whatever is pending the moment it is idle,
+//! so its batches form from what arrives while the previous one is served and it has
+//! no window. The [`MicroBatcher`], for in-process callers, tags them with reply
+//! senders — [`submit`](MicroBatcher::submit) returns the receiver at once, and a
+//! failed query's sender is dropped, so its receiver sees [`mpsc::RecvError`] — and
+//! keeps the classic window: its background flusher thread serves a batch when
+//! `max_batch` queries wait **or** the oldest has waited `max_delay`. Either way the answers are identical to
+//! direct [`crate::QueryEngine::query`] answers (batching never changes semantics).
 
 use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -71,16 +76,36 @@ impl<T> Pending<T> {
         let tags = self.tags.drain(..n).collect();
         (Matrix::from_vec(n, self.dims, rows), tags)
     }
-
-    /// Drops every waiting query (and with it whatever its tag holds open).
-    fn clear(&mut self) {
-        self.rows.clear();
-        self.tags.clear();
-    }
 }
 
-/// The message of a caught panic, for the error a driver reports in its place.
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+/// The batch step the event loop and the [`MicroBatcher`] share: serves a batch
+/// [`Pending::take`] cut as one [`BatchEngine::serve_batch`] call and pairs each tag,
+/// oldest first, with its answer — or with why it has none: the panic message when
+/// the engine panicked under the batch (caught here, so the calling thread survives
+/// it), or a note that the engine returned fewer answers than queries. Nothing else is failed: the queries
+/// still pending are served by the next batch.
+pub(crate) fn serve_taken<T, E: BatchEngine + ?Sized>(
+    engine: &E,
+    opts: &QueryOptions,
+    (queries, tags): (Matrix, Vec<(T, Instant)>),
+) -> impl Iterator<Item = (T, Result<SearchResult, String>)> {
+    let served = catch_unwind(AssertUnwindSafe(|| engine.serve_batch(&queries, opts)));
+    let (results, panicked) = match served {
+        Ok(results) => (results, None),
+        Err(payload) => (Vec::new(), Some(panic_message(&*payload))),
+    };
+    let mut results = results.into_iter();
+    tags.into_iter().map(move |(tag, _admitted)| {
+        let answer = results.next().ok_or_else(|| match &panicked {
+            Some(msg) => format!("engine panicked under this batch: {msg}"),
+            None => "query dropped by the engine".to_string(),
+        });
+        (tag, answer)
+    })
+}
+
+/// The message of a caught panic, for the error reported in its place.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -90,10 +115,9 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Lock the batcher state, recovering from poisoning. The state holds no
 /// cross-field invariant a mid-update panic could break — `pending` is only ever
-/// changed by whole queries and the flags are plain bools — and the one panic site
-/// that matters (an engine panic under a batch) is already recorded out-of-band via
-/// `panicked`, so recovery here loses nothing. See DESIGN.md §6 ("lock-poisoning
-/// convention").
+/// changed by whole queries and `shutdown` is a plain bool — and an engine panic is
+/// caught outside the lock by the batch step, so recovery here loses nothing. See
+/// DESIGN.md §6 ("lock-poisoning convention").
 fn lock_state(state: &Mutex<State>) -> MutexGuard<'_, State> {
     state.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -110,11 +134,6 @@ struct Shared<E: BatchEngine> {
 struct State {
     pending: Pending<mpsc::Sender<SearchResult>>,
     shutdown: bool,
-    /// Set (with the flusher's panic message) when the flusher thread died in
-    /// [`BatchEngine::serve_batch`]. Pending senders were dropped at that point, so
-    /// outstanding receivers observe [`mpsc::RecvError`] instead of blocking
-    /// forever, and the next [`MicroBatcher::submit`] resurfaces the panic.
-    panicked: Option<String>,
 }
 
 impl State {
@@ -153,7 +172,6 @@ impl<E: BatchEngine + 'static> MicroBatcher<E> {
             state: Mutex::new(State {
                 pending,
                 shutdown: false,
-                panicked: None,
             }),
             cv: Condvar::new(),
         });
@@ -173,13 +191,15 @@ impl<E: BatchEngine + 'static> MicroBatcher<E> {
     /// Enqueues a query; the returned receiver yields the answer once the query's
     /// micro-batch is flushed. `query.len()` must equal the indexed dimensionality.
     ///
+    /// If the engine panics under the query's batch, the receiver yields
+    /// [`mpsc::RecvError`]; the batcher keeps serving, so later submissions are
+    /// answered.
+    ///
     /// # Panics
     ///
-    /// If `query.len()` is not the engine's dimensionality, or if the flusher thread
-    /// died in a previous flush (the engine panicked under a batch) — that panic is
-    /// resurfaced here instead of enqueueing a query nothing will ever serve. Both
-    /// checks run on the caller's thread before anything is enqueued, so a refused
-    /// query never disturbs the queries pending or co-batched around it.
+    /// If `query.len()` is not the engine's dimensionality. The check runs on the
+    /// caller's thread before anything is enqueued, so a refused query never disturbs
+    /// the queries pending or co-batched around it.
     pub fn submit(&self, query: Vec<f32>) -> mpsc::Receiver<SearchResult> {
         let want = self.shared.engine.dims();
         assert!(
@@ -188,13 +208,7 @@ impl<E: BatchEngine + 'static> MicroBatcher<E> {
             query.len()
         );
         let (tx, rx) = mpsc::channel();
-        let mut state = lock_state(&self.shared.state);
-        if let Some(msg) = state.panicked.clone() {
-            drop(state);
-            panic!("MicroBatcher: flusher thread panicked: {msg}");
-        }
-        state.pending.push(&query, tx);
-        drop(state);
+        lock_state(&self.shared.state).pending.push(&query, tx);
         self.shared.cv.notify_all();
         rx
     }
@@ -205,22 +219,16 @@ impl<E: BatchEngine + 'static> Drop for MicroBatcher<E> {
         lock_state(&self.shared.state).shutdown = true;
         self.shared.cv.notify_all();
         if let Some(handle) = self.flusher.take() {
-            if let Err(payload) = handle.join() {
-                // The flusher died in the engine; swallowing the payload here (the
-                // old `let _ = handle.join()`) hid the failure from every caller
-                // that never submitted again. Resurface it — unless we are already
-                // unwinding, where a double panic would abort the process.
-                if !std::thread::panicking() {
-                    resume_unwind(payload);
-                }
-            }
+            // The batch step catches engine panics, so the flusher has none to
+            // resurface.
+            let _ = handle.join();
         }
     }
 }
 
 fn flusher_loop<E: BatchEngine>(shared: &Shared<E>) {
     loop {
-        let (queries, senders) = {
+        let batch = {
             let mut state = lock_state(&shared.state);
             // Sleep until a batch is due; shutdown flushes whatever waits at once and
             // exits when nothing does.
@@ -243,31 +251,14 @@ fn flusher_loop<E: BatchEngine>(shared: &Shared<E>) {
             }
             state.pending.take()
         };
-
         // Serve outside the lock so new submissions keep flowing during the flush.
-        //
-        // A panicking engine must not take the batcher's callers down with it:
-        // without the catch, the flusher thread dies silently and every
-        // outstanding (and future) `submit` receiver blocks forever on a channel
-        // whose sender is parked in a dead thread's queue. Catch the unwind,
-        // record it, drop every pending sender (receivers observe `RecvError`),
-        // and re-raise so `submit` and `Drop` can resurface the original panic.
-        let served = catch_unwind(AssertUnwindSafe(|| {
-            shared.engine.serve_batch(&queries, &shared.opts)
-        }));
-        let results = match served {
-            Ok(results) => results,
-            Err(payload) => {
-                let mut state = lock_state(&shared.state);
-                state.panicked = Some(panic_message(&*payload));
-                state.pending.clear();
-                drop(state);
-                resume_unwind(payload);
+        for (tx, answer) in serve_taken(&*shared.engine, &shared.opts, batch) {
+            // A failed query's sender drops here, so its receiver sees `RecvError`
+            // instead of blocking; a caller that dropped its receiver just doesn't
+            // get the answer.
+            if let Ok(result) = answer {
+                let _ = tx.send(result);
             }
-        };
-        for ((tx, _admitted), result) in senders.into_iter().zip(results) {
-            // A caller that dropped its receiver just doesn't get the answer.
-            let _ = tx.send(result);
         }
     }
 }
@@ -276,6 +267,7 @@ fn flusher_loop<E: BatchEngine>(shared: &Shared<E>) {
 mod tests {
     use super::*;
     use crate::engine::QueryEngine;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use usp_index::partitioner::RoundRobinPartitioner;
     use usp_index::PartitionIndex;
@@ -435,31 +427,72 @@ mod tests {
             4,
             Duration::from_millis(1),
         );
-        let rx = batcher.submit(vec![0.0, 1.0]);
-        // Pre-fix, the flusher died silently and this recv blocked forever; now the
-        // batch's senders are dropped on unwind, so the receiver observes a clean
-        // disconnect.
-        assert!(
-            rx.recv().is_err(),
-            "receiver must observe the dropped sender"
+        // A batch's senders are dropped when its engine call panics, so each receiver
+        // observes a clean disconnect instead of blocking — the second too, as the
+        // flusher lives on.
+        for query in [vec![0.0, 1.0], vec![2.0, 3.0]] {
+            assert!(
+                batcher.submit(query).recv().is_err(),
+                "receiver must observe the dropped sender"
+            );
+        }
+    }
+
+    /// Panics under its first batch, then delegates to a real engine.
+    struct FirstBatchPanics {
+        inner: Arc<QueryEngine<RoundRobinPartitioner>>,
+        tripped: AtomicBool,
+    }
+
+    impl BatchEngine for FirstBatchPanics {
+        fn dims(&self) -> usize {
+            self.inner.dims()
+        }
+
+        fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {
+            // ordering: SeqCst — a one-shot test flag; no other data is published through it.
+            if !self.tripped.swap(true, Ordering::SeqCst) {
+                panic!("engine exploded under a batch");
+            }
+            self.inner.serve_batch(queries, opts)
+        }
+    }
+
+    #[test]
+    fn an_engine_panic_costs_one_batch_not_the_batcher() {
+        let inner = engine();
+        let opts = QueryOptions::new(3, 2);
+        let batcher = MicroBatcher::new(
+            Arc::new(FirstBatchPanics {
+                inner: Arc::clone(&inner),
+                tripped: AtomicBool::new(false),
+            }),
+            opts,
+            4,
+            Duration::from_secs(3600), // batches are cut by fill alone: exactly four each
         );
-        // The next submit resurfaces the flusher's panic (with the original message)
-        // instead of enqueueing a query nothing will ever serve...
-        let err = catch_unwind(AssertUnwindSafe(|| batcher.submit(vec![2.0, 3.0])))
-            .expect_err("submit after a flusher panic must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("flusher thread panicked"), "got: {msg}");
-        assert!(msg.contains("engine exploded under a batch"), "got: {msg}");
-        // ...and a later submit keeps resurfacing it (the flag is sticky).
-        assert!(catch_unwind(AssertUnwindSafe(|| batcher.submit(vec![4.0, 5.0]))).is_err());
-        // Dropping the batcher re-raises the original payload too — the old
-        // `let _ = handle.join()` swallowed it.
-        let err = catch_unwind(AssertUnwindSafe(move || drop(batcher)))
-            .expect_err("drop must resurface the flusher panic");
-        assert_eq!(
-            err.downcast_ref::<&str>(),
-            Some(&"engine exploded under a batch")
-        );
+        let queries: Vec<Vec<f32>> = (0..8).map(|i| vec![i as f32, -0.5, 1.5]).collect();
+        // Every receiver of the batch the engine panicked under sees `RecvError`...
+        let failed: Vec<_> = queries[..4]
+            .iter()
+            .map(|q| batcher.submit(q.clone()))
+            .collect();
+        for rx in failed {
+            assert!(rx.recv().is_err(), "a failed query's sender is dropped");
+        }
+        // ...and nothing sticks: later submissions are answered, bit for bit.
+        let served: Vec<_> = queries[4..]
+            .iter()
+            .map(|q| batcher.submit(q.clone()))
+            .collect();
+        for (q, rx) in queries[4..].iter().zip(served) {
+            assert_eq!(
+                rx.recv().expect("the flusher keeps serving"),
+                inner.query(q, &opts)
+            );
+        }
+        // The flusher survived the panic, so dropping the batcher has none to raise.
+        drop(batcher);
     }
 
     #[test]

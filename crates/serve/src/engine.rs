@@ -52,8 +52,9 @@ impl QueryOptions {
 ///
 /// Implementations must answer in request order and deterministically: `serve_batch`
 /// results must not depend on pool size or batch composition. A panic in
-/// `serve_batch` is caught by the drivers: the event loop fails the queries of that one
-/// batch and keeps serving, the `MicroBatcher` resurfaces it to its callers.
+/// `serve_batch` is caught by the batch step the event loop and the `MicroBatcher`
+/// share: the queries of that one batch fail (an error reply on the wire, a
+/// `RecvError` in process) and both keep serving.
 pub trait BatchEngine: Send + Sync {
     /// Dimensionality served queries must have.
     fn dims(&self) -> usize;

@@ -5,22 +5,21 @@
 //! [`crate::protocol`]. Admitted queries wait in the loop's own `Pending`
 //! (`batcher.rs`), and the loop is work-conserving: once a poll pass has admitted
 //! what was readable it calls [`BatchEngine::serve_batch`] itself on whatever is
-//! pending, up to `max_batch` (the pool fans the scan out, the caller is one of its
+//! pending, up to [`MAX_BATCH`] (the pool fans the scan out, the caller is one of its
 //! workers), and encodes the answers into the connections' write buffers. Nothing
 //! waits for company beside an idle engine; the next batch is whatever arrived while
 //! this one was served, so batches are one or two queries at light load and fill to
-//! `max_batch` under overload. The served path is socket → loop → pool, with no
+//! [`MAX_BATCH`] under overload. The served path is socket → loop → pool, with no
 //! other thread, channel, tick or window in it.
 //! Inserts, deletes and stats execute inline through the same trait, so any
 //! [`crate::BatchEngine`] is servable unchanged.
 //!
 //! The load-management invariants, in order of importance:
 //!
-//! * **Bounded pending queue.** At most `queue_cap` queries (default
-//!   `8 × max_batch`) wait between admission and their batch. A query
-//!   arriving past the cap is answered immediately with a `SHED` frame carrying
-//!   a retry-after hint — the overload signal is explicit and cheap, never
-//!   unbounded buffering.
+//! * **Bounded pending queue.** At most [`QUEUE_CAP`] queries wait between
+//!   admission and their batch. A query arriving past the cap is answered
+//!   immediately with a `SHED` frame carrying the [`RETRY_AFTER_MS`] hint — the
+//!   overload signal is explicit and cheap, never unbounded buffering.
 //! * **A slow reader never blocks the loop.** Replies go into a per-connection
 //!   write buffer flushed opportunistically; when a kernel buffer fills, the
 //!   connection is registered for writability and the loop moves on. Once a
@@ -34,26 +33,35 @@
 //!   `MALFORMED` reply on a healthy connection; unrecoverable framing garbage
 //!   closes that connection (after flushing the reply); a wrong-length row is
 //!   refused by the parser before it can reach a batch; and an engine panic is
-//!   caught per batch — the queries of that one batch get error *replies*, the
-//!   connections stay open and the next batch is served normally.
+//!   caught per batch by the batch step shared with the `MicroBatcher` — the
+//!   queries of that one batch get error *replies*, the connections stay open and
+//!   the next batch is served normally.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mio::{Events, Interest, Poll, Token};
 
-use crate::batcher::{panic_message, Pending};
+use crate::batcher::{serve_taken, Pending};
 use crate::engine::{BatchEngine, QueryOptions};
 use crate::protocol::{
     encode_delete_reply, encode_error, encode_insert_reply, encode_malformed, encode_query_reply,
     encode_shed, encode_stats_reply, parse_request, FrameDecoder, Request,
 };
 use crate::stats::{ServeStats, StatsSnapshot};
+
+/// Micro-batch size bound: the loop serves whatever is pending as soon as it is idle,
+/// at most this many queries to one engine call.
+pub const MAX_BATCH: usize = 32;
+/// Pending-queue capacity: queries arriving while this many wait for their batch are
+/// answered with `SHED`.
+pub const QUEUE_CAP: usize = 8 * MAX_BATCH;
+/// Retry-after hint carried in `SHED` replies, milliseconds.
+pub const RETRY_AFTER_MS: u32 = 10;
 
 /// The listener's token; connections use 1.. from a monotone counter.
 const LISTENER: Token = Token(0);
@@ -67,39 +75,19 @@ const MAX_CONN_BUFFER: usize = 1 << 20;
 /// latency); with queries pending it does not sleep at all.
 const POLL_IDLE: Duration = Duration::from_millis(20);
 
-/// Configuration for [`IngressHandle::spawn`].
+/// Configuration for [`IngressHandle::spawn`]. The batch bound, the queue cap and
+/// the retry hint are the constants [`MAX_BATCH`], [`QUEUE_CAP`] and
+/// [`RETRY_AFTER_MS`].
 #[derive(Debug, Clone)]
 pub struct IngressConfig {
     /// Serving knobs applied to every query admitted through this ingress.
     pub opts: QueryOptions,
-    /// Micro-batch size bound: the loop serves whatever is pending as soon as it is
-    /// idle, at most this many queries to one engine call.
-    pub max_batch: usize,
-    /// Pending-queue capacity; `0` means the default `8 × max_batch`. Queries
-    /// arriving while the queue is full are answered with `SHED`.
-    pub queue_cap: usize,
-    /// Retry-after hint carried in `SHED` replies, milliseconds.
-    pub retry_after_ms: u32,
 }
 
 impl IngressConfig {
-    /// Defaults tuned for micro-batched point lookups: batches of at most 32, an
-    /// 8×-batch pending queue, 10 ms retry hint.
+    /// Serves every admitted query under `opts`.
     pub fn new(opts: QueryOptions) -> Self {
-        Self {
-            opts,
-            max_batch: 32,
-            queue_cap: 0,
-            retry_after_ms: 10,
-        }
-    }
-
-    fn effective_queue_cap(&self) -> usize {
-        if self.queue_cap == 0 {
-            8 * self.max_batch
-        } else {
-            self.queue_cap
-        }
+        Self { opts }
     }
 }
 
@@ -121,7 +109,6 @@ impl IngressHandle {
         listener: std::net::TcpListener,
         config: IngressConfig,
     ) -> io::Result<IngressHandle> {
-        assert!(config.max_batch >= 1, "ingress: max_batch must be >= 1");
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         // Create and register the poller on the caller's thread so setup errors
@@ -136,7 +123,7 @@ impl IngressHandle {
             std::thread::Builder::new()
                 .name("usp-serve-ingress".into())
                 .spawn(move || {
-                    Loop::new(engine, listener, poll, config, stop, stats).run();
+                    Loop::new(engine, listener, poll, config.opts, stop, stats).run();
                 })
                 .expect("ingress: failed to spawn event-loop thread")
         };
@@ -242,7 +229,8 @@ struct Loop<E: BatchEngine + 'static> {
     engine: Arc<E>,
     listener: std::net::TcpListener,
     poll: Poll,
-    config: IngressConfig,
+    /// Serving knobs applied to every admitted query.
+    opts: QueryOptions,
     stop: Arc<AtomicBool>,
     stats: Arc<ServeStats>,
     /// Admitted queries awaiting their batch, tagged `(connection token, request id)`.
@@ -264,17 +252,17 @@ impl<E: BatchEngine + 'static> Loop<E> {
         engine: Arc<E>,
         listener: std::net::TcpListener,
         poll: Poll,
-        config: IngressConfig,
+        opts: QueryOptions,
         stop: Arc<AtomicBool>,
         stats: Arc<ServeStats>,
     ) -> Self {
-        let pending = Pending::new(engine.dims(), config.max_batch);
+        let pending = Pending::new(engine.dims(), MAX_BATCH);
         engine.warm_up();
         Self {
             engine,
             listener,
             poll,
-            config,
+            opts,
             stop,
             stats,
             pending,
@@ -460,9 +448,8 @@ impl<E: BatchEngine + 'static> Loop<E> {
                 self.stats.record_frames(0, 0, 1);
             }
             Ok(Request::Query { request_id, row }) => {
-                if self.pending.len() >= self.config.effective_queue_cap() {
-                    let retry = self.config.retry_after_ms;
-                    conn.queue_reply(|out| encode_shed(out, request_id, retry));
+                if self.pending.len() >= QUEUE_CAP {
+                    conn.queue_reply(|out| encode_shed(out, request_id, RETRY_AFTER_MS));
                     self.stats.record_frames(0, 1, 0);
                 } else {
                     // `parse_request` checked the row against `dims`.
@@ -521,9 +508,9 @@ impl<E: BatchEngine + 'static> Loop<E> {
         true
     }
 
-    /// Serves the oldest `≤ max_batch` pending queries as one engine call on this
-    /// thread and queues their replies. An engine panic is contained to the batch:
-    /// its queries get error replies and the loop keeps serving.
+    /// Serves the oldest `≤ MAX_BATCH` pending queries as one engine call on this
+    /// thread and queues their replies; a query the batch step failed (the engine
+    /// panicked under its batch) gets an error reply and the loop keeps serving.
     fn serve_pending_batch(&mut self) {
         let (queries, tags) = self.pending.take();
         let taken = Instant::now();
@@ -531,26 +518,14 @@ impl<E: BatchEngine + 'static> Loop<E> {
             tags.iter()
                 .map(|(_, admitted)| taken.duration_since(*admitted).as_micros() as u64),
         );
-        let mut failure = "query dropped by the engine".to_string();
-        let results = catch_unwind(AssertUnwindSafe(|| {
-            self.engine.serve_batch(&queries, &self.config.opts)
-        }))
-        .unwrap_or_else(|payload| {
-            let msg = panic_message(&*payload);
-            failure = format!("engine panicked under this batch: {msg}");
-            Vec::new()
-        });
-        let mut results = results.into_iter();
-        for ((token, request_id), _admitted) in tags {
-            let result = results.next();
+        let answers = serve_taken(&*self.engine, &self.opts, (queries, tags));
+        for ((token, request_id), answer) in answers {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue; // the connection is gone; the answer has no reader
             };
-            match result {
-                Some(result) => {
-                    conn.queue_reply(|out| encode_query_reply(out, request_id, &result))
-                }
-                None => conn.queue_reply(|out| encode_error(out, request_id, &failure)),
+            match answer {
+                Ok(result) => conn.queue_reply(|out| encode_query_reply(out, request_id, &result)),
+                Err(failure) => conn.queue_reply(|out| encode_error(out, request_id, &failure)),
             }
         }
     }
@@ -927,21 +902,22 @@ mod tests {
     fn overload_is_shed_with_a_retry_hint_and_a_bounded_queue() {
         let engine = engine();
         let opts = QueryOptions::new(2, 2);
-        let mut config = IngressConfig::new(opts);
-        // A tiny queue in front of a slow engine guarantees the cap is hit.
-        config.max_batch = 2;
-        config.queue_cap = 2;
-        config.retry_after_ms = 33;
-        let handle = spawn_ingress(Arc::new(SleepsPerBatch(Arc::clone(&engine))), config);
+        let handle = spawn_ingress(
+            Arc::new(SleepsPerBatch(Arc::clone(&engine))),
+            IngressConfig::new(opts),
+        );
+        // A pipeline past what one batch and a full queue hold, in front of a slow
+        // engine, guarantees the cap is hit.
+        let sent = 2 * (MAX_BATCH + QUEUE_CAP) as u32;
         let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
         let mut wire = Vec::new();
-        for rid in 0..30u32 {
+        for rid in 0..sent {
             encode_query(&mut wire, rid, &[0.5, 0.5, 0.5]);
         }
         stream.write_all(&wire).unwrap();
         let expect = engine.query(&[0.5, 0.5, 0.5], &opts);
         let (mut served, mut shed) = (0, 0);
-        for _ in 0..30 {
+        for _ in 0..sent {
             let frame = read_frame(&mut stream).unwrap();
             match parse_reply(&frame).unwrap() {
                 Reply::Query(result) => {
@@ -949,19 +925,25 @@ mod tests {
                     served += 1;
                 }
                 Reply::Shed { retry_after_ms } => {
-                    assert_eq!(retry_after_ms, 33);
+                    assert_eq!(retry_after_ms, RETRY_AFTER_MS);
                     shed += 1;
                 }
                 other => panic!("unexpected reply {other:?}"),
             }
         }
-        assert!(served >= 2, "at least the queue capacity must be served");
-        assert!(shed > 0, "30 pipelined queries against cap 2 must shed");
+        assert!(
+            served >= QUEUE_CAP as u64,
+            "at least the queue capacity must be served"
+        );
+        assert!(
+            shed > 0,
+            "{sent} pipelined queries against the cap must shed"
+        );
         let snap = handle.stats();
         assert_eq!(snap.accepted_frames, served);
         assert_eq!(snap.shed_frames, shed);
         assert!(
-            snap.queue_depth_hwm <= 2,
+            snap.queue_depth_hwm <= QUEUE_CAP as u64,
             "queue depth {} exceeded its cap",
             snap.queue_depth_hwm
         );

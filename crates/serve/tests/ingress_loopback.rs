@@ -1,8 +1,8 @@
 //! End-to-end loopback tests for the TCP ingress: real sockets, mixed
-//! well-behaved/abusive/pipelined clients, a 2× overload run proving the
+//! well-behaved/abusive/pipelined clients, an overload run proving the
 //! pending queue stays bounded while answers remain bit-identical to direct
 //! [`QueryEngine::query`] calls, the loop's batching rule (serve what is pending
-//! the moment the loop is idle, never more than `max_batch`; the next batch forms
+//! the moment the loop is idle, never more than `MAX_BATCH`; the next batch forms
 //! while this one is served), per-batch containment of an engine panic, and an error
 //! reply (not a dead loop) for a stats snapshot too large for a frame.
 
@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use usp_index::partitioner::RoundRobinPartitioner;
 use usp_index::{PartitionIndex, SearchResult};
 use usp_linalg::{Distance, Matrix};
+use usp_serve::ingress::{MAX_BATCH, QUEUE_CAP, RETRY_AFTER_MS};
 use usp_serve::protocol::{
     encode_frame, encode_query, encode_stats, parse_reply, read_frame, Reply, OP_QUERY,
 };
@@ -274,20 +275,17 @@ fn a_stats_snapshot_too_large_for_a_frame_is_an_error_reply() {
 fn two_x_overload_sheds_explicitly_and_stays_bounded() {
     let index = index();
     let opts = QueryOptions::new(4, 3);
-    // A deliberately slow engine: 20 ms per batch of at most 4. The client
-    // pipelines 120 queries instantly — far beyond 2× that capacity — so the
-    // bounded queue must shed most of them.
+    // A deliberately slow engine: 20 ms per batch of at most `MAX_BATCH`. The client
+    // pipelines four times what one batch and a full queue hold, instantly — far
+    // beyond 2× that capacity — so the bounded queue must shed most of them.
     let delay = Duration::from_millis(20);
     let engine = Arc::new(HeldEngine::new(Arc::clone(&index), move |_| {
         std::thread::sleep(delay)
     }));
-    let mut config = IngressConfig::new(opts);
-    config.max_batch = 4;
-    config.queue_cap = 8;
-    config.retry_after_ms = 7;
-    let handle = spawn_on_ephemeral(engine, config);
+    let handle = spawn_on_ephemeral(engine, IngressConfig::new(opts));
 
-    let qs: Vec<(u32, Vec<f32>)> = queries(120)
+    let sent = 4 * (MAX_BATCH + QUEUE_CAP);
+    let qs: Vec<(u32, Vec<f32>)> = queries(sent)
         .into_iter()
         .enumerate()
         .map(|(i, q)| (i as u32, q))
@@ -311,20 +309,30 @@ fn two_x_overload_sheds_explicitly_and_stays_bounded() {
             }
             Reply::Shed { retry_after_ms } => {
                 shed += 1;
-                assert_eq!(*retry_after_ms, 7, "shed reply carries the retry hint");
+                assert_eq!(
+                    *retry_after_ms, RETRY_AFTER_MS,
+                    "shed reply carries the retry hint"
+                );
             }
             other => panic!("unexpected reply {other:?}"),
         }
     }
-    assert_eq!(served + shed, 120, "every request is answered one way");
-    assert!(served >= 8, "the queue's worth of queries is served");
+    assert_eq!(
+        served + shed,
+        sent as u64,
+        "every request is answered one way"
+    );
+    assert!(
+        served >= QUEUE_CAP as u64,
+        "the queue's worth of queries is served"
+    );
     assert!(shed > 0, "2x overload must shed");
 
     let snap = handle.stats();
     assert_eq!(snap.accepted_frames, served);
     assert_eq!(snap.shed_frames, shed);
     assert!(
-        snap.queue_depth_hwm <= 8,
+        snap.queue_depth_hwm <= QUEUE_CAP as u64,
         "pending queue never exceeds its cap: hwm = {}",
         snap.queue_depth_hwm
     );
@@ -373,14 +381,12 @@ fn full_batches_never_wait_and_never_exceed_max_batch() {
         let batch_rows = Arc::clone(&batch_rows);
         move |rows| batch_rows.lock().unwrap().push(rows)
     }));
-    let mut config = IngressConfig::new(opts);
-    config.max_batch = 4;
-    let queue_cap = 8 * config.max_batch as u64; // the default the config leaves in place
-    let handle = spawn_on_ephemeral(engine, config);
+    let handle = spawn_on_ephemeral(engine, IngressConfig::new(opts));
 
-    // Ten queries through max_batch = 4: nothing waits for company, so all ten are
-    // answered — oldest first, in batches of at most four.
-    let qs = queries(10);
+    // Two full batches and half of a third: nothing waits for company, so all are
+    // answered — oldest first, in batches of at most `MAX_BATCH`.
+    let sent = 2 * MAX_BATCH + MAX_BATCH / 2;
+    let qs = queries(sent);
     let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
     let mut wire = Vec::new();
     for (rid, q) in qs.iter().enumerate() {
@@ -400,15 +406,15 @@ fn full_batches_never_wait_and_never_exceed_max_batch() {
     }
 
     let batch_rows = batch_rows.lock().unwrap().clone();
-    assert_eq!(batch_rows.iter().sum::<usize>(), 10);
+    assert_eq!(batch_rows.iter().sum::<usize>(), sent);
     assert!(
-        batch_rows.len() >= 3 && batch_rows.iter().all(|&rows| rows <= 4),
-        "a batch never exceeds max_batch: {batch_rows:?}"
+        batch_rows.len() >= 3 && batch_rows.iter().all(|&rows| rows <= MAX_BATCH),
+        "a batch never exceeds MAX_BATCH: {batch_rows:?}"
     );
     let snap = handle.stats();
-    assert_eq!(snap.accepted_frames, 10);
+    assert_eq!(snap.accepted_frames, sent as u64);
     assert!(
-        snap.queue_depth_hwm <= queue_cap,
+        snap.queue_depth_hwm <= QUEUE_CAP as u64,
         "pending queue never exceeds its cap: hwm = {}",
         snap.queue_depth_hwm
     );
@@ -426,7 +432,6 @@ fn full_batches_never_wait_and_never_exceed_max_batch() {
 fn the_next_batch_forms_while_this_one_is_served() {
     let index = index();
     let opts = QueryOptions::new(4, 3);
-    let max_batch = 4;
     // Every `serve_batch` reports its row count and then waits for the test's release
     // (or for the release side to be dropped), so the interleaving below is forced.
     let (entered_tx, entered) = mpsc::channel::<usize>();
@@ -437,11 +442,9 @@ fn the_next_batch_forms_while_this_one_is_served() {
         entered.send(rows).expect("the test outlives the engine");
         let _ = release.recv();
     }));
-    let mut config = IngressConfig::new(opts);
-    config.max_batch = max_batch;
-    let handle = spawn_on_ephemeral(engine, config);
+    let handle = spawn_on_ephemeral(engine, IngressConfig::new(opts));
 
-    let qs = queries(1 + max_batch + 3);
+    let qs = queries(1 + MAX_BATCH + 3);
     let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
     let mut send = |rids: std::ops::Range<usize>| {
         let mut wire = Vec::new();
@@ -455,10 +458,10 @@ fn the_next_batch_forms_while_this_one_is_served() {
     send(0..1);
     assert_eq!(entered.recv_timeout(Duration::from_secs(10)), Ok(1));
     // ...and what arrives while it is being served becomes the next batches: one full,
-    // one of the remaining three — never singles, never more than `max_batch`.
+    // one of the remaining three — never singles, never more than `MAX_BATCH`.
     send(1..qs.len());
     drop(release);
-    assert_eq!(entered.recv_timeout(Duration::from_secs(10)), Ok(max_batch));
+    assert_eq!(entered.recv_timeout(Duration::from_secs(10)), Ok(MAX_BATCH));
     assert_eq!(entered.recv_timeout(Duration::from_secs(10)), Ok(3));
 
     for (rid, q) in qs.iter().enumerate() {
@@ -472,7 +475,7 @@ fn the_next_batch_forms_while_this_one_is_served() {
     assert_eq!(
         entered.try_recv(),
         Err(mpsc::TryRecvError::Empty),
-        "eight queries, three batches"
+        "1 + MAX_BATCH + 3 queries, three batches"
     );
     handle.shutdown();
 }
@@ -504,9 +507,7 @@ fn an_engine_panic_costs_one_batch_not_the_server() {
         inner: QueryEngine::new(index()),
         tripped: AtomicBool::new(false),
     });
-    let mut config = IngressConfig::new(opts);
-    config.max_batch = 4;
-    let handle = spawn_on_ephemeral(Arc::clone(&engine), config);
+    let handle = spawn_on_ephemeral(Arc::clone(&engine), IngressConfig::new(opts));
 
     let qs = queries(8);
     let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
